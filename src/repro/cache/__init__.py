@@ -13,8 +13,6 @@ Public surface:
 * :class:`~repro.cache.kernel.CacheKernel` — budgeted entry table with
   monotonic handles, pin/dirty-aware victim selection, ghost-hit
   estimation and ``cache.<name>.*`` metrics;
-* :class:`~repro.cache.sharded.ShardedKernel` — N independently budgeted
-  kernels behind a deterministic key hash;
 * :mod:`~repro.cache.policy` — the :class:`~repro.cache.policy.Policy`
   interface and the ``lru`` / ``clock`` / ``slru`` / ``arc``
   implementations;
@@ -29,7 +27,6 @@ from .arbiter import (ArbiterSpec, BudgetLease, GhostGradient,
                       MemoryArbiter, StaticSplit, make_arbiter)
 from .kernel import BudgetWindow, CacheKernel, CacheStallError
 from .policy import POLICIES, Policy, make_policy
-from .sharded import ShardedKernel
 
 __all__ = [
     "ArbiterSpec",
@@ -41,7 +38,6 @@ __all__ = [
     "MemoryArbiter",
     "POLICIES",
     "Policy",
-    "ShardedKernel",
     "StaticSplit",
     "make_arbiter",
     "make_policy",

@@ -88,24 +88,19 @@ class CacheKernel:
                  counters: Optional[CounterSet] = None,
                  trace: Optional[TraceBus] = None,
                  stall_event: Optional[str] = None,
-                 trace_cat: str = "cache",
-                 handle_start: int = 1,
-                 handle_step: int = 1,
-                 metrics: Optional[KernelMetrics] = None) -> None:
+                 trace_cat: str = "cache") -> None:
         self.name = name
         self.capacity_bytes = capacity_bytes
         self.policy: Policy = make_policy(policy)
         self.clean_first = clean_first
         self.counters = counters if counters is not None else CounterSet()
         self.trace = trace
-        self.metrics = metrics if metrics is not None \
-            else KernelMetrics.declare(self.counters.registry, name)
+        self.metrics = KernelMetrics.declare(self.counters.registry, name)
         self._stall_event = stall_event
         self._trace_cat = trace_cat
         self._entries: dict[int, _Entry] = {}
         self._used = 0
-        self._next_handle = handle_start
-        self._handle_step = handle_step
+        self._next_handle = 1
         # Hot path: insert/evict run once per block entering or leaving
         # the cache; bind the policy methods once to skip the chains.
         self._policy_insert = self.policy.insert
@@ -127,12 +122,6 @@ class CacheKernel:
 
     @property
     def free_bytes(self) -> int:
-        return self.capacity_bytes - self._used
-
-    def free_bytes_for(self, key: Hashable) -> int:
-        """Free budget in the shard responsible for ``key`` (here: all).
-        Inlined rather than delegating to :attr:`free_bytes` — it sits on
-        the consumers' insert path."""
         return self.capacity_bytes - self._used
 
     def __len__(self) -> int:
@@ -171,7 +160,7 @@ class CacheKernel:
         flows can install the new entry before reclaiming the stale one.
         """
         handle = self._next_handle
-        self._next_handle = handle + self._handle_step
+        self._next_handle = handle + 1
         self._entries[handle] = (key, item, nbytes)
         self._used += nbytes
         self._policy_insert(handle, key)
@@ -192,17 +181,15 @@ class CacheKernel:
         if self.policy.ghost_hit(key):
             self.metrics.ghost_hit._total += 1
 
-    def rekey(self, handle: int, new_key: Hashable) -> int:
+    def rekey(self, handle: int, new_key: Hashable) -> None:
         """Reassign a live entry's key (FHO→LBN remap) in place.
 
-        The entry's recency position is untouched — exactly the
-        pre-kernel remap semantics.  Returns the (unchanged) handle; the
-        sharded kernel overrides this to migrate across shards.
+        The handle and the entry's recency position are untouched —
+        exactly the pre-kernel remap semantics.
         """
         entries = self._entries
         _, item, nbytes = entries[handle]
         entries[handle] = (new_key, item, nbytes)
-        return handle
 
     def remove(self, handle: int) -> Any:
         """Take a live entry out without eviction semantics (no ghost,
@@ -263,9 +250,8 @@ class CacheKernel:
         ``on_evict`` runs per victim *before* the next victim is chosen,
         so consumer-side bookkeeping (indexes, traces, reclaim
         listeners) observes the same intermediate states as the
-        pre-kernel eviction loops.  ``key`` routes the request in the
-        sharded kernel; it is accepted (and ignored) here so call sites
-        are shard-agnostic.
+        pre-kernel eviction loops.  ``key`` names the entry about to be
+        inserted; one budget covers every key, so it is not used.
         """
         dirty_victims: List[Any] = []
         entries = self._entries

@@ -60,7 +60,7 @@ class Policy:
 
     def remove(self, handle: int) -> None:
         """The entry left the cache *without* being evicted (drop,
-        replacement, cross-shard rekey): no ghost is recorded."""
+        replacement): no ghost is recorded."""
         raise NotImplementedError
 
     def evicted(self, handle: int, key: Hashable) -> None:

@@ -504,8 +504,7 @@ class SchedulerDiscipline(Rule):
     invariant = ("single event core (DESIGN.md §11): every future action "
                  "is ordered by the Simulator's (time, seq) key; a "
                  "private heapq schedule in model code bypasses the seq "
-                 "tie-break that makes runs deterministic and splits "
-                 "behavior across the calendar/heap backend switch — "
+                 "tie-break that makes runs deterministic — "
                  "schedule through sim.schedule()/timeout()/timer()")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
@@ -544,40 +543,7 @@ class SchedulerDiscipline(Rule):
                         f"heap operation {name}(): a second time-ordered "
                         f"schedule outside repro.sim.engine; use "
                         f"sim.schedule()/sim.timer() so ordering stays "
-                        f"deterministic across scheduler backends")
-
-
-# ---------------------------------------------------------------------------
-# no-legacy-factory
-# ---------------------------------------------------------------------------
-
-@register
-class NoLegacyFactory(Rule):
-    """New code builds testbeds from specs, not ``build_testbed()``."""
-
-    id = "no-legacy-factory"
-    summary = "no new callers of the deprecated build_testbed() factory"
-    invariant = ("spec API (DESIGN.md §10): testbeds are described by "
-                 "typed, picklable repro.servers.TestbedSpec/ClusterSpec "
-                 "values and built with .build(); the kwarg-soup "
-                 "build_testbed() factory is deleted — this rule keeps "
-                 "it from being reinvented")
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        if vocab.path_matches(ctx.posix,
-                              vocab.LEGACY_FACTORY_ALLOWED_PATHS):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is not None \
-                    and name.split(".")[-1] == "build_testbed":
-                yield ctx.diag(
-                    self.id, node,
-                    f"call to deprecated factory {name}(): construct a "
-                    f"repro.servers.TestbedSpec (or ClusterSpec) and "
-                    f"call .build()")
+                        f"deterministic")
 
 
 # ---------------------------------------------------------------------------

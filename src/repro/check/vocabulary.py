@@ -116,20 +116,15 @@ WALLCLOCK_ALLOWED_PATHS: Tuple[str, ...] = (
     "repro/perf/",
 )
 
-#: The only module allowed to use ``heapq`` (or otherwise maintain a
-#: time-ordered schedule): the event core itself.  Everything else must
-#: go through the Simulator API — a second scheduler hidden in model
-#: code would bypass the seq tie-break that makes runs deterministic
-#: and the calendar/heap backend switch meaningless.
+#: The only modules allowed to use ``heapq`` (or otherwise maintain a
+#: time-ordered schedule): the event core itself and the reference heap
+#: the engine tests compare it against.  Everything else must go through
+#: the Simulator API — a second scheduler hidden in model code would
+#: bypass the seq tie-break that makes runs deterministic.
 HEAPQ_ALLOWED_PATHS: Tuple[str, ...] = (
     "repro/sim/engine.py",
+    "tests/heap_oracle.py",
 )
-
-#: The deprecated testbed factory is deleted; no module may call
-#: ``build_testbed`` any more (the ``no-legacy-factory`` rule points
-#: everyone at :class:`repro.servers.spec.TestbedSpec`).  The tuple is
-#: kept (empty) so the rule's structure matches its siblings.
-LEGACY_FACTORY_ALLOWED_PATHS: Tuple[str, ...] = ()
 
 #: Wall-clock reading calls (dotted names as written at the call site).
 WALLCLOCK_CALLS: FrozenSet[str] = frozenset({

@@ -9,9 +9,9 @@ from the head; clean chunks are freed, dirty chunks are written back
 first (the store hands dirty victims to the caller, which owns the I/O
 path).  Recency/eviction bookkeeping is delegated to the unified
 :mod:`repro.cache` kernel (DESIGN.md §9), which also opens the
-replacement *policy* (``lru``/``clock``/``slru``/``arc``) and optional
-keyspace *sharding* as experiment axes — with ``policy="lru",
-shards=1`` (the default) behavior is identical to the paper's.
+replacement *policy* (``lru``/``clock``/``slru``/``arc``) as an
+experiment axis — with ``policy="lru"`` (the default) behavior is
+identical to the paper's.
 
 Beyond the paper's text, the store completes the design with two pieces of
 necessary engineering, both flagged in DESIGN.md:
@@ -25,18 +25,15 @@ necessary engineering, both flagged in DESIGN.md:
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Optional, Union)
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
-from ..cache import CacheKernel, CacheStallError, ShardedKernel
+from ..cache import CacheKernel, CacheStallError
 from ..cache.kernel import KernelMetrics
 from ..check import sanitizer as _sanitizer
 from ..obs.trace import TraceBus
 from ..sim.stats import CounterSet
 from .chunk import Chunk
 from .keys import FhoKey, LbnKey
-
-AnyKernel = Union[CacheKernel, ShardedKernel]
 
 
 class NCacheStore:
@@ -47,8 +44,7 @@ class NCacheStore:
                  per_chunk_overhead: int = 64,
                  counters: Optional[CounterSet] = None,
                  trace: Optional[TraceBus] = None,
-                 policy: str = "lru",
-                 shards: int = 1) -> None:
+                 policy: str = "lru") -> None:
         if capacity_bytes < chunk_size:
             raise ValueError("capacity smaller than one chunk")
         self.chunk_size = chunk_size
@@ -62,25 +58,13 @@ class NCacheStore:
             "ncache.used.bytes", unit="bytes")
         self._lbn: Dict[LbnKey, Chunk] = {}
         self._fho: Dict[FhoKey, Chunk] = {}
-        if shards > 1:
-            sharded = ShardedKernel(
-                "ncache", capacity_bytes, policy, shards,
-                counters=self.counters, trace=trace)
-            self._kernel: AnyKernel = sharded
-            promote: Callable[[int], None] = sharded.policy_touch
-            ghost_probe: Callable[[Hashable], bool] = sharded.ghost_probe
-        else:
-            flat = CacheKernel(
-                "ncache", capacity_bytes, policy,
-                counters=self.counters, trace=trace)
-            self._kernel = flat
-            promote = flat.policy.touch
-            ghost_probe = flat.policy.ghost_hit
+        self._kernel = CacheKernel("ncache", capacity_bytes, policy,
+                                   counters=self.counters, trace=trace)
         # Hot path: lookups dominate the simulation profile, so resolve
         # the kernel indirection (kernel.touch -> policy.touch ->
         # counter bump) into direct callables and Counter objects once.
-        self._promote = promote
-        self._ghost_probe = ghost_probe
+        self._promote = self._kernel.policy.touch
+        self._ghost_probe = self._kernel.policy.ghost_hit
         metrics = self._kernel.metrics
         self._m_hit = metrics.hit
         self._m_miss = metrics.miss
@@ -193,9 +177,8 @@ class NCacheStore:
 
         Pinned chunks are skipped.  Every victim (clean or dirty) is
         removed from both indexes and announced to reclaim listeners;
-        dirty victims are returned for the caller to write back.  When
-        the store is sharded, ``key`` — the key about to be inserted —
-        routes the reservation to the responsible shard.
+        dirty victims are returned for the caller to write back.
+        ``key`` is the key about to be inserted.
 
         Raises :class:`~repro.cache.CacheStallError` (a RuntimeError)
         when every resident chunk is pinned.
@@ -264,7 +247,7 @@ class NCacheStore:
         existing = index.get(chunk.key)
         footprint = self._footprint(chunk)
         freed = self._footprint(existing) if existing is not None else 0
-        if self._kernel.free_bytes_for(chunk.key) + freed < footprint:
+        if self._kernel.free_bytes + freed < footprint:
             raise RuntimeError("insert without room; call make_room() first")
         if existing is chunk:
             return  # already resident under this key; nothing to do
@@ -289,15 +272,14 @@ class NCacheStore:
         and (c) are not yet resident under their key — exactly the
         warm-start shape — minus the per-insert work those properties
         make redundant (footprint recomputation, duplicate-key probing,
-        a used-gauge refresh per chunk).  Shard-imbalance evictions
-        behave exactly as on the general path; a dirty victim is a
-        caller bug and raises.
+        a used-gauge refresh per chunk).  Evictions behave exactly as
+        on the general path; a dirty victim is a caller bug and raises.
         """
         kernel = self._kernel
         san = _sanitizer.active()
         for chunk in chunks:
             key = chunk.key
-            if kernel.free_bytes_for(key) < footprint:
+            if kernel.free_bytes < footprint:
                 for victim in kernel.make_room(footprint, key=key,
                                                on_evict=self._evicted):
                     raise RuntimeError("dirty victim during warm start")
@@ -337,9 +319,7 @@ class NCacheStore:
         # pre-remap views are distinguishable without byte comparison.
         chunk.bump_generation()
         assert chunk.cache_handle is not None
-        # In-shard rekey keeps the recency position; across shards the
-        # entry re-enters at the target shard's MRU.
-        chunk.cache_handle = self._kernel.rekey(chunk.cache_handle, lbn_key)
+        self._kernel.rekey(chunk.cache_handle, lbn_key)
         self._lbn[lbn_key] = chunk  # installed before the stale removal so
         # reclaim listeners observe the block as still resolvable
         if stale is not None and stale is not chunk:

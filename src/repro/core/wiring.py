@@ -35,14 +35,13 @@ def attach_ncache(host: Host, vfs: VFS,
                   per_chunk_overhead: int = 64,
                   inherit_checksums: bool = True,
                   enable_remap: bool = True,
-                  policy: str = "lru",
-                  shards: int = 1) -> NCacheModule:
+                  policy: str = "lru") -> NCacheModule:
     """Create, wire and return an NCache module for this server."""
     store = NCacheStore(capacity_bytes, chunk_size=vfs.block_size,
                         per_buffer_overhead=per_buffer_overhead,
                         per_chunk_overhead=per_chunk_overhead,
                         counters=host.counters, trace=host.sim.trace,
-                        policy=policy, shards=shards)
+                        policy=policy)
     image = vfs.image
 
     def fho_to_lbn(key: FhoKey) -> Optional[LbnKey]:

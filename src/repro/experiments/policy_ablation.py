@@ -1,12 +1,12 @@
-"""Policy ablation: replacement policy × shard count on the NCache store.
+"""Policy ablation: replacement policy on the NCache store.
 
 The paper fixes replacement at classic LRU over fixed-size chunks (§3.4)
 and never revisits the choice; NetCAS (arXiv:2510.02323) and the
 in-network storage-cache study (arXiv:2307.11069) both show hit-ratio
 behavior under real workloads is policy-sensitive.  With replacement now
 a kernel parameter (DESIGN.md §9) this sweep measures what the paper
-could not: every :data:`repro.cache.POLICIES` entry × shard count, on
-the two macro workloads (SPECsfs-like NFS, SPECweb99-like kHTTPd), under
+could not: every :data:`repro.cache.POLICIES` entry, on the two macro
+workloads (SPECsfs-like NFS, SPECweb99-like kHTTPd), under
 memory pressure (working sets larger than the carve-out, the Figure 6a
 pressure regime).
 
@@ -17,7 +17,7 @@ misses a modestly larger cache would have absorbed —
 ``cache.bcache.ghost_hit`` where most re-misses actually land, since the
 reclaim listener invalidates placeholder pages when their chunk is
 evicted), and the physical-copy cost per operation
-(``copies.physical_bytes``, the §3.1 currency).  ``lru × 1`` is the
+(``copies.physical_bytes``, the §3.1 currency).  ``lru`` is the
 paper's configuration and doubles as the refactor's fidelity control:
 its ``sim_events`` are identical to the pre-kernel code.
 """
@@ -42,8 +42,6 @@ from .parallel import RunSpec, drain, run_specs
 
 #: Every registered policy, in registry (insertion) order — LRU first.
 POLICY_NAMES = tuple(POLICIES)
-#: Shard counts swept; 1 is the paper's unsharded layout.
-SHARD_COUNTS = (1, 4)
 #: The two macro workloads of §5.4/§5.5.
 WORKLOADS = ("specsfs", "specweb")
 
@@ -54,17 +52,17 @@ QUICK_SCALE = 4
 WEB_WORKING_SET_MB = 900
 
 
-def measure_point(workload: str, policy: str, shards: int,
+def measure_point(workload: str, policy: str,
                   quick: bool = True, reports: dict = None) -> dict:
-    """One (workload, policy, shards) cell of the ablation grid.
+    """One (workload, policy) cell of the ablation grid.
 
     When ``reports`` is given, the testbed's full metrics snapshot is
-    stored there under ``"<workload>/<policy>/<shards>shard"``.
+    stored there under ``"<workload>/<policy>"``.
     """
     proto = protocol(quick)
     scale = QUICK_SCALE if quick else 1
     overrides = scaled_memory_config(scale)
-    overrides.update(cache_policy=policy, cache_shards=shards)
+    overrides.update(cache_policy=policy)
     if workload == "specsfs":
         testbed = nfs_testbed(ServerMode.NCACHE, n_nics=1, n_daemons=16,
                               flush_interval_s=0.05, **overrides)
@@ -86,8 +84,7 @@ def measure_point(workload: str, policy: str, shards: int,
     wl.start()
     testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
     if reports is not None:
-        reports[f"{workload}/{policy}/{shards}shard"] = \
-            testbed.metrics_snapshot()
+        reports[f"{workload}/{policy}"] = testbed.metrics_snapshot()
     counters = testbed.server_host.counters
     hits = counters["cache.ncache.hit"].value
     misses = counters["cache.ncache.miss"].value
@@ -100,7 +97,6 @@ def measure_point(workload: str, policy: str, shards: int,
     return {
         "workload": workload,
         "policy": policy,
-        "shards": shards,
         "ops_per_sec": testbed.meters.throughput.ops_per_second(),
         "throughput_mbps": testbed.meters.throughput.mb_per_second(),
         "hit_pct": 100.0 * hits / probes if probes else 0.0,
@@ -114,21 +110,19 @@ def measure_point(workload: str, policy: str, shards: int,
 def grid(quick: bool = True) -> List[RunSpec]:
     """The sweep as independent, picklable grid points."""
     return [RunSpec(fn="repro.experiments.policy_ablation:measure_point",
-                    args=(workload, policy, shards, quick),
-                    label=f"policy_ablation/{workload}/{policy}/"
-                          f"{shards}shard")
+                    args=(workload, policy, quick),
+                    label=f"policy_ablation/{workload}/{policy}")
             for workload in WORKLOADS
-            for policy in POLICY_NAMES
-            for shards in SHARD_COUNTS]
+            for policy in POLICY_NAMES]
 
 
 def run(quick: bool = True, workers: int = 1,
         trace_sink: list = None, stats: list = None) -> ExperimentResult:
-    """The full policy × shard sweep on both macro workloads."""
+    """The full policy sweep on both macro workloads."""
     result = ExperimentResult(
         name="policy_ablation",
-        title="Policy ablation: replacement policy x NCache shard count",
-        columns=["workload", "policy", "shards", "ops_per_sec",
+        title="Policy ablation: NCache replacement policy",
+        columns=["workload", "policy", "ops_per_sec",
                  "throughput_mbps", "hit_pct", "ghost_hit_pct",
                  "fs_ghost_pct", "copied_kb_per_op"])
     rows = []
@@ -139,13 +133,13 @@ def run(quick: bool = True, workers: int = 1,
         result.add_row(**rr.value)
         result.reports.update(rr.report)
     baseline = {r["workload"]: r for r in rows
-                if r["policy"] == "lru" and r["shards"] == 1}
+                if r["policy"] == "lru"}
     for workload, base in sorted(baseline.items()):
         best = max((r for r in rows if r["workload"] == workload),
                    key=lambda r: r["hit_pct"])
         result.add_note(
-            f"{workload}: paper LRU x1 hit {base['hit_pct']:.1f}% "
+            f"{workload}: paper LRU hit {base['hit_pct']:.1f}% "
             f"({base['ops_per_sec']:.0f} ops/s); best "
-            f"{best['policy']} x{best['shards']} hit "
+            f"{best['policy']} hit "
             f"{best['hit_pct']:.1f}% ({best['ops_per_sec']:.0f} ops/s)")
     return result

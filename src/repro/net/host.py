@@ -30,15 +30,6 @@ RxHook = Callable[[Datagram], Generator]
 class Host:
     """One machine in the testbed."""
 
-    #: When True (the default), the network stack books per-packet CPU
-    #: costs through the accountant's ``note_*`` API and executes each
-    #: packet train's total as one CPU hold instead of one hold per cost
-    #: category.  Counters, histograms, and CopyRecords are identical on
-    #: both paths; only the number of engine events differs.  Flip to
-    #: False (per instance or globally) to A/B against the classic
-    #: per-packet charging path.
-    batched_charging: bool = True
-
     def __init__(self, sim: Simulator, name: str,
                  costs: CostModel = DEFAULT_COSTS,
                  cores: int = 1,

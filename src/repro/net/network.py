@@ -35,6 +35,10 @@ class Datagram:
     parsed application object (an NFS call, an iSCSI PDU, ...), which the
     simulation passes alongside to avoid re-parsing.  ``n_frames`` and
     ``wire_bytes`` are precomputed from the cost model.
+
+    ``lazy_frag`` is set when ``chain`` is still the sender's single
+    unfragmented buffer: it is the fragment payload size a receiver that
+    caches wire buffers must split the chain into (DESIGN.md §11).
     """
 
     protocol: str  # "udp" | "tcp"
@@ -45,6 +49,7 @@ class Datagram:
     n_frames: int
     wire_bytes: int
     meta: dict = field(default_factory=dict)
+    lazy_frag: Optional[int] = None
 
     @property
     def payload_bytes(self) -> int:

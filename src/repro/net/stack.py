@@ -58,6 +58,14 @@ def count_placeholder_keys(payload: Payload) -> int:
     return 0
 
 
+def _wire_headers(src_ip: str, src_port: int, dst: Endpoint,
+                  proto: str) -> list:
+    """The ``[ip, transport]`` header stack of a datagram's first buffer."""
+    transport = UDPHeader if proto == "udp" else TCPHeader
+    return [IPv4Header(src_ip=src_ip, dst_ip=dst.ip, protocol=proto),
+            transport(src_port=src_port, dst_port=dst.port)]
+
+
 class NetworkStack:
     """One host's transport layer."""
 
@@ -91,58 +99,12 @@ class NetworkStack:
         moved under ``discipline``.
         """
         costs = self.host.costs
-        acct = self.host.acct
-        header = header if header is not None else BytesPayload(b"")
-        if self.host.batched_charging:
-            moved, move_ns = self._note_move_out(data, discipline, trace,
-                                                 is_metadata)
-        else:
-            moved = yield from self._move_out(data, discipline, trace,
-                                              is_metadata)
-            move_ns = None
-        datagram_bytes = header.length + moved.length
-        n_frames = costs.udp_frames(datagram_bytes)
-        wire_bytes = costs.udp_wire_bytes(datagram_bytes)
-        tx_ns = n_frames * costs.packet_tx_ns + costs.udp_datagram_ns
-        if move_ns is None:
-            yield from acct.compute(tx_ns, "net.tx")
-        else:
-            # One CPU hold for the whole train: socket move + per-frame
-            # TX costs, booked separately, executed together.
-            yield from acct.charge_ns(
-                move_ns + acct.note_compute(tx_ns, "net.tx"))
-        payload = concat([header, moved])
-        # Lazy fragmentation: the datagram carries one buffer holding the
-        # whole payload plus a ``lazy_frag`` marker with the fragment
-        # size.  Per-fragment buffers only matter to a receiver that
-        # caches wire buffers (an NCache host), and the receive path
-        # refragments there — every other consumer reassembles the
-        # payload anyway, and frame/wire accounting is arithmetic.
-        # A substituting TX hook replaces the chain wholesale (it
-        # coalesces fragment boundaries away first), so fragmenting
-        # before the hooks would be pure wasted work.
-        chain = self._build_lazy_chain(payload, src_ip, src_port, dst, "udp")
-        dgram = Datagram(protocol="udp", src=Endpoint(src_ip, src_port),
-                         dst=dst, message=message, chain=chain,
-                         n_frames=n_frames, wire_bytes=wire_bytes,
-                         meta=dict(meta or {}))
-        # No-op guards: most hosts have no hooks and offload checksums,
-        # and this path runs per datagram — skip the generator plumbing.
-        if self.host._tx_hooks:
-            dgram = yield from self.host.run_tx_hooks(dgram, trace)
-        if dgram.chain is chain:
-            dgram.meta["lazy_frag"] = costs.udp_fragment_payload
-        if not self.host.checksum_offload:
-            yield from self._software_checksum_tx(dgram.chain)
-        bus = self.sim.trace
-        if bus.enabled:
-            bus.emit("net.send", cat="net", tid=bus.tid_for(self.host.name),
-                     proto="udp", dst=str(dst), frames=dgram.n_frames,
-                     wire_bytes=dgram.wire_bytes,
-                     msg=type(message).__name__)
-        nic = self.host.nic_for_ip(src_ip)
-        nic.send(dgram)
-        return dgram
+        return (yield from self._transmit(
+            "udp", Endpoint(src_ip, src_port), dst, message, data, header,
+            discipline, trace, is_metadata, meta,
+            frames=costs.udp_frames, wire_bytes=costs.udp_wire_bytes,
+            frame_ns=costs.packet_tx_ns, message_ns=costs.udp_datagram_ns,
+            frag_size=costs.udp_fragment_payload))
 
     # ------------------------------------------------------------------
     # TCP
@@ -196,9 +158,9 @@ class NetworkStack:
             self._handle_handshake(nic, dgram)
             return
 
-        frag_size = dgram.meta.get("lazy_frag")
+        frag_size = dgram.lazy_frag
         if frag_size is not None and self.host._rx_hooks:
-            del dgram.meta["lazy_frag"]
+            dgram.lazy_frag = None
             # An RX hook may cache this datagram's wire buffers, and
             # chunk buffer lists are made of fragment-granularity
             # descriptors — expand the lazy single-buffer chain into
@@ -220,13 +182,10 @@ class NetworkStack:
         else:
             proto_ns, proto_cat = (
                 dgram.n_frames * costs.tcp_segment_ns, "tcp.rx")
-        if self.host.batched_charging:
-            yield from acct.charge_ns(
-                acct.note_compute(rx_ns, "net.rx")
-                + acct.note_compute(proto_ns, proto_cat))
-        else:
-            yield from acct.compute(rx_ns, "net.rx")
-            yield from acct.compute(proto_ns, proto_cat)
+        # One CPU hold for the whole train, booked per category.
+        yield from acct.charge_ns(
+            acct.note_compute(rx_ns, "net.rx")
+            + acct.note_compute(proto_ns, proto_cat))
         if self.host.checksum_offload:
             # Hardware-verified: just mark the checksums known (what a
             # cached chunk later inherits when its buffers are re-sent).
@@ -258,31 +217,73 @@ class NetworkStack:
     # Internals
     # ------------------------------------------------------------------
 
-    def _move_out(self, data: Payload, discipline: CopyDiscipline,
-                  trace: Optional[RequestTrace], is_metadata: bool
-                  ) -> Generator[Event, Any, Payload]:
-        """The socket-boundary move (application buffer -> network buffers)."""
-        acct = self.host.acct
-        if data.length == 0:
-            return data
-        if is_metadata or discipline is CopyDiscipline.PHYSICAL:
-            yield from acct.physical_copy(data.length, "sock_tx", trace,
-                                          is_metadata)
-            return data.physical_copy()
-        if discipline is CopyDiscipline.LOGICAL:
-            nkeys = max(1, count_placeholder_keys(data))
-            yield from acct.logical_copy("sock_tx", nkeys, trace, data.length)
-            return data
-        # ZERO: the copy statement was deleted; junk goes on the wire.
-        self.host.counters.add("copies.elided")
-        return JunkPayload(data.length)
+    def _transmit(self, protocol: str, src: Endpoint, dst: Endpoint,
+                  message: Any, data: Payload, header: Optional[Payload],
+                  discipline: CopyDiscipline, trace: Optional[RequestTrace],
+                  is_metadata: bool, meta: Optional[dict], *,
+                  frames: Callable[[int], int],
+                  wire_bytes: Callable[[int], int],
+                  frame_ns: float, message_ns: float, frag_size: int
+                  ) -> Generator[Event, Any, Datagram]:
+        """The transmit sequence both transports run.
 
-    def _note_move_out(self, data: Payload, discipline: CopyDiscipline,
-                       trace: Optional[RequestTrace], is_metadata: bool
-                       ) -> tuple:
-        """Batched variant of :meth:`_move_out`: books the movement and
-        returns ``(payload, cpu_ns)`` for the caller to charge with the
-        rest of the train."""
+        Socket move-out, one CPU hold for the packet train, a lazy
+        single-buffer chain, the TX hooks, checksum, trace, NIC.  The
+        callers supply their frame arithmetic: ``frames``/``wire_bytes``
+        of a message size, the CPU cost per frame and per message, and
+        the fragment size a receiver would see.
+        """
+        host = self.host
+        acct = host.acct
+        header = header if header is not None else BytesPayload(b"")
+        moved, move_ns = self._socket_move(data, discipline, trace,
+                                           is_metadata)
+        message_bytes = header.length + moved.length
+        n_frames = frames(message_bytes)
+        # One CPU hold for the whole train: socket move + per-frame TX
+        # costs, booked separately, executed together.
+        yield from acct.charge_ns(move_ns + acct.note_compute(
+            n_frames * frame_ns + message_ns, "net.tx"))
+        # Lazy fragmentation: the datagram carries one buffer holding the
+        # whole payload, and ``lazy_frag`` records the fragment size.
+        # Per-fragment buffers only matter to a receiver that caches wire
+        # buffers (an NCache host), and the receive path refragments
+        # there — every other consumer reassembles the payload anyway,
+        # and frame/wire accounting is arithmetic.  A substituting TX
+        # hook replaces the chain wholesale (it coalesces fragment
+        # boundaries away first), so fragmenting before the hooks would
+        # be pure wasted work.
+        chain = BufferChain([NetBuffer(
+            payload=concat([header, moved]),
+            headers=_wire_headers(src.ip, src.port, dst, protocol),
+            flavor=host.buffer_flavor)])
+        dgram = Datagram(protocol=protocol, src=src, dst=dst,
+                         message=message, chain=chain, n_frames=n_frames,
+                         wire_bytes=wire_bytes(message_bytes),
+                         meta=dict(meta or {}))
+        # No-op guards: most hosts have no hooks and offload checksums,
+        # and this path runs per datagram — skip the generator plumbing.
+        if host._tx_hooks:
+            dgram = yield from host.run_tx_hooks(dgram, trace)
+        if dgram.chain is chain:
+            dgram.lazy_frag = frag_size
+        if not host.checksum_offload:
+            yield from self._software_checksum_tx(dgram.chain)
+        bus = self.sim.trace
+        if bus.enabled:
+            bus.emit("net.send", cat="net", tid=bus.tid_for(host.name),
+                     proto=protocol, dst=str(dst), frames=dgram.n_frames,
+                     wire_bytes=dgram.wire_bytes,
+                     msg=type(message).__name__)
+        host.nic_for_ip(src.ip).send(dgram)
+        return dgram
+
+    def _socket_move(self, data: Payload, discipline: CopyDiscipline,
+                     trace: Optional[RequestTrace], is_metadata: bool
+                     ) -> tuple:
+        """The socket-boundary move (application buffer -> network
+        buffers): books the movement and returns ``(payload, cpu_ns)``
+        for the caller to charge with the rest of the train."""
         acct = self.host.acct
         if data.length == 0:
             return data, 0.0
@@ -294,46 +295,22 @@ class NetworkStack:
             nkeys = max(1, count_placeholder_keys(data))
             ns = acct.note_logical_copy("sock_tx", nkeys, trace, data.length)
             return data, ns
+        # ZERO: the copy statement was deleted; junk goes on the wire.
         self.host.counters.add("copies.elided")
         return JunkPayload(data.length), 0.0
 
-    def _build_lazy_chain(self, payload: Payload, src_ip: str,
-                          src_port: int, dst: Endpoint,
-                          proto: str) -> BufferChain:
-        """A single-buffer chain holding the whole (unfragmented) payload.
-
-        Paired with the ``lazy_frag`` datagram marker: the receive path
-        expands it to the real fragment-sized chain only on hosts whose
-        RX hooks may cache wire buffers (fragment granularity is what a
-        cached chunk's buffer list is made of); everywhere else the
-        per-fragment descriptors would never be observed.
-        """
-        ip = IPv4Header(src_ip=src_ip, dst_ip=dst.ip, protocol=proto)
-        if proto == "udp":
-            transport = UDPHeader(src_port=src_port, dst_port=dst.port)
-        else:
-            transport = TCPHeader(src_port=src_port, dst_port=dst.port)
-        return BufferChain([NetBuffer(payload=payload,
-                                      headers=[ip, transport],
-                                      flavor=self.host.buffer_flavor)])
-
     def _build_chain(self, payload: Payload, fragment_size: int, src_ip: str,
                      src_port: int, dst: Endpoint, proto: str) -> BufferChain:
-        flavor = self.host.buffer_flavor
         # Headers are immutable once built, so one IP header object is
         # shared by every fragment of the chain (a chain can be dozens
         # of fragments; per-fragment construction showed in profiles).
-        ip = IPv4Header(src_ip=src_ip, dst_ip=dst.ip, protocol=proto)
-        if proto == "udp":
-            transport = UDPHeader(src_port=src_port, dst_port=dst.port)
-        else:
-            transport = TCPHeader(src_port=src_port, dst_port=dst.port)
+        first = _wire_headers(src_ip, src_port, dst, proto)
 
         def headers_factory(index: int, frag: Payload):
-            return [ip, transport] if index == 0 else [ip]
+            return list(first) if index == 0 else first[:1]
 
         return chain_from_payload(payload, fragment_size, headers_factory,
-                                  flavor=flavor)
+                                  flavor=self.host.buffer_flavor)
 
     def _software_checksum_tx(self, chain: BufferChain
                               ) -> Generator[Event, Any, None]:
@@ -348,23 +325,15 @@ class NetworkStack:
         if self.host.checksum_offload:
             return
         acct = self.host.acct
-        if self.host.batched_charging:
-            ns = 0.0
-            for buf in chain:
-                if buf.csum_known or buf.checksum is not None:
-                    ns += acct.note_checksum(buf.payload_bytes, cached=True)
-                else:
-                    ns += acct.note_checksum(buf.payload_bytes)
-                    buf.csum_known = True
-            if ns:
-                yield from acct.charge_ns(ns)
-            return
+        ns = 0.0
         for buf in chain:
             if buf.csum_known or buf.checksum is not None:
-                yield from acct.checksum(buf.payload_bytes, cached=True)
+                ns += acct.note_checksum(buf.payload_bytes, cached=True)
             else:
-                yield from acct.checksum(buf.payload_bytes)
+                ns += acct.note_checksum(buf.payload_bytes)
                 buf.csum_known = True
+        if ns:
+            yield from acct.charge_ns(ns)
 
     def _software_checksum_rx(self, chain: BufferChain
                               ) -> Generator[Event, Any, None]:
@@ -379,17 +348,12 @@ class NetworkStack:
                 buf.csum_known = True
             return
         acct = self.host.acct
-        if self.host.batched_charging:
-            ns = 0.0
-            for buf in chain:
-                ns += acct.note_checksum(buf.payload_bytes)
-                buf.csum_known = True
-            if ns:
-                yield from acct.charge_ns(ns)
-            return
+        ns = 0.0
         for buf in chain:
-            yield from acct.checksum(buf.payload_bytes)
+            ns += acct.note_checksum(buf.payload_bytes)
             buf.csum_known = True
+        if ns:
+            yield from acct.charge_ns(ns)
 
     def _handle_handshake(self, nic: NIC, dgram: Datagram) -> None:
         if dgram.meta["tcp"] == "syn":
@@ -446,47 +410,13 @@ class TCPConnection:
              meta: Optional[dict] = None
              ) -> Generator[Event, Any, Datagram]:
         """Send one application message over the connection."""
-        host = self.stack.host
-        costs = host.costs
-        header = header if header is not None else BytesPayload(b"")
-        if host.batched_charging:
-            moved, move_ns = self.stack._note_move_out(data, discipline,
-                                                       trace, is_metadata)
-        else:
-            moved = yield from self.stack._move_out(data, discipline, trace,
-                                                    is_metadata)
-            move_ns = None
-        message_bytes = header.length + moved.length
-        n_segments = costs.tcp_segments(message_bytes)
-        wire_bytes = costs.tcp_wire_bytes(message_bytes)
-        tx_ns = n_segments * (costs.packet_tx_ns + costs.tcp_segment_ns)
-        if move_ns is None:
-            yield from host.acct.compute(tx_ns, "net.tx")
-        else:
-            yield from host.acct.charge_ns(
-                move_ns + host.acct.note_compute(tx_ns, "net.tx"))
-        payload = concat([header, moved])
-        # Lazy fragmentation — see udp_send for the rationale.
-        chain = self.stack._build_lazy_chain(
-            payload, self.local.ip, self.local.port, self.remote, "tcp")
-        dgram = Datagram(protocol="tcp", src=self.local, dst=self.remote,
-                         message=message, chain=chain, n_frames=n_segments,
-                         wire_bytes=wire_bytes, meta=dict(meta or {}))
-        if host._tx_hooks:
-            dgram = yield from host.run_tx_hooks(dgram, trace)
-        if dgram.chain is chain:
-            dgram.meta["lazy_frag"] = costs.tcp_mss
-        if not host.checksum_offload:
-            yield from self.stack._software_checksum_tx(dgram.chain)
-        bus = self.stack.sim.trace
-        if bus.enabled:
-            bus.emit("net.send", cat="net", tid=bus.tid_for(host.name),
-                     proto="tcp", dst=str(self.remote),
-                     frames=dgram.n_frames, wire_bytes=dgram.wire_bytes,
-                     msg=type(message).__name__)
-        nic = host.nic_for_ip(self.local.ip)
-        nic.send(dgram)
-        return dgram
+        costs = self.stack.host.costs
+        return (yield from self.stack._transmit(
+            "tcp", self.local, self.remote, message, data, header,
+            discipline, trace, is_metadata, meta,
+            frames=costs.tcp_segments, wire_bytes=costs.tcp_wire_bytes,
+            frame_ns=costs.packet_tx_ns + costs.tcp_segment_ns,
+            message_ns=0.0, frag_size=costs.tcp_mss))
 
     def __repr__(self) -> str:
         return f"TCPConnection({self.local} -> {self.remote})"

@@ -95,12 +95,9 @@ def main(argv=None) -> int:
     if args.engine:
         engine_entries = run_engine_bench()
         for e in engine_entries:
-            speedup = (f"  x{e['speedup_vs_legacy']} vs legacy"
-                       if "speedup_vs_legacy" in e else "")
             print(f"engine:{e['name']:<19} {e['wall_s']:>8.3f}s "
                   f"{e['events_per_sec']:>9d} ev/s "
-                  f"{e['ops_per_sec']:>9d} op/s "
-                  f"[{e['scheduler']}]{speedup}")
+                  f"{e['ops_per_sec']:>9d} op/s")
 
     written = None
     if not args.no_record:

@@ -8,14 +8,7 @@ experiment grid:
     arming a cancellable timer whose "reply" lands long before the RTO
     fires, so the timer is cancelled (the common case — in the quick
     grid roughly a third of all dispatches used to be dead RTO
-    timeouts).  The recorded ``speedup_vs_legacy`` compares ops/sec
-    against ``timer_storm_legacy``.
-
-``timer_storm_legacy``
-    The same workload in the pre-cancellation idiom on the heap
-    backend: the RTO is a plain scheduled callback that stays in the
-    schedule until its fire time and is lazily discarded — dead
-    entries churn the heap and burn a dispatch each.
+    timeouts).
 
 ``packet_train``
     Same-timestamp fan-in: bursts of callbacks landing on one
@@ -40,13 +33,12 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.engine import AnyOf, Simulator, dispatch_count
+from ..sim.engine import Simulator, dispatch_count
 
 
-def _measure(build: Callable[[Optional[str]], Tuple[Simulator, int]],
-             scheduler: Optional[str]) -> Dict[str, Any]:
+def _measure(build: Callable[[], Tuple[Simulator, int]]) -> Dict[str, Any]:
     """Run one kernel and fold the measurements into an entry dict."""
-    sim, n_ops = build(scheduler)
+    sim, n_ops = build()
     before = dispatch_count()
     t0 = time.perf_counter()
     sim.run()
@@ -58,7 +50,6 @@ def _measure(build: Callable[[Optional[str]], Tuple[Simulator, int]],
         "events_per_sec": int(dispatches / wall) if wall > 0 else 0,
         "ops": n_ops,
         "ops_per_sec": int(n_ops / wall) if wall > 0 else 0,
-        "scheduler": sim.scheduler,
     }
 
 
@@ -66,17 +57,17 @@ def _measure(build: Callable[[Optional[str]], Tuple[Simulator, int]],
 # timer_storm
 # ---------------------------------------------------------------------------
 
-#: In-flight op population and op count for the storm kernels.  The RTO
-#: is 100x the reply delay, so the legacy variant carries ~100 dead
-#: timers per live op — the steady state the NFS client used to impose.
+#: In-flight op population and op count for the storm kernel.  The RTO
+#: is 100x the reply delay, so every timer is cancelled long before it
+#: is due — the steady state the NFS client imposes.
 _STORM_OPS = 150_000
 _STORM_FANOUT = 1_000
 _STORM_REPLY_S = 50e-6
 _STORM_RTO_S = 5e-3
 
 
-def _build_timer_storm(scheduler: Optional[str]) -> Tuple[Simulator, int]:
-    sim = Simulator(scheduler)
+def _build_timer_storm() -> Tuple[Simulator, int]:
+    sim = Simulator()
     remaining = [_STORM_OPS]
 
     def op() -> None:
@@ -97,36 +88,6 @@ def _build_timer_storm(scheduler: Optional[str]) -> Tuple[Simulator, int]:
     return sim, _STORM_OPS
 
 
-def _build_timer_storm_legacy(scheduler: Optional[str]
-                              ) -> Tuple[Simulator, int]:
-    # The pre-PR idiom, faithfully: a waiter Event raced against a
-    # ``sim.timeout(rto)`` Event through AnyOf on the heap backend.
-    # The timeout cannot be removed, so every op leaves a dead entry
-    # churning the heap until its fire time and pays the timeout's
-    # dispatch plus the dead AnyOf bookkeeping — exactly what the NFS
-    # client and peer-cache RTOs used to cost.
-    sim = Simulator(scheduler or "heap")
-    remaining = [_STORM_OPS]
-
-    def op() -> None:
-        waiter = sim.event()
-        race = AnyOf(sim, [waiter, sim.timeout(_STORM_RTO_S)])
-        race.add_callback(on_settle)
-        sim.schedule(_STORM_REPLY_S, waiter.succeed)
-
-    def on_settle(race: Any) -> None:
-        which, _value = race.value
-        if which != 0:  # pragma: no cover - replies always win
-            raise AssertionError("RTO fired in timer_storm_legacy")
-        remaining[0] -= 1
-        if remaining[0] >= _STORM_FANOUT:
-            op()
-
-    for _ in range(_STORM_FANOUT):
-        op()
-    return sim, _STORM_OPS
-
-
 # ---------------------------------------------------------------------------
 # packet_train
 # ---------------------------------------------------------------------------
@@ -136,8 +97,8 @@ _TRAIN_FRAMES = 16
 _TRAIN_GAP_S = 10e-6
 
 
-def _build_packet_train(scheduler: Optional[str]) -> Tuple[Simulator, int]:
-    sim = Simulator(scheduler)
+def _build_packet_train() -> Tuple[Simulator, int]:
+    sim = Simulator()
     remaining = [_TRAIN_COUNT]
     arrived = [0]
 
@@ -171,8 +132,8 @@ _CHURN_FANOUT = 512
 _CHURN_DELAYS = (20e-6, 300e-6, 4e-3, 70e-3, 1.1)
 
 
-def _build_churn_mix(scheduler: Optional[str]) -> Tuple[Simulator, int]:
-    sim = Simulator(scheduler)
+def _build_churn_mix() -> Tuple[Simulator, int]:
+    sim = Simulator()
     remaining = [_CHURN_OPS]
     step = [0]
 
@@ -207,25 +168,16 @@ def _build_churn_mix(scheduler: Optional[str]) -> Tuple[Simulator, int]:
 # driver
 # ---------------------------------------------------------------------------
 
-_Builder = Callable[[Optional[str]], Tuple[Simulator, int]]
-
-ENGINE_KERNELS: Dict[str, _Builder] = {
+ENGINE_KERNELS: Dict[str, Callable[[], Tuple[Simulator, int]]] = {
     "timer_storm": _build_timer_storm,
-    "timer_storm_legacy": _build_timer_storm_legacy,
     "packet_train": _build_packet_train,
     "churn_mix": _build_churn_mix,
 }
 
 
-def run_engine_bench(names: Optional[Sequence[str]] = None,
-                     scheduler: Optional[str] = None
+def run_engine_bench(names: Optional[Sequence[str]] = None
                      ) -> List[Dict[str, Any]]:
-    """Run the named kernels (default: all) and measure each.
-
-    When both storm variants run, the ``timer_storm`` entry gains
-    ``speedup_vs_legacy``: its ops/sec over the legacy idiom's — the
-    headline number for the cancellable-timer + calendar-queue work.
-    """
+    """Run the named kernels (default: all) and measure each."""
     chosen = list(ENGINE_KERNELS) if not names else list(names)
     unknown = [n for n in chosen if n not in ENGINE_KERNELS]
     if unknown:
@@ -233,13 +185,7 @@ def run_engine_bench(names: Optional[Sequence[str]] = None,
                        f"(choose from {list(ENGINE_KERNELS)})")
     entries: List[Dict[str, Any]] = []
     for name in chosen:
-        entry = _measure(ENGINE_KERNELS[name], scheduler)
+        entry = _measure(ENGINE_KERNELS[name])
         entry["name"] = name
         entries.append(entry)
-    by_name = {e["name"]: e for e in entries}
-    storm = by_name.get("timer_storm")
-    legacy = by_name.get("timer_storm_legacy")
-    if storm and legacy and legacy["ops_per_sec"] > 0:
-        storm["speedup_vs_legacy"] = round(
-            storm["ops_per_sec"] / legacy["ops_per_sec"], 2)
     return entries

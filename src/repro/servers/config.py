@@ -97,8 +97,6 @@ class TestbedConfig:
     #: replacement policy for both caches — a :data:`repro.cache.POLICIES`
     #: name (``lru`` is the paper's; the others are ablation axes).
     cache_policy: str = "lru"
-    #: NCache store shard count (1 = unsharded, the paper's layout).
-    cache_shards: int = 1
 
     #: memory-budget arbiter over the FS cache / NCache split
     #: (DESIGN.md §12).  The default ``StaticSplit`` reproduces the

@@ -137,8 +137,7 @@ class BaseTestbed:
                 per_chunk_overhead=config.ncache_per_chunk_overhead,
                 inherit_checksums=config.ncache_inherit_checksums,
                 enable_remap=config.ncache_enable_remap,
-                policy=config.cache_policy,
-                shards=config.cache_shards)
+                policy=config.cache_policy)
         self.arbiter = self._attach_arbiter()
 
         # Clients.

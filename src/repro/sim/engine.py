@@ -1,9 +1,8 @@
 """Discrete-event simulation engine.
 
 The engine is deliberately small and deterministic: a calendar queue of
-scheduled callbacks bucketed by exact timestamp (with a binary-heap
-fallback kept for A/B verification), plus a generator-based process
-abstraction in :mod:`repro.sim.process`.
+scheduled callbacks bucketed by exact timestamp, plus a generator-based
+process abstraction in :mod:`repro.sim.process`.
 
 Time is a float measured in **seconds** of simulated time.  All model
 constants elsewhere in the library are expressed in nanoseconds and
@@ -22,24 +21,20 @@ a ``(time, seq)`` heap would have put them.  When the near heap empties,
 the far list is partitioned against a new horizon ``min(far) + width``;
 the window ``width`` adapts deterministically to the batch size.
 
-**Identity argument.**  A binary heap keyed ``(time, seq)`` dispatches
-in time order, ties broken by the monotonic sequence number.  Here every
-bucket is FIFO and sequence numbers are assigned at insertion, so within
-one timestamp FIFO order *is* seq order; across timestamps the near heap
-and the far partition preserve time order (every far time is >= the
-horizon, every near time is below it, and the horizon only moves
-forward).  Dispatch order — and therefore ``sim_events`` — is
-byte-identical between the two cores; ``tests/test_engine_backends.py``
-locks this across the experiment grids.
+**Ordering contract.**  Dispatch is in ``(time, seq)`` order: time
+order, ties broken by the monotonic sequence number assigned at
+insertion.  Every bucket is FIFO, so within one timestamp FIFO order
+*is* seq order; across timestamps the near heap and the far partition
+preserve time order (every far time is >= the horizon, every near time
+is below it, and the horizon only moves forward).
+``tests/test_engine_backends.py`` checks this against a plain binary
+heap keyed ``(time, seq)`` (``tests/heap_oracle.py``).
 
 **Timers.**  :meth:`Simulator.call_later` / :meth:`Simulator.timer`
 return cancellable handles.  Cancelling physically removes the entry
-from its bucket (calendar) or marks it for a zero-cost skip (heap), so
-an RTO timer whose reply already arrived costs *no* dispatch — where
-the old timeout-Event idiom paid two (the succeed plus the stale
-``AnyOf`` callback) and left the entry churning the heap until it
-expired.  Cancelled timers dispatch nothing in both cores; fired timers
-dispatch exactly once in both.
+from its bucket, so an RTO timer whose reply already arrived costs *no*
+dispatch and never advances the clock; a fired timer dispatches exactly
+once.
 
 Determinism rules observed throughout the library:
 
@@ -51,7 +46,6 @@ Determinism rules observed throughout the library:
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Iterable, Optional
 
@@ -77,16 +71,6 @@ _dispatch_total = 0
 def dispatch_count() -> int:
     """Total engine callbacks dispatched in this process so far."""
     return _dispatch_total
-
-
-def default_scheduler() -> str:
-    """The scheduler backend new :class:`Simulator` objects use.
-
-    ``calendar`` unless the ``REPRO_SCHEDULER`` environment variable
-    says ``heap`` — the A/B switch the backend-identity tests and the
-    engine microbenchmarks flip.
-    """
-    return os.environ.get("REPRO_SCHEDULER", "calendar")
 
 
 class SimulationError(RuntimeError):
@@ -193,8 +177,7 @@ class TimerHandle:
         self._sim = sim
         self._fn = fn
         self._args = args
-        #: the calendar bucket entry (for physical removal on cancel);
-        #: unused by the heap core, which skips lazily.
+        #: the calendar bucket entry (for physical removal on cancel).
         self._entry: Optional[tuple] = None
 
     def cancel(self) -> bool:
@@ -237,10 +220,6 @@ class Timer(Event):
 class Simulator:
     """The event loop (calendar-queue core).
 
-    ``Simulator(scheduler="heap")`` — or ``REPRO_SCHEDULER=heap`` in the
-    environment — returns the legacy binary-heap core instead; dispatch
-    order is identical between the two.
-
     >>> sim = Simulator()
     >>> hits = []
     >>> sim.schedule(1.5, hits.append, "a")
@@ -252,37 +231,14 @@ class Simulator:
     1.5
     """
 
-    #: backend name, for diagnostics and BENCH records.
-    scheduler = "calendar"
-
     #: starting calendar window; :meth:`_refill` adapts it (deterministic
     #: doubling/halving on batch size, so identical runs adapt identically).
     _INITIAL_WIDTH = 1e-3
 
-    def __new__(cls, scheduler: Optional[str] = None) -> "Simulator":
-        if cls is Simulator:
-            backend = scheduler or default_scheduler()
-            if backend == "heap":
-                return super().__new__(HeapSimulator)
-            if backend != "calendar":
-                raise SimulationError(
-                    f"unknown scheduler backend {backend!r} "
-                    f"(choose 'calendar' or 'heap')")
-        return super().__new__(cls)
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._seq = 0
         self._running = False
-        self._init_core()
-        #: Structured trace bus (disabled, and nearly free, by default).
-        #: An active :func:`repro.obs.trace.tracing` session adopts it.
-        self.trace = TraceBus(clock=self)
-        session = active_session()
-        if session is not None:
-            session.adopt(self.trace)
-
-    def _init_core(self) -> None:
         #: per-timestamp FIFO buckets of ``(seq, fn, args)`` entries.
         #: Most simulated timestamps are unique, so a bucket holding a
         #: single entry stores the tuple directly; it is promoted to a
@@ -295,6 +251,12 @@ class Simulator:
         self._far: list[float] = []
         self._width = self._INITIAL_WIDTH
         self._horizon = self._INITIAL_WIDTH
+        #: Structured trace bus (disabled, and nearly free, by default).
+        #: An active :func:`repro.obs.trace.tracing` session adopts it.
+        self.trace = TraceBus(clock=self)
+        session = active_session()
+        if session is not None:
+            session.adopt(self.trace)
 
     # -- scheduling ------------------------------------------------------
 
@@ -611,134 +573,6 @@ class Simulator:
         """Number of scheduled-but-unexecuted callbacks."""
         return sum(len(q) if type(q) is deque else 1
                    for q in self._buckets.values())
-
-
-class HeapSimulator(Simulator):
-    """The legacy binary-heap core, kept behind the backend switch.
-
-    Dispatch order is byte-identical to the calendar core; the engine
-    microbenchmarks and the backend-identity tests run both.  Cancelled
-    timers are marked and skipped lazily at the top of the queue — no
-    dispatch is counted and the clock does not advance for them, matching
-    the calendar core's physical removal.
-    """
-
-    scheduler = "heap"
-
-    def _init_core(self) -> None:
-        self._heap: list[tuple[float, int, Optional[Callable], Any]] = []
-
-    # -- scheduling ------------------------------------------------------
-
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
-        self._seq += 1
-
-    def schedule_at(self, when: float, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self.now:
-            raise SimulationError(f"scheduling into the past: {when} < {self.now}")
-        heapq.heappush(self._heap, (when, self._seq, fn, args))
-        self._seq += 1
-
-    def _schedule_timer(self, when: float, fn: Callable,
-                        args: tuple) -> TimerHandle:
-        # Sentinel entry: fn=None marks a timer so the run loop can skip
-        # it for free once cancelled.  seq uniqueness guarantees the
-        # handle itself is never compared.
-        handle = TimerHandle(self, when, fn, args)
-        heapq.heappush(self._heap, (when, self._seq, None, handle))
-        self._seq += 1
-        return handle
-
-    def _discard_timer(self, handle: TimerHandle) -> None:
-        pass  # lazily skipped (handle.cancelled) at pop time
-
-    # -- execution -------------------------------------------------------
-
-    def step(self) -> bool:
-        global _dispatch_total
-        heap = self._heap
-        while heap:
-            when, seq, fn, args = heapq.heappop(heap)
-            if fn is None:
-                if args.cancelled:
-                    continue  # no dispatch, no clock advance
-                fn, args = args._dispatch, ()
-            self.now = when
-            trace = self.trace
-            if trace.engine_events:
-                trace.emit("engine.dispatch", cat="engine", t=when, seq=seq,
-                           fn=getattr(fn, "__qualname__", repr(fn)))
-            _dispatch_total += 1
-            fn(*args)
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None) -> None:
-        global _dispatch_total
-        if self._running:
-            raise SimulationError("run() re-entered")
-        self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        trace = self.trace
-        dispatched = 0
-        try:
-            if until is None:
-                while heap:
-                    when, seq, fn, args = pop(heap)
-                    if fn is None:
-                        if args.cancelled:
-                            continue
-                        fn, args = args._dispatch, ()
-                    self.now = when
-                    if trace.engine_events:
-                        trace.emit("engine.dispatch", cat="engine", t=when,
-                                   seq=seq,
-                                   fn=getattr(fn, "__qualname__", repr(fn)))
-                    dispatched += 1
-                    fn(*args)
-                san = _sanitizer.active()
-                if san is not None:
-                    san.sim_ended(self)
-                return
-            while heap and heap[0][0] <= until:
-                when, seq, fn, args = pop(heap)
-                if fn is None:
-                    if args.cancelled:
-                        continue
-                    fn, args = args._dispatch, ()
-                self.now = when
-                if trace.engine_events:
-                    trace.emit("engine.dispatch", cat="engine", t=when,
-                               seq=seq,
-                               fn=getattr(fn, "__qualname__", repr(fn)))
-                dispatched += 1
-                fn(*args)
-            self.now = max(self.now, until)
-        except StopSimulation:
-            pass  # entry was popped before dispatch; heap is consistent
-        finally:
-            self._running = False
-            _dispatch_total += dispatched
-
-    def peek(self) -> Optional[float]:
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            if entry[2] is None and entry[3].cancelled:
-                heapq.heappop(heap)
-                continue
-            return entry[0]
-        return None
-
-    def pending(self) -> int:
-        return sum(1 for entry in self._heap
-                   if entry[2] is not None or not entry[3].cancelled)
 
 
 class AnyOf(Event):

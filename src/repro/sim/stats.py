@@ -139,8 +139,10 @@ class LatencyStats:
             self._reservoir.append(sample)
         else:
             # Deterministic reservoir sampling: a multiplicative-hash
-            # "random" slot from the sample index alone.
-            slot = (self.count * 2654435761) % self.count
+            # "random" slot from the sample index alone.  The hash must
+            # be reduced mod 2**32 first — a bare multiple of ``count``
+            # is 0 mod ``count`` and would only ever replace slot 0.
+            slot = ((self.count * 2654435761) & 0xFFFFFFFF) % self.count
             if slot < self.RESERVOIR_SIZE:
                 self._reservoir[slot] = sample
 

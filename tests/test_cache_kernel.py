@@ -1,12 +1,9 @@
-"""The eviction kernel: budgets, victim selection, metrics, sharding."""
+"""The eviction kernel: budgets, victim selection, metrics."""
 
 import pytest
 
-from repro.cache import (CacheKernel, CacheStallError, POLICIES,
-                         ShardedKernel, make_policy)
-from repro.cache.sharded import default_shard_hash
+from repro.cache import CacheKernel, CacheStallError, POLICIES, make_policy
 from repro.obs.trace import TraceBus
-from repro.sim.rng import substream
 
 
 class Item:
@@ -139,7 +136,8 @@ class TestHandles:
     def test_rekey_in_place_keeps_position(self):
         k = kernel_of(3)
         h = fill(k, "abc")
-        assert k.rekey(h["a"], "z") == h["a"]
+        k.rekey(h["a"], "z")
+        assert k.key_of(h["a"]) == "z"
         assert [key for key, _ in k.items()] == ["z", "b", "c"]
 
     def test_get_none_and_missing(self):
@@ -193,204 +191,3 @@ class TestPolicyRegistry:
         k.touch(live[0])
         k.make_room(1)
         assert len(k) == 3
-
-
-class TestShardedKernel:
-    def test_budget_split_with_remainder(self):
-        s = ShardedKernel("test", 10, shards=4)
-        assert [sh.capacity_bytes for sh in s.shards] == [4, 2, 2, 2]
-        assert s.capacity_bytes == 10
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError):
-            ShardedKernel("test", 8, shards=0)
-
-    def test_handle_routing(self):
-        s = ShardedKernel("test", 8, shards=4)
-        for key in range(20):
-            h = s.insert(key, Item(), 0)
-            assert s.shard_for_handle(h) is s.shard_for_key(key)
-            assert s.key_of(h) == key
-
-    def test_key_routing_is_deterministic(self):
-        assignments = [default_shard_hash(k) % 4 for k in range(64)]
-        assert assignments == [default_shard_hash(k) % 4 for k in range(64)]
-        assert len(set(assignments)) == 4  # keys actually spread
-
-    def test_make_room_routes_by_key(self):
-        s = ShardedKernel("test", 8, shards=2)
-        key = 7
-        shard = s.shard_for_key(key)
-        other = s.shards[1 - s.shards.index(shard)]
-        for k in range(40):  # fill both shards
-            if s.free_bytes_for(k):
-                s.insert(k, Item(), 1)
-        before_other = len(other)
-        s.make_room(1, key=key)
-        assert len(other) == before_other  # only key's shard evicted
-        assert shard.free_bytes >= 1
-
-    def test_keyless_make_room_drains_fullest(self):
-        s = ShardedKernel("test", 8, shards=2)
-        for k in range(40):
-            if s.free_bytes_for(k):
-                s.insert(k, Item(), 1)
-        s.make_room(2)
-        assert all(sh.free_bytes >= 2 for sh in s.shards)
-
-    def test_cross_shard_rekey_migrates(self):
-        s = ShardedKernel("test", 8, shards=4)
-        old_key = 0
-        new_key = next(k for k in range(1, 64)
-                       if s.shard_for_key(k) is not s.shard_for_key(old_key))
-        h = s.insert(old_key, Item(), 1)
-        h2 = s.rekey(h, new_key)
-        assert s.shard_for_handle(h2) is s.shard_for_key(new_key)
-        assert s.key_of(h2) == new_key and len(s) == 1
-
-    def test_shared_metric_family(self):
-        s = ShardedKernel("test", 4, shards=2)
-        h = [s.insert(k, Item(), 1) for k in range(4)]
-        for x in h:
-            s.touch(x)
-        s.record_miss(99)
-        assert s.counters["cache.test.hit"].value == 4
-        assert s.counters["cache.test.miss"].value == 1
-
-    def test_capacity_setter_redivides_without_evicting(self):
-        s = ShardedKernel("test", 8, shards=2)
-        for k in range(40):
-            if s.free_bytes_for(k):
-                s.insert(k, Item(), 1)
-        n = len(s)
-        s.capacity_bytes = 4
-        assert len(s) == n and s.capacity_bytes == 4
-        s.make_room(0, key=0)
-        s.make_room(0, key=1)
-
-    def test_resize_evicts_down(self):
-        s = ShardedKernel("test", 8, shards=2)
-        for k in range(40):
-            if s.free_bytes_for(k):
-                s.insert(k, Item(), 1)
-        s.resize(4)
-        assert s.used_bytes <= 4 and s.capacity_bytes == 4
-
-    def test_resize_redivides_base_plus_remainder(self):
-        s = ShardedKernel("test", 12, shards=4)
-        s.resize(10)
-        assert [sh.capacity_bytes for sh in s.shards] == [4, 2, 2, 2]
-        assert s.capacity_bytes == 10
-        s.resize(16)  # growth re-divides the same way
-        assert [sh.capacity_bytes for sh in s.shards] == [4, 4, 4, 4]
-
-    def test_resize_returns_dirty_victims_from_all_shards(self):
-        s = ShardedKernel("test", 8, shards=2)
-        for k in range(40):
-            if s.free_bytes_for(k):
-                s.insert(k, Item(dirty=True), 1)
-        victims = s.resize(2)
-        assert len(victims) == 6 and all(v.dirty for v in victims)
-        assert s.used_bytes == 2
-
-    def test_steal_grant_round_trip(self):
-        s = ShardedKernel("test", 8, shards=2)
-        for k in range(40):
-            if s.free_bytes_for(k):
-                s.insert(k, Item(), 1)
-        s.steal(4)
-        assert s.capacity_bytes == 4 and s.used_bytes <= 4
-        s.grant(4)
-        assert s.capacity_bytes == 8
-        assert [sh.capacity_bytes for sh in s.shards] == [4, 4]
-
-    def test_ghost_admit_applies_to_every_shard(self):
-        s = ShardedKernel("test", 4, shards=2)
-        s.set_ghost_admit(lambda item: False)
-        keys = []
-        for k in range(40):
-            if s.free_bytes_for(k):
-                s.insert(k, Item(), 1)
-                keys.append(k)
-        s.resize(0)  # evicts everything, nothing ghost-records
-        for k in keys:
-            s.record_miss(k)
-        assert s.counters["cache.test.ghost_hit"].value == 0
-
-
-class TestShardedDeterminism:
-    """shards=1 must be bit-identical to the unsharded kernel."""
-
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
-    def test_single_shard_matches_unsharded(self, policy):
-        rng = substream(7, "cache-shard-determinism")
-        flat = CacheKernel("test", 16, policy=policy)
-        one = ShardedKernel("test", 16, policy=policy, shards=1)
-        handles = {}  # key -> (flat handle, sharded handle)
-        for step in range(600):
-            op = rng.choice(["insert", "touch", "miss", "remove"])
-            key = rng.randrange(32)
-            if op == "insert" and key not in handles:
-                va = flat.make_room(1, key=key,
-                                    on_evict=lambda it: None)
-                vb = one.make_room(1, key=key,
-                                   on_evict=lambda it: None)
-                assert len(va) == len(vb)
-                for k in [k for k, (hf, _) in handles.items()
-                          if hf not in flat]:
-                    del handles[k]
-                handles[key] = (flat.insert(key, Item(), 1),
-                                one.insert(key, Item(), 1))
-            elif op == "touch" and key in handles:
-                hf, hs = handles[key]
-                flat.touch(hf)
-                one.touch(hs)
-            elif op == "miss" and key not in handles:
-                flat.record_miss(key)
-                one.record_miss(key)
-            elif op == "remove" and key in handles:
-                hf, hs = handles.pop(key)
-                flat.remove(hf)
-                one.remove(hs)
-            assert [k for k, _ in flat.items()] == \
-                [k for k, _ in one.items()]
-        for name in ("hit", "miss", "ghost_hit", "evict_clean",
-                     "evict_dirty"):
-            assert flat.counters[f"cache.test.{name}"].value == \
-                one.counters[f"cache.test.{name}"].value, name
-
-    def test_single_shard_budget_ops_match_unsharded(self):
-        """The arbiter drives resize/steal/grant; a one-shard kernel
-        must shed the same victims in the same order as the flat one."""
-        rng = substream(7, "cache-shard-budget-determinism")
-        flat = CacheKernel("test", 16)
-        one = ShardedKernel("test", 16, shards=1)
-        for kernel in (flat, one):
-            for k in range(16):
-                kernel.insert(k, Item(dirty=bool(k % 2)), 1)
-        for step in range(60):
-            op = rng.choice(["resize", "steal", "grant", "insert"])
-            if op == "resize":
-                target = rng.randrange(1, 20)
-                va, vb = flat.resize(target), one.resize(target)
-            elif op == "steal":
-                n = rng.randrange(0, max(1, flat.capacity_bytes))
-                va, vb = flat.steal(n), one.steal(n)
-            elif op == "grant":
-                flat.grant(3)
-                one.grant(3)
-                va = vb = []
-            else:
-                key = 100 + step
-                flat.make_room(1, key=key)
-                one.make_room(1, key=key)
-                flat.insert(key, Item(dirty=True), 1)
-                one.insert(key, Item(dirty=True), 1)
-                va = vb = []
-            assert len(va) == len(vb)
-            assert flat.capacity_bytes == one.capacity_bytes
-            assert [k for k, _ in flat.items()] == \
-                [k for k, _ in one.items()]
-        for name in ("ghost_hit", "evict_clean", "evict_dirty"):
-            assert flat.counters[f"cache.test.{name}"].value == \
-                one.counters[f"cache.test.{name}"].value, name

@@ -375,6 +375,12 @@ class TestSchedulerDiscipline:
         """, name="repro/sim/engine.py")
         assert not active(diags, "scheduler-discipline")
 
+    def test_tests_side_heap_oracle_is_exempt(self, tmp_path):
+        diags = lint_source(tmp_path, """\
+            import heapq
+        """, name="tests/heap_oracle.py")
+        assert not active(diags, "scheduler-discipline")
+
     def test_type_checking_import_exempt(self, tmp_path):
         diags = lint_source(tmp_path, """\
             from typing import TYPE_CHECKING
@@ -410,7 +416,7 @@ class TestDriver:
         assert set(RULES) == {"no-wallclock", "no-global-random",
                               "copy-discipline", "trace-naming",
                               "engine-discipline", "cache-discipline",
-                              "no-legacy-factory", "scheduler-discipline",
+                              "scheduler-discipline",
                               "budget-lease"}
         for rule in all_rules():
             assert rule.summary and rule.invariant

@@ -1,12 +1,11 @@
-"""Timer cancellation semantics and calendar/heap backend identity.
+"""Timer cancellation semantics and calendar-queue vs heap-oracle identity.
 
 The calendar-queue core (DESIGN.md §11) must be observationally
-identical to the legacy binary heap: same dispatch order, same clock,
-same dispatch *count* — including for cancelled timers, which cost
-zero dispatches and never advance the clock on either backend.  Every
-test here runs against both backends via the ``backend`` fixture
-(``REPRO_SCHEDULER`` is read at each ``Simulator()`` creation, so the
-env toggle takes effect per test).
+identical to a plain binary heap keyed ``(time, seq)``: same dispatch
+order, same clock, same dispatch *count* — including for cancelled
+timers, which cost zero dispatches and never advance the clock.  The
+heap lives in ``heap_oracle.py`` next to this file; every cancellation
+case runs against both via the ``make_sim`` fixture.
 """
 
 from __future__ import annotations
@@ -15,15 +14,15 @@ import json
 
 import pytest
 
-from repro.experiments import fleet_churn, table2
+from heap_oracle import HeapOracle
+from repro.experiments import fleet_churn
 from repro.experiments.parallel import run_specs
-from repro.sim import AnyOf, CPU, Resource, Simulator, start
-from repro.sim.engine import HeapSimulator, SimulationError, dispatch_count
+from repro.sim import AnyOf, CPU, Resource, Simulator, start, substream
+from repro.sim.engine import SimulationError, dispatch_count
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", request.param)
+@pytest.fixture(params=[Simulator, HeapOracle], ids=["calendar", "heap"])
+def make_sim(request):
     return request.param
 
 
@@ -32,8 +31,8 @@ def backend(request, monkeypatch):
 # ---------------------------------------------------------------------------
 
 class TestTimerCancellation:
-    def test_cancelled_timer_never_fires(self, backend):
-        sim = Simulator()
+    def test_cancelled_timer_never_fires(self, make_sim):
+        sim = make_sim()
         fired = []
         handle = sim.call_later(1.0, fired.append, "boom")
         assert handle.cancel() is True
@@ -41,8 +40,8 @@ class TestTimerCancellation:
         assert fired == []
         assert handle.cancelled and not handle.fired
 
-    def test_cancel_costs_no_dispatch_and_no_clock_advance(self, backend):
-        sim = Simulator()
+    def test_cancel_costs_no_dispatch_and_no_clock_advance(self, make_sim):
+        sim = make_sim()
         handle = sim.call_later(5.0, lambda: None)
         sim.schedule(1.0, handle.cancel)
         before = dispatch_count()
@@ -52,16 +51,16 @@ class TestTimerCancellation:
         assert dispatch_count() - before == 1
         assert sim.now == 1.0
 
-    def test_cancel_twice_second_is_noop(self, backend):
-        sim = Simulator()
+    def test_cancel_twice_second_is_noop(self, make_sim):
+        sim = make_sim()
         handle = sim.call_later(1.0, lambda: None)
         assert handle.cancel() is True
         assert handle.cancel() is False
         sim.run()
         assert not handle.fired
 
-    def test_cancel_after_fire_is_noop(self, backend):
-        sim = Simulator()
+    def test_cancel_after_fire_is_noop(self, make_sim):
+        sim = make_sim()
         fired = []
         handle = sim.call_later(1.0, fired.append, "tick")
         sim.run()
@@ -69,8 +68,8 @@ class TestTimerCancellation:
         assert handle.cancel() is False
         assert not handle.cancelled
 
-    def test_fired_timer_dispatches_exactly_once(self, backend):
-        sim = Simulator()
+    def test_fired_timer_dispatches_exactly_once(self, make_sim):
+        sim = make_sim()
         hits = []
         sim.call_later(1.0, hits.append, 1)
         before = dispatch_count()
@@ -78,11 +77,11 @@ class TestTimerCancellation:
         assert hits == [1]
         assert dispatch_count() - before == 1
 
-    def test_cancel_same_timestamp_before_dispatch(self, backend):
+    def test_cancel_same_timestamp_before_dispatch(self, make_sim):
         # A callback at t=1 cancels a timer also due at t=1 but queued
         # later (higher seq): the timer must not fire even though its
         # bucket is already being drained when the cancel lands.
-        sim = Simulator()
+        sim = make_sim()
         fired = []
         holder = {}
 
@@ -95,10 +94,10 @@ class TestTimerCancellation:
         assert fired == []
         assert sim.now == 1.0
 
-    def test_timer_event_race_and_cancel(self, backend):
+    def test_timer_event_race_and_cancel(self, make_sim):
         # The NFS-client idiom: reply raced against an RTO timer; the
         # winner cancels the timer and no timer dispatch ever happens.
-        sim = Simulator()
+        sim = make_sim()
         outcome = []
 
         def rpc():
@@ -115,8 +114,8 @@ class TestTimerCancellation:
         assert outcome == [(0, "reply", 0.01)]
         assert sim.now == 0.01  # the cancelled RTO never advanced time
 
-    def test_timer_event_timeout_path(self, backend):
-        sim = Simulator()
+    def test_timer_event_timeout_path(self, make_sim):
+        sim = make_sim()
         outcome = []
 
         def rpc():
@@ -129,8 +128,8 @@ class TestTimerCancellation:
         sim.run()
         assert outcome == [(1, "rto", 0.5)]
 
-    def test_call_at_and_negative_delay_rejected(self, backend):
-        sim = Simulator()
+    def test_call_at_and_negative_delay_rejected(self, make_sim):
+        sim = make_sim()
         with pytest.raises(SimulationError):
             sim.call_later(-1.0, lambda: None)
         fired = []
@@ -140,17 +139,17 @@ class TestTimerCancellation:
 
 
 # ---------------------------------------------------------------------------
-# backend identity
+# oracle identity
 # ---------------------------------------------------------------------------
 
-def _scripted_log(scheduler):
+def _scripted_log(make_sim):
     """Ordering-sensitive scenario; returns its (time, tag) fingerprint.
 
     Touches contended/uncontended resources, CPU charges, same-time
     ties, zero-delay cascades, timer cancellation, and AnyOf racing —
-    the features whose dispatch order the two backends must agree on.
+    the features whose dispatch order must match the heap oracle's.
     """
-    sim = Simulator(scheduler)
+    sim = make_sim()
     log = []
 
     lock = Resource(sim, capacity=1, name="lock")
@@ -194,27 +193,62 @@ def _scripted_log(scheduler):
     return log
 
 
-class TestBackendIdentity:
-    def test_backend_switch_constructs_right_core(self, monkeypatch):
-        assert Simulator("heap").scheduler == "heap"
-        assert isinstance(Simulator("heap"), HeapSimulator)
-        assert Simulator("calendar").scheduler == "calendar"
-        assert not isinstance(Simulator("calendar"), HeapSimulator)
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        assert isinstance(Simulator(), HeapSimulator)
-        with pytest.raises(SimulationError):
-            Simulator("fibonacci")
+def _seeded_program(make_sim, seed):
+    """A random schedule/cancel/zero-delay-cascade program.
 
+    Delays come from a short grid so same-timestamp ties, cascades into
+    the live bucket, near-heap times and far-list times (past the 1 ms
+    starting horizon) all occur; cancels hit pending, fired and already
+    cancelled timers.  Returns (log, clock after run(until), final
+    clock, dispatches).
+    """
+    sim = make_sim()
+    rng = substream(seed, "engine-oracle")
+    delays = (0.0, 0.0, 1e-6, 1e-6, 2.5e-4, 1e-3, 0.5, 3.0)
+    log = []
+    handles = []
+    budget = [400]
+
+    def act(tag):
+        log.append((sim.now, tag))
+        for i in range(rng.randrange(4)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            child, delay, kind = f"{tag}.{i}", rng.choice(delays), rng.random()
+            if kind < 0.5:
+                sim.schedule(delay, act, child)
+            elif kind < 0.8 or not handles:
+                handles.append(sim.call_later(delay, act, child))
+            else:
+                handles[rng.randrange(len(handles))].cancel()
+
+    for i in range(8):
+        sim.schedule(rng.choice(delays), act, f"r{i}")
+    before = dispatch_count()
+    sim.run(until=1.0)
+    mid = sim.now
+    sim.run()
+    return log, mid, sim.now, dispatch_count() - before
+
+
+class TestBackendIdentity:
     def test_scripted_log_identical_across_backends(self):
-        assert _scripted_log("calendar") == _scripted_log("heap")
+        assert _scripted_log(Simulator) == _scripted_log(HeapOracle)
 
     def test_dispatch_count_identical_across_backends(self):
         counts = []
-        for scheduler in ("calendar", "heap"):
+        for make_sim in (Simulator, HeapOracle):
             before = dispatch_count()
-            _scripted_log(scheduler)
+            _scripted_log(make_sim)
             counts.append(dispatch_count() - before)
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_seeded_program_identical_across_backends(self, seed):
+        calendar = _seeded_program(Simulator, seed)
+        assert calendar == _seeded_program(HeapOracle, seed)
+        assert len(calendar[0]) > 8  # the program did branch
 
     def _grid_fingerprint(self, specs, workers=1):
         results = run_specs(specs, workers=workers)
@@ -223,24 +257,7 @@ class TestBackendIdentity:
               "sim_events": rr.sim_events} for rr in results],
             sort_keys=True, default=str)
 
-    def test_table2_identical_across_backends(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        calendar = self._grid_fingerprint(table2.grid())
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        heap = self._grid_fingerprint(table2.grid())
-        assert calendar == heap
-
-    def test_fleet_churn_point_identical_across_backends(self, monkeypatch):
-        # Churn exercises peer RTO timers, failover re-routing, and
-        # rejoin timers — the cancellation-heaviest path in the tree.
-        specs = fleet_churn.grid(quick=True)[:1]
-        monkeypatch.setenv("REPRO_SCHEDULER", "calendar")
-        calendar = self._grid_fingerprint(specs)
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        heap = self._grid_fingerprint(specs)
-        assert calendar == heap
-
-    def test_cancellation_worker_count_independent(self, monkeypatch):
+    def test_cancellation_worker_count_independent(self):
         # Workers 1 vs 4 over a churn point: RTO cancellations happen
         # inside pool workers; merged results must be byte-identical.
         specs = fleet_churn.grid(quick=True)[:1]

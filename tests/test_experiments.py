@@ -147,21 +147,16 @@ class TestWarmStart:
 
 
 class TestPolicyAblation:
-    def test_grid_covers_every_policy_and_shard_count(self):
+    def test_grid_covers_every_policy(self):
         specs = policy_ablation.grid(quick=True)
-        assert len(specs) == (len(POLICIES)
-                              * len(policy_ablation.SHARD_COUNTS)
-                              * len(policy_ablation.WORKLOADS))
+        assert len(specs) == len(POLICIES) * len(policy_ablation.WORKLOADS)
         labels = {spec.label for spec in specs}
         for policy in POLICIES:
-            for shards in policy_ablation.SHARD_COUNTS:
-                assert (f"policy_ablation/specsfs/{policy}/"
-                        f"{shards}shard" in labels)
+            assert f"policy_ablation/specsfs/{policy}" in labels
 
     def test_one_cell_reports_all_columns(self):
-        row = policy_ablation.measure_point("specweb", "clock", 2,
-                                            quick=True)
-        assert row["policy"] == "clock" and row["shards"] == 2
+        row = policy_ablation.measure_point("specweb", "clock", quick=True)
+        assert row["policy"] == "clock"
         assert row["ops_per_sec"] > 0
         assert 0.0 < row["hit_pct"] <= 100.0
         for col in ("ghost_hit_pct", "fs_ghost_pct", "copied_kb_per_op"):

@@ -85,6 +85,14 @@ class TestLatencyStats:
     def test_empty_mean_zero(self):
         assert LatencyStats().mean == 0.0
 
+    def test_reservoir_keeps_sampling_past_its_size(self):
+        # A monotone ramp: a reservoir that stops replacing after the
+        # first RESERVOIR_SIZE samples reports p50 ~ 512, not ~ 5000.
+        stats = LatencyStats()
+        for sample in range(10_000):
+            stats.record(float(sample))
+        assert stats.p50 == pytest.approx(5000, rel=0.15)
+
     def test_reset(self):
         stats = LatencyStats()
         stats.record(5.0)

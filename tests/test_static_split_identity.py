@@ -10,7 +10,7 @@ to the pre-refactor tree.  The golden in
 points means the refactor changed behavior it promised not to touch.
 
 The points cover the distinct cache topologies: all three server modes
-(original / baseline / NCache), a sharded-kernel ablation point, and a
+(original / baseline / NCache), a policy-ablation point, and a
 fleet churn run (multiple testbeds, cooperative caching, membership
 events).
 
@@ -33,7 +33,7 @@ GOLDEN = Path(__file__).parent / "goldens" / "static_split_identity.json"
 def identity_specs():
     """Grid points whose event counts the refactor must preserve."""
     specs = [s for s in figure4.grid(quick=True) if s.args[1] == 16384]
-    specs += policy_ablation.grid(quick=True)[:2]
+    specs += policy_ablation.grid(quick=True)[:1]
     specs += fleet_churn.grid(quick=True)[:1]
     return specs
 

@@ -51,11 +51,11 @@ class TestUdpFragmentationProperty:
         whole = got[0].chain.payload().materialize()
         assert whole == header.materialize() + data.materialize()
         # Fragment sizing invariant: the wire chain is either lazily
-        # fragmented (one buffer plus the ``lazy_frag`` marker a caching
+        # fragmented (one buffer plus the ``lazy_frag`` size a caching
         # receiver expands with) or already fragment-sized.
         frag = a.costs.udp_fragment_payload
         chain = got[0].chain
-        lazy = got[0].meta.get("lazy_frag")
+        lazy = got[0].lazy_frag
         if lazy is not None:
             assert lazy == frag
             assert len(chain.buffers) == 1
@@ -98,6 +98,73 @@ class TestTcpSegmentationProperty:
         sim.run()
         assert got[0].chain.payload().materialize() == \
             VirtualPayload(tag, 0, data_len).materialize()
+
+
+class TestLazyFragField:
+    """The lazy-fragmentation size is a typed datagram field, not a
+    ``meta`` entry, and an RX-hook host never sees the lazy chain."""
+
+    @staticmethod
+    def _deliver(sim, hosts, proto, rx_hook=None):
+        a, b = hosts
+        if rx_hook is not None:
+            b.add_rx_hook(rx_hook)
+        got = []
+
+        def handler(*args):
+            got.append(args[-1])
+            return
+            yield
+
+        data = VirtualPayload(7, 0, 20_000)
+        if proto == "udp":
+            b.stack.udp_bind(9, handler)
+
+            def run():
+                yield from a.stack.udp_send("a0", 5, Endpoint("b0", 9),
+                                            None, data, meta={"k": 1})
+        else:
+            def acceptor(conn):
+                conn.on_message = handler
+
+            b.stack.tcp_listen(9, acceptor)
+
+            def run():
+                conn = yield from a.stack.tcp_connect("a0", 5,
+                                                      Endpoint("b0", 9))
+                yield from conn.send(None, data, meta={"k": 1})
+
+        start(sim, run())
+        sim.run()
+        frag = (a.costs.udp_fragment_payload if proto == "udp"
+                else a.costs.tcp_mss)
+        return got[0], frag
+
+    @pytest.mark.parametrize("proto", ["udp", "tcp"])
+    def test_marker_is_a_field_not_a_meta_key(self, sim, two_hosts, proto):
+        dgram, frag = self._deliver(sim, two_hosts, proto)
+        assert dgram.meta == {"k": 1}
+        assert dgram.lazy_frag == frag
+        assert len(dgram.chain.buffers) == 1
+
+    @pytest.mark.parametrize("proto", ["udp", "tcp"])
+    def test_rx_hook_host_sees_fragment_buffers(self, sim, two_hosts, proto):
+        seen = []
+
+        def hook(dgram):
+            seen.append((dgram.lazy_frag, dgram.meta,
+                         [(buf.payload_bytes, buf.csum_known)
+                          for buf in dgram.chain]))
+            return dgram
+            yield
+
+        dgram, frag = self._deliver(sim, two_hosts, proto, rx_hook=hook)
+        (lazy, meta, bufs), = seen
+        assert lazy is None and meta == {"k": 1}
+        assert len(bufs) > 1
+        assert all(size <= frag and known for size, known in bufs)
+        assert sum(size for size, _ in bufs) == 20_000
+        assert dgram.lazy_frag is None
 
 
 class TestSubstitutionProperty:
