@@ -8,17 +8,23 @@ simulator is deterministic (all randomness flows through
 :mod:`repro.sim.rng`, never wall-clock).  This package enforces them:
 
 * **ncache-lint** (:mod:`repro.check.linter`, ``python -m repro.check``) —
-  an AST-based lint framework with repro-specific rules
-  (``no-wallclock``, ``no-global-random``, ``copy-discipline``,
-  ``trace-naming``, ``engine-discipline``) and per-line suppression via
-  ``# check: ignore[rule-id]`` comments;
+  an AST-based, one-file-at-a-time lint framework with repro-specific
+  rules (``no-wallclock``, ``no-global-random``, ``copy-discipline``,
+  ``trace-naming``, ``engine-discipline``, ``cache-discipline``,
+  ``budget-lease``; the registry is :data:`repro.check.rules.RULES`)
+  and per-line suppression via ``# check: ignore[rule-id]`` comments
+  that ``stale-ignore`` keeps live;
 * **buffer sanitizer** (:mod:`repro.check.sanitizer`) — a runtime
   lifecycle tracker (the simulation analog of ASan/LSan) that tags every
   chunk / network buffer with an ownership state and reports leaks,
   double-substitution, use-after-evict and FS-cache/NCache aliasing.
 
-The sanitizer is enabled for every test by ``tests/conftest.py`` and can
-be switched on for any run with ``REPRO_SANITIZE=1``.
+Each invariant is held by one mechanism (DESIGN.md §6.1): what a single
+file can show is a lint rule, the buffer lifecycle is the sanitizer, and
+hash-order independence is observed by running the simulation under two
+hash seeds (``tests/test_hashseed_determinism.py``), not modelled.  The
+sanitizer is enabled for every test by ``tests/conftest.py`` and can be
+switched on for any run with ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations

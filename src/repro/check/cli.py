@@ -1,22 +1,12 @@
 """``python -m repro.check`` — lint the tree, print a rule-by-rule report.
 
-Two modes share one CLI:
-
-* the default runs the **per-file rules** (:mod:`repro.check.rules`)
-  over each file independently;
-* ``--flow`` runs the **interprocedural packs**
-  (:mod:`repro.check.flow`) over the whole tree at once — call-graph
-  reachability, per-function dataflow, cross-module vocabulary drift.
-  Flow mode replaces (not augments) the per-file rules, so
-  ``--flow src tests`` can be kept clean even though tests are exempt
-  from several per-file rules by design.
+Runs the per-file rules (:mod:`repro.check.rules`) over each file
+independently.
 
 Exit codes: 0 when no unsuppressed diagnostics, 1 when the lint found
-violations, 2 for usage errors.  ``--format json`` (or the ``--json``
-shorthand) emits a machine-readable report (used by CI annotations);
-``--format sarif`` emits SARIF 2.1.0 for code-scanning upload;
-``--changed`` lints only files that are modified per ``git status``
-(used by the pre-commit hook).
+violations, 2 for usage errors.  ``--json`` emits a machine-readable
+report (used by CI annotations); ``--changed`` lints only files that
+are modified per ``git status`` (used by the pre-commit hook).
 """
 
 from __future__ import annotations
@@ -25,15 +15,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from . import flow as flow_mod
-from .diagnostics import Diagnostic
-from .flow import FlowRule
-from .linter import (LintResult, changed_files, iter_python_files,
-                     lint_paths)
+from .linter import LintResult, changed_files, lint_paths
 from .rules import RULES, all_rules
-from .sarif import to_sarif
 
 
 def _default_roots() -> List[Path]:
@@ -53,35 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.check",
         description="ncache-lint: enforce the repo's paper invariants "
                     "(copy discipline, determinism, trace naming, engine "
-                    "discipline), per file by default or project-wide "
-                    "with --flow.")
+                    "discipline), one file at a time.")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files or directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--flow", action="store_true",
-                        help="run the interprocedural flow packs "
-                             "(flow-determinism, flow-typestate, "
-                             "flow-engine, vocab-drift) instead of the "
-                             "per-file rules")
-    parser.add_argument("--flow-depth", type=int, default=None,
-                        metavar="N",
-                        help="flow-engine reachability depth "
-                             "(default: 10)")
-    parser.add_argument("--call-graph-out", type=Path, default=None,
-                        metavar="PATH",
-                        help="write the resolved call graph as JSON "
-                             "(also serves as the cache for "
-                             "--call-graph-cache)")
-    parser.add_argument("--call-graph-cache", type=Path, default=None,
-                        metavar="PATH",
-                        help="reuse call-site resolution from a previous "
-                             "--call-graph-out file (content-digest "
-                             "keyed; a stale cache is ignored)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default=None,
-                        help="report format (default: text)")
     parser.add_argument("--json", action="store_true",
-                        help="shorthand for --format json")
+                        help="print the report as JSON")
     parser.add_argument("--changed", action="store_true",
                         help="lint only files modified per git status")
     parser.add_argument("--rules", type=str, default="",
@@ -113,80 +75,24 @@ def _print_report(result: LintResult) -> None:
         print(f"FAIL: {len(result.active)} unsuppressed diagnostic(s)")
 
 
-def _print_flow_report(files_checked: int, rules: Sequence[FlowRule],
-                       diagnostics: List[Diagnostic]) -> None:
-    print(f"ncache-lint --flow: analyzed {files_checked} files")
-    by_rule: Dict[str, List[Diagnostic]] = {}
-    for diag in diagnostics:
-        by_rule.setdefault(diag.rule, []).append(diag)
-    for rule in rules:
-        diags = by_rule.get(rule.id, [])
-        live = sum(1 for d in diags if not d.suppressed)
-        quiet = len(diags) - live
-        note = f" ({quiet} suppressed)" if quiet else ""
-        print(f"  {rule.id:<18} {live} issue(s){note}")
-    active = [d for d in diagnostics if not d.suppressed]
-    for diag in active:
-        print(diag.format())
-    if not active:
-        print("OK: zero unsuppressed diagnostics")
-    else:
-        print(f"FAIL: {len(active)} unsuppressed diagnostic(s)")
-
-
-def _emit(fmt: str, files_checked: int, diagnostics: List[Diagnostic],
-          rule_table: List[Tuple[str, str, str]]) -> None:
-    if fmt == "json":
-        active = [d for d in diagnostics if not d.suppressed]
-        print(json.dumps({
-            "files_checked": files_checked,
-            "ok": not active,
-            "diagnostics": [d.to_json() for d in diagnostics],
-        }, indent=2))
-    elif fmt == "sarif":
-        print(json.dumps(to_sarif(diagnostics, rule_table), indent=2))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code (0 = clean)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = args.format or ("json" if args.json else "text")
 
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.id}: {rule.summary}")
             print(f"    guards: {rule.invariant}")
-        for frule in flow_mod.all_flow_rules():
-            print(f"{frule.id}: {frule.summary} (--flow)")
-            print(f"    guards: {frule.invariant}")
         return 0
 
-    flow_ids = {rule.id for rule in flow_mod.all_flow_rules()}
-    rule_filter: Optional[List[str]] = None
+    rules = None
     if args.rules:
         wanted = [r.strip() for r in args.rules.split(",") if r.strip()]
-        known = set(RULES) | flow_ids
-        unknown = [r for r in wanted if r not in known]
+        unknown = [r for r in wanted if r not in RULES]
         if unknown:
             parser.error(f"unknown rule id(s): {', '.join(unknown)}")
-        if args.flow:
-            bad = [r for r in wanted if r not in flow_ids]
-            if bad:
-                parser.error(f"not flow rule id(s): {', '.join(bad)}")
-        else:
-            bad = [r for r in wanted if r in flow_ids]
-            if bad:
-                parser.error(f"flow rule id(s) need --flow: "
-                             f"{', '.join(bad)}")
-        rule_filter = wanted
-
-    if not args.flow:
-        for opt, name in ((args.flow_depth, "--flow-depth"),
-                          (args.call_graph_out, "--call-graph-out"),
-                          (args.call_graph_cache, "--call-graph-cache")):
-            if opt is not None:
-                parser.error(f"{name} requires --flow")
+        rules = [RULES[r] for r in wanted]
 
     roots = list(args.paths) if args.paths else _default_roots()
     missing = [p for p in roots if not p.exists()]
@@ -203,44 +109,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("ncache-lint: no changed python files")
             return 0
 
-    if args.flow:
-        files = iter_python_files(roots)
-        if only is not None:
-            restrict = {p.resolve() for p in only}
-            files = [p for p in files if p.resolve() in restrict]
-        cache = args.call_graph_cache or args.call_graph_out
-        cache = cache if cache is not None and cache.exists() else None
-        analysis = flow_mod.analyze_paths(
-            files, rules=rule_filter,
-            depth=(args.flow_depth
-                   if args.flow_depth is not None
-                   else flow_mod.DEFAULT_DEPTH),
-            cache_path=cache,
-            stale_ignores=not args.no_stale_ignores)
-        if args.call_graph_out is not None:
-            flow_mod.save_call_graph(analysis.project,
-                                     args.call_graph_out)
-        rule_table = [(r.id, r.summary, r.invariant)
-                      for r in flow_mod.all_flow_rules()]
-        if fmt == "text":
-            _print_flow_report(len(analysis.project.modules),
-                               flow_mod.all_flow_rules(),
-                               analysis.diagnostics)
-        else:
-            _emit(fmt, len(analysis.project.modules),
-                  analysis.diagnostics, rule_table)
-        return 0 if analysis.ok else 1
-
-    rules = ([RULES[r] for r in rule_filter]
-             if rule_filter is not None else None)
     result = lint_paths(roots, rules=rules, only=only,
                         stale_ignores=not args.no_stale_ignores)
 
-    if fmt == "text":
-        _print_report(result)
+    if args.json:
+        print(json.dumps({
+            "files_checked": result.files_checked,
+            "ok": result.ok,
+            "diagnostics": [d.to_json() for d in result.diagnostics],
+        }, indent=2))
     else:
-        rule_table = [(r.id, r.summary, r.invariant) for r in all_rules()]
-        _emit(fmt, result.files_checked, result.diagnostics, rule_table)
+        _print_report(result)
     return 0 if result.ok else 1
 
 

@@ -122,16 +122,23 @@ def lint_file(path: Path, rules: Optional[Sequence[Rule]] = None,
     return diagnostics
 
 
-def changed_files(root: Path) -> Optional[List[Path]]:
-    """Python files modified per ``git status`` (None if git fails)."""
+def changed_files(cwd: Path) -> Optional[List[Path]]:
+    """Python files modified per ``git status`` in the repository that
+    contains ``cwd`` (None if git fails)."""
+    def git(*args: str) -> subprocess.CompletedProcess[str]:
+        return subprocess.run(
+            ["git", *args], cwd=cwd, capture_output=True, text=True,
+            timeout=30, check=True)
+
     try:
-        proc = subprocess.run(
-            ["git", "status", "--porcelain"], cwd=root,
-            capture_output=True, text=True, timeout=30, check=True)
+        # Porcelain paths are relative to the repository root, not to
+        # the directory git ran in.
+        root = Path(git("rev-parse", "--show-toplevel").stdout.strip())
+        status = git("status", "--porcelain").stdout
     except (OSError, subprocess.SubprocessError):
         return None
     out: List[Path] = []
-    for line in proc.stdout.splitlines():
+    for line in status.splitlines():
         if len(line) < 4:
             continue
         name = line[3:].split(" -> ")[-1].strip().strip('"')

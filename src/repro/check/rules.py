@@ -352,41 +352,55 @@ class TraceNaming(Rule):
 
 @register
 class EngineDiscipline(Rule):
-    """No blocking I/O or event-loop re-entry in engine callbacks."""
+    """No blocking host call in simulation code, no event-loop re-entry
+    in engine processes."""
 
     id = "engine-discipline"
-    summary = "no blocking I/O or re-entrant run inside engine callbacks"
+    summary = ("no blocking host call in simulation modules, no "
+               "re-entrant run inside engine processes")
     invariant = ("run-to-completion: engine processes (generator "
-                 "functions yielding Events) must not block the host "
-                 "(real I/O, sleeps) or re-enter the event loop "
+                 "functions yielding Events), and every helper they can "
+                 "reach, must not block the host (real I/O, sleeps) — so "
+                 "blocking calls are banned from every module outside "
+                 "repro.check.vocabulary.BLOCKING_ALLOWED_PATHS — and a "
+                 "process must not re-enter the event loop "
                  "(sim.run/step), which would deadlock or reorder the "
-                 "deterministic heap (sim/engine.py)")
+                 "deterministic schedule (sim/engine.py)")
 
     def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
+        may_block = vocab.path_matches(ctx.posix,
+                                       vocab.BLOCKING_ALLOWED_PATHS)
+        # Calls written directly in a generator body -> its name.
+        process_of: Dict[int, str] = {}
         for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and _is_generator(func):
+                for node in _own_statements(func):
+                    if isinstance(node, ast.Call):
+                        process_of[id(node)] = func.name
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
                 continue
-            if not _is_generator(func):
+            name = dotted_name(node.func)
+            if name is None:
                 continue
-            for node in _own_statements(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                if name in vocab.BLOCKING_CALLS:
-                    yield ctx.diag(
-                        self.id, node,
-                        f"blocking call {name}() inside engine process "
-                        f"{func.name!r}: model the delay with "
-                        f"sim.timeout()/cpu.execute_ns() instead")
-                elif self._is_engine_reentry(name):
-                    yield ctx.diag(
-                        self.id, node,
-                        f"re-entrant event-loop call {name}() inside "
-                        f"engine process {func.name!r}: yield an Event "
-                        f"instead of recursing into the scheduler")
+            process = process_of.get(id(node))
+            if name in vocab.BLOCKING_CALLS \
+                    and (process is not None or not may_block):
+                where = (f"inside engine process {process!r}"
+                         if process is not None else
+                         "in a simulation module (engine processes may "
+                         "reach it)")
+                yield ctx.diag(
+                    self.id, node,
+                    f"blocking call {name}() {where}: model the delay "
+                    f"with sim.timeout()/cpu.execute_ns() instead")
+            elif process is not None and self._is_engine_reentry(name):
+                yield ctx.diag(
+                    self.id, node,
+                    f"re-entrant event-loop call {name}() inside "
+                    f"engine process {process!r}: yield an Event "
+                    f"instead of recursing into the scheduler")
 
     @staticmethod
     def _is_engine_reentry(name: str) -> bool:
@@ -483,67 +497,6 @@ class CacheDiscipline(Rule):
                 and receiver.value.id == "self"):
             return receiver.attr
         return None
-
-
-# ---------------------------------------------------------------------------
-# scheduler-discipline
-# ---------------------------------------------------------------------------
-
-_HEAPQ_FUNCTIONS = frozenset({
-    "heappush", "heappop", "heappushpop", "heapreplace", "heapify",
-    "merge", "nlargest", "nsmallest",
-})
-
-
-@register
-class SchedulerDiscipline(Rule):
-    """Time-ordered scheduling lives in ``sim/engine.py`` only."""
-
-    id = "scheduler-discipline"
-    summary = "no heapq / hand-rolled time-ordered scheduling outside sim.engine"
-    invariant = ("single event core (DESIGN.md §11): every future action "
-                 "is ordered by the Simulator's (time, seq) key; a "
-                 "private heapq schedule in model code bypasses the seq "
-                 "tie-break that makes runs deterministic — "
-                 "schedule through sim.schedule()/timeout()/timer()")
-
-    def check(self, ctx: LintContext) -> Iterator[Diagnostic]:
-        if vocab.path_matches(ctx.posix, vocab.HEAPQ_ALLOWED_PATHS):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "heapq" \
-                            and node.lineno not in ctx.type_checking_lines:
-                        yield ctx.diag(
-                            self.id, node,
-                            "import of 'heapq': time-ordered scheduling "
-                            "belongs to repro.sim.engine; go through the "
-                            "Simulator API (schedule/timeout/timer)")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module and node.module.split(".")[0] == "heapq" \
-                        and node.lineno not in ctx.type_checking_lines:
-                    yield ctx.diag(
-                        self.id, node,
-                        "import from 'heapq': time-ordered scheduling "
-                        "belongs to repro.sim.engine; go through the "
-                        "Simulator API (schedule/timeout/timer)")
-            elif isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                parts = name.split(".")
-                if (parts[0] == "heapq" and len(parts) == 2
-                        and parts[1] in _HEAPQ_FUNCTIONS) \
-                        or (len(parts) == 1
-                            and parts[0] in _HEAPQ_FUNCTIONS
-                            and parts[0].startswith("heap")):
-                    yield ctx.diag(
-                        self.id, node,
-                        f"heap operation {name}(): a second time-ordered "
-                        f"schedule outside repro.sim.engine; use "
-                        f"sim.schedule()/sim.timer() so ordering stays "
-                        f"deterministic")
 
 
 # ---------------------------------------------------------------------------

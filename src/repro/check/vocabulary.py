@@ -116,16 +116,6 @@ WALLCLOCK_ALLOWED_PATHS: Tuple[str, ...] = (
     "repro/perf/",
 )
 
-#: The only modules allowed to use ``heapq`` (or otherwise maintain a
-#: time-ordered schedule): the event core itself and the reference heap
-#: the engine tests compare it against.  Everything else must go through
-#: the Simulator API — a second scheduler hidden in model code would
-#: bypass the seq tie-break that makes runs deterministic.
-HEAPQ_ALLOWED_PATHS: Tuple[str, ...] = (
-    "repro/sim/engine.py",
-    "tests/heap_oracle.py",
-)
-
 #: Wall-clock reading calls (dotted names as written at the call site).
 WALLCLOCK_CALLS: FrozenSet[str] = frozenset({
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
@@ -142,153 +132,17 @@ BLOCKING_CALLS: FrozenSet[str] = frozenset({
     "subprocess.check_output", "urllib.request.urlopen",
 })
 
-
-# ---------------------------------------------------------------------------
-# Flow-analysis vocabulary (repro.check.flow)
-# ---------------------------------------------------------------------------
-
-#: Calls whose result order depends on the host (filesystem enumeration
-#: order) — unordered sources for the ``flow-determinism`` pack.
-UNORDERED_CALLS: FrozenSet[str] = frozenset({
-    "os.listdir", "os.scandir", "os.walk",
-    "glob.glob", "glob.iglob",
-})
-
-#: Method names that are *sim-visible sinks*: engine scheduling, trace
-#: emission, and histogram recording.  Data arriving here in an
-#: unordered order changes ``sim_events`` / traces / metrics between
-#: runs or worker counts.
-ORDER_SINK_METHODS: FrozenSet[str] = frozenset({
-    "schedule", "schedule_at", "timeout", "succeed", "fail",
-    "emit", "complete", "record",
-})
-
-#: Function names that are sinks when called directly (RNG stream
-#: derivation: feeding it host-order data reseeds streams differently
-#: per run).
-ORDER_SINK_CALLS: FrozenSet[str] = frozenset({"substream"})
-
-#: Aggregation key functions whose result is an object address / hash —
-#: ``sorted(xs, key=id)`` is address order, never a stable order.
-ADDRESS_KEY_FUNCS: FrozenSet[str] = frozenset({"id", "hash"})
-
-#: Typestate tables for the ``flow-typestate`` pack: handle-shaped
-#: values (Chunk / NetBuffer / datagram) move fresh -> pinned ->
-#: substituted -> evicted through these methods.
-TYPESTATE_PIN_METHODS: FrozenSet[str] = frozenset({"pin"})
-TYPESTATE_UNPIN_METHODS: FrozenSet[str] = frozenset({"unpin"})
-#: ``store.drop(chunk)`` style: the named *argument* becomes evicted.
-TYPESTATE_EVICT_ARG_METHODS: FrozenSet[str] = frozenset({
-    "drop", "_detach", "chunk_evicted", "invalidate",
-})
-#: ``san.reply_substituted(dgram)`` style: the argument was substituted;
-#: a second substitution of the same handle is the double-substitution
-#: bug the runtime sanitizer hunts.
-TYPESTATE_SUBSTITUTE_ARG_METHODS: FrozenSet[str] = frozenset({
-    "reply_substituted",
-})
-#: Receiver methods that *use* a handle (use-after-evict when the
-#: receiver is in the evicted state).
-TYPESTATE_USE_METHODS: FrozenSet[str] = frozenset({
-    "pin", "unpin", "payload", "materialize", "physical_copy",
-    "bump_generation", "footprint",
-})
-
-#: Trace-event names emitted with a literal first argument anywhere in
-#: ``repro.*``.  The ``vocab-drift`` pack fails on an emit the set does
-#: not declare (emit-without-declare) and on a declared name no emit
-#: site produces (declare-without-emit), so this list is always exactly
-#: the tree's live trace vocabulary.
-DECLARED_TRACE_EVENTS: FrozenSet[str] = frozenset({
-    "arbiter.move_bytes",
-    "arbiter.tick",
-    "bcache.evict",
-    "bcache.hit",
-    "bcache.miss",
-    "buffer.extent_slice",
-    "buffer.materialize",
-    "engine.bucket_refill",
-    "engine.bucket_resize",
-    "engine.dispatch",
-    "fleet.churn",
-    "fleet.peer_hit",
-    "fleet.peer_serve",
-    "http.get",
-    "ncache.cache_data_in",
-    "ncache.cache_write",
-    "ncache.evict",
-    "ncache.l2_hit",
-    "ncache.l2_miss",
-    "ncache.remap",
-    "ncache.substitute",
-    "net.receive",
-    "net.send",
-})
-
-#: Metric names declared with a literal first argument (counters,
-#: gauges, histograms, CounterSet.add) anywhere in ``repro.*``.
-DECLARED_METRICS: FrozenSet[str] = frozenset({
-    "arbiter.moved_bytes",
-    "arbiter.moves",
-    "arbiter.stall_aborts",
-    "bcache.evict_clean",
-    "bcache.evict_dirty",
-    "bcache.write_alloc",
-    "bcache.writeback",
-    "copies.elided",
-    "copy.bytes",
-    "fleet.drain_pushed",
-    "fleet.failover_reroute",
-    "fleet.imbalance",
-    "fleet.inflight_retry",
-    "fleet.peer_bytes",
-    "fleet.peer_hit",
-    "fleet.peer_miss",
-    "fleet.peer_probe",
-    "fleet.peer_push",
-    "fleet.peer_served_hit",
-    "fleet.peer_served_miss",
-    "fleet.peer_timeout",
-    "fleet.rebalance_moved_keys",
-    "fleet.served",
-    "fleet.warmup_ops",
-    "http.get.latency",
-    "ncache.cached_data_in",
-    "ncache.cached_write",
-    "ncache.evict_clean",
-    "ncache.evict_dirty",
-    "ncache.fs_page_invalidated",
-    "ncache.l2_hit",
-    "ncache.l2_miss",
-    "ncache.overwrite",
-    "ncache.remap",
-    "ncache.remap_overwrite",
-    "ncache.substitute_miss",
-    "ncache.substituted_packets",
-    "ncache.substituted_replies",
-    "ncache.unaligned_write_passthrough",
-    "ncache.used.bytes",
-    "ncache.writeback",
-    "nfs.drc_hit",
-    "nfs.drc_in_progress_drop",
-    "nfs.read.latency",
-    "nfs.write.latency",
-    "request.bytes",
-    "request.latency",
-    "udp.dropped",
-})
-
-#: Prefixes legal for *dynamic* (f-string) trace/metric names — the
-#: per-kernel ``cache.<name>.*`` metric families and friends.  A
-#: discovered literal or f-string prefix under one of these is declared
-#: by family; families are exempt from declare-without-emit.
-DYNAMIC_NAME_PREFIXES: Tuple[str, ...] = (
-    "arbiter.budget.",  # per-lease budget gauges (arbiter.budget.<name>)
-    "cache.",         # per-CacheKernel hit/miss/evict/ghost-hit metrics
-    "fleet.routed.",  # per-node routing counters (fleet.routed.n<i>)
-    "nfs.",           # per-procedure NFS trace events (nfs.<proc>)
+#: The only modules that may make a blocking host call at all: they run
+#: outside the event loop (trace export after the run, the experiment
+#: runner, the perf harness, the linter).  Everywhere else a blocking
+#: call is flagged wherever it is written, so a helper called from an
+#: engine process cannot hide one.
+BLOCKING_ALLOWED_PATHS: Tuple[str, ...] = (
+    "repro/obs/trace.py",
+    "repro/experiments/",
+    "repro/perf/",
+    "repro/check/",
 )
-
 
 #: Budget operations that move cache bytes: legal only inside the
 #: arbiter seam.  Everywhere else, the ``budget-lease`` rule directs

@@ -1,6 +1,8 @@
-"""Diagnostics, suppression parsing, SARIF output, and CLI exit codes."""
+"""Diagnostics, suppression parsing, and CLI exit codes."""
 
 import json
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -12,7 +14,6 @@ from repro.check.diagnostics import (
     Suppressions,
     parse_suppressions,
 )
-from repro.check.sarif import to_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "repro"
@@ -71,48 +72,12 @@ class TestParseSuppressions:
         assert not Suppressions().covers("r", 1)
 
 
-class TestSarif:
-    def _diags(self):
-        return [
-            Diagnostic(rule="no-wallclock", path="src/a.py", line=3,
-                       col=7, message="clock"),
-            Diagnostic(rule="flow-typestate", path="tests/b.py", line=9,
-                       col=1, message="evicted", suppressed=True),
-        ]
-
-    def test_document_shape(self):
-        doc = to_sarif(self._diags(),
-                       [("no-wallclock", "no clocks", "sim time only"),
-                        ("flow-typestate", "lifecycle", "state machine")])
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "ncache-lint"
-        ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "no-wallclock" in ids and "flow-typestate" in ids
-        # Meta rules always present so every result resolves.
-        assert "syntax" in ids and "stale-ignore" in ids
-
-    def test_results_carry_locations(self):
-        doc = to_sarif(self._diags(), [])
-        result = doc["runs"][0]["results"][0]
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "src/a.py"
-        assert loc["region"] == {"startLine": 3, "startColumn": 7}
-
-    def test_suppressed_results_marked_in_source(self):
-        doc = to_sarif(self._diags(), [])
-        results = doc["runs"][0]["results"]
-        assert "suppressions" not in results[0]
-        assert results[1]["suppressions"] == [{"kind": "inSource"}]
-
-    def test_unknown_rule_ids_get_descriptors(self):
-        doc = to_sarif([Diagnostic(rule="made-up", path="x.py", line=1,
-                                   col=1, message="m")], [])
-        ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-        assert "made-up" in ids
-
-    def test_document_is_json_serializable(self):
-        json.dumps(to_sarif(self._diags(), []))
+def git_commit_all(repo):
+    """Make ``repo`` a git repository with everything in it committed."""
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    subprocess.run(["git", "-c", "user.email=t@t", "-c", "user.name=t",
+                    "commit", "-qm", "x"], cwd=repo, check=True)
 
 
 def write(tmp_path, name, source):
@@ -152,19 +117,6 @@ class TestCliExitCodes:
             check_main(["--rules", "nonsense", str(path)])
         assert err.value.code == 2
 
-    def test_flow_rule_without_flow_flag_exits_two(self, tmp_path):
-        path = write(tmp_path, "ok.py", "x = 1\n")
-        with pytest.raises(SystemExit) as err:
-            check_main(["--rules", "flow-engine", str(path)])
-        assert err.value.code == 2
-
-    def test_flow_only_option_without_flow_exits_two(self, tmp_path):
-        path = write(tmp_path, "ok.py", "x = 1\n")
-        with pytest.raises(SystemExit) as err:
-            check_main(["--call-graph-out", str(tmp_path / "g.json"),
-                        str(path)])
-        assert err.value.code == 2
-
     def test_json_report_shape(self, tmp_path, capsys):
         path = write(tmp_path, "bad.py", """
             import random
@@ -177,28 +129,6 @@ class TestCliExitCodes:
         assert any(d["rule"] == "no-global-random"
                    for d in data["diagnostics"])
 
-    def test_format_json_equals_json_flag(self, tmp_path, capsys):
-        path = write(tmp_path, "ok.py", "x = 1\n")
-        assert check_main(["--format", "json", str(path)]) == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["ok"] is True
-
-    def test_sarif_format(self, tmp_path, capsys):
-        path = write(tmp_path, "bad.py", """
-            import random
-            x = random.random()
-        """)
-        assert check_main(["--format", "sarif", str(path)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        assert doc["runs"][0]["results"]
-
-    def test_list_rules_includes_flow_rules(self, capsys):
-        assert check_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "no-wallclock" in out
-        assert "flow-determinism" in out and "(--flow)" in out
-
     def test_changed_without_git_warns_and_lints(self, tmp_path, capsys,
                                                  monkeypatch):
         path = write(tmp_path, "ok.py", "x = 1\n")
@@ -209,16 +139,41 @@ class TestCliExitCodes:
 
     def test_changed_with_no_modified_files(self, tmp_path, capsys,
                                             monkeypatch):
-        import subprocess
         path = write(tmp_path, "ok.py", "x = 1\n")
         monkeypatch.chdir(tmp_path)
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(["git", "add", "-A"], cwd=tmp_path, check=True)
-        subprocess.run(["git", "-c", "user.email=t@t", "-c",
-                        "user.name=t", "commit", "-qm", "x"],
-                       cwd=tmp_path, check=True)
+        git_commit_all(tmp_path)
         assert check_main(["--changed", str(path)]) == 0
         assert "no changed python files" in capsys.readouterr().out
+
+    def test_changed_from_a_subdirectory(self, tmp_path, capsys,
+                                         monkeypatch):
+        # git reports paths relative to the repository root, wherever
+        # it runs: a modified file must be found from a subdirectory.
+        path = write(tmp_path, "pkg/mod.py", "x = 1\n")
+        git_commit_all(tmp_path)
+        path.write_text("import random\n", encoding="utf-8")
+        monkeypatch.chdir(path.parent)
+        assert check_main(["--changed", str(path.parent)]) == 1
+        out = capsys.readouterr().out
+        assert "checked 1 files" in out and "no-global-random" in out
+
+
+class TestBrokenPipe:
+    def test_reader_closing_stdout_early_is_quiet(self, tmp_path):
+        # Enough diagnostics to overfill the pipe, so the linter is
+        # still writing when the reader (`| head`) goes away.
+        path = write(tmp_path, "noisy.py", "import random\n" * 2000)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.check", "--json", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                 "PATH": "/usr/bin:/bin"})
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        proc.wait(timeout=60)
+        assert "Traceback" not in stderr and "BrokenPipe" not in stderr
 
 
 class TestCliStaleIgnores:
@@ -249,46 +204,3 @@ class TestCliStaleIgnores:
         path = write(tmp_path, "mod.py",
                      "x = 1  # check: ignore[no-wallclock] -- stale\n")
         assert check_main(["--rules", "no-wallclock", str(path)]) == 0
-
-
-class TestCliFlowMode:
-    def test_flow_clean_tree_exits_zero(self, tmp_path, capsys):
-        path = write(tmp_path, "src/repro/ok.py", """
-            def helper(engine, items):
-                for item in sorted(items):
-                    engine.schedule(item)
-        """)
-        assert check_main(["--flow", str(path)]) == 0
-        assert "flow-determinism" in capsys.readouterr().out
-
-    def test_flow_violation_exits_one(self, tmp_path, capsys):
-        path = write(tmp_path, "src/repro/bad.py", """
-            def feed(engine, items):
-                for item in set(items):
-                    engine.schedule(item)
-        """)
-        assert check_main(["--flow", str(path)]) == 1
-        assert "flow-determinism" in capsys.readouterr().out
-
-    def test_flow_call_graph_out(self, tmp_path, capsys):
-        path = write(tmp_path, "src/repro/ok.py", "def f():\n    return 1\n")
-        graph = tmp_path / "graph.json"
-        assert check_main(["--flow", "--call-graph-out", str(graph),
-                           str(path)]) == 0
-        data = json.loads(graph.read_text())
-        assert "repro.ok.f" in data["functions"]
-        # Second run hits the digest-keyed cache and still succeeds.
-        capsys.readouterr()
-        assert check_main(["--flow", "--call-graph-cache", str(graph),
-                           str(path)]) == 0
-
-    def test_flow_sarif_output(self, tmp_path, capsys):
-        path = write(tmp_path, "src/repro/bad.py", """
-            def feed(engine, items):
-                for item in set(items):
-                    engine.schedule(item)
-        """)
-        assert check_main(["--flow", "--format", "sarif", str(path)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        ids = [r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]]
-        assert "flow-determinism" in ids

@@ -167,6 +167,12 @@ class TestTraceNaming:
 
 
 class TestEngineDiscipline:
+    BLOCKING_HELPER = """\
+        def dump(path, text):
+            with open(path, "w") as fh:
+                fh.write(text)
+    """
+
     def test_blocking_call_in_generator_flagged(self, tmp_path):
         diags = lint_source(tmp_path, """\
             import time  # check: ignore[no-wallclock]
@@ -194,6 +200,27 @@ class TestEngineDiscipline:
                 sim.run()
         """)
         assert not active(diags, "engine-discipline")
+
+    def test_blocking_call_in_plain_function_flagged(self, tmp_path):
+        # An engine process could call the helper, so the call is banned
+        # from the module, not just from generator bodies.
+        found = active(lint_source(tmp_path, self.BLOCKING_HELPER),
+                       "engine-discipline")
+        assert found and "open()" in found[0].message
+
+    def test_blocking_call_under_allow_listed_path_ok(self, tmp_path):
+        for name in ("repro/obs/trace.py", "repro/experiments/mod.py",
+                     "repro/perf/mod.py", "repro/check/mod.py"):
+            diags = lint_source(tmp_path, self.BLOCKING_HELPER, name=name)
+            assert not active(diags, "engine-discipline"), name
+
+    def test_allow_listed_path_still_guards_its_processes(self, tmp_path):
+        diags = lint_source(tmp_path, """\
+            def proc(sim, path):
+                open(path)
+                yield sim.timeout(1)
+        """, name="repro/experiments/mod.py")
+        assert active(diags, "engine-discipline")
 
 
 class TestCacheDiscipline:
@@ -347,58 +374,6 @@ class TestSuppressions:
         assert active(diags, "no-global-random")
 
 
-class TestSchedulerDiscipline:
-    def test_heapq_import_flagged(self, tmp_path):
-        diags = lint_source(tmp_path, """\
-            import heapq
-        """)
-        found = active(diags, "scheduler-discipline")
-        assert found and "heapq" in found[0].message
-
-    def test_heap_call_flagged(self, tmp_path):
-        diags = lint_source(tmp_path, """\
-            def sched(heapq, q, item):
-                heapq.heappush(q, item)
-        """)
-        found = active(diags, "scheduler-discipline")
-        assert found and "heappush" in found[0].message
-
-    def test_from_import_flagged(self, tmp_path):
-        diags = lint_source(tmp_path, """\
-            from heapq import heappop
-        """)
-        assert active(diags, "scheduler-discipline")
-
-    def test_engine_is_exempt(self, tmp_path):
-        diags = lint_source(tmp_path, """\
-            import heapq
-        """, name="repro/sim/engine.py")
-        assert not active(diags, "scheduler-discipline")
-
-    def test_tests_side_heap_oracle_is_exempt(self, tmp_path):
-        diags = lint_source(tmp_path, """\
-            import heapq
-        """, name="tests/heap_oracle.py")
-        assert not active(diags, "scheduler-discipline")
-
-    def test_type_checking_import_exempt(self, tmp_path):
-        diags = lint_source(tmp_path, """\
-            from typing import TYPE_CHECKING
-            if TYPE_CHECKING:
-                import heapq
-        """)
-        assert not active(diags, "scheduler-discipline")
-
-    def test_nsmallest_via_module_flagged_bare_not(self, tmp_path):
-        # Bare merge()/nlargest() names are too common to claim; only
-        # the heap* spellings and heapq.* attributes are the rule's.
-        diags = lint_source(tmp_path, """\
-            def pick(merge, xs, ys):
-                return merge(xs, ys)
-        """)
-        assert not active(diags, "scheduler-discipline")
-
-
 class TestDriver:
     def test_syntax_error_reported_not_raised(self, tmp_path):
         diags = lint_source(tmp_path, "def broken(:\n")
@@ -416,7 +391,6 @@ class TestDriver:
         assert set(RULES) == {"no-wallclock", "no-global-random",
                               "copy-discipline", "trace-naming",
                               "engine-discipline", "cache-discipline",
-                              "scheduler-discipline",
                               "budget-lease"}
         for rule in all_rules():
             assert rule.summary and rule.invariant

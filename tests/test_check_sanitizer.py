@@ -99,7 +99,7 @@ class TestDoubleSubstitution:
         with sanitize() as san:
             dgram = make_dgram()
             san.reply_substituted(dgram)
-            san.reply_substituted(dgram)  # check: ignore[flow-typestate] -- deliberately triggers the runtime sanitizer's DOUBLE_SUBSTITUTION
+            san.reply_substituted(dgram)
         assert [v.kind for v in san.violations] == \
             [ViolationKind.DOUBLE_SUBSTITUTION]
 
@@ -113,7 +113,7 @@ class TestDoubleSubstitution:
         san = BufferSanitizer()
         dgram = make_dgram()
         san.reply_substituted(dgram)
-        san.reply_substituted(dgram)  # check: ignore[flow-typestate] -- deliberately triggers the runtime sanitizer's DOUBLE_SUBSTITUTION
+        san.reply_substituted(dgram)
         assert san.hard_violations()
 
     def test_strict_mode_raises_at_the_call_site(self):
@@ -121,7 +121,7 @@ class TestDoubleSubstitution:
             dgram = make_dgram()
             san.reply_substituted(dgram)
             with pytest.raises(SanitizerError):
-                san.reply_substituted(dgram)  # check: ignore[flow-typestate] -- deliberately triggers the runtime sanitizer's DOUBLE_SUBSTITUTION
+                san.reply_substituted(dgram)
 
 
 class TestUseAfterEvict:
@@ -131,7 +131,7 @@ class TestUseAfterEvict:
             chunk = make_chunk(LbnKey(0, 3))
             store.insert(chunk)
             store.drop(chunk)
-            chunk.pin()  # instrumented: Chunk.pin -> chunk_used  # check: ignore[flow-typestate] -- deliberately pins an evicted chunk to exercise USE_AFTER_EVICT
+            chunk.pin()  # instrumented: Chunk.pin -> chunk_used
         found = san.of_kind(ViolationKind.USE_AFTER_EVICT)
         assert found and "pin" in found[0].message
 
@@ -236,7 +236,7 @@ class TestStateTracking:
         san = BufferSanitizer()
         dgram = make_dgram()
         san.reply_substituted(dgram)
-        san.reply_substituted(dgram)  # check: ignore[flow-typestate] -- deliberately triggers the runtime sanitizer's DOUBLE_SUBSTITUTION
+        san.reply_substituted(dgram)
         assert "double-substitution" in san.report()
         with pytest.raises(SanitizerError):
             san.raise_if_violations()
@@ -262,7 +262,7 @@ class TestActivation:
             chunk = make_chunk(LbnKey(0, 1), dirty=True)
             store.insert(chunk)
             store.drop(chunk)
-            chunk.pin()  # would be use-after-evict under a sanitizer  # check: ignore[flow-typestate] -- deliberate use-after-evict; asserts hooks are no-ops when disabled
+            chunk.pin()  # would be use-after-evict under a sanitizer
         finally:
             if previous is not None:
                 enable(strict=previous.strict)

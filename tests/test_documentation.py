@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.check.rules import RULES
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 REPO_ROOT = PACKAGE_ROOT.parent.parent
@@ -66,6 +67,11 @@ class TestPackaging:
         for token in ("Table 1", "Table 2", "Figure 4", "Figure 5",
                       "Figure 6", "Figure 7", "A1", "A7"):
             assert token in text
+
+    def test_readme_names_every_lint_rule(self):
+        text = (REPO_ROOT / "README.md").read_text()
+        missing = [rule_id for rule_id in RULES if f"`{rule_id}`" not in text]
+        assert not missing, missing
 
 
 class TestExamples:

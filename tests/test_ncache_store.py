@@ -148,7 +148,7 @@ class TestEviction:
         store.insert(chunk)
         store.drop(chunk)
         assert store.n_chunks == 0
-        store.drop(chunk)  # idempotent  # check: ignore[flow-typestate] -- asserts drop() is idempotent
+        store.drop(chunk)  # idempotent
 
 
 class TestRemap:
