@@ -141,11 +141,8 @@ class BufferSanitizer:
             ref=ref, key=str(chunk.key), state=ChunkState.CACHED,
             dirty=bool(chunk.dirty))
         self._evicted_keys.discard(chunk.key)
-        for buf in chunk.buffers:
-            buf.meta["san.state"] = ChunkState.CACHED.value
-            self._owned_payloads[id(buf.payload)] = (str(chunk.key), ref)
-            for mem in self._anon_mems(buf.payload):
-                self._owned_mems[mem] = (str(chunk.key), ref)
+        self._stamp(chunk, ChunkState.CACHED)
+        self._own(chunk, ref)
 
     def chunk_evicted(self, chunk: Any) -> None:
         """The store removed ``chunk`` (reclaim / overwrite / drop)."""
@@ -160,10 +157,11 @@ class BufferSanitizer:
             key=str(chunk.key), state=ChunkState.EVICTED,
             dirty=bool(chunk.dirty))
         self._evicted_keys.add(chunk.key)
-        for buf in chunk.buffers:
-            buf.meta["san.state"] = ChunkState.EVICTED.value
-            self._owned_payloads.pop(id(buf.payload), None)
-            for mem in self._anon_mems(buf.payload):
+        self._stamp(chunk, ChunkState.EVICTED)
+        for payload in chunk.owned_payloads():
+            for part in self._payload_parts(payload):
+                self._owned_payloads.pop(id(part), None)
+            for mem in self._anon_mems(payload):
                 entry = self._owned_mems.get(mem)
                 if entry is not None and (entry[1] is None
                                           or entry[1]() in (chunk, None)):
@@ -185,11 +183,33 @@ class BufferSanitizer:
         if record is not None:
             record.key = str(chunk.key)
             record.dirty = bool(chunk.dirty)
-        ref = record.ref if record is not None else None
-        for buf in chunk.buffers:
-            self._owned_payloads[id(buf.payload)] = (str(chunk.key), ref)
-            for mem in self._anon_mems(buf.payload):
-                self._owned_mems[mem] = (str(chunk.key), ref)
+        self._own(chunk, record.ref if record is not None else None)
+
+    # A compact chunk (``Chunk.from_payload``) holds one payload
+    # descriptor and no buffers.  The hooks below read what a chunk holds
+    # *now* (``peek_buffers`` / ``owned_payloads``) and never ``.buffers``:
+    # that property builds the list for good, which would turn every
+    # warm-started chunk into a buffer-list chunk at insert and keep the
+    # segment-lazy substitution path from ever running under a test.
+
+    @staticmethod
+    def _stamp(chunk: Any, state: ChunkState) -> None:
+        for buf in chunk.peek_buffers() or ():
+            buf.meta["san.state"] = state.value
+
+    @staticmethod
+    def _owned_parts(chunk: Any) -> Iterator[Any]:
+        """Every payload object ``chunk`` holds, composites and their parts."""
+        for payload in chunk.owned_payloads():
+            yield from BufferSanitizer._payload_parts(payload)
+
+    def _own(self, chunk: Any, ref: Any) -> None:
+        owner = (str(chunk.key), ref)
+        for payload in chunk.owned_payloads():
+            for part in self._payload_parts(payload):
+                self._owned_payloads[id(part)] = owner
+            for mem in self._anon_mems(payload):
+                self._owned_mems[mem] = owner
 
     def chunk_written_back(self, chunk: Any) -> None:
         """A dirty victim's bytes reached the writeback path."""
@@ -244,8 +264,8 @@ class BufferSanitizer:
                 continue
             owner, chunk_ref = entry
             chunk = chunk_ref() if chunk_ref is not None else None
-            if chunk is None or not any(buf.payload is part
-                                        for buf in chunk.buffers):
+            if chunk is None or not any(owned is part for owned
+                                        in self._owned_parts(chunk)):
                 # Stale id: the owning chunk (or its whole store) was
                 # garbage-collected and the address got recycled.
                 del self._owned_payloads[id(part)]
@@ -292,11 +312,8 @@ class BufferSanitizer:
 
     @staticmethod
     def _chunk_holds_mem(chunk: Any, mem: int) -> bool:
-        for buf in chunk.buffers:
-            for part in BufferSanitizer._payload_parts(buf.payload):
-                if getattr(part, "mem", None) == mem:
-                    return True
-        return False
+        return any(getattr(part, "mem", None) == mem
+                   for part in BufferSanitizer._owned_parts(chunk))
 
     # -- end-of-simulation sweep ------------------------------------------
 

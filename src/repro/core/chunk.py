@@ -11,12 +11,18 @@ Chunks come in two physically-equivalent representations:
 * **buffer-list** (the classic constructor) — holds the arrived
   :class:`NetBuffer` list; the merged payload is derived lazily.
 * **compact** (:meth:`Chunk.from_payload`) — holds one merged payload
-  descriptor plus the fragment size; the buffer list is derived lazily
-  (and then kept, because the stack mutates buffer checksum state — that
-  mutation *is* the checksum-inheritance mechanism).  Cache warm-up uses
-  this form: a warmed cache of a hundred thousand blocks is two payload
-  descriptors per chunk instead of ~3 buffers + ~3 payload views each,
-  which is most of the grid's peak-RSS savings.
+  descriptor plus the fragment size.  Cache warm-up uses this form: a
+  warmed cache of a hundred thousand blocks is two payload descriptors
+  per chunk instead of ~3 buffers + ~3 payload views each, which is
+  most of the grid's peak-RSS savings.  A compact chunk stays compact
+  when it is served: whole-block substitution sends it as one
+  segment-lazy descriptor (:meth:`Chunk.segment_buffer`) and counts
+  its packets arithmetically.  The buffer list is built — once, by
+  ``.buffers``, and then kept, because the stack mutates buffer
+  checksum state and that mutation *is* the checksum-inheritance
+  mechanism — only for an observer of individual buffers: a sender
+  without checksum offload, ``inherit_checksums=False``, a
+  partial-range substitution (DESIGN.md §11 lists them).
 
 Both report identical ``length``/``footprint`` and produce identical
 buffer lists, so simulation results do not depend on the representation.
@@ -28,7 +34,7 @@ from typing import List, Optional, Union
 
 from ..check import sanitizer as _sanitizer
 from ..net.buffer import (BufferFlavor, CompositePayload, ExtentPayload,
-                          NetBuffer, Payload, concat)
+                          NetBuffer, Payload, concat, expand_segments)
 from .keys import FhoKey, LbnKey
 
 ChunkKey = Union[LbnKey, FhoKey]
@@ -89,8 +95,9 @@ class Chunk:
         Equivalent to caching ``chain_from_payload(payload, fragment_size)``
         with every buffer's checksum state set to ``csum_known`` — the
         buffer list is built (once, then kept) on first ``.buffers``
-        access.  Warm-started caches are built this way so that chunks
-        never touched by the workload never grow an object graph.
+        access, which only an observer of individual buffers makes.
+        Warm-started caches are built this way so that chunks never grow
+        an object graph, served or not.
         """
         if fragment_size <= 0:
             raise ValueError("fragment_size must be positive")
@@ -121,12 +128,43 @@ class Chunk:
         """
         bufs = self._buffers
         if bufs is None:
-            known = self._csum_known
-            flavor = self._flavor
-            bufs = [NetBuffer(payload=frag, flavor=flavor, csum_known=known)
-                    for frag in self._payload.split(self._frag)]
-            self._buffers = bufs
+            # The chunk's own descriptor, expanded: one splitting rule
+            # for the list kept here and the trains built on the wire.
+            bufs = self._buffers = expand_segments([self.segment_buffer([])])
         return bufs
+
+    def peek_buffers(self) -> Optional[List[NetBuffer]]:
+        """The buffer list if one exists, else ``None`` (builds nothing)."""
+        return self._buffers
+
+    def owned_payloads(self) -> List[Payload]:
+        """The payload objects this chunk holds right now: the merged
+        descriptor if there is one, each buffer's view if the buffer
+        list exists.  Builds neither."""
+        owned: List[Payload] = []
+        if self._payload is not None:
+            owned.append(self._payload)
+        if self._buffers is not None:
+            owned.extend(buf.payload for buf in self._buffers)
+        return owned
+
+    def segment_buffer(self, lead: List[Payload]) -> Optional[NetBuffer]:
+        """This whole chunk as one segment-lazy wire buffer, with the
+        ``lead`` header payloads merged in front of its first segment.
+
+        ``None`` for a chunk that owns a buffer list: those buffers
+        carry checksum state the descriptor cannot stand for.  Expanding
+        the result (:func:`repro.net.buffer.expand_segments`) gives the
+        packets whole-block substitution makes from ``.buffers``.
+        """
+        if self._buffers is not None:
+            return None
+        data = payload = self._payload
+        if lead:
+            payload = concat(lead + [data])
+        return NetBuffer(payload=payload, flavor=self._flavor,
+                         csum_known=self._csum_known,
+                         segs=(payload.length - data.length, self._frag))
 
     def _n_buffers(self) -> int:
         if self._buffers is not None:

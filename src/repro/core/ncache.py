@@ -236,7 +236,7 @@ class NCacheModule:
         if decision.action is TxAction.REMAP_AND_SUBSTITUTE \
                 and self.enable_remap:
             yield from self._remap(dgram, leaves)
-        yield from self._substitute(dgram, leaves, trace)
+        yield from self._substitute(dgram, leaves)
         return dgram
 
     def _remap(self, dgram: Datagram, leaves: List[Payload]
@@ -264,8 +264,7 @@ class NCacheModule:
                                 fho=str(fho), lbn=lbn_key.lbn)
             block_index += 1
 
-    def _substitute(self, dgram: Datagram, leaves: List[Payload],
-                    trace: Optional[RequestTrace]
+    def _substitute(self, dgram: Datagram, leaves: List[Payload]
                     ) -> Generator[Event, Any, None]:
         """Swap placeholder fragments for the cached network buffers.
 
@@ -274,6 +273,13 @@ class NCacheModule:
         followed by the cached buffers themselves — "moved directly from
         the network-centric buffer cache to the network interface card"
         (§1).  Framing (packet count, wire bytes) is recomputed.
+
+        A compact chunk substituted whole goes out as one segment-lazy
+        descriptor and is counted arithmetically; its per-packet buffers
+        are only built for somebody who looks at them (DESIGN.md §11).
+        The observers on this host — software checksumming, the
+        no-inheritance ablation, a partial-range leaf — take the
+        buffer-list path instead.
         """
         costs = self.host.costs
         san = _sanitizer.active()
@@ -283,7 +289,12 @@ class NCacheModule:
         new_buffers: List[NetBuffer] = []
         pending_plain: List[Payload] = []  # header/metadata bytes to merge
         flavor = self.host.buffer_flavor
+        # Software checksumming walks this host's outgoing buffers, and
+        # the no-inheritance ablation re-describes each one.
+        per_buffer = not (self.host.checksum_offload
+                          and self.inherit_checksums)
         substituted = 0
+        extra_frames = 0  # packets beyond one per entry of new_buffers
         lookups = 0
         misses = 0
         t0 = self.host.sim.now
@@ -322,6 +333,15 @@ class NCacheModule:
             if san is not None:
                 san.chunk_used(chunk, "substitute")
             if leaf.base_offset == 0 and leaf.length == chunk.length:
+                lazy = None if per_buffer \
+                    else chunk.segment_buffer(pending_plain)
+                if lazy is not None:
+                    pending_plain.clear()
+                    new_buffers.append(lazy)
+                    segments = lazy.n_segments
+                    substituted += segments
+                    extra_frames += segments - 1
+                    continue
                 # Whole-block substitution (the common case): the cached
                 # buffer list goes out as-is; buffers_for_range would
                 # return identity slices of every buffer.
@@ -346,11 +366,13 @@ class NCacheModule:
             substituted += len(cached)
             if pending_plain:
                 # Merge header bytes into the first data packet, as the
-                # RPC/HTTP header shares the first fragment with data.
+                # RPC/HTTP header shares the first fragment with data
+                # (so it keeps that fragment's flavor — the same packet
+                # expand_segments makes from a lazy descriptor).
                 first = cached[0]
                 merged = NetBuffer(
                     payload=concat(pending_plain + [first.payload]),
-                    flavor=flavor)
+                    flavor=first.flavor)
                 pending_plain.clear()
                 new_buffers.append(merged)
                 new_buffers.extend(cached[1:])
@@ -363,10 +385,10 @@ class NCacheModule:
             + lookups * (costs.ncache_lookup_ns + costs.ncache_mgmt_ns)
             + max(1, substituted) * costs.ncache_substitute_ns,
             "ncache.substitute")
-        if trace is not None:
-            self.counters.add("ncache.substituted_packets", substituted)
+        self.counters.add("ncache.substituted_packets", substituted)
         dgram.chain = BufferChain(new_buffers)
-        self._recompute_framing(dgram)
+        self._recompute_framing(
+            dgram, max(1, len(new_buffers) + extra_frames))
         self.counters.add("ncache.substituted_replies")
         if self.trace.enabled:
             self.trace.complete("ncache.substitute", t0, cat="ncache",
@@ -374,9 +396,8 @@ class NCacheModule:
                                 packets=substituted, lookups=lookups,
                                 misses=misses, dst=str(dgram.dst))
 
-    def _recompute_framing(self, dgram: Datagram) -> None:
+    def _recompute_framing(self, dgram: Datagram, frames: int) -> None:
         costs = self.host.costs
-        frames = max(1, len(dgram.chain.buffers))
         payload = dgram.chain.payload_bytes
         dgram.n_frames = frames
         if dgram.protocol == "udp":

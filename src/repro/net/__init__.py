@@ -14,6 +14,7 @@ from .buffer import (
     VirtualPayload,
     chain_from_payload,
     concat,
+    expand_segments,
     internet_checksum,
     pattern_bytes,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "chain_from_payload",
     "concat",
     "count_placeholder_keys",
+    "expand_segments",
     "internet_checksum",
     "pattern_bytes",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -524,22 +524,32 @@ class NetBuffer:
     ``csum_known`` (is the transport checksum for this fragment already
     computed?) is the only metadata key hot enough to matter, so it is a
     plain slot; everything else lives in a lazily-created ``meta`` dict.
+
+    ``segs`` makes the buffer **segment-lazy** (the ``gso_segs`` idea):
+    ``(lead, frag)`` says this one descriptor stands for a train of
+    wire segments — the first carries ``lead`` header bytes plus up to
+    ``frag`` data bytes, every later one up to ``frag`` data bytes —
+    that nobody has needed to look at one by one yet.  Frame counts
+    come from :attr:`n_segments`; :func:`expand_segments` builds the
+    train for a consumer that does look (DESIGN.md §11).
     """
 
     __slots__ = ("payload", "headers", "flavor", "checksum", "csum_known",
-                 "_meta")
+                 "segs", "_meta")
 
     def __init__(self, payload: Payload,
                  headers: Optional[List[object]] = None,
                  flavor: BufferFlavor = BufferFlavor.SK_BUFF,
                  checksum: Optional[int] = None,
                  meta: Optional[dict] = None,
-                 csum_known: bool = False) -> None:
+                 csum_known: bool = False,
+                 segs: Optional[Tuple[int, int]] = None) -> None:
         self.payload = payload
         self.headers: List[object] = [] if headers is None else headers
         self.flavor = flavor
         self.checksum = checksum
         self.csum_known = csum_known
+        self.segs = segs
         self._meta: Optional[dict] = meta
 
     @property
@@ -561,6 +571,15 @@ class NetBuffer:
     @property
     def payload_bytes(self) -> int:
         return self.payload.length
+
+    @property
+    def n_segments(self) -> int:
+        """Wire segments this buffer stands for (1 unless segment-lazy)."""
+        segs = self.segs
+        if segs is None:
+            return 1
+        lead, frag = segs
+        return -(-(self.payload.length - lead) // frag)
 
     @property
     def header_bytes(self) -> int:
@@ -633,6 +652,40 @@ class BufferChain:
 
     def __repr__(self) -> str:
         return f"BufferChain({len(self.buffers)} bufs, {self.payload_bytes}B payload)"
+
+
+def expand_segments(buffers: List[NetBuffer]) -> List[NetBuffer]:
+    """``buffers`` with every segment-lazy buffer expanded to its train.
+
+    The one place per-segment buffers of a ``segs`` descriptor are made.
+    A data segment inherits the descriptor's flavor and checksum state
+    (they were the cached chunk's); the segment that carries the ``lead``
+    header bytes is a fresh descriptor with no known checksum — its
+    bytes are not the cached fragment's.  Plain buffers pass through
+    as the same objects.
+    """
+    out: List[NetBuffer] = []
+    for buf in buffers:
+        segs = buf.segs
+        if segs is None:
+            out.append(buf)
+            continue
+        lead, frag = segs
+        payload = buf.payload
+        flavor = buf.flavor
+        known = buf.csum_known
+        if lead:
+            data = payload.slice(lead, payload.length - lead).split(frag)
+            out.append(NetBuffer(
+                payload=concat([payload.slice(0, lead), data[0]]),
+                flavor=flavor))
+            del data[0]
+        else:
+            data = payload.split(frag)
+        for part in data:
+            out.append(NetBuffer(payload=part, flavor=flavor,
+                                 csum_known=known))
+    return out
 
 
 def chain_from_payload(payload: Payload, fragment_size: int,

@@ -38,7 +38,10 @@ class Datagram:
 
     ``lazy_frag`` is set when ``chain`` is still the sender's single
     unfragmented buffer: it is the fragment payload size a receiver that
-    caches wire buffers must split the chain into (DESIGN.md §11).
+    caches wire buffers must split the chain into (DESIGN.md §11).  A
+    chain an NCache substituted is never marked; it may instead hold
+    segment-lazy buffers (``NetBuffer.segs``), which the receive path
+    expands for the same kind of receiver.
     """
 
     protocol: str  # "udp" | "tcp"

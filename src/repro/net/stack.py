@@ -32,6 +32,7 @@ from .buffer import (
     PlaceholderPayload,
     chain_from_payload,
     concat,
+    expand_segments,
 )
 from .headers import IPv4Header, TCPHeader, UDPHeader
 from .network import NIC, Datagram
@@ -170,6 +171,14 @@ class NetworkStack:
             dgram.chain = self._build_chain(
                 dgram.chain.buffers[0].payload, frag_size,
                 dgram.src.ip, dgram.src.port, dgram.dst, dgram.protocol)
+        elif frag_size is None and (self.host._rx_hooks
+                                    or not self.host.checksum_offload):
+            # A chain an NCache substituted: compact chunks ride in it as
+            # one segment-lazy descriptor each.  This host looks at the
+            # buffers one by one — an RX hook re-chunks them, software
+            # checksumming counts them — so it gets the per-segment
+            # trains, again before checksum marking.
+            dgram.chain = BufferChain(expand_segments(dgram.chain.buffers))
         bus = self.sim.trace
         if bus.enabled:
             bus.emit("net.receive", cat="net",

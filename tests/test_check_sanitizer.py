@@ -220,6 +220,102 @@ class TestAliasing:
             assert san.of_kind(ViolationKind.ALIASING) == []
 
 
+class TestCompactChunks:
+    """A compact chunk (``Chunk.from_payload``) owns one payload and no
+    buffer list.  Every violation kind fires on one, and no sanitizer
+    hook builds the list: if one did, every warm-started chunk would
+    become a buffer-list chunk at insert and the segment-lazy
+    substitution path would never run under the suite's fixture."""
+
+    @staticmethod
+    def compact(key, payload=None, dirty=False):
+        return Chunk.from_payload(
+            key, payload or VirtualPayload(3, 0, 4096), 1448, dirty=dirty)
+
+    def test_bulk_load_insert_evict_remap_leave_it_compact(self):
+        with sanitize() as san:
+            store = make_store()
+            warm = [self.compact(LbnKey(0, n)) for n in range(4)]
+            store.bulk_load(iter(warm), warm[0].footprint(160, 64))
+            dirty = self.compact(FhoKey(1, 1, 0), dirty=True)
+            store.insert(dirty)
+            store.remap(FhoKey(1, 1, 0), LbnKey(0, 0))  # overwrites warm[0]
+            store.drop(warm[1])
+            assert san.violations == []
+        assert all(c.peek_buffers() is None for c in warm + [dirty])
+
+    def test_leak(self):
+        with sanitize() as san:
+            store = make_store()
+            chunk = self.compact(FhoKey(1, 1, 0), dirty=True)
+            store.insert(chunk)
+            store.drop(chunk)
+            leaks = san.check_leaks()
+        assert [v.kind for v in leaks] == [ViolationKind.LEAK]
+        assert chunk.peek_buffers() is None
+
+    def test_use_after_evict(self):
+        with sanitize() as san:
+            store = make_store()
+            chunk = self.compact(LbnKey(0, 3))
+            store.insert(chunk)
+            store.drop(chunk)
+            chunk.pin()
+            san.substitute_miss(None, LbnKey(0, 3))
+            san.chunk_remapped(chunk, chunk.key)
+        messages = [v.message for v in
+                    san.of_kind(ViolationKind.USE_AFTER_EVICT)]
+        assert len(messages) == 3
+        assert chunk.peek_buffers() is None
+
+    def test_fs_page_holding_its_payload_is_aliasing(self):
+        with sanitize() as san:
+            store = make_store()
+            payload = VirtualPayload(7, 0, 4096)
+            chunk = self.compact(LbnKey(0, 11), payload)
+            store.insert(chunk)
+            BufferCache(1 << 20).insert(11, payload)
+        found = san.of_kind(ViolationKind.ALIASING)
+        assert found and "aliases" in found[0].message
+        assert chunk.peek_buffers() is None
+
+    def test_fs_page_viewing_its_copied_memory_is_aliasing(self):
+        # The new case: no buffer views exist to compare against, so the
+        # mem identity must be read off the merged descriptor itself.
+        with sanitize() as san:
+            store = make_store()
+            copied = VirtualPayload(7, 0, 4096).physical_copy()
+            chunk = self.compact(LbnKey(0, 11), copied)
+            store.insert(chunk)
+            BufferCache(1 << 20).insert(11, copied.slice(0, 1024))
+        found = san.of_kind(ViolationKind.ALIASING)
+        assert found and "view of buffer memory" in found[0].message
+        assert chunk.peek_buffers() is None
+
+    def test_still_owned_after_an_observer_built_the_list(self):
+        with sanitize() as san:
+            store = make_store()
+            payload = VirtualPayload(7, 0, 4096)
+            chunk = self.compact(LbnKey(0, 11), payload)
+            store.insert(chunk)
+            assert len(chunk.buffers) == 3  # e.g. a partial substitution
+            BufferCache(1 << 20).insert(11, payload)
+        assert san.of_kind(ViolationKind.ALIASING)
+
+    def test_evicted_payload_may_be_cached(self):
+        with sanitize() as san:
+            store = make_store()
+            copied = VirtualPayload(7, 0, 4096).physical_copy()
+            chunk = self.compact(LbnKey(0, 11), copied)
+            store.insert(chunk)
+            chunk.buffers  # built while resident; released all the same
+            store.drop(chunk)
+            cache = BufferCache(1 << 20)
+            cache.insert(11, copied)
+            cache.insert(12, copied.slice(0, 512))
+            assert san.of_kind(ViolationKind.ALIASING) == []
+
+
 class TestStateTracking:
     def test_buffers_are_stamped_with_lifecycle_state(self):
         with sanitize():
