@@ -5,8 +5,8 @@ sweep runs once per benchmark (``pedantic`` with one round — these are
 system simulations, not microkernels), its rendered table is written to
 ``benchmarks/results/<name>.txt``, and headline paper-vs-measured numbers
 are attached to the benchmark record as ``extra_info`` together with the
-run configuration (mode, worker count, workload seeds) so a saved
-``.benchmarks`` record is only compared against a like-for-like run.
+run configuration (mode, worker count) so a saved ``.benchmarks`` record
+is only compared against a like-for-like run.
 
 Set ``NCACHE_BENCH_FULL=1`` to run the paper-scale (slow) configurations
 instead of the quick ones.  ``--workers N`` (or ``NCACHE_BENCH_WORKERS``)
@@ -57,10 +57,6 @@ def run_experiment(benchmark, run_fn, workers, extra_from_result=None):
     benchmark.extra_info["notes"] = result.notes
     benchmark.extra_info["mode"] = "quick" if quick else "full"
     benchmark.extra_info["workers"] = workers if takes_workers else 1
-    from repro.perf import peak_rss_kb
-    from repro.perf.harness import workload_seeds
-    benchmark.extra_info["seeds"] = workload_seeds()
-    benchmark.extra_info["peak_rss_kb"] = peak_rss_kb()
     if extra_from_result is not None:
         benchmark.extra_info.update(extra_from_result(result))
     return result

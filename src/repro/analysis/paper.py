@@ -57,7 +57,7 @@ def _gain(metric: str, mode_new: str = "NCache", mode_old: str = "original",
 
 
 def claims() -> List[PaperClaim]:
-    """The registry, keyed by experiment module name."""
+    """The registry; ``experiment`` is the result name a claim reads."""
     return [
         PaperClaim(
             "fig4-ncache-16k", "5.4",
@@ -110,16 +110,15 @@ def claims() -> List[PaperClaim]:
 
 def evaluate_all(quick: bool = True) -> List[PaperClaim]:
     """Rerun the experiments behind every claim and check the bands."""
-    from ..experiments import figure4, figure5, figure6, figure7
+    from ..experiments import EXPERIMENTS
 
-    results = {
-        "figure4": figure4.run(quick),
-        "figure5": figure5.run(quick),
-        "figure6a": figure6.run_working_set(quick),
-        "figure6b": figure6.run_allhit(quick),
-        "figure7": figure7.run(quick),
-    }
-    return [claim.check(results[claim.experiment]) for claim in claims()]
+    checked = claims()
+    wanted = {claim.experiment for claim in checked}
+    results = {result.name: result
+               for entry in EXPERIMENTS.values()
+               if wanted.intersection(entry.results)
+               for result in entry.run(quick)}
+    return [claim.check(results[claim.experiment]) for claim in checked]
 
 
 def render_report(checked: List[PaperClaim]) -> str:

@@ -140,9 +140,6 @@ class CacheKernel:
     def key_of(self, handle: int) -> Hashable:
         return self._entries[handle][0]
 
-    def size_of(self, handle: int) -> int:
-        return self._entries[handle][2]
-
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
         """``(key, item)`` pairs in the policy's cold-to-hot order."""
         entries = self._entries
@@ -169,10 +166,6 @@ class CacheKernel:
     def touch(self, handle: int) -> None:
         """Record a hit on a live entry (promotes it, counts the hit)."""
         self.policy.touch(handle)
-        self.metrics.hit._total += 1
-
-    def record_hit(self) -> None:
-        """Count a hit that must not promote (``touch=False`` lookups)."""
         self.metrics.hit._total += 1
 
     def record_miss(self, key: Hashable) -> None:
@@ -285,28 +278,7 @@ class CacheKernel:
         """Change the budget, evicting down to it if shrunk; returns the
         dirty victims exactly like :meth:`make_room`."""
         self.capacity_bytes = new_capacity_bytes
-        dirty_victims: List[Any] = []
-        entries = self._entries
-        ghost_admit = self._ghost_admit
-        metrics = self.metrics
-        while self._used > self.capacity_bytes:
-            handle = self._pick_victim()
-            if handle is None:
-                self._stall()
-            key_, item, vbytes = entries.pop(handle)
-            self._used -= vbytes
-            if ghost_admit is None or ghost_admit(item):
-                self._policy_evicted(handle, key_)
-            else:
-                self.policy.remove(handle)
-            if item.dirty:
-                metrics.evict_dirty._total += 1
-                dirty_victims.append(item)
-            else:
-                metrics.evict_clean._total += 1
-            if on_evict is not None:
-                on_evict(item)
-        return dirty_victims
+        return self.make_room(0, on_evict=on_evict)
 
     def steal(self, nbytes: int,
               on_evict: Optional[Callable[[Any], None]] = None

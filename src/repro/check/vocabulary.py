@@ -108,12 +108,11 @@ RANDOM_ALLOWED_PATHS: Tuple[str, ...] = (
     "repro/sim/rng.py",
 )
 
-#: Modules allowed to read wall-clock time (none inside the simulation;
-#: the experiment runner and the perf harness time the *host*, which is
-#: their whole point).
+#: Modules allowed to read wall-clock time: none inside the simulation
+#: or the experiment runner; the engine microkernels time the *host*,
+#: which is their whole point.
 WALLCLOCK_ALLOWED_PATHS: Tuple[str, ...] = (
-    "repro/experiments/parallel.py",
-    "repro/perf/",
+    "repro/perf/enginebench.py",
 )
 
 #: Wall-clock reading calls (dotted names as written at the call site).
@@ -134,13 +133,12 @@ BLOCKING_CALLS: FrozenSet[str] = frozenset({
 
 #: The only modules that may make a blocking host call at all: they run
 #: outside the event loop (trace export after the run, the experiment
-#: runner, the perf harness, the linter).  Everywhere else a blocking
+#: runner, the linter).  Everywhere else a blocking
 #: call is flagged wherever it is written, so a helper called from an
 #: engine process cannot hide one.
 BLOCKING_ALLOWED_PATHS: Tuple[str, ...] = (
     "repro/obs/trace.py",
     "repro/experiments/",
-    "repro/perf/",
     "repro/check/",
 )
 

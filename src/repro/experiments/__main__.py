@@ -27,43 +27,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import (ablations, adaptive_budget, figure4, figure5, figure6,
-               figure7, fleet_churn, fleet_scaling, policy_ablation, table1,
-               table2)
+from . import EXPERIMENTS
 from .parallel import n_trace_events, write_merged_chrome, write_merged_jsonl
 
-RUNNERS = {
-    "table1": lambda quick, workers, sink, stats: [table1.run(quick)],
-    "table2": lambda quick, workers, sink, stats:
-        [table2.run(quick, workers, sink, stats)],
-    "figure4": lambda quick, workers, sink, stats:
-        [figure4.run(quick, workers, sink, stats)],
-    "figure5": lambda quick, workers, sink, stats:
-        [figure5.run(quick, workers, sink, stats)],
-    "figure6": lambda quick, workers, sink, stats:
-        [figure6.run_working_set(quick, workers, sink, stats),
-         figure6.run_allhit(quick, workers, sink, stats)],
-    "figure7": lambda quick, workers, sink, stats:
-        [figure7.run(quick, workers, sink, stats)],
-    "fleet_scaling": lambda quick, workers, sink, stats:
-        [fleet_scaling.run(quick, workers, sink, stats)],
-    "fleet_churn": lambda quick, workers, sink, stats:
-        [fleet_churn.run(quick, workers, sink, stats)],
-    "adaptive_budget": lambda quick, workers, sink, stats:
-        [adaptive_budget.run(quick, workers, sink, stats)],
-    "ablations": ablations.run,
-    "policy_ablation": lambda quick, workers, sink, stats:
-        [policy_ablation.run(quick, workers, sink, stats)],
-}
 
-
-def main(argv=None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (its ``choices`` are the registry keys)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.")
     parser.add_argument("experiments", nargs="*",
-                        choices=[*RUNNERS, []],
+                        choices=[*EXPERIMENTS, []],
                         help="subset to run (default: all)")
     parser.add_argument("--full", action="store_true",
                         help="paper-scale windows instead of quick mode")
@@ -75,26 +49,22 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", type=Path, default=None,
                         help="write a structured trace of the whole run "
                              "(Chrome trace JSON; .jsonl for JSON lines)")
-    parser.add_argument("--profile", action="store_true",
-                        help="run under cProfile and write a pstats file "
-                             "(experiments.pstats, next to --out results "
-                             "or in the current directory)")
-    args = parser.parse_args(argv)
+    return parser
 
-    names = args.experiments or list(RUNNERS)
+
+def main(argv=None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+
+    names = args.experiments or list(EXPERIMENTS)
     quick = not args.full
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
     trace_sink = [] if args.trace_out is not None else None
-    profiler = None
-    if args.profile:
-        import cProfile
-        profiler = cProfile.Profile()
-        profiler.enable()
     try:
         for name in names:
-            for result in RUNNERS[name](quick, args.workers,
-                                        trace_sink, None):
+            for result in EXPERIMENTS[name].run(quick, args.workers,
+                                                trace_sink):
                 print(result.render())
                 print()
                 if args.out is not None:
@@ -103,12 +73,6 @@ def main(argv=None) -> int:
                     metrics_path = args.out / f"{result.name}.metrics.json"
                     metrics_path.write_text(result.to_json() + "\n")
     finally:
-        if profiler is not None:
-            profiler.disable()
-            stats_path = (args.out or Path(".")) / "experiments.pstats"
-            profiler.dump_stats(stats_path)
-            print(f"profile: {stats_path} "
-                  f"(inspect with python -m pstats)", file=sys.stderr)
         if trace_sink is not None:
             if args.trace_out.suffix == ".jsonl":
                 write_merged_jsonl(args.trace_out, trace_sink)

@@ -26,6 +26,7 @@ from .common import (
     warm_caches,
     web_testbed,
 )
+from .parallel import RunSpec, sweep
 
 
 def _allhit_throughput(cfg_kwargs: dict, request_size: int,
@@ -319,7 +320,6 @@ ABLATIONS = ("run_checksum", "run_fs_cache_size", "run_remap",
 
 def grid(quick: bool = True) -> list:
     """One picklable spec per ablation (each returns an ExperimentResult)."""
-    from .parallel import RunSpec
     return [RunSpec(fn=f"repro.experiments.ablations:{fn_name}",
                     args=(quick,), capture_reports=False,
                     label=f"ablations/{fn_name[4:]}")
@@ -327,16 +327,6 @@ def grid(quick: bool = True) -> list:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> list:
+        trace_sink: list = None) -> list:
     """All ablations, A1 through A8."""
-    from .parallel import drain, run_specs
-    return [rr.value
-            for rr in drain(run_specs(grid(quick), workers=workers,
-                                      trace=trace_sink is not None),
-                            trace_sink, stats)]
-
-
-if __name__ == "__main__":
-    for res in run(quick=True):
-        print(res.render())
-        print()
+    return [rr.value for rr in sweep(grid(quick), workers, trace_sink)]

@@ -50,7 +50,7 @@ from ..workloads.base import WorkloadBase
 from ..workloads.specsfs import _weighted_choice
 from .common import (nfs_testbed, protocol, scaled_memory_config,
                      warm_caches)
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 KB = 1024
 
@@ -317,7 +317,7 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full sweep: every static split vs the GhostGradient point."""
     result = ExperimentResult(
         name="adaptive_budget",
@@ -325,11 +325,7 @@ def run(quick: bool = True, workers: int = 1,
               "(read-heavy -> write-heavy -> web phases, one run)",
         columns=["split", "fs_mb", "read_bpk", "write_bpk", "web_bpk",
                  "mean_bpk", "ops", "moves", "moved_mb"])
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid(quick), workers, trace_sink, into=result)
     statics = [row for row in result.rows if row["split"] != "ghost"]
     ghost = result.value("mean_bpk", split="ghost")
     best = min(statics, key=lambda row: row["mean_bpk"])
@@ -347,7 +343,3 @@ def run(quick: bool = True, workers: int = 1,
         f"draining the FS cache for the read phase and regrowing it for "
         f"the web phase's metadata working set")
     return result
-
-
-if __name__ == "__main__":
-    print(run(quick=True).render())

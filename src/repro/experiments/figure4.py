@@ -17,7 +17,7 @@ from ..analysis.tables import ExperimentResult, pct_gain
 from ..servers.config import ServerMode
 from ..workloads.microbench import SequentialReadWorkload
 from .common import ALL_MODES, NFS_REQUEST_SIZES, nfs_testbed, protocol
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 GB = 1 << 30
 
@@ -61,18 +61,14 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full Figure 4 sweep."""
     result = ExperimentResult(
         name="figure4",
         title="Figure 4: NFS all-miss — throughput (a) and CPU (b)",
         columns=["mode", "request_kb", "throughput_mbps",
                  "server_cpu_pct", "storage_cpu_pct"])
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid(quick), workers, trace_sink, into=result)
     for request_kb in (16, 32):
         orig = result.value("throughput_mbps", mode="original",
                             request_kb=request_kb)
@@ -82,7 +78,3 @@ def run(quick: bool = True, workers: int = 1,
             f"{request_kb} KB: NCache vs original "
             f"{pct_gain(ncache, orig):+.1f}% (paper: +29% to +36%)")
     return result
-
-
-if __name__ == "__main__":
-    print(run(quick=True).render())

@@ -19,7 +19,7 @@ from ..servers.config import ServerMode
 from ..servers.testbed import run_until_complete
 from ..workloads.microbench import AllHitReadWorkload
 from .common import ALL_MODES, NFS_REQUEST_SIZES, nfs_testbed, protocol
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 
 def measure_point(mode: ServerMode, request_size: int, n_nics: int,
@@ -62,7 +62,7 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full Figure 5 sweep, both panels."""
     result = ExperimentResult(
         name="figure5",
@@ -70,11 +70,7 @@ def run(quick: bool = True, workers: int = 1,
               "throughput with 2 NICs (b)",
         columns=["mode", "nics", "request_kb", "throughput_mbps",
                  "server_cpu_pct"])
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid(quick), workers, trace_sink, into=result)
     orig = result.value("throughput_mbps", mode="original", nics=2,
                         request_kb=32)
     ncache = result.value("throughput_mbps", mode="NCache", nics=2,
@@ -92,7 +88,3 @@ def run(quick: bool = True, workers: int = 1,
                     f"{orig_cpu - nc_cpu:.1f} points at link-bound "
                     f"throughput (paper: up to 42-52)")
     return result
-
-
-if __name__ == "__main__":
-    print(run(quick=True).render())

@@ -26,7 +26,7 @@ from .common import (
     warm_caches,
     web_testbed,
 )
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 #: Paper working-set sizes (MB) and the quick-mode scale divisor.
 FULL_WORKING_SETS_MB = (250, 500, 650, 750, 900)
@@ -115,8 +115,7 @@ def grid_allhit(quick: bool = True) -> List[RunSpec]:
 
 
 def run_working_set(quick: bool = True, workers: int = 1,
-                    trace_sink: list = None,
-                    stats: list = None) -> ExperimentResult:
+                    trace_sink: list = None) -> ExperimentResult:
     """The Figure 6(a) sweep."""
     result = ExperimentResult(
         name="figure6a",
@@ -126,11 +125,7 @@ def run_working_set(quick: bool = True, workers: int = 1,
     if quick:
         result.add_note(f"quick mode: memory geometry scaled down by "
                         f"{QUICK_SCALE}x (ratios preserved)")
-    for rr in drain(run_specs(grid_working_set(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid_working_set(quick), workers, trace_sink, into=result)
     for ws in (500, 750):
         orig = result.value("throughput_mbps", mode="original",
                             working_set_mb=ws)
@@ -143,18 +138,13 @@ def run_working_set(quick: bool = True, workers: int = 1,
 
 
 def run_allhit(quick: bool = True, workers: int = 1,
-               trace_sink: list = None,
-               stats: list = None) -> ExperimentResult:
+               trace_sink: list = None) -> ExperimentResult:
     """The Figure 6(b) sweep."""
     result = ExperimentResult(
         name="figure6b",
         title="Figure 6(b): kHTTPd all-hit, request-size sweep",
         columns=["mode", "request_kb", "throughput_mbps", "ops_per_sec"])
-    for rr in drain(run_specs(grid_allhit(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid_allhit(quick), workers, trace_sink, into=result)
     for request_kb in (16, 128):
         orig = result.value("throughput_mbps", mode="original",
                             request_kb=request_kb)
@@ -165,30 +155,3 @@ def run_allhit(quick: bool = True, workers: int = 1,
             f"{pct_gain(ncache, orig):+.1f}% "
             f"(paper: +8% at 16 KB up to +47% at 128 KB)")
     return result
-
-
-def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
-    """Both panels merged (rows carry a ``panel`` column)."""
-    a = run_working_set(quick, workers, trace_sink, stats)
-    b = run_allhit(quick, workers, trace_sink, stats)
-    merged = ExperimentResult(
-        name="figure6",
-        title="Figure 6: kHTTPd throughput",
-        columns=["panel", "mode", "working_set_mb", "request_kb",
-                 "throughput_mbps", "ops_per_sec"])
-    for row in a.rows:
-        merged.add_row(panel="a", request_kb="", **{
-            k: v for k, v in row.items() if k != "hit_ratio"})
-    for row in b.rows:
-        merged.add_row(panel="b", working_set_mb="", **row)
-    merged.notes = a.notes + b.notes
-    merged.reports.update(a.reports)
-    merged.reports.update(b.reports)
-    return merged
-
-
-if __name__ == "__main__":
-    print(run_working_set(quick=True).render())
-    print()
-    print(run_allhit(quick=True).render())

@@ -15,7 +15,7 @@ from ..analysis.tables import ExperimentResult, pct_gain
 from ..servers.config import ServerMode
 from ..workloads.specsfs import SpecSfsWorkload
 from .common import ALL_MODES, nfs_testbed, protocol, warm_caches
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 GB = 1 << 30
 
@@ -65,18 +65,14 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full Figure 7 sweep."""
     result = ExperimentResult(
         name="figure7",
         title="Figure 7: SPECsfs-like ops/s vs % regular-data requests",
         columns=["mode", "pct_regular", "ops_per_sec", "throughput_mbps",
                  "server_cpu_pct"])
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid(quick), workers, trace_sink, into=result)
     for pct, paper in ((30, 16.3), (75, 18.6)):
         orig = result.value("ops_per_sec", mode="original", pct_regular=pct)
         ncache = result.value("ops_per_sec", mode="NCache", pct_regular=pct)
@@ -84,7 +80,3 @@ def run(quick: bool = True, workers: int = 1,
                         f"{pct_gain(ncache, orig):+.1f}% "
                         f"(paper: +{paper}%)")
     return result
-
-
-if __name__ == "__main__":
-    print(run(quick=True).render())

@@ -32,7 +32,7 @@ from ..servers.spec import ChurnEvent, ChurnSchedule, ClusterSpec, TestbedSpec
 from ..workloads.fleetzipf import FlashCrowd, FleetZipfWorkload, HotKeyStorm
 from .common import protocol, scaled_memory_config
 from .fleet_scaling import BASE_SCALE
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 KB = 1024
 
@@ -170,7 +170,7 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full churn sweep."""
     result = ExperimentResult(
         name="fleet_churn",
@@ -179,11 +179,7 @@ def run(quick: bool = True, workers: int = 1,
         columns=["repl", "coop", "group", "ops_per_s", "pre_bpk",
                  "outage_bpk", "recovery_bpk", "failover", "retries",
                  "warmup_ops", "ghost_hits"])
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid(quick), workers, trace_sink, into=result)
     repl2 = result.value("outage_bpk", repl=2, coop="on", group=16)
     repl1 = result.value("outage_bpk", repl=1, coop="on", group=16)
     if repl1:
@@ -199,7 +195,3 @@ def run(quick: bool = True, workers: int = 1,
         f"{CRASH_NODE} refilled; {ghosts:.0f} ghost hits flagged "
         f"re-misses on pre-crash residents")
     return result
-
-
-if __name__ == "__main__":
-    print(run(quick=True).render())

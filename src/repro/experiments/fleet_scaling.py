@@ -29,7 +29,7 @@ from ..servers.config import ServerMode
 from ..servers.spec import ClusterSpec, TestbedSpec
 from ..workloads.fleetzipf import FleetZipfWorkload
 from .common import protocol, scaled_memory_config
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 KB = 1024
 MB = 1 << 20
@@ -120,7 +120,7 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full fleet-scaling sweep."""
     result = ExperimentResult(
         name="fleet_scaling",
@@ -129,11 +129,7 @@ def run(quick: bool = True, workers: int = 1,
         columns=["n_servers", "coop", "repl", "throughput_mbps",
                  "ops_per_s", "imbalance", "peer_hit_pct", "peer_mb",
                  "backend_reads", "backend_per_kop"])
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
+    sweep(grid(quick), workers, trace_sink, into=result)
     for n in (4, 8):
         coop = result.value("backend_per_kop", n_servers=n, coop="on",
                             repl=2)
@@ -144,7 +140,3 @@ def run(quick: bool = True, workers: int = 1,
             f"{n} servers: cooperation cuts backend reads per 1000 ops "
             f"by {saved:.1f}% ({solo:.0f} -> {coop:.0f})")
     return result
-
-
-if __name__ == "__main__":
-    print(run(quick=True).render())

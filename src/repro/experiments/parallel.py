@@ -17,21 +17,17 @@ any ``--workers`` value, because
 
 ``DESIGN.md`` §7 states the argument in full; the lock is
 ``tests/test_parallel_determinism.py``.
-
-Wall-clock use: this module intentionally measures host time
-(``time.perf_counter``) — it times the *runner*, never the simulation.
-It is allow-listed in :data:`repro.check.vocabulary.WALLCLOCK_ALLOWED_PATHS`.
 """
 
 from __future__ import annotations
 
 import gc
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
+from ..analysis.tables import ExperimentResult
 from ..obs import trace as _trace
 from ..sim import engine as _engine
 
@@ -61,15 +57,14 @@ class RunResult:
 
     ``value`` is whatever the spec's callable returned (a row dict for
     ``measure_*`` functions, an ``ExperimentResult`` for whole-ablation
-    specs).  ``wall_s`` and ``sim_events`` describe the *worker's* cost
-    of producing it; ``trace`` is a list of serialized trace buses when
-    tracing was requested, else ``None``.
+    specs).  ``sim_events`` is the number of engine callbacks the point
+    dispatched (an identity check, not a rate); ``trace`` is a list of
+    serialized trace buses when tracing was requested, else ``None``.
     """
 
     label: str
     value: Any
     report: Dict[str, Any] = field(default_factory=dict)
-    wall_s: float = 0.0
     sim_events: int = 0
     trace: Optional[List[Dict[str, Any]]] = None
 
@@ -100,18 +95,15 @@ def _execute(spec: RunSpec, trace: bool = False) -> RunResult:
         kwargs["reports"] = reports
     session = _trace.start_tracing() if trace else None
     before = _engine.dispatch_count()
-    t0 = time.perf_counter()
     try:
         value = fn(*spec.args, **kwargs)
     finally:
         if session is not None:
             _trace.stop_tracing()
-    wall = time.perf_counter() - t0
     return RunResult(
         label=spec.label,
         value=value,
         report=reports,
-        wall_s=wall,
         sim_events=_engine.dispatch_count() - before,
         trace=([_serialize_bus(b) for b in session.buses]
                if session is not None else None),
@@ -145,22 +137,25 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 1,
         return list(pool.map(_execute, specs, [trace] * len(specs)))
 
 
-def drain(results: Sequence[RunResult],
+def sweep(specs: Sequence[RunSpec], workers: int = 1,
           trace_sink: Optional[List[Dict[str, Any]]] = None,
-          stats: Optional[List[Dict[str, Any]]] = None) -> Sequence[RunResult]:
-    """Common sweep bookkeeping: route traces and perf stats to sinks.
+          into: Optional[ExperimentResult] = None) -> List[RunResult]:
+    """Run one sweep's grid and do the bookkeeping every sweep shares.
 
-    ``trace_sink`` receives serialized buses in spec order (feed it to
-    :func:`write_merged_chrome`); ``stats`` receives one
-    ``{label, wall_s, sim_events}`` entry per point (``repro.perf``
-    aggregates these).  Returns ``results`` unchanged for chaining.
+    Tracing is on exactly when ``trace_sink`` is given; the sink receives
+    the serialized buses in spec order (feed it to
+    :func:`write_merged_chrome`).  When ``into`` is given, each point's
+    row dict becomes a row of it and each point's metrics report is
+    merged into its ``reports``.  Returns the results in spec order for
+    sweeps that assemble their rows themselves.
     """
-    for rr in results:
-        if trace_sink is not None and rr.trace:
-            trace_sink.extend(rr.trace)
-        if stats is not None:
-            stats.append({"label": rr.label, "wall_s": rr.wall_s,
-                          "sim_events": rr.sim_events})
+    results = run_specs(specs, workers=workers, trace=trace_sink is not None)
+    if trace_sink is not None:
+        trace_sink.extend(collect_traces(results))
+    if into is not None:
+        for rr in results:
+            into.add_row(**rr.value)
+            into.reports.update(rr.report)
     return results
 
 

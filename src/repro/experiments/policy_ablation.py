@@ -38,7 +38,7 @@ from .common import (
     warm_caches,
     web_testbed,
 )
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 #: Every registered policy, in registry (insertion) order — LRU first.
 POLICY_NAMES = tuple(POLICIES)
@@ -117,7 +117,7 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """The full policy sweep on both macro workloads."""
     result = ExperimentResult(
         name="policy_ablation",
@@ -125,17 +125,12 @@ def run(quick: bool = True, workers: int = 1,
         columns=["workload", "policy", "ops_per_sec",
                  "throughput_mbps", "hit_pct", "ghost_hit_pct",
                  "fs_ghost_pct", "copied_kb_per_op"])
-    rows = []
-    for rr in drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats):
-        rows.append(rr.value)
-        result.add_row(**rr.value)
-        result.reports.update(rr.report)
-    baseline = {r["workload"]: r for r in rows
+    sweep(grid(quick), workers, trace_sink, into=result)
+    baseline = {r["workload"]: r for r in result.rows
                 if r["policy"] == "lru"}
     for workload, base in sorted(baseline.items()):
-        best = max((r for r in rows if r["workload"] == workload),
+        best = max((r for r in result.rows
+                    if r["workload"] == workload),
                    key=lambda r: r["hit_pct"])
         result.add_note(
             f"{workload}: paper LRU hit {base['hit_pct']:.1f}% "

@@ -113,7 +113,3 @@ def run(quick: bool = True) -> ExperimentResult:
                     "servers/testbed.py + core/wiring.py, mirroring the "
                     "paper's <150 modified lines")
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

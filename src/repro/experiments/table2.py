@@ -28,7 +28,7 @@ from ..servers.config import ServerMode, TestbedConfig
 from ..servers.testbed import NfsTestbed, WebTestbed, run_until_complete
 from ..sim.process import start
 from .common import ALL_MODES
-from .parallel import RunSpec, drain, run_specs
+from .parallel import RunSpec, sweep
 
 SERVER = "server"
 
@@ -118,7 +118,7 @@ def grid(quick: bool = True) -> List[RunSpec]:
 
 
 def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None, stats: list = None) -> ExperimentResult:
+        trace_sink: list = None) -> ExperimentResult:
     """Table 2 (all modes) as an ExperimentResult."""
     result = ExperimentResult(
         name="table2",
@@ -126,9 +126,7 @@ def run(quick: bool = True, workers: int = 1,
               "(regular data, inside the server)",
         columns=["server", "mode", "read_hit", "read_miss",
                  "write_overwritten", "write_flushed"])
-    results = drain(run_specs(grid(quick), workers=workers,
-                              trace=trace_sink is not None),
-                    trace_sink, stats)
+    results = sweep(grid(quick), workers, trace_sink)
     for mode, (nfs_rr, web_rr) in zip(ALL_MODES,
                                       zip(results[0::2], results[1::2])):
         result.add_row(server="NFS server", mode=mode.label, **nfs_rr.value)
@@ -138,7 +136,3 @@ def run(quick: bool = True, workers: int = 1,
     result.add_note("paper (original): NFS 2/3/1/2, kHTTPd 1/2; "
                     "NCache and baseline rows must be all zero")
     return result
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -1,32 +1,6 @@
-"""Performance-regression harness for the experiment suite.
+"""Home of :mod:`repro.perf.enginebench`, the scheduler microkernels.
 
-``python -m repro.perf`` runs the quick-mode experiment grid, records
-per-experiment wall-clock, simulated-event throughput and peak RSS into
-``benchmarks/results/BENCH_<date>.json``, and (with ``--check``)
-compares the run against the most recent committed baseline with a
-tolerance band.  See :mod:`repro.perf.harness` for the mechanics.
+The repository's benchmark is ``benchmarks/ncbench``; its ``kernels.py``
+imports ``run_engine_bench`` from this path, which is why the module
+lives here.
 """
-
-from .harness import (
-    DEFAULT_RSS_TOLERANCE,
-    DEFAULT_TOLERANCE,
-    SCHEMA_VERSION,
-    compare,
-    latest_baseline,
-    load_baseline,
-    peak_rss_kb,
-    run_grid,
-    write_record,
-)
-
-__all__ = [
-    "DEFAULT_RSS_TOLERANCE",
-    "DEFAULT_TOLERANCE",
-    "SCHEMA_VERSION",
-    "compare",
-    "latest_baseline",
-    "load_baseline",
-    "peak_rss_kb",
-    "run_grid",
-    "write_record",
-]

@@ -22,10 +22,10 @@ experiment grid:
     refill/overflow and far-list partitioning.
 
 Each kernel reports wall-clock, engine dispatches, ``events_per_sec``
-(dispatches per wall second — the engine-throughput number the CI gate
-watches), and ``ops_per_sec`` (completed logical operations).  Wall
-clock use is the point; this module lives under the
-``WALLCLOCK_ALLOWED_PATHS`` exemption like the rest of ``repro.perf``.
+(dispatches per wall second) and ``ops_per_sec`` (completed logical
+operations); ``benchmarks/ncbench/kernels.py`` runs them as its ``sim``
+layer kernels.  Wall clock use is the point: this is the one file in
+``src/`` on :data:`repro.check.vocabulary.WALLCLOCK_ALLOWED_PATHS`.
 """
 
 from __future__ import annotations

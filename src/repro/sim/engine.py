@@ -63,8 +63,9 @@ MS = 1e-3
 
 #: Process-wide count of dispatched engine callbacks, updated when a
 #: :meth:`Simulator.run` completes (not per event — the run loop counts
-#: locally).  ``repro.perf`` reads this to report events/second of
-#: wall-clock; inside a pool worker it covers exactly that worker's runs.
+#: locally).  The experiment runner and ``benchmarks/ncbench`` difference
+#: it around a run as ``sim_events``, an identity check; inside a pool
+#: worker it covers exactly that worker's runs.
 _dispatch_total = 0
 
 

@@ -99,6 +99,32 @@ class TestClaimsRegistry:
         claim.check(result)
         assert claim.passed is False
 
+    def test_evaluate_all_runs_the_claimed_registry_entries(self,
+                                                            monkeypatch):
+        import repro.experiments as experiments
+        from repro.analysis import evaluate_all
+
+        class Synthetic(ExperimentResult):
+            def value(self, column, mode=None, **filters):
+                return 100.0 if mode == "original" else 130.0
+
+        ran = []
+
+        def fake(name, entry):
+            def run(quick=True, workers=1, trace_sink=None):
+                ran.append(name)
+                return [Synthetic(result, "t", []) for result in
+                        entry.results]
+            return entry._replace(run=run)
+
+        monkeypatch.setattr(experiments, "EXPERIMENTS", {
+            name: fake(name, entry)
+            for name, entry in experiments.EXPERIMENTS.items()})
+        checked = evaluate_all()
+        assert ran == ["figure4", "figure5", "figure6", "figure7"]
+        assert [c.measured for c in checked] \
+            == [pytest.approx(30.0)] * len(claims())
+
     def test_render_report(self):
         checked = claims()
         checked[0].measured = 30.0

@@ -71,6 +71,40 @@ class TestBudget:
         k.steal(1)
         assert k.capacity_bytes == 4
 
+    @pytest.mark.parametrize("clean_first, gone, dirty_gone", [
+        (False, "abde", "be"), (True, "adfh", "")])
+    def test_resize_evicts_like_make_room(self, clean_first, gone,
+                                          dirty_gone):
+        # Values pinned from the eviction loop resize() used to carry
+        # itself; it now shares make_room's.
+        k = kernel_of(8, clean_first=clean_first)
+        k.set_ghost_admit(lambda item: item.name != "a")
+        kinds = {"b": "dirty", "e": "dirty", "c": "pinned", "g": "both"}
+        for name in "abcdefgh":
+            kind = kinds.get(name, "clean")
+            item = Item(dirty=kind in ("dirty", "both"),
+                        pinned=kind in ("pinned", "both"))
+            item.name = name
+            k.insert(name, item, 1)
+        seen = []
+        victims = k.resize(4, on_evict=lambda item: seen.append(item.name))
+        assert "".join(seen) == gone
+        assert "".join(v.name for v in victims) == dirty_gone
+        assert (k.capacity_bytes, k.used_bytes) == (4, 4)
+        assert k.counters["cache.test.evict_dirty"].value == len(dirty_gone)
+        assert k.counters["cache.test.evict_clean"].value \
+            == 4 - len(dirty_gone)
+        # "a" failed the admit predicate: evicted without a ghost.
+        assert "".join(n for n in "abcdefgh" if k.policy.ghost_hit(n)) \
+            == gone.replace("a", "")
+        assert k.resize(10) == [] and seen == list(gone)
+        assert (k.capacity_bytes, k.used_bytes) == (10, 4)
+        k.resize(2)  # leaves the two pinned entries
+        assert [key for key, _ in k.items()] == ["c", "g"]
+        with pytest.raises(CacheStallError):
+            k.resize(1)
+        assert (k.capacity_bytes, k.used_bytes) == (1, 2)
+
     def test_capacity_assignment_defers_eviction(self):
         k = kernel_of(4)
         fill(k, "abcd")

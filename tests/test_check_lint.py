@@ -210,7 +210,7 @@ class TestEngineDiscipline:
 
     def test_blocking_call_under_allow_listed_path_ok(self, tmp_path):
         for name in ("repro/obs/trace.py", "repro/experiments/mod.py",
-                     "repro/perf/mod.py", "repro/check/mod.py"):
+                     "repro/check/mod.py"):
             diags = lint_source(tmp_path, self.BLOCKING_HELPER, name=name)
             assert not active(diags, "engine-discipline"), name
 

@@ -4,12 +4,16 @@ Full figure sweeps run in benchmarks/; here we verify the machinery and
 the paper's qualitative orderings on single, cheap points.
 """
 
+from importlib import import_module
+from pathlib import Path
+
 import pytest
 
-from repro.analysis import ExperimentResult, pct_gain, ratio
+from repro import experiments
+from repro.analysis import ExperimentResult, claims, pct_gain, ratio
 from repro.cache import POLICIES
-from repro.experiments import figure5, figure6, policy_ablation, table1, \
-    table2
+from repro.experiments import EXPERIMENTS, figure5, figure6, \
+    policy_ablation, table1, table2
 from repro.experiments.common import warm_caches
 from repro.servers import MB, ServerMode, TestbedConfig, WebTestbed
 from repro.workloads import SpecWebWorkload
@@ -161,3 +165,40 @@ class TestPolicyAblation:
         assert 0.0 < row["hit_pct"] <= 100.0
         for col in ("ghost_hit_pct", "fs_ghost_pct", "copied_kb_per_op"):
             assert row[col] >= 0.0
+
+
+class TestRegistry:
+    def test_every_experiment_module_is_listed_once(self):
+        package = Path(experiments.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")} \
+            - {"__init__", "__main__", "common", "parallel"}
+        assert set(EXPERIMENTS) == modules
+        produced = [name for entry in EXPERIMENTS.values()
+                    for name in entry.results]
+        assert len(produced) == len(set(produced))
+
+    def test_cli_choices_are_the_registry_keys(self):
+        from repro.experiments.__main__ import build_parser
+
+        positional = [action for action in build_parser()._actions
+                      if action.dest == "experiments"][0]
+        assert [c for c in positional.choices if c] == list(EXPERIMENTS)
+
+    def test_every_claim_reads_a_result_the_registry_produces(self):
+        produced = {name for entry in EXPERIMENTS.values()
+                    for name in entry.results}
+        assert {claim.experiment for claim in claims()} <= produced
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_declared_result_names_are_what_run_returns(self, name):
+        entry = EXPERIMENTS[name]
+        assert [r.name for r in entry.run(True, 1, None)] \
+            == list(entry.results)
+
+    def test_repro_perf_is_only_the_engine_kernels(self):
+        # benchmarks/ncbench/kernels.py imports exactly this.
+        from repro.perf.enginebench import run_engine_bench
+
+        assert run_engine_bench(["timer_storm"])[0]["ops"] > 0
+        with pytest.raises(ImportError):
+            import_module("repro.perf.harness")
