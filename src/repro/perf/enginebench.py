@@ -12,14 +12,14 @@ experiment grid:
 
 ``packet_train``
     Same-timestamp fan-in: bursts of callbacks landing on one
-    timestamp, the shape a batched packet train hands the engine.
-    Exercises the calendar's per-bucket FIFO drain.
+    timestamp, the shape a batched packet train hands the engine:
+    every pop is decided by the seq tie-break.
 
 ``churn_mix``
     Mixed horizons: delays spread over five orders of magnitude with a
     rolling cancellation pattern, the shape of fleet churn (leases,
-    retries, and long rejoin timers interleaved).  Exercises bucket
-    refill/overflow and far-list partitioning.
+    retries, and long rejoin timers interleaved): near and far
+    deadlines, live and cancelled, share the queue.
 
 Each kernel reports wall-clock, engine dispatches, ``events_per_sec``
 (dispatches per wall second) and ``ops_per_sec`` (completed logical
@@ -126,9 +126,8 @@ def _build_packet_train() -> Tuple[Simulator, int]:
 
 _CHURN_OPS = 120_000
 _CHURN_FANOUT = 512
-#: Delay ladder spanning short retries to long rejoin timers; chosen to
-#: straddle any bucket width the calendar adapts to, forcing far-list
-#: overflow and refills.
+#: Delay ladder spanning short retries to long rejoin timers, five
+#: orders of magnitude, so the queue always holds mixed horizons.
 _CHURN_DELAYS = (20e-6, 300e-6, 4e-3, 70e-3, 1.1)
 
 

@@ -1,29 +1,38 @@
-"""Timer cancellation semantics and calendar-queue vs heap-oracle identity.
+"""Timer cancellation semantics and engine vs reference identity.
 
-The calendar-queue core (DESIGN.md §11) must be observationally
-identical to a plain binary heap keyed ``(time, seq)``: same dispatch
-order, same clock, same dispatch *count* — including for cancelled
-timers, which cost zero dispatches and never advance the clock.  The
-heap lives in ``heap_oracle.py`` next to this file; every cancellation
-case runs against both via the ``make_sim`` fixture.
+The engine's ``(time, seq)`` heap (DESIGN.md §11) must be
+observationally identical to a reference that shares no code with it —
+``minlist_reference.py`` next to this file, an unsorted list popped by
+``min()``: same dispatch order, same clock, same dispatch *count* —
+including for cancelled timers, which cost zero dispatches and never
+advance the clock.  Every cancellation case runs against both via the
+``make_sim`` fixture.
 """
 
 from __future__ import annotations
 
-import json
+import weakref
 
 import pytest
 
-from heap_oracle import HeapOracle
-from repro.experiments import fleet_churn
-from repro.experiments.parallel import run_specs
-from repro.sim import AnyOf, CPU, Resource, Simulator, start, substream
-from repro.sim.engine import SimulationError, dispatch_count
+from minlist_reference import MinListReference
+from repro.sim import CPU, Resource, Simulator, start, substream
+from repro.sim.engine import SimulationError, StopSimulation, dispatch_count
 
 
-@pytest.fixture(params=[Simulator, HeapOracle], ids=["calendar", "heap"])
+# The ids predate the heap engine and are kept so test ids stay stable:
+# "calendar" is the engine, "heap" the reference.
+@pytest.fixture(params=[Simulator, MinListReference],
+                ids=["calendar", "heap"])
 def make_sim(request):
     return request.param
+
+
+def _expire(waiter, value):
+    """The clients' RTO idiom (``nfs/client.py``, ``fleet/peer.py``): the
+    timer expires the *waiter* itself unless the reply got there first."""
+    if not waiter.triggered:
+        waiter.succeed(value)
 
 
 # ---------------------------------------------------------------------------
@@ -36,9 +45,14 @@ class TestTimerCancellation:
         fired = []
         handle = sim.call_later(1.0, fired.append, "boom")
         assert handle.cancel() is True
+        before = dispatch_count()
         sim.run()
         assert fired == []
         assert handle.cancelled and not handle.fired
+        # Only a cancelled timer was queued: the run drains it without a
+        # dispatch and the clock never reaches its deadline.
+        assert dispatch_count() == before
+        assert sim.now == 0.0
 
     def test_cancel_costs_no_dispatch_and_no_clock_advance(self, make_sim):
         sim = make_sim()
@@ -58,6 +72,21 @@ class TestTimerCancellation:
         assert handle.cancel() is False
         sim.run()
         assert not handle.fired
+
+    def test_cancelled_timer_pins_nothing(self):
+        # Lazy removal leaves the entry queued until its deadline; the
+        # callback's arguments (an RPC waiter, an xid) must go at once.
+        class Waiter:
+            pass
+
+        sim = Simulator()
+        waiter = Waiter()
+        ref = weakref.ref(waiter)
+        handle = sim.call_later(1.0, lambda w: None, waiter)
+        assert handle.cancel() is True
+        del waiter
+        assert ref() is None
+        assert sim.pending() == 0
 
     def test_cancel_after_fire_is_noop(self, make_sim):
         sim = make_sim()
@@ -79,8 +108,10 @@ class TestTimerCancellation:
 
     def test_cancel_same_timestamp_before_dispatch(self, make_sim):
         # A callback at t=1 cancels a timer also due at t=1 but queued
-        # later (higher seq): the timer must not fire even though its
-        # bucket is already being drained when the cancel lands.
+        # later (higher seq), with live entries on both sides of it in
+        # seq order: the timer must not fire even though its timestamp
+        # is already being drained when the cancel lands, and its
+        # neighbours keep their order.
         sim = make_sim()
         fired = []
         holder = {}
@@ -89,9 +120,13 @@ class TestTimerCancellation:
             assert holder["h"].cancel() is True
 
         sim.schedule(1.0, canceller)                    # lower seq, runs first
+        sim.schedule(1.0, fired.append, "before")
         holder["h"] = sim.call_later(1.0, fired.append, "late")
+        sim.schedule(1.0, fired.append, "after")
+        before = dispatch_count()
         sim.run()
-        assert fired == []
+        assert fired == ["before", "after"]
+        assert dispatch_count() - before == 3
         assert sim.now == 1.0
 
     def test_timer_event_race_and_cancel(self, make_sim):
@@ -103,15 +138,15 @@ class TestTimerCancellation:
         def rpc():
             waiter = sim.event()
             sim.schedule(0.01, waiter.succeed, "reply")
-            timer = sim.timer(1.0)
-            which, value = yield AnyOf(sim, [waiter, timer])
-            if which == 0:
+            timer = sim.call_later(1.0, _expire, waiter, "rto")
+            value = yield waiter
+            if value != "rto":
                 timer.cancel()
-            outcome.append((which, value, sim.now))
+            outcome.append((value, sim.now))
 
         start(sim, rpc(), name="rpc")
         sim.run()
-        assert outcome == [(0, "reply", 0.01)]
+        assert outcome == [("reply", 0.01)]
         assert sim.now == 0.01  # the cancelled RTO never advanced time
 
     def test_timer_event_timeout_path(self, make_sim):
@@ -119,23 +154,18 @@ class TestTimerCancellation:
         outcome = []
 
         def rpc():
-            waiter = sim.event()  # never succeeds
-            timer = sim.timer(0.5, "rto")
-            which, value = yield AnyOf(sim, [waiter, timer])
-            outcome.append((which, value, sim.now))
+            waiter = sim.event()  # no reply ever arrives
+            sim.call_later(0.5, _expire, waiter, "rto")
+            outcome.append(((yield waiter), sim.now))
 
         start(sim, rpc(), name="rpc")
         sim.run()
-        assert outcome == [(1, "rto", 0.5)]
+        assert outcome == [("rto", 0.5)]
 
     def test_call_at_and_negative_delay_rejected(self, make_sim):
         sim = make_sim()
         with pytest.raises(SimulationError):
             sim.call_later(-1.0, lambda: None)
-        fired = []
-        sim.call_at(2.0, fired.append, "at")
-        sim.run()
-        assert fired == ["at"] and sim.now == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +176,9 @@ def _scripted_log(make_sim):
     """Ordering-sensitive scenario; returns its (time, tag) fingerprint.
 
     Touches contended/uncontended resources, CPU charges, same-time
-    ties, zero-delay cascades, timer cancellation, and AnyOf racing —
-    the features whose dispatch order must match the heap oracle's.
+    ties, zero-delay cascades, RTO timers that fire and that are
+    cancelled, and a ``StopSimulation`` in the middle of a tie — the
+    features whose dispatch order must match the reference's.
     """
     sim = make_sim()
     log = []
@@ -164,10 +195,9 @@ def _scripted_log(make_sim):
 
     def rpc(name, reply_after, rto):
         waiter = sim.event()
-        sim.schedule(reply_after, waiter.succeed, f"{name}.reply")
-        timer = sim.timer(rto)
-        which, value = yield AnyOf(sim, [waiter, timer])
-        if which == 0:
+        sim.schedule(reply_after, _expire, waiter, "reply")
+        timer = sim.call_later(rto, _expire, waiter, "rto")
+        if (yield waiter) == "reply":
             timer.cancel()
             log.append([round(sim.now, 9), f"{name}.replied"])
         else:
@@ -182,12 +212,18 @@ def _scripted_log(make_sim):
     start(sim, rpc("fast", 0.1, 2.0), name="fast")
     start(sim, rpc("slow", 9.0, 0.75), name="slow")
     start(sim, cruncher(), name="cruncher")
-    # Same-timestamp pile-up: three callbacks on one bucket, one of
-    # them scheduling a zero-delay cascade into the live bucket.
-    for tag in ("a", "b"):
-        sim.schedule(0.25, log.append, [0.25, f"tie.{tag}"])
+    # Same-timestamp pile-up: callbacks sharing one instant, one of them
+    # scheduling a zero-delay cascade into it, one stopping the run.
+    def stop():
+        raise StopSimulation
+
+    sim.schedule(0.25, log.append, [0.25, "tie.a"])
+    sim.schedule(0.25, stop)
+    sim.schedule(0.25, log.append, [0.25, "tie.b"])
     sim.schedule(0.25, lambda: sim.schedule(0.0, log.append,
                                             [0.25, "tie.cascade"]))
+    sim.run()
+    log.append([round(sim.now, 9), "stopped"])
     sim.run()
     log.append([round(sim.now, 9), "end"])
     return log
@@ -197,10 +233,10 @@ def _seeded_program(make_sim, seed):
     """A random schedule/cancel/zero-delay-cascade program.
 
     Delays come from a short grid so same-timestamp ties, cascades into
-    the live bucket, near-heap times and far-list times (past the 1 ms
-    starting horizon) all occur; cancels hit pending, fired and already
-    cancelled timers.  Returns (log, clock after run(until), final
-    clock, dispatches).
+    the instant being dispatched and delays six orders of magnitude
+    apart all occur; cancels hit pending, fired and already cancelled
+    timers.  Returns (log, clock after run(until), final clock,
+    dispatches).
     """
     sim = make_sim()
     rng = substream(seed, "engine-oracle")
@@ -234,11 +270,19 @@ def _seeded_program(make_sim, seed):
 
 class TestBackendIdentity:
     def test_scripted_log_identical_across_backends(self):
-        assert _scripted_log(Simulator) == _scripted_log(HeapOracle)
+        engine_log = _scripted_log(Simulator)
+        assert engine_log == _scripted_log(MinListReference)
+        # StopSimulation from the middle of the t=0.25 tie: the clock
+        # stays there and the rest of the tie runs, in seq order (the
+        # cascade last), on the next run().
+        at = engine_log.index([0.25, "stopped"])
+        assert engine_log[at - 1] == [0.25, "tie.a"]
+        assert engine_log[at + 1:at + 3] == [[0.25, "tie.b"],
+                                             [0.25, "tie.cascade"]]
 
     def test_dispatch_count_identical_across_backends(self):
         counts = []
-        for make_sim in (Simulator, HeapOracle):
+        for make_sim in (Simulator, MinListReference):
             before = dispatch_count()
             _scripted_log(make_sim)
             counts.append(dispatch_count() - before)
@@ -246,20 +290,6 @@ class TestBackendIdentity:
 
     @pytest.mark.parametrize("seed", range(64))
     def test_seeded_program_identical_across_backends(self, seed):
-        calendar = _seeded_program(Simulator, seed)
-        assert calendar == _seeded_program(HeapOracle, seed)
-        assert len(calendar[0]) > 8  # the program did branch
-
-    def _grid_fingerprint(self, specs, workers=1):
-        results = run_specs(specs, workers=workers)
-        return json.dumps(
-            [{"label": rr.label, "value": rr.value, "report": rr.report,
-              "sim_events": rr.sim_events} for rr in results],
-            sort_keys=True, default=str)
-
-    def test_cancellation_worker_count_independent(self):
-        # Workers 1 vs 4 over a churn point: RTO cancellations happen
-        # inside pool workers; merged results must be byte-identical.
-        specs = fleet_churn.grid(quick=True)[:1]
-        assert (self._grid_fingerprint(specs, workers=1)
-                == self._grid_fingerprint(specs, workers=4))
+        engine_run = _seeded_program(Simulator, seed)
+        assert engine_run == _seeded_program(MinListReference, seed)
+        assert len(engine_run[0]) > 8  # the program did branch

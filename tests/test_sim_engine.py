@@ -43,6 +43,7 @@ class TestScheduling:
 
     def test_run_until_stops_clock_exactly(self, sim):
         sim.schedule(1.0, lambda: None)
+        sim.call_later(3.0, lambda: None).cancel()  # ahead of the live one
         sim.schedule(5.0, lambda: None)
         sim.run(until=2.0)
         assert sim.now == 2.0
@@ -64,8 +65,11 @@ class TestScheduling:
 
     def test_peek_reports_next_event_time(self, sim):
         assert sim.peek() is None
+        sim.call_later(1.0, lambda: None).cancel()
+        assert sim.peek() is None
         sim.schedule(4.0, lambda: None)
         sim.schedule(2.0, lambda: None)
+        sim.call_later(1.5, lambda: None).cancel()  # ahead of the live ones
         assert sim.peek() == 2.0
 
     def test_events_scheduled_during_run_execute(self, sim):
