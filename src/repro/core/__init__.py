@@ -3,7 +3,7 @@
 from .chunk import Chunk, ChunkKey
 from .classifier import PacketClassifier, RxAction, TxAction, TxDecision
 from .keys import FhoKey, KeyedPayload, LbnKey
-from .ncache import NCacheModule, flatten_payload
+from .ncache import NCacheModule
 from .resize import (
     buffers_for_range,
     merge_payload,
@@ -27,7 +27,6 @@ __all__ = [
     "TxDecision",
     "attach_ncache",
     "buffers_for_range",
-    "flatten_payload",
     "merge_payload",
     "slice_buffer",
     "split_into_chunks",

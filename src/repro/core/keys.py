@@ -15,18 +15,20 @@ reply from the block, because it does not interpret the block's data"
 then overwritten is found under its FHO key first, falling back to the LBN
 key after remapping, which is precisely the lookup order §3.4 mandates to
 guarantee clients "always receive the most up-to-date data".
+
+Both keys are tuples of ints (:class:`typing.NamedTuple`): they are
+built, hashed and compared in C, and a key's hash is its tuple's hash,
+so no dict or ghost-list order depends on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..net.buffer import Payload, PlaceholderPayload
 
 
-@dataclass(frozen=True)
-class LbnKey:
+class LbnKey(NamedTuple):
     """Identifies one filesystem block by its on-disk address."""
 
     lun: int
@@ -36,8 +38,7 @@ class LbnKey:
         return f"lbn({self.lun},{self.lbn})"
 
 
-@dataclass(frozen=True)
-class FhoKey:
+class FhoKey(NamedTuple):
     """Identifies one file block by file handle and byte offset."""
 
     ino: int

@@ -20,18 +20,18 @@ substituted (§3.4, Figure 3).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
+import itertools
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..check import sanitizer as _sanitizer
 from ..copymodel.accounting import RequestTrace
 from ..net.buffer import (
     BufferChain,
-    CompositePayload,
     JunkPayload,
     NetBuffer,
     Payload,
-    PlaceholderPayload,
     concat,
+    flatten_payload,
 )
 from ..net.host import Host
 from ..net.network import Datagram
@@ -48,36 +48,33 @@ WritebackFn = Callable[[int, Payload], Generator]
 FhoToLbnFn = Callable[[FhoKey], Optional[LbnKey]]
 
 
-def flatten_payload(payload: Payload) -> List[Payload]:
-    """Leaf payloads of a (possibly composite) payload, in order."""
-    if isinstance(payload, CompositePayload):
-        leaves: List[Payload] = []
-        for part in payload.parts:
-            leaves.extend(flatten_payload(part))
-        return leaves
-    return [payload] if payload.length else []
-
-
-def coalesce_keyed(leaves: List[Payload]) -> List[Payload]:
+def coalesce_keyed(leaves: Iterable[Payload]) -> Optional[List[Payload]]:
     """Merge adjacent keyed leaves that are contiguous views of one chunk.
 
     Transport fragmentation slices the per-block placeholders at packet
     boundaries; substitution must not preserve those junk boundaries — the
     real module replaces the whole packet list with the stored buffers.
     Coalescing recovers the per-block placeholders before resolution.
+    ``None`` when no leaf is keyed: there is nothing to substitute.
     """
     out: List[Payload] = []
+    prev: Optional[KeyedPayload] = None  # out[-1], while that is keyed
+    keyed = False
     for leaf in leaves:
-        prev = out[-1] if out else None
-        if (isinstance(leaf, KeyedPayload) and isinstance(prev, KeyedPayload)
-                and prev.fho_key == leaf.fho_key
-                and prev.lbn_key == leaf.lbn_key
-                and prev.base_offset + prev.length == leaf.base_offset):
-            out[-1] = KeyedPayload(prev.length + leaf.length, prev.lbn_key,
-                                   prev.fho_key, prev.base_offset)
+        if isinstance(leaf, KeyedPayload):
+            if (prev is not None
+                    and prev.fho_key == leaf.fho_key
+                    and prev.lbn_key == leaf.lbn_key
+                    and prev.base_offset + prev.length == leaf.base_offset):
+                out.pop()
+                leaf = KeyedPayload(prev.length + leaf.length, prev.lbn_key,
+                                    prev.fho_key, prev.base_offset)
+            prev = leaf
+            keyed = True
         else:
-            out.append(leaf)
-    return out
+            prev = None
+        out.append(leaf)
+    return out if keyed else None
 
 
 class NCacheModule:
@@ -221,17 +218,11 @@ class NCacheModule:
         decision = self._classifier.classify_tx(dgram)
         if decision.action is TxAction.PASS:
             return dgram
-        # Leaves straight off the chain: composite parts are flat by
-        # construction, so this is flatten_payload(chain.payload())
-        # without materializing the intermediate concatenation.
-        leaves: List[Payload] = []
-        for buf in dgram.chain.buffers:
-            payload = buf.payload
-            if isinstance(payload, CompositePayload):
-                leaves.extend(payload.parts)
-            elif payload.length:
-                leaves.append(payload)
-        if not any(isinstance(p, PlaceholderPayload) for p in leaves):
+        # One pass straight off the chain gathers the leaves, finds out
+        # whether any is a placeholder and undoes fragment boundaries.
+        leaves = coalesce_keyed(itertools.chain.from_iterable(
+            flatten_payload(buf.payload) for buf in dgram.chain.buffers))
+        if leaves is None:
             return dgram
         if decision.action is TxAction.REMAP_AND_SUBSTITUTE \
                 and self.enable_remap:
@@ -285,7 +276,10 @@ class NCacheModule:
         san = _sanitizer.active()
         if san is not None:
             san.reply_substituted(dgram)
-        leaves = coalesce_keyed(leaves)
+        # Substitution preserves length leaf by leaf (junk, whole chunk
+        # or byte range of ``leaf.length``), so the byte total is read
+        # off the chain going in: one lazy buffer, not the train.
+        payload_bytes = dgram.chain.payload_bytes
         new_buffers: List[NetBuffer] = []
         pending_plain: List[Payload] = []  # header/metadata bytes to merge
         flavor = self.host.buffer_flavor
@@ -388,7 +382,7 @@ class NCacheModule:
         self.counters.add("ncache.substituted_packets", substituted)
         dgram.chain = BufferChain(new_buffers)
         self._recompute_framing(
-            dgram, max(1, len(new_buffers) + extra_frames))
+            dgram, max(1, len(new_buffers) + extra_frames), payload_bytes)
         self.counters.add("ncache.substituted_replies")
         if self.trace.enabled:
             self.trace.complete("ncache.substitute", t0, cat="ncache",
@@ -396,9 +390,9 @@ class NCacheModule:
                                 packets=substituted, lookups=lookups,
                                 misses=misses, dst=str(dgram.dst))
 
-    def _recompute_framing(self, dgram: Datagram, frames: int) -> None:
+    def _recompute_framing(self, dgram: Datagram, frames: int,
+                           payload: int) -> None:
         costs = self.host.costs
-        payload = dgram.chain.payload_bytes
         dgram.n_frames = frames
         if dgram.protocol == "udp":
             dgram.wire_bytes = (payload + costs.udp_header

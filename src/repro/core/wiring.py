@@ -17,12 +17,12 @@ from typing import Any, Generator, Optional
 
 from ..fs.vfs import VFS
 from ..iscsi.initiator import IscsiInitiator
-from ..net.buffer import Payload, PlaceholderPayload
+from ..net.buffer import Payload, flatten_payload
 from ..net.host import Host
 from ..sim.engine import Event
 from .chunk import Chunk
 from .keys import FhoKey, KeyedPayload, LbnKey
-from .ncache import NCacheModule, flatten_payload
+from .ncache import NCacheModule
 from .store import NCacheStore
 
 
@@ -86,12 +86,9 @@ def attach_ncache(host: Host, vfs: VFS,
         entry = vfs.cache.peek(lbn_key.lbn)
         if entry is None:
             return
-        if isinstance(entry.payload, PlaceholderPayload) or any(
-                isinstance(p, PlaceholderPayload)
-                for p in flatten_payload(entry.payload)):
-            if not entry_resolvable(entry.payload):
-                vfs.cache.invalidate(lbn_key.lbn)
-                host.counters.add("ncache.fs_page_invalidated")
+        if not entry_resolvable(entry.payload):
+            vfs.cache.invalidate(lbn_key.lbn)
+            host.counters.add("ncache.fs_page_invalidated")
 
     store.reclaim_listeners.append(on_reclaim)
     return module

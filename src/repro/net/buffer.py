@@ -199,7 +199,10 @@ class ExtentPayload(Payload):
                  generation: int = 0, mem: Optional[int] = None) -> None:
         if length < 0:
             raise ValueError("negative length")
-        super().__init__(length)
+        # Base slots set inline, as KeyedPayload does: every slice and
+        # merge along the data path builds one of these.
+        self._checksum = None
+        self.length = length
         self.source = source
         self.offset = offset
         self.generation = generation
@@ -302,6 +305,8 @@ class CompositePayload(Payload):
         self._check_slice(offset, length)
         if length == 0:
             return BytesPayload(b"")
+        if length == self.length:
+            return self  # immutable: the full range is this payload
         picked: List[Payload] = []
         parts = self.parts
         i = bisect_right(self._starts, offset) - 1
@@ -455,16 +460,35 @@ def concat(parts: Iterable[Payload]) -> Payload:
     for part in parts:
         if part.length == 0:
             continue
+        # Only an extent that follows something can merge; placeholders,
+        # bytes and junk go straight in.
         if isinstance(part, CompositePayload):
             for sub in part.parts:
-                _append_merged(flat, sub)
-        else:
+                if flat and type(sub) is ExtentPayload:
+                    _append_merged(flat, sub)
+                else:
+                    flat.append(sub)
+        elif flat and type(part) is ExtentPayload:
             _append_merged(flat, part)
+        else:
+            flat.append(part)
     if not flat:
         return BytesPayload(b"")
     if len(flat) == 1:
         return flat[0]
     return CompositePayload._from_flat(flat)
+
+
+def flatten_payload(payload: Payload) -> Sequence[Payload]:
+    """Leaf payloads of ``payload``, in order.
+
+    Nothing recurses: a composite's parts are leaves already —
+    ``CompositePayload.__init__`` flattens, and ``_from_flat`` is only
+    ever handed leaves.
+    """
+    if isinstance(payload, CompositePayload):
+        return payload.parts
+    return (payload,) if payload.length else ()
 
 
 def apply_discipline(payload: Payload, discipline) -> Payload:

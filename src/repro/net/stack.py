@@ -25,7 +25,6 @@ from .addresses import Endpoint
 from .buffer import (
     BufferChain,
     BytesPayload,
-    CompositePayload,
     JunkPayload,
     NetBuffer,
     Payload,
@@ -33,6 +32,7 @@ from .buffer import (
     chain_from_payload,
     concat,
     expand_segments,
+    flatten_payload,
 )
 from .headers import IPv4Header, TCPHeader, UDPHeader
 from .network import NIC, Datagram
@@ -52,11 +52,8 @@ _ACK_WIRE_BYTES = 64 + 38  # minimal frame + wire overhead
 
 def count_placeholder_keys(payload: Payload) -> int:
     """Number of key-carrying placeholder fragments inside ``payload``."""
-    if isinstance(payload, PlaceholderPayload):
-        return 1
-    if isinstance(payload, CompositePayload):
-        return sum(count_placeholder_keys(p) for p in payload.parts)
-    return 0
+    return sum(isinstance(leaf, PlaceholderPayload)
+               for leaf in flatten_payload(payload))
 
 
 def _wire_headers(src_ip: str, src_port: int, dst: Endpoint,

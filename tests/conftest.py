@@ -28,13 +28,14 @@ def _buffer_sanitizer():
     bugs and fail the test.  Soft kinds (leak, use-after-evict) are
     tolerated here because modelled races and fragmentary unit setups can
     legitimately produce them; dedicated tests assert them explicitly.
+    Under ``REPRO_SANITIZE=1`` every kind raises at the call site.
     """
-    if _sanitizer.active() is not None:
-        # REPRO_SANITIZE=1 (or an enclosing sanitize()) is already managing
-        # a sanitizer; don't stack another one on top of it.
-        yield
-        return
-    with _sanitizer.sanitize(strict=False) as san:
+    # REPRO_SANITIZE=1 armed one strict sanitizer at import.  Tests must
+    # not share it (one test's deliberately leaked chunk would fail a
+    # later test's sim_ended sweep): each gets its own, just as strict.
+    armed = _sanitizer.active()
+    with _sanitizer.sanitize(
+            strict=armed is not None and armed.strict) as san:
         yield san
     hard = san.hard_violations()
     assert not hard, "buffer sanitizer: " + "; ".join(

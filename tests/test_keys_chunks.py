@@ -1,5 +1,7 @@
 """Keys, KeyedPayload placeholders, chunks."""
 
+import pickle
+
 import pytest
 
 from repro.core import Chunk, FhoKey, KeyedPayload, LbnKey
@@ -25,6 +27,44 @@ class TestKeys:
     def test_str_forms(self):
         assert "lbn" in str(LbnKey(0, 9))
         assert "fho" in str(FhoKey(1, 1, 8192))
+        assert f"{LbnKey(0, 9)}" == "lbn(0,9)"
+        assert f"{FhoKey(1, 2, 8192)}" == "fho(1.2@8192)"
+
+    def test_a_key_hashes_as_the_tuple_of_its_fields(self):
+        """The value the frozen dataclass produced: dict, ghost-list and
+        memo order must not have moved when keys became tuples."""
+        values = list(range(-2, 6)) + [4096, 1 << 20, (1 << 40) + 3]
+        for a in values:
+            for b in values:
+                assert hash(LbnKey(a, b)) == hash((a, b))
+                for c in values:
+                    assert hash(FhoKey(a, b, c)) == hash((a, b, c))
+
+    def test_the_two_key_kinds_never_compare_equal(self):
+        """Both kinds share one recency list and one ghost list."""
+        for a in range(4):
+            for b in range(4):
+                for c in range(4):
+                    lbn, fho = LbnKey(a, b), FhoKey(a, b, c)
+                    assert lbn != fho and fho != lbn
+                    assert len({lbn: 1, fho: 2}) == 2
+
+    @pytest.mark.parametrize("key, names", [
+        (LbnKey(0, 5), ("lun", "lbn")),
+        (FhoKey(2, 1, 4096), ("ino", "generation", "offset"))])
+    def test_keys_are_immutable(self, key, names):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(key, name, 1)
+
+    @pytest.mark.parametrize("key", [LbnKey(3, 1 << 33), FhoKey(2, 1, 4096)])
+    def test_keys_pickle_round_trip(self, key):
+        """Pooled sweeps ship keys between processes."""
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(key, protocol))
+            assert type(clone) is type(key)
+            assert clone == key and hash(clone) == hash(key)
+            assert str(clone) == str(key)
 
 
 class TestKeyedPayload:

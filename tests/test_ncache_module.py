@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.core import FhoKey, KeyedPayload, LbnKey, flatten_payload
+from repro.check.sanitizer import ViolationKind, sanitize
+from repro.core import FhoKey, KeyedPayload, LbnKey
 from repro.core.ncache import coalesce_keyed
 from repro.fs import BLOCK_SIZE
-from repro.net.buffer import BytesPayload, VirtualPayload, concat
+from repro.net.buffer import (BytesPayload, VirtualPayload, concat,
+                              flatten_payload)
 from repro.nfs import read_reply_data
 from repro.servers import NfsTestbed, ServerMode, TestbedConfig
 from repro.servers.testbed import run_until_complete
@@ -186,7 +188,12 @@ class TestSubstitution:
                              lbn_key=LbnKey(0, inode.block_lbn(0))))
             return (yield from testbed.clients[0].read(fh, 0, 4096))
 
-        dgram = run_scenario(testbed, scenario())
+        # The non-strict contract, sanitizer included: the dangling key
+        # is recorded (soft) and junk is served, even under REPRO_SANITIZE.
+        with sanitize(strict=False) as san:
+            dgram = run_scenario(testbed, scenario())
+        assert [v.kind for v in san.violations] == \
+            [ViolationKind.USE_AFTER_EVICT]
         assert testbed.server_host.counters[
             "ncache.substitute_miss"].value >= 1
         assert read_reply_data(dgram).length == 4096

@@ -103,7 +103,7 @@ class TestEvictionPressure:
             "ncache.fs_page_invalidated"].value >= 0  # may or may not fire
         # Whatever pages remain in the FS cache must be resolvable.
         from repro.core.keys import KeyedPayload
-        from repro.core.ncache import flatten_payload
+        from repro.net.buffer import flatten_payload
 
         store = testbed.ncache.store
         for lbn in list(testbed.cache._entries):

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import Chunk, KeyedPayload, LbnKey, NCacheStore
 from repro.core.ncache import NCacheModule
+from repro.copymodel.costs import DEFAULT_COSTS
 from repro.experiments.common import (scaled_memory_config, warm_caches,
                                       web_testbed)
 from repro.fleet import ClusterSpec
@@ -111,6 +112,16 @@ def _describe(buffers):
              b.payload.materialize()) for b in buffers]
 
 
+def _framing_bytes(dgram):
+    """Header bytes the wire adds to ``dgram``'s payload, per protocol."""
+    costs = DEFAULT_COSTS
+    if dgram.protocol == "udp":
+        return costs.udp_header + dgram.n_frames * (
+            costs.ip_header + costs.ethernet_overhead)
+    return dgram.n_frames * (
+        costs.tcp_header + costs.ip_header + costs.ethernet_overhead)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_lazy_chain_expands_to_the_eager_chain(seed):
     rng = substream(seed, "segment-lazy")
@@ -124,6 +135,15 @@ def test_lazy_chain_expands_to_the_eager_chain(seed):
         assert lazy.n_frames == eager.n_frames == \
             max(1, len(eager.chain.buffers)), spec
         assert lazy.wire_bytes == eager.wire_bytes, spec
+        # Substitution preserves length leaf by leaf — hit, miss (junk)
+        # or partial range — so framing is computed from the byte count
+        # of the chain that went *in*; the chain that comes out agrees.
+        sent = spec["header"] + spec["trailer"] + sum(
+            leaf["length"] for leaf in spec["leaves"])
+        for dgram in (lazy, eager):
+            assert sum(b.payload_bytes for b in
+                       expand_segments(dgram.chain.buffers)) == sent, spec
+            assert dgram.wire_bytes - _framing_bytes(dgram) == sent, spec
         assert lazy_ns == eager_ns, spec
         for name in ("ncache.substituted_packets",
                      "ncache.substitute_miss"):
