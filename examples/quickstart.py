@@ -2,14 +2,15 @@
 """Quickstart: build the paper's testbed, run one request down each path.
 
 Builds an NFS-over-iSCSI testbed in each of the three server modes
-(original / ideal zero-copy baseline / NCache), traces single requests
-through the full stack, and prints the copy counts of the paper's Table 2
+(original / ideal zero-copy baseline / NCache), sends single requests
+through the full stack with the trace bus on, and prints the copy counts
+of the paper's Table 2 from the ``copies.*`` events each one produced,
 plus a tiny throughput comparison — all in a few seconds of wall time.
 
 Run:  python examples/quickstart.py
 """
 
-from repro.copymodel import RequestTrace
+from repro.copymodel import physical_copies
 from repro.net.buffer import VirtualPayload
 from repro.nfs import read_reply_data
 from repro.servers import ServerMode, TestbedSpec
@@ -27,22 +28,28 @@ def trace_one_mode(mode: ServerMode) -> dict:
     inode = testbed.image.lookup("demo.bin")
     client = testbed.clients[0]
     report = {}
+    events = testbed.sim.trace.enable().events
 
     def scenario():
-        miss = RequestTrace("read-miss")
-        dgram = yield from client.read(fh, 0, 32768, trace=miss)
+        # Nothing else is in flight, so the events recorded while one
+        # request runs are exactly the movements that request caused.
+        mark = len(events)
+        dgram = yield from client.read(fh, 0, 32768)
+        miss = events[mark:]
         data_ok = read_reply_data(dgram).materialize() == \
             testbed.image.file_payload(inode, 0, 32768).materialize()
-        hit = RequestTrace("read-hit")
-        yield from client.read(fh, 0, 32768, trace=hit)
-        write = RequestTrace("write")
-        yield from client.write(fh, 65536, VirtualPayload(1, 0, 8192),
-                                trace=write)
+        mark = len(events)
+        yield from client.read(fh, 0, 32768)
+        hit = events[mark:]
+        mark = len(events)
+        yield from client.write(fh, 65536, VirtualPayload(1, 0, 8192))
+        write = events[mark:]
         report.update({
-            "read_miss_copies": miss.physical_copies(where="server"),
-            "read_hit_copies": hit.physical_copies(where="server"),
-            "write_copies": write.physical_copies(where="server"),
-            "logical_copies_on_hit": hit.logical_copies(),
+            "read_miss_copies": physical_copies(miss, where="server"),
+            "read_hit_copies": physical_copies(hit, where="server"),
+            "write_copies": physical_copies(write, where="server"),
+            "logical_copies_on_hit": sum(
+                ev.name == "copies.logical" for ev in hit),
             "payload_correct": data_ok
             if mode is not ServerMode.BASELINE else "n/a (junk by design)",
         })

@@ -37,7 +37,7 @@ SUBSYSTEMS: FrozenSet[str] = frozenset({
                   # buffer.extent_slice (substitution served a partial
                   # view of a cached chunk)
     "checksum",   # software checksum accounting
-    "copies",     # CopyAccountant movement counters
+    "copies",     # CopyAccountant counters and per-movement events
     "copy",       # per-copy size distribution
     "cpu",        # generic charged CPU time
     "disk",       # block device / RAID model

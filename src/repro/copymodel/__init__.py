@@ -1,22 +1,14 @@
 """CPU cost model and physical/logical copy accounting."""
 
-from .accounting import (
-    CopyAccountant,
-    CopyDiscipline,
-    CopyKind,
-    CopyRecord,
-    RequestTrace,
-)
+from .accounting import CopyAccountant, CopyDiscipline, physical_copies
 from .costs import DEFAULT_COSTS, CostModel
 from .materialize import materialize
 
 __all__ = [
     "CopyAccountant",
     "CopyDiscipline",
-    "CopyKind",
-    "CopyRecord",
     "CostModel",
     "DEFAULT_COSTS",
-    "RequestTrace",
     "materialize",
+    "physical_copies",
 ]

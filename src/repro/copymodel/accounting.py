@@ -6,9 +6,10 @@ Every movement of data between kernel modules goes through a
 * charges the owning CPU the modelled cost (physical copy: per-byte;
   logical copy: per-key; zero: nothing),
 * bumps named counters so experiments can report copies per category, and
-* appends :class:`CopyRecord` entries to the active :class:`RequestTrace`
-  so Table 2 ("number of data copying operations per request") can be
-  regenerated exactly.
+* with the simulator's :class:`~repro.obs.trace.TraceBus` enabled, emits
+  one ``copies.physical`` / ``copies.logical`` instant per movement, so
+  Table 2 ("number of data copying operations per request") is
+  :func:`physical_copies` over the events one request produced.
 
 The three movement disciplines correspond to the paper's three server
 configurations:
@@ -26,9 +27,9 @@ configurations:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Iterable, Optional
 
+from ..obs.trace import TraceEvent
 from ..sim.engine import Event
 from ..sim.resources import CPU
 from ..sim.stats import CounterSet
@@ -43,50 +44,16 @@ class CopyDiscipline(enum.Enum):
     ZERO = "zero"
 
 
-class CopyKind(enum.Enum):
-    """Whether a recorded movement was a memcpy or a key copy."""
-
-    PHYSICAL = "physical"
-    LOGICAL = "logical"
-
-
-@dataclass
-class CopyRecord:
-    """One data movement observed on a request's path."""
-
-    kind: CopyKind
-    category: str
-    nbytes: int
-    is_metadata: bool = False
-    where: str = ""
-
-
-@dataclass
-class RequestTrace:
-    """Per-request record of data movements, for Table 2 style accounting."""
-
-    label: str = ""
-    records: List[CopyRecord] = field(default_factory=list)
-
-    def physical_copies(self, regular_only: bool = True,
-                        where: Optional[str] = None) -> int:
-        """Physical copies of (by default) regular data, optionally
-        restricted to the host named ``where`` — Table 2 counts copies
-        *within the pass-through server*, not on the storage target."""
-        return sum(1 for r in self.records
-                   if r.kind is CopyKind.PHYSICAL
-                   and (not regular_only or not r.is_metadata)
-                   and (where is None or r.where == where))
-
-    def logical_copies(self) -> int:
-        return sum(1 for r in self.records if r.kind is CopyKind.LOGICAL)
-
-    def physical_bytes(self) -> int:
-        return sum(r.nbytes for r in self.records
-                   if r.kind is CopyKind.PHYSICAL)
-
-    def categories(self) -> List[str]:
-        return [r.category for r in self.records]
+def physical_copies(events: Iterable[TraceEvent],
+                    where: Optional[str] = None,
+                    regular_only: bool = True) -> int:
+    """Physical copies of (by default) regular data among ``events``,
+    optionally restricted to the host named ``where`` — Table 2 counts
+    copies *within the pass-through server*, not on the storage target."""
+    return sum(1 for ev in events
+               if ev.name == "copies.physical"
+               and not (regular_only and ev.args["is_metadata"])
+               and (where is None or ev.args["host"] == where))
 
 
 class CopyAccountant:
@@ -99,6 +66,7 @@ class CopyAccountant:
         self.costs = costs
         self.counters = counters if counters is not None else CounterSet()
         self.owner = owner
+        self._bus = cpu.sim.trace
         #: per-copy size distribution — the paper's accounting argument is
         #: about how many bytes physically move, so the registry keeps the
         #: whole distribution, not just the total.
@@ -130,16 +98,15 @@ class CopyAccountant:
     # -- batched (note + charge) accounting ---------------------------------
     #
     # The ``note_*`` methods do all the bookkeeping of their charging
-    # counterparts — counters, histograms, CopyRecords — and *return* the
+    # counterparts — counters, histograms, bus events — and *return* the
     # CPU cost in nanoseconds instead of holding the CPU.  Callers on a
     # packet path (repro.net.stack) sum the noted costs over a whole
     # train and execute them through one :meth:`charge_ns`, turning N
     # sequential CPU holds into one — same total CPU-seconds, a fraction
-    # of the engine events.  Table 2 exactness is untouched: the records
-    # are appended per movement either way.
+    # of the engine events.  Table 2 exactness is untouched: the events
+    # are emitted per movement either way.
 
     def note_physical_copy(self, nbytes: int, category: str,
-                           trace: Optional[RequestTrace] = None,
                            is_metadata: bool = False) -> float:
         """Book a memcpy of ``nbytes``; returns its CPU cost in ns."""
         self._counter("copies.physical")._total += 1
@@ -147,21 +114,25 @@ class CopyAccountant:
         self._category_counter(self._cat_physical, "copies.physical.",
                                category)._total += 1
         self._copy_bytes.record(nbytes)
-        if trace is not None:
-            trace.records.append(CopyRecord(CopyKind.PHYSICAL, category,
-                                            nbytes, is_metadata, self.owner))
+        bus = self._bus
+        if bus.enabled:
+            bus.emit("copies.physical", cat="copies",
+                     tid=bus.tid_for(self.owner), host=self.owner,
+                     category=category, nbytes=nbytes,
+                     is_metadata=is_metadata)
         return self.costs.memcpy_ns(nbytes)
 
     def note_logical_copy(self, category: str, nkeys: int = 1,
-                          trace: Optional[RequestTrace] = None,
                           nbytes: int = 0) -> float:
         """Book ``nkeys`` key copies; returns the CPU cost in ns."""
         self._counter("copies.logical")._total += nkeys
         self._category_counter(self._cat_logical, "copies.logical.",
                                category)._total += nkeys
-        if trace is not None:
-            trace.records.append(CopyRecord(CopyKind.LOGICAL, category,
-                                            nbytes, False, self.owner))
+        bus = self._bus
+        if bus.enabled:
+            bus.emit("copies.logical", cat="copies",
+                     tid=bus.tid_for(self.owner), host=self.owner,
+                     category=category, nkeys=nkeys, nbytes=nbytes)
         return nkeys * self.costs.logical_copy_ns
 
     def note_compute(self, nanoseconds: float,
@@ -193,21 +164,19 @@ class CopyAccountant:
     # the tree after the engine itself).
 
     def physical_copy(self, nbytes: int, category: str,
-                      trace: Optional[RequestTrace] = None,
                       is_metadata: bool = False) -> Generator[Event, Any, None]:
         """memcpy ``nbytes``; charged per byte."""
         return self.cpu.execute_ns(
-            self.note_physical_copy(nbytes, category, trace, is_metadata))
+            self.note_physical_copy(nbytes, category, is_metadata))
 
     def logical_copy(self, category: str, nkeys: int = 1,
-                     trace: Optional[RequestTrace] = None,
                      nbytes: int = 0) -> Generator[Event, Any, None]:
         """Copy ``nkeys`` keys instead of the payload (NCache §3.1)."""
         return self.cpu.execute_ns(
-            self.note_logical_copy(category, nkeys, trace, nbytes))
+            self.note_logical_copy(category, nkeys, nbytes))
 
     def move(self, discipline: CopyDiscipline, nbytes: int, category: str,
-             trace: Optional[RequestTrace] = None, nkeys: int = 1,
+             nkeys: int = 1,
              is_metadata: bool = False) -> Generator[Event, Any, None]:
         """Move data under the given discipline.
 
@@ -216,9 +185,9 @@ class CopyAccountant:
         ``is_metadata`` rather than skipping the call.
         """
         if is_metadata or discipline is CopyDiscipline.PHYSICAL:
-            return self.physical_copy(nbytes, category, trace, is_metadata)
+            return self.physical_copy(nbytes, category, is_metadata)
         if discipline is CopyDiscipline.LOGICAL:
-            return self.logical_copy(category, nkeys, trace, nbytes)
+            return self.logical_copy(category, nkeys, nbytes)
         # ZERO: statement deleted, nothing moves, nothing charged.
         self._counter("copies.elided")._total += 1
         return iter(())

@@ -24,7 +24,6 @@ import itertools
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from ..check import sanitizer as _sanitizer
-from ..copymodel.accounting import RequestTrace
 from ..net.buffer import (
     BufferChain,
     JunkPayload,
@@ -213,7 +212,7 @@ class NCacheModule:
     # TX: remap and substitute departing packets
     # ------------------------------------------------------------------
 
-    def tx_hook(self, dgram: Datagram, trace: Optional[RequestTrace]
+    def tx_hook(self, dgram: Datagram
                 ) -> Generator[Event, Any, Datagram]:
         decision = self._classifier.classify_tx(dgram)
         if decision.action is TxAction.PASS:
@@ -406,8 +405,7 @@ class NCacheModule:
     # Second-level cache seam (§3.4)
     # ------------------------------------------------------------------
 
-    def try_serve_read(self, lbn: int, nblocks: int,
-                       trace: Optional[RequestTrace]
+    def try_serve_read(self, lbn: int, nblocks: int
                        ) -> Generator[Event, Any, Optional[Payload]]:
         """Serve a block-device read from the LBN cache if fully present.
 

@@ -12,9 +12,10 @@ NFS server    2     3         1          2
 kHTTPd        1     2        n/a        n/a
 ===========  ====  ====  ===========  =======
 
-This experiment *measures* those counts by tracing single requests
-through the full simulated stack, for all three server modes — NCache and
-the ideal baseline must show zero.
+This experiment *measures* those counts by sending single requests
+through the full simulated stack with the trace bus on and counting the
+``copies.physical`` events each one produced on the server host, for all
+three server modes — NCache and the ideal baseline must show zero.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..analysis.tables import ExperimentResult
-from ..copymodel.accounting import RequestTrace
+from ..copymodel.accounting import physical_copies
 from ..net.buffer import VirtualPayload
 from ..servers.config import ServerMode, TestbedConfig
 from ..servers.testbed import NfsTestbed, WebTestbed, run_until_complete
@@ -33,8 +34,18 @@ from .parallel import RunSpec, sweep
 SERVER = "server"
 
 
+def _server_copies(events: list, request):
+    """Run ``request``; returns the physical copies of regular data it
+    caused on the server host.  ``events`` is the enabled bus's list: the
+    testbed is otherwise idle, so what is appended meanwhile is exactly
+    this request's."""
+    mark = len(events)
+    yield from request
+    return physical_copies(events[mark:], SERVER)
+
+
 def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
-    """Trace the four NFS paths; returns path -> physical copies."""
+    """Run the four NFS paths; returns path -> physical copies."""
     cfg = TestbedConfig(mode=mode, ncache_strict=True)
     testbed = NfsTestbed(cfg, flush_interval_s=None)
     testbed.image.create_file("t2file", 16 << 20)
@@ -42,29 +53,21 @@ def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
     inode = testbed.image.lookup("t2file")
     client = testbed.clients[0]
     counts: Dict[str, int] = {}
+    events = testbed.sim.trace.enable().events
 
     def scenario():
-        miss = RequestTrace("read-miss")
-        yield from client.read(fh, 0, 32768, trace=miss)
-        counts["read_miss"] = miss.physical_copies(where=SERVER)
-
-        hit = RequestTrace("read-hit")
-        yield from client.read(fh, 0, 32768, trace=hit)
-        counts["read_hit"] = hit.physical_copies(where=SERVER)
-
-        first = RequestTrace("write-1")
-        yield from client.write(fh, 65536, VirtualPayload(1, 0, 8192),
-                                trace=first)
-        overwrite = RequestTrace("write-2")
-        yield from client.write(fh, 65536, VirtualPayload(2, 0, 8192),
-                                trace=overwrite)
-        counts["write_overwritten"] = overwrite.physical_copies(where=SERVER)
-
-        flush = RequestTrace("flush")
-        yield from testbed.vfs.flush_lbn(inode.block_lbn(16), flush)
-        yield from testbed.vfs.flush_lbn(inode.block_lbn(17), flush)
-        counts["write_flushed"] = (first.physical_copies(where=SERVER)
-                                   + flush.physical_copies(where=SERVER) // 2)
+        for path in ("read_miss", "read_hit"):
+            counts[path] = yield from _server_copies(
+                events, client.read(fh, 0, 32768))
+        first = yield from _server_copies(
+            events, client.write(fh, 65536, VirtualPayload(1, 0, 8192)))
+        counts["write_overwritten"] = yield from _server_copies(
+            events, client.write(fh, 65536, VirtualPayload(2, 0, 8192)))
+        flushed = 0
+        for block in (16, 17):
+            flushed += yield from _server_copies(
+                events, testbed.vfs.flush_lbn(inode.block_lbn(block)))
+        counts["write_flushed"] = first + flushed // 2
 
     testbed.setup()
     run_until_complete(testbed.sim, start(testbed.sim, scenario()))
@@ -72,20 +75,18 @@ def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
 
 
 def web_copy_counts(mode: ServerMode) -> Dict[str, int]:
-    """Trace the two kHTTPd paths; returns path -> physical copies."""
+    """Run the two kHTTPd paths; returns path -> physical copies."""
     cfg = TestbedConfig(mode=mode, ncache_strict=True)
     testbed = WebTestbed(cfg, connections_per_client=1)
     testbed.image.create_file("page.html", 65536)
     client = testbed.http_clients[0]
     counts: Dict[str, int] = {}
+    events = testbed.sim.trace.enable().events
 
     def scenario():
-        miss = RequestTrace("http-miss")
-        yield from client.get("page.html", trace=miss)
-        counts["read_miss"] = miss.physical_copies(where=SERVER)
-        hit = RequestTrace("http-hit")
-        yield from client.get("page.html", trace=hit)
-        counts["read_hit"] = hit.physical_copies(where=SERVER)
+        for path in ("read_miss", "read_hit"):
+            counts[path] = yield from _server_copies(
+                events, client.get("page.html"))
 
     testbed.setup()
     run_until_complete(testbed.sim, start(testbed.sim, scenario()))

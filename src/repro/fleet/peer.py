@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional
 
-from ..copymodel.accounting import RequestTrace
 from ..core.keys import KeyedPayload, LbnKey
 from ..net.addresses import Endpoint, PEER_CLIENT_PORT, PEER_PORT
 from ..net.buffer import BytesPayload, JunkPayload, Payload, concat
@@ -139,18 +138,16 @@ class PeerCacheClient:
         self.host.counters.add("fleet.peer_timeout")
         waiter.succeed(_RTO_EXPIRED)
 
-    def fetch(self, lbn: int, nblocks: int,
-              trace: Optional[RequestTrace] = None
+    def fetch(self, lbn: int, nblocks: int
               ) -> Generator[Event, Any, Optional[Payload]]:
         """Probe peers in owner order; the first full hit wins."""
         for peer in self.peers_for(lbn):
-            payload = yield from self._fetch_one(peer, lbn, nblocks, trace)
+            payload = yield from self._fetch_one(peer, lbn, nblocks)
             if payload is not None:
                 return payload
         return None
 
-    def _fetch_one(self, peer: Endpoint, lbn: int, nblocks: int,
-                   trace: Optional[RequestTrace]
+    def _fetch_one(self, peer: Endpoint, lbn: int, nblocks: int
                    ) -> Generator[Event, Any, Optional[Payload]]:
         host = self.host
         host.counters.add("fleet.peer_probe")
@@ -160,9 +157,7 @@ class PeerCacheClient:
         yield from host.stack.udp_send(
             src_ip=self.local_ip, src_port=PEER_CLIENT_PORT, dst=peer,
             message=call, data=BytesPayload(b""),
-            header=JunkPayload(call.header_size), trace=trace,
-            is_metadata=True,
-            meta={"trace": trace} if trace is not None else None)
+            header=JunkPayload(call.header_size), is_metadata=True)
         timer = host.sim.call_later(self.rto_s, self._rto_expire,
                                     xid, waiter)
         value = yield waiter
@@ -219,12 +214,11 @@ def cooperative_interceptor(module: Any, client: PeerCacheClient
                             ) -> Callable[..., Generator]:
     """Chain local NCache, then peer probing, behind the read seam."""
 
-    def interceptor(lbn: int, nblocks: int,
-                    trace: Optional[RequestTrace]
+    def interceptor(lbn: int, nblocks: int
                     ) -> Generator[Event, Any, Optional[Payload]]:
-        payload = yield from module.try_serve_read(lbn, nblocks, trace)
+        payload = yield from module.try_serve_read(lbn, nblocks)
         if payload is not None:
             return payload
-        return (yield from client.fetch(lbn, nblocks, trace))
+        return (yield from client.fetch(lbn, nblocks))
 
     return interceptor

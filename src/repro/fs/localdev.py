@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from ..copymodel.accounting import RequestTrace
 from ..net.buffer import Payload, concat
 from ..sim.engine import Event
 from .disk import Raid0
@@ -23,14 +22,12 @@ class LocalBlockDevice:
         self.raid = raid
         self.block_size = store.image.block_size
 
-    def read(self, lbn: int, nblocks: int, is_metadata: bool = False,
-             trace: Optional[RequestTrace] = None
+    def read(self, lbn: int, nblocks: int, is_metadata: bool = False
              ) -> Generator[Event, Any, Payload]:
         yield from self.raid.io(lbn, nblocks, write=False)
         return concat(self.store.read_blocks(lbn, nblocks))
 
-    def write(self, lbn: int, payload: Payload, is_metadata: bool = False,
-              trace: Optional[RequestTrace] = None
+    def write(self, lbn: int, payload: Payload, is_metadata: bool = False
               ) -> Generator[Event, Any, None]:
         if payload.length % self.block_size:
             raise ValueError("block device writes must be block-aligned")

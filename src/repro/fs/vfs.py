@@ -19,9 +19,9 @@ except metadata, which always moves physically (§3.3).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Protocol
+from typing import Any, Generator, List, Protocol
 
-from ..copymodel.accounting import CopyDiscipline, RequestTrace
+from ..copymodel.accounting import CopyDiscipline
 from ..net.buffer import Payload, apply_discipline, concat
 from ..net.host import Host
 from ..sim.engine import Event
@@ -32,13 +32,11 @@ from .image import FsImage, Inode
 class BlockDevice(Protocol):
     """What the VFS needs from the storage below it."""
 
-    def read(self, lbn: int, nblocks: int, is_metadata: bool = False,
-             trace: Optional[RequestTrace] = None
+    def read(self, lbn: int, nblocks: int, is_metadata: bool = False
              ) -> Generator[Event, Any, Payload]:
         ...
 
-    def write(self, lbn: int, payload: Payload, is_metadata: bool = False,
-              trace: Optional[RequestTrace] = None
+    def write(self, lbn: int, payload: Payload, is_metadata: bool = False
               ) -> Generator[Event, Any, None]:
         ...
 
@@ -68,34 +66,29 @@ class VFS:
     # Regular data path
     # ------------------------------------------------------------------
 
-    def read(self, inode: Inode, offset: int, length: int,
-             trace: Optional[RequestTrace] = None
+    def read(self, inode: Inode, offset: int, length: int
              ) -> Generator[Event, Any, Payload]:
         """Read a byte range into a (virtual) daemon buffer.
 
         Performs the ``fs_read`` move: buffer cache → reply buffer.
         """
         assembled, nblocks = yield from self._cached_range(
-            inode, offset, length, trace)
+            inode, offset, length)
         yield from self.host.acct.move(
-            self.discipline, assembled.length, "fs_read", trace,
-            nkeys=nblocks)
+            self.discipline, assembled.length, "fs_read", nkeys=nblocks)
         return apply_discipline(assembled, self.discipline)
 
-    def sendfile_payload(self, inode: Inode, offset: int, length: int,
-                         trace: Optional[RequestTrace] = None
+    def sendfile_payload(self, inode: Inode, offset: int, length: int
                          ) -> Generator[Event, Any, Payload]:
         """The sendfile path: cache → socket directly, no ``fs_read`` copy.
 
         Returns the cache-resident payload; the caller hands it to the
         socket layer, which performs the single data movement.
         """
-        assembled, _ = yield from self._cached_range(
-            inode, offset, length, trace)
+        assembled, _ = yield from self._cached_range(inode, offset, length)
         return assembled
 
-    def write(self, inode: Inode, offset: int, payload: Payload,
-              trace: Optional[RequestTrace] = None
+    def write(self, inode: Inode, offset: int, payload: Payload
               ) -> Generator[Event, Any, None]:
         """Write a block-aligned payload into the cache (dirty blocks).
 
@@ -115,8 +108,7 @@ class VFS:
         yield from self.host.acct.compute(
             nblocks * self.host.costs.cache_lookup_ns, "fs.lookup")
         yield from self.host.acct.move(
-            self.discipline, payload.length, "cache_write", trace,
-            nkeys=nblocks)
+            self.discipline, payload.length, "cache_write", nkeys=nblocks)
         stored = apply_discipline(payload, self.discipline)
         for i in range(nblocks):
             lbn = inode.block_lbn(first + i)
@@ -137,32 +129,26 @@ class VFS:
     # Metadata path
     # ------------------------------------------------------------------
 
-    def read_inode_metadata(self, ino: int,
-                            trace: Optional[RequestTrace] = None
-                            ) -> Generator[Event, Any, None]:
+    def read_inode_metadata(self, ino: int) -> Generator[Event, Any, None]:
         """Bring the inode-table block for ``ino`` into the cache."""
         yield from self._ensure_metadata_block(
-            self.image.inode_table_lbn(ino), trace)
+            self.image.inode_table_lbn(ino))
 
-    def read_dir_metadata(self, name: str,
-                          trace: Optional[RequestTrace] = None
-                          ) -> Generator[Event, Any, None]:
+    def read_dir_metadata(self, name: str) -> Generator[Event, Any, None]:
         """Bring the directory block holding ``name`` into the cache."""
         yield from self._ensure_metadata_block(
-            self.image.dir_block_lbn(name), trace)
+            self.image.dir_block_lbn(name))
 
-    def _ensure_metadata_block(self, lbn: int,
-                               trace: Optional[RequestTrace]
+    def _ensure_metadata_block(self, lbn: int
                                ) -> Generator[Event, Any, None]:
         yield from self.host.acct.compute(
             self.host.costs.cache_lookup_ns, "fs.lookup")
         if self.cache.lookup(lbn) is not None:
             return
-        payload = yield from self.blockdev.read(lbn, 1, is_metadata=True,
-                                                trace=trace)
+        payload = yield from self.blockdev.read(lbn, 1, is_metadata=True)
         # Metadata is always physically copied into the cache (§3.3).
         yield from self.host.acct.physical_copy(
-            payload.length, "cache_fill", trace, is_metadata=True)
+            payload.length, "cache_fill", is_metadata=True)
         yield from self._evict_for(1)
         self.cache.insert(lbn, payload.physical_copy(),  # check: ignore[copy-discipline] -- metadata cache fill (§3.3), charged just above
                           is_metadata=True)
@@ -171,8 +157,7 @@ class VFS:
     # File lifecycle
     # ------------------------------------------------------------------
 
-    def truncate(self, inode: Inode, new_size: int,
-                 trace: Optional[RequestTrace] = None
+    def truncate(self, inode: Inode, new_size: int
                  ) -> Generator[Event, Any, None]:
         """Shrink a file and invalidate cached pages beyond the new end.
 
@@ -186,35 +171,31 @@ class VFS:
         keep = self.image.blocks_for(new_size) if new_size else 0
         for b in range(keep, old_blocks):
             self.cache.invalidate(inode.block_lbn(b))
-        yield from self.read_inode_metadata(inode.ino, trace)
+        yield from self.read_inode_metadata(inode.ino)
 
-    def remove(self, inode: Inode, trace: Optional[RequestTrace] = None
-               ) -> Generator[Event, Any, None]:
+    def remove(self, inode: Inode) -> Generator[Event, Any, None]:
         """Drop every cached page of a removed file (no writeback)."""
         yield from self.host.acct.compute(
             self.host.costs.nfs_meta_op_ns, "fs.remove")
         for b in range(inode.nblocks):
             self.cache.invalidate(inode.block_lbn(b))
-        yield from self.read_dir_metadata(inode.name or "", trace)
-        yield from self.read_inode_metadata(inode.ino, trace)
+        yield from self.read_dir_metadata(inode.name or "")
+        yield from self.read_inode_metadata(inode.ino)
 
     # ------------------------------------------------------------------
     # Writeback
     # ------------------------------------------------------------------
 
-    def flush_lbn(self, lbn: int, trace: Optional[RequestTrace] = None
-                  ) -> Generator[Event, Any, bool]:
+    def flush_lbn(self, lbn: int) -> Generator[Event, Any, bool]:
         """Write one dirty cached block back to storage; True if flushed."""
         entry = self.cache.peek(lbn)
         if entry is None or not entry.dirty:
             return False
-        yield from self._write_back(entry, trace)
+        yield from self.write_back_entry(entry)
         self.cache.mark_clean(lbn)
         return True
 
-    def flush_oldest(self, max_blocks: int,
-                     trace: Optional[RequestTrace] = None
-                     ) -> Generator[Event, Any, int]:
+    def flush_oldest(self, max_blocks: int) -> Generator[Event, Any, int]:
         """Flush up to ``max_blocks`` of the oldest dirty blocks.
 
         Contiguous dirty blocks are clustered into one block-device write
@@ -226,16 +207,14 @@ class VFS:
         run: List[int] = []
         for lbn in victims:
             if run and lbn != run[-1] + 1:
-                flushed += yield from self._flush_run(run, trace)
+                flushed += yield from self._flush_run(run)
                 run = []
             run.append(lbn)
         if run:
-            flushed += yield from self._flush_run(run, trace)
+            flushed += yield from self._flush_run(run)
         return flushed
 
-    def _flush_run(self, lbns: List[int],
-                   trace: Optional[RequestTrace]
-                   ) -> Generator[Event, Any, int]:
+    def _flush_run(self, lbns: List[int]) -> Generator[Event, Any, int]:
         """Write one contiguous run of dirty blocks as a single extent."""
         entries = []
         for lbn in lbns:
@@ -248,35 +227,28 @@ class VFS:
             # A block went clean/evicted meanwhile; fall back per block.
             count = 0
             for entry in entries:
-                yield from self._write_back(entry, trace)
+                yield from self.write_back_entry(entry)
                 self.cache.mark_clean(entry.lbn)
                 count += 1
             return count
         self.cache.counters.add("bcache.writeback", len(entries))
         payload = concat([e.payload for e in entries])
-        yield from self.blockdev.write(lbns[0], payload,
-                                       is_metadata=False, trace=trace)
+        yield from self.blockdev.write(lbns[0], payload, is_metadata=False)
         for entry in entries:
             self.cache.mark_clean(entry.lbn)
         return len(entries)
 
-    def _write_back(self, entry: CacheEntry,
-                    trace: Optional[RequestTrace]
-                    ) -> Generator[Event, Any, None]:
-        self.cache.counters.add("bcache.writeback")
-        yield from self.blockdev.write(entry.lbn, entry.payload,
-                                       is_metadata=entry.is_metadata,
-                                       trace=trace)
-
     def write_back_entry(self, entry: CacheEntry
                          ) -> Generator[Event, Any, None]:
-        """Flush one evicted dirty page through the block device.
+        """Write one dirty page through the block device.
 
-        The arbiter's writeback routine for pages its squeeze dislodges
-        from the buffer cache — under NCache the write path remaps the
-        backing FHO chunk exactly as ordinary eviction writeback does.
+        Also the arbiter's writeback routine for pages its squeeze
+        dislodges from the buffer cache — under NCache the write path
+        remaps the backing FHO chunk exactly as eviction writeback does.
         """
-        yield from self._write_back(entry, None)
+        self.cache.counters.add("bcache.writeback")
+        yield from self.blockdev.write(entry.lbn, entry.payload,
+                                       is_metadata=entry.is_metadata)
 
     def _evict_for(self, nblocks: int) -> Generator[Event, Any, None]:
         """Make room, writing back any dirty victims first.
@@ -289,7 +261,7 @@ class VFS:
         """
         while True:
             for victim in self.cache.make_room(nblocks):
-                yield from self._write_back(victim, None)
+                yield from self.write_back_entry(victim)
             if self.cache.has_room(nblocks):
                 return
 
@@ -297,8 +269,7 @@ class VFS:
     # Shared read machinery
     # ------------------------------------------------------------------
 
-    def _cached_range(self, inode: Inode, offset: int, length: int,
-                      trace: Optional[RequestTrace]
+    def _cached_range(self, inode: Inode, offset: int, length: int
                       ) -> Generator[Event, Any, tuple]:
         """Ensure [offset, offset+length) is cached; return its payload.
 
@@ -363,8 +334,7 @@ class VFS:
                 if self.readahead_blocks and start_b + count == last + 1:
                     extra = min(self.readahead_blocks,
                                 inode.nblocks - (start_b + count))
-                yield from self._fill_blocks(inode, start_b, count + extra,
-                                             trace)
+                yield from self._fill_blocks(inode, start_b, count + extra)
                 for b in range(start_b, start_b + count):
                     lbn = inode.block_lbn(b)
                     if self.cache.pin(lbn):
@@ -385,18 +355,15 @@ class VFS:
         within = offset - first * bs
         return whole.slice(within, length), nblocks
 
-    def _fill_blocks(self, inode: Inode, first_block: int, nblocks: int,
-                     trace: Optional[RequestTrace]
+    def _fill_blocks(self, inode: Inode, first_block: int, nblocks: int
                      ) -> Generator[Event, Any, None]:
         lbn = inode.block_lbn(first_block)
         yield from self.host.acct.compute(
             self.host.costs.blockio_ns, "fs.blockio")
         payload = yield from self.blockdev.read(lbn, nblocks,
-                                                is_metadata=False,
-                                                trace=trace)
+                                                is_metadata=False)
         yield from self.host.acct.move(
-            self.discipline, payload.length, "cache_fill", trace,
-            nkeys=nblocks)
+            self.discipline, payload.length, "cache_fill", nkeys=nblocks)
         stored = apply_discipline(payload, self.discipline)
         bs = self.block_size
         yield from self._evict_for(nblocks)

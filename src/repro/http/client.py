@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator, Optional, Tuple
 
-from ..copymodel.accounting import RequestTrace
 from ..copymodel.materialize import materialize
 from ..net.addresses import Endpoint
 from ..net.buffer import BytesPayload
@@ -45,7 +44,8 @@ class HttpClient:
         return
         yield  # pragma: no cover - generator marker
 
-    def get(self, path: str, trace: Optional[RequestTrace] = None
+    # ``trace`` is never read: benchmarks/ncbench/oracle.py (frozen) passes it.
+    def get(self, path: str, trace: None = None
             ) -> Generator[Event, Any, Tuple[HttpResponse, Datagram]]:
         """GET ``path``; returns (response, datagram-with-body)."""
         if self.conn is None:
@@ -53,11 +53,9 @@ class HttpClient:
         request = HttpRequest("GET", "/" + path.lstrip("/"))
         waiter = self.host.sim.event()
         self._waiters.append(waiter)
-        meta = {"trace": trace} if trace is not None else None
         yield from self.conn.send(
             request, data=BytesPayload(b""),
-            header=BytesPayload(request.serialize()),
-            trace=trace, is_metadata=True, meta=meta)
+            header=BytesPayload(request.serialize()), is_metadata=True)
         dgram = yield waiter
         return dgram.message, dgram
 

@@ -10,9 +10,9 @@ requests were used").
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
-from ..copymodel.accounting import CopyDiscipline, RequestTrace
+from ..copymodel.accounting import CopyDiscipline
 from ..fs.vfs import VFS
 from ..net.addresses import HTTP_PORT
 from ..net.buffer import BytesPayload
@@ -71,7 +71,6 @@ class KHttpd:
         request = dgram.message
         if not isinstance(request, HttpRequest):
             raise SimulationError(f"kHTTPd got {request!r}")
-        trace: Optional[RequestTrace] = dgram.meta.get("trace")
         t0 = self.host.sim.now
         yield from self.host.acct.compute(
             self.host.costs.http_request_ns, "http.request")
@@ -84,19 +83,16 @@ class KHttpd:
             yield from conn.send(
                 response, data=BytesPayload(b""),
                 header=BytesPayload(response.serialize_header()),
-                trace=trace, is_metadata=True,
-                meta={"trace": trace} if trace is not None else None)
+                is_metadata=True)
             return
-        yield from self.vfs.read_inode_metadata(inode.ino, trace)
-        payload = yield from self.vfs.sendfile_payload(
-            inode, 0, inode.size, trace)
+        yield from self.vfs.read_inode_metadata(inode.ino)
+        payload = yield from self.vfs.sendfile_payload(inode, 0, inode.size)
         response = HttpResponse(status=200, content_length=inode.size)
         self.requests_served += 1
         yield from conn.send(
             response, data=payload,
             header=BytesPayload(response.serialize_header()),
-            discipline=self.discipline, trace=trace, is_metadata=False,
-            meta={"trace": trace} if trace is not None else None)
+            discipline=self.discipline, is_metadata=False)
         self._get_latency.record(self.host.sim.now - t0)
         bus = self.host.sim.trace
         if bus.enabled:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, Generator, Optional
 
-from ..copymodel.accounting import CopyDiscipline, RequestTrace
+from ..copymodel.accounting import CopyDiscipline
 from ..fs.disk import BLOCK_SIZE
 from ..net.addresses import Endpoint, ISCSI_PORT
 from ..net.buffer import BytesPayload, JunkPayload, Payload
@@ -51,7 +51,7 @@ class IscsiInitiator:
         self.conn: Optional[TCPConnection] = None
         self._tags = itertools.count(1)
         self._pending: Dict[int, Event] = {}
-        #: Optional ``fn(lbn, nblocks, trace) -> payload | None`` consulted
+        #: Optional ``fn(lbn, nblocks) -> payload | None`` consulted
         #: before a read goes on the wire.  This is NCache's second-level
         #: cache seam (§3.4): file-system cache misses "are caught and
         #: serviced by a much larger network-centric cache".
@@ -71,8 +71,7 @@ class IscsiInitiator:
 
     # -- BlockDevice API -----------------------------------------------------
 
-    def read(self, lbn: int, nblocks: int, is_metadata: bool = False,
-             trace: Optional[RequestTrace] = None
+    def read(self, lbn: int, nblocks: int, is_metadata: bool = False
              ) -> Generator[Event, Any, Payload]:
         """Issue a SCSI read; returns the response payload.
 
@@ -80,7 +79,7 @@ class IscsiInitiator:
         the RX hook; otherwise it is the received data itself.
         """
         if self.read_interceptor is not None and not is_metadata:
-            served = yield from self.read_interceptor(lbn, nblocks, trace)
+            served = yield from self.read_interceptor(lbn, nblocks)
             if served is not None:
                 return served
         conn = self._require_conn()
@@ -94,7 +93,7 @@ class IscsiInitiator:
             done = self.host.sim.event()
             self._pending[tag] = done
             yield from conn.send(cmd, data=BytesPayload(b""),
-                                 header=JunkPayload(BHS_SIZE), trace=trace)
+                                 header=JunkPayload(BHS_SIZE))
             dgram: Datagram = yield done
         finally:
             self._window.release()
@@ -107,8 +106,7 @@ class IscsiInitiator:
         payload = dgram.chain.payload()
         return payload.slice(BHS_SIZE, payload.length - BHS_SIZE)
 
-    def write(self, lbn: int, payload: Payload, is_metadata: bool = False,
-              trace: Optional[RequestTrace] = None
+    def write(self, lbn: int, payload: Payload, is_metadata: bool = False
               ) -> Generator[Event, Any, None]:
         """Issue a SCSI write with immediate data.
 
@@ -134,7 +132,7 @@ class IscsiInitiator:
             self._pending[tag] = done
             yield from conn.send(cmd, data=payload,
                                  header=JunkPayload(BHS_SIZE),
-                                 discipline=self.discipline, trace=trace,
+                                 discipline=self.discipline,
                                  is_metadata=is_metadata)
             dgram: Datagram = yield done
         finally:

@@ -97,7 +97,8 @@ class IscsiTarget:
             payload.length, "target_read_buf", is_metadata=cmd.is_metadata)
         yield from conn.send(response, data=payload.physical_copy(),
                              header=JunkPayload(BHS_SIZE),
-                             discipline=CopyDiscipline.PHYSICAL)
+                             discipline=CopyDiscipline.PHYSICAL,
+                             is_metadata=cmd.is_metadata)
 
     def _serve_write(self, conn: TCPConnection, dgram: Datagram,
                      cmd: ScsiCommand) -> Generator[Event, Any, None]:

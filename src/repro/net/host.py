@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional
 
-from ..copymodel.accounting import CopyAccountant, RequestTrace
+from ..copymodel.accounting import CopyAccountant
 from ..copymodel.costs import DEFAULT_COSTS, CostModel
 from ..sim.engine import Event, SimulationError, Simulator
 from ..sim.resources import CPU
@@ -21,8 +21,8 @@ from .buffer import BufferFlavor
 from .network import NIC, Datagram, Network
 from .stack import NetworkStack
 
-#: TX hook: ``hook(dgram, trace) -> dgram`` (generator).
-TxHook = Callable[[Datagram, Optional[RequestTrace]], Generator]
+#: TX hook: ``hook(dgram) -> dgram`` (generator).
+TxHook = Callable[[Datagram], Generator]
 #: RX hook: ``hook(dgram) -> dgram`` (generator).
 RxHook = Callable[[Datagram], Generator]
 
@@ -84,11 +84,10 @@ class Host:
     def add_rx_hook(self, hook: RxHook) -> None:
         self._rx_hooks.append(hook)
 
-    def run_tx_hooks(self, dgram: Datagram,
-                     trace: Optional[RequestTrace]
+    def run_tx_hooks(self, dgram: Datagram
                      ) -> Generator[Event, Any, Datagram]:
         for hook in self._tx_hooks:
-            dgram = yield from hook(dgram, trace)
+            dgram = yield from hook(dgram)
         return dgram
 
     def run_rx_hooks(self, dgram: Datagram

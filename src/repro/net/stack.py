@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, Optional, TYPE_CHECKING
 
-from ..copymodel.accounting import CopyDiscipline, RequestTrace
+from ..copymodel.accounting import CopyDiscipline
 from ..sim.engine import Event, SimulationError
 from ..sim.process import start
 from .addresses import Endpoint
@@ -87,9 +87,7 @@ class NetworkStack:
                  message: Any, data: Payload,
                  header: Optional[Payload] = None,
                  discipline: CopyDiscipline = CopyDiscipline.PHYSICAL,
-                 trace: Optional[RequestTrace] = None,
-                 is_metadata: bool = False,
-                 meta: Optional[dict] = None) -> Generator[Event, Any, Datagram]:
+                 is_metadata: bool = False) -> Generator[Event, Any, Datagram]:
         """Send one UDP datagram; returns after CPU work is charged.
 
         ``header`` is the application-protocol header part (always built
@@ -99,7 +97,7 @@ class NetworkStack:
         costs = self.host.costs
         return (yield from self._transmit(
             "udp", Endpoint(src_ip, src_port), dst, message, data, header,
-            discipline, trace, is_metadata, meta,
+            discipline, is_metadata,
             frames=costs.udp_frames, wire_bytes=costs.udp_wire_bytes,
             frame_ns=costs.packet_tx_ns, message_ns=costs.udp_datagram_ns,
             frag_size=costs.udp_fragment_payload))
@@ -225,8 +223,7 @@ class NetworkStack:
 
     def _transmit(self, protocol: str, src: Endpoint, dst: Endpoint,
                   message: Any, data: Payload, header: Optional[Payload],
-                  discipline: CopyDiscipline, trace: Optional[RequestTrace],
-                  is_metadata: bool, meta: Optional[dict], *,
+                  discipline: CopyDiscipline, is_metadata: bool, *,
                   frames: Callable[[int], int],
                   wire_bytes: Callable[[int], int],
                   frame_ns: float, message_ns: float, frag_size: int
@@ -242,8 +239,7 @@ class NetworkStack:
         host = self.host
         acct = host.acct
         header = header if header is not None else BytesPayload(b"")
-        moved, move_ns = self._socket_move(data, discipline, trace,
-                                           is_metadata)
+        moved, move_ns = self._socket_move(data, discipline, is_metadata)
         message_bytes = header.length + moved.length
         n_frames = frames(message_bytes)
         # One CPU hold for the whole train: socket move + per-frame TX
@@ -265,12 +261,11 @@ class NetworkStack:
             flavor=host.buffer_flavor)])
         dgram = Datagram(protocol=protocol, src=src, dst=dst,
                          message=message, chain=chain, n_frames=n_frames,
-                         wire_bytes=wire_bytes(message_bytes),
-                         meta=dict(meta or {}))
+                         wire_bytes=wire_bytes(message_bytes))
         # No-op guards: most hosts have no hooks and offload checksums,
         # and this path runs per datagram — skip the generator plumbing.
         if host._tx_hooks:
-            dgram = yield from host.run_tx_hooks(dgram, trace)
+            dgram = yield from host.run_tx_hooks(dgram)
         if dgram.chain is chain:
             dgram.lazy_frag = frag_size
         if not host.checksum_offload:
@@ -285,8 +280,7 @@ class NetworkStack:
         return dgram
 
     def _socket_move(self, data: Payload, discipline: CopyDiscipline,
-                     trace: Optional[RequestTrace], is_metadata: bool
-                     ) -> tuple:
+                     is_metadata: bool) -> tuple:
         """The socket-boundary move (application buffer -> network
         buffers): books the movement and returns ``(payload, cpu_ns)``
         for the caller to charge with the rest of the train."""
@@ -294,12 +288,11 @@ class NetworkStack:
         if data.length == 0:
             return data, 0.0
         if is_metadata or discipline is CopyDiscipline.PHYSICAL:
-            ns = acct.note_physical_copy(data.length, "sock_tx", trace,
-                                         is_metadata)
+            ns = acct.note_physical_copy(data.length, "sock_tx", is_metadata)
             return data.physical_copy(), ns
         if discipline is CopyDiscipline.LOGICAL:
             nkeys = max(1, count_placeholder_keys(data))
-            ns = acct.note_logical_copy("sock_tx", nkeys, trace, data.length)
+            ns = acct.note_logical_copy("sock_tx", nkeys, data.length)
             return data, ns
         # ZERO: the copy statement was deleted; junk goes on the wire.
         self.host.counters.add("copies.elided")
@@ -411,15 +404,13 @@ class TCPConnection:
     def send(self, message: Any, data: Payload,
              header: Optional[Payload] = None,
              discipline: CopyDiscipline = CopyDiscipline.PHYSICAL,
-             trace: Optional[RequestTrace] = None,
-             is_metadata: bool = False,
-             meta: Optional[dict] = None
+             is_metadata: bool = False
              ) -> Generator[Event, Any, Datagram]:
         """Send one application message over the connection."""
         costs = self.stack.host.costs
         return (yield from self.stack._transmit(
             "tcp", self.local, self.remote, message, data, header,
-            discipline, trace, is_metadata, meta,
+            discipline, is_metadata,
             frames=costs.tcp_segments, wire_bytes=costs.tcp_wire_bytes,
             frame_ns=costs.packet_tx_ns + costs.tcp_segment_ns,
             message_ns=0.0, frag_size=costs.tcp_mss))

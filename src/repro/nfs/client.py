@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from ..copymodel.accounting import RequestTrace
 from ..net.addresses import Endpoint
 from ..net.buffer import BytesPayload, JunkPayload, Payload
 from ..net.host import Host
@@ -58,10 +57,10 @@ class NfsClient:
 
     # -- generic call ----------------------------------------------------------
 
+    # ``trace`` is never read: benchmarks/ncbench/oracle.py (frozen) passes it.
     def call(self, proc: NfsProc, fh: Optional[FileHandle] = None,
              name: Optional[str] = None, offset: int = 0, count: int = 0,
-             data: Optional[Payload] = None,
-             trace: Optional[RequestTrace] = None,
+             data: Optional[Payload] = None, trace: None = None,
              new_size: Optional[int] = None
              ) -> Generator[Event, Any, Datagram]:
         """Issue one NFS call; returns the reply datagram."""
@@ -70,14 +69,13 @@ class NfsClient:
                        offset=offset, count=count, new_size=new_size)
         data = data if data is not None else BytesPayload(b"")
         waiter = self.matcher.expect(xid)
-        meta = {"trace": trace} if trace is not None else None
         rto = self.rto_s
         for attempt in range(self.max_attempts):
             yield from self.host.stack.udp_send(
                 src_ip=self.local_ip, src_port=self.local_port,
                 dst=self.server, message=call, data=data,
                 header=JunkPayload(call.header_size),
-                trace=trace, is_metadata=call.is_metadata, meta=meta)
+                is_metadata=call.is_metadata)
             # The RTO is a cancellable timer that expires the *waiter*
             # with a sentinel, so the process waits on one event instead
             # of racing two through AnyOf — one dispatch and two Event
@@ -108,48 +106,40 @@ class NfsClient:
 
     # -- convenience wrappers ---------------------------------------------------
 
-    def lookup(self, name: str, trace: Optional[RequestTrace] = None
-               ) -> Generator[Event, Any, NfsReply]:
-        dgram = yield from self.call(NfsProc.LOOKUP, name=name, trace=trace)
+    def lookup(self, name: str) -> Generator[Event, Any, NfsReply]:
+        dgram = yield from self.call(NfsProc.LOOKUP, name=name)
         return dgram.message
 
-    def getattr(self, fh: FileHandle, trace: Optional[RequestTrace] = None
-                ) -> Generator[Event, Any, NfsReply]:
-        dgram = yield from self.call(NfsProc.GETATTR, fh=fh, trace=trace)
+    def getattr(self, fh: FileHandle) -> Generator[Event, Any, NfsReply]:
+        dgram = yield from self.call(NfsProc.GETATTR, fh=fh)
         return dgram.message
 
-    def read(self, fh: FileHandle, offset: int, count: int,
-             trace: Optional[RequestTrace] = None
+    def read(self, fh: FileHandle, offset: int, count: int
              ) -> Generator[Event, Any, Datagram]:
         """READ; the returned datagram's chain carries the data bytes."""
         return (yield from self.call(NfsProc.READ, fh=fh, offset=offset,
-                                     count=count, trace=trace))
+                                     count=count))
 
-    def write(self, fh: FileHandle, offset: int, data: Payload,
-              trace: Optional[RequestTrace] = None
+    def write(self, fh: FileHandle, offset: int, data: Payload
               ) -> Generator[Event, Any, Datagram]:
         return (yield from self.call(NfsProc.WRITE, fh=fh, offset=offset,
-                                     count=data.length, data=data,
-                                     trace=trace))
+                                     count=data.length, data=data))
 
-    def commit(self, fh: FileHandle, offset: int = 0, count: int = 0,
-               trace: Optional[RequestTrace] = None
+    def commit(self, fh: FileHandle, offset: int = 0, count: int = 0
                ) -> Generator[Event, Any, NfsReply]:
         dgram = yield from self.call(NfsProc.COMMIT, fh=fh, offset=offset,
-                                     count=count, trace=trace)
+                                     count=count)
         return dgram.message
 
-    def setattr_size(self, fh: FileHandle, new_size: int,
-                     trace: Optional[RequestTrace] = None
+    def setattr_size(self, fh: FileHandle, new_size: int
                      ) -> Generator[Event, Any, NfsReply]:
         """Truncate the file to ``new_size`` bytes."""
         dgram = yield from self.call(NfsProc.SETATTR, fh=fh,
-                                     new_size=new_size, trace=trace)
+                                     new_size=new_size)
         return dgram.message
 
-    def remove(self, name: str, trace: Optional[RequestTrace] = None
-               ) -> Generator[Event, Any, NfsReply]:
-        dgram = yield from self.call(NfsProc.REMOVE, name=name, trace=trace)
+    def remove(self, name: str) -> Generator[Event, Any, NfsReply]:
+        dgram = yield from self.call(NfsProc.REMOVE, name=name)
         return dgram.message
 
 

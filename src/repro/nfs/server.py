@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Generator, Optional
 
-from ..copymodel.accounting import CopyDiscipline, RequestTrace
+from ..copymodel.accounting import CopyDiscipline
 from ..fs.vfs import VFS
 from ..net.addresses import NFS_PORT
 from ..net.buffer import BytesPayload, JunkPayload, Payload
@@ -139,7 +139,6 @@ class NfsServer:
         call = dgram.message
         if not isinstance(call, NfsCall):
             raise SimulationError(f"NFS server got {call!r}")
-        trace: Optional[RequestTrace] = dgram.meta.get("trace")
         costs = self.host.costs
         yield from self.host.acct.compute(
             costs.daemon_wakeup_ns, "nfsd.wakeup")
@@ -149,7 +148,7 @@ class NfsServer:
             # Retransmitted request: replay the reply, never re-execute.
             reply, data, is_metadata = cached
             self.host.counters.add("nfs.drc_hit")
-            yield from self._reply(dgram, reply, data=data, trace=trace,
+            yield from self._reply(dgram, reply, data=data,
                                    is_metadata=is_metadata, remember=False)
             return
         key = self.drc.key(dgram)
@@ -160,12 +159,11 @@ class NfsServer:
             return
         self.drc.in_progress.add(key)
         try:
-            yield from self._dispatch(dgram, call, trace)
+            yield from self._dispatch(dgram, call)
         finally:
             self.drc.in_progress.discard(key)
 
-    def _dispatch(self, dgram: Datagram, call: NfsCall,
-                  trace: Optional[RequestTrace]
+    def _dispatch(self, dgram: Datagram, call: NfsCall
                   ) -> Generator[Event, Any, None]:
         costs = self.host.costs
         t0 = self.host.sim.now
@@ -176,14 +174,13 @@ class NfsServer:
         if call.fh is not None and \
                 self.vfs.image.is_stale(call.fh.ino, call.fh.generation):
             yield from self._reply(
-                dgram, NfsReply(call.xid, call.proc, status=NFSERR_STALE),
-                trace=trace)
+                dgram, NfsReply(call.xid, call.proc, status=NFSERR_STALE))
             return
 
         handler = self._handlers.get(call.proc)
         if handler is None:
             raise SimulationError(f"unhandled NFS proc {call.proc}")
-        yield from handler(dgram, call, trace)
+        yield from handler(dgram, call)
         elapsed = self.host.sim.now - t0
         if call.proc is NfsProc.READ:
             self._read_latency.record(elapsed)
@@ -197,7 +194,6 @@ class NfsServer:
 
     def _reply(self, dgram: Datagram, reply: NfsReply,
                data: Optional[Payload] = None,
-               trace: Optional[RequestTrace] = None,
                is_metadata: bool = True,
                remember: bool = True) -> Generator[Event, Any, None]:
         """Send a reply back out of the NIC the request arrived on."""
@@ -210,87 +206,76 @@ class NfsServer:
             src_ip=dgram.dst.ip, src_port=self.port, dst=dgram.src,
             message=reply, data=data,
             header=JunkPayload(reply.header_size),
-            discipline=self.discipline, trace=trace,
-            is_metadata=is_metadata,
-            meta={"trace": trace} if trace is not None else None)
+            discipline=self.discipline, is_metadata=is_metadata)
 
     # -- procedures ---------------------------------------------------------------
 
-    def _do_null(self, dgram: Datagram, call: NfsCall,
-                 trace: Optional[RequestTrace]) -> Generator[Event, Any, None]:
-        yield from self._reply(dgram, NfsReply(call.xid, call.proc), trace=trace)
+    def _do_null(self, dgram: Datagram, call: NfsCall
+                 ) -> Generator[Event, Any, None]:
+        yield from self._reply(dgram, NfsReply(call.xid, call.proc))
 
-    def _do_getattr(self, dgram: Datagram, call: NfsCall,
-                    trace: Optional[RequestTrace]
+    def _do_getattr(self, dgram: Datagram, call: NfsCall
                     ) -> Generator[Event, Any, None]:
         inode = self.vfs.image.inode(call.fh.ino)
-        yield from self.vfs.read_inode_metadata(inode.ino, trace)
+        yield from self.vfs.read_inode_metadata(inode.ino)
         yield from self._reply(
-            dgram, NfsReply(call.xid, call.proc, size=inode.size), trace=trace)
+            dgram, NfsReply(call.xid, call.proc, size=inode.size))
 
-    def _do_setattr(self, dgram: Datagram, call: NfsCall,
-                    trace: Optional[RequestTrace]
+    def _do_setattr(self, dgram: Datagram, call: NfsCall
                     ) -> Generator[Event, Any, None]:
         inode = self.vfs.image.inode(call.fh.ino)
         if call.new_size is not None:
             if not 0 <= call.new_size <= inode.size:
                 yield from self._reply(
                     dgram, NfsReply(call.xid, call.proc,
-                                    status=NFSERR_INVAL), trace=trace)
+                                    status=NFSERR_INVAL))
                 return
-            yield from self.vfs.truncate(inode, call.new_size, trace)
+            yield from self.vfs.truncate(inode, call.new_size)
         else:
-            yield from self.vfs.read_inode_metadata(inode.ino, trace)
+            yield from self.vfs.read_inode_metadata(inode.ino)
         yield from self._reply(
-            dgram, NfsReply(call.xid, call.proc, size=inode.size),
-            trace=trace)
+            dgram, NfsReply(call.xid, call.proc, size=inode.size))
 
-    def _do_remove(self, dgram: Datagram, call: NfsCall,
-                   trace: Optional[RequestTrace]
+    def _do_remove(self, dgram: Datagram, call: NfsCall
                    ) -> Generator[Event, Any, None]:
         try:
             inode = self.vfs.image.lookup(call.name)
         except FileNotFoundError:
             yield from self._reply(
-                dgram, NfsReply(call.xid, call.proc, status=NFSERR_NOENT),
-                trace=trace)
+                dgram, NfsReply(call.xid, call.proc, status=NFSERR_NOENT))
             return
-        yield from self.vfs.remove(inode, trace)
+        yield from self.vfs.remove(inode)
         self.vfs.image.remove_file(call.name)
-        yield from self._reply(dgram, NfsReply(call.xid, call.proc),
-                               trace=trace)
+        yield from self._reply(dgram, NfsReply(call.xid, call.proc))
 
-    def _do_lookup(self, dgram: Datagram, call: NfsCall,
-                   trace: Optional[RequestTrace]
+    def _do_lookup(self, dgram: Datagram, call: NfsCall
                    ) -> Generator[Event, Any, None]:
         try:
             inode = self.vfs.image.lookup(call.name)
         except FileNotFoundError:
             yield from self._reply(
-                dgram, NfsReply(call.xid, call.proc, status=2), trace=trace)
+                dgram, NfsReply(call.xid, call.proc, status=2))
             return
-        yield from self.vfs.read_dir_metadata(call.name, trace)
-        yield from self.vfs.read_inode_metadata(inode.ino, trace)
+        yield from self.vfs.read_dir_metadata(call.name)
+        yield from self.vfs.read_inode_metadata(inode.ino)
         reply = NfsReply(call.xid, call.proc,
                          fh=FileHandle(inode.ino, inode.generation),
                          size=inode.size)
-        yield from self._reply(dgram, reply, trace=trace)
+        yield from self._reply(dgram, reply)
 
-    def _do_read(self, dgram: Datagram, call: NfsCall,
-                 trace: Optional[RequestTrace]) -> Generator[Event, Any, None]:
+    def _do_read(self, dgram: Datagram, call: NfsCall
+                 ) -> Generator[Event, Any, None]:
         inode = self.vfs.image.inode(call.fh.ino)
         count = min(call.count, inode.size - call.offset)
         if count <= 0:
             yield from self._reply(
-                dgram, NfsReply(call.xid, call.proc, status=22), trace=trace)
+                dgram, NfsReply(call.xid, call.proc, status=22))
             return
-        payload = yield from self.vfs.read(inode, call.offset, count, trace)
+        payload = yield from self.vfs.read(inode, call.offset, count)
         reply = NfsReply(call.xid, call.proc, count=count)
-        yield from self._reply(dgram, reply, data=payload, trace=trace,
-                               is_metadata=False)
+        yield from self._reply(dgram, reply, data=payload, is_metadata=False)
 
-    def _do_write(self, dgram: Datagram, call: NfsCall,
-                  trace: Optional[RequestTrace]
+    def _do_write(self, dgram: Datagram, call: NfsCall
                   ) -> Generator[Event, Any, None]:
         inode = self.vfs.image.inode(call.fh.ino)
         data = dgram.meta.get("keyed_payload")
@@ -302,46 +287,41 @@ class NfsServer:
             raise SimulationError(
                 f"WRITE xid {call.xid}: payload {data.length} != "
                 f"count {call.count}")
-        yield from self.vfs.write(inode, call.offset, data, trace)
+        yield from self.vfs.write(inode, call.offset, data)
         yield from self._reply(
-            dgram, NfsReply(call.xid, call.proc, count=call.count),
-            trace=trace)
+            dgram, NfsReply(call.xid, call.proc, count=call.count))
 
-    def _do_create(self, dgram: Datagram, call: NfsCall,
-                   trace: Optional[RequestTrace]
+    def _do_create(self, dgram: Datagram, call: NfsCall
                    ) -> Generator[Event, Any, None]:
         try:
             inode = self.vfs.image.create_file(call.name, call.count)
         except ValueError:
             inode = self.vfs.image.lookup(call.name)
-        yield from self.vfs.read_dir_metadata(call.name, trace)
-        yield from self.vfs.read_inode_metadata(inode.ino, trace)
+        yield from self.vfs.read_dir_metadata(call.name)
+        yield from self.vfs.read_inode_metadata(inode.ino)
         reply = NfsReply(call.xid, call.proc,
                          fh=FileHandle(inode.ino, inode.generation),
                          size=inode.size)
-        yield from self._reply(dgram, reply, trace=trace)
+        yield from self._reply(dgram, reply)
 
-    def _do_readdir(self, dgram: Datagram, call: NfsCall,
-                    trace: Optional[RequestTrace]
+    def _do_readdir(self, dgram: Datagram, call: NfsCall
                     ) -> Generator[Event, Any, None]:
-        yield from self.vfs.read_dir_metadata(call.name or "", trace)
+        yield from self.vfs.read_dir_metadata(call.name or "")
         # Directory listings are metadata payload: physically copied.
         listing = JunkPayload(min(4096, 64 * max(1, len(self.vfs.image.by_name))))
         yield from self.host.acct.physical_copy(
-            listing.length, "readdir", trace, is_metadata=True)
+            listing.length, "readdir", is_metadata=True)
         yield from self._reply(dgram, NfsReply(call.xid, call.proc),
-                               data=listing, trace=trace)
+                               data=listing)
 
-    def _do_commit(self, dgram: Datagram, call: NfsCall,
-                   trace: Optional[RequestTrace]
+    def _do_commit(self, dgram: Datagram, call: NfsCall
                    ) -> Generator[Event, Any, None]:
         inode = self.vfs.image.inode(call.fh.ino)
         first = call.offset // self.vfs.block_size
         nblocks = max(1, -(-max(call.count, 1) // self.vfs.block_size))
         for b in range(first, min(first + nblocks, inode.nblocks)):
-            yield from self.vfs.flush_lbn(inode.block_lbn(b), trace)
-        yield from self._reply(dgram, NfsReply(call.xid, call.proc),
-                               trace=trace)
+            yield from self.vfs.flush_lbn(inode.block_lbn(b))
+        yield from self._reply(dgram, NfsReply(call.xid, call.proc))
 
 
 class FlushDaemon:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.check import sanitizer as _sanitizer
-from repro.copymodel import CopyDiscipline
+from repro.copymodel import CopyDiscipline, physical_copies
 from repro.fs import (
     BufferCache,
     DiskStore,
@@ -103,6 +103,29 @@ def drive(sim: Simulator, gen, name: str = "test"):
     if proc.failed:
         raise proc.value
     return proc.value
+
+
+class CopyWindow:
+    """``with CopyWindow(sim) as w:`` — the bus events recorded while the
+    block runs.  With nothing else in flight those are exactly what one
+    request caused, which is how Table 2 counts copies per request."""
+
+    def __init__(self, sim: Simulator) -> None:
+        self._bus = sim.trace.enable()
+        self.events: list = []
+
+    def __enter__(self) -> "CopyWindow":
+        self._mark = len(self._bus.events)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.events = self._bus.events[self._mark:]
+
+    def named(self, name: str) -> list:
+        return [ev for ev in self.events if ev.name == name]
+
+    def physical_copies(self, where=None, regular_only=True) -> int:
+        return physical_copies(self.events, where, regular_only)
 
 
 @pytest.fixture

@@ -5,13 +5,13 @@ import pytest
 from repro.copymodel import (
     CopyAccountant,
     CopyDiscipline,
-    CopyKind,
     CostModel,
     DEFAULT_COSTS,
-    RequestTrace,
+    physical_copies,
 )
+from repro.obs.trace import TraceBus
 from repro.sim import CPU
-from conftest import drive
+from conftest import CopyWindow, drive
 
 
 class TestCostModel:
@@ -98,15 +98,15 @@ class TestAccountant:
 
     def test_trace_records_owner(self, sim):
         acct, _ = self.make(sim)
-        trace = RequestTrace("t")
 
         def job():
-            yield from acct.physical_copy(10, "c", trace)
+            yield from acct.physical_copy(10, "c")
 
-        drive(sim, job())
-        assert trace.records[0].where == "host-x"
-        assert trace.physical_copies(where="host-x") == 1
-        assert trace.physical_copies(where="elsewhere") == 0
+        with CopyWindow(sim) as window:
+            drive(sim, job())
+        assert window.events[0].args["host"] == "host-x"
+        assert window.physical_copies(where="host-x") == 1
+        assert window.physical_copies(where="elsewhere") == 0
 
     def test_move_zero_charges_nothing(self, sim):
         acct, cpu = self.make(sim)
@@ -120,15 +120,15 @@ class TestAccountant:
 
     def test_move_metadata_always_physical(self, sim):
         acct, _ = self.make(sim)
-        trace = RequestTrace()
 
         def job():
             yield from acct.move(CopyDiscipline.LOGICAL, 512, "meta",
-                                 trace, is_metadata=True)
+                                 is_metadata=True)
 
-        drive(sim, job())
-        assert trace.records[0].kind is CopyKind.PHYSICAL
-        assert trace.records[0].is_metadata
+        with CopyWindow(sim) as window:
+            drive(sim, job())
+        assert window.events[0].name == "copies.physical"
+        assert window.events[0].args["is_metadata"]
 
     def test_checksum_cached_is_free(self, sim):
         acct, cpu = self.make(sim)
@@ -150,20 +150,18 @@ class TestAccountant:
         assert cpu.busy_time() == pytest.approx(4096 * 2.0 * 1e-9)
 
 
-class TestRequestTrace:
+class TestPhysicalCopies:
     def test_copy_classification(self):
-        trace = RequestTrace()
-        trace.records.append(
-            __import__("repro.copymodel.accounting", fromlist=["CopyRecord"])
-            .CopyRecord(CopyKind.PHYSICAL, "a", 100))
-        trace.records.append(
-            __import__("repro.copymodel.accounting", fromlist=["CopyRecord"])
-            .CopyRecord(CopyKind.PHYSICAL, "b", 200, is_metadata=True))
-        trace.records.append(
-            __import__("repro.copymodel.accounting", fromlist=["CopyRecord"])
-            .CopyRecord(CopyKind.LOGICAL, "c", 0))
-        assert trace.physical_copies() == 1
-        assert trace.physical_copies(regular_only=False) == 2
-        assert trace.logical_copies() == 1
-        assert trace.physical_bytes() == 300
-        assert trace.categories() == ["a", "b", "c"]
+        bus = TraceBus().enable()
+        bus.emit("copies.physical", cat="copies", host="server",
+                 category="a", nbytes=100, is_metadata=False)
+        bus.emit("copies.physical", cat="copies", host="storage",
+                 category="b", nbytes=200, is_metadata=True)
+        bus.emit("copies.logical", cat="copies", host="server",
+                 category="c", nkeys=4, nbytes=0)
+        bus.emit("net.send", cat="net", host="server")
+        assert physical_copies(bus.events) == 1
+        assert physical_copies(bus.events, regular_only=False) == 2
+        assert physical_copies(bus.events, where="storage") == 0
+        assert physical_copies(bus.events, "storage", regular_only=False) == 1
+        assert physical_copies(bus.events[2:]) == 0

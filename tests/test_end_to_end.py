@@ -18,6 +18,7 @@ from repro.nfs import read_reply_data
 from repro.servers import NfsTestbed, ServerMode, TestbedConfig
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
+from conftest import CopyWindow
 
 DATA_MODES = [ServerMode.ORIGINAL, ServerMode.NCACHE]
 FILE_BLOCKS = 64
@@ -211,16 +212,14 @@ class TestBaselineSemantics:
         assert before == after
 
     def test_baseline_performs_zero_regular_copies(self):
-        from repro.copymodel import RequestTrace
-
         testbed = build(ServerMode.BASELINE)
         fh = testbed.file_handle("e2e")
 
         def scenario():
-            trace = RequestTrace()
-            yield from testbed.clients[0].read(fh, 0, 32768, trace=trace)
-            yield from testbed.clients[0].write(
-                fh, 0, VirtualPayload(1, 0, 8192), trace=trace)
+            with CopyWindow(testbed.sim) as trace:
+                yield from testbed.clients[0].read(fh, 0, 32768)
+                yield from testbed.clients[0].write(
+                    fh, 0, VirtualPayload(1, 0, 8192))
             return trace
 
         trace = run_scenario(testbed, scenario())

@@ -192,7 +192,7 @@ class TestPeerProbeToCrashedNode:
 
         def probe():
             payload = yield from client._fetch_one(
-                Endpoint("s1.server-0", PEER_PORT), 0, 1, None)
+                Endpoint("s1.server-0", PEER_PORT), 0, 1)
             result.append(payload)
 
         run_until_complete(fleet.sim,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.copymodel import RequestTrace
 from repro.http import (
     HEADER_TERMINATOR,
     HttpRequest,
@@ -13,6 +12,7 @@ from repro.http import (
 from repro.servers import ServerMode, TestbedConfig, WebTestbed
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
+from conftest import CopyWindow
 
 
 def make_testbed(mode=ServerMode.ORIGINAL, **overrides):
@@ -97,10 +97,10 @@ class TestKHttpd:
         testbed = make_testbed()
 
         def scenario():
-            miss = RequestTrace()
-            yield from testbed.http_clients[0].get("index.html", trace=miss)
-            hit = RequestTrace()
-            yield from testbed.http_clients[0].get("index.html", trace=hit)
+            with CopyWindow(testbed.sim) as miss:
+                yield from testbed.http_clients[0].get("index.html")
+            with CopyWindow(testbed.sim) as hit:
+                yield from testbed.http_clients[0].get("index.html")
             return miss, hit
 
         miss, hit = run_scenario(testbed, scenario())

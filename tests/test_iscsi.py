@@ -155,7 +155,7 @@ class TestInterceptor:
         inode = stack.image.create_file("f", 1 << 20)
         canned = VirtualPayload(99, 0, BLOCK_SIZE)
 
-        def interceptor(lbn, nblocks, trace):
+        def interceptor(lbn, nblocks):
             return canned
             yield
 
@@ -171,7 +171,7 @@ class TestInterceptor:
         stack = connected(sim)
         inode = stack.image.create_file("f", 1 << 20)
 
-        def interceptor(lbn, nblocks, trace):
+        def interceptor(lbn, nblocks):
             return None
             yield
 
@@ -189,7 +189,7 @@ class TestInterceptor:
         stack = connected(sim)
         calls = []
 
-        def interceptor(lbn, nblocks, trace):
+        def interceptor(lbn, nblocks):
             calls.append(lbn)
             return None
             yield

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.copymodel import CopyDiscipline, RequestTrace
+from repro.copymodel import CopyDiscipline
 from repro.net import (
     BytesPayload,
     Endpoint,
@@ -14,7 +14,7 @@ from repro.net import (
 )
 from repro.net.buffer import PlaceholderPayload
 from repro.sim import SimulationError, start
-from conftest import drive
+from conftest import CopyWindow, drive
 
 
 def udp_receiver(host, port=9):
@@ -90,45 +90,44 @@ class TestUdp:
     def test_physical_discipline_copies(self, sim, two_hosts):
         a, b = two_hosts
         udp_receiver(b)
-        trace = RequestTrace()
 
         def send():
             yield from a.stack.udp_send(
                 "a0", 5, Endpoint("b0", 9), None, VirtualPayload(1, 0, 4096),
-                discipline=CopyDiscipline.PHYSICAL, trace=trace)
+                discipline=CopyDiscipline.PHYSICAL)
 
-        drive(sim, send())
-        assert trace.physical_copies() == 1
+        with CopyWindow(sim) as window:
+            drive(sim, send())
+        assert window.physical_copies() == 1
 
     def test_zero_discipline_sends_junk(self, sim, two_hosts):
         a, b = two_hosts
         got = udp_receiver(b)
-        trace = RequestTrace()
 
         def send():
             yield from a.stack.udp_send(
                 "a0", 5, Endpoint("b0", 9), None, VirtualPayload(1, 0, 4096),
-                discipline=CopyDiscipline.ZERO, trace=trace)
+                discipline=CopyDiscipline.ZERO)
 
-        drive(sim, send())
-        sim.run()
-        assert trace.physical_copies() == 0
+        with CopyWindow(sim) as window:
+            drive(sim, send())
+            sim.run()
+        assert window.physical_copies() == 0
         body = got[0].chain.payload()
         assert body.materialize() == JunkPayload(4096).materialize()
 
     def test_metadata_forces_physical(self, sim, two_hosts):
         a, b = two_hosts
         udp_receiver(b)
-        trace = RequestTrace()
 
         def send():
             yield from a.stack.udp_send(
                 "a0", 5, Endpoint("b0", 9), None, BytesPayload(b"meta" * 10),
-                discipline=CopyDiscipline.ZERO, trace=trace,
-                is_metadata=True)
+                discipline=CopyDiscipline.ZERO, is_metadata=True)
 
-        drive(sim, send())
-        assert trace.physical_copies(regular_only=False) == 1
+        with CopyWindow(sim) as window:
+            drive(sim, send())
+        assert window.physical_copies(regular_only=False) == 1
 
     def test_rx_marks_checksums_known(self, sim, two_hosts):
         a, b = two_hosts
@@ -249,7 +248,7 @@ class TestHooks:
         a, b = two_hosts
         got = udp_receiver(b)
 
-        def hook(dgram, trace):
+        def hook(dgram):
             dgram.meta["stamped"] = True
             return dgram
             yield
@@ -296,7 +295,7 @@ class TestHooks:
         calls = []
 
         def make_hook(name):
-            def hook(dgram, trace):
+            def hook(dgram):
                 calls.append(name)
                 return dgram
                 yield

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.copymodel import RequestTrace
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
 from repro.nfs import (
@@ -15,6 +14,7 @@ from repro.nfs import (
 from repro.servers import NfsTestbed, ServerMode, TestbedConfig
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
+from conftest import CopyWindow
 
 
 def make_testbed(mode=ServerMode.ORIGINAL, **overrides):
@@ -219,9 +219,9 @@ class TestTraces:
         testbed = make_testbed()
 
         def scenario():
-            trace = RequestTrace()
-            yield from testbed.clients[0].getattr(
-                testbed.file_handle("data.bin"), trace=trace)
+            with CopyWindow(testbed.sim) as trace:
+                yield from testbed.clients[0].getattr(
+                    testbed.file_handle("data.bin"))
             return trace
 
         trace = run_scenario(testbed, scenario())

@@ -103,7 +103,7 @@ def _substitute(spec, checksum_offload):
         message=NfsReply(xid=1, proc=NfsProc.READ),
         chain=BufferChain([NetBuffer(payload=concat(parts))]),
         n_frames=1, wire_bytes=0)
-    drive(sim, module.tx_hook(dgram, None))
+    drive(sim, module.tx_hook(dgram))
     return dgram, sim.now, host.counters, chunks
 
 
@@ -253,7 +253,7 @@ class TestWarmStartedRuns:
                 inode, 0, inode.size).materialize(), path
         counters = testbed.server_host.counters
         assert counters["ncache.substituted_replies"].value == 8
-        # Counted for every reply (no RequestTrace is attached here),
+        # Counted for every reply (tracing is off here),
         # from the segment arithmetic: whole blocks are 3 MSS segments,
         # a file's short tail block is a partial leaf of 1..3 buffers.
         whole_blocks = sum(testbed.image.lookup(p).size // BLOCK_SIZE

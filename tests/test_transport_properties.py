@@ -122,7 +122,7 @@ class TestLazyFragField:
 
             def run():
                 yield from a.stack.udp_send("a0", 5, Endpoint("b0", 9),
-                                            None, data, meta={"k": 1})
+                                            None, data)
         else:
             def acceptor(conn):
                 conn.on_message = handler
@@ -132,7 +132,7 @@ class TestLazyFragField:
             def run():
                 conn = yield from a.stack.tcp_connect("a0", 5,
                                                       Endpoint("b0", 9))
-                yield from conn.send(None, data, meta={"k": 1})
+                yield from conn.send(None, data)
 
         start(sim, run())
         sim.run()
@@ -143,7 +143,7 @@ class TestLazyFragField:
     @pytest.mark.parametrize("proto", ["udp", "tcp"])
     def test_marker_is_a_field_not_a_meta_key(self, sim, two_hosts, proto):
         dgram, frag = self._deliver(sim, two_hosts, proto)
-        assert dgram.meta == {"k": 1}
+        assert dgram.meta == {}
         assert dgram.lazy_frag == frag
         assert len(dgram.chain.buffers) == 1
 
@@ -160,7 +160,7 @@ class TestLazyFragField:
 
         dgram, frag = self._deliver(sim, two_hosts, proto, rx_hook=hook)
         (lazy, meta, bufs), = seen
-        assert lazy is None and meta == {"k": 1}
+        assert lazy is None and meta == {}
         assert len(bufs) > 1
         assert all(size <= frag and known for size, known in bufs)
         assert sum(size for size, _ in bufs) == 20_000

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.copymodel import CopyDiscipline, RequestTrace
+from repro.copymodel import CopyDiscipline
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
-from conftest import MiniStack, drive
+from conftest import CopyWindow, MiniStack, drive
 
 
 def make_stack(sim, discipline=CopyDiscipline.PHYSICAL, cache_bytes=8 << 20):
@@ -88,10 +88,10 @@ class TestRead:
         inode = stack.image.create_file("f", 1 << 20)
 
         def job():
-            miss = RequestTrace()
-            yield from stack.vfs.read(inode, 0, 8192, miss)
-            hit = RequestTrace()
-            yield from stack.vfs.read(inode, 0, 8192, hit)
+            with CopyWindow(sim) as miss:
+                yield from stack.vfs.read(inode, 0, 8192)
+            with CopyWindow(sim) as hit:
+                yield from stack.vfs.read(inode, 0, 8192)
             return miss, hit
 
         miss, hit = drive(sim, job())
@@ -248,8 +248,8 @@ class TestMetadata:
         inode = stack.image.create_file("f", 1 << 20)
 
         def job():
-            trace = RequestTrace()
-            yield from stack.vfs.read_inode_metadata(inode.ino, trace)
+            with CopyWindow(sim) as trace:
+                yield from stack.vfs.read_inode_metadata(inode.ino)
             return trace
 
         trace = drive(sim, job())
@@ -273,11 +273,11 @@ class TestSendfile:
         inode = stack.image.create_file("f", 1 << 20)
 
         def job():
-            warm = RequestTrace()
-            yield from stack.vfs.sendfile_payload(inode, 0, 8192, warm)
-            hot = RequestTrace()
-            payload = yield from stack.vfs.sendfile_payload(inode, 0, 8192,
-                                                            hot)
+            with CopyWindow(sim) as warm:
+                yield from stack.vfs.sendfile_payload(inode, 0, 8192)
+            with CopyWindow(sim) as hot:
+                payload = yield from stack.vfs.sendfile_payload(inode, 0,
+                                                                8192)
             return warm, hot, payload
 
         warm, hot, payload = drive(sim, job())
