@@ -1,14 +1,10 @@
-"""Result containers, ratios, table rendering, paper-claims registry."""
+"""Result containers, ratios, table rendering.
 
-from .paper import PaperClaim, claims, evaluate_all, render_report
+The paper-claims registry is :mod:`repro.analysis.paper`; it is imported
+from there, not re-exported here, so that ``python -m
+repro.analysis.paper`` executes a module nobody has imported yet.
+"""
+
 from .tables import ExperimentResult, pct_gain, ratio
 
-__all__ = [
-    "ExperimentResult",
-    "PaperClaim",
-    "claims",
-    "evaluate_all",
-    "pct_gain",
-    "ratio",
-    "render_report",
-]
+__all__ = ["ExperimentResult", "pct_gain", "ratio"]

@@ -26,10 +26,6 @@ class ExperimentResult:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def attach_report(self, key: str, report: Dict[str, Any]) -> None:
-        """Attach one data point's machine-readable metrics snapshot."""
-        self.reports[key] = report
-
     def to_json(self, indent: int = 2) -> str:
         """The whole result — rows, notes and metrics reports — as JSON."""
         return json.dumps({
@@ -47,6 +43,11 @@ class ExperimentResult:
             if all(row.get(k) == v for k, v in filters.items()):
                 out.append(row)
         return out
+
+    def where(self, **filters: Any) -> "ExperimentResult":
+        """The slice of this table whose rows match ``filters``."""
+        return ExperimentResult(self.name, self.title, self.columns,
+                                self.rows_where(**filters))
 
     def value(self, column: str, **filters: Any) -> Any:
         """The single value of ``column`` among rows matching filters."""
@@ -66,11 +67,13 @@ class ExperimentResult:
         if isinstance(value, float):
             if value == 0:
                 return "0"
-            if abs(value) >= 100:
-                return f"{value:.0f}"
-            if abs(value) >= 1:
-                return f"{value:.2f}"
-            return f"{value:.3f}"
+            # Precision follows the magnitude the cell *shows*: 99.996
+            # prints as 100 like 100.0 does, not as 100.00.
+            for digits, below in ((3, 1), (2, 100)):
+                text = f"{value:.{digits}f}"
+                if abs(float(text)) < below:
+                    return text
+            return f"{value:.0f}"
         return str(value)
 
     def render(self) -> str:

@@ -6,10 +6,10 @@ under NCache's pinned buffer pool once, at configuration time
 to do better already exists in this tree — each
 :class:`~repro.cache.kernel.CacheKernel` keeps a bounded ghost list
 feeding a ``cache.<name>.ghost_hit`` estimator, and the kernel exposes
-``resize``/``steal``/``grant`` — so this module lifts ARC-style ghost
-adaptation from the *intra*-cache level (``repro.cache.policy``'s ARC)
-to the *inter*-cache level, the dynamic cache/backend split NetCAS
-applies to networked storage.
+``resize`` — so this module lifts ARC-style ghost adaptation from the
+*intra*-cache level (``repro.cache.policy``'s ARC) to the *inter*-cache
+level, the dynamic cache/backend split NetCAS applies to networked
+storage.
 
 Ownership model
 ---------------
@@ -20,9 +20,9 @@ initial budget, an eviction floor, its ``resize`` entry point and a
 writeback routine for the dirty victims a shrink produces.  The
 registered budgets must sum exactly to the total (leases partition the
 machine; there is no unowned slack).  After registration, *all* budget
-movement flows through the arbiter — direct ``resize``/``steal``/
-``grant`` calls outside ``repro.cache`` (and the two cache adapters)
-are rejected by the ``budget-lease`` lint rule.
+movement flows through the arbiter — direct ``resize`` calls outside
+``repro.cache`` (and the two cache adapters) are rejected by the
+``budget-lease`` lint rule.
 
 Two arbiters implement the policy seam:
 
@@ -48,29 +48,19 @@ misses saved per extra byte granted.  Entry size cancels (a bigger
 entry means fewer ghosts per byte but more bytes saved per ghost), so
 densities are comparable across caches with different entry footprints:
 
-    demand_i = ghost_hits_i / budget_i * discount_i
+    demand_i = ghost_hits_i / budget_i
 
-Two corrections exist for the stacked-cache mirage — under NCache the
+One correction exists for the stacked-cache mirage — under NCache the
 FS buffer cache holds key-only placeholder pages whose data still lives
 in the chunk store, so most bcache ghost hits would not have saved a
-*backend* read:
-
-* **Ghost admission** (the precise one, used by the testbed): the
-  kernel's ``set_ghost_admit`` predicate classifies victims at eviction
-  time.  Under an adaptive arbiter the testbed admits metadata and
-  dirty pages to bcache's ghost list but not clean placeholders — a
-  placeholder's payload is already resident in the chunk store, so
-  re-missing it costs no backend read, whereas metadata never enters
-  the chunk store at all and a dirty page's payload only reaches it
-  once the eviction's writeback remaps.  What remains is bcache's
-  standalone value.
-* **Downstream discount** (the coarse one, for stacks whose victims
-  cannot be classified at eviction time): a lease may declare the lease
-  *downstream* of it, and its demand is multiplied by the downstream's
-  windowed miss rate.  The two compose multiplicatively, but wiring
-  both double-discounts — a filtered ghost list already excludes the
-  downstream-covered classes, so the testbed leaves ``downstream``
-  unset.
+*backend* read.  **Ghost admission**: the kernel's ``set_ghost_admit``
+predicate classifies victims at eviction time.  Under an adaptive
+arbiter the testbed admits metadata and dirty pages to bcache's ghost
+list but not clean placeholders — a placeholder's payload is already
+resident in the chunk store, so re-missing it costs no backend read,
+whereas metadata never enters the chunk store at all and a dirty page's
+payload only reaches it once the eviction's writeback remaps.  What
+remains is bcache's standalone value.
 
 Movement is damped three ways, which is the stability argument
 (DESIGN.md §12): a move happens only when the winner's demand exceeds
@@ -152,13 +142,12 @@ class BudgetLease:
     """
 
     __slots__ = ("name", "budget_bytes", "floor_bytes", "resize",
-                 "writeback", "metrics", "window", "downstream", "gauge")
+                 "writeback", "metrics", "window", "gauge")
 
     def __init__(self, name: str, budget_bytes: int, floor_bytes: int,
                  resize: Callable[[int], List[Any]],
                  writeback: Optional[Callable[[Any], Generator]],
-                 metrics: KernelMetrics,
-                 downstream: Optional[str]) -> None:
+                 metrics: KernelMetrics) -> None:
         self.name = name
         self.budget_bytes = budget_bytes
         self.floor_bytes = floor_bytes
@@ -166,7 +155,6 @@ class BudgetLease:
         self.writeback = writeback
         self.metrics = metrics
         self.window = BudgetWindow(metrics)
-        self.downstream = downstream
         self.gauge = None  # installed by the arbiter at registration
 
 
@@ -192,16 +180,12 @@ class MemoryArbiter:
                  resize: Callable[[int], List[Any]],
                  metrics: KernelMetrics, *,
                  writeback: Optional[Callable[[Any], Generator]] = None,
-                 floor_bytes: Optional[int] = None,
-                 downstream: Optional[str] = None) -> BudgetLease:
+                 floor_bytes: Optional[int] = None) -> BudgetLease:
         """Lease ``budget_bytes`` of the total to cache ``name``.
 
         Registration order is the controller's iteration order, so it
         must be deterministic (the testbed registers bcache first, then
-        ncache).  ``downstream`` names another lease whose miss rate
-        discounts this cache's demand; it must be registered before
-        :meth:`start` (forward references are allowed at registration
-        time).
+        ncache).
         """
         if self._started:
             raise RuntimeError("arbiter already started")
@@ -218,7 +202,7 @@ class MemoryArbiter:
             floor_bytes = int(budget_bytes * self.spec.floor_fraction)
         floor_bytes = min(floor_bytes, budget_bytes)
         lease = BudgetLease(name, budget_bytes, floor_bytes, resize,
-                            writeback, metrics, downstream)
+                            writeback, metrics)
         lease.gauge = self.counters.registry.gauge(
             f"arbiter.budget.{name}", unit="bytes")
         lease.gauge.set(budget_bytes)
@@ -240,12 +224,6 @@ class MemoryArbiter:
             raise ValueError(
                 f"leases cover {leased}B of a {self.total_bytes}B total; "
                 f"the arbiter must own every byte")
-        for lease in self._leases:
-            if lease.downstream is not None \
-                    and lease.downstream not in self._by_name:
-                raise ValueError(
-                    f"lease {lease.name!r} names unknown downstream "
-                    f"lease {lease.downstream!r}")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -290,12 +268,7 @@ class GhostGradient(MemoryArbiter):
         demands = []
         for lease in self._leases:
             ghost, _, _ = windows[lease.name]
-            discount = 1.0
-            if lease.downstream is not None:
-                _, d_hit, d_miss = windows[lease.downstream]
-                traffic = d_hit + d_miss
-                discount = d_miss / traffic if traffic else 0.0
-            demands.append(ghost / max(1, lease.budget_bytes) * discount)
+            demands.append(ghost / max(1, lease.budget_bytes))
         return demands, windows
 
     def _pick(self, demands: List[float], windows):

@@ -16,13 +16,12 @@ reclaim listeners remain with the consumer — the ``on_evict`` callback
 runs per victim *before* the next victim is chosen, so listeners observe
 exactly the intermediate states the pre-kernel stores produced.
 
-Budget operations (:meth:`resize`, :meth:`steal`, :meth:`grant`) let one
-cache squeeze another at runtime — the "NCache pins most of memory and
-keeps the FS cache deliberately small" protocol of §3.4/§4.1 expressed
-as a kernel-level contract instead of static configuration.  Outside
-``repro.cache`` these must be reached through a
-:class:`~repro.cache.arbiter.MemoryArbiter` lease (the ``budget-lease``
-lint rule enforces the seam).
+The budget operation (:meth:`resize`) lets one cache squeeze another at
+runtime — the "NCache pins most of memory and keeps the FS cache
+deliberately small" protocol of §3.4/§4.1 expressed as a kernel-level
+contract instead of static configuration.  Outside ``repro.cache`` it
+must be reached through a :class:`~repro.cache.arbiter.MemoryArbiter`
+lease (the ``budget-lease`` lint rule enforces the seam).
 
 Two arbiter-facing hooks live here because they need the eviction loop
 and the metric family: :meth:`set_ghost_admit` filters which victims may
@@ -270,7 +269,7 @@ class CacheKernel:
                 on_evict(item)
         return dirty_victims
 
-    # -- budget operations (the §3.4 squeeze protocol) ----------------------
+    # -- the budget operation (the §3.4 squeeze protocol) -------------------
 
     def resize(self, new_capacity_bytes: int,
                on_evict: Optional[Callable[[Any], None]] = None
@@ -279,16 +278,6 @@ class CacheKernel:
         dirty victims exactly like :meth:`make_room`."""
         self.capacity_bytes = new_capacity_bytes
         return self.make_room(0, on_evict=on_evict)
-
-    def steal(self, nbytes: int,
-              on_evict: Optional[Callable[[Any], None]] = None
-              ) -> List[Any]:
-        """Shrink the budget by ``nbytes`` (the donor side of a squeeze)."""
-        return self.resize(self.capacity_bytes - nbytes, on_evict)
-
-    def grant(self, nbytes: int) -> None:
-        """Grow the budget by ``nbytes`` (the recipient side)."""
-        self.capacity_bytes += nbytes
 
 
 class BudgetWindow:

@@ -508,10 +508,10 @@ class BudgetLease(Rule):
     """Cache budgets move through arbiter leases, not direct calls."""
 
     id = "budget-lease"
-    summary = "resize/steal/grant only behind a MemoryArbiter lease"
+    summary = "resize only behind a MemoryArbiter lease"
     invariant = ("arbiter seam (DESIGN.md §12): the machine's cache "
                  "bytes have one owner — a repro.cache.arbiter."
-                 "MemoryArbiter.  Direct resize()/steal()/grant() calls "
+                 "MemoryArbiter.  Direct resize() calls "
                  "outside repro/cache and the two cache adapters would "
                  "let a cache grow without another shrinking, silently "
                  "breaking the budget-conservation invariant the "

@@ -142,10 +142,10 @@ BLOCKING_ALLOWED_PATHS: Tuple[str, ...] = (
     "repro/check/",
 )
 
-#: Budget operations that move cache bytes: legal only inside the
+#: The budget operation that moves cache bytes: legal only inside the
 #: arbiter seam.  Everywhere else, the ``budget-lease`` rule directs
 #: authors to a :class:`~repro.cache.arbiter.MemoryArbiter` lease.
-BUDGET_OP_METHODS: FrozenSet[str] = frozenset({"resize", "steal", "grant"})
+BUDGET_OP_METHODS: FrozenSet[str] = frozenset({"resize"})
 
 #: The arbiter seam: the arbiter itself, the kernels it resizes, and the
 #: two cache adapters whose ``resize`` wrappers keep index bookkeeping

@@ -27,8 +27,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..obs.trace import write_chrome_trace, write_jsonl_trace
 from . import EXPERIMENTS
-from .parallel import n_trace_events, write_merged_chrome, write_merged_jsonl
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,12 +74,11 @@ def main(argv=None) -> int:
                     metrics_path.write_text(result.to_json() + "\n")
     finally:
         if trace_sink is not None:
-            if args.trace_out.suffix == ".jsonl":
-                write_merged_jsonl(args.trace_out, trace_sink)
-            else:
-                write_merged_chrome(args.trace_out, trace_sink)
-            print(f"trace: {args.trace_out} "
-                  f"({n_trace_events(trace_sink)} events)",
+            write = (write_jsonl_trace if args.trace_out.suffix == ".jsonl"
+                     else write_chrome_trace)
+            write(args.trace_out, trace_sink)
+            n_events = sum(len(bus["events"]) for bus in trace_sink)
+            print(f"trace: {args.trace_out} ({n_events} events)",
                   file=sys.stderr)
     return 0
 

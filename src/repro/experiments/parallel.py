@@ -76,16 +76,6 @@ def _resolve(fn: str):
     return getattr(import_module(module_name), attr)
 
 
-def _serialize_bus(bus: "_trace.TraceBus") -> Dict[str, Any]:
-    """A TraceBus as plain data (cheap to pickle across the pool)."""
-    return {
-        "process_name": bus.process_name,
-        "tids": dict(bus._tids),
-        "events": [(ev.name, ev.cat, ev.ph, ev.ts, ev.dur, ev.tid, ev.args)
-                   for ev in bus.events],
-    }
-
-
 def _execute(spec: RunSpec, trace: bool = False) -> RunResult:
     """Run one spec in this process (pool worker or serial caller)."""
     fn = _resolve(spec.fn)
@@ -105,8 +95,7 @@ def _execute(spec: RunSpec, trace: bool = False) -> RunResult:
         value=value,
         report=reports,
         sim_events=_engine.dispatch_count() - before,
-        trace=([_serialize_bus(b) for b in session.buses]
-               if session is not None else None),
+        trace=session.serialize() if session is not None else None,
     )
 
 
@@ -144,10 +133,10 @@ def sweep(specs: Sequence[RunSpec], workers: int = 1,
 
     Tracing is on exactly when ``trace_sink`` is given; the sink receives
     the serialized buses in spec order (feed it to
-    :func:`write_merged_chrome`).  When ``into`` is given, each point's
-    row dict becomes a row of it and each point's metrics report is
-    merged into its ``reports``.  Returns the results in spec order for
-    sweeps that assemble their rows themselves.
+    :func:`repro.obs.trace.write_chrome_trace`).  When ``into`` is given,
+    each point's row dict becomes a row of it and each point's metrics
+    report is merged into its ``reports``.  Returns the results in spec
+    order for sweeps that assemble their rows themselves.
     """
     results = run_specs(specs, workers=workers, trace=trace_sink is not None)
     if trace_sink is not None:
@@ -159,8 +148,6 @@ def sweep(specs: Sequence[RunSpec], workers: int = 1,
     return results
 
 
-# -- trace merging ----------------------------------------------------------
-
 def collect_traces(results: Iterable[RunResult]) -> List[Dict[str, Any]]:
     """All serialized buses from ``results``, in result (= spec) order."""
     buses: List[Dict[str, Any]] = []
@@ -168,61 +155,3 @@ def collect_traces(results: Iterable[RunResult]) -> List[Dict[str, Any]]:
         if rr is not None and rr.trace:
             buses.extend(rr.trace)
     return buses
-
-
-def merged_chrome_events(buses: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Chrome-trace events with pids assigned by merge position."""
-    out: List[Dict[str, Any]] = []
-    for pid, bus in enumerate(buses, start=1):
-        out.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                    "args": {"name": bus["process_name"]}})
-        for tname, tid in sorted(bus["tids"].items(), key=lambda kv: kv[1]):
-            out.append({"name": "thread_name", "ph": "M", "pid": pid,
-                        "tid": tid, "args": {"name": tname}})
-        for name, cat, ph, ts, dur, tid, args in bus["events"]:
-            ev: Dict[str, Any] = {"name": name, "cat": cat, "ph": ph,
-                                  "ts": ts * 1e6, "pid": pid, "tid": tid}
-            if dur is not None:
-                ev["dur"] = dur * 1e6
-            if args:
-                ev["args"] = args
-            out.append(ev)
-    return out
-
-
-def merged_jsonl_events(buses: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Plain JSON event objects with pids assigned by merge position."""
-    out: List[Dict[str, Any]] = []
-    for pid, bus in enumerate(buses, start=1):
-        for name, cat, ph, ts, dur, tid, args in bus["events"]:
-            ev: Dict[str, Any] = {"name": name, "cat": cat, "ph": ph,
-                                  "t": ts, "pid": pid, "tid": tid}
-            if dur is not None:
-                ev["dur"] = dur
-            if args:
-                ev["args"] = args
-            out.append(ev)
-    return out
-
-
-def write_merged_chrome(path: Any, buses: Sequence[Dict[str, Any]]) -> None:
-    """Write merged buses as one Chrome-trace / Perfetto JSON file."""
-    import json
-    document = {"traceEvents": merged_chrome_events(buses),
-                "displayTimeUnit": "ms"}
-    with open(path, "w") as fh:
-        json.dump(document, fh)
-
-
-def write_merged_jsonl(path: Any, buses: Sequence[Dict[str, Any]]) -> None:
-    """Write merged buses as JSONL (one event object per line)."""
-    import json
-    with open(path, "w") as fh:
-        for obj in merged_jsonl_events(buses):
-            fh.write(json.dumps(obj))
-            fh.write("\n")
-
-
-def n_trace_events(buses: Sequence[Dict[str, Any]]) -> int:
-    """Total captured events across serialized buses."""
-    return sum(len(bus["events"]) for bus in buses)

@@ -15,8 +15,12 @@ cache, and the NFS/kHTTPd request handlers.  Design rules:
   (subsystem), ``ph`` (Chrome phase: ``i`` instant, ``X`` complete),
   ``ts`` (simulated seconds), optional ``dur``, and free-form ``args``.
 
-Exporters write Chrome-trace-format JSON (loadable in ``chrome://tracing``
-or https://ui.perfetto.dev) and plain JSONL (one event object per line).
+The exporters write Chrome-trace-format JSON (loadable in
+``chrome://tracing`` or https://ui.perfetto.dev) and plain JSONL (one
+event object per line).  They read *serialized* buses
+(:meth:`TraceBus.serialize`: plain data, which is also what crosses the
+experiment process pool), so a live session and a pooled sweep share one
+writer; a bus's Chrome pid is its position in the list written.
 A :class:`TraceSession` collects the buses of every simulator built while
 it is active, so one CLI flag can trace a whole experiment sweep: each
 testbed becomes a Chrome "process", each host a "thread".
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 #: Chrome trace phases used by this library.
 PHASE_INSTANT = "i"
@@ -51,30 +55,6 @@ class TraceEvent:
         self.tid = tid
         self.args = args
 
-    def to_chrome(self, pid: int) -> Dict[str, Any]:
-        """Chrome-trace event object (timestamps in microseconds)."""
-        out: Dict[str, Any] = {
-            "name": self.name, "cat": self.cat, "ph": self.ph,
-            "ts": self.ts * 1e6, "pid": pid, "tid": self.tid,
-        }
-        if self.dur is not None:
-            out["dur"] = self.dur * 1e6
-        if self.args:
-            out["args"] = self.args
-        return out
-
-    def to_jsonl(self, pid: int) -> Dict[str, Any]:
-        """Plain JSON object (timestamps in simulated seconds)."""
-        out: Dict[str, Any] = {
-            "name": self.name, "cat": self.cat, "ph": self.ph,
-            "t": self.ts, "pid": pid, "tid": self.tid,
-        }
-        if self.dur is not None:
-            out["dur"] = self.dur
-        if self.args:
-            out["args"] = self.args
-        return out
-
     def __repr__(self) -> str:
         return (f"TraceEvent({self.name!r}, t={self.ts:.9f}, "
                 f"ph={self.ph!r}, args={self.args!r})")
@@ -89,13 +69,11 @@ class TraceBus:
     (very high volume; off unless explicitly requested).
     """
 
-    __slots__ = ("clock", "pid", "process_name", "enabled", "engine_events",
+    __slots__ = ("clock", "process_name", "enabled", "engine_events",
                  "events", "_tids")
 
-    def __init__(self, clock: Any = None, pid: int = 1,
-                 process_name: str = "sim") -> None:
+    def __init__(self, clock: Any = None, process_name: str = "sim") -> None:
         self.clock = clock
-        self.pid = pid
         self.process_name = process_name
         self.enabled = False
         self.engine_events = False
@@ -152,40 +130,66 @@ class TraceBus:
 
     # -- export --------------------------------------------------------------
 
-    def chrome_events(self) -> List[Dict[str, Any]]:
-        """This bus's events plus process/thread metadata, Chrome format."""
-        out: List[Dict[str, Any]] = [{
-            "name": "process_name", "ph": "M", "pid": self.pid, "tid": 0,
-            "args": {"name": self.process_name},
-        }]
-        for tname, tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
-            out.append({"name": "thread_name", "ph": "M", "pid": self.pid,
+    def serialize(self) -> Dict[str, Any]:
+        """This bus as plain data: cheap to pickle across the process
+        pool, and the form the exporters below read."""
+        return {
+            "process_name": self.process_name,
+            "tids": dict(self._tids),
+            "events": [(ev.name, ev.cat, ev.ph, ev.ts, ev.dur, ev.tid, ev.args)
+                       for ev in self.events],
+        }
+
+
+def chrome_events(buses: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Chrome-trace event objects (timestamps in microseconds) plus
+    process/thread metadata; pids are positions in ``buses``."""
+    out: List[Dict[str, Any]] = []
+    for pid, bus in enumerate(buses, start=1):
+        out.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                    "args": {"name": bus["process_name"]}})
+        for tname, tid in sorted(bus["tids"].items(), key=lambda kv: kv[1]):
+            out.append({"name": "thread_name", "ph": "M", "pid": pid,
                         "tid": tid, "args": {"name": tname}})
-        out.extend(ev.to_chrome(self.pid) for ev in self.events)
-        return out
+        for name, cat, ph, ts, dur, tid, args in bus["events"]:
+            ev: Dict[str, Any] = {"name": name, "cat": cat, "ph": ph,
+                                  "ts": ts * 1e6, "pid": pid, "tid": tid}
+            if dur is not None:
+                ev["dur"] = dur * 1e6
+            if args:
+                ev["args"] = args
+            out.append(ev)
+    return out
 
-    def jsonl_events(self) -> List[Dict[str, Any]]:
-        """This bus's events as plain JSON objects."""
-        return [ev.to_jsonl(self.pid) for ev in self.events]
+
+def jsonl_events(buses: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Plain JSON event objects (timestamps in simulated seconds)."""
+    out: List[Dict[str, Any]] = []
+    for pid, bus in enumerate(buses, start=1):
+        for name, cat, ph, ts, dur, tid, args in bus["events"]:
+            ev: Dict[str, Any] = {"name": name, "cat": cat, "ph": ph,
+                                  "t": ts, "pid": pid, "tid": tid}
+            if dur is not None:
+                ev["dur"] = dur
+            if args:
+                ev["args"] = args
+            out.append(ev)
+    return out
 
 
-def write_chrome_trace(path: Any, buses: Iterable[TraceBus]) -> None:
+def write_chrome_trace(path: Any, buses: Sequence[Dict[str, Any]]) -> None:
     """Write a ``chrome://tracing`` / Perfetto-loadable JSON file."""
-    events: List[Dict[str, Any]] = []
-    for bus in buses:
-        events.extend(bus.chrome_events())
-    document = {"traceEvents": events, "displayTimeUnit": "ms"}
+    document = {"traceEvents": chrome_events(buses), "displayTimeUnit": "ms"}
     with open(path, "w") as fh:
         json.dump(document, fh)
 
 
-def write_jsonl_trace(path: Any, buses: Iterable[TraceBus]) -> None:
+def write_jsonl_trace(path: Any, buses: Sequence[Dict[str, Any]]) -> None:
     """Write one JSON event object per line (grep/jq-friendly)."""
     with open(path, "w") as fh:
-        for bus in buses:
-            for obj in bus.jsonl_events():
-                fh.write(json.dumps(obj))
-                fh.write("\n")
+        for obj in jsonl_events(buses):
+            fh.write(json.dumps(obj))
+            fh.write("\n")
 
 
 class TraceSession:
@@ -202,8 +206,7 @@ class TraceSession:
         self.buses: List[TraceBus] = []
 
     def adopt(self, bus: TraceBus) -> None:
-        """Enable ``bus`` and give it a distinct Chrome pid."""
-        bus.pid = len(self.buses) + 1
+        """Enable ``bus``; its Chrome pid is its position among ours."""
         bus.enable(engine_events=self.engine_events)
         self.buses.append(bus)
 
@@ -211,13 +214,17 @@ class TraceSession:
         """Total events captured across all adopted buses."""
         return sum(len(bus) for bus in self.buses)
 
+    def serialize(self) -> List[Dict[str, Any]]:
+        """Every adopted bus as plain data, in adoption order."""
+        return [bus.serialize() for bus in self.buses]
+
     def write_chrome(self, path: Any) -> None:
         """Export every adopted bus into one Chrome-trace JSON file."""
-        write_chrome_trace(path, self.buses)
+        write_chrome_trace(path, self.serialize())
 
     def write_jsonl(self, path: Any) -> None:
         """Export every adopted bus as JSONL."""
-        write_jsonl_trace(path, self.buses)
+        write_jsonl_trace(path, self.serialize())
 
 
 _active_session: Optional[TraceSession] = None

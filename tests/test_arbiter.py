@@ -108,14 +108,6 @@ class TestRegistration:
         with pytest.raises(ValueError, match="every byte"):
             arb.start(Simulator())
 
-    def test_unknown_downstream_rejected(self):
-        arb = MemoryArbiter(ArbiterSpec(), 100)
-        lease = Lease("a")
-        arb.register("a", 100, lease.resize, lease.metrics,
-                     downstream="nope")
-        with pytest.raises(ValueError, match="unknown downstream"):
-            arb.start(Simulator())
-
     def test_register_after_start_rejected(self):
         arb = MemoryArbiter(ArbiterSpec(), 100)
         lease = Lease("a")
@@ -247,21 +239,6 @@ class TestGhostGradient:
         assert arb.counters["arbiter.stall_aborts"].total == 1
         assert arb.lease("a").budget_bytes == 110
         assert arb.lease("b").budget_bytes == 90
-
-    def test_downstream_miss_rate_discounts_demand(self):
-        spec = ghost_spec()
-        arb = make_arbiter(spec, 200, counters=CounterSet())
-        a, b = Lease("a"), Lease("b")
-        arb.register("a", 100, a.resize, a.metrics,
-                     writeback=a.writeback, floor_bytes=10, downstream="b")
-        arb.register("b", 100, b.resize, b.metrics,
-                     writeback=b.writeback, floor_bytes=10)
-        # a's ghosts look hot, but b absorbs every lookup (zero miss
-        # rate), so a's demand collapses to zero and nothing moves.
-        a.ghosts(50)
-        b.metrics.hit._total += 100
-        self.run_ticks(arb)
-        assert arb.lease("a").budget_bytes == 100
 
 
 class TestBudgetWindow:

@@ -61,15 +61,12 @@ class TestBudget:
         k.make_room(0)
         assert k.used_bytes == 1
 
-    def test_resize_steal_grant(self):
+    def test_resize(self):
         k = kernel_of(4)
         fill(k, "abcd")
         victims = k.resize(2)
         assert victims == [] and k.used_bytes == 2 and k.capacity_bytes == 2
-        k.grant(3)
-        assert k.capacity_bytes == 5
-        k.steal(1)
-        assert k.capacity_bytes == 4
+        assert k.resize(5) == [] and k.capacity_bytes == 5
 
     @pytest.mark.parametrize("clean_first, gone, dirty_gone", [
         (False, "abde", "be"), (True, "adfh", "")])

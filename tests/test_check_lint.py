@@ -309,11 +309,11 @@ class TestBudgetLease:
                        "budget-lease")
         assert found and ".resize()" in found[0].message
 
-    def test_steal_and_grant_flagged(self, tmp_path):
+    def test_every_direct_call_flagged(self, tmp_path):
         diags = lint_source(tmp_path, """\
             def rob(donor, recipient):
-                victims = donor.steal(4096)
-                recipient.grant(4096)
+                victims = donor.resize(donor.capacity_bytes - 4096)
+                recipient.resize(recipient.capacity_bytes + 4096)
                 return victims
         """)
         assert len(active(diags, "budget-lease")) == 2

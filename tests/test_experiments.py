@@ -1,7 +1,8 @@
 """Experiment harness: Table 1/2 exactness and single-point figure shapes.
 
-Full figure sweeps run in benchmarks/; here we verify the machinery and
-the paper's qualitative orderings on single, cheap points.
+The full sweeps are held to the paper by ``python -m repro.analysis.paper``
+(CI's ``paper-audit``); here we verify the machinery and a few of its
+claims on single, cheap points, against the bands that registry holds.
 """
 
 from importlib import import_module
@@ -10,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro import experiments
-from repro.analysis import ExperimentResult, claims, pct_gain, ratio
+from repro.analysis import ExperimentResult, pct_gain, ratio
+from repro.analysis.paper import claims
 from repro.cache import POLICIES
 from repro.experiments import EXPERIMENTS, figure5, figure6, \
     policy_ablation, table1, table2
@@ -35,6 +37,15 @@ class TestAnalysis:
         result.add_note("a note")
         text = result.render()
         assert "Title" in text and "3.14" in text and "a note" in text
+
+    @pytest.mark.parametrize("value, shown", [
+        (99.996, "100"), (99.994, "99.99"), (100.0, "100"),
+        (0.9996, "1.00"), (0.9994, "0.999"), (1.0, "1.00"),
+        (999.5, "1000"), (-99.996, "-100"), (0.0, "0"), (7, "7")])
+    def test_precision_follows_the_rounded_magnitude(self, value, shown):
+        # 99.996 and 100.0 both show as 100: the digits are chosen from
+        # what the cell rounds to, not from the value before rounding.
+        assert ExperimentResult._fmt(value) == shown
 
     def test_ratio_helpers(self):
         assert ratio(150, 100) == 1.5
@@ -84,6 +95,13 @@ class TestFigureShapes:
                 for mode in (ServerMode.ORIGINAL, ServerMode.BASELINE,
                              ServerMode.NCACHE)}
 
+    @staticmethod
+    def in_band(claim_id, measured):
+        """Whether the registry's claim accepts ``measured``."""
+        claim, = [c for c in claims() if c.claim_id == claim_id]
+        claim.measured = measured
+        return claim.passed
+
     def test_allhit_ordering(self, allhit_32k):
         orig = allhit_32k[ServerMode.ORIGINAL]["throughput_mbps"]
         ncache = allhit_32k[ServerMode.NCACHE]["throughput_mbps"]
@@ -93,17 +111,19 @@ class TestFigureShapes:
     def test_allhit_ncache_gain_near_paper(self, allhit_32k):
         orig = allhit_32k[ServerMode.ORIGINAL]["throughput_mbps"]
         ncache = allhit_32k[ServerMode.NCACHE]["throughput_mbps"]
-        gain = pct_gain(ncache, orig)
-        assert 60 <= gain <= 120  # paper: +92%
+        assert self.in_band("fig5-ncache-32k", pct_gain(ncache, orig))
 
     def test_allhit_baseline_gain_near_paper(self, allhit_32k):
         orig = allhit_32k[ServerMode.ORIGINAL]["throughput_mbps"]
         base = allhit_32k[ServerMode.BASELINE]["throughput_mbps"]
-        gain = pct_gain(base, orig)
-        assert 100 <= gain <= 175  # paper: up to +143%
+        assert self.in_band("fig5-baseline-32k", pct_gain(base, orig))
 
     def test_original_cpu_saturated(self, allhit_32k):
-        assert allhit_32k[ServerMode.ORIGINAL]["server_cpu_pct"] > 95
+        # The claim reads the 1-NIC panel; original is no less saturated
+        # with two.
+        assert self.in_band(
+            "fig5-original-cpu-saturated",
+            allhit_32k[ServerMode.ORIGINAL]["server_cpu_pct"])
 
     def test_web_allhit_improvement_grows_with_size(self):
         small = {m: figure6.measure_allhit(m, 16384)["throughput_mbps"]

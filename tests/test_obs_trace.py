@@ -7,6 +7,7 @@ import pytest
 from repro.obs.trace import (
     TraceBus,
     active_session,
+    jsonl_events,
     start_tracing,
     stop_tracing,
     tracing,
@@ -91,7 +92,7 @@ class TestDeterminism:
             sim.schedule(0.1 * i, sim.trace.emit, f"tick.{i}")
         sim.schedule(0.2, sim.trace.emit, "tie")  # heap tie with tick.2
         sim.run()
-        return sim.trace.jsonl_events()
+        return jsonl_events([sim.trace.serialize()])
 
     def test_identical_runs_yield_identical_traces(self):
         assert self._traced_run() == self._traced_run()
@@ -107,7 +108,7 @@ class TestDeterminism:
 class TestExporters:
     @staticmethod
     def _bus():
-        bus = TraceBus(pid=3, process_name="NfsTestbed[NCache]").enable()
+        bus = TraceBus(process_name="NfsTestbed[NCache]").enable()
         bus.emit("nfs.read", cat="nfs", t=0.25,
                  tid=bus.tid_for("server"), xid=1)
         bus.complete("http.get", 0.25, cat="http",
@@ -116,22 +117,23 @@ class TestExporters:
 
     def test_chrome_trace_file_structure(self, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(path, [self._bus()])
+        write_chrome_trace(path, [TraceBus().serialize(),
+                                  self._bus().serialize()])
         doc = json.loads(path.read_text())
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         assert {"process_name", "thread_name"} == {e["name"] for e in meta}
-        proc = next(e for e in meta if e["name"] == "process_name")
+        proc = [e for e in meta if e["name"] == "process_name"][1]
         assert proc["args"]["name"] == "NfsTestbed[NCache]"
-        assert proc["pid"] == 3
+        assert proc["pid"] == 2  # position in the list written
         read = next(e for e in events if e["name"] == "nfs.read")
         assert read["ts"] == pytest.approx(0.25 * 1e6)  # microseconds
         assert read["args"] == {"xid": 1}
 
     def test_jsonl_file_parses_line_by_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        write_jsonl_trace(path, [self._bus()])
+        write_jsonl_trace(path, [self._bus().serialize()])
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         objs = [json.loads(line) for line in lines]
@@ -146,7 +148,7 @@ class TestSession:
             sim1 = Simulator()
             sim2 = Simulator()
             assert sim1.trace.enabled and sim2.trace.enabled
-            assert [b.pid for b in session.buses] == [1, 2]
+            assert session.buses == [sim1.trace, sim2.trace]
             sim1.trace.emit("a", t=0.0)
             assert session.n_events() == 1
         # After the session: new simulators are untouched.

@@ -21,8 +21,8 @@ import json
 from pathlib import Path
 
 from repro.experiments import figure4, fleet_churn, table2
-from repro.experiments.parallel import (collect_traces, merged_jsonl_events,
-                                        run_specs)
+from repro.experiments.parallel import collect_traces, run_specs
+from repro.obs.trace import jsonl_events
 from repro.sim import CPU, AllOf, AnyOf, Resource, Simulator, start
 
 GOLDEN = Path(__file__).parent / "goldens" / "engine_event_log.json"
@@ -64,9 +64,9 @@ class TestWorkerCountIndependence:
 
     def test_merged_trace_identical_1_vs_4_workers(self):
         specs = table2.grid()
-        serial = merged_jsonl_events(
+        serial = jsonl_events(
             collect_traces(run_specs(specs, workers=1, trace=True)))
-        pooled = merged_jsonl_events(
+        pooled = jsonl_events(
             collect_traces(run_specs(specs, workers=4, trace=True)))
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(pooled, sort_keys=True))
