@@ -11,7 +11,7 @@ eating into effective capacity.
 Run:  python examples/web_accelerator.py
 """
 
-from repro.experiments.common import scaled_memory_config, warm_caches
+from repro.experiments.common import measure, scaled_memory_config
 from repro.servers import MB, ServerMode, TestbedSpec
 from repro.workloads import SpecWebWorkload
 
@@ -21,14 +21,12 @@ WORKING_SETS_MB = (250, 500, 750, 900)
 
 
 def run_point(mode: ServerMode, working_set_mb: int) -> float:
-    testbed = TestbedSpec.web(mode, connections_per_client=6,
-                              **scaled_memory_config(SCALE)).build()
+    # One cell, the way every experiment runs one: a spec, a workload,
+    # and the measurement protocol (warm-started from the ranked paths).
+    testbed = TestbedSpec.web(mode, **scaled_memory_config(SCALE)).build()
     workload = SpecWebWorkload(
         testbed, working_set_bytes=working_set_mb * MB // SCALE)
-    testbed.setup()
-    warm_caches(testbed, workload.paths)
-    workload.start()
-    testbed.warmup_then_measure(0.15, 0.35)
+    measure(testbed, workload, quick=True, ranked=workload.paths)
     return testbed.meters.throughput.mb_per_second()
 
 

@@ -9,8 +9,7 @@ first reach stable storage.  The file-system buffer cache may hold only
 *keys* to that data, never the buffers themselves (otherwise the
 double-buffering the paper eliminates is silently back).
 
-The sanitizer tags every chunk (and stamps its NetBuffers' ``meta``) with
-a state machine and reports:
+The sanitizer tags every chunk with a state machine and reports:
 
 * **leak** — a dirty chunk evicted but never written back (lost write),
   or a chunk still pinned when the simulation ends;
@@ -141,7 +140,6 @@ class BufferSanitizer:
             ref=ref, key=str(chunk.key), state=ChunkState.CACHED,
             dirty=bool(chunk.dirty))
         self._evicted_keys.discard(chunk.key)
-        self._stamp(chunk, ChunkState.CACHED)
         self._own(chunk, ref)
 
     def chunk_evicted(self, chunk: Any) -> None:
@@ -157,7 +155,6 @@ class BufferSanitizer:
             key=str(chunk.key), state=ChunkState.EVICTED,
             dirty=bool(chunk.dirty))
         self._evicted_keys.add(chunk.key)
-        self._stamp(chunk, ChunkState.EVICTED)
         for payload in chunk.owned_payloads():
             for part in self._payload_parts(payload):
                 self._owned_payloads.pop(id(part), None)
@@ -187,15 +184,10 @@ class BufferSanitizer:
 
     # A compact chunk (``Chunk.from_payload``) holds one payload
     # descriptor and no buffers.  The hooks below read what a chunk holds
-    # *now* (``peek_buffers`` / ``owned_payloads``) and never ``.buffers``:
+    # *now* (``owned_payloads``) and never ``.buffers``:
     # that property builds the list for good, which would turn every
     # warm-started chunk into a buffer-list chunk at insert and keep the
     # segment-lazy substitution path from ever running under a test.
-
-    @staticmethod
-    def _stamp(chunk: Any, state: ChunkState) -> None:
-        for buf in chunk.peek_buffers() or ():
-            buf.meta["san.state"] = state.value
 
     @staticmethod
     def _owned_parts(chunk: Any) -> Iterator[Any]:

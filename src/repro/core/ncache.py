@@ -353,8 +353,7 @@ class NCacheModule:
                 # and the stack's subsequent marking never touch the
                 # cached buffers.
                 cached = [NetBuffer(payload=b.payload, headers=list(b.headers),
-                                    flavor=b.flavor,
-                                    meta=dict(m) if (m := b.peek_meta()) else None)
+                                    flavor=b.flavor)
                           for b in cached]
             substituted += len(cached)
             if pending_plain:

@@ -24,12 +24,10 @@ def slice_buffer(buf: NetBuffer, offset: int, length: int) -> NetBuffer:
     """
     if offset == 0 and length == buf.payload_bytes:
         return buf
-    meta = buf.peek_meta()
     # A partial slice carries different bytes: its checksum is not the
     # original buffer's, so it cannot be inherited (csum_known stays False).
     return NetBuffer(payload=buf.payload.slice(offset, length),
-                     headers=[], flavor=buf.flavor, checksum=None,
-                     meta=dict(meta) if meta else None)
+                     headers=[], flavor=buf.flavor, checksum=None)
 
 
 def split_into_chunks(chain: BufferChain, data_offset: int,

@@ -31,15 +31,11 @@ def attach_ncache(host: Host, vfs: VFS,
                   capacity_bytes: int,
                   lun: int = 0,
                   strict: bool = False,
-                  per_buffer_overhead: int = 160,
-                  per_chunk_overhead: int = 64,
                   inherit_checksums: bool = True,
                   enable_remap: bool = True,
                   policy: str = "lru") -> NCacheModule:
     """Create, wire and return an NCache module for this server."""
     store = NCacheStore(capacity_bytes, chunk_size=vfs.block_size,
-                        per_buffer_overhead=per_buffer_overhead,
-                        per_chunk_overhead=per_chunk_overhead,
                         counters=host.counters, trace=host.sim.trace,
                         policy=policy)
     image = vfs.image

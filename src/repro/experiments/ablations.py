@@ -14,32 +14,24 @@
 from __future__ import annotations
 
 from ..analysis.tables import ExperimentResult, pct_gain
-from ..servers.config import MB, ServerMode, TestbedConfig
-from ..servers.testbed import NfsTestbed, run_until_complete
-from ..workloads.microbench import AllHitReadWorkload
+from ..copymodel.costs import CostModel
+from ..servers.config import MB, ServerMode
+from ..servers.spec import TestbedSpec
+from ..workloads.microbench import AllHitReadWorkload, SequentialReadWorkload
 from ..workloads.specsfs import SpecSfsWorkload
 from ..workloads.specweb import SpecWebWorkload
-from .common import (
-    nfs_testbed,
-    protocol,
-    scaled_memory_config,
-    warm_caches,
-    web_testbed,
-)
+from .common import measure, scaled_memory_config
 from .parallel import RunSpec, sweep
 
 
-def _allhit_throughput(cfg_kwargs: dict, request_size: int,
-                       quick: bool) -> float:
-    proto = protocol(quick)
-    cfg = TestbedConfig(**cfg_kwargs)
-    testbed = NfsTestbed(cfg, flush_interval_s=None)
-    workload = AllHitReadWorkload(testbed, request_size,
-                                  streams_per_client=6)
-    testbed.setup()
-    run_until_complete(testbed.sim, workload.prewarm())
-    workload.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+def _allhit_throughput(mode: ServerMode, quick: bool,
+                       **config: object) -> float:
+    """32 KB all-hit reads on the CPU-bound machine of Figure 5(b):
+    two NICs, eight daemons."""
+    testbed = TestbedSpec.nfs(mode, n_server_nics=2, n_daemons=8,
+                              flush_interval_s=None, **config).build()
+    workload = AllHitReadWorkload(testbed, 32768, streams_per_client=6)
+    measure(testbed, workload, quick)
     return testbed.meters.throughput.mb_per_second()
 
 
@@ -49,28 +41,22 @@ def run_checksum(quick: bool = True) -> ExperimentResult:
         name="ablation_checksum",
         title="A1: checksum inheritance with NIC offload disabled",
         columns=["config", "throughput_mbps"])
-    request_size = 32768
     configs = [
-        ("original (sw checksum)",
-         dict(mode=ServerMode.ORIGINAL, checksum_offload=False,
-              n_server_nics=2)),
-        ("NCache inherit",
-         dict(mode=ServerMode.NCACHE, checksum_offload=False,
-              n_server_nics=2, ncache_inherit_checksums=True)),
-        ("NCache recompute",
-         dict(mode=ServerMode.NCACHE, checksum_offload=False,
-              n_server_nics=2, ncache_inherit_checksums=False)),
-        ("original (offload on)",
-         dict(mode=ServerMode.ORIGINAL, checksum_offload=True,
-              n_server_nics=2)),
-        ("NCache (offload on)",
-         dict(mode=ServerMode.NCACHE, checksum_offload=True,
-              n_server_nics=2)),
+        ("original (sw checksum)", ServerMode.ORIGINAL,
+         dict(checksum_offload=False)),
+        ("NCache inherit", ServerMode.NCACHE,
+         dict(checksum_offload=False, ncache_inherit_checksums=True)),
+        ("NCache recompute", ServerMode.NCACHE,
+         dict(checksum_offload=False, ncache_inherit_checksums=False)),
+        ("original (offload on)", ServerMode.ORIGINAL,
+         dict(checksum_offload=True)),
+        ("NCache (offload on)", ServerMode.NCACHE,
+         dict(checksum_offload=True)),
     ]
-    for label, kwargs in configs:
+    for label, mode, config in configs:
         result.add_row(config=label,
                        throughput_mbps=_allhit_throughput(
-                           kwargs, request_size, quick))
+                           mode, quick, **config))
     inherit = result.value("throughput_mbps", config="NCache inherit")
     recompute = result.value("throughput_mbps", config="NCache recompute")
     result.add_note(f"inheriting cached checksums is worth "
@@ -86,20 +72,16 @@ def run_fs_cache_size(quick: bool = True) -> ExperimentResult:
         title="A2: FS buffer cache size under NCache "
               "(double-buffering control, §3.4)",
         columns=["fs_cache_mb", "throughput_mbps", "fs_hit_ratio"])
-    proto = protocol(quick)
     scale = 4 if quick else 1
     overrides = scaled_memory_config(scale)
     working_set = 300 * MB // scale
     for fs_mb in (8, 16, 32, 64, 128):
         fs_bytes = fs_mb * MB // scale
-        testbed = web_testbed(ServerMode.NCACHE,
-                              **{**overrides,
-                                 "ncache_fs_cache_bytes": fs_bytes})
+        testbed = TestbedSpec.web(
+            ServerMode.NCACHE,
+            **{**overrides, "ncache_fs_cache_bytes": fs_bytes}).build()
         workload = SpecWebWorkload(testbed, working_set_bytes=working_set)
-        testbed.setup()
-        warm_caches(testbed, workload.paths)
-        workload.start()
-        testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+        measure(testbed, workload, quick, ranked=workload.paths)
         result.add_row(fs_cache_mb=fs_mb,
                        throughput_mbps=testbed.meters.throughput
                        .mb_per_second(),
@@ -117,17 +99,13 @@ def run_remap(quick: bool = True) -> ExperimentResult:
         title="A3: FHO->LBN remapping on buffer-cache flush",
         columns=["config", "ops_per_sec", "remaps", "ncache_writebacks",
                  "fho_chunks_left"])
-    proto = protocol(quick)
     for label, enable in (("remap on", True), ("remap off", False)):
-        testbed = nfs_testbed(ServerMode.NCACHE, flush_interval_s=0.05,
-                              ncache_enable_remap=enable)
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE, flush_interval_s=0.05,
+                                  ncache_enable_remap=enable).build()
         workload = SpecSfsWorkload(testbed, pct_regular=1.0,
                                    read_write_ratio=1.0,
                                    fs_size_bytes=256 * MB)
-        testbed.setup()
-        warm_caches(testbed, workload.names)
-        workload.start()
-        testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+        measure(testbed, workload, quick, ranked=workload.names)
         counters = testbed.server_host.counters
         result.add_row(config=label,
                        ops_per_sec=testbed.meters.throughput
@@ -147,7 +125,6 @@ def run_capacity(quick: bool = True) -> ExperimentResult:
         name="ablation_capacity",
         title="A4: NCache capacity vs throughput (Zipf working set)",
         columns=["capacity_frac", "throughput_mbps"])
-    proto = protocol(quick)
     scale = 4 if quick else 1
     working_set = 600 * MB // scale
     for frac in (0.25, 0.5, 0.75, 1.0):
@@ -159,12 +136,9 @@ def run_capacity(quick: bool = True) -> ExperimentResult:
         # Shrink usable memory by inflating the kernel carve-out.
         overrides["server_kernel_carveout"] = \
             carve + int(usable * (1 - frac))
-        testbed = web_testbed(ServerMode.NCACHE, **overrides)
+        testbed = TestbedSpec.web(ServerMode.NCACHE, **overrides).build()
         workload = SpecWebWorkload(testbed, working_set_bytes=working_set)
-        testbed.setup()
-        warm_caches(testbed, workload.paths)
-        workload.start()
-        testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+        measure(testbed, workload, quick, ranked=workload.paths)
         result.add_row(capacity_frac=frac,
                        throughput_mbps=testbed.meters.throughput
                        .mb_per_second())
@@ -185,16 +159,10 @@ def run_memcpy_cost(quick: bool = True) -> ExperimentResult:
         title="A5: NCache gain vs memcpy cost (32 KB all-hit, 2 NICs)",
         columns=["memcpy_ns_per_byte", "original_mbps", "ncache_mbps",
                  "gain_pct"])
-    from ..copymodel.costs import CostModel
-
     for ns_per_byte in (1.0, 2.0, 3.0, 5.0, 8.0):
         costs = CostModel(memcpy_ns_per_byte=ns_per_byte)
-        orig = _allhit_throughput(
-            dict(mode=ServerMode.ORIGINAL, n_server_nics=2, costs=costs),
-            32768, quick)
-        ncache = _allhit_throughput(
-            dict(mode=ServerMode.NCACHE, n_server_nics=2, costs=costs),
-            32768, quick)
+        orig = _allhit_throughput(ServerMode.ORIGINAL, quick, costs=costs)
+        ncache = _allhit_throughput(ServerMode.NCACHE, quick, costs=costs)
         result.add_row(memcpy_ns_per_byte=ns_per_byte, original_mbps=orig,
                        ncache_mbps=ncache,
                        gain_pct=pct_gain(ncache, orig))
@@ -209,18 +177,13 @@ def run_daemon_count(quick: bool = True) -> ExperimentResult:
         name="ablation_daemons",
         title="A6: NFS daemon count vs all-miss throughput (NCache, 32 KB)",
         columns=["n_daemons", "throughput_mbps", "server_cpu_pct"])
-    from ..workloads.microbench import SequentialReadWorkload
-
-    proto = protocol(quick)
     for n_daemons in (2, 4, 8, 16, 32):
-        testbed = nfs_testbed(ServerMode.NCACHE, n_daemons=n_daemons,
-                              flush_interval_s=None)
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE, n_daemons=n_daemons,
+                                  flush_interval_s=None).build()
         workload = SequentialReadWorkload(testbed, 32768,
                                           file_size=128 * MB,
                                           streams_per_client=12)
-        testbed.setup()
-        workload.start()
-        testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+        measure(testbed, workload, quick)
         result.add_row(n_daemons=n_daemons,
                        throughput_mbps=testbed.meters.throughput
                        .mb_per_second(),
@@ -244,20 +207,17 @@ def run_loss(quick: bool = True) -> ExperimentResult:
         name="ablation_loss",
         title="A7: all-hit throughput vs UDP loss rate (32 KB)",
         columns=["loss_pct", "mode", "throughput_mbps", "retransmissions"])
-    from ..workloads.microbench import AllHitReadWorkload
-
-    proto = protocol(quick)
     for loss in (0.0, 0.005, 0.02):
         for mode in (ServerMode.ORIGINAL, ServerMode.NCACHE):
-            testbed = nfs_testbed(mode, n_nics=2, n_daemons=8,
-                                  flush_interval_s=None)
+            testbed = TestbedSpec.nfs(mode, n_server_nics=2, n_daemons=8,
+                                      flush_interval_s=None).build()
             workload = AllHitReadWorkload(testbed, 32768,
                                           streams_per_client=6)
-            testbed.setup()
-            run_until_complete(testbed.sim, workload.prewarm())
-            testbed.network.set_loss(loss, seed=13)
-            workload.start()
-            testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+            # Loss starts once the cache is warm: prewarm reads must
+            # not be dropped.
+            measure(testbed, workload, quick,
+                    before_load=lambda: testbed.network.set_loss(
+                        loss, seed=13))
             retrans = sum(c.retransmissions for c in testbed.clients)
             result.add_row(loss_pct=loss * 100, mode=mode.label,
                            throughput_mbps=testbed.meters.throughput
@@ -283,20 +243,15 @@ def run_network_ready_disk(quick: bool = True) -> ExperimentResult:
         title="A8: network-ready on-disk format (§6), 32 KB all-miss",
         columns=["server", "disk_format", "throughput_mbps",
                  "storage_cpu_pct"])
-    from ..workloads.microbench import SequentialReadWorkload
-
-    proto = protocol(quick)
     for mode in (ServerMode.ORIGINAL, ServerMode.NCACHE):
         for ready in (False, True):
-            testbed = nfs_testbed(mode, n_daemons=24,
-                                  flush_interval_s=None,
-                                  storage_network_ready_disk=ready)
+            testbed = TestbedSpec.nfs(
+                mode, n_daemons=24, flush_interval_s=None,
+                storage_network_ready_disk=ready).build()
             workload = SequentialReadWorkload(testbed, 32768,
                                               file_size=256 * MB,
                                               streams_per_client=12)
-            testbed.setup()
-            workload.start()
-            testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
+            measure(testbed, workload, quick)
             result.add_row(server=mode.label,
                            disk_format="network-ready" if ready
                            else "conventional",

@@ -42,14 +42,15 @@ from ..net.buffer import VirtualPayload
 from ..nfs.client import NfsClient
 from ..nfs.protocol import FileHandle, NfsProc
 from ..servers.config import MB, ServerMode
+from ..servers.spec import TestbedSpec
 from ..servers.testbed import NfsTestbed
 from ..sim.engine import Event
 from ..sim.process import Process, start
 from ..sim.rng import substream
 from ..workloads.base import WorkloadBase
 from ..workloads.specsfs import _weighted_choice
-from .common import (nfs_testbed, protocol, scaled_memory_config,
-                     warm_caches)
+from .common import (measure_segments, per_kop, protocol,
+                     scaled_memory_config)
 from .parallel import RunSpec, sweep
 
 KB = 1024
@@ -256,40 +257,21 @@ def measure_point(split: str, quick: bool = True,
         total = (overrides["server_ram_bytes"]
                  - overrides["server_kernel_carveout"])
         overrides["ncache_fs_cache_bytes"] = int(float(split) * total)
-    testbed = nfs_testbed(ServerMode.NCACHE, n_daemons=16, **overrides)
+    testbed = TestbedSpec.nfs(ServerMode.NCACHE, **overrides).build()
 
     load = PhaseShiftWorkload(t, testbed.config.cache_memory_bytes,
                               testbed)
-    warm_caches(testbed, load.data_names)
-    testbed.setup()
-    load.start()
-    testbed.sim.run(until=t["warm_end"])
-    testbed.reset_measurements()
-
-    def ops() -> float:
-        return testbed.meters.throughput.ops.value
-
-    segments: Dict[str, Dict[str, float]] = {}
-    backend_mark, ops_mark = testbed.target.reads_served, ops()
-    for name, until in (("read", t["read_end"]),
-                        ("write", t["write_end"]),
-                        ("web", t["web_end"])):
-        testbed.sim.run(until=until)
-        backend_now, ops_now = testbed.target.reads_served, ops()
-        segments[name] = {"backend": backend_now - backend_mark,
-                          "ops": ops_now - ops_mark}
-        backend_mark, ops_mark = backend_now, ops_now
+    segments = measure_segments(
+        testbed, load, t["warm_end"],
+        (("read", t["read_end"]), ("write", t["write_end"]),
+         ("web", t["web_end"])),
+        lambda: testbed.target.reads_served, ranked=load.data_names)
 
     if reports is not None:
         key = f"adaptive_budget/{split}"
         snapshot = testbed.metrics_snapshot()
         snapshot["segments"] = segments
         reports[key] = snapshot
-
-    def per_kop(segment: Dict[str, float]) -> float:
-        if not segment["ops"]:
-            return 0.0
-        return 1000.0 * segment["backend"] / segment["ops"]
 
     counters = testbed.server_host.counters
     fs_budget = testbed.arbiter.lease("bcache").budget_bytes

@@ -1,7 +1,11 @@
-"""Shared experiment machinery: testbed builders, warm-start, durations.
+"""Shared experiment machinery: the measurement protocol, warm-start,
+durations.
 
-Every experiment follows the same protocol: build a testbed for one
-:class:`ServerMode`, install a workload, warm up, reset meters, measure.
+Every cell of every sweep is described by a
+:class:`~repro.servers.spec.TestbedSpec` (or ``ClusterSpec``), built by
+its ``build()``, and run by :func:`measure`: set up, warm, start the
+load, warm up, reset meters, measure.  :func:`measure_segments` is the
+same protocol with the measured window cut into named segments.
 ``quick=True`` (the default for tests and CI) shrinks the simulated
 windows — and, for the cache-geometry experiments, the memory sizes,
 keeping all *ratios* intact while cutting wall-clock time.
@@ -14,14 +18,12 @@ fill: measurements start from the steady state the paper measures in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.chunk import Chunk
 from ..core.keys import KeyedPayload, LbnKey
 from ..net.buffer import JunkPayload
 from ..servers.config import MB, ServerMode
-from ..servers.spec import TestbedSpec
-from ..servers.testbed import NfsTestbed, WebTestbed
 
 ALL_MODES = (ServerMode.ORIGINAL, ServerMode.BASELINE, ServerMode.NCACHE)
 
@@ -48,24 +50,82 @@ def protocol(quick: bool) -> Protocol:
     return QUICK if quick else FULL
 
 
-def nfs_testbed(mode: ServerMode, n_nics: int = 1, n_daemons: int = 16,
-                flush_interval_s: Optional[float] = 0.25,
-                **config_overrides) -> NfsTestbed:
-    """A fully-built NFS testbed for one server mode."""
-    spec = TestbedSpec.nfs(mode, flush_interval_s=flush_interval_s,
-                           n_server_nics=n_nics, n_daemons=n_daemons,
-                           **config_overrides)
-    return spec.build()
+def measure(target: Any, workload: Any, quick: bool, *,
+            ranked: Optional[Sequence[str]] = None,
+            before_load: Optional[Callable[[], None]] = None,
+            reports: Optional[Dict[str, Any]] = None,
+            key: str = "") -> None:
+    """Run the measurement protocol on a built, workload-bound target.
+
+    Set up the sessions; warm the caches — :func:`warm_caches` over
+    ``ranked`` (hottest first) when given, else the workload's own
+    ``prewarm()`` if it has one; call ``before_load`` (the one step an
+    experiment may put between a warm cache and the load: A7 turns packet
+    loss on there); start the load; run the warm-up window, zero every
+    meter, run the measurement window.  With ``reports``, the target's
+    metrics snapshot is stored under ``key``.
+    """
+    proto = protocol(quick)
+    target.setup()
+    if ranked is not None:
+        warm_caches(target, ranked)
+    else:
+        workload.warm()
+    if before_load is not None:
+        before_load()
+    workload.start()
+    target.warmup_then_measure(proto.warmup_s, proto.measure_s)
+    if reports is not None:
+        reports[key] = target.metrics_snapshot()
 
 
-def web_testbed(mode: ServerMode, n_nics: int = 2,
-                connections_per_client: int = 6,
-                **config_overrides) -> WebTestbed:
-    """A fully-built kHTTPd testbed for one server mode."""
-    spec = TestbedSpec.web(mode,
-                           connections_per_client=connections_per_client,
-                           n_server_nics=n_nics, **config_overrides)
-    return spec.build()
+def measure_segments(target: Any, workload: Any, warm_end: float,
+                     segments: Sequence[Tuple[str, float]],
+                     backend: Callable[[], float], *,
+                     ranked: Optional[Sequence[str]] = None,
+                     relative: bool = False
+                     ) -> Dict[str, Dict[str, float]]:
+    """:func:`measure` with the measured window cut into named segments.
+
+    ``warm_end`` and each segment's end are absolute simulated times —
+    what a churn schedule or a phase-shifting workload is written
+    against — or, with ``relative``, lengths counted from the previous
+    boundary.  ``backend`` reads a lifetime total (it is not zeroed at
+    the end of warm-up); each segment records how far it and the
+    completed-operation count moved: ``{"backend": ..., "ops": ...}``.
+    """
+    sim = target.sim
+
+    def at(when: float) -> float:
+        return sim.now + when if relative else when
+
+    def totals() -> Tuple[float, float]:
+        # Read the fleet's testbeds each time: a join grows the list.
+        return backend(), sum(tb.meters.throughput.ops.value
+                              for tb in getattr(target, "testbeds",
+                                                [target]))
+
+    target.setup()
+    if ranked is not None:
+        warm_caches(target, ranked)
+    workload.run(until=at(warm_end))
+    target.reset_measurements()
+    measured: Dict[str, Dict[str, float]] = {}
+    backend_mark, ops_mark = totals()
+    for name, until in segments:
+        sim.run(until=at(until))
+        backend_now, ops_now = totals()
+        measured[name] = {"backend": backend_now - backend_mark,
+                          "ops": ops_now - ops_mark}
+        backend_mark, ops_mark = backend_now, ops_now
+    return measured
+
+
+def per_kop(segment: Dict[str, float]) -> float:
+    """Backend reads per 1000 operations over one measured segment."""
+    if not segment["ops"]:
+        return 0.0
+    return 1000.0 * segment["backend"] / segment["ops"]
 
 
 def warm_caches(testbed, ranked_names: Sequence[str]) -> None:

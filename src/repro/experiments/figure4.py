@@ -15,8 +15,9 @@ from typing import List
 
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..servers.config import ServerMode
+from ..servers.spec import TestbedSpec
 from ..workloads.microbench import SequentialReadWorkload
-from .common import ALL_MODES, NFS_REQUEST_SIZES, nfs_testbed, protocol
+from .common import ALL_MODES, NFS_REQUEST_SIZES, measure
 from .parallel import RunSpec, sweep
 
 GB = 1 << 30
@@ -30,18 +31,14 @@ def measure_point(mode: ServerMode, request_size: int, quick: bool = True,
     When ``reports`` is given, the testbed's full metrics snapshot is
     stored there under ``"<mode>/<request_size>"``.
     """
-    proto = protocol(quick)
     file_size = (256 << 20) if quick else 2 * GB
-    testbed = nfs_testbed(mode, n_nics=1, n_daemons=24,
-                          flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, n_daemons=24,
+                              flush_interval_s=None).build()
     workload = SequentialReadWorkload(testbed, request_size,
                                       file_size=file_size,
                                       streams_per_client=streams_per_client)
-    testbed.setup()
-    workload.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
-    if reports is not None:
-        reports[f"{mode.value}/{request_size}"] = testbed.metrics_snapshot()
+    measure(testbed, workload, quick, reports=reports,
+            key=f"{mode.value}/{request_size}")
     return {
         "mode": mode.label,
         "request_kb": request_size // 1024,

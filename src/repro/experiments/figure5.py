@@ -16,9 +16,9 @@ from typing import List
 
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..servers.config import ServerMode
-from ..servers.testbed import run_until_complete
+from ..servers.spec import TestbedSpec
 from ..workloads.microbench import AllHitReadWorkload
-from .common import ALL_MODES, NFS_REQUEST_SIZES, nfs_testbed, protocol
+from .common import ALL_MODES, NFS_REQUEST_SIZES, measure
 from .parallel import RunSpec, sweep
 
 
@@ -30,18 +30,12 @@ def measure_point(mode: ServerMode, request_size: int, n_nics: int,
     When ``reports`` is given, the testbed's full metrics snapshot is
     stored there under ``"<mode>/<nics>nic/<request_size>"``.
     """
-    proto = protocol(quick)
-    testbed = nfs_testbed(mode, n_nics=n_nics, n_daemons=8,
-                          flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, n_server_nics=n_nics, n_daemons=8,
+                              flush_interval_s=None).build()
     workload = AllHitReadWorkload(testbed, request_size,
                                   streams_per_client=streams_per_client)
-    testbed.setup()
-    run_until_complete(testbed.sim, workload.prewarm())
-    workload.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
-    if reports is not None:
-        reports[f"{mode.value}/{n_nics}nic/{request_size}"] = \
-            testbed.metrics_snapshot()
+    measure(testbed, workload, quick, reports=reports,
+            key=f"{mode.value}/{n_nics}nic/{request_size}")
     return {
         "mode": mode.label,
         "nics": n_nics,

@@ -16,15 +16,13 @@ from typing import List
 
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..servers.config import MB, ServerMode
-from ..servers.testbed import run_until_complete
+from ..servers.spec import TestbedSpec
 from ..workloads.specweb import AllHitWebWorkload, SpecWebWorkload
 from .common import (
     ALL_MODES,
     WEB_REQUEST_SIZES,
-    protocol,
+    measure,
     scaled_memory_config,
-    warm_caches,
-    web_testbed,
 )
 from .parallel import RunSpec, sweep
 
@@ -40,19 +38,12 @@ def measure_working_set(mode: ServerMode, working_set_mb: int,
     When ``reports`` is given, the testbed's full metrics snapshot is
     stored there under ``"<mode>/<working_set_mb>mb"``.
     """
-    proto = protocol(quick)
     scale = QUICK_SCALE if quick else 1
-    overrides = scaled_memory_config(scale)
-    testbed = web_testbed(mode, **overrides)
+    testbed = TestbedSpec.web(mode, **scaled_memory_config(scale)).build()
     workload = SpecWebWorkload(testbed,
                                working_set_bytes=working_set_mb * MB // scale)
-    testbed.setup()
-    warm_caches(testbed, workload.paths)
-    workload.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
-    if reports is not None:
-        reports[f"{mode.value}/{working_set_mb}mb"] = \
-            testbed.metrics_snapshot()
+    measure(testbed, workload, quick, ranked=workload.paths,
+            reports=reports, key=f"{mode.value}/{working_set_mb}mb")
     return {
         "mode": mode.label,
         "working_set_mb": working_set_mb,
@@ -78,16 +69,10 @@ def measure_allhit(mode: ServerMode, request_size: int,
     When ``reports`` is given, the testbed's full metrics snapshot is
     stored there under ``"<mode>/allhit/<request_size>"``.
     """
-    proto = protocol(quick)
-    testbed = web_testbed(mode)
+    testbed = TestbedSpec.web(mode).build()
     workload = AllHitWebWorkload(testbed, request_size)
-    testbed.setup()
-    run_until_complete(testbed.sim, workload.prewarm())
-    workload.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
-    if reports is not None:
-        reports[f"{mode.value}/allhit/{request_size}"] = \
-            testbed.metrics_snapshot()
+    measure(testbed, workload, quick, reports=reports,
+            key=f"{mode.value}/allhit/{request_size}")
     return {
         "mode": mode.label,
         "request_kb": request_size // 1024,

@@ -13,8 +13,9 @@ from typing import List
 
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..servers.config import ServerMode
+from ..servers.spec import TestbedSpec
 from ..workloads.specsfs import SpecSfsWorkload
-from .common import ALL_MODES, nfs_testbed, protocol, warm_caches
+from .common import ALL_MODES, measure
 from .parallel import RunSpec, sweep
 
 GB = 1 << 30
@@ -30,22 +31,14 @@ def measure_point(mode: ServerMode, pct_regular: int,
     When ``reports`` is given, the testbed's full metrics snapshot is
     stored there under ``"<mode>/<pct_regular>pct"``.
     """
-    proto = protocol(quick)
     fs_size = (GB // 2) if quick else 2 * GB
-    testbed = nfs_testbed(mode, n_nics=1, n_daemons=16,
-                          flush_interval_s=0.05)
-    if testbed.flush_daemon is not None:
-        testbed.flush_daemon.max_blocks_per_pass = 16
+    testbed = TestbedSpec.nfs(mode, flush_interval_s=0.05).build()
+    testbed.flush_daemon.max_blocks_per_pass = 16
     workload = SpecSfsWorkload(testbed, pct_regular=pct_regular / 100.0,
                                fs_size_bytes=fs_size,
                                outstanding_per_client=8)
-    testbed.setup()
-    warm_caches(testbed, workload.names)
-    workload.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
-    if reports is not None:
-        reports[f"{mode.value}/{pct_regular}pct"] = \
-            testbed.metrics_snapshot()
+    measure(testbed, workload, quick, ranked=workload.names,
+            reports=reports, key=f"{mode.value}/{pct_regular}pct")
     return {
         "mode": mode.label,
         "pct_regular": pct_regular,

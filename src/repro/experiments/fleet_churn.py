@@ -30,7 +30,8 @@ from ..analysis.tables import ExperimentResult
 from ..servers.config import ServerMode
 from ..servers.spec import ChurnEvent, ChurnSchedule, ClusterSpec, TestbedSpec
 from ..workloads.fleetzipf import FlashCrowd, FleetZipfWorkload, HotKeyStorm
-from .common import protocol, scaled_memory_config
+from .common import (measure_segments, per_kop, protocol,
+                     scaled_memory_config)
 from .fleet_scaling import BASE_SCALE
 from .parallel import RunSpec, sweep
 
@@ -104,27 +105,11 @@ def measure_point(replication: int, cooperative: bool,
     fleet = cluster_spec(replication, cooperative, group_blocks,
                          quick).build()
     load = workload(quick).bind(fleet)
-    fleet.setup()
-    load.start()
-    fleet.sim.run(until=t["warm_end"])
-    fleet.reset_measurements()
-
-    def ops() -> float:
-        return sum(tb.meters.throughput.ops.value
-                   for tb in fleet.testbeds)
-
-    segments: Dict[str, Dict[str, float]] = {}
-    backend_mark, ops_mark = fleet.backend_reads(), ops()
-    for name, until in (("pre", t["pre_end"]),
-                        ("outage", t["outage_end"]),
-                        ("recovery", t["recovery_end"])):
-        fleet.sim.run(until=until)
-        backend_now, ops_now = fleet.backend_reads(), ops()
-        segments[name] = {
-            "backend": backend_now - backend_mark,
-            "ops": ops_now - ops_mark,
-        }
-        backend_mark, ops_mark = backend_now, ops_now
+    segments = measure_segments(
+        fleet, load, t["warm_end"],
+        (("pre", t["pre_end"]), ("outage", t["outage_end"]),
+         ("recovery", t["recovery_end"])),
+        fleet.backend_reads)
 
     if reports is not None:
         key = f"r{replication}/g{group_blocks}/" \
@@ -134,18 +119,14 @@ def measure_point(replication: int, cooperative: bool,
         snapshot["segments"] = segments
         reports[key] = snapshot
 
-    def per_kop(segment: Dict[str, float]) -> float:
-        if not segment["ops"]:
-            return 0.0
-        return 1000.0 * segment["backend"] / segment["ops"]
-
     stats = fleet.churn_stats()
     measured_s = t["recovery_end"] - t["warm_end"]
+    ops = sum(tb.meters.throughput.ops.value for tb in fleet.testbeds)
     return {
         "repl": replication,
         "coop": "on" if cooperative else "off",
         "group": group_blocks,
-        "ops_per_s": ops() / measured_s,
+        "ops_per_s": ops / measured_s,
         "pre_bpk": per_kop(segments["pre"]),
         "outage_bpk": per_kop(segments["outage"]),
         "recovery_bpk": per_kop(segments["recovery"]),

@@ -28,7 +28,8 @@ from ..analysis.tables import ExperimentResult
 from ..servers.config import ServerMode
 from ..servers.spec import ClusterSpec, TestbedSpec
 from ..workloads.fleetzipf import FleetZipfWorkload
-from .common import protocol, scaled_memory_config
+from .common import (measure_segments, per_kop, protocol,
+                     scaled_memory_config)
 from .parallel import RunSpec, sweep
 
 KB = 1024
@@ -71,22 +72,17 @@ def measure_point(n_servers: int, cooperative: bool, replication: int = 1,
     proto = protocol(quick)
     fleet = cluster_spec(n_servers, cooperative, replication, quick).build()
     load = workload(quick).bind(fleet)
-    fleet.setup()
-    load.start()
     # Double the standard warmup: the fleet must reach cache steady
     # state before backend reads are attributable to cooperation.
-    fleet.sim.run(until=fleet.sim.now + 2 * proto.warmup_s)
-    fleet.reset_measurements()
-    backend_before = fleet.backend_reads()
-    fleet.sim.run(until=fleet.sim.now + proto.measure_s)
-    backend_reads = fleet.backend_reads() - backend_before
+    window = measure_segments(
+        fleet, load, 2 * proto.warmup_s, (("measure", proto.measure_s),),
+        fleet.backend_reads, relative=True)["measure"]
     if reports is not None:
         key = f"n{n_servers}/r{replication}/" \
               f"{'coop' if cooperative else 'solo'}"
         reports[key] = fleet.metrics_snapshot()
     probes = fleet.counter_sum("fleet.peer_probe")
     hits = fleet.counter_sum("fleet.peer_hit")
-    ops = sum(tb.meters.throughput.ops.value for tb in fleet.testbeds)
     return {
         "n_servers": n_servers,
         "coop": "on" if cooperative else "off",
@@ -98,10 +94,10 @@ def measure_point(n_servers: int, cooperative: bool, replication: int = 1,
         "imbalance": fleet.imbalance(),
         "peer_hit_pct": 100.0 * hits / probes if probes else 0.0,
         "peer_mb": fleet.counter_sum("fleet.peer_bytes") / MB,
-        "backend_reads": int(backend_reads),
+        "backend_reads": int(window["backend"]),
         # Closed-loop normalization: cooperation speeds the fleet up, so
         # raw backend counts understate the saving per unit of work.
-        "backend_per_kop": 1000.0 * backend_reads / ops if ops else 0.0,
+        "backend_per_kop": per_kop(window),
     }
 
 

@@ -31,13 +31,8 @@ from ..cache import POLICIES
 from ..servers.config import GB, MB, ServerMode
 from ..workloads.specsfs import SpecSfsWorkload
 from ..workloads.specweb import SpecWebWorkload
-from .common import (
-    nfs_testbed,
-    protocol,
-    scaled_memory_config,
-    warm_caches,
-    web_testbed,
-)
+from ..servers.spec import TestbedSpec
+from .common import measure, scaled_memory_config
 from .parallel import RunSpec, sweep
 
 #: Every registered policy, in registry (insertion) order — LRU first.
@@ -59,32 +54,27 @@ def measure_point(workload: str, policy: str,
     When ``reports`` is given, the testbed's full metrics snapshot is
     stored there under ``"<workload>/<policy>"``.
     """
-    proto = protocol(quick)
     scale = QUICK_SCALE if quick else 1
     overrides = scaled_memory_config(scale)
     overrides.update(cache_policy=policy)
     if workload == "specsfs":
-        testbed = nfs_testbed(ServerMode.NCACHE, n_nics=1, n_daemons=16,
-                              flush_interval_s=0.05, **overrides)
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE, flush_interval_s=0.05,
+                                  **overrides).build()
         fs_size = (GB // 2) if quick else 2 * GB
         wl = SpecSfsWorkload(testbed, pct_regular=0.75,
                              fs_size_bytes=fs_size,
                              outstanding_per_client=8)
         ranked = wl.names
     elif workload == "specweb":
-        testbed = web_testbed(ServerMode.NCACHE, **overrides)
+        testbed = TestbedSpec.web(ServerMode.NCACHE, **overrides).build()
         wl = SpecWebWorkload(
             testbed,
             working_set_bytes=WEB_WORKING_SET_MB * MB // scale)
         ranked = wl.paths
     else:
         raise ValueError(f"unknown workload {workload!r}")
-    testbed.setup()
-    warm_caches(testbed, ranked)
-    wl.start()
-    testbed.warmup_then_measure(proto.warmup_s, proto.measure_s)
-    if reports is not None:
-        reports[f"{workload}/{policy}"] = testbed.metrics_snapshot()
+    measure(testbed, wl, quick, ranked=ranked, reports=reports,
+            key=f"{workload}/{policy}")
     counters = testbed.server_host.counters
     hits = counters["cache.ncache.hit"].value
     misses = counters["cache.ncache.miss"].value

@@ -25,8 +25,9 @@ from typing import Dict, List
 from ..analysis.tables import ExperimentResult
 from ..copymodel.accounting import physical_copies
 from ..net.buffer import VirtualPayload
-from ..servers.config import ServerMode, TestbedConfig
-from ..servers.testbed import NfsTestbed, WebTestbed, run_until_complete
+from ..servers.config import ServerMode
+from ..servers.spec import TestbedSpec
+from ..servers.testbed import run_until_complete
 from ..sim.process import start
 from .common import ALL_MODES
 from .parallel import RunSpec, sweep
@@ -46,8 +47,8 @@ def _server_copies(events: list, request):
 
 def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
     """Run the four NFS paths; returns path -> physical copies."""
-    cfg = TestbedConfig(mode=mode, ncache_strict=True)
-    testbed = NfsTestbed(cfg, flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, n_daemons=8, ncache_strict=True,
+                              flush_interval_s=None).build()
     testbed.image.create_file("t2file", 16 << 20)
     fh = testbed.file_handle("t2file")
     inode = testbed.image.lookup("t2file")
@@ -76,8 +77,8 @@ def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
 
 def web_copy_counts(mode: ServerMode) -> Dict[str, int]:
     """Run the two kHTTPd paths; returns path -> physical copies."""
-    cfg = TestbedConfig(mode=mode, ncache_strict=True)
-    testbed = WebTestbed(cfg, connections_per_client=1)
+    testbed = TestbedSpec.web(mode, n_server_nics=1, ncache_strict=True,
+                              connections_per_client=1).build()
     testbed.image.create_file("page.html", 65536)
     client = testbed.http_clients[0]
     counts: Dict[str, int] = {}

@@ -2,13 +2,13 @@
 
 The paper's NCache serves one pass-through server; this package scales
 it out.  A :class:`~repro.servers.spec.ClusterSpec` describes the fleet,
-:class:`FleetBuilder` composes it (shared simulator and switch, one
+:func:`build_fleet` composes it (shared simulator and switch, one
 testbed per node, peer cache wiring), and :class:`Fleet` is the wired
 result the workloads and experiments drive.
 """
 
 from ..servers.spec import ChurnEvent, ChurnSchedule, ClusterSpec
-from .builder import Fleet, FleetBuilder, FleetNode
+from .builder import Fleet, FleetNode, build_fleet
 from .hashring import HashRing
 from .peer import PeerCacheClient, PeerCacheService
 
@@ -17,9 +17,9 @@ __all__ = [
     "ChurnSchedule",
     "ClusterSpec",
     "Fleet",
-    "FleetBuilder",
     "FleetNode",
     "HashRing",
     "PeerCacheClient",
     "PeerCacheService",
+    "build_fleet",
 ]

@@ -221,11 +221,7 @@ class Fleet:
         if module is not None:
             node.warm_target_bytes = int(
                 WARM_FRACTION * module.store.used_bytes)
-        for ip in node.testbed.server_ips:
-            self.network.set_port_down(ip)
-        down, node.down_event = node.down_event, None
-        if down is not None:
-            down.succeed(None)
+        self._go_dark(node)
         self._trace_churn("crash", node_id)
 
     def rejoin(self, node_id: int) -> None:
@@ -277,6 +273,11 @@ class Fleet:
         if module is not None:
             yield from self._drain(node, module)
         node.status = "left"
+        self._go_dark(node)
+
+    def _go_dark(self, node: FleetNode) -> None:
+        """Close ``node``'s ports at the switch and fire its
+        ``down_event`` so streams racing a request against it reroute."""
         for ip in node.testbed.server_ips:
             self.network.set_port_down(ip)
         down, node.down_event = node.down_event, None
@@ -336,11 +337,7 @@ class Fleet:
         node.down_event = self.sim.event()
         yield from testbed.initiator.connect()
         if self.spec.cooperative:
-            node.service = PeerCacheService(testbed)
-            node.client = PeerCacheClient(
-                testbed, peers_for=FleetBuilder._peers_for(self, index))
-            testbed.initiator.read_interceptor = cooperative_interceptor(
-                testbed.ncache, node.client)
+            self._wire_peer(node)
         self.nodes.append(node)
         self._routed.append(self.metrics.counter(f"fleet.routed.n{index}"))
         before = self._owner_map()
@@ -348,6 +345,20 @@ class Fleet:
         self._note_rebalance(before)
         self._trace_churn("join", index)
         return node
+
+    def _wire_peer(self, node: FleetNode) -> None:
+        """Give ``node`` the cooperative wiring: the peer service, the
+        peer client, and the read seam chaining local NCache, then the
+        group's other owners, then (back in the initiator) the wire to
+        iSCSI."""
+        testbed = node.testbed
+        index = node.index
+        node.service = PeerCacheService(testbed)
+        node.client = PeerCacheClient(
+            testbed,
+            peers_for=lambda lbn: self.peer_endpoints(lbn, exclude=index))
+        testbed.initiator.read_interceptor = cooperative_interceptor(
+            testbed.ncache, node.client)
 
     # -- rebalance accounting ------------------------------------------------
 
@@ -451,11 +462,6 @@ class Fleet:
             node.testbed.reset_measurements()
         self.metrics.reset()
 
-    def warmup_then_measure(self, warmup_s: float, measure_s: float) -> None:
-        self.sim.run(until=self.sim.now + warmup_s)
-        self.reset_measurements()
-        self.sim.run(until=self.sim.now + measure_s)
-
     def backend_reads(self) -> int:
         """Total iSCSI commands served by the nodes' storage backends.
 
@@ -504,46 +510,26 @@ class Fleet:
         }
 
 
-class FleetBuilder:
-    """Builds the testbeds, the ring, and the cooperative wiring."""
-
-    def __init__(self, spec: ClusterSpec) -> None:
-        self.spec = spec
-
-    def build(self) -> Fleet:
-        spec = self.spec
-        n = spec.n_servers
-        ring = HashRing(range(n), vnodes=spec.vnodes, seed=spec.hash_seed)
-        if n == 1:
-            # Fast path: exactly the standalone testbed, event-for-event.
-            testbed = spec.testbed.build()
-            return Fleet(spec, testbed.sim, testbed.network,
-                         [FleetNode(0, testbed)], ring)
-        sim = Simulator()
-        sim.trace.process_name = (
-            f"Fleet[{n}x{spec.testbed.kind}/{spec.testbed.mode.label}]")
-        network = Network(sim)
-        nodes = [FleetNode(i, spec.testbed.build(
-                     sim=sim, network=network, name_prefix=f"s{i}."))
-                 for i in range(n)]
-        fleet = Fleet(spec, sim, network, nodes, ring)
-        if spec.cooperative:
-            for node in nodes:
-                node.service = PeerCacheService(node.testbed)
-            for node in nodes:
-                node.client = PeerCacheClient(
-                    node.testbed,
-                    peers_for=self._peers_for(fleet, node.index))
-                # Local NCache first, then the group's other owners,
-                # then (back in the initiator) the wire to iSCSI.
-                node.testbed.initiator.read_interceptor = \
-                    cooperative_interceptor(node.testbed.ncache, node.client)
-        if spec.churn is not None:
-            fleet.install_churn(spec.churn)
-        return fleet
-
-    @staticmethod
-    def _peers_for(fleet: Fleet, index: int):
-        def peers(lbn: int) -> List[Endpoint]:
-            return fleet.peer_endpoints(lbn, exclude=index)
-        return peers
+def build_fleet(spec: ClusterSpec) -> Fleet:
+    """Build the testbeds, the ring, and the cooperative wiring."""
+    n = spec.n_servers
+    ring = HashRing(range(n), vnodes=spec.vnodes, seed=spec.hash_seed)
+    if n == 1:
+        # Fast path: exactly the standalone testbed, event-for-event.
+        testbed = spec.testbed.build()
+        return Fleet(spec, testbed.sim, testbed.network,
+                     [FleetNode(0, testbed)], ring)
+    sim = Simulator()
+    sim.trace.process_name = (
+        f"Fleet[{n}x{spec.testbed.kind}/{spec.testbed.mode.label}]")
+    network = Network(sim)
+    nodes = [FleetNode(i, spec.testbed.build(
+                 sim=sim, network=network, name_prefix=f"s{i}."))
+             for i in range(n)]
+    fleet = Fleet(spec, sim, network, nodes, ring)
+    if spec.cooperative:
+        for node in nodes:
+            fleet._wire_peer(node)
+    if spec.churn is not None:
+        fleet.install_churn(spec.churn)
+    return fleet

@@ -535,7 +535,7 @@ class BufferFlavor(Enum):
 
 
 class NetBuffer:
-    """One network buffer: header stack + payload fragment + metadata.
+    """One network buffer: header stack + payload fragment.
 
     ``headers`` is ordered outermost-first (Ethernet, IP, UDP/TCP, RPC...).
     ``checksum`` caches the transport checksum covering this buffer's
@@ -543,11 +543,9 @@ class NetBuffer:
 
     A slotted hand-rolled class rather than a dataclass: the warm-start
     path and transport fragmentation allocate hundreds of thousands of
-    these, and the dataclass ``__init__`` plus an always-present ``meta``
-    dict were the two largest line items in the grid's heap profile.
-    ``csum_known`` (is the transport checksum for this fragment already
-    computed?) is the only metadata key hot enough to matter, so it is a
-    plain slot; everything else lives in a lazily-created ``meta`` dict.
+    these, and the dataclass ``__init__`` was the largest line item in
+    the grid's heap profile.  ``csum_known`` says whether the transport
+    checksum for this fragment is already computed.
 
     ``segs`` makes the buffer **segment-lazy** (the ``gso_segs`` idea):
     ``(lead, frag)`` says this one descriptor stands for a train of
@@ -559,13 +557,12 @@ class NetBuffer:
     """
 
     __slots__ = ("payload", "headers", "flavor", "checksum", "csum_known",
-                 "segs", "_meta")
+                 "segs")
 
     def __init__(self, payload: Payload,
                  headers: Optional[List[object]] = None,
                  flavor: BufferFlavor = BufferFlavor.SK_BUFF,
                  checksum: Optional[int] = None,
-                 meta: Optional[dict] = None,
                  csum_known: bool = False,
                  segs: Optional[Tuple[int, int]] = None) -> None:
         self.payload = payload
@@ -574,23 +571,6 @@ class NetBuffer:
         self.checksum = checksum
         self.csum_known = csum_known
         self.segs = segs
-        self._meta: Optional[dict] = meta
-
-    @property
-    def meta(self) -> dict:
-        """Auxiliary metadata dict, created on first access.
-
-        Cold-path only.  Readers that must not allocate use
-        :meth:`peek_meta`.
-        """
-        meta = self._meta
-        if meta is None:
-            meta = self._meta = {}
-        return meta
-
-    def peek_meta(self) -> Optional[dict]:
-        """The metadata dict if one exists, else ``None`` (no allocation)."""
-        return self._meta
 
     @property
     def payload_bytes(self) -> int:
@@ -619,19 +599,6 @@ class NetBuffer:
             if isinstance(header, cls):
                 return header
         return None
-
-    def clone_with_payload(self, payload: Payload,
-                           checksum: Optional[int] = None) -> "NetBuffer":
-        """New buffer sharing this header stack but carrying ``payload``.
-
-        This is the substitution primitive: NCache swaps the junk payload
-        of an outgoing packet for cached network buffers.
-        """
-        meta = self._meta
-        return NetBuffer(payload=payload, headers=list(self.headers),
-                         flavor=self.flavor, checksum=checksum,
-                         meta=dict(meta) if meta is not None else None,
-                         csum_known=self.csum_known)
 
     def __repr__(self) -> str:
         return (f"NetBuffer({self.payload!r}, {len(self.headers)} headers, "

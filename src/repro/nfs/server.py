@@ -86,11 +86,12 @@ class DuplicateRequestCache:
 class NfsServer:
     """An NFS server bound to one or more of its host's IPs."""
 
-    def __init__(self, host: Host, vfs: VFS, n_daemons: int = 8,
+    def __init__(self, host: Host, vfs: VFS, n_daemons: int,
                  discipline: CopyDiscipline = CopyDiscipline.PHYSICAL,
                  port: int = NFS_PORT) -> None:
         self.host = host
         self.vfs = vfs
+        self.n_daemons = n_daemons
         self.discipline = discipline
         self.port = port
         self.requests_served = 0
@@ -327,7 +328,7 @@ class NfsServer:
 class FlushDaemon:
     """bdflush/kupdated analog: periodically writes back dirty blocks."""
 
-    def __init__(self, vfs: VFS, interval_s: float = 0.5,
+    def __init__(self, vfs: VFS, interval_s: float,
                  max_blocks_per_pass: int = 64) -> None:
         self.vfs = vfs
         self.interval_s = interval_s

@@ -51,9 +51,14 @@ class ServerMode(enum.Enum):
         return "NCache" if self is ServerMode.NCACHE else self.value
 
 
-@dataclass
+@dataclass(frozen=True)
 class TestbedConfig:
-    """Shared knobs of the paper's testbed (§5.2)."""
+    """Shared knobs of the paper's testbed (§5.2).
+
+    The field defaults are the machine; what a testbed *kind* changes is
+    :data:`repro.servers.spec.KIND_DEFAULTS`.  Frozen and hashable, so a
+    :class:`~repro.servers.spec.TestbedSpec` holds one as a value.
+    """
 
     __test__ = False  # not a pytest test class, despite the name
 
@@ -70,8 +75,6 @@ class TestbedConfig:
     checksum_offload: bool = True
 
     # Storage server: P3 1 GHz, 512 MB RAM, 4-disk IDE RAID-0.
-    n_disks: int = 4
-    disk_transfer_mbps: float = 35.0
     disk_seek_ms: float = 8.5
     disk_rotation_ms: float = 4.17
 
@@ -88,11 +91,6 @@ class TestbedConfig:
     #: (the adaptive-budget experiment raises it to make metadata a
     #: cache-significant byte population).
     inode_table_blocks: int = 128
-
-    #: NCache chunk descriptor overheads — the metadata that shrinks the
-    #: effective cache (Figure 6a).
-    ncache_per_buffer_overhead: int = 160
-    ncache_per_chunk_overhead: int = 64
 
     #: replacement policy for both caches — a :data:`repro.cache.POLICIES`
     #: name (``lru`` is the paper's; the others are ablation axes).

@@ -1,12 +1,17 @@
 """Declarative testbed and cluster specifications.
 
-:class:`TestbedSpec` is the typed replacement for the old
-``build_testbed(kind, mode, **kwargs)`` kwarg-soup factory: every knob is
-a validated field, the kind-specific defaults (:data:`KIND_DEFAULTS`) are
-written down instead of buried in the factory body, and the whole spec is
-an immutable, hashable, **picklable** value — so an
-:class:`~repro.experiments.parallel.RunSpec` can carry one across
-process-pool workers unchanged.
+:class:`TestbedSpec` is the one description of a testbed: which kind of
+server, the frozen :class:`~repro.servers.config.TestbedConfig` of the
+machine, and the few values only construction needs (image geometry,
+seed, flush interval, connection fan-out).  It is an immutable, hashable,
+**picklable** value — so an :class:`~repro.experiments.parallel.RunSpec`
+can carry one across process-pool workers unchanged — and
+:meth:`TestbedSpec.build` is the only place a testbed is constructed.
+
+There is one table of defaults, in three parts: ``TestbedConfig``'s
+fields are the machine, :data:`KIND_DEFAULTS` is what a kind changes
+(applied by :meth:`TestbedSpec.nfs` / :meth:`TestbedSpec.web`), and
+``TestbedSpec``'s own fields are the build values.
 
 :class:`ClusterSpec` scales a testbed spec out to an N-server fleet
 (consistent-hash routing, optional cooperative caching); its
@@ -20,133 +25,92 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from .config import ServerMode, TestbedConfig
-from .testbed import BaseTestbed, NfsTestbed, WebTestbed
+from .testbed import NfsTestbed, WebTestbed
 
-#: Per-kind :class:`TestbedConfig` defaults, applied when the spec's
-#: ``config`` does not override them.  This is the explicit form of what
-#: the legacy factory kept in private module dicts.
-KIND_DEFAULTS: Dict[str, Tuple[Tuple[str, Any], ...]] = {
-    "nfs": (("n_server_nics", 1), ("n_daemons", 16)),
-    "web": (("n_server_nics", 2),),
+#: What a testbed kind changes in :class:`TestbedConfig`'s defaults: the
+#: NFS experiments run a 16-daemon pool, kHTTPd two NICs.
+KIND_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    "nfs": {"n_daemons": 16},
+    "web": {"n_server_nics": 2},
 }
-
-_CONFIG_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(TestbedConfig)) - {"mode"}
-
-
-def _normalize_config(config: Union[Mapping, Tuple[Tuple[str, Any], ...]]
-                      ) -> Tuple[Tuple[str, Any], ...]:
-    """Sorted ``(name, value)`` tuple form of config overrides."""
-    items = tuple(config.items()) if isinstance(config, Mapping) \
-        else tuple(config)
-    for entry in items:
-        if not (isinstance(entry, tuple) and len(entry) == 2
-                and isinstance(entry[0], str)):
-            raise ValueError(
-                f"config entries must be (name, value) pairs, got {entry!r}")
-    unknown = sorted(name for name, _ in items
-                     if name not in _CONFIG_FIELDS)
-    if unknown:
-        raise ValueError(
-            f"unknown TestbedConfig field(s) {unknown}; "
-            f"valid fields: {sorted(_CONFIG_FIELDS)}")
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate config field in {names}")
-    return tuple(sorted(items))
 
 
 @dataclass(frozen=True)
 class TestbedSpec:
     """A complete, validated description of one testbed.
 
-    ``config`` accepts a mapping at construction time and is normalized
-    to a sorted tuple of ``(field, value)`` pairs, keeping the spec
-    hashable and safely picklable.  ``flush_interval_s`` applies to the
-    NFS kind only (``None`` disables the flush daemon);
+    ``config`` is taken whole: a spec constructed directly describes
+    exactly the machine it is handed, and :data:`KIND_DEFAULTS` apply
+    only through :meth:`nfs` / :meth:`web`.  ``flush_interval_s`` applies
+    to the NFS kind only (``None`` disables the flush daemon);
     ``connections_per_client`` applies to the web kind only.
     """
 
     __test__ = False  # not a test class, despite the Test* name
 
-    kind: str = "nfs"
-    mode: ServerMode = ServerMode.ORIGINAL
+    kind: str
+    config: TestbedConfig
     image_capacity_blocks: int = 4 << 20
     seed: int = 1
     flush_interval_s: Optional[float] = 0.25
     connections_per_client: int = 6
-    config: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in KIND_DEFAULTS:
             raise ValueError(
                 f"unknown testbed kind {self.kind!r} (want 'nfs' or 'web')")
-        if isinstance(self.mode, str):
-            object.__setattr__(self, "mode", ServerMode(self.mode))
-        if not isinstance(self.mode, ServerMode):
-            raise ValueError(f"mode must be a ServerMode, got {self.mode!r}")
+        if not isinstance(self.config, TestbedConfig):
+            raise ValueError(
+                f"config must be a TestbedConfig, got {self.config!r}")
         if self.image_capacity_blocks <= 0:
             raise ValueError("image_capacity_blocks must be positive")
         if self.flush_interval_s is not None and self.flush_interval_s <= 0:
             raise ValueError("flush_interval_s must be positive or None")
         if self.connections_per_client < 1:
             raise ValueError("connections_per_client must be >= 1")
-        object.__setattr__(self, "config", _normalize_config(self.config))
 
     # -- ergonomic constructors ---------------------------------------------
 
     @classmethod
     def nfs(cls, mode: Union[ServerMode, str] = ServerMode.ORIGINAL,
             **kwargs: Any) -> "TestbedSpec":
-        """An NFS spec; unknown kwargs become ``config`` overrides."""
+        """An NFS spec; kwargs that are not spec fields set the config."""
         return cls._of_kind("nfs", mode, kwargs)
 
     @classmethod
     def web(cls, mode: Union[ServerMode, str] = ServerMode.ORIGINAL,
             **kwargs: Any) -> "TestbedSpec":
-        """A web (kHTTPd) spec; unknown kwargs become ``config`` overrides."""
+        """A web (kHTTPd) spec; kwargs that are not spec fields set the
+        config."""
         return cls._of_kind("web", mode, kwargs)
 
     @classmethod
     def _of_kind(cls, kind: str, mode: Union[ServerMode, str],
                  kwargs: Dict[str, Any]) -> "TestbedSpec":
-        own = {name: kwargs.pop(name) for name in
-               ("image_capacity_blocks", "seed", "flush_interval_s",
-                "connections_per_client", "config") if name in kwargs}
-        config = dict(own.pop("config", ()))
-        config.update(kwargs)
-        return cls(kind=kind, mode=mode, config=tuple(config.items()), **own)
+        own = {f.name: kwargs.pop(f.name) for f in dataclasses.fields(cls)
+               if f.name in kwargs}
+        config = TestbedConfig(mode=ServerMode(mode),
+                               **{**KIND_DEFAULTS[kind], **kwargs})
+        return cls(kind=kind, config=config, **own)
 
-    # -- derived values ------------------------------------------------------
-
-    def testbed_config(self) -> TestbedConfig:
-        """The merged :class:`TestbedConfig` this spec describes."""
-        merged = dict(KIND_DEFAULTS[self.kind])
-        merged.update(self.config)
-        return TestbedConfig(mode=self.mode, **merged)
+    @property
+    def mode(self) -> ServerMode:
+        return self.config.mode
 
     def build(self, *, sim: Any = None, network: Any = None,
-              name_prefix: str = "") -> BaseTestbed:
-        """Construct the fully-wired testbed.
+              name_prefix: str = "") -> Any:
+        """Construct the fully-wired testbed: an :class:`NfsTestbed` or a
+        :class:`WebTestbed`, by ``kind``.
 
         ``sim``/``network``/``name_prefix`` let a fleet compose several
         testbeds into one simulation; the defaults build a standalone
-        testbed exactly as the legacy factory did.
+        testbed.
         """
-        cfg = self.testbed_config()
-        if self.kind == "nfs":
-            return NfsTestbed(
-                cfg, image_capacity_blocks=self.image_capacity_blocks,
-                seed=self.seed, flush_interval_s=self.flush_interval_s,
-                sim=sim, network=network, name_prefix=name_prefix)
-        return WebTestbed(
-            cfg, image_capacity_blocks=self.image_capacity_blocks,
-            seed=self.seed,
-            connections_per_client=self.connections_per_client,
-            sim=sim, network=network, name_prefix=name_prefix)
+        testbed = NfsTestbed if self.kind == "nfs" else WebTestbed
+        return testbed(self, sim, network, name_prefix)
 
 
 #: Legal :class:`ChurnEvent` actions.
@@ -236,7 +200,7 @@ class ClusterSpec:
       static build.
     """
 
-    testbed: TestbedSpec = TestbedSpec()
+    testbed: TestbedSpec = TestbedSpec.nfs()
     n_servers: int = 1
     replication: int = 1
     cooperative: bool = False
@@ -277,5 +241,5 @@ class ClusterSpec:
 
     def build(self) -> Any:
         """Compose the wired fleet (a :class:`repro.fleet.Fleet`)."""
-        from ..fleet.builder import FleetBuilder
-        return FleetBuilder(self).build()
+        from ..fleet.builder import build_fleet
+        return build_fleet(self)

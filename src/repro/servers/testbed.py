@@ -10,7 +10,7 @@ of the NCache module, as in the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..cache.arbiter import MemoryArbiter, make_arbiter
 from ..core.ncache import NCacheModule
@@ -34,7 +34,13 @@ from ..obs.metrics import MetricsRegistry
 from ..sim.engine import Simulator, StopSimulation
 from ..sim.process import Process, start
 from ..sim.stats import MeterSet
-from .config import ServerMode, TestbedConfig
+from .config import ServerMode
+
+if TYPE_CHECKING:
+    from .spec import TestbedSpec
+
+#: The storage server's array: a 4-disk IDE RAID-0 (§5.2).
+N_DISKS = 4
 
 
 def _stop_run(_event) -> None:
@@ -61,21 +67,19 @@ def run_until_complete(sim: Simulator, process: Process) -> None:
 class BaseTestbed:
     """Storage server + application server + clients + switch.
 
-    A standalone testbed owns its :class:`Simulator` and switch.  A fleet
+    Constructed only by :meth:`TestbedSpec.build
+    <repro.servers.spec.TestbedSpec.build>`, from the spec alone: every
+    default lives there.  A standalone testbed (``sim``/``network`` of
+    ``None``) owns its :class:`Simulator` and switch.  A fleet
     (:mod:`repro.fleet`) instead passes a shared ``sim``/``network`` plus
     a ``name_prefix`` that keeps host names and NIC IPs globally unique
-    on the shared switch; with the defaults the construction is
-    event-for-event identical to the standalone path.
+    on the shared switch; the construction is otherwise event-for-event
+    identical to the standalone path.
     """
 
-    def __init__(self, config: TestbedConfig,
-                 image_capacity_blocks: int = 4 << 20,
-                 seed: int = 1, *,
-                 sim: Optional[Simulator] = None,
-                 network: Optional[Network] = None,
-                 name_prefix: str = "") -> None:
-        self.config = config
-        self.seed = seed
+    def __init__(self, spec: TestbedSpec, sim: Optional[Simulator],
+                 network: Optional[Network], name_prefix: str) -> None:
+        config = self.config = spec.config
         self.name_prefix = name_prefix
         owns_sim = sim is None
         self.sim = Simulator() if sim is None else sim
@@ -91,15 +95,14 @@ class BaseTestbed:
         self.storage_host = Host(self.sim, f"{name_prefix}storage", costs,
                                  checksum_offload=config.checksum_offload)
         self.storage_host.add_nic(self.network, f"{name_prefix}storage-0")
-        self.image = FsImage(capacity_blocks=image_capacity_blocks,
-                             seed=seed,
+        self.image = FsImage(capacity_blocks=spec.image_capacity_blocks,
+                             seed=spec.seed,
                              inode_table_blocks=config.inode_table_blocks)
         self.disk_store = DiskStore(self.image)
         disks = [DiskModel(self.sim, name=f"{name_prefix}ide{i}",
                            seek_ms=config.disk_seek_ms,
-                           rotation_ms=config.disk_rotation_ms,
-                           transfer_mbps=config.disk_transfer_mbps)
-                 for i in range(config.n_disks)]
+                           rotation_ms=config.disk_rotation_ms)
+                 for i in range(N_DISKS)]
         self.raid = Raid0(disks)
         self.local_dev = LocalBlockDevice(self.disk_store, self.raid)
         self.target = IscsiTarget(
@@ -133,8 +136,6 @@ class BaseTestbed:
                 self.server_host, self.vfs, self.initiator,
                 capacity_bytes=config.ncache_capacity_bytes,
                 strict=config.ncache_strict,
-                per_buffer_overhead=config.ncache_per_buffer_overhead,
-                per_chunk_overhead=config.ncache_per_chunk_overhead,
                 inherit_checksums=config.ncache_inherit_checksums,
                 enable_remap=config.ncache_enable_remap,
                 policy=config.cache_policy)
@@ -256,22 +257,17 @@ class BaseTestbed:
 class NfsTestbed(BaseTestbed):
     """NFS server backed by iSCSI storage (§5.4 experiments)."""
 
-    def __init__(self, config: TestbedConfig,
-                 image_capacity_blocks: int = 4 << 20,
-                 seed: int = 1,
-                 flush_interval_s: Optional[float] = 0.5, *,
-                 sim: Optional[Simulator] = None,
-                 network: Optional[Network] = None,
-                 name_prefix: str = "") -> None:
-        super().__init__(config, image_capacity_blocks, seed,
-                         sim=sim, network=network, name_prefix=name_prefix)
+    def __init__(self, spec: TestbedSpec, sim: Optional[Simulator],
+                 network: Optional[Network], name_prefix: str) -> None:
+        super().__init__(spec, sim, network, name_prefix)
+        config = self.config
         self.nfs_server = NfsServer(self.server_host, self.vfs,
                                     n_daemons=config.n_daemons,
                                     discipline=config.mode.discipline)
         self.flush_daemon: Optional[FlushDaemon] = None
-        if flush_interval_s is not None:
-            self.flush_daemon = FlushDaemon(self.vfs,
-                                            interval_s=flush_interval_s)
+        if spec.flush_interval_s is not None:
+            self.flush_daemon = FlushDaemon(
+                self.vfs, interval_s=spec.flush_interval_s)
         self.clients: List[NfsClient] = []
         for i, host in enumerate(self.client_hosts):
             server_ep = Endpoint(self.server_ip_for_client(i), NFS_PORT)
@@ -287,20 +283,14 @@ class NfsTestbed(BaseTestbed):
 class WebTestbed(BaseTestbed):
     """kHTTPd backed by iSCSI storage (§5.5 experiments)."""
 
-    def __init__(self, config: TestbedConfig,
-                 image_capacity_blocks: int = 4 << 20,
-                 seed: int = 1,
-                 connections_per_client: int = 4, *,
-                 sim: Optional[Simulator] = None,
-                 network: Optional[Network] = None,
-                 name_prefix: str = "") -> None:
-        super().__init__(config, image_capacity_blocks, seed,
-                         sim=sim, network=network, name_prefix=name_prefix)
+    def __init__(self, spec: TestbedSpec, sim: Optional[Simulator],
+                 network: Optional[Network], name_prefix: str) -> None:
+        super().__init__(spec, sim, network, name_prefix)
         self.khttpd = KHttpd(self.server_host, self.vfs,
-                             discipline=config.mode.discipline)
+                             discipline=self.config.mode.discipline)
         self.http_clients: List[HttpClient] = []
         for i, host in enumerate(self.client_hosts):
-            for c in range(connections_per_client):
+            for c in range(spec.connections_per_client):
                 server_ep = Endpoint(self.server_ip_for_client(i), HTTP_PORT)
                 self.http_clients.append(
                     HttpClient(host, host.ip, server_ep,

@@ -10,6 +10,10 @@ compose them without per-kind special cases::
     wl.run(until=2.0)              # prewarm (if any) + start + sim.run
     wl.describe()                  # {"workload": ..., knobs...}
 
+``run`` is :meth:`WorkloadBase.warm` (the prewarm, once), ``start()``
+(once) and an advance of the clock; the measurement protocol in
+:mod:`repro.experiments.common` is written on those pieces.
+
 :class:`WorkloadBase` carries the shared mechanics.  Subclasses keep
 their historical ``__init__(testbed, ...)`` signatures — passing a
 target at construction binds immediately — and implement ``_bind`` (the
@@ -35,9 +39,18 @@ class Workload(Protocol):
         """Attach to a testbed or fleet; returns self for chaining."""
         ...
 
+    def warm(self) -> None:
+        """Run the workload's prewarm, if it has one, to completion;
+        once."""
+        ...
+
+    def start(self) -> Any:
+        """Spawn the load-generating processes."""
+        ...
+
     def run(self, until: float) -> None:
-        """Prewarm (if the workload has one), start, and advance the
-        simulation to ``until`` (absolute simulated seconds)."""
+        """Warm, start (once), and advance the simulation to ``until``
+        (absolute simulated seconds)."""
         ...
 
     def describe(self) -> Dict[str, Any]:
@@ -87,19 +100,21 @@ class WorkloadBase:
         self._bind(resolved)
         return self
 
-    def run(self, until: float) -> None:
-        if self._target is None:
-            raise ValueError(f"{type(self).__name__} is not bound; "
-                             f"call bind(testbed_or_fleet) first")
-        sim = self._target.sim
+    def warm(self) -> None:
+        """Run the workload's ``prewarm()`` to completion, once; a
+        workload without one has nothing to warm."""
+        sim = self._require_bound().sim
         prewarm = getattr(self, "prewarm", None)
         if prewarm is not None and not self._prewarmed:
             self._prewarmed = True
             run_until_complete(sim, prewarm())
+
+    def run(self, until: float) -> None:
+        self.warm()
         if not self._started:
             self._started = True
             self.start()
-        sim.run(until=until)
+        self._target.sim.run(until=until)
 
     def describe(self) -> Dict[str, Any]:
         return {"workload": type(self).__name__, **self._params()}
@@ -127,5 +142,6 @@ class WorkloadBase:
 
     def _require_bound(self) -> Any:
         if self._target is None:
-            raise ValueError(f"{type(self).__name__} is not bound")
+            raise ValueError(f"{type(self).__name__} is not bound; "
+                             f"call bind(testbed_or_fleet) first")
         return self._target

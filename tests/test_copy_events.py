@@ -13,8 +13,7 @@ from repro.experiments.common import scaled_memory_config
 from repro.fleet import ClusterSpec
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
-from repro.servers import (NfsTestbed, ServerMode, TestbedConfig,
-                           TestbedSpec, WebTestbed)
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.engine import dispatch_count
 from repro.sim.process import start
@@ -57,8 +56,8 @@ def _nfs(mode, fs_blocks=None):
     overrides = {}
     if fs_blocks and mode is ServerMode.NCACHE:
         overrides["ncache_fs_cache_bytes"] = fs_blocks * BLOCK_SIZE
-    testbed = NfsTestbed(TestbedConfig(mode=mode, ncache_strict=True,
-                                       **overrides), flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, ncache_strict=True,
+                              flush_interval_s=None, **overrides).build()
     if fs_blocks and mode is not ServerMode.NCACHE:
         testbed.cache.capacity_bytes = fs_blocks * BLOCK_SIZE
     testbed.image.create_file("f", 256 * BLOCK_SIZE)
@@ -101,8 +100,8 @@ class TestEventsMatchCounters:
             is (mode is ServerMode.NCACHE)
 
     def test_khttpd_paths(self, mode, seed):
-        testbed = WebTestbed(TestbedConfig(mode=mode, ncache_strict=True),
-                             connections_per_client=1)
+        testbed = TestbedSpec.web(mode, ncache_strict=True,
+                                  connections_per_client=1).build()
         testbed.image.create_file(
             "page", random.Random(seed).randint(1, 200_000))
         testbed.setup()
@@ -187,8 +186,8 @@ class TestTracingDoesNotPerturb:
 
     @staticmethod
     def _run(mode, enabled):
-        testbed = NfsTestbed(TestbedConfig(mode=mode, ncache_strict=True),
-                             flush_interval_s=None)
+        testbed = TestbedSpec.nfs(mode, ncache_strict=True,
+                                  flush_interval_s=None).build()
         if enabled:
             testbed.sim.trace.enable()
         testbed.image.create_file("t2file", 16 << 20)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload, pattern_bytes
 from repro.nfs import read_reply_data
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import NfsTestbed, ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
 from conftest import CopyWindow
@@ -29,7 +29,7 @@ def build(mode: ServerMode, **overrides) -> NfsTestbed:
     if mode is ServerMode.NCACHE:
         defaults["ncache_strict"] = True
     defaults.update(overrides)
-    testbed = NfsTestbed(TestbedConfig(**defaults), flush_interval_s=None)
+    testbed = TestbedSpec.nfs(flush_interval_s=None, **defaults).build()
     testbed.image.create_file("e2e", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed

@@ -5,6 +5,7 @@ The full sweeps are held to the paper by ``python -m repro.analysis.paper``
 claims on single, cheap points, against the bands that registry holds.
 """
 
+import ast
 from importlib import import_module
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from repro.cache import POLICIES
 from repro.experiments import EXPERIMENTS, figure5, figure6, \
     policy_ablation, table1, table2
 from repro.experiments.common import warm_caches
-from repro.servers import MB, ServerMode, TestbedConfig, WebTestbed
+from repro.servers import MB, ServerMode, TestbedSpec
 from repro.workloads import SpecWebWorkload
 
 
@@ -140,10 +141,10 @@ class TestFigureShapes:
 
 class TestWarmStart:
     def test_warm_caches_respects_capacity_original(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL,
-                            server_ram_bytes=160 * MB,
-                            server_kernel_carveout=32 * MB)
-        testbed = WebTestbed(cfg, connections_per_client=1)
+        testbed = TestbedSpec.web(ServerMode.ORIGINAL,
+                                  server_ram_bytes=160 * MB,
+                                  server_kernel_carveout=32 * MB,
+                                  connections_per_client=1).build()
         testbed.setup()
         workload = SpecWebWorkload(testbed, working_set_bytes=256 * MB)
         warm_caches(testbed, workload.paths)
@@ -151,11 +152,11 @@ class TestWarmStart:
         assert len(testbed.cache) == testbed.cache.capacity_blocks
 
     def test_warm_caches_hottest_resident_ncache(self):
-        cfg = TestbedConfig(mode=ServerMode.NCACHE,
-                            server_ram_bytes=160 * MB,
-                            server_kernel_carveout=32 * MB,
-                            ncache_fs_cache_bytes=16 * MB)
-        testbed = WebTestbed(cfg, connections_per_client=1)
+        testbed = TestbedSpec.web(ServerMode.NCACHE,
+                                  server_ram_bytes=160 * MB,
+                                  server_kernel_carveout=32 * MB,
+                                  ncache_fs_cache_bytes=16 * MB,
+                                  connections_per_client=1).build()
         testbed.setup()
         workload = SpecWebWorkload(testbed, working_set_bytes=256 * MB)
         warm_caches(testbed, workload.paths)
@@ -214,6 +215,35 @@ class TestRegistry:
         entry = EXPERIMENTS[name]
         assert [r.name for r in entry.run(True, 1, None)] \
             == list(entry.results)
+
+    @staticmethod
+    def _calls(path):
+        """Names called in ``path``: ``f(...)`` and ``x.f(...)`` give ``f``."""
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                yield getattr(func, "attr", None) or getattr(func, "id", None)
+
+    def test_one_way_to_build_and_one_way_to_measure(self):
+        """Only ``servers/spec.py`` constructs a testbed, and under
+        ``experiments/`` only ``common.py`` writes the measurement
+        sequence (the windows and the reset between them)."""
+        repo = Path(experiments.__file__).parents[3]
+        build, protocol = [], []
+        for root in ("src", "tests", "examples"):
+            for path in sorted((repo / root).rglob("*.py")):
+                rel = path.relative_to(repo).as_posix()
+                for name in self._calls(path):
+                    if name in ("NfsTestbed", "WebTestbed") \
+                            and rel != "src/repro/servers/spec.py":
+                        build.append(rel)
+                    if name in ("warmup_then_measure",
+                                "reset_measurements") \
+                            and rel.startswith("src/repro/experiments/") \
+                            and rel != "src/repro/experiments/common.py":
+                        protocol.append(rel)
+        assert build == []
+        assert protocol == []
 
     def test_repro_perf_is_only_the_engine_kernels(self):
         # benchmarks/ncbench/kernels.py imports exactly this.

@@ -1,20 +1,25 @@
-"""Experiment machinery: protocols, scaled geometry, warm-start details."""
+"""Experiment machinery: protocols, scaled geometry, warm-start details,
+and the one measurement protocol."""
 
-import pytest
+from types import SimpleNamespace
 
+from repro.experiments import common
 from repro.experiments.common import (
     ALL_MODES,
     FULL,
     NFS_REQUEST_SIZES,
     QUICK,
     WEB_REQUEST_SIZES,
-    nfs_testbed,
+    measure,
+    measure_segments,
+    per_kop,
     protocol,
     scaled_memory_config,
     warm_caches,
-    web_testbed,
 )
-from repro.servers import MB, ServerMode, TestbedConfig
+from repro.servers import MB, BaseTestbed, ServerMode, TestbedConfig, \
+    TestbedSpec
+from repro.workloads.base import WorkloadBase
 
 
 class TestProtocol:
@@ -47,28 +52,136 @@ class TestScaledMemory:
         assert cfg.ncache_capacity_bytes * 4 == full.ncache_capacity_bytes
 
 
-class TestBuilders:
-    def test_nfs_testbed_defaults(self):
-        testbed = nfs_testbed(ServerMode.ORIGINAL)
-        assert testbed.flush_daemon is not None
-        assert len(testbed.server_host.nics) == 1
+class _StubTarget(BaseTestbed):
+    """A testbed that only records what the protocol asks of it.  The
+    clock is a stub too, so ``warmup_then_measure`` is the real one."""
 
-    def test_nfs_testbed_overrides(self):
-        testbed = nfs_testbed(ServerMode.NCACHE, n_nics=2,
-                              flush_interval_s=None,
-                              ncache_fs_cache_bytes=32 * MB)
-        assert testbed.flush_daemon is None
-        assert testbed.cache.capacity_bytes == 32 * MB
+    def __init__(self, calls):
+        self.calls = calls
+        self.sim = SimpleNamespace(now=0.0, run=self._run)
+        self.meters = SimpleNamespace(throughput=SimpleNamespace(
+            ops=SimpleNamespace(value=0.0)))
+        self.backend = 0
 
-    def test_web_testbed_connection_fanout(self):
-        testbed = web_testbed(ServerMode.ORIGINAL,
-                              connections_per_client=3)
-        assert len(testbed.http_clients) == 6
+    def _run(self, until):
+        self.calls.append(("run", until))
+        self.sim.now = until
+        self.meters.throughput.ops.value += 10.0
+        self.backend += 3
+
+    def setup(self):
+        self.calls.append("setup")
+
+    def reset_measurements(self):
+        self.calls.append("reset")
+        self.meters.throughput.ops.value = 0.0
+
+    def metrics_snapshot(self):
+        self.calls.append("snapshot")
+        return {"stub": True}
+
+
+class _StubWorkload(WorkloadBase):
+    fleet_aware = True  # bind the stub as it is
+
+    def _bind(self, target):
+        self.calls = target.calls
+
+    def start(self):
+        self.calls.append("start")
+
+
+class _StubPrewarmedWorkload(_StubWorkload):
+    def prewarm(self):
+        self.calls.append("prewarm")
+        return SimpleNamespace(triggered=True, failed=False)
+
+
+class TestMeasure:
+    WINDOWS = [("run", QUICK.warmup_s), "reset",
+               ("run", QUICK.warmup_s + QUICK.measure_s)]
+
+    def test_order_setup_warm_start_warmup_reset_measure(self):
+        calls = []
+        target = _StubTarget(calls)
+        measure(target, _StubPrewarmedWorkload(target), quick=True)
+        assert calls == ["setup", "prewarm", "start"] + self.WINDOWS
+
+    def test_workload_without_prewarm_just_starts(self):
+        calls = []
+        target = _StubTarget(calls)
+        measure(target, _StubWorkload(target), quick=True)
+        assert calls == ["setup", "start"] + self.WINDOWS
+
+    def test_before_load_runs_between_warm_and_start(self):
+        calls = []
+        target = _StubTarget(calls)
+        measure(target, _StubPrewarmedWorkload(target), quick=True,
+                before_load=lambda: calls.append("before_load"))
+        assert calls[:4] == ["setup", "prewarm", "before_load", "start"]
+
+    def test_ranked_list_selects_warm_caches(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            common, "warm_caches",
+            lambda target, ranked: calls.append(("warm_caches", ranked)))
+        target = _StubTarget(calls)
+        measure(target, _StubPrewarmedWorkload(target), quick=True,
+                ranked=["hot", "cold"])
+        assert calls[:3] == ["setup", ("warm_caches", ["hot", "cold"]),
+                             "start"]
+
+    def test_full_mode_uses_the_full_windows(self):
+        calls = []
+        target = _StubTarget(calls)
+        measure(target, _StubWorkload(target), quick=False)
+        assert calls[-1] == ("run", FULL.warmup_s + FULL.measure_s)
+
+    def test_report_only_when_asked(self):
+        calls = []
+        target = _StubTarget(calls)
+        measure(target, _StubWorkload(target), quick=True)
+        assert "snapshot" not in calls
+        reports = {}
+        target = _StubTarget(calls)
+        measure(target, _StubWorkload(target), quick=True,
+                reports=reports, key="cell/1")
+        assert reports == {"cell/1": {"stub": True}}
+        assert calls[-1] == "snapshot"
+
+
+class TestMeasureSegments:
+    def test_absolute_boundaries_and_diffs(self):
+        calls = []
+        target = _StubTarget(calls)
+        segments = measure_segments(
+            target, _StubPrewarmedWorkload(target), 0.3,
+            (("a", 1.0), ("b", 2.5)), lambda: target.backend)
+        assert calls == ["setup", "prewarm", "start", ("run", 0.3), "reset",
+                         ("run", 1.0), ("run", 2.5)]
+        # The backend total is a lifetime one (3 already at the reset);
+        # each segment records only its own movement.
+        assert segments == {"a": {"backend": 3, "ops": 10.0},
+                            "b": {"backend": 3, "ops": 10.0}}
+
+    def test_relative_boundaries_chain_from_the_clock(self):
+        calls = []
+        target = _StubTarget(calls)
+        target.sim.now = 0.125  # e.g. what setup() took
+        measure_segments(target, _StubWorkload(target), 0.5,
+                         (("only", 0.25),), lambda: target.backend,
+                         relative=True)
+        assert [c for c in calls if c[0] == "run"] \
+            == [("run", 0.625), ("run", 0.875)]
+
+    def test_per_kop(self):
+        assert per_kop({"backend": 3, "ops": 1500.0}) == 2.0
+        assert per_kop({"backend": 3, "ops": 0.0}) == 0.0
 
 
 class TestWarmStartDetails:
     def make_web(self, mode, ws_files=20):
-        testbed = web_testbed(mode, **scaled_memory_config(8))
+        testbed = TestbedSpec.web(mode, **scaled_memory_config(8)).build()
         paths = []
         for i in range(ws_files):
             path = f"w/{i:03d}"
@@ -118,9 +231,9 @@ class TestWarmStartDetails:
     def test_warm_lru_order_hottest_most_recent(self):
         # A cache big enough for ~2 of the 8 one-MB files: only the
         # hottest prefix stays resident, and pressure evicts cold-first.
-        testbed = web_testbed(ServerMode.ORIGINAL,
-                              server_ram_bytes=11 * MB,
-                              server_kernel_carveout=8 * MB)
+        testbed = TestbedSpec.web(ServerMode.ORIGINAL,
+                                  server_ram_bytes=11 * MB,
+                                  server_kernel_carveout=8 * MB).build()
         paths = []
         for i in range(8):
             path = f"w/{i:03d}"

@@ -6,7 +6,7 @@ from repro.core import LbnKey
 from repro.fs import BLOCK_SIZE
 from repro.iscsi import DataIn, ScsiResponse
 from repro.net.buffer import VirtualPayload
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim import SimulationError
 from repro.sim.process import start
@@ -14,8 +14,8 @@ from conftest import MiniStack, drive
 
 
 def build(mode=ServerMode.ORIGINAL, **overrides):
-    testbed = NfsTestbed(TestbedConfig(mode=mode, **overrides),
-                         flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, flush_interval_s=None,
+                              **overrides).build()
     testbed.image.create_file("f", 4 << 20)
     testbed.setup()
     return testbed
@@ -141,8 +141,7 @@ class TestDeterminism:
     def _run_once(self, mode):
         from repro.workloads import SpecSfsWorkload
 
-        testbed = NfsTestbed(TestbedConfig(mode=mode),
-                             flush_interval_s=0.1)
+        testbed = TestbedSpec.nfs(mode, flush_interval_s=0.1).build()
         workload = SpecSfsWorkload(testbed, fs_size_bytes=64 << 20,
                                    outstanding_per_client=4, seed=42)
         testbed.setup()

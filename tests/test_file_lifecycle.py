@@ -6,7 +6,7 @@ from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
 from repro.nfs import NfsProc, read_reply_data
 from repro.nfs.protocol import NFSERR_INVAL, NFSERR_NOENT, NFSERR_STALE
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
 
@@ -16,7 +16,7 @@ def build(mode=ServerMode.ORIGINAL, **overrides):
     if mode is ServerMode.NCACHE:
         defaults["ncache_strict"] = True
     defaults.update(overrides)
-    testbed = NfsTestbed(TestbedConfig(**defaults), flush_interval_s=None)
+    testbed = TestbedSpec.nfs(flush_interval_s=None, **defaults).build()
     testbed.image.create_file("life.bin", 16 * BLOCK_SIZE)
     testbed.setup()
     return testbed

@@ -5,7 +5,7 @@ import pytest
 from repro.net import BufferFlavor, Host, Network, Endpoint
 from repro.net.buffer import VirtualPayload
 from repro.nfs import read_reply_data
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim import Simulator, start
 from conftest import drive
@@ -19,9 +19,9 @@ class TestMbufFlavorEndToEnd:
     """
 
     def build(self, mode):
-        cfg = TestbedConfig(mode=mode,
-                            ncache_strict=(mode is ServerMode.NCACHE))
-        testbed = NfsTestbed(cfg, flush_interval_s=None)
+        testbed = TestbedSpec.nfs(
+            mode, ncache_strict=(mode is ServerMode.NCACHE),
+            flush_interval_s=None).build()
         for host in testbed.all_hosts():
             host.buffer_flavor = BufferFlavor.MBUF
         testbed.image.create_file("bsd.bin", 4 << 20)

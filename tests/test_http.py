@@ -9,15 +9,15 @@ from repro.http import (
     find_body_offset,
     response_body,
 )
-from repro.servers import ServerMode, TestbedConfig, WebTestbed
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
 from conftest import CopyWindow
 
 
 def make_testbed(mode=ServerMode.ORIGINAL, **overrides):
-    cfg = TestbedConfig(mode=mode, **overrides)
-    testbed = WebTestbed(cfg, connections_per_client=1)
+    testbed = TestbedSpec.web(mode, connections_per_client=1,
+                              **overrides).build()
     testbed.image.create_file("index.html", 70_000)
     testbed.setup()
     return testbed

@@ -5,7 +5,7 @@ import pytest
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
 from repro.nfs import read_reply_data
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim import SimulationError
 from repro.sim.process import start
@@ -16,7 +16,7 @@ def build(mode=ServerMode.ORIGINAL, loss=0.0, seed=3, **overrides):
     if mode is ServerMode.NCACHE:
         defaults["ncache_strict"] = False
     defaults.update(overrides)
-    testbed = NfsTestbed(TestbedConfig(**defaults), flush_interval_s=None)
+    testbed = TestbedSpec.nfs(flush_interval_s=None, **defaults).build()
     testbed.image.create_file("lossy.bin", 8 << 20)
     testbed.setup()  # iSCSI login first (TCP, never dropped)
     if loss:

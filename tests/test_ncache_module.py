@@ -9,15 +9,14 @@ from repro.fs import BLOCK_SIZE
 from repro.net.buffer import (BytesPayload, VirtualPayload, concat,
                               flatten_payload)
 from repro.nfs import read_reply_data
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
 
 
 def ncache_testbed(**overrides):
-    cfg = TestbedConfig(mode=ServerMode.NCACHE, ncache_strict=True,
-                        **overrides)
-    testbed = NfsTestbed(cfg, flush_interval_s=None)
+    testbed = TestbedSpec.nfs(ServerMode.NCACHE, ncache_strict=True,
+                              flush_interval_s=None, **overrides).build()
     testbed.image.create_file("file", 32 << 20)
     testbed.setup()
     return testbed
@@ -168,8 +167,8 @@ class TestSubstitution:
         assert dgram.n_frames == 3
 
     def test_substitution_miss_nonstrict_serves_junk(self):
-        cfg = TestbedConfig(mode=ServerMode.NCACHE, ncache_strict=False)
-        testbed = NfsTestbed(cfg, flush_interval_s=None)
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE, ncache_strict=False,
+                                  flush_interval_s=None).build()
         testbed.image.create_file("file", 1 << 20)
         testbed.setup()
         fh = testbed.file_handle("file")

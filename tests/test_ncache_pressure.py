@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
 from repro.nfs import read_reply_data
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import NfsTestbed, ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
 
@@ -26,14 +26,13 @@ def tiny_ncache_testbed(ncache_chunks: int = 24,
                         fs_blocks: int = 8) -> NfsTestbed:
     """A server whose NCache holds ~24 chunks and FS cache 8 pages."""
     chunk_footprint = BLOCK_SIZE + 3 * 160 + 64
-    cfg = TestbedConfig(
-        mode=ServerMode.NCACHE,
+    testbed = TestbedSpec.nfs(
+        ServerMode.NCACHE,
         server_ram_bytes=64 * MB,
         server_kernel_carveout=64 * MB
         - fs_blocks * BLOCK_SIZE - ncache_chunks * chunk_footprint,
         ncache_fs_cache_bytes=fs_blocks * BLOCK_SIZE,
-        ncache_strict=False)
-    testbed = NfsTestbed(cfg, flush_interval_s=None)
+        ncache_strict=False, flush_interval_s=None).build()
     testbed.image.create_file("press", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed

@@ -32,16 +32,6 @@ class TestNetBuffer:
         buf = NetBuffer(payload=BytesPayload(b""))
         assert buf.find_header(UDPHeader) is None
 
-    def test_clone_with_payload_shares_headers(self):
-        buf = NetBuffer(payload=BytesPayload(b"old"),
-                        headers=[IPv4Header()], checksum=None,
-                        meta={"k": 1})
-        clone = buf.clone_with_payload(BytesPayload(b"newer"), checksum=7)
-        assert clone.payload.materialize() == b"newer"
-        assert clone.checksum == 7
-        assert clone.meta == {"k": 1}
-        assert len(clone.headers) == 1
-
 
 class TestFlavor:
     def test_flavors_have_distinct_overheads(self):

@@ -11,15 +11,15 @@ from repro.nfs import (
     NfsProc,
     read_reply_data,
 )
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
 from conftest import CopyWindow
 
 
 def make_testbed(mode=ServerMode.ORIGINAL, **overrides):
-    cfg = TestbedConfig(mode=mode, **overrides)
-    testbed = NfsTestbed(cfg, flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, flush_interval_s=None,
+                              **overrides).build()
     testbed.image.create_file("data.bin", 16 << 20)
     testbed.setup()
     return testbed

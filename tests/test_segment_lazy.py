@@ -21,8 +21,7 @@ import pytest
 from repro.core import Chunk, KeyedPayload, LbnKey, NCacheStore
 from repro.core.ncache import NCacheModule
 from repro.copymodel.costs import DEFAULT_COSTS
-from repro.experiments.common import (scaled_memory_config, warm_caches,
-                                      web_testbed)
+from repro.experiments.common import scaled_memory_config, warm_caches
 from repro.fleet import ClusterSpec
 from repro.fs import BLOCK_SIZE
 from repro.http.client import response_body
@@ -215,8 +214,9 @@ def test_software_checksum_receiver_counts_every_segment():
 
 class TestWarmStartedRuns:
     def _web(self, **overrides):
-        testbed = web_testbed(ServerMode.NCACHE, ncache_strict=True,
-                              **scaled_memory_config(8), **overrides)
+        testbed = TestbedSpec.web(ServerMode.NCACHE, ncache_strict=True,
+                                  **scaled_memory_config(8),
+                                  **overrides).build()
         paths = []
         for i in range(6):
             path = f"w/{i:03d}"

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.copymodel import CopyDiscipline
-from repro.servers import (
-    MB,
-    NfsTestbed,
-    ServerMode,
-    TestbedConfig,
-    WebTestbed,
-)
+from repro.servers import MB, ServerMode, TestbedConfig, TestbedSpec
 
 
 class TestServerMode:
@@ -41,53 +35,46 @@ class TestMemoryBudget:
 
 class TestNfsTestbed:
     def test_builds_paper_topology(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs().build()
         assert len(testbed.client_hosts) == 2
         assert len(testbed.server_host.nics) == 1
         assert len(testbed.raid.disks) == 4
         assert testbed.ncache is None
 
     def test_two_nic_configuration(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL, n_server_nics=2)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs(n_server_nics=2).build()
         assert testbed.server_ips == ["server-0", "server-1"]
         assert testbed.server_ip_for_client(0) == "server-0"
         assert testbed.server_ip_for_client(1) == "server-1"
         assert testbed.server_ip_for_client(2) == "server-0"
 
     def test_ncache_mode_attaches_module(self):
-        cfg = TestbedConfig(mode=ServerMode.NCACHE)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE).build()
         assert testbed.ncache is not None
         assert testbed.vfs.lbn_annotator is not None
         assert testbed.initiator.read_interceptor is not None
         assert testbed.ncache.store.capacity_bytes == \
-            cfg.ncache_capacity_bytes
+            testbed.config.ncache_capacity_bytes
 
     def test_original_mode_has_no_hooks(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs().build()
         assert testbed.server_host._tx_hooks == []
         assert testbed.server_host._rx_hooks == []
         assert testbed.vfs.lbn_annotator is None
 
     def test_setup_connects_initiator(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs().build()
         testbed.setup()
         assert testbed.initiator.conn is not None
 
     def test_file_handle_matches_image(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs().build()
         inode = testbed.image.create_file("x", 100)
         fh = testbed.file_handle("x")
         assert fh.ino == inode.ino
 
     def test_reset_measurements_zeroes_everything(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = NfsTestbed(cfg)
+        testbed = TestbedSpec.nfs().build()
         testbed.setup()
         testbed.server_host.counters.add("x", 5)
         testbed.meters.throughput.record(100)
@@ -98,12 +85,10 @@ class TestNfsTestbed:
 
 class TestWebTestbed:
     def test_connections_per_client(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = WebTestbed(cfg, connections_per_client=3)
+        testbed = TestbedSpec.web(connections_per_client=3).build()
         assert len(testbed.http_clients) == 6  # 2 hosts x 3 conns
 
     def test_setup_establishes_all_connections(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = WebTestbed(cfg, connections_per_client=2)
+        testbed = TestbedSpec.web(connections_per_client=2).build()
         testbed.setup()
         assert all(c.conn is not None for c in testbed.http_clients)

@@ -9,7 +9,7 @@ from repro.fs import BLOCK_SIZE
 from repro.net import Endpoint, Host, Network, VirtualPayload
 from repro.net.buffer import BytesPayload, concat
 from repro.nfs import read_reply_data
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim import Simulator, start
 from repro.sim.process import Process
@@ -173,8 +173,8 @@ class TestSubstitutionProperty:
 
     @pytest.fixture(scope="class")
     def warm_testbed(self):
-        cfg = TestbedConfig(mode=ServerMode.NCACHE, ncache_strict=True)
-        testbed = NfsTestbed(cfg, flush_interval_s=None)
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE, ncache_strict=True,
+                                  flush_interval_s=None).build()
         testbed.image.create_file("prop.bin", 64 * BLOCK_SIZE)
         testbed.setup()
         fh = testbed.file_handle("prop.bin")

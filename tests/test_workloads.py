@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.servers import NfsTestbed, ServerMode, TestbedConfig, WebTestbed
+from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.workloads import (
     AllHitReadWorkload,
@@ -21,8 +21,8 @@ MB = 1 << 20
 
 
 def nfs_tb(mode=ServerMode.ORIGINAL, **overrides):
-    testbed = NfsTestbed(TestbedConfig(mode=mode, **overrides),
-                         flush_interval_s=None)
+    testbed = TestbedSpec.nfs(mode, flush_interval_s=None,
+                              **overrides).build()
     testbed.setup()
     return testbed
 
@@ -115,8 +115,7 @@ class TestSpecWeb:
         assert small / len(sizes) == pytest.approx(0.35, abs=0.05)
 
     def test_workload_creates_files(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        testbed = WebTestbed(cfg, connections_per_client=1)
+        testbed = TestbedSpec.web(connections_per_client=1).build()
         testbed.setup()
         workload = SpecWebWorkload(testbed, working_set_bytes=5 * MB)
         assert len(workload.paths) == len(workload.sizes)
@@ -125,11 +124,10 @@ class TestSpecWeb:
             assert testbed.image.lookup(path)
 
     def test_deterministic_for_seed(self):
-        cfg = TestbedConfig(mode=ServerMode.ORIGINAL)
-        t1 = WebTestbed(cfg, connections_per_client=1)
+        spec = TestbedSpec.web(connections_per_client=1)
+        t1 = spec.build()
         w1 = SpecWebWorkload(t1, working_set_bytes=5 * MB, seed=5)
-        t2 = WebTestbed(TestbedConfig(mode=ServerMode.ORIGINAL),
-                        connections_per_client=1)
+        t2 = spec.build()
         w2 = SpecWebWorkload(t2, working_set_bytes=5 * MB, seed=5)
         assert w1.sizes == w2.sizes
         assert [w1.sampler.sample() for _ in range(20)] == \
