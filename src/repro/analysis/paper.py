@@ -325,14 +325,14 @@ def claims() -> List[PaperClaim]:
 
 def evaluate_all(quick: bool = True) -> List[PaperClaim]:
     """Rerun the experiments behind every claim and check the bands."""
-    from ..experiments import EXPERIMENTS
+    from .. import experiments
 
     checked = claims()
     wanted = {claim.experiment for claim in checked}
-    results = {result.name: result
-               for entry in EXPERIMENTS.values()
-               if wanted.intersection(entry.results)
-               for result in entry.run(quick)}
+    results = {sweep.name: experiments.run_sweep(sweep, quick)
+               for sweeps in experiments.EXPERIMENTS.values()
+               if wanted.intersection(sweep.name for sweep in sweeps)
+               for sweep in sweeps}
     return [claim.check(results[claim.experiment]) for claim in checked]
 
 

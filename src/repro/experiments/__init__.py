@@ -3,61 +3,38 @@
 :data:`EXPERIMENTS` is the one list of them: the CLI
 (``python -m repro.experiments <name>``, the one entry point) and the
 paper audit (:func:`repro.analysis.paper.evaluate_all`) both read it.
+Every result is a :class:`~repro.experiments.common.Sweep` — a table of
+:class:`~repro.experiments.common.Cell` values — run by
+:func:`~repro.experiments.common.run_sweep`; :data:`SWEEPS` finds one by
+its result name.
 """
 
 from __future__ import annotations
 
-from types import ModuleType
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Dict, Tuple
 
-from ..analysis.tables import ExperimentResult
 from . import (ablations, adaptive_budget, figure4, figure5, figure6,
                figure7, fleet_churn, fleet_scaling, policy_ablation, table1,
                table2)
-
-
-class Experiment(NamedTuple):
-    """A registry entry.
-
-    ``run(quick, workers, trace_sink)`` returns the entry's results in
-    order; ``results`` names them (``ExperimentResult.name``, which is
-    also the ``--out`` file stem) without running anything.
-    """
-
-    run: Callable[..., List[ExperimentResult]]
-    results: Tuple[str, ...]
-
-
-def _single(module: ModuleType) -> Experiment:
-    """A module whose ``run`` returns one result named after the module."""
-    return Experiment(
-        lambda quick=True, workers=1, trace_sink=None:
-            [module.run(quick, workers, trace_sink)],
-        (module.__name__.rpartition(".")[2],))
-
+from .common import Sweep, run_sweep
 
 #: Every experiment, in report order: the paper's tables and figures,
 #: then the extensions.  The default CLI run walks this top to bottom.
-EXPERIMENTS: Dict[str, Experiment] = {
-    "table1": Experiment(
-        lambda quick=True, workers=1, trace_sink=None: [table1.run(quick)],
-        ("table1",)),
-    "table2": _single(table2),
-    "figure4": _single(figure4),
-    "figure5": _single(figure5),
-    "figure6": Experiment(
-        lambda quick=True, workers=1, trace_sink=None:
-            [figure6.run_working_set(quick, workers, trace_sink),
-             figure6.run_allhit(quick, workers, trace_sink)],
-        ("figure6a", "figure6b")),
-    "figure7": _single(figure7),
-    "fleet_scaling": _single(fleet_scaling),
-    "fleet_churn": _single(fleet_churn),
-    "adaptive_budget": _single(adaptive_budget),
-    "ablations": Experiment(
-        ablations.run,
-        ("ablation_checksum", "ablation_fs_cache", "ablation_remap",
-         "ablation_capacity", "ablation_memcpy", "ablation_daemons",
-         "ablation_loss", "ablation_netdisk")),
-    "policy_ablation": _single(policy_ablation),
+EXPERIMENTS: Dict[str, Tuple[Sweep, ...]] = {
+    "table1": (table1.SWEEP,),
+    "table2": (table2.SWEEP,),
+    "figure4": (figure4.SWEEP,),
+    "figure5": (figure5.SWEEP,),
+    "figure6": (figure6.SWEEP_A, figure6.SWEEP_B),
+    "figure7": (figure7.SWEEP,),
+    "fleet_scaling": (fleet_scaling.SWEEP,),
+    "fleet_churn": (fleet_churn.SWEEP,),
+    "adaptive_budget": (adaptive_budget.SWEEP,),
+    "ablations": ablations.SWEEPS,
+    "policy_ablation": (policy_ablation.SWEEP,),
 }
+
+#: Every sweep by its result name (which is also the ``--out`` file stem).
+SWEEPS: Dict[str, Sweep] = {sweep.name: sweep
+                            for sweeps in EXPERIMENTS.values()
+                            for sweep in sweeps}

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 
 from ..obs.trace import write_chrome_trace, write_jsonl_trace
-from . import EXPERIMENTS
+from . import EXPERIMENTS, run_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,8 +63,8 @@ def main(argv=None) -> int:
     trace_sink = [] if args.trace_out is not None else None
     try:
         for name in names:
-            for result in EXPERIMENTS[name].run(quick, args.workers,
-                                                trace_sink):
+            for sweep in EXPERIMENTS[name]:
+                result = run_sweep(sweep, quick, args.workers, trace_sink)
                 print(result.render())
                 print()
                 if args.out is not None:

@@ -34,7 +34,9 @@ aggregate.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from functools import partial
+from operator import attrgetter
+from typing import Any, Dict, Generator, Iterator, List, Optional
 
 from ..analysis.tables import ExperimentResult
 from ..cache.arbiter import ArbiterSpec
@@ -49,9 +51,8 @@ from ..sim.process import Process, start
 from ..sim.rng import substream
 from ..workloads.base import WorkloadBase
 from ..workloads.specsfs import _weighted_choice
-from .common import (measure_segments, per_kop, protocol,
+from .common import (Cell, Cut, Sweep, per_kop, protocol,
                      scaled_memory_config)
-from .parallel import RunSpec, sweep
 
 KB = 1024
 
@@ -233,9 +234,8 @@ class PhaseShiftWorkload(WorkloadBase):
             meters.throughput.record(dgram.message.count)
 
 
-def measure_point(split: str, quick: bool = True,
-                  reports: dict = None) -> dict:
-    """One run: ``split`` is ``"ghost"`` or a static fraction string.
+def cells(quick: bool = True) -> List[Cell]:
+    """The static sweep plus the adaptive point (``split="ghost"``).
 
     Every point gets the same total cache budget; static points move
     the boundary via ``ncache_fs_cache_bytes``, the adaptive point
@@ -243,40 +243,35 @@ def measure_point(split: str, quick: bool = True,
     bytes.
     """
     t = timeline(quick)
-    scale = SCALE_QUICK if quick else SCALE_FULL
-    overrides = scaled_memory_config(scale)
-    overrides["inode_table_blocks"] = 4096 if quick else 16384
     # Faster disks keep cold-start transients (cache fill, compulsory
     # metadata misses) short relative to the phase segments; every
     # point sees the same disks, so the comparison is unaffected.
-    overrides["disk_seek_ms"] = 1.0
-    overrides["disk_rotation_ms"] = 0.5
-    if split == "ghost":
-        overrides["arbiter"] = GHOST_SPEC
-    else:
-        total = (overrides["server_ram_bytes"]
-                 - overrides["server_kernel_carveout"])
-        overrides["ncache_fs_cache_bytes"] = int(float(split) * total)
-    testbed = TestbedSpec.nfs(ServerMode.NCACHE, **overrides).build()
+    machine = dict(scaled_memory_config(SCALE_QUICK if quick
+                                        else SCALE_FULL),
+                   inode_table_blocks=4096 if quick else 16384,
+                   disk_seek_ms=1.0, disk_rotation_ms=0.5)
+    total = machine["server_ram_bytes"] - machine["server_kernel_carveout"]
+    splits = {f"{f}": {"ncache_fs_cache_bytes": int(f * total)}
+              for f in STATIC_FRACTIONS}
+    splits["ghost"] = {"arbiter": GHOST_SPEC}
+    return [Cell(
+        label=f"adaptive_budget/{split}",
+        axes={"split": split},
+        spec=TestbedSpec.nfs(ServerMode.NCACHE, **{**machine, **moved}),
+        workload=partial(PhaseShiftWorkload, t, total),
+        ranked="data_names",
+        cut=Cut(t["warm_end"],
+                (("read", t["read_end"]), ("write", t["write_end"]),
+                 ("web", t["web_end"])),
+                attrgetter("target.reads_served")),
+        readout=_readout)
+        for split, moved in splits.items()]
 
-    load = PhaseShiftWorkload(t, testbed.config.cache_memory_bytes,
-                              testbed)
-    segments = measure_segments(
-        testbed, load, t["warm_end"],
-        (("read", t["read_end"]), ("write", t["write_end"]),
-         ("web", t["web_end"])),
-        lambda: testbed.target.reads_served, ranked=load.data_names)
 
-    if reports is not None:
-        key = f"adaptive_budget/{split}"
-        snapshot = testbed.metrics_snapshot()
-        snapshot["segments"] = segments
-        reports[key] = snapshot
-
+def _readout(testbed, load, segments) -> Dict[str, float]:
     counters = testbed.server_host.counters
     fs_budget = testbed.arbiter.lease("bcache").budget_bytes
     return {
-        "split": split,
         "fs_mb": round(fs_budget / MB, 2),
         "read_bpk": per_kop(segments["read"]),
         "write_bpk": per_kop(segments["write"]),
@@ -289,39 +284,26 @@ def measure_point(split: str, quick: bool = True,
     }
 
 
-def grid(quick: bool = True) -> List[RunSpec]:
-    """Static sweep plus the adaptive point, as picklable grid points."""
-    splits = [f"{f}" for f in STATIC_FRACTIONS] + ["ghost"]
-    return [RunSpec(fn="repro.experiments.adaptive_budget:measure_point",
-                    args=(split, quick),
-                    label=f"adaptive_budget/{split}")
-            for split in splits]
-
-
-def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None) -> ExperimentResult:
-    """The full sweep: every static split vs the GhostGradient point."""
-    result = ExperimentResult(
-        name="adaptive_budget",
-        title="Adaptive cache-budget arbiter vs static splits "
-              "(read-heavy -> write-heavy -> web phases, one run)",
-        columns=["split", "fs_mb", "read_bpk", "write_bpk", "web_bpk",
-                 "mean_bpk", "ops", "moves", "moved_mb"])
-    sweep(grid(quick), workers, trace_sink, into=result)
+def _notes(result: ExperimentResult, quick: bool) -> Iterator[str]:
     statics = [row for row in result.rows if row["split"] != "ghost"]
     ghost = result.value("mean_bpk", split="ghost")
     best = min(statics, key=lambda row: row["mean_bpk"])
     if best["mean_bpk"]:
         saved = 100.0 * (best["mean_bpk"] - ghost) / best["mean_bpk"]
-        result.add_note(
-            f"aggregate: the controller's {ghost:.1f} backend reads per "
-            f"1000 ops (equal-weight phase mean) beats the best static "
-            f"split (fs={best['fs_mb']} MB at {best['mean_bpk']:.1f}) "
-            f"by {saved:.1f}% at the same total budget")
+        yield (f"aggregate: the controller's {ghost:.1f} backend reads per "
+               f"1000 ops (equal-weight phase mean) beats the best static "
+               f"split (fs={best['fs_mb']} MB at {best['mean_bpk']:.1f}) "
+               f"by {saved:.1f}% at the same total budget")
     moves = result.value("moves", split="ghost")
     moved = result.value("moved_mb", split="ghost")
-    result.add_note(
-        f"the controller made {moves:.0f} moves ({moved:.1f} MB total), "
-        f"draining the FS cache for the read phase and regrowing it for "
-        f"the web phase's metadata working set")
-    return result
+    yield (f"the controller made {moves:.0f} moves ({moved:.1f} MB total), "
+           f"draining the FS cache for the read phase and regrowing it for "
+           f"the web phase's metadata working set")
+
+
+SWEEP = Sweep(
+    "adaptive_budget", "Adaptive cache-budget arbiter vs static splits "
+                       "(read-heavy -> write-heavy -> web phases, one run)",
+    ("split", "fs_mb", "read_bpk", "write_bpk", "web_bpk", "mean_bpk",
+     "ops", "moves", "moved_mb"),
+    cells, notes=_notes)

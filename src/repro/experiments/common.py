@@ -1,11 +1,17 @@
-"""Shared experiment machinery: the measurement protocol, warm-start,
-durations.
+"""Shared experiment machinery: cells, sweeps, the measurement protocol,
+warm-start, durations.
 
-Every cell of every sweep is described by a
-:class:`~repro.servers.spec.TestbedSpec` (or ``ClusterSpec``), built by
-its ``build()``, and run by :func:`measure`: set up, warm, start the
-load, warm up, reset meters, measure.  :func:`measure_segments` is the
-same protocol with the measured window cut into named segments.
+Every point of every figure, ablation and fleet run is a :class:`Cell` —
+a frozen, picklable value naming the
+:class:`~repro.servers.spec.TestbedSpec` (or ``ClusterSpec``), the
+workload, the warm-start and the readout — and :func:`run_cell` is the
+one place a cell is built and measured: ``spec.build()``, bind the
+workload, then :func:`measure` (set up, warm, start the load, warm up,
+reset meters, measure) or, when the cell cuts its window into named
+segments, :func:`measure_segments`.  The same cell on another machine is
+``dataclasses.replace`` (:func:`variant` for the nested config).  A
+result is a :class:`Sweep`: a table of cells plus how its rows are
+assembled and annotated; :func:`run_sweep` runs one.
 ``quick=True`` (the default for tests and CI) shrinks the simulated
 windows — and, for the cache-geometry experiments, the memory sizes,
 keeping all *ratios* intact while cutting wall-clock time.
@@ -17,13 +23,18 @@ fill: measurements start from the steady state the paper measures in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
+from ..analysis.tables import ExperimentResult, pct_gain
 from ..core.chunk import Chunk
 from ..core.keys import KeyedPayload, LbnKey
 from ..net.buffer import JunkPayload
-from ..servers.config import MB, ServerMode
+from ..servers.config import ServerMode, TestbedConfig
+from ..servers.spec import ClusterSpec, TestbedSpec
+from .parallel import RunSpec, run_specs
 
 ALL_MODES = (ServerMode.ORIGINAL, ServerMode.BASELINE, ServerMode.NCACHE)
 
@@ -121,6 +132,166 @@ def measure_segments(target: Any, workload: Any, warm_end: float,
     return measured
 
 
+@dataclass(frozen=True)
+class Cut:
+    """A measured window cut into named segments: the arguments of
+    :func:`measure_segments`, with ``backend`` taking the built target."""
+
+    warm_end: float
+    segments: Tuple[Tuple[str, float], ...]
+    backend: Callable[[Any], float]
+    relative: bool = False
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One point of a sweep, as a picklable value.
+
+    ``label`` names the cell within its sweep and keys its metrics
+    report (``<sweep name>/<label>`` names it anywhere); the row is
+    ``axes`` plus what ``readout(target, workload)`` returns
+    (``readout(target, workload, segments)`` when the window is ``cut``).
+    ``workload`` is called with the built target and returns the bound
+    workload; ``ranked`` names the workload attribute holding the
+    hottest-first file list to warm-start from (``None`` leaves warming
+    to the workload's ``prewarm()``); ``before_load`` is called with the
+    target between a warm cache and the load.
+    """
+
+    label: str
+    axes: Dict[str, Any]
+    spec: Union[TestbedSpec, ClusterSpec]
+    workload: Callable[[Any], Any]
+    readout: Callable[..., Dict[str, Any]]
+    ranked: Optional[str] = None
+    before_load: Optional[Callable[[Any], None]] = None
+    cut: Optional[Cut] = None
+
+
+def variant(cell: Cell, label: str, axes: Dict[str, Any],
+            **config: Any) -> Cell:
+    """``cell`` under another label, on a machine whose
+    ``TestbedConfig`` differs by ``config``."""
+    spec = cell.spec
+    return replace(cell, label=label, axes=axes, spec=replace(
+        spec, config=replace(spec.config, **config)))
+
+
+def run_cell(cell: Cell, quick: bool = True,
+             reports: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """Build, measure and read one cell; returns its row.
+
+    With ``reports``, the target's metrics snapshot is stored under the
+    cell's label; a cut cell's snapshot also carries the churn counters
+    (when its cluster has a churn schedule) and the per-segment readings
+    (when there is more than one segment).
+    """
+    target = cell.spec.build()
+    workload = cell.workload(target)
+    ranked = getattr(workload, cell.ranked) if cell.ranked else None
+    cut = cell.cut
+    if cut is None:
+        measure(target, workload, quick, ranked=ranked,
+                before_load=cell.before_load
+                and partial(cell.before_load, target),
+                reports=reports, key=cell.label)
+        return {**cell.axes, **cell.readout(target, workload)}
+    segments = measure_segments(
+        target, workload, cut.warm_end, cut.segments,
+        partial(cut.backend, target), ranked=ranked, relative=cut.relative)
+    if reports is not None:
+        snapshot = target.metrics_snapshot()
+        if getattr(cell.spec, "churn", None):
+            snapshot["churn"] = target.churn_stats()
+        if len(segments) > 1:
+            snapshot["segments"] = segments
+        reports[cell.label] = snapshot
+    return {**cell.axes, **cell.readout(target, workload, segments)}
+
+
+#: The readings most cells report, by column.
+READINGS: Dict[str, Callable[[Any], float]] = {
+    "throughput_mbps": lambda t: t.meters.throughput.mb_per_second(),
+    "ops_per_sec": lambda t: t.meters.throughput.ops_per_second(),
+    "server_cpu_pct": lambda t: t.server_cpu_utilization() * 100,
+    "storage_cpu_pct": lambda t: t.storage_cpu_utilization() * 100,
+}
+
+
+def read(target: Any, workload: Any,
+         columns: Sequence[str] = ("throughput_mbps",)) -> Dict[str, float]:
+    """The readout of a cell that reports :data:`READINGS` alone
+    (``partial(read, columns=...)`` for more than throughput)."""
+    return {column: READINGS[column](target) for column in columns}
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One result — a table or a figure — declared as data.
+
+    ``cells(quick)`` lists the sweep's cells (``RunSpec``s for the one
+    result whose points are not cells, Table 2).  Each cell's row becomes
+    a row of the result unless ``assemble(rows)`` builds them (pairing
+    cells into one row, or auditing the source tree for Table 1);
+    ``notes(result, quick)`` yields the ``note:`` lines.
+    """
+
+    name: str
+    title: str
+    columns: Tuple[str, ...]
+    cells: Callable[[bool], Sequence[Union[Cell, RunSpec]]]
+    assemble: Optional[Callable[[List[Any]], Iterable[Dict[str, Any]]]] = None
+    notes: Optional[Callable[[ExperimentResult, bool], Iterable[str]]] = None
+
+    def cell(self, label: str, quick: bool = True) -> Cell:
+        """The one cell labelled ``label``."""
+        cell, = (c for c in self.cells(quick) if c.label == label)
+        return cell
+
+    def specs(self, quick: bool = True) -> List[RunSpec]:
+        """The cells as the process pool's units of work, labelled
+        ``<name>/<cell label>``."""
+        return [cell if isinstance(cell, RunSpec) else
+                RunSpec(run_cell, (cell, quick), f"{self.name}/{cell.label}")
+                for cell in self.cells(quick)]
+
+
+def fixed_note(text: str) -> Callable[[ExperimentResult, bool], Tuple[str]]:
+    """A ``Sweep.notes`` that says the same thing whatever was measured."""
+    return lambda result, quick: (text,)
+
+
+def ncache_gain(result: ExperimentResult, column: str, **at: Any) -> float:
+    """Percent by which NCache's ``column`` exceeds original's on the
+    rows matching ``at``."""
+    return pct_gain(result.value(column, mode="NCache", **at),
+                    result.value(column, mode="original", **at))
+
+
+def run_sweep(sweep: Sweep, quick: bool = True, workers: int = 1,
+              trace_sink: Optional[List[Dict[str, Any]]] = None
+              ) -> ExperimentResult:
+    """Run every cell of ``sweep`` on ``workers`` processes and assemble
+    its result; rows, reports and traces come in cell order whatever the
+    count.  Tracing is on exactly when ``trace_sink`` is given; the sink
+    receives the serialized buses (feed it to
+    :func:`repro.obs.trace.write_chrome_trace`).
+    """
+    results = run_specs(sweep.specs(quick), workers,
+                        trace=trace_sink is not None)
+    if trace_sink is not None:
+        trace_sink.extend(bus for rr in results for bus in rr.trace)
+    result = ExperimentResult(sweep.name, sweep.title, list(sweep.columns))
+    rows = [rr.value for rr in results]
+    for row in sweep.assemble(rows) if sweep.assemble else rows:
+        result.add_row(**row)
+    for rr in results:
+        result.reports.update(rr.report)
+    for note in sweep.notes(result, quick) if sweep.notes else ():
+        result.add_note(note)
+    return result
+
+
 def per_kop(segment: Dict[str, float]) -> float:
     """Backend reads per 1000 operations over one measured segment."""
     if not segment["ops"]:
@@ -143,17 +314,7 @@ def warm_caches(testbed, ranked_names: Sequence[str]) -> None:
         return
     # Original/baseline: fill the file-system buffer cache.
     cache = testbed.cache
-    capacity = cache.capacity_blocks
-    # Collect (hottest-first) blocks until the cache is full.
-    blocks: List[tuple] = []
-    for name in ranked_names:
-        inode = image.lookup(name)
-        for b in range(inode.nblocks):
-            if len(blocks) >= capacity:
-                break
-            blocks.append((inode, b))
-        if len(blocks) >= capacity:
-            break
+    blocks = _hottest_blocks(image, ranked_names, cache.capacity_blocks)
     for inode, b in reversed(blocks):  # coldest first
         lbn = inode.block_lbn(b)
         if mode is ServerMode.BASELINE:
@@ -169,6 +330,19 @@ def warm_caches(testbed, ranked_names: Sequence[str]) -> None:
         cache.insert(lbn, payload)
 
 
+def _hottest_blocks(image, ranked_names: Sequence[str],
+                    capacity: int) -> List[tuple]:
+    """The first ``capacity`` (inode, block) pairs, hottest file first."""
+    blocks: List[tuple] = []
+    for name in ranked_names:
+        inode = image.lookup(name)
+        for b in range(inode.nblocks):
+            if len(blocks) >= capacity:
+                return blocks
+            blocks.append((inode, b))
+    return blocks
+
+
 def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
     """NCache warm-start: chunks in the LBN cache, keys in the FS cache."""
     image = testbed.image
@@ -181,16 +355,9 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
                                       JunkPayload(block_size), mss)
     footprint = sample_chunk.footprint(store.per_buffer_overhead,
                                        store.per_chunk_overhead)
-    capacity = store.capacity_bytes // footprint
-    blocks: List[tuple] = []
-    for name in ranked_names:
-        inode = image.lookup(name)
-        for b in range(inode.nblocks):
-            if len(blocks) >= capacity:
-                break
-            blocks.append((inode, b))
-        if len(blocks) >= capacity:
-            break
+    blocks = _hottest_blocks(image, ranked_names,
+                             store.capacity_bytes // footprint)
+
     def warm_chunks():
         for inode, b in reversed(blocks):
             lbn = inode.block_lbn(b)
@@ -223,8 +390,7 @@ def scaled_memory_config(scale: int = 1) -> dict:
     """
     if scale == 1:
         return {}
-    return {
-        "server_ram_bytes": 896 * MB // scale,
-        "server_kernel_carveout": 96 * MB // scale,
-        "ncache_fs_cache_bytes": 64 * MB // scale,
-    }
+    machine = TestbedConfig()
+    return {name: getattr(machine, name) // scale
+            for name in ("server_ram_bytes", "server_kernel_carveout",
+                         "ncache_fs_cache_bytes")}

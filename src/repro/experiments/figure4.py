@@ -11,67 +11,42 @@ server configurations.  Expected shape (§5.4):
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from typing import Iterator, List
 
-from ..analysis.tables import ExperimentResult, pct_gain
-from ..servers.config import ServerMode
+from ..analysis.tables import ExperimentResult
+from ..servers.config import GB, MB
 from ..servers.spec import TestbedSpec
 from ..workloads.microbench import SequentialReadWorkload
-from .common import ALL_MODES, NFS_REQUEST_SIZES, measure
-from .parallel import RunSpec, sweep
-
-GB = 1 << 30
+from .common import (ALL_MODES, NFS_REQUEST_SIZES, Cell, Sweep, ncache_gain,
+                     read)
 
 
-def measure_point(mode: ServerMode, request_size: int, quick: bool = True,
-                  streams_per_client: int = 12,
-                  reports: dict = None) -> dict:
-    """One (mode, request size) cell of Figure 4.
-
-    When ``reports`` is given, the testbed's full metrics snapshot is
-    stored there under ``"<mode>/<request_size>"``.
-    """
-    file_size = (256 << 20) if quick else 2 * GB
-    testbed = TestbedSpec.nfs(mode, n_daemons=24,
-                              flush_interval_s=None).build()
-    workload = SequentialReadWorkload(testbed, request_size,
-                                      file_size=file_size,
-                                      streams_per_client=streams_per_client)
-    measure(testbed, workload, quick, reports=reports,
-            key=f"{mode.value}/{request_size}")
-    return {
-        "mode": mode.label,
-        "request_kb": request_size // 1024,
-        "throughput_mbps": testbed.meters.throughput.mb_per_second(),
-        "server_cpu_pct": testbed.server_cpu_utilization() * 100,
-        "storage_cpu_pct": testbed.storage_cpu_utilization() * 100,
-    }
+def cells(quick: bool = True) -> List[Cell]:
+    """Every (mode, request size) cell: 24 daemons, 12 sequential
+    streams per client over files no cache holds."""
+    file_size = 256 * MB if quick else 2 * GB
+    return [Cell(
+        label=f"{mode.value}/{request_size}",
+        axes={"mode": mode.label, "request_kb": request_size // 1024},
+        spec=TestbedSpec.nfs(mode, n_daemons=24, flush_interval_s=None),
+        workload=partial(SequentialReadWorkload, request_size=request_size,
+                         file_size=file_size, streams_per_client=12),
+        readout=partial(read, columns=("throughput_mbps", "server_cpu_pct",
+                                       "storage_cpu_pct")))
+        for mode in ALL_MODES
+        for request_size in NFS_REQUEST_SIZES]
 
 
-def grid(quick: bool = True) -> List[RunSpec]:
-    """The sweep as independent, picklable grid points."""
-    return [RunSpec(fn="repro.experiments.figure4:measure_point",
-                    args=(mode, request_size, quick),
-                    label=f"figure4/{mode.value}/{request_size}")
-            for mode in ALL_MODES
-            for request_size in NFS_REQUEST_SIZES]
+def _notes(result: ExperimentResult, quick: bool) -> Iterator[str]:
+    for kb in (16, 32):
+        gain = ncache_gain(result, "throughput_mbps", request_kb=kb)
+        yield (f"{kb} KB: NCache vs original {gain:+.1f}% "
+               f"(paper: +29% to +36%)")
 
 
-def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None) -> ExperimentResult:
-    """The full Figure 4 sweep."""
-    result = ExperimentResult(
-        name="figure4",
-        title="Figure 4: NFS all-miss — throughput (a) and CPU (b)",
-        columns=["mode", "request_kb", "throughput_mbps",
-                 "server_cpu_pct", "storage_cpu_pct"])
-    sweep(grid(quick), workers, trace_sink, into=result)
-    for request_kb in (16, 32):
-        orig = result.value("throughput_mbps", mode="original",
-                            request_kb=request_kb)
-        ncache = result.value("throughput_mbps", mode="NCache",
-                              request_kb=request_kb)
-        result.add_note(
-            f"{request_kb} KB: NCache vs original "
-            f"{pct_gain(ncache, orig):+.1f}% (paper: +29% to +36%)")
-    return result
+SWEEP = Sweep(
+    "figure4", "Figure 4: NFS all-miss — throughput (a) and CPU (b)",
+    ("mode", "request_kb", "throughput_mbps", "server_cpu_pct",
+     "storage_cpu_pct"),
+    cells, notes=_notes)

@@ -22,18 +22,18 @@ cooperation, not extra RAM.
 
 from __future__ import annotations
 
-from typing import List
+from functools import partial
+from operator import methodcaller
+from typing import Any, Dict, Iterator, List
 
 from ..analysis.tables import ExperimentResult
-from ..servers.config import ServerMode
+from ..servers.config import MB, ServerMode
 from ..servers.spec import ClusterSpec, TestbedSpec
 from ..workloads.fleetzipf import FleetZipfWorkload
-from .common import (measure_segments, per_kop, protocol,
+from .common import (Cell, Cut, Sweep, per_kop, protocol,
                      scaled_memory_config)
-from .parallel import RunSpec, sweep
 
 KB = 1024
-MB = 1 << 20
 
 #: Aggregate memory budget = the standard testbed scaled by this factor,
 #: split evenly across the fleet (per-node scale = BASE_SCALE * n).
@@ -56,37 +56,43 @@ def cluster_spec(n_servers: int, cooperative: bool, replication: int,
         group_blocks=GROUP_BLOCKS)
 
 
-def workload(quick: bool = True) -> FleetZipfWorkload:
+def zipf_population(quick: bool = True, **phases: Any) -> partial:
     """The shared Zipf population workload (working set ≫ one node's
-    cache, comparable to the fleet's aggregate budget)."""
-    n_files = 192 if quick else 512
-    return FleetZipfWorkload(
-        n_files=n_files, file_size=128 * KB, request_size=32 * KB,
-        zipf_alpha=0.9, n_logical_clients=1_000_000,
-        n_streams=32, think_time_s=0.0005)
+    cache, comparable to the fleet's aggregate budget), unbound;
+    ``phases`` layers storms, crowds and drift on it."""
+    return partial(
+        FleetZipfWorkload,
+        n_files=192 if quick else 512, file_size=128 * KB,
+        request_size=32 * KB, zipf_alpha=0.9, n_logical_clients=1_000_000,
+        n_streams=32, think_time_s=0.0005, **phases)
 
 
-def measure_point(n_servers: int, cooperative: bool, replication: int = 1,
-                  quick: bool = True, reports: dict = None) -> dict:
-    """One (cluster size, cooperation, replication) cell."""
+def cells(quick: bool = True) -> List[Cell]:
+    """The cluster sizes swept, with and without cooperation."""
     proto = protocol(quick)
-    fleet = cluster_spec(n_servers, cooperative, replication, quick).build()
-    load = workload(quick).bind(fleet)
-    # Double the standard warmup: the fleet must reach cache steady
-    # state before backend reads are attributable to cooperation.
-    window = measure_segments(
-        fleet, load, 2 * proto.warmup_s, (("measure", proto.measure_s),),
-        fleet.backend_reads, relative=True)["measure"]
-    if reports is not None:
-        key = f"n{n_servers}/r{replication}/" \
-              f"{'coop' if cooperative else 'solo'}"
-        reports[key] = fleet.metrics_snapshot()
+    points = [(1, False, 1), (4, True, 2), (4, False, 2),
+              (8, True, 2), (8, False, 2)]
+    if not quick:
+        points += [(8, True, 3), (8, False, 3),
+                   (16, True, 2), (16, False, 2)]
+    return [Cell(
+        label=f"n{n}/r{repl}/{'coop' if coop else 'solo'}",
+        axes={"n_servers": n, "coop": "on" if coop else "off", "repl": repl},
+        spec=cluster_spec(n, coop, repl, quick),
+        workload=zipf_population(quick),
+        # Double the standard warmup: the fleet must reach cache steady
+        # state before backend reads are attributable to cooperation.
+        cut=Cut(2 * proto.warmup_s, (("measure", proto.measure_s),),
+                methodcaller("backend_reads"), relative=True),
+        readout=_readout)
+        for n, coop, repl in points]
+
+
+def _readout(fleet, load, segments) -> Dict[str, float]:
+    window = segments["measure"]
     probes = fleet.counter_sum("fleet.peer_probe")
     hits = fleet.counter_sum("fleet.peer_hit")
     return {
-        "n_servers": n_servers,
-        "coop": "on" if cooperative else "off",
-        "repl": replication,
         "throughput_mbps": sum(tb.meters.throughput.mb_per_second()
                                for tb in fleet.testbeds),
         "ops_per_s": sum(tb.meters.throughput.ops_per_second()
@@ -101,38 +107,21 @@ def measure_point(n_servers: int, cooperative: bool, replication: int = 1,
     }
 
 
-def grid(quick: bool = True) -> List[RunSpec]:
-    """The sweep as independent, picklable grid points."""
-    points = [(1, False, 1), (4, True, 2), (4, False, 2),
-              (8, True, 2), (8, False, 2)]
-    if not quick:
-        points += [(8, True, 3), (8, False, 3),
-                   (16, True, 2), (16, False, 2)]
-    return [RunSpec(fn="repro.experiments.fleet_scaling:measure_point",
-                    args=(n, coop, repl, quick),
-                    label=f"fleet_scaling/n{n}/r{repl}/"
-                          f"{'coop' if coop else 'solo'}")
-            for n, coop, repl in points]
-
-
-def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None) -> ExperimentResult:
-    """The full fleet-scaling sweep."""
-    result = ExperimentResult(
-        name="fleet_scaling",
-        title="Fleet scaling: cooperative NCache vs. cluster size "
-              "(equal aggregate cache budget)",
-        columns=["n_servers", "coop", "repl", "throughput_mbps",
-                 "ops_per_s", "imbalance", "peer_hit_pct", "peer_mb",
-                 "backend_reads", "backend_per_kop"])
-    sweep(grid(quick), workers, trace_sink, into=result)
+def _notes(result: ExperimentResult, quick: bool) -> Iterator[str]:
     for n in (4, 8):
         coop = result.value("backend_per_kop", n_servers=n, coop="on",
                             repl=2)
         solo = result.value("backend_per_kop", n_servers=n, coop="off",
                             repl=2)
         saved = 100.0 * (solo - coop) / solo if solo else 0.0
-        result.add_note(
-            f"{n} servers: cooperation cuts backend reads per 1000 ops "
-            f"by {saved:.1f}% ({solo:.0f} -> {coop:.0f})")
-    return result
+        yield (f"{n} servers: cooperation cuts backend reads per 1000 ops "
+               f"by {saved:.1f}% ({solo:.0f} -> {coop:.0f})")
+
+
+SWEEP = Sweep(
+    "fleet_scaling", "Fleet scaling: cooperative NCache vs. cluster size "
+                     "(equal aggregate cache budget)",
+    ("n_servers", "coop", "repl", "throughput_mbps", "ops_per_s",
+     "imbalance", "peer_hit_pct", "peer_mb", "backend_reads",
+     "backend_per_kop"),
+    cells, notes=_notes)

@@ -24,10 +24,8 @@ from __future__ import annotations
 import gc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from importlib import import_module
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..analysis.tables import ExperimentResult
 from ..obs import trace as _trace
 from ..sim import engine as _engine
 
@@ -36,17 +34,15 @@ from ..sim import engine as _engine
 class RunSpec:
     """One picklable unit of experiment work.
 
-    ``fn`` is a ``"module:callable"`` string rather than a function
-    object so specs stay picklable and printable; the callable is
-    resolved in the worker process.  When ``capture_reports`` is true
-    the callable must accept a ``reports`` keyword (the convention all
-    ``measure_*`` functions follow) and the dict it fills is carried
-    back on the :class:`RunResult`.
+    ``fn`` is a module-level callable (pickled by reference and called in
+    the worker process) — :func:`~repro.experiments.common.run_cell` for
+    every sweep but Table 2.  When ``capture_reports`` is true it must
+    accept a ``reports`` keyword, and the dict it fills is carried back
+    on the :class:`RunResult`.
     """
 
-    fn: str
+    fn: Callable[..., Any]
     args: tuple = ()
-    kwargs: Dict[str, Any] = field(default_factory=dict)
     label: str = ""
     capture_reports: bool = True
 
@@ -56,10 +52,10 @@ class RunResult:
     """What came back from one :class:`RunSpec`.
 
     ``value`` is whatever the spec's callable returned (a row dict for
-    ``measure_*`` functions, an ``ExperimentResult`` for whole-ablation
-    specs).  ``sim_events`` is the number of engine callbacks the point
-    dispatched (an identity check, not a rate); ``trace`` is a list of
-    serialized trace buses when tracing was requested, else ``None``.
+    a cell, copy counts for a Table 2 scenario).  ``sim_events`` is the
+    number of engine callbacks the point dispatched (an identity check,
+    not a rate); ``trace`` is a list of serialized trace buses when
+    tracing was requested, else ``None``.
     """
 
     label: str
@@ -69,24 +65,14 @@ class RunResult:
     trace: Optional[List[Dict[str, Any]]] = None
 
 
-def _resolve(fn: str):
-    module_name, _, attr = fn.partition(":")
-    if not attr:
-        raise ValueError(f"RunSpec.fn must be 'module:callable', got {fn!r}")
-    return getattr(import_module(module_name), attr)
-
-
 def _execute(spec: RunSpec, trace: bool = False) -> RunResult:
     """Run one spec in this process (pool worker or serial caller)."""
-    fn = _resolve(spec.fn)
-    kwargs = dict(spec.kwargs)
     reports: Dict[str, Any] = {}
-    if spec.capture_reports:
-        kwargs["reports"] = reports
+    kwargs = {"reports": reports} if spec.capture_reports else {}
     session = _trace.start_tracing() if trace else None
     before = _engine.dispatch_count()
     try:
-        value = fn(*spec.args, **kwargs)
+        value = spec.fn(*spec.args, **kwargs)
     finally:
         if session is not None:
             _trace.stop_tracing()
@@ -124,34 +110,3 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 1,
         return results
     with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         return list(pool.map(_execute, specs, [trace] * len(specs)))
-
-
-def sweep(specs: Sequence[RunSpec], workers: int = 1,
-          trace_sink: Optional[List[Dict[str, Any]]] = None,
-          into: Optional[ExperimentResult] = None) -> List[RunResult]:
-    """Run one sweep's grid and do the bookkeeping every sweep shares.
-
-    Tracing is on exactly when ``trace_sink`` is given; the sink receives
-    the serialized buses in spec order (feed it to
-    :func:`repro.obs.trace.write_chrome_trace`).  When ``into`` is given,
-    each point's row dict becomes a row of it and each point's metrics
-    report is merged into its ``reports``.  Returns the results in spec
-    order for sweeps that assemble their rows themselves.
-    """
-    results = run_specs(specs, workers=workers, trace=trace_sink is not None)
-    if trace_sink is not None:
-        trace_sink.extend(collect_traces(results))
-    if into is not None:
-        for rr in results:
-            into.add_row(**rr.value)
-            into.reports.update(rr.report)
-    return results
-
-
-def collect_traces(results: Iterable[RunResult]) -> List[Dict[str, Any]]:
-    """All serialized buses from ``results``, in result (= spec) order."""
-    buses: List[Dict[str, Any]] = []
-    for rr in results:
-        if rr is not None and rr.trace:
-            buses.extend(rr.trace)
-    return buses

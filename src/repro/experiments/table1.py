@@ -16,12 +16,13 @@ as a property of the code rather than a claim.
 from __future__ import annotations
 
 import ast
+from importlib.util import resolve_name
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 import repro
 
-from ..analysis.tables import ExperimentResult
+from .common import Sweep, fixed_note
 
 #: Component -> (modules, paper's "locations modified" entry).
 COMPONENTS = {
@@ -57,21 +58,11 @@ def _imports_of(path: Path) -> List[str]:
 
 def _references_core(path: Path, package_root: Path) -> bool:
     """True if the module imports repro.core (resolving relative forms)."""
-    rel = path.relative_to(package_root)
-    pkg_parts = ("repro",) + rel.parts[:-1]
-    for name in _imports_of(path):
-        if name.startswith("repro.core") or name == "repro.core":
-            return True
-        if name.startswith("."):
-            level = len(name) - len(name.lstrip("."))
-            remainder = name.lstrip(".")
-            base = pkg_parts[:len(pkg_parts) - (level - 1)] if level > 1 \
-                else pkg_parts
-            absolute = ".".join(base + tuple(
-                p for p in remainder.split(".") if p))
-            if absolute.startswith("repro.core"):
-                return True
-    return False
+    package = ".".join(("repro",)
+                       + path.relative_to(package_root).parts[:-1])
+    return any((resolve_name(name, package) if name.startswith(".")
+                else name).startswith("repro.core")
+               for name in _imports_of(path))
 
 
 def audit() -> Dict[str, Dict]:
@@ -92,24 +83,26 @@ def audit() -> Dict[str, Dict]:
     return report
 
 
-def run(quick: bool = True) -> ExperimentResult:
-    """Table 1 as an ExperimentResult."""
-    result = ExperimentResult(
-        name="table1",
-        title="Table 1: components referencing the NCache module "
-              "(import-graph audit)",
-        columns=["component", "paper_entry", "modules_importing_ncache"])
-    report = audit()
-    for component, info in report.items():
+def _rows(cell_rows: list) -> Iterator[Dict[str, str]]:
+    """The table's rows: there are no cells to measure, only the audit."""
+    for component, info in audit().items():
         expected_clean = component != "NCache module (standalone)"
         touching = info["imports_ncache"]
-        result.add_row(
-            component=component,
-            paper_entry=info["paper"],
-            modules_importing_ncache=", ".join(touching) if touching
-            else ("none (verified)" if expected_clean else "(is the module)"))
-    result.add_note("the daemon, buffer cache, initiator and stack are "
-                    "NCache-free; integration happens in "
-                    "servers/testbed.py + core/wiring.py, mirroring the "
-                    "paper's <150 modified lines")
-    return result
+        yield {
+            "component": component,
+            "paper_entry": info["paper"],
+            "modules_importing_ncache": ", ".join(touching) if touching
+            else ("none (verified)" if expected_clean
+                  else "(is the module)")}
+
+
+SWEEP = Sweep(
+    "table1", "Table 1: components referencing the NCache module "
+              "(import-graph audit)",
+    ("component", "paper_entry", "modules_importing_ncache"),
+    cells=lambda quick: (), assemble=_rows,
+    notes=fixed_note(
+        "the daemon, buffer cache, initiator and stack are "
+        "NCache-free; integration happens in "
+        "servers/testbed.py + core/wiring.py, mirroring the "
+        "paper's <150 modified lines"))

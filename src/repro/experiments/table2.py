@@ -20,17 +20,16 @@ three server modes — NCache and the ideal baseline must show zero.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
-from ..analysis.tables import ExperimentResult
 from ..copymodel.accounting import physical_copies
 from ..net.buffer import VirtualPayload
 from ..servers.config import ServerMode
 from ..servers.spec import TestbedSpec
 from ..servers.testbed import run_until_complete
 from ..sim.process import start
-from .common import ALL_MODES
-from .parallel import RunSpec, sweep
+from .common import ALL_MODES, Sweep, fixed_note
+from .parallel import RunSpec
 
 SERVER = "server"
 
@@ -102,39 +101,32 @@ PAPER_ORIGINAL = {
 }
 
 
-def grid(quick: bool = True) -> List[RunSpec]:
-    """Both trace scenarios for every mode, as independent grid points.
+def _scenarios(quick: bool) -> List[RunSpec]:
+    """Both trace scenarios for every mode.
 
-    The trace functions take no ``reports`` dict (they return copy
-    counts, not throughput metrics), hence ``capture_reports=False``.
+    They are single requests, not cells: nothing is warmed or windowed,
+    and they return copy counts rather than a metrics report.
     """
-    specs: List[RunSpec] = []
-    for mode in ALL_MODES:
-        specs.append(RunSpec(fn="repro.experiments.table2:nfs_copy_counts",
-                             args=(mode,), capture_reports=False,
-                             label=f"table2/nfs/{mode.value}"))
-        specs.append(RunSpec(fn="repro.experiments.table2:web_copy_counts",
-                             args=(mode,), capture_reports=False,
-                             label=f"table2/web/{mode.value}"))
-    return specs
+    return [RunSpec(fn, (mode,), f"table2/{kind}/{mode.value}",
+                    capture_reports=False)
+            for mode in ALL_MODES
+            for kind, fn in (("nfs", nfs_copy_counts),
+                             ("web", web_copy_counts))]
 
 
-def run(quick: bool = True, workers: int = 1,
-        trace_sink: list = None) -> ExperimentResult:
-    """Table 2 (all modes) as an ExperimentResult."""
-    result = ExperimentResult(
-        name="table2",
-        title="Table 2: physical data copies per request "
+def _rows(counts: List[Dict[str, int]]) -> Iterator[Dict[str, object]]:
+    for mode, nfs, web in zip(ALL_MODES, counts[0::2], counts[1::2]):
+        yield dict(server="NFS server", mode=mode.label, **nfs)
+        yield dict(server="kHTTPd", mode=mode.label,
+                   write_overwritten="n/a", write_flushed="n/a", **web)
+
+
+SWEEP = Sweep(
+    "table2", "Table 2: physical data copies per request "
               "(regular data, inside the server)",
-        columns=["server", "mode", "read_hit", "read_miss",
-                 "write_overwritten", "write_flushed"])
-    results = sweep(grid(quick), workers, trace_sink)
-    for mode, (nfs_rr, web_rr) in zip(ALL_MODES,
-                                      zip(results[0::2], results[1::2])):
-        result.add_row(server="NFS server", mode=mode.label, **nfs_rr.value)
-        result.add_row(server="kHTTPd", mode=mode.label,
-                       write_overwritten="n/a", write_flushed="n/a",
-                       **web_rr.value)
-    result.add_note("paper (original): NFS 2/3/1/2, kHTTPd 1/2; "
-                    "NCache and baseline rows must be all zero")
-    return result
+    ("server", "mode", "read_hit", "read_miss", "write_overwritten",
+     "write_flushed"),
+    _scenarios, assemble=_rows,
+    notes=fixed_note(
+        "paper (original): NFS 2/3/1/2, kHTTPd 1/2; "
+        "NCache and baseline rows must be all zero"))

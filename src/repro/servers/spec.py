@@ -4,7 +4,7 @@
 server, the frozen :class:`~repro.servers.config.TestbedConfig` of the
 machine, and the few values only construction needs (image geometry,
 seed, flush interval, connection fan-out).  It is an immutable, hashable,
-**picklable** value — so an :class:`~repro.experiments.parallel.RunSpec`
+**picklable** value — so a :class:`~repro.experiments.common.Cell`
 can carry one across process-pool workers unchanged — and
 :meth:`TestbedSpec.build` is the only place a testbed is constructed.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.check import sanitizer as _sanitizer
@@ -40,6 +42,24 @@ def _buffer_sanitizer():
     hard = san.hard_violations()
     assert not hard, "buffer sanitizer: " + "; ".join(
         v.format() for v in hard)
+
+
+@pytest.fixture(scope="session")
+def cell_result():
+    """``cell_result("figure4/ncache/16384")`` — the serial ``RunResult``
+    (row, report, ``sim_events``) of one quick cell, simulated once per
+    session however many tests read it.  Treat it as read-only."""
+    from repro.experiments import SWEEPS
+    from repro.experiments.parallel import run_specs
+
+    @functools.lru_cache(maxsize=None)
+    def result(label: str):
+        spec, = [spec for spec in
+                 SWEEPS[label.partition("/")[0]].specs(quick=True)
+                 if spec.label == label]
+        return run_specs([spec], workers=1)[0]
+
+    return result
 
 
 @pytest.fixture

@@ -25,18 +25,19 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import adaptive_budget
+from repro.experiments.common import run_sweep
 
 GOLDEN = Path(__file__).parent / "goldens" / "adaptive_budget_quick.json"
 
 
 @pytest.fixture(scope="module")
 def result():
-    return adaptive_budget.run(quick=True, workers=2)
+    return run_sweep(adaptive_budget.SWEEP, quick=True, workers=2)
 
 
 def quick_rows():
     """Measured quick-grid rows, shaped like the golden."""
-    result = adaptive_budget.run(quick=True, workers=2)
+    result = run_sweep(adaptive_budget.SWEEP, quick=True, workers=2)
     return {row["split"]: {col: row[col] for col in
                            ("fs_mb", "read_bpk", "write_bpk", "web_bpk",
                             "mean_bpk")}
@@ -72,11 +73,13 @@ class TestAcceptance:
 
 
 class TestDeterminism:
-    def test_inline_rerun_is_bit_equal(self, result):
+    def test_inline_rerun_is_bit_equal(self, result, cell_result):
         """Worker placement must not leak: the grid runs points in
         subprocesses (workers=2); rerunning the adaptive point inline
         must reproduce the row exactly."""
-        inline = adaptive_budget.measure_point("ghost", quick=True)
+        # (This sweep's cell labels — its report keys — carry its name.)
+        inline = cell_result(
+            "adaptive_budget/adaptive_budget/ghost").value
         row = next(r for r in result.rows if r["split"] == "ghost")
         assert inline == row
 

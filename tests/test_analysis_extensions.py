@@ -140,8 +140,8 @@ class TestClaimsRegistry:
     def test_registry_covers_all_figures(self):
         # Every table the audited entries produce is held to something,
         # and nothing is held to a table no entry produces.
-        produced = {name for entry in self.AUDITED
-                    for name in EXPERIMENTS[entry].results}
+        produced = {sweep.name for entry in self.AUDITED
+                    for sweep in EXPERIMENTS[entry]}
         assert {c.experiment for c in claims()} == produced == set(TABLES)
         assert len(claims()) >= 40
 
@@ -221,17 +221,14 @@ class TestClaimsRegistry:
 
         ran = []
 
-        def fake(name, entry):
-            def run(quick=True, workers=1, trace_sink=None):
-                ran.append(name)
-                return [stub(result) for result in entry.results]
-            return entry._replace(run=run)
+        def fake(sweep, quick=True, workers=1, trace_sink=None):
+            ran.append(sweep)
+            return stub(sweep.name)
 
-        monkeypatch.setattr(experiments, "EXPERIMENTS", {
-            name: fake(name, entry)
-            for name, entry in experiments.EXPERIMENTS.items()})
+        monkeypatch.setattr(experiments, "run_sweep", fake)
         checked = evaluate_all()
-        assert ran == self.AUDITED
+        assert ran == [sweep for entry in self.AUDITED
+                       for sweep in EXPERIMENTS[entry]]
         assert [c.claim_id for c in checked] \
             == [c.claim_id for c in claims()]
         assert all(c.measured is not None for c in checked)

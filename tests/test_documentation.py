@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,49 @@ class TestPackaging:
         text = (REPO_ROOT / "README.md").read_text()
         missing = [rule_id for rule_id in RULES if f"`{rule_id}`" not in text]
         assert not missing, missing
+
+
+class TestNamesInDocsExist:
+    """A doc may not name code that is gone."""
+
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md")
+    #: ``repro.x.y`` anywhere, and `` `figure4.cells` ``-style short
+    #: names of the experiment modules inside inline code.
+    DOTTED = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+    SHORT = re.compile(r"`(?:experiments\.)?((?:%s)\.[A-Za-z_]\w*)" % "|".join(
+        path.stem for path in (PACKAGE_ROOT / "experiments").glob("[a-z]*.py")))
+
+    @staticmethod
+    def resolves(name):
+        parts = name.split(".")
+        for split in range(len(parts), 0, -1):
+            try:
+                found = importlib.import_module(".".join(parts[:split]))
+            except ImportError:
+                continue
+            try:
+                for attr in parts[split:]:
+                    found = getattr(found, attr)
+            except AttributeError:
+                return False
+            return True
+        return False
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_every_dotted_name_resolves_by_import(self, doc):
+        text = (REPO_ROOT / doc).read_text()
+        names = set(self.DOTTED.findall(text)) | {
+            f"repro.experiments.{short}"
+            for short in self.SHORT.findall(text)}
+        assert len(names) >= 5, doc
+        assert sorted(n for n in names if not self.resolves(n)) == []
+
+    def test_a_deleted_name_is_caught(self):
+        assert self.resolves("repro.experiments.common.run_cell")
+        assert not self.resolves("repro.experiments.figure4.measure_point")
+        assert self.SHORT.findall("see `figure4.measure_point`") \
+            == ["figure4.measure_point"]
 
 
 class TestExamples:

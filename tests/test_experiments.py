@@ -6,6 +6,8 @@ claims on single, cheap points, against the bands that registry holds.
 """
 
 import ast
+import pickle
+from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
 
@@ -15,9 +17,11 @@ from repro import experiments
 from repro.analysis import ExperimentResult, pct_gain, ratio
 from repro.analysis.paper import claims
 from repro.cache import POLICIES
-from repro.experiments import EXPERIMENTS, figure5, figure6, \
+from repro.copymodel import CostModel
+from repro.experiments import EXPERIMENTS, SWEEPS, figure5, \
     policy_ablation, table1, table2
-from repro.experiments.common import warm_caches
+from repro.experiments.common import Cell, run_cell, run_sweep, variant, \
+    warm_caches
 from repro.servers import MB, ServerMode, TestbedSpec
 from repro.workloads import SpecWebWorkload
 
@@ -63,7 +67,7 @@ class TestTable1:
             assert info["imports_ncache"] == [], component
 
     def test_rendered_table(self):
-        result = table1.run()
+        result = run_sweep(table1.SWEEP)
         assert len(result.rows) == 5
 
 
@@ -90,9 +94,8 @@ class TestFigureShapes:
     """Single-point checks of the paper's qualitative results."""
 
     @pytest.fixture(scope="class")
-    def allhit_32k(self):
-        return {mode: figure5.measure_point(mode, 32768, n_nics=2,
-                                            quick=True)
+    def allhit_32k(self, cell_result):
+        return {mode: cell_result(f"figure5/{mode.value}/2nic/32768").value
                 for mode in (ServerMode.ORIGINAL, ServerMode.BASELINE,
                              ServerMode.NCACHE)}
 
@@ -126,11 +129,12 @@ class TestFigureShapes:
             "fig5-original-cpu-saturated",
             allhit_32k[ServerMode.ORIGINAL]["server_cpu_pct"])
 
-    def test_web_allhit_improvement_grows_with_size(self):
-        small = {m: figure6.measure_allhit(m, 16384)["throughput_mbps"]
-                 for m in (ServerMode.ORIGINAL, ServerMode.NCACHE)}
-        large = {m: figure6.measure_allhit(m, 131072)["throughput_mbps"]
-                 for m in (ServerMode.ORIGINAL, ServerMode.NCACHE)}
+    def test_web_allhit_improvement_grows_with_size(self, cell_result):
+        small, large = (
+            {m: cell_result(f"figure6b/{m.value}/allhit/{size}")
+             .value["throughput_mbps"]
+             for m in (ServerMode.ORIGINAL, ServerMode.NCACHE)}
+            for size in (16384, 131072))
         gain_small = pct_gain(small[ServerMode.NCACHE],
                               small[ServerMode.ORIGINAL])
         gain_large = pct_gain(large[ServerMode.NCACHE],
@@ -173,19 +177,83 @@ class TestWarmStart:
 
 class TestPolicyAblation:
     def test_grid_covers_every_policy(self):
-        specs = policy_ablation.grid(quick=True)
+        specs = policy_ablation.SWEEP.specs(quick=True)
         assert len(specs) == len(POLICIES) * len(policy_ablation.WORKLOADS)
         labels = {spec.label for spec in specs}
         for policy in POLICIES:
             assert f"policy_ablation/specsfs/{policy}" in labels
 
-    def test_one_cell_reports_all_columns(self):
-        row = policy_ablation.measure_point("specweb", "clock", quick=True)
+    def test_one_cell_reports_all_columns(self, cell_result):
+        row = cell_result("policy_ablation/specweb/clock").value
         assert row["policy"] == "clock"
         assert row["ops_per_sec"] > 0
         assert 0.0 < row["hit_pct"] <= 100.0
         for col in ("ghost_hit_pct", "fs_ghost_pct", "copied_kb_per_op"):
             assert row[col] >= 0.0
+
+
+class TestCellsAreValues:
+    """What the table-of-cells form is for: one cell, reached from
+    outside, replaced, and run."""
+
+    @staticmethod
+    def described(cell):
+        """Everything ``run_cell`` builds and drives, as comparable
+        values (a ``partial`` compares by identity; its parts do not)."""
+        load = cell.workload
+        return (cell.spec, load.func, load.args, load.keywords, cell.ranked,
+                cell.before_load, cell.cut)
+
+    @pytest.mark.parametrize("mode", [ServerMode.ORIGINAL,
+                                      ServerMode.NCACHE], ids=str)
+    def test_figure5b_cell_is_the_base_of_a1_a5_a7(self, mode, cell_result):
+        """Figure 5(b) at 32 KB, A1 "offload on" and A5 at 3.0 ns/B are
+        one value — nothing to run twice.  A7 at 0 % loss differs by its
+        ``before_load`` alone, so it is run: same row, same events."""
+        base = figure5.SWEEP.cell(f"{mode.value}/2nic/32768")
+        for sweep, label in (
+                ("ablation_checksum", f"{mode.label} (offload on)"),
+                ("ablation_memcpy", f"{mode.value}/3.0")):
+            assert self.described(SWEEPS[sweep].cell(label)) \
+                == self.described(base)
+        lossless = SWEEPS["ablation_loss"].cell(f"0.0/{mode.value}")
+        assert lossless.before_load is not None
+        assert self.described(replace(lossless, before_load=None)) \
+            == self.described(base)
+        figure = cell_result(f"figure5/{mode.value}/2nic/32768")
+        again = cell_result(f"ablation_loss/0.0/{mode.value}")
+        assert again.value["throughput_mbps"] \
+            == figure.value["throughput_mbps"]
+        assert again.value["retransmissions"] == 0
+        assert again.sim_events == figure.sim_events
+
+    def test_replacing_the_cost_model_is_a5s_row(self, cell_result):
+        """README's sentence, executed: ``dataclasses.replace`` of the
+        Figure 5(b) cell's cost model is A5's 5 ns/B cell — as a value
+        in both modes, and bit for bit where the copy cost is paid
+        (NCache's throughput does not move with it)."""
+        slow = CostModel(memcpy_ns_per_byte=5.0)
+        replaced = {}
+        for mode in (ServerMode.ORIGINAL, ServerMode.NCACHE):
+            cell = SWEEPS["figure5"].cell(f"{mode.value}/2nic/32768")
+            replaced[mode] = replace(cell, spec=replace(
+                cell.spec, config=replace(cell.spec.config, costs=slow)))
+            assert replaced[mode] == variant(cell, cell.label, cell.axes,
+                                             costs=slow)
+            assert self.described(replaced[mode]) == self.described(
+                SWEEPS["ablation_memcpy"].cell(f"{mode.value}/5.0"))
+        by_hand = run_cell(replaced[ServerMode.ORIGINAL], quick=True)
+        a5 = cell_result("ablation_memcpy/original/5.0").value
+        assert by_hand["throughput_mbps"] == a5["throughput_mbps"]
+        assert by_hand["throughput_mbps"] < cell_result(
+            "figure5/original/2nic/32768").value["throughput_mbps"]
+
+    def test_a5_pairs_its_cells_into_one_row(self):
+        row, = SWEEPS["ablation_memcpy"].assemble(
+            [{"memcpy_ns_per_byte": 5.0, "throughput_mbps": 50.0},
+             {"memcpy_ns_per_byte": 5.0, "throughput_mbps": 100.0}])
+        assert row == {"memcpy_ns_per_byte": 5.0, "original_mbps": 50.0,
+                       "ncache_mbps": 100.0, "gain_pct": 100.0}
 
 
 class TestRegistry:
@@ -194,9 +262,10 @@ class TestRegistry:
         modules = {path.stem for path in package.glob("*.py")} \
             - {"__init__", "__main__", "common", "parallel"}
         assert set(EXPERIMENTS) == modules
-        produced = [name for entry in EXPERIMENTS.values()
-                    for name in entry.results]
+        produced = [sweep.name for sweeps in EXPERIMENTS.values()
+                    for sweep in sweeps]
         assert len(produced) == len(set(produced))
+        assert produced == list(SWEEPS)
 
     def test_cli_choices_are_the_registry_keys(self):
         from repro.experiments.__main__ import build_parser
@@ -206,15 +275,31 @@ class TestRegistry:
         assert [c for c in positional.choices if c] == list(EXPERIMENTS)
 
     def test_every_claim_reads_a_result_the_registry_produces(self):
-        produced = {name for entry in EXPERIMENTS.values()
-                    for name in entry.results}
-        assert {claim.experiment for claim in claims()} <= produced
+        assert {claim.experiment for claim in claims()} <= set(SWEEPS)
 
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_declared_result_names_are_what_run_returns(self, name):
-        entry = EXPERIMENTS[name]
-        assert [r.name for r in entry.run(True, 1, None)] \
-            == list(entry.results)
+        for sweep in EXPERIMENTS[name]:
+            result = run_sweep(sweep, True, 1, None)
+            assert result.name == sweep.name
+            assert result.columns == list(sweep.columns)
+            assert result.rows and result.notes
+
+    @pytest.mark.parametrize("sweep", SWEEPS.values(), ids=list(SWEEPS))
+    def test_every_cell_is_a_labelled_picklable_value(self, sweep):
+        for quick in (True, False):
+            cells = sweep.cells(quick)
+            labels = [cell.label for cell in cells]
+            assert len(labels) == len(set(labels)), sweep.name
+            for cell, spec in zip(cells, sweep.specs(quick)):
+                assert pickle.loads(pickle.dumps(spec)) is not None
+                if isinstance(cell, Cell):
+                    assert spec.label == f"{sweep.name}/{cell.label}"
+                    assert set(cell.axes) < set(sweep.columns) \
+                        or sweep.assemble is not None
+                    restored = pickle.loads(pickle.dumps(cell))
+                    assert restored.spec == cell.spec
+                    assert restored.axes == cell.axes
 
     @staticmethod
     def _calls(path):
@@ -224,10 +309,23 @@ class TestRegistry:
                 func = node.func
                 yield getattr(func, "attr", None) or getattr(func, "id", None)
 
+    @staticmethod
+    def _calls_by_function(path):
+        """``(enclosing top-level function, called name)`` pairs."""
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    yield (getattr(top, "name", None),
+                           getattr(func, "attr", None)
+                           or getattr(func, "id", None))
+
     def test_one_way_to_build_and_one_way_to_measure(self):
         """Only ``servers/spec.py`` constructs a testbed, and under
         ``experiments/`` only ``common.py`` writes the measurement
-        sequence (the windows and the reset between them)."""
+        sequence (the windows and the reset between them) and only
+        ``run_cell`` builds a spec and measures it — Table 2's two
+        single-request scenarios, which measure nothing, excepted."""
         repo = Path(experiments.__file__).parents[3]
         build, protocol = [], []
         for root in ("src", "tests", "examples"):
@@ -244,6 +342,17 @@ class TestRegistry:
                         protocol.append(rel)
         assert build == []
         assert protocol == []
+        sites = sorted(
+            (path.name, function, name)
+            for path in (repo / "src/repro/experiments").glob("*.py")
+            for function, name in self._calls_by_function(path)
+            if name in ("build", "measure", "measure_segments"))
+        assert sites == [
+            ("common.py", "run_cell", "build"),
+            ("common.py", "run_cell", "measure"),
+            ("common.py", "run_cell", "measure_segments"),
+            ("table2.py", "nfs_copy_counts", "build"),
+            ("table2.py", "web_copy_counts", "build")]
 
     def test_repro_perf_is_only_the_engine_kernels(self):
         # benchmarks/ncbench/kernels.py imports exactly this.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.common import scaled_memory_config
+from repro.experiments import fleet_scaling
+from repro.experiments.common import run_cell, scaled_memory_config
 from repro.experiments.parallel import RunSpec, run_specs
 from repro.fleet import ChurnSchedule, HashRing
 from repro.fs import BLOCK_SIZE
@@ -238,9 +239,9 @@ class TestEmptyScheduleIdentity:
 class TestFleetScalingExperiment:
     def test_coop_cuts_backend_reads_and_workers_agree(self):
         specs = [RunSpec(
-            fn="repro.experiments.fleet_scaling:measure_point",
-            args=(4, coop, 2, True), label=f"coop={coop}")
-            for coop in (True, False)]
+            run_cell, (fleet_scaling.SWEEP.cell(f"n4/r2/{how}"), True),
+            label=how)
+            for how in ("coop", "solo")]
         serial = [rr.value for rr in run_specs(specs, workers=1)]
         pooled = [rr.value for rr in run_specs(specs, workers=2)]
         assert serial == pooled  # deterministic across worker counts

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.keys import LbnKey
 from repro.experiments import fleet_churn
-from repro.experiments.common import scaled_memory_config
+from repro.experiments.common import run_cell, scaled_memory_config
 from repro.fleet import ChurnEvent, ChurnSchedule, ClusterSpec
 from repro.fs import BLOCK_SIZE
 from repro.net.addresses import Endpoint, PEER_PORT
@@ -223,17 +223,17 @@ class TestPeerProbeToCrashedNode:
 
 # -- golden numbers ----------------------------------------------------------
 
-def fleet_churn_quick_point():
+def fleet_churn_quick_point(row):
     """The representative quick-mode point, shaped like the golden."""
-    row = fleet_churn.measure_point(2, True, 16, True)
     return {k: round(v, 3) if isinstance(v, float) else v
             for k, v in row.items()}
 
 
 class TestFleetChurnGolden:
-    def test_quick_point_within_2pct_of_golden(self):
+    def test_quick_point_within_2pct_of_golden(self, cell_result):
         golden = json.loads(GOLDEN.read_text())
-        measured = fleet_churn_quick_point()
+        measured = fleet_churn_quick_point(
+            cell_result("fleet_churn/r2/g16/coop").value)
         for field, want in golden.items():
             got = measured[field]
             if isinstance(want, str):
@@ -245,5 +245,7 @@ class TestFleetChurnGolden:
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(fleet_churn_quick_point(), indent=1) + "\n")
+    row = run_cell(fleet_churn.SWEEP.cell("r2/g16/coop"))
+    GOLDEN.write_text(json.dumps(fleet_churn_quick_point(row), indent=1)
+                      + "\n")
     print(f"wrote {GOLDEN}")

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import ratio
+from repro.analysis import ExperimentResult, ratio
 from repro.experiments import figure4, table2
+from repro.experiments.common import run_sweep
 
 GOLDEN = Path(__file__).parent / "goldens" / "figure4_quick.json"
 
@@ -31,7 +32,7 @@ GOLDEN = Path(__file__).parent / "goldens" / "figure4_quick.json"
 class TestTable2Exact:
     @pytest.fixture(scope="class")
     def result(self):
-        return table2.run(quick=True)
+        return run_sweep(table2.SWEEP, quick=True)
 
     def test_original_matches_paper_exactly(self, result):
         for server, expected in table2.PAPER_ORIGINAL.items():
@@ -53,9 +54,9 @@ class TestTable2Exact:
         assert checked == 4  # 2 modes x {NFS server, kHTTPd}
 
 
-def figure4_quick_gains():
+def figure4_quick_gains(rows):
     """Measured quick-mode figure-4 numbers, shaped like the golden."""
-    result = figure4.run(quick=True)
+    result = ExperimentResult("figure4", "", [], rows)
     out = {"request_kb": {}}
     for kb in (16, 32):
         orig = result.value("throughput_mbps", mode="original", request_kb=kb)
@@ -69,9 +70,11 @@ def figure4_quick_gains():
 
 
 class TestFigure4Pinned:
-    def test_gain_within_2pct_of_golden(self):
+    def test_gain_within_2pct_of_golden(self, cell_result):
         golden = json.loads(GOLDEN.read_text())
-        measured = figure4_quick_gains()
+        measured = figure4_quick_gains(
+            [cell_result(spec.label).value
+             for spec in figure4.SWEEP.specs(quick=True)])
         for kb, want in golden["request_kb"].items():
             got = measured["request_kb"][kb]
             for field in ("original_mbps", "ncache_mbps", "gain_ratio"):
@@ -81,5 +84,7 @@ class TestFigure4Pinned:
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(figure4_quick_gains(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(
+        figure4_quick_gains(run_sweep(figure4.SWEEP, quick=True).rows),
+        indent=1) + "\n")
     print(f"wrote {GOLDEN}")

@@ -30,8 +30,8 @@ HASH_SEEDS = ("1", "4242")
 
 def fingerprint() -> str:
     """Everything simulated about the fixed spec list, as one JSON line."""
-    specs = (table2.grid() + figure4.grid(quick=True)[:1]
-             + fleet_churn.grid(quick=True)[:1])
+    specs = (table2.SWEEP.specs() + figure4.SWEEP.specs(quick=True)[:1]
+             + fleet_churn.SWEEP.specs(quick=True)[:1])
     return _comparable(run_specs(specs, workers=1))
 
 

@@ -1,10 +1,13 @@
 """End-to-end observability: a traced quick Figure-4 point per mode."""
 
 import json
+from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from repro.experiments import figure4
+from repro.experiments.common import run_cell
 from repro.obs.trace import tracing
 from repro.servers.config import ServerMode
 
@@ -19,10 +22,11 @@ class TestTracedFigure4:
     def traced_run(self, tmp_path_factory):
         reports = {}
         with tracing() as session:
-            for mode in ALL_MODES:
-                figure4.measure_point(mode, 16384, quick=True,
-                                      streams_per_client=4,
-                                      reports=reports)
+            for cell in figure4.cells(quick=True):
+                if cell.label.endswith("/16384"):
+                    light = partial(cell.workload, streams_per_client=4)
+                    run_cell(replace(cell, workload=light), quick=True,
+                             reports=reports)
         path = tmp_path_factory.mktemp("trace") / "fig4.trace.json"
         session.write_chrome(path)
         return session, reports, path

@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 
 from repro.experiments import figure4, fleet_churn, table2
-from repro.experiments.parallel import collect_traces, run_specs
+from repro.experiments.common import run_sweep
+from repro.experiments.parallel import run_specs
 from repro.obs.trace import jsonl_events
 from repro.sim import CPU, AllOf, AnyOf, Resource, Simulator, start
 
@@ -38,36 +39,36 @@ def _comparable(results):
 
 class TestWorkerCountIndependence:
     def test_table2_grid_identical_1_vs_4_workers(self):
-        serial = run_specs(table2.grid(), workers=1)
-        pooled = run_specs(table2.grid(), workers=4)
+        serial = run_specs(table2.SWEEP.specs(), workers=1)
+        pooled = run_specs(table2.SWEEP.specs(), workers=4)
         assert _comparable(serial) == _comparable(pooled)
 
     def test_table2_rendered_table_identical(self):
-        assert (table2.run(quick=True, workers=1).render()
-                == table2.run(quick=True, workers=4).render())
+        assert (run_sweep(table2.SWEEP, quick=True, workers=1).render()
+                == run_sweep(table2.SWEEP, quick=True, workers=4).render())
 
-    def test_figure4_points_and_reports_identical(self):
+    def test_figure4_points_and_reports_identical(self, cell_result):
         # Two real throughput points (smallest request size, cheapest),
         # covering the metrics-report capture path table2 doesn't use.
-        specs = figure4.grid(quick=True)[:2]
-        serial = run_specs(specs, workers=1)
+        specs = figure4.SWEEP.specs(quick=True)[:2]
+        serial = [cell_result(spec.label) for spec in specs]
         pooled = run_specs(specs, workers=4)
         assert _comparable(serial) == _comparable(pooled)
 
-    def test_fleet_churn_identical_1_vs_4_workers(self):
+    def test_fleet_churn_identical_1_vs_4_workers(self, cell_result):
         # Membership churn (crash + cold rejoin under a hot-key storm)
         # must stay worker-count independent down to the dispatch count.
-        specs = fleet_churn.grid(quick=True)[:2]
-        serial = run_specs(specs, workers=1)
+        specs = fleet_churn.SWEEP.specs(quick=True)[:2]
+        serial = [cell_result(spec.label) for spec in specs]
         pooled = run_specs(specs, workers=4)
         assert _comparable(serial) == _comparable(pooled)
 
     def test_merged_trace_identical_1_vs_4_workers(self):
-        specs = table2.grid()
-        serial = jsonl_events(
-            collect_traces(run_specs(specs, workers=1, trace=True)))
-        pooled = jsonl_events(
-            collect_traces(run_specs(specs, workers=4, trace=True)))
+        specs = table2.SWEEP.specs()
+        serial, pooled = (
+            jsonl_events([bus for rr in run_specs(specs, workers, trace=True)
+                          for bus in rr.trace])
+            for workers in (1, 4))
         assert (json.dumps(serial, sort_keys=True)
                 == json.dumps(pooled, sort_keys=True))
 

@@ -32,9 +32,10 @@ GOLDEN = Path(__file__).parent / "goldens" / "static_split_identity.json"
 
 def identity_specs():
     """Grid points whose event counts the refactor must preserve."""
-    specs = [s for s in figure4.grid(quick=True) if s.args[1] == 16384]
-    specs += policy_ablation.grid(quick=True)[:1]
-    specs += fleet_churn.grid(quick=True)[:1]
+    specs = [s for s in figure4.SWEEP.specs(quick=True)
+             if s.label.endswith("/16384")]
+    specs += policy_ablation.SWEEP.specs(quick=True)[:1]
+    specs += fleet_churn.SWEEP.specs(quick=True)[:1]
     return specs
 
 
@@ -45,9 +46,10 @@ def measure():
 
 
 class TestStaticSplitIdentity:
-    def test_sim_events_match_pre_refactor_golden(self):
+    def test_sim_events_match_pre_refactor_golden(self, cell_result):
         golden = json.loads(GOLDEN.read_text())
-        measured = measure()
+        measured = {spec.label: cell_result(spec.label).sim_events
+                    for spec in identity_specs()}
         assert measured == golden
 
 
