@@ -10,7 +10,7 @@ discipline and the VFS's LBN annotator, both wired up by
 
 RX: iSCSI Data-In payloads are chunked into the LBN cache; NFS WRITE
 payloads into the FHO cache; the placeholder the upper layers will pass
-around is left in ``dgram.meta["keyed_payload"]``.
+around is left in ``dgram.keyed_payload``.
 
 TX: outgoing NFS READ replies and HTTP responses have their placeholder
 fragments *substituted* with the cached network buffers; outgoing iSCSI
@@ -134,7 +134,7 @@ class NCacheModule:
             key = LbnKey(self.lun, message.lba + i)
             yield from self._insert_chunk(Chunk(key, buffers, dirty=False))
             keyed_parts.append(KeyedPayload(bs, lbn_key=key))
-        dgram.meta["keyed_payload"] = concat(keyed_parts)
+        dgram.keyed_payload = concat(keyed_parts)
         self.counters.add("ncache.cached_data_in", len(buffer_lists))
         if self.trace.enabled:
             self.trace.emit("ncache.cache_data_in", cat="ncache",
@@ -160,7 +160,7 @@ class NCacheModule:
             yield from self._insert_chunk(
                 Chunk(key, buffers, dirty=True, lbn_hint=lbn_hint))
             keyed_parts.append(KeyedPayload(bs, fho_key=key))
-        dgram.meta["keyed_payload"] = concat(keyed_parts)
+        dgram.keyed_payload = concat(keyed_parts)
         self.counters.add("ncache.cached_write", len(buffer_lists))
         if self.trace.enabled:
             self.trace.emit("ncache.cache_write", cat="ncache",

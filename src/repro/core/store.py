@@ -60,19 +60,13 @@ class NCacheStore:
         self._fho: Dict[FhoKey, Chunk] = {}
         self._kernel = CacheKernel("ncache", capacity_bytes, policy,
                                    counters=self.counters, trace=trace)
-        # Hot path: lookups dominate the simulation profile, so resolve
-        # the kernel indirection (kernel.touch -> policy.touch ->
-        # counter bump) into direct callables and Counter objects once.
-        self._promote = self._kernel.policy.touch
-        self._ghost_probe = self._kernel.policy.ghost_hit
-        metrics = self._kernel.metrics
-        self._m_hit = metrics.hit
-        self._m_miss = metrics.miss
-        self._m_ghost = metrics.ghost_hit
-        self._c_lbn_hit = self.counters["ncache.lbn_hit"]
-        self._c_lbn_miss = self.counters["ncache.lbn_miss"]
-        self._c_fho_hit = self.counters["ncache.fho_hit"]
-        self._c_fho_miss = self.counters["ncache.fho_miss"]
+        #: The accounted lookups (cache traffic), one per index, as the
+        #: kernel's closures: a hit counts and promotes, a miss counts
+        #: and probes the ghost list.
+        self.lookup_lbn: Callable[..., Optional[Chunk]] = \
+            self._kernel.lookup_in(self._lbn)
+        self.lookup_fho: Callable[..., Optional[Chunk]] = \
+            self._kernel.lookup_in(self._fho)
         #: callbacks ``fn(chunk)`` invoked when a chunk leaves the store.
         self.reclaim_listeners: List[Callable[[Chunk], None]] = []
 
@@ -129,36 +123,6 @@ class NCacheStore:
 
     # -- lookup -----------------------------------------------------------------
 
-    def lookup_lbn(self, key: LbnKey, touch: bool = True) -> Optional[Chunk]:
-        chunk = self._lbn.get(key)
-        if chunk is None:
-            self._c_lbn_miss._total += 1
-            self._m_miss._total += 1
-            if self._ghost_probe(key):
-                self._m_ghost._total += 1
-            return None
-        self._c_lbn_hit._total += 1
-        self._m_hit._total += 1
-        if touch:
-            assert chunk.cache_handle is not None
-            self._promote(chunk.cache_handle)
-        return chunk
-
-    def lookup_fho(self, key: FhoKey, touch: bool = True) -> Optional[Chunk]:
-        chunk = self._fho.get(key)
-        if chunk is None:
-            self._c_fho_miss._total += 1
-            self._m_miss._total += 1
-            if self._ghost_probe(key):
-                self._m_ghost._total += 1
-            return None
-        self._c_fho_hit._total += 1
-        self._m_hit._total += 1
-        if touch:
-            assert chunk.cache_handle is not None
-            self._promote(chunk.cache_handle)
-        return chunk
-
     def resolve(self, fho_key: Optional[FhoKey], lbn_key: Optional[LbnKey],
                 touch: bool = True) -> Optional[Chunk]:
         """FHO-first lookup: dirty written data always wins (§3.4)."""
@@ -210,14 +174,8 @@ class NCacheStore:
         self.capacity_bytes = capacity
 
     def _evicted(self, chunk: Chunk) -> None:
-        self._detach(chunk)
-        if chunk.dirty:
-            self.counters.add("ncache.evict_dirty")
-        else:
-            self.counters.add("ncache.evict_clean")
-
-    def _detach(self, chunk: Chunk) -> None:
-        """Consumer-side bookkeeping after the kernel dropped a chunk."""
+        """Consumer-side bookkeeping after the kernel dropped a chunk
+        (evicted, overwritten, remapped over or invalidated)."""
         chunk.cache_handle = None
         self._used_gauge.set(self._kernel.used_bytes)
         # Pop the index entry only if it still points at this chunk — a
@@ -257,7 +215,7 @@ class NCacheStore:
         if existing is not None:
             assert existing.cache_handle is not None
             self._kernel.remove(existing.cache_handle)
-            self._detach(existing)
+            self._evicted(existing)
             self.counters.add("ncache.overwrite")
         san = _sanitizer.active()
         if san is not None:
@@ -295,7 +253,7 @@ class NCacheStore:
         handle = chunk.cache_handle
         if handle is not None and self._kernel.get(handle) is chunk:
             self._kernel.remove(handle)
-            self._detach(chunk)
+            self._evicted(chunk)
 
     # -- remapping -------------------------------------------------------------------
 
@@ -325,7 +283,7 @@ class NCacheStore:
         if stale is not None and stale is not chunk:
             assert stale.cache_handle is not None
             self._kernel.remove(stale.cache_handle)
-            self._detach(stale)
+            self._evicted(stale)
             self.counters.add("ncache.remap_overwrite")
         self.counters.add("ncache.remap")
         san = _sanitizer.active()

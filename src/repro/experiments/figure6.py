@@ -54,9 +54,9 @@ def _working_set_readout(testbed, workload) -> Dict[str, float]:
 
 def _ncache_hit_ratio(testbed) -> float:
     counters = testbed.server_host.counters
-    hits = counters["ncache.lbn_hit"].value + counters["ncache.fho_hit"].value
+    hits = counters["cache.ncache.hit"].value
     lookups = hits + counters["ncache.substitute_miss"].value \
-        + counters["bcache.miss"].value
+        + counters["cache.bcache.miss"].value
     return hits / lookups if lookups else 0.0
 
 

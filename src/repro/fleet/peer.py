@@ -170,7 +170,7 @@ class PeerCacheClient:
             return None
         # The RX hook already chunked the reply payload into the local
         # LBN cache and left the keyed placeholder, Data-In style.
-        payload = value.meta.get("keyed_payload")
+        payload = value.keyed_payload
         if payload is None:
             host.counters.add("fleet.peer_miss")
             return None

@@ -16,8 +16,9 @@ writeback is what triggers FHO→LBN *remapping*.
 The cache is a thin adapter over the unified :mod:`repro.cache` eviction
 kernel (DESIGN.md §9): the kernel owns the byte budget, recency order
 (``clean_first`` victim preference, page-lock pinning) and the
-``cache.bcache.*`` metrics; this class keeps the LBN index, the
-``bcache.*`` counters/trace events and the sanitizer hook.  When only
+``cache.bcache.*`` metrics — the only hit/miss/eviction counters; this
+class keeps the LBN index, the ``bcache.*`` trace events and the
+sanitizer hook.  When only
 pinned pages remain the reclaim loop cannot make progress — the kernel
 emits a ``bcache.evict_stalled`` trace event and raises
 :class:`~repro.cache.CacheStallError` (a RuntimeError) instead of
@@ -83,17 +84,7 @@ class BufferCache:
             "bcache", capacity_bytes, policy, clean_first=True,
             counters=self.counters, trace=trace,
             stall_event="bcache.evict_stalled", trace_cat="fs")
-        # Hot path: every simulated read probes this cache, so resolve
-        # the kernel indirection (kernel.touch -> policy.touch ->
-        # counter bump) into direct callables and Counter objects once.
-        self._promote = self._kernel.policy.touch
-        self._ghost_probe = self._kernel.policy.ghost_hit
-        metrics = self._kernel.metrics
-        self._m_hit = metrics.hit
-        self._m_miss = metrics.miss
-        self._m_ghost = metrics.ghost_hit
-        self._c_hit = self.counters["bcache.hit"]
-        self._c_miss = self.counters["bcache.miss"]
+        self._lookup = self._kernel.lookup_in(self._entries)
 
     # -- inspection ---------------------------------------------------------
 
@@ -149,23 +140,14 @@ class BufferCache:
 
     # -- lookup / insert ------------------------------------------------------
 
-    def lookup(self, lbn: int, touch: bool = True) -> Optional[CacheEntry]:
-        entry = self._entries.get(lbn)
-        if entry is None:
-            self._c_miss._total += 1
-            self._m_miss._total += 1
-            if self._ghost_probe(lbn):
-                self._m_ghost._total += 1
-            if self.trace is not None and self.trace.enabled:
-                self.trace.emit("bcache.miss", cat="fs", lbn=lbn)
-            return None
-        self._c_hit._total += 1
-        self._m_hit._total += 1
+    def lookup(self, lbn: int) -> Optional[CacheEntry]:
+        """The accounted lookup (cache traffic): a hit counts and
+        promotes, a miss counts and probes the ghost list."""
+        entry = self._lookup(lbn)
         if self.trace is not None and self.trace.enabled:
-            self.trace.emit("bcache.hit", cat="fs", lbn=lbn)
-        if touch:
-            assert entry.cache_handle is not None
-            self._promote(entry.cache_handle)
+            self.trace.emit(
+                "bcache.hit" if entry is not None else "bcache.miss",
+                cat="fs", lbn=lbn)
         return entry
 
     def peek(self, lbn: int) -> Optional[CacheEntry]:
@@ -202,10 +184,6 @@ class BufferCache:
     def _evicted(self, entry: CacheEntry) -> None:
         entry.cache_handle = None
         del self._entries[entry.lbn]
-        if entry.dirty:
-            self.counters.add("bcache.evict_dirty")
-        else:
-            self.counters.add("bcache.evict_clean")
         if self.trace is not None and self.trace.enabled:
             self.trace.emit("bcache.evict", cat="fs", lbn=entry.lbn,
                             dirty=entry.dirty)
@@ -265,7 +243,6 @@ class BufferCache:
         self._kernel.clear()
 
     def hit_ratio(self) -> float:
-        hits = self.counters["bcache.hit"].value
-        misses = self.counters["bcache.miss"].value
-        total = hits + misses
+        hits = self._kernel.metrics.hit.value
+        total = hits + self._kernel.metrics.miss.value
         return hits / total if total else 0.0

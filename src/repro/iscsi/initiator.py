@@ -7,7 +7,7 @@ carried on reads and writes — everything else is the stock data path.
 
 An inbound Data-In burst traverses the host's RX hooks *before* reaching
 this code; under NCache the hook caches the payload buffers and leaves a
-key-carrying placeholder in ``dgram.meta["keyed_payload"]``, which this
+key-carrying placeholder in ``dgram.keyed_payload``, which this
 initiator hands up to the VFS in place of the raw chain payload.
 """
 
@@ -100,7 +100,7 @@ class IscsiInitiator:
         response = dgram.message
         if not isinstance(response, DataIn) or response.status != 0:
             raise SimulationError(f"read tag {tag} failed: {response!r}")
-        keyed = dgram.meta.get("keyed_payload")
+        keyed = dgram.keyed_payload
         if keyed is not None:
             return keyed
         payload = dgram.chain.payload()

@@ -208,11 +208,6 @@ class ExtentPayload(Payload):
         self.generation = generation
         self.mem = source if mem is None else mem
 
-    @property
-    def tag(self) -> int:
-        """Historical name for ``source`` (pre-extent VirtualPayload)."""
-        return self.source
-
     def materialize(self) -> bytes:
         return pattern_bytes(self.source, self.offset, self.length)
 
@@ -516,22 +511,11 @@ class BufferFlavor(Enum):
 
     The paper's §4.2 notes that porting from Linux (``sk_buff``) to FreeBSD
     (``mbuf``) requires no structural change because both support
-    variable-size buffer chains; the flavor only changes per-buffer
-    bookkeeping size and the default fragment capacity.
+    variable-size buffer chains; nothing in the model depends on the flavor.
     """
 
     SK_BUFF = "sk_buff"
     MBUF = "mbuf"
-
-    @property
-    def overhead_bytes(self) -> int:
-        # Approximate in-kernel descriptor sizes (Linux 2.4 / FreeBSD 4.x).
-        return 160 if self is BufferFlavor.SK_BUFF else 256
-
-    @property
-    def default_capacity(self) -> int:
-        # mbuf clusters are 2 KB; sk_buffs are sized to the MTU.
-        return 1500 if self is BufferFlavor.SK_BUFF else 2048
 
 
 class NetBuffer:
@@ -593,13 +577,6 @@ class NetBuffer:
     def wire_bytes(self) -> int:
         return self.header_bytes + self.payload_bytes
 
-    def find_header(self, cls: type):
-        """Innermost header of the given class, or ``None``."""
-        for header in reversed(self.headers):
-            if isinstance(header, cls):
-                return header
-        return None
-
     def __repr__(self) -> str:
         return (f"NetBuffer({self.payload!r}, {len(self.headers)} headers, "
                 f"{self.flavor.value})")
@@ -626,10 +603,6 @@ class BufferChain:
     @property
     def wire_bytes(self) -> int:
         return sum(b.wire_bytes for b in self.buffers)
-
-    @property
-    def n_buffers(self) -> int:
-        return len(self.buffers)
 
     def payload(self) -> Payload:
         """The chain's full payload as a single (composite) payload."""

@@ -14,13 +14,13 @@ O(frames), without changing which resource saturates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, Optional, TYPE_CHECKING
 
 from ..sim.engine import Event, SimulationError, Simulator
 from ..sim.resources import Link
 from .addresses import Endpoint
-from .buffer import BufferChain
+from .buffer import BufferChain, Payload
 
 if TYPE_CHECKING:
     from .host import Host
@@ -42,6 +42,12 @@ class Datagram:
     chain an NCache substituted is never marked; it may instead hold
     segment-lazy buffers (``NetBuffer.segs``), which the receive path
     expands for the same kind of receiver.
+
+    ``tcp`` marks a TCP control burst (``"syn"`` | ``"synack"`` |
+    ``"ack"``; ``n_acks`` delayed ACKs aggregated in an ``"ack"``).
+    ``keyed_payload`` is the seam between an NCache RX hook and the
+    protocol handler above it: the key-carrying placeholder the hook
+    cached the wire data under.
     """
 
     protocol: str  # "udp" | "tcp"
@@ -51,8 +57,10 @@ class Datagram:
     chain: BufferChain
     n_frames: int
     wire_bytes: int
-    meta: dict = field(default_factory=dict)
     lazy_frag: Optional[int] = None
+    tcp: Optional[str] = None
+    n_acks: int = 0
+    keyed_payload: Optional[Payload] = None
 
     @property
     def payload_bytes(self) -> int:

@@ -126,8 +126,7 @@ class NetworkStack:
         yield from self.host.acct.compute(costs.tcp_segment_ns, "tcp.connect")
         syn = Datagram(protocol="tcp", src=local, dst=dst, message=None,
                        chain=BufferChain(), n_frames=1,
-                       wire_bytes=_ACK_WIRE_BYTES,
-                       meta={"tcp": "syn"})
+                       wire_bytes=_ACK_WIRE_BYTES, tcp="syn")
         nic = self.host.nic_for_ip(src_ip)
         nic.send(syn)
         yield conn.established
@@ -144,10 +143,10 @@ class NetworkStack:
                     ) -> Generator[Event, Any, None]:
         costs = self.host.costs
         acct = self.host.acct
-        kind = dgram.meta.get("tcp")
+        kind = dgram.tcp
         if kind == "ack":
             yield from acct.compute(
-                dgram.meta["n_acks"] * costs.tcp_ack_ns, "tcp.ack_rx")
+                dgram.n_acks * costs.tcp_ack_ns, "tcp.ack_rx")
             return
         if kind in ("syn", "synack"):
             yield from acct.compute(costs.tcp_segment_ns, "tcp.connect")
@@ -355,7 +354,7 @@ class NetworkStack:
             yield from acct.charge_ns(ns)
 
     def _handle_handshake(self, nic: NIC, dgram: Datagram) -> None:
-        if dgram.meta["tcp"] == "syn":
+        if dgram.tcp == "syn":
             acceptor = self._tcp_listeners.get(dgram.dst.port)
             if acceptor is None:
                 raise SimulationError(f"no TCP listener on {dgram.dst}")
@@ -365,8 +364,7 @@ class NetworkStack:
             conn.established.succeed(conn)
             synack = Datagram(protocol="tcp", src=dgram.dst, dst=dgram.src,
                               message=None, chain=BufferChain(), n_frames=1,
-                              wire_bytes=_ACK_WIRE_BYTES,
-                              meta={"tcp": "synack"})
+                              wire_bytes=_ACK_WIRE_BYTES, tcp="synack")
             nic.send(synack)
         else:  # synack
             conn = self._connections.get((dgram.dst, dgram.src))
@@ -385,7 +383,7 @@ class NetworkStack:
         ack = Datagram(protocol="tcp", src=dgram.dst, dst=dgram.src,
                        message=None, chain=BufferChain(), n_frames=n_acks,
                        wire_bytes=n_acks * _ACK_WIRE_BYTES,
-                       meta={"tcp": "ack", "n_acks": n_acks})
+                       tcp="ack", n_acks=n_acks)
         nic.send(ack)
 
 

@@ -15,7 +15,7 @@ The data path per procedure, with the copy counts of Table 2:
 * metadata procedures: small physical movements, identical in all modes.
 
 The server is oblivious to NCache except for two seams: the VFS discipline
-it was configured with, and ``dgram.meta["keyed_payload"]`` left by the
+it was configured with, and ``dgram.keyed_payload`` left by the
 RX hook on write requests (the in-kernel daemon itself is unmodified —
 Table 1: "NFS/Web server daemon: None").
 """
@@ -279,7 +279,7 @@ class NfsServer:
     def _do_write(self, dgram: Datagram, call: NfsCall
                   ) -> Generator[Event, Any, None]:
         inode = self.vfs.image.inode(call.fh.ino)
-        data = dgram.meta.get("keyed_payload")
+        data = dgram.keyed_payload
         if data is None:
             whole = dgram.chain.payload()
             data = whole.slice(call.header_size,

@@ -6,7 +6,6 @@ from .resources import CPU, Link, Resource, Store
 from .stats import (
     Counter,
     CounterSet,
-    LatencyStats,
     MeterSet,
     ThroughputMeter,
     UtilizationWindow,
@@ -20,7 +19,6 @@ __all__ = [
     "Counter",
     "CounterSet",
     "Event",
-    "LatencyStats",
     "Link",
     "MS",
     "MeterSet",

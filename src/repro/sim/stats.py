@@ -114,80 +114,6 @@ class UtilizationWindow:
         return self.resource.utilization(self._busy0, self._time0)
 
 
-class LatencyStats:
-    """Streaming latency statistics with percentile estimation.
-
-    Moments are exact and allocation-free; percentiles come from a
-    bounded reservoir (deterministic, seeded by sample count so identical
-    runs yield identical reservoirs).
-    """
-
-    RESERVOIR_SIZE = 1024
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def record(self, sample: float) -> None:
-        self.count += 1
-        self.total += sample
-        self._sumsq += sample * sample
-        if sample < self.min:
-            self.min = sample
-        if sample > self.max:
-            self.max = sample
-        if len(self._reservoir) < self.RESERVOIR_SIZE:
-            self._reservoir.append(sample)
-        else:
-            # Deterministic reservoir sampling: a multiplicative-hash
-            # "random" slot from the sample index alone.  The hash must
-            # be reduced mod 2**32 first — a bare multiple of ``count``
-            # is 0 mod ``count`` and would only ever replace slot 0.
-            slot = ((self.count * 2654435761) & 0xFFFFFFFF) % self.count
-            if slot < self.RESERVOIR_SIZE:
-                self._reservoir[slot] = sample
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        mean = self.mean
-        return max(0.0, self._sumsq / self.count - mean * mean)
-
-    def percentile(self, fraction: float) -> float:
-        """Approximate percentile (exact below RESERVOIR_SIZE samples)."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction {fraction} outside [0, 1]")
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
-
-    @property
-    def p50(self) -> float:
-        return self.percentile(0.50)
-
-    @property
-    def p95(self) -> float:
-        return self.percentile(0.95)
-
-    @property
-    def p99(self) -> float:
-        return self.percentile(0.99)
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self._sumsq = 0.0
-        self._reservoir: list = []
-
-
 class MeterSet:
     """Bundle of all meters an experiment resets at the warmup boundary.
 
@@ -204,8 +130,10 @@ class MeterSet:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.counters = CounterSet(self.registry)
         self.throughput = ThroughputMeter(sim)
-        self.latency = LatencyStats()
-        self.request_latency: Histogram = self.registry.histogram(
+        #: The ``request.latency`` histogram under both names.  What
+        #: :meth:`record_latency` records into is ``latency``; it stays
+        #: assignable so a harness can install its own recorder there.
+        self.latency = self.request_latency = self.registry.histogram(
             "request.latency", unit="s")
         self.request_bytes: Histogram = self.registry.histogram(
             "request.bytes", unit="bytes")
@@ -225,9 +153,8 @@ class MeterSet:
                 for name, window in self._utilizations.items()}
 
     def record_latency(self, latency_s: float) -> None:
-        """Record one request's latency (streaming stats + histogram)."""
+        """Record one request's latency."""
         self.latency.record(latency_s)
-        self.request_latency.record(latency_s)
 
     def record_request(self, latency_s: float, nbytes: int,
                        ops: int = 1) -> None:
@@ -240,6 +167,6 @@ class MeterSet:
     def reset(self) -> None:
         self.registry.reset()
         self.throughput.reset()
-        self.latency.reset()
+        self.latency.reset()  # an installed recorder is not in the registry
         for window in self._utilizations.values():
             window.reset()

@@ -1,4 +1,4 @@
-"""Percentiles, markdown rendering, the paper-claims registry, the CLI."""
+"""Markdown rendering, the paper-claims registry, the CLI."""
 
 from itertools import product
 
@@ -7,48 +7,6 @@ import pytest
 from repro.analysis import ExperimentResult
 from repro.analysis.paper import claims, evaluate_all, render_report
 from repro.experiments import EXPERIMENTS
-from repro.sim.stats import LatencyStats
-
-
-class TestPercentiles:
-    def test_exact_below_reservoir(self):
-        stats = LatencyStats()
-        for v in range(100):
-            stats.record(float(v))
-        assert stats.p50 == pytest.approx(50.0, abs=1.0)
-        assert stats.p95 == pytest.approx(95.0, abs=1.0)
-        assert stats.p99 == pytest.approx(99.0, abs=1.0)
-
-    def test_approximate_above_reservoir(self):
-        stats = LatencyStats()
-        for v in range(10_000):
-            stats.record(float(v % 1000))
-        assert 400 <= stats.p50 <= 600
-        assert stats.p99 >= 900
-
-    def test_empty_is_zero(self):
-        assert LatencyStats().p50 == 0.0
-
-    def test_bad_fraction_rejected(self):
-        stats = LatencyStats()
-        stats.record(1.0)
-        with pytest.raises(ValueError):
-            stats.percentile(1.5)
-
-    def test_deterministic(self):
-        def fill():
-            stats = LatencyStats()
-            for v in range(5000):
-                stats.record(float((v * 7919) % 97))
-            return stats.p50, stats.p95, stats.p99
-
-        assert fill() == fill()
-
-    def test_reset_clears_reservoir(self):
-        stats = LatencyStats()
-        stats.record(100.0)
-        stats.reset()
-        assert stats.p99 == 0.0
 
 
 class TestMarkdown:

@@ -276,14 +276,15 @@ class TestGhostAdmit:
         k.insert("keep-out", self.Item(False), 1)
         k.insert("keep-in", self.Item(True), 1)
         k.make_room(2)  # evicts both
-        k.record_miss("keep-out")
+        miss = k.lookup_in({})  # an index with every key absent
+        miss("keep-out")
         assert k.metrics.ghost_hit.total == 0
-        k.record_miss("keep-in")
+        miss("keep-in")
         assert k.metrics.ghost_hit.total == 1
 
     def test_default_admits_everything(self):
         k = CacheKernel("t", 1)
         k.insert("x", self.Item(False), 1)
         k.make_room(1)
-        k.record_miss("x")
+        k.lookup_in({})("x")
         assert k.metrics.ghost_hit.total == 1

@@ -30,8 +30,8 @@ class TestBasics:
         fill(cache, [1])
         cache.lookup(1)
         cache.lookup(2)
-        assert cache.counters["bcache.hit"].value == 1
-        assert cache.counters["bcache.miss"].value == 1
+        assert cache.counters["cache.bcache.hit"].value == 1
+        assert cache.counters["cache.bcache.miss"].value == 1
         assert cache.hit_ratio() == 0.5
 
     def test_peek_has_no_side_effects(self):
@@ -39,8 +39,8 @@ class TestBasics:
         fill(cache, [1])
         cache.peek(1)
         cache.peek(2)
-        assert "bcache.hit" not in cache.counters or \
-            cache.counters["bcache.hit"].value == 0
+        assert cache.counters["cache.bcache.hit"].value == 0
+        assert cache.counters["cache.bcache.miss"].value == 0
 
     def test_used_bytes(self):
         cache = cache_of(4)
@@ -100,8 +100,8 @@ class TestEviction:
         fill(cache, [1])
         fill(cache, [2], dirty=True)
         cache.make_room(2)
-        assert cache.counters["bcache.evict_clean"].value == 1
-        assert cache.counters["bcache.evict_dirty"].value == 1
+        assert cache.counters["cache.bcache.evict_clean"].value == 1
+        assert cache.counters["cache.bcache.evict_dirty"].value == 1
 
 
 class TestDirtyTracking:

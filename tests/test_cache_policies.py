@@ -227,7 +227,7 @@ def test_policy_agrees_with_reference_model(policy, seed):
         elif op == "miss" and key not in live:
             # Ghost probes must agree (ARC's ghosts also steer p).
             before = kernel.counters["cache.test.ghost_hit"].value
-            kernel.record_miss(key)
+            kernel.lookup_in({})(key)
             after = kernel.counters["cache.test.ghost_hit"].value
             if policy == "arc":
                 assert (after - before == 1) == \

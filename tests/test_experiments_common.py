@@ -226,7 +226,7 @@ class TestWarmStartDetails:
         assert testbed.target.commands_served - served <= 1
         counters = testbed.server_host.counters
         assert counters["ncache.l2_hit"].value + \
-            counters["ncache.lbn_hit"].value > 0
+            counters["cache.ncache.hit"].value > 0
 
     def test_warm_lru_order_hottest_most_recent(self):
         # A cache big enough for ~2 of the 8 one-MB files: only the

@@ -61,7 +61,7 @@ class TestEvictionPressure:
 
         run_scenario(testbed, scenario())
         counters = testbed.server_host.counters
-        assert counters["ncache.evict_clean"].value > 0  # pressure was real
+        assert counters["cache.ncache.evict_clean"].value > 0  # pressure was real
         assert counters["ncache.substitute_miss"].value == 0
 
     def test_dirty_chunk_emergency_writeback(self):

@@ -21,26 +21,6 @@ class TestNetBuffer:
         assert buf.header_bytes == 28
         assert buf.wire_bytes == 128
 
-    def test_find_header_innermost(self):
-        udp = UDPHeader(src_port=9)
-        buf = NetBuffer(payload=BytesPayload(b""),
-                        headers=[IPv4Header(), udp])
-        assert buf.find_header(UDPHeader) is udp
-        assert buf.find_header(IPv4Header) is not None
-
-    def test_find_header_missing(self):
-        buf = NetBuffer(payload=BytesPayload(b""))
-        assert buf.find_header(UDPHeader) is None
-
-
-class TestFlavor:
-    def test_flavors_have_distinct_overheads(self):
-        assert BufferFlavor.SK_BUFF.overhead_bytes != \
-            BufferFlavor.MBUF.overhead_bytes
-
-    def test_mbuf_cluster_capacity(self):
-        assert BufferFlavor.MBUF.default_capacity == 2048
-
 
 class TestChain:
     def test_payload_concatenation(self):
@@ -48,7 +28,7 @@ class TestChain:
                              NetBuffer(payload=BytesPayload(b"cd"))])
         assert chain.payload().materialize() == b"abcd"
         assert chain.payload_bytes == 4
-        assert chain.n_buffers == 2
+        assert len(chain) == 2
 
     def test_append_extend(self):
         chain = BufferChain()
@@ -74,7 +54,7 @@ class TestChainFromPayload:
 
     def test_empty_payload_single_empty_buffer(self):
         chain = chain_from_payload(BytesPayload(b""), 1448)
-        assert chain.n_buffers == 1
+        assert len(chain) == 1
         assert chain.payload_bytes == 0
 
     def test_headers_factory_applied(self):

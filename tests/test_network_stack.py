@@ -249,7 +249,7 @@ class TestHooks:
         got = udp_receiver(b)
 
         def hook(dgram):
-            dgram.meta["stamped"] = True
+            dgram.stamped = True  # a field the hook owns
             return dgram
             yield
 
@@ -261,7 +261,7 @@ class TestHooks:
 
         drive(sim, send())
         sim.run()
-        assert got[0].meta["stamped"]
+        assert got[0].stamped
 
     def test_rx_hook_runs_before_handler(self, sim, two_hosts):
         a, b = two_hosts

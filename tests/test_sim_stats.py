@@ -1,4 +1,4 @@
-"""Counters, throughput meters, latency stats, utilization windows."""
+"""Counters, throughput meters, utilization windows, the meter set."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.sim import (
     CPU,
     Counter,
     CounterSet,
-    LatencyStats,
     MeterSet,
     Simulator,
     ThroughputMeter,
@@ -70,35 +69,6 @@ class TestThroughputMeter:
         meter = ThroughputMeter(sim)
         meter.record(100)
         assert meter.bytes_per_second() == 0.0
-
-
-class TestLatencyStats:
-    def test_moments(self):
-        stats = LatencyStats()
-        for sample in (1.0, 2.0, 3.0):
-            stats.record(sample)
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.min == 1.0
-        assert stats.max == 3.0
-        assert stats.variance == pytest.approx(2.0 / 3.0)
-
-    def test_empty_mean_zero(self):
-        assert LatencyStats().mean == 0.0
-
-    def test_reservoir_keeps_sampling_past_its_size(self):
-        # A monotone ramp: a reservoir that stops replacing after the
-        # first RESERVOIR_SIZE samples reports p50 ~ 512, not ~ 5000.
-        stats = LatencyStats()
-        for sample in range(10_000):
-            stats.record(float(sample))
-        assert stats.p50 == pytest.approx(5000, rel=0.15)
-
-    def test_reset(self):
-        stats = LatencyStats()
-        stats.record(5.0)
-        stats.reset()
-        assert stats.count == 0
-        assert stats.max == 0.0
 
 
 class TestUtilization:

@@ -143,7 +143,8 @@ class TestLazyFragField:
     @pytest.mark.parametrize("proto", ["udp", "tcp"])
     def test_marker_is_a_field_not_a_meta_key(self, sim, two_hosts, proto):
         dgram, frag = self._deliver(sim, two_hosts, proto)
-        assert dgram.meta == {}
+        assert (dgram.tcp, dgram.n_acks, dgram.keyed_payload) == \
+            (None, 0, None)
         assert dgram.lazy_frag == frag
         assert len(dgram.chain.buffers) == 1
 
@@ -152,15 +153,16 @@ class TestLazyFragField:
         seen = []
 
         def hook(dgram):
-            seen.append((dgram.lazy_frag, dgram.meta,
+            seen.append((dgram.lazy_frag,
+                         (dgram.tcp, dgram.n_acks, dgram.keyed_payload),
                          [(buf.payload_bytes, buf.csum_known)
                           for buf in dgram.chain]))
             return dgram
             yield
 
         dgram, frag = self._deliver(sim, two_hosts, proto, rx_hook=hook)
-        (lazy, meta, bufs), = seen
-        assert lazy is None and meta == {}
+        (lazy, fields, bufs), = seen
+        assert lazy is None and fields == (None, 0, None)
         assert len(bufs) > 1
         assert all(size <= frag and known for size, known in bufs)
         assert sum(size for size, _ in bufs) == 20_000

@@ -264,7 +264,7 @@ class TestMetadata:
             yield from stack.vfs.read_dir_metadata("f")
 
         drive(sim, job())
-        assert stack.cache.counters["bcache.miss"].value >= 1
+        assert stack.cache.counters["cache.bcache.miss"].value >= 1
 
 
 class TestSendfile:

@@ -56,7 +56,7 @@ class TestMicrobench:
         testbed = nfs_tb()
         workload = AllHitReadWorkload(testbed, 16384, file_size=1 * MB)
         run_until_complete(testbed.sim, workload.prewarm())
-        assert testbed.cache.counters["bcache.hit"].value >= 0
+        assert testbed.cache.counters["cache.bcache.hit"].value >= 0
         assert len(testbed.cache) >= 256  # 1 MB of 4 KB blocks
 
     def test_allhit_steady_state_no_storage_traffic(self):
