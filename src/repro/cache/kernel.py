@@ -11,13 +11,12 @@ then dirty buffers are flushed and reclaimed"), and the
 
 The kernel stores opaque items; it only requires them to expose
 ``dirty``, ``pinned`` and ``cache_handle`` attributes (chunks and
-page-cache entries both do).  The key indexes (LBN/FHO maps) stay with
-the consumer, but the *accounted lookup* over one is the kernel's
-(:meth:`CacheKernel.lookup_in`), so a hit, a miss and a ghost hit are
-each counted in exactly one place.  Traces, sanitizer hooks and reclaim
-listeners remain with the consumer — the ``on_evict`` callback
-runs per victim *before* the next victim is chosen, so listeners observe
-exactly the intermediate states the pre-kernel stores produced.
+page-cache entries both do).  The key indexes (LBN/FHO maps; the
+accounted lookup over one is :meth:`CacheKernel.lookup_in`), traces,
+sanitizer hooks and reclaim listeners remain with the consumer — the
+``on_evict`` callback runs per victim *before* the next victim is
+chosen, so listeners observe exactly the intermediate states the
+pre-kernel stores produced.
 
 The budget operation (:meth:`resize`) lets one cache squeeze another at
 runtime — the "NCache pins most of memory and keeps the FS cache
@@ -163,7 +162,7 @@ class CacheKernel:
         return handle
 
     def lookup_in(self, index: Mapping[Hashable, Any]
-                  ) -> Callable[..., Any]:
+                  ) -> Callable[[Hashable], Any]:
         """The accounted lookup over the consumer's key ``index``.
 
         Returns ``lookup(key)``: a hit counts and promotes the entry, a
@@ -179,7 +178,7 @@ class CacheKernel:
         metrics = self.metrics
         hit, miss, ghost_hit = metrics.hit, metrics.miss, metrics.ghost_hit
 
-        def lookup(key: Hashable, touch: bool = True) -> Any:
+        def lookup(key: Hashable) -> Any:
             item = get(key)
             if item is None:
                 miss._total += 1
@@ -187,8 +186,7 @@ class CacheKernel:
                     ghost_hit._total += 1
                 return None
             hit._total += 1
-            if touch:
-                promote(item.cache_handle)
+            promote(item.cache_handle)
             return item
 
         return lookup

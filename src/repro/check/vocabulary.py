@@ -29,9 +29,9 @@ from typing import Dict, FrozenSet, Tuple
 #: Legal ``subsystem`` prefixes for trace events and metric names.
 SUBSYSTEMS: FrozenSet[str] = frozenset({
     "arbiter",    # memory-budget arbiter: tick/move traces, budget gauges
-    "bcache",     # file-system buffer cache
-    "cache",      # the unified eviction kernel (repro.cache): per-kernel
-                  # hit/miss/evict/ghost-hit metric families
+    "bcache",     # file-system buffer cache: writeback counters, events
+    "cache",      # the unified eviction kernel (repro.cache): the only
+                  # hit/miss/evict/ghost-hit counters, one family each
     "buffer",     # extent data plane: buffer.materialize (a payload was
                   # materialized to bytes at a verification point) and
                   # buffer.extent_slice (substitution served a partial

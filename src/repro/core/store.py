@@ -63,9 +63,9 @@ class NCacheStore:
         #: The accounted lookups (cache traffic), one per index, as the
         #: kernel's closures: a hit counts and promotes, a miss counts
         #: and probes the ghost list.
-        self.lookup_lbn: Callable[..., Optional[Chunk]] = \
+        self.lookup_lbn: Callable[[LbnKey], Optional[Chunk]] = \
             self._kernel.lookup_in(self._lbn)
-        self.lookup_fho: Callable[..., Optional[Chunk]] = \
+        self.lookup_fho: Callable[[FhoKey], Optional[Chunk]] = \
             self._kernel.lookup_in(self._fho)
         #: callbacks ``fn(chunk)`` invoked when a chunk leaves the store.
         self.reclaim_listeners: List[Callable[[Chunk], None]] = []
@@ -123,15 +123,29 @@ class NCacheStore:
 
     # -- lookup -----------------------------------------------------------------
 
-    def resolve(self, fho_key: Optional[FhoKey], lbn_key: Optional[LbnKey],
-                touch: bool = True) -> Optional[Chunk]:
+    def resolve(self, fho_key: Optional[FhoKey], lbn_key: Optional[LbnKey]
+                ) -> Optional[Chunk]:
         """FHO-first lookup: dirty written data always wins (§3.4)."""
         chunk = None
         if fho_key is not None:
-            chunk = self.lookup_fho(fho_key, touch)
+            chunk = self.lookup_fho(fho_key)
         if chunk is None and lbn_key is not None:
-            chunk = self.lookup_lbn(lbn_key, touch)
+            chunk = self.lookup_lbn(lbn_key)
         return chunk
+
+    # Bookkeeping reads: no counter, no ghost probe, no promotion.
+
+    def peek_lbn(self, key: LbnKey) -> Optional[Chunk]:
+        return self._lbn.get(key)
+
+    def peek_fho(self, key: FhoKey) -> Optional[Chunk]:
+        return self._fho.get(key)
+
+    def peek(self, fho_key: Optional[FhoKey], lbn_key: Optional[LbnKey]
+             ) -> Optional[Chunk]:
+        """:meth:`resolve` as a bookkeeping read (FHO first)."""
+        chunk = self._fho.get(fho_key)
+        return chunk if chunk is not None else self._lbn.get(lbn_key)
 
     # -- insertion / eviction ------------------------------------------------------
 

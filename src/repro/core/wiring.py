@@ -67,8 +67,7 @@ def attach_ncache(host: Host, vfs: VFS,
     def entry_resolvable(payload: Payload) -> bool:
         for leaf in flatten_payload(payload):
             if isinstance(leaf, KeyedPayload):
-                if store.resolve(leaf.fho_key, leaf.lbn_key,
-                                 touch=False) is None:
+                if store.peek(leaf.fho_key, leaf.lbn_key) is None:
                     return False
         return True
 

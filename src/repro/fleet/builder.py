@@ -296,7 +296,7 @@ class Fleet:
             key = chunk.key
             if not isinstance(key, LbnKey):
                 continue
-            if store.lookup_lbn(key, touch=False) is not chunk:
+            if store.peek_lbn(key) is not chunk:
                 continue  # evicted while earlier pushes were in flight
             target = self.route_block(key.lbn)
             peer = Endpoint(f"s{target}.server-0", PEER_PORT)

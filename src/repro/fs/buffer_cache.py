@@ -18,11 +18,10 @@ kernel (DESIGN.md §9): the kernel owns the byte budget, recency order
 (``clean_first`` victim preference, page-lock pinning) and the
 ``cache.bcache.*`` metrics — the only hit/miss/eviction counters; this
 class keeps the LBN index, the ``bcache.*`` trace events and the
-sanitizer hook.  When only
-pinned pages remain the reclaim loop cannot make progress — the kernel
-emits a ``bcache.evict_stalled`` trace event and raises
-:class:`~repro.cache.CacheStallError` (a RuntimeError) instead of
-silently spinning.
+sanitizer hook.  When only pinned pages remain the reclaim loop cannot
+make progress — the kernel emits a ``bcache.evict_stalled`` trace event
+and raises :class:`~repro.cache.CacheStallError` (a RuntimeError)
+instead of silently spinning.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ class TestUseAfterEvict:
             store = make_store()
             key = LbnKey(0, 5)
             store.insert(make_chunk(key))
-            store.drop(store.lookup_lbn(key, touch=False))
+            store.drop(store.peek_lbn(key))
             san.substitute_miss(None, key)
         found = san.of_kind(ViolationKind.USE_AFTER_EVICT)
         assert found and "junk served" in found[0].message

@@ -171,8 +171,7 @@ class TestWarmStart:
         from repro.core.keys import LbnKey
 
         hottest = testbed.image.lookup(workload.paths[0])
-        assert store.lookup_lbn(LbnKey(0, hottest.start_lbn),
-                                touch=False) is not None
+        assert store.peek_lbn(LbnKey(0, hottest.start_lbn)) is not None
 
 
 class TestPolicyAblation:

@@ -81,8 +81,7 @@ class TestStrictSubstitution:
         def scenario():
             yield from testbed.clients[0].read(fh, 0, BLOCK_SIZE)
             store = testbed.ncache.store
-            chunk = store.lookup_lbn(LbnKey(0, inode.block_lbn(0)),
-                                     touch=False)
+            chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(0)))
             # Remove the chunk but force a dangling key-only page back in.
             store.drop(chunk)
             testbed.cache.insert(

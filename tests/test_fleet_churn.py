@@ -159,7 +159,7 @@ class TestGracefulLeave:
         inode = fleet.nodes[0].testbed.image.lookup("f")
         for b in range(8):
             key = LbnKey(lun, inode.block_lbn(b))
-            assert survivor.lookup_lbn(key, touch=False) is not None
+            assert survivor.peek_lbn(key) is not None
         assert fleet.nodes[1].testbed.server_host.counters[
             "fleet.peer_push"].value == 8
 

@@ -73,8 +73,7 @@ class TestRxCaching:
         store = testbed.ncache.store
         assert store.n_lbn == 8
         for b in range(8):
-            chunk = store.lookup_lbn(LbnKey(0, inode.block_lbn(b)),
-                                     touch=False)
+            chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(b)))
             assert chunk is not None
             assert chunk.payload().materialize() == \
                 testbed.image.file_payload(
@@ -91,8 +90,7 @@ class TestRxCaching:
         run_scenario(testbed, scenario())
         store = testbed.ncache.store
         assert store.n_fho == 2
-        chunk = store.lookup_fho(FhoKey(fh.ino, fh.generation, 16384),
-                                 touch=False)
+        chunk = store.peek_fho(FhoKey(fh.ino, fh.generation, 16384))
         assert chunk.dirty
         assert chunk.lbn_hint is not None
         assert chunk.payload().materialize() == \
@@ -112,8 +110,7 @@ class TestRxCaching:
         store = testbed.ncache.store
         assert store.n_fho == 1
         assert store.counters["ncache.overwrite"].value == 1
-        chunk = store.lookup_fho(FhoKey(fh.ino, fh.generation, 0),
-                                 touch=False)
+        chunk = store.peek_fho(FhoKey(fh.ino, fh.generation, 0))
         assert chunk.payload().materialize() == \
             VirtualPayload(2, 0, BLOCK_SIZE).materialize()
 
@@ -178,8 +175,7 @@ class TestSubstitution:
             yield from testbed.clients[0].read(fh, 0, 4096)
             # Sabotage: drop the chunk but leave the FS-cache page keyed.
             store = testbed.ncache.store
-            chunk = store.lookup_lbn(LbnKey(0, inode.block_lbn(0)),
-                                     touch=False)
+            chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(0)))
             store.drop(chunk)
             testbed.cache.insert(
                 inode.block_lbn(0),
@@ -212,7 +208,7 @@ class TestRemapping:
         run_scenario(testbed, scenario())
         store = testbed.ncache.store
         assert store.n_fho == 0
-        chunk = store.lookup_lbn(LbnKey(0, inode.block_lbn(0)), touch=False)
+        chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(0)))
         assert chunk is not None and not chunk.dirty
         assert testbed.disk_store.read_block(
             inode.block_lbn(0)).materialize() == data.materialize()
@@ -315,7 +311,7 @@ class TestReclaimCoherence:
         store = testbed.ncache.store
         lbn = inode.block_lbn(0)
         assert testbed.cache.peek(lbn) is not None
-        chunk = store.lookup_lbn(LbnKey(0, lbn), touch=False)
+        chunk = store.peek_lbn(LbnKey(0, lbn))
         store.drop(chunk)  # simulate pressure-reclaim of this chunk
         assert testbed.cache.peek(lbn) is None
         assert testbed.server_host.counters[

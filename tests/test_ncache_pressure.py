@@ -61,7 +61,8 @@ class TestEvictionPressure:
 
         run_scenario(testbed, scenario())
         counters = testbed.server_host.counters
-        assert counters["cache.ncache.evict_clean"].value > 0  # pressure was real
+        # pressure was real
+        assert counters["cache.ncache.evict_clean"].value > 0
         assert counters["ncache.substitute_miss"].value == 0
 
     def test_dirty_chunk_emergency_writeback(self):
@@ -109,8 +110,44 @@ class TestEvictionPressure:
             entry = testbed.cache.peek(lbn)
             for leaf in flatten_payload(entry.payload):
                 if isinstance(leaf, KeyedPayload):
-                    assert store.resolve(leaf.fho_key, leaf.lbn_key,
-                                         touch=False) is not None, lbn
+                    assert store.peek(leaf.fho_key,
+                                      leaf.lbn_key) is not None, lbn
+
+    def test_only_lookups_are_cache_traffic(self):
+        """``hit + miss`` of ``cache.ncache`` is the number of
+        ``lookup_lbn`` / ``lookup_fho`` calls (a ``resolve`` makes one
+        or two): the reclaim listener's peeks add nothing."""
+        testbed = tiny_ncache_testbed()
+        fh = testbed.file_handle("press")
+        store = testbed.ncache.store
+        calls, peeks = [], []
+        for name in ("lookup_lbn", "lookup_fho"):
+            def counted(key, inner=getattr(store, name)):
+                calls.append(key)
+                return inner(key)
+            setattr(store, name, counted)
+
+        def peek(fho_key, lbn_key, inner=store.peek):
+            peeks.append(lbn_key)
+            return inner(fho_key, lbn_key)
+        store.peek = peek
+
+        def scenario():
+            for b in range(0, FILE_BLOCKS, 4):
+                yield from testbed.clients[0].write(
+                    fh, b * BLOCK_SIZE, VirtualPayload(b, 0, BLOCK_SIZE))
+                yield from testbed.clients[0].read(
+                    fh, b * BLOCK_SIZE, 4 * BLOCK_SIZE)
+            for b in range(0, FILE_BLOCKS, 4):
+                yield from testbed.clients[0].read(
+                    fh, b * BLOCK_SIZE, 4 * BLOCK_SIZE)
+
+        run_scenario(testbed, scenario())
+        counters = testbed.server_host.counters
+        assert counters["cache.ncache.evict_clean"].total > FILE_BLOCKS
+        assert peeks  # the reclaim listener did ask
+        metrics = store.kernel_metrics
+        assert calls and metrics.hit.total + metrics.miss.total == len(calls)
 
     @given(ops=st.lists(
         st.tuples(st.sampled_from(["read", "write", "flush"]),

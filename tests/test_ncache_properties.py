@@ -155,17 +155,17 @@ def test_store_agrees_with_reference_model(seed):
             ref.remap(n, m)
             if chunk is not None:
                 assert chunk.key == LbnKey(0, m) and not chunk.dirty
-                assert store.lookup_fho(FhoKey(n, 1, 0), touch=False) is None
-                assert store.lookup_lbn(LbnKey(0, m), touch=False) is chunk
+                assert store.peek_fho(FhoKey(n, 1, 0)) is None
+                assert store.peek_lbn(LbnKey(0, m)) is chunk
         elif op == "pin":
             # Keep headroom: never pin more than half the capacity, so
             # make_room always has a victim available.
             live = _store_order(store)
             if live and len(pinned) < CAPACITY_CHUNKS // 2:
                 kind, k = live[rng.randrange(len(live))]
-                chunk = (store.lookup_lbn(LbnKey(0, k), touch=False)
+                chunk = (store.peek_lbn(LbnKey(0, k))
                          if kind == "lbn"
-                         else store.lookup_fho(FhoKey(k, 1, 0), touch=False))
+                         else store.peek_fho(FhoKey(k, 1, 0)))
                 entry = ref.find(kind, k)
                 if chunk is not None and not chunk.pinned:
                     chunk.pin()
@@ -178,9 +178,9 @@ def test_store_agrees_with_reference_model(seed):
                 entry["pinned"] = False
         elif op == "drop":
             kind = rng.choice(["lbn", "fho"])
-            chunk = (store.lookup_lbn(LbnKey(0, n), touch=False)
+            chunk = (store.peek_lbn(LbnKey(0, n))
                      if kind == "lbn"
-                     else store.lookup_fho(FhoKey(n, 1, 0), touch=False))
+                     else store.peek_fho(FhoKey(n, 1, 0)))
             entry = ref.find(kind, n)
             if chunk is not None and not chunk.pinned:
                 store.drop(chunk)
@@ -195,8 +195,8 @@ def test_store_agrees_with_reference_model(seed):
 
     # End state: every surviving payload is byte-exact.
     for kind, n in _store_order(store):
-        chunk = (store.lookup_lbn(LbnKey(0, n), touch=False) if kind == "lbn"
-                 else store.lookup_fho(FhoKey(n, 1, 0), touch=False))
+        chunk = (store.peek_lbn(LbnKey(0, n)) if kind == "lbn"
+                 else store.peek_fho(FhoKey(n, 1, 0)))
         assert chunk.payload().materialize() == ref.find(kind, n)["data"]
 
 
@@ -238,7 +238,7 @@ def test_recency_order_survives_object_churn():
     assert len(set(handles)) == len(handles)
     # Index consistency: every survivor is reachable under its own key.
     for chunk in list(store.chunks()):
-        assert store.lookup_lbn(chunk.key, touch=False) is chunk
+        assert store.peek_lbn(chunk.key) is chunk
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -254,7 +254,7 @@ def test_pinned_survives_full_capacity_pressure(seed):
         n = rng.randrange(N_KEYS)
         store.make_room(FOOTPRINT)
         store.insert(_chunk("fho", n, i))
-        assert store.lookup_lbn(LbnKey(0, 999), touch=False) is protected
+        assert store.peek_lbn(LbnKey(0, 999)) is protected
     protected.unpin()
     store.make_room(CAPACITY_CHUNKS * FOOTPRINT)  # now it may go
-    assert store.lookup_lbn(LbnKey(0, 999), touch=False) is None
+    assert store.peek_lbn(LbnKey(0, 999)) is None

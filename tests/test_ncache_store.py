@@ -73,13 +73,6 @@ class TestInsertLookup:
         assert snap["cache.ncache.hit"] == 1
         assert snap["cache.ncache.miss"] == 2  # one per index
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "recorded, not fixed (needs its own [model-change] PR): "
-        "lookup_lbn/lookup_fho(touch=False) skip only the recency promotion; "
-        "they still bump cache.ncache.hit/.miss and probe the ghost list, so "
-        "the bookkeeping peeks of wiring.entry_resolvable (reclaim listener) "
-        "and the fleet drain are counted as cache traffic in the window "
-        "GhostGradient's BudgetWindow reads"))
     def test_peek_is_not_cache_traffic(self):
         store = store_of(1)
         store.insert(chunk_for(LbnKey(0, 1)))
@@ -88,10 +81,9 @@ class TestInsertLookup:
         metrics = store.kernel_metrics
         before = (metrics.hit.value, metrics.miss.value,
                   metrics.ghost_hit.value)
-        assert store.lookup_fho(FhoKey(1, 1, 0), touch=False) is not None
-        assert store.lookup_lbn(LbnKey(0, 1), touch=False) is None  # ghost
-        assert store.resolve(FhoKey(9, 9, 0), LbnKey(0, 9),
-                             touch=False) is None
+        assert store.peek_fho(FhoKey(1, 1, 0)) is not None
+        assert store.peek_lbn(LbnKey(0, 1)) is None  # ghost
+        assert store.peek(FhoKey(9, 9, 0), LbnKey(0, 9)) is None
         assert (metrics.hit.value, metrics.miss.value,
                 metrics.ghost_hit.value) == before
 
@@ -126,8 +118,8 @@ class TestEviction:
         store.insert(b)
         store.lookup_lbn(LbnKey(0, 1))  # b becomes LRU
         store.make_room(FOOTPRINT)
-        assert store.lookup_lbn(LbnKey(0, 2), touch=False) is None
-        assert store.lookup_lbn(LbnKey(0, 1), touch=False) is a
+        assert store.peek_lbn(LbnKey(0, 2)) is None
+        assert store.peek_lbn(LbnKey(0, 1)) is a
 
     def test_dirty_victims_returned(self):
         store = store_of(1)
@@ -143,8 +135,8 @@ class TestEviction:
         store.insert(b)
         a.pin()
         store.make_room(FOOTPRINT)
-        assert store.lookup_lbn(LbnKey(0, 1), touch=False) is a
-        assert store.lookup_lbn(LbnKey(0, 2), touch=False) is None
+        assert store.peek_lbn(LbnKey(0, 1)) is a
+        assert store.peek_lbn(LbnKey(0, 2)) is None
 
     def test_all_pinned_raises(self):
         store = store_of(1)
@@ -181,8 +173,8 @@ class TestRemap:
         assert got is chunk
         assert chunk.key == LbnKey(0, 44)
         assert not chunk.dirty
-        assert store.lookup_fho(FhoKey(3, 1, 0), touch=False) is None
-        assert store.lookup_lbn(LbnKey(0, 44), touch=False) is chunk
+        assert store.peek_fho(FhoKey(3, 1, 0)) is None
+        assert store.peek_lbn(LbnKey(0, 44)) is chunk
 
     def test_remap_overwrites_stale_lbn_entry(self):
         store = store_of(4)
@@ -191,7 +183,7 @@ class TestRemap:
         store.insert(stale)
         store.insert(fresh)
         store.remap(FhoKey(3, 1, 0), LbnKey(0, 44))
-        assert store.lookup_lbn(LbnKey(0, 44), touch=False) is fresh
+        assert store.peek_lbn(LbnKey(0, 44)) is fresh
         assert store.n_chunks == 1
         assert store.counters["ncache.remap_overwrite"].value == 1
 
@@ -209,7 +201,7 @@ class TestRemap:
 
         def listener(chunk):
             observed.append(
-                store.lookup_fho(FhoKey(1, 1, 0), touch=False) is not None)
+                store.peek_fho(FhoKey(1, 1, 0)) is not None)
 
         store.reclaim_listeners.append(listener)
         store.insert(chunk_for(FhoKey(1, 1, 0), dirty=True))
@@ -224,7 +216,7 @@ class TestRemap:
             # During the stale chunk's reclaim the new mapping must
             # already be in place (remap-before-remove ordering).
             observed.append(
-                store.lookup_lbn(LbnKey(0, 44), touch=False) is not None)
+                store.peek_lbn(LbnKey(0, 44)) is not None)
 
         store.reclaim_listeners.append(listener)
         store.insert(chunk_for(LbnKey(0, 44)))
