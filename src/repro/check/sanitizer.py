@@ -182,12 +182,11 @@ class BufferSanitizer:
             record.dirty = bool(chunk.dirty)
         self._own(chunk, record.ref if record is not None else None)
 
-    # A compact chunk (``Chunk.from_payload``) holds one payload
-    # descriptor and no buffers.  The hooks below read what a chunk holds
-    # *now* (``owned_payloads``) and never ``.buffers``:
-    # that property builds the list for good, which would turn every
-    # warm-started chunk into a buffer-list chunk at insert and keep the
-    # segment-lazy substitution path from ever running under a test.
+    # A chunk holds one payload descriptor and, until an observer of
+    # individual buffers asks, no buffers.  The hooks below read what a
+    # chunk holds *now* (``owned_payloads``) and never ``.buffers``:
+    # that property builds the list for good, which would hang one on
+    # every chunk at insert under a test and nowhere else.
 
     @staticmethod
     def _owned_parts(chunk: Any) -> Iterator[Any]:

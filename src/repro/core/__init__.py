@@ -4,12 +4,7 @@ from .chunk import Chunk, ChunkKey
 from .classifier import PacketClassifier, RxAction, TxAction, TxDecision
 from .keys import FhoKey, KeyedPayload, LbnKey
 from .ncache import NCacheModule
-from .resize import (
-    buffers_for_range,
-    merge_payload,
-    slice_buffer,
-    split_into_chunks,
-)
+from .resize import buffers_for_range, carve_chunks, slice_buffer
 from .store import NCacheStore
 from .wiring import attach_ncache
 
@@ -27,7 +22,6 @@ __all__ = [
     "TxDecision",
     "attach_ncache",
     "buffers_for_range",
-    "merge_payload",
+    "carve_chunks",
     "slice_buffer",
-    "split_into_chunks",
 ]

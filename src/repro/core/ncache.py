@@ -21,7 +21,8 @@ substituted (§3.4, Figure 3).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import (Any, Callable, Generator, Iterable, List, Optional,
+                    Tuple)
 
 from ..check import sanitizer as _sanitizer
 from ..net.buffer import (
@@ -29,6 +30,7 @@ from ..net.buffer import (
     JunkPayload,
     NetBuffer,
     Payload,
+    SegmentShape,
     concat,
     flatten_payload,
 )
@@ -38,7 +40,7 @@ from ..sim.engine import Event, SimulationError
 from .chunk import Chunk
 from .classifier import PacketClassifier, RxAction, TxAction
 from .keys import FhoKey, KeyedPayload, LbnKey
-from .resize import buffers_for_range, split_into_chunks
+from .resize import buffers_for_range, carve_chunks
 from .store import NCacheStore
 
 #: ``fn(lbn, payload) -> generator`` writing a block back to storage.
@@ -118,28 +120,33 @@ class NCacheModule:
             yield from self._cache_nfs_write(dgram)
         return dgram
 
+    def _carve(self, dgram: Datagram, header_size: int, nblocks: int
+               ) -> List[Tuple[Payload, SegmentShape]]:
+        """The ``nblocks`` blocks behind ``dgram``'s protocol header."""
+        bs = self.store.chunk_size
+        carved = carve_chunks(dgram.chain, header_size, nblocks * bs, bs)
+        if len(carved) != nblocks:
+            raise SimulationError(
+                f"chunking {type(dgram.message).__name__} produced "
+                f"{len(carved)} chunks for {nblocks} blocks")
+        return carved
+
     def _cache_data_in(self, dgram: Datagram
                        ) -> Generator[Event, Any, None]:
         message = dgram.message
         bs = self.store.chunk_size
-        total = message.nblocks * bs
-        buffer_lists = split_into_chunks(dgram.chain, message.header_size,
-                                         total, bs)
-        if len(buffer_lists) != message.nblocks:
-            raise SimulationError(
-                f"Data-In chunking produced {len(buffer_lists)} chunks "
-                f"for {message.nblocks} blocks")
+        carved = self._carve(dgram, message.header_size, message.nblocks)
         keyed_parts: List[Payload] = []
-        for i, buffers in enumerate(buffer_lists):
+        for i, (payload, shape) in enumerate(carved):
             key = LbnKey(self.lun, message.lba + i)
-            yield from self._insert_chunk(Chunk(key, buffers, dirty=False))
+            yield from self._insert_chunk(Chunk(key, payload, shape))
             keyed_parts.append(KeyedPayload(bs, lbn_key=key))
         dgram.keyed_payload = concat(keyed_parts)
-        self.counters.add("ncache.cached_data_in", len(buffer_lists))
+        self.counters.add("ncache.cached_data_in", len(carved))
         if self.trace.enabled:
             self.trace.emit("ncache.cache_data_in", cat="ncache",
                             tid=self.trace.tid_for(self.host.name),
-                            lba=message.lba, blocks=len(buffer_lists))
+                            lba=message.lba, blocks=len(carved))
 
     def _cache_nfs_write(self, dgram: Datagram
                          ) -> Generator[Event, Any, None]:
@@ -150,33 +157,32 @@ class NCacheModule:
             # the real payload, still correctly, just without the benefit.
             self.counters.add("ncache.unaligned_write_passthrough")
             return
-        buffer_lists = split_into_chunks(dgram.chain, call.header_size,
-                                         call.count, bs)
+        carved = self._carve(dgram, call.header_size, call.count // bs)
         keyed_parts: List[Payload] = []
-        for i, buffers in enumerate(buffer_lists):
+        for i, (payload, shape) in enumerate(carved):
             key = FhoKey(call.fh.ino, call.fh.generation,
                          call.offset + i * bs)
             lbn_hint = self.fho_to_lbn(key) if self.fho_to_lbn else None
             yield from self._insert_chunk(
-                Chunk(key, buffers, dirty=True, lbn_hint=lbn_hint))
+                Chunk(key, payload, shape, dirty=True, lbn_hint=lbn_hint))
             keyed_parts.append(KeyedPayload(bs, fho_key=key))
         dgram.keyed_payload = concat(keyed_parts)
-        self.counters.add("ncache.cached_write", len(buffer_lists))
+        self.counters.add("ncache.cached_write", len(carved))
         if self.trace.enabled:
             self.trace.emit("ncache.cache_write", cat="ncache",
                             tid=self.trace.tid_for(self.host.name),
-                            offset=call.offset, blocks=len(buffer_lists))
+                            offset=call.offset, blocks=len(carved))
 
     def _insert_chunk(self, chunk: Chunk) -> Generator[Event, Any, None]:
         costs = self.host.costs
         yield from self.host.acct.compute(
             costs.ncache_lookup_ns + costs.ncache_mgmt_ns, "ncache.insert")
-        footprint = chunk.footprint(self.store.per_buffer_overhead,
-                                    self.store.per_chunk_overhead)
-        victims = self.store.make_room(footprint, key=chunk.key)
-        for victim in victims:
+        store = self.store
+        footprint = chunk.footprint(store.per_buffer_overhead,
+                                    store.per_chunk_overhead)
+        for victim in store.make_room(footprint, key=chunk.key):
             yield from self._write_back_chunk(victim)
-        self.store.insert(chunk)
+        store.insert(chunk, footprint=footprint)
 
     def _write_back_chunk(self, chunk: Chunk
                           ) -> Generator[Event, Any, None]:
@@ -264,8 +270,8 @@ class NCacheModule:
         the network-centric buffer cache to the network interface card"
         (§1).  Framing (packet count, wire bytes) is recomputed.
 
-        A compact chunk substituted whole goes out as one segment-lazy
-        descriptor and is counted arithmetically; its per-packet buffers
+        A chunk substituted whole goes out as one segment-lazy
+        descriptor and is counted from its shape; its per-packet buffers
         are only built for somebody who looks at them (DESIGN.md §11).
         The observers on this host — software checksumming, the
         no-inheritance ablation, a partial-range leaf — take the
@@ -326,18 +332,17 @@ class NCacheModule:
             if san is not None:
                 san.chunk_used(chunk, "substitute")
             if leaf.base_offset == 0 and leaf.length == chunk.length:
-                lazy = None if per_buffer \
-                    else chunk.segment_buffer(pending_plain)
-                if lazy is not None:
+                if not per_buffer:
+                    lazy = chunk.segment_buffer(pending_plain)
                     pending_plain.clear()
                     new_buffers.append(lazy)
                     segments = lazy.n_segments
                     substituted += segments
                     extra_frames += segments - 1
                     continue
-                # Whole-block substitution (the common case): the cached
-                # buffer list goes out as-is; buffers_for_range would
-                # return identity slices of every buffer.
+                # Whole-block substitution for an observer: the buffer
+                # list goes out as-is; buffers_for_range would return
+                # identity slices of every buffer.
                 cached = chunk.buffers
             else:
                 cached = buffers_for_range(chunk.buffers, leaf.base_offset,

@@ -3,16 +3,19 @@
 Data arrives in protocol-sized network buffers (1448-byte TCP segments
 from iSCSI, 1480-byte IP fragments from NFS/UDP) but is cached in
 fixed-size chunks (one filesystem block).  Going the other way, cached
-buffers are re-emitted under a different protocol's framing.  This module
-does the alignment arithmetic on real buffer lists so every transformation
-is byte-checkable.
+buffers are re-emitted under a different protocol's framing.  The way in
+is arithmetic over the arrived buffers' sizes (:func:`carve_chunks`: a
+chunk is a payload and a segment shape); the way out for a partial range
+slices real buffer lists (:func:`buffers_for_range`).  Both are
+byte-checkable against the buffer-by-buffer reference the tests keep.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
-from ..net.buffer import BufferChain, NetBuffer, Payload
+from ..net.buffer import (BufferChain, BufferFlavor, NetBuffer, Payload,
+                          SegmentShape)
 
 
 def slice_buffer(buf: NetBuffer, offset: int, length: int) -> NetBuffer:
@@ -30,50 +33,86 @@ def slice_buffer(buf: NetBuffer, offset: int, length: int) -> NetBuffer:
                      headers=[], flavor=buf.flavor, checksum=None)
 
 
-def split_into_chunks(chain: BufferChain, data_offset: int,
-                      total_data: int, chunk_size: int
-                      ) -> List[List[NetBuffer]]:
-    """Carve the data region of an arrived chain into chunk buffer lists.
+#: ``(buffer sizes, buffer csum_known, flavor, data_offset, total_data,
+#: chunk_size) -> shapes``: the carve of one train geometry, walked once.
+#: Grows with the distinct geometries seen, never with traffic.
+_CARVED: Dict[tuple, Tuple[SegmentShape, ...]] = {}
 
-    ``data_offset`` skips the protocol header bytes at the front of the
-    chain (iSCSI BHS, RPC/NFS call header...).  Returns one buffer list
-    per chunk, in order; the final chunk may be short if ``total_data`` is
-    not a multiple of ``chunk_size`` (callers enforce block alignment for
-    cacheable traffic).
+
+def _carve_shapes(sizes: Tuple[int, ...], knowns: Tuple[bool, ...],
+                  flavor: BufferFlavor, data_offset: int, total_data: int,
+                  chunk_size: int) -> Tuple[SegmentShape, ...]:
+    """One shape per chunk of a train of buffers, given their payload
+    ``sizes`` and checksum states ``knowns``.
+
+    A buffer that lands whole in a chunk keeps its checksum state; a
+    buffer cut by the header offset, a chunk boundary or the end of the
+    data contributes fresh descriptors with no inherited checksum — you
+    cannot reuse a checksum of different bytes (:func:`slice_buffer`).
     """
-    if data_offset < 0 or total_data < 0:
-        raise ValueError("negative offsets")
-    chunks: List[List[NetBuffer]] = []
-    current: List[NetBuffer] = []
-    current_bytes = 0
-    consumed = 0  # data bytes consumed so far
+    shapes: List[SegmentShape] = []
+    current: List[Tuple[int, bool]] = []
+    room = chunk_size
+    left = total_data
     skip = data_offset
-    for buf in chain:
-        size = buf.payload_bytes
+    for size, known in zip(sizes, knowns):
         if skip >= size:
             skip -= size
             continue
         start = skip
         skip = 0
-        while start < size and consumed < total_data:
-            room = chunk_size - current_bytes
-            take = min(size - start, room, total_data - consumed)
-            current.append(slice_buffer(buf, start, take))
-            current_bytes += take
-            consumed += take
+        while start < size and left:
+            take = min(size - start, room, left)
+            current.append((take, known and take == size))
             start += take
-            if current_bytes == chunk_size:
-                chunks.append(current)
+            room -= take
+            left -= take
+            if not room:
+                shapes.append(SegmentShape.of(tuple(current), flavor))
                 current = []
-                current_bytes = 0
-        if consumed >= total_data:
+                room = chunk_size
+        if not left:
             break
-    if consumed != total_data:
-        raise ValueError(
-            f"chain holds {consumed} data bytes, expected {total_data}")
+    if left:
+        raise ValueError(f"chain holds {total_data - left} data bytes, "
+                         f"expected {total_data}")
     if current:
-        chunks.append(current)
-    return chunks
+        shapes.append(SegmentShape.of(tuple(current), flavor))
+    return tuple(shapes)
+
+
+def carve_chunks(chain: BufferChain, data_offset: int, total_data: int,
+                 chunk_size: int) -> List[Tuple[Payload, SegmentShape]]:
+    """Carve the data region of an arrived chain into chunks.
+
+    ``data_offset`` skips the protocol header bytes at the front of the
+    chain (iSCSI BHS, RPC/NFS call header...).  Returns one ``(payload,
+    shape)`` per chunk, in order: the chunk's bytes as one slice of the
+    reassembled message, and the buffer list the chunk stands for —
+    each arrived buffer's part in it — as arithmetic over the train's
+    buffer sizes, whatever they are (a transport's uniform fragments, a
+    peer's substituted train), in the flavor of the train's first
+    buffer.  No per-chunk buffer is built.  The final
+    chunk may be short if ``total_data`` is not a multiple of
+    ``chunk_size`` (callers enforce block alignment for cacheable
+    traffic).
+    """
+    if data_offset < 0 or total_data < 0:
+        raise ValueError("negative offsets")
+    buffers = chain.buffers
+    geometry = (tuple([buf.payload.length for buf in buffers]),
+                tuple([buf.csum_known for buf in buffers]),
+                buffers[0].flavor if buffers else None,
+                data_offset, total_data, chunk_size)
+    shapes = _CARVED.get(geometry)
+    if shapes is None:
+        shapes = _CARVED[geometry] = _carve_shapes(*geometry)
+    message = chain.payload()
+    carved: List[Tuple[Payload, SegmentShape]] = []
+    for shape in shapes:
+        carved.append((message.slice(data_offset, shape.length), shape))
+        data_offset += shape.length
+    return carved
 
 
 def buffers_for_range(buffers: List[NetBuffer], offset: int, length: int
@@ -103,9 +142,3 @@ def buffers_for_range(buffers: List[NetBuffer], offset: int, length: int
     if remaining:
         raise ValueError(f"range exceeds chunk by {remaining} bytes")
     return out
-
-
-def merge_payload(buffers: List[NetBuffer]) -> Payload:
-    """Concatenate buffer payloads (merge direction of §3.5)."""
-    chain = BufferChain(buffers)
-    return chain.payload()

@@ -206,18 +206,21 @@ class NCacheStore:
         for listener in self.reclaim_listeners:
             listener(chunk)
 
-    def insert(self, chunk: Chunk) -> None:
+    def insert(self, chunk: Chunk, *,
+               footprint: Optional[int] = None) -> None:
         """Insert a chunk under its key, replacing any existing entry.
 
         Replacement of an FHO entry by a newer write is the *overwritten*
-        path; caller must have called :meth:`make_room` first.  The new
-        mapping is installed *before* the stale chunk is reclaimed so
-        reclaim listeners observe the block as still resolvable — the
-        same ordering rule as :meth:`remap`.
+        path; caller must have called :meth:`make_room` first — and may
+        hand back the ``footprint`` it sized the chunk at for that call.
+        The new mapping is installed *before* the stale chunk is
+        reclaimed so reclaim listeners observe the block as still
+        resolvable — the same ordering rule as :meth:`remap`.
         """
+        if footprint is None:
+            footprint = self._footprint(chunk)
         index = self._lbn if isinstance(chunk.key, LbnKey) else self._fho
         existing = index.get(chunk.key)
-        footprint = self._footprint(chunk)
         freed = self._footprint(existing) if existing is not None else 0
         if self._kernel.free_bytes + freed < footprint:
             raise RuntimeError("insert without room; call make_room() first")

@@ -31,7 +31,7 @@ from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..core.chunk import Chunk
 from ..core.keys import KeyedPayload, LbnKey
-from ..net.buffer import JunkPayload
+from ..net.buffer import BufferFlavor, JunkPayload, SegmentShape
 from ..servers.config import ServerMode, TestbedConfig
 from ..servers.spec import ClusterSpec, TestbedSpec
 from .parallel import RunSpec, run_specs
@@ -350,9 +350,11 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
     block_size = image.block_size
     mss = testbed.config.costs.tcp_mss
     lun = testbed.ncache.lun
-    # Budget in chunk footprints.
-    sample_chunk = Chunk.from_payload(LbnKey(lun, 0),
-                                      JunkPayload(block_size), mss)
+    # Every warm block is one block cut at the MSS with its checksums
+    # known, as if it had arrived over the wire and been verified: one
+    # shape for all of them.  Budget in chunk footprints.
+    shape = SegmentShape.uniform(block_size, mss, True, BufferFlavor.SK_BUFF)
+    sample_chunk = Chunk(LbnKey(lun, 0), JunkPayload(block_size), shape)
     footprint = sample_chunk.footprint(store.per_buffer_overhead,
                                        store.per_chunk_overhead)
     blocks = _hottest_blocks(image, ranked_names,
@@ -365,12 +367,9 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
             # directly rather than re-deriving the owner from the LBN.
             payload = image.file_payload(inode, b * block_size,
                                          block_size)
-            # Compact chunks: one extent descriptor per block; the
-            # buffer list (with csum_known set, as if the block arrived
-            # over the wire and was verified) only springs into
-            # existence for blocks the workload actually touches.
-            yield Chunk.from_payload(LbnKey(lun, lbn), payload, mss,
-                                     csum_known=True)
+            # One extent descriptor per block; a buffer list only
+            # springs into existence for an observer (DESIGN.md §11).
+            yield Chunk(LbnKey(lun, lbn), payload, shape)
 
     store.bulk_load(warm_chunks(), footprint)
     # FS cache: hottest blocks as key-only pages.

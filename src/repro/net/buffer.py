@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -518,6 +518,70 @@ class BufferFlavor(Enum):
     MBUF = "mbuf"
 
 
+class SegmentShape:
+    """The geometry of one train of wire segments, interned.
+
+    ``segments`` is ``((nbytes, csum_known), ...)``: one pair per wire
+    segment in order — how many data bytes it carries and whether its
+    transport checksum is already computed; ``flavor`` is the buffer
+    structure the segments ride in and ``length`` the byte total.  A
+    cached chunk is one payload plus one shape (:mod:`repro.core.chunk`),
+    and a segment-lazy :class:`NetBuffer` names its train by one.
+
+    Instances come from :meth:`of` / :meth:`uniform`, which return the
+    one object per geometry: equal shapes are identical (``is``), and a
+    cache of a hundred thousand blocks holds a handful of them.  The
+    tables grow with the number of distinct geometries (fragment sizes,
+    header offsets, block sizes), never with traffic.
+    """
+
+    __slots__ = ("segments", "flavor", "length")
+
+    _interned: Dict[tuple, SegmentShape] = {}
+    _uniform: Dict[tuple, SegmentShape] = {}
+
+    def __init__(self, segments: Tuple[Tuple[int, bool], ...],
+                 flavor: BufferFlavor) -> None:
+        self.segments = segments
+        self.flavor = flavor
+        self.length = sum(nbytes for nbytes, _ in segments)
+
+    @classmethod
+    def of(cls, segments: Tuple[Tuple[int, bool], ...],
+           flavor: BufferFlavor) -> SegmentShape:
+        """The interned shape with these ``segments`` and ``flavor``."""
+        key = (segments, flavor)
+        shape = cls._interned.get(key)
+        if shape is None:
+            if not segments or any(nbytes <= 0 for nbytes, _ in segments):
+                raise ValueError(
+                    "a shape needs at least one segment, each of at "
+                    "least one byte")
+            shape = cls._interned[key] = cls(segments, flavor)
+        return shape
+
+    @classmethod
+    def uniform(cls, length: int, fragment_size: int, csum_known: bool,
+                flavor: BufferFlavor) -> SegmentShape:
+        """``length`` bytes cut every ``fragment_size`` (the last segment
+        takes the remainder), every segment's checksum ``csum_known`` —
+        what ``chain_from_payload`` makes of a payload."""
+        key = (length, fragment_size, csum_known, flavor)
+        shape = cls._uniform.get(key)
+        if shape is None:
+            if fragment_size <= 0:
+                raise ValueError("fragment_size must be positive")
+            shape = cls._uniform[key] = cls.of(
+                tuple((min(fragment_size, length - offset), csum_known)
+                      for offset in range(0, length, fragment_size)),
+                flavor)
+        return shape
+
+    def __repr__(self) -> str:
+        return (f"SegmentShape({len(self.segments)} segments, "
+                f"{self.length}B, {self.flavor.value})")
+
+
 class NetBuffer:
     """One network buffer: header stack + payload fragment.
 
@@ -532,12 +596,12 @@ class NetBuffer:
     checksum for this fragment is already computed.
 
     ``segs`` makes the buffer **segment-lazy** (the ``gso_segs`` idea):
-    ``(lead, frag)`` says this one descriptor stands for a train of
-    wire segments — the first carries ``lead`` header bytes plus up to
-    ``frag`` data bytes, every later one up to ``frag`` data bytes —
-    that nobody has needed to look at one by one yet.  Frame counts
-    come from :attr:`n_segments`; :func:`expand_segments` builds the
-    train for a consumer that does look (DESIGN.md §11).
+    ``(lead, shape)`` says this one descriptor stands for the train of
+    wire segments :class:`SegmentShape` ``shape`` describes — the first
+    also carrying the ``lead`` header bytes in front of its data — that
+    nobody has needed to look at one by one yet.  Frame counts come
+    from :attr:`n_segments`; :func:`expand_segments` builds the train
+    for a consumer that does look (DESIGN.md §11).
     """
 
     __slots__ = ("payload", "headers", "flavor", "checksum", "csum_known",
@@ -548,7 +612,7 @@ class NetBuffer:
                  flavor: BufferFlavor = BufferFlavor.SK_BUFF,
                  checksum: Optional[int] = None,
                  csum_known: bool = False,
-                 segs: Optional[Tuple[int, int]] = None) -> None:
+                 segs: Optional[Tuple[int, SegmentShape]] = None) -> None:
         self.payload = payload
         self.headers: List[object] = [] if headers is None else headers
         self.flavor = flavor
@@ -564,10 +628,7 @@ class NetBuffer:
     def n_segments(self) -> int:
         """Wire segments this buffer stands for (1 unless segment-lazy)."""
         segs = self.segs
-        if segs is None:
-            return 1
-        lead, frag = segs
-        return -(-(self.payload.length - lead) // frag)
+        return 1 if segs is None else len(segs[1].segments)
 
     @property
     def header_bytes(self) -> int:
@@ -621,12 +682,13 @@ class BufferChain:
 def expand_segments(buffers: List[NetBuffer]) -> List[NetBuffer]:
     """``buffers`` with every segment-lazy buffer expanded to its train.
 
-    The one place per-segment buffers of a ``segs`` descriptor are made.
-    A data segment inherits the descriptor's flavor and checksum state
-    (they were the cached chunk's); the segment that carries the ``lead``
-    header bytes is a fresh descriptor with no known checksum — its
-    bytes are not the cached fragment's.  Plain buffers pass through
-    as the same objects.
+    The one place per-segment buffers of a ``segs`` descriptor are made:
+    the payload behind the ``lead`` bytes is sliced by the shape.  A
+    data segment takes the shape's flavor and its own checksum state
+    (they were the cached chunk's); the segment that carries the
+    ``lead`` header bytes is a fresh descriptor with no known checksum
+    — its bytes are not the cached fragment's.  Plain buffers pass
+    through as the same objects.
     """
     out: List[NetBuffer] = []
     for buf in buffers:
@@ -634,21 +696,20 @@ def expand_segments(buffers: List[NetBuffer]) -> List[NetBuffer]:
         if segs is None:
             out.append(buf)
             continue
-        lead, frag = segs
+        lead, shape = segs
         payload = buf.payload
-        flavor = buf.flavor
-        known = buf.csum_known
+        flavor = shape.flavor
+        segments = shape.segments
+        offset = lead
         if lead:
-            data = payload.slice(lead, payload.length - lead).split(frag)
-            out.append(NetBuffer(
-                payload=concat([payload.slice(0, lead), data[0]]),
-                flavor=flavor))
-            del data[0]
-        else:
-            data = payload.split(frag)
-        for part in data:
-            out.append(NetBuffer(payload=part, flavor=flavor,
-                                 csum_known=known))
+            offset += segments[0][0]
+            out.append(NetBuffer(payload=payload.slice(0, offset),
+                                 flavor=flavor))
+            segments = segments[1:]
+        for nbytes, known in segments:
+            out.append(NetBuffer(payload=payload.slice(offset, nbytes),
+                                 flavor=flavor, csum_known=known))
+            offset += nbytes
     return out
 
 

@@ -27,10 +27,12 @@ from repro.net.buffer import BufferChain, NetBuffer, VirtualPayload
 from repro.net.network import Datagram
 from repro.sim import Simulator
 
+from chunk_reference import chunk_of_buffers
+
 
 def make_chunk(key, nbytes=4096, dirty=False, tag=1):
     buf = NetBuffer(payload=VirtualPayload(tag, 0, nbytes))
-    return Chunk(key, [buf], dirty=dirty)
+    return chunk_of_buffers(key, [buf], dirty=dirty)
 
 
 def make_store(capacity=1 << 20):
@@ -193,7 +195,8 @@ class TestAliasing:
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            chunk = Chunk(LbnKey(0, 11), [NetBuffer(payload=payload)])
+            chunk = chunk_of_buffers(LbnKey(0, 11),
+                                     [NetBuffer(payload=payload)])
             store.insert(chunk)
             cache = BufferCache(1 << 20)
             cache.insert(11, payload)  # double-buffering: the bug §3.2 bans
@@ -207,7 +210,8 @@ class TestAliasing:
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            store.insert(Chunk(LbnKey(0, 11), [NetBuffer(payload=payload)]))
+            store.insert(chunk_of_buffers(LbnKey(0, 11),
+                                          [NetBuffer(payload=payload)]))
             cache = BufferCache(1 << 20)
             cache.insert(11, KeyedPayload(4096, lbn_key=LbnKey(0, 11)))
             assert san.violations == []
@@ -216,7 +220,8 @@ class TestAliasing:
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            chunk = Chunk(LbnKey(0, 11), [NetBuffer(payload=payload)])
+            chunk = chunk_of_buffers(LbnKey(0, 11),
+                                     [NetBuffer(payload=payload)])
             store.insert(chunk)
             store.drop(chunk)
             cache = BufferCache(1 << 20)

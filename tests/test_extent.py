@@ -22,6 +22,8 @@ from repro.net.buffer import (
     concat,
 )
 
+from chunk_reference import chunk_of_buffers
+
 
 class TestZeroLengthSlice:
     def test_slice_to_nothing(self):
@@ -116,7 +118,7 @@ class TestConcatAcrossImages:
 class TestGenerationOnRemap:
     def sliced_chunk(self, key, tag=7, nbytes=8192):
         # A chunk holding *sliced* views (mid-extent offset), the shape
-        # an RX path produces after split_into_chunks.
+        # an RX path carves out of an arrived train.
         view = ExtentPayload(tag, 4096, nbytes).slice(0, nbytes)
         return Chunk.from_payload(key, view, fragment_size=4096,
                                   dirty=True)
@@ -158,7 +160,8 @@ class TestSanitizerExtentAliasing:
         with sanitize() as san:
             store = NCacheStore(capacity_bytes=1 << 20)
             copied = ExtentPayload(7, 0, 4096).physical_copy()
-            chunk = Chunk(LbnKey(0, 11), [NetBuffer(payload=copied)])
+            chunk = chunk_of_buffers(LbnKey(0, 11),
+                                     [NetBuffer(payload=copied)])
             store.insert(chunk)
             cache = BufferCache(1 << 20)
             cache.insert(11, copied.slice(0, 2048))
@@ -172,7 +175,8 @@ class TestSanitizerExtentAliasing:
         with sanitize() as san:
             store = NCacheStore(capacity_bytes=1 << 20)
             block = ExtentPayload(7, 0, 4096)
-            store.insert(Chunk(LbnKey(0, 11), [NetBuffer(payload=block)]))
+            store.insert(chunk_of_buffers(LbnKey(0, 11),
+                                          [NetBuffer(payload=block)]))
             cache = BufferCache(1 << 20)
             cache.insert(11, ExtentPayload(7, 0, 4096).slice(0, 2048))
             assert san.of_kind(ViolationKind.ALIASING) == []
@@ -181,7 +185,8 @@ class TestSanitizerExtentAliasing:
         with sanitize() as san:
             store = NCacheStore(capacity_bytes=1 << 20)
             copied = ExtentPayload(7, 0, 4096).physical_copy()
-            chunk = Chunk(LbnKey(0, 11), [NetBuffer(payload=copied)])
+            chunk = chunk_of_buffers(LbnKey(0, 11),
+                                     [NetBuffer(payload=copied)])
             store.insert(chunk)
             store.drop(chunk)
             cache = BufferCache(1 << 20)

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core import Chunk, FhoKey, KeyedPayload, LbnKey
+from repro.core import FhoKey, KeyedPayload, LbnKey
 from repro.net.buffer import (
     BytesPayload,
     NetBuffer,
@@ -12,6 +12,8 @@ from repro.net.buffer import (
     chain_from_payload,
     VirtualPayload,
 )
+
+from chunk_reference import chunk_of_buffers
 
 
 class TestKeys:
@@ -110,7 +112,7 @@ class TestKeyedPayload:
 class TestChunk:
     def make_chunk(self, nbytes=4096, key=None):
         chain = chain_from_payload(VirtualPayload(1, 0, nbytes), 1448)
-        return Chunk(key or LbnKey(0, 0), list(chain))
+        return chunk_of_buffers(key or LbnKey(0, 0), list(chain))
 
     def test_length_and_payload(self):
         chunk = self.make_chunk()
@@ -124,7 +126,7 @@ class TestChunk:
 
     def test_needs_buffers(self):
         with pytest.raises(ValueError):
-            Chunk(LbnKey(0, 0), [])
+            chunk_of_buffers(LbnKey(0, 0), [])
 
     def test_footprint_includes_descriptors(self):
         chunk = self.make_chunk()
@@ -147,8 +149,8 @@ class TestChunk:
             self.make_chunk().unpin()
 
     def test_dirty_flag_and_hint(self):
-        chunk = Chunk(FhoKey(1, 1, 0),
-                      [NetBuffer(payload=BytesPayload(b"x" * 4096))],
-                      dirty=True, lbn_hint=LbnKey(0, 77))
+        chunk = chunk_of_buffers(
+            FhoKey(1, 1, 0), [NetBuffer(payload=BytesPayload(b"x" * 4096))],
+            dirty=True, lbn_hint=LbnKey(0, 77))
         assert chunk.dirty
         assert chunk.lbn_hint == LbnKey(0, 77)

@@ -23,6 +23,8 @@ from repro.core import Chunk, FhoKey, LbnKey, NCacheStore
 from repro.net.buffer import BytesPayload, NetBuffer
 from repro.sim.rng import substream
 
+from chunk_reference import chunk_of_buffers
+
 CHUNK = 4096
 FOOTPRINT = CHUNK + 160 + 64
 CAPACITY_CHUNKS = 6
@@ -39,9 +41,9 @@ def _key(kind: str, n: int):
 
 
 def _chunk(kind: str, n: int, version: int) -> Chunk:
-    return Chunk(_key(kind, n),
-                 [NetBuffer(payload=BytesPayload(_data(n, version)))],
-                 dirty=(kind == "fho"))
+    return chunk_of_buffers(
+        _key(kind, n), [NetBuffer(payload=BytesPayload(_data(n, version)))],
+        dirty=(kind == "fho"))
 
 
 class RefStore:

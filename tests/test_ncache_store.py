@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Chunk, FhoKey, LbnKey, NCacheStore
+from repro.core import FhoKey, LbnKey, NCacheStore
 from repro.net.buffer import JunkPayload, NetBuffer
+
+from chunk_reference import chunk_of_buffers
 
 
 def chunk_for(key, nbytes=4096, dirty=False, hint=None):
-    return Chunk(key, [NetBuffer(payload=JunkPayload(nbytes))],
-                 dirty=dirty, lbn_hint=hint)
+    return chunk_of_buffers(key, [NetBuffer(payload=JunkPayload(nbytes))],
+                            dirty=dirty, lbn_hint=hint)
 
 
 def store_of(n_chunks: int, **kwargs) -> NCacheStore:

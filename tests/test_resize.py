@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import buffers_for_range, merge_payload, slice_buffer, \
-    split_into_chunks
+from repro.core import buffers_for_range, slice_buffer
 from repro.net.buffer import (
     BufferChain,
     NetBuffer,
     VirtualPayload,
     chain_from_payload,
 )
+
+from chunk_reference import merge_payload, split_into_chunks
 
 
 def data_chain(total, fragment, header=0, tag=1):

@@ -1,9 +1,11 @@
-"""Segment-lazy substitution: one descriptor per compact chunk (DESIGN.md §11).
+"""Segment-lazy substitution: one descriptor per chunk (DESIGN.md §11).
 
-A compact chunk substituted whole leaves the NCache as one ``NetBuffer``
-with a ``segs`` layout; packets, frames, wire bytes and the substitute
-CPU charge are arithmetic.  These tests pin that the arithmetic and the
-one expansion function reproduce the eager (buffer-list) path exactly:
+A chunk substituted whole leaves the NCache as one ``NetBuffer`` with a
+``segs`` layout — its segment shape, uniform if it was warm-started,
+the arrived train's if it was carved out of one; packets, frames, wire
+bytes and the substitute CPU charge are arithmetic.  These tests pin
+that the arithmetic and the one expansion function reproduce the eager
+(buffer-list) path exactly:
 
 * a seeded property test comparing the lazy chain, expanded, with the
   chain the same reply gets on a host that must look at every buffer;
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Chunk, KeyedPayload, LbnKey, NCacheStore
+from repro.core import Chunk, KeyedPayload, LbnKey, NCacheStore, carve_chunks
 from repro.core.ncache import NCacheModule
 from repro.copymodel.costs import DEFAULT_COSTS
 from repro.experiments.common import scaled_memory_config, warm_caches
@@ -27,8 +29,8 @@ from repro.fs import BLOCK_SIZE
 from repro.http.client import response_body
 from repro.net import Endpoint, Host, Network
 from repro.net.buffer import (BufferChain, BufferFlavor, BytesPayload,
-                              ExtentPayload, NetBuffer, chain_from_payload,
-                              concat, expand_segments)
+                              ExtentPayload, NetBuffer, SegmentShape,
+                              chain_from_payload, concat, expand_segments)
 from repro.net.network import Datagram
 from repro.nfs.protocol import NfsProc, NfsReply
 from repro.servers import ServerMode, TestbedSpec
@@ -46,17 +48,21 @@ FRAGMENTS = (1448, 1480, 2048, CHUNK, 5000)
 
 
 def _reply_spec(rng):
-    """One reply: header length, protocol, and per placeholder which
-    chunk representation backs it and which byte range it asks for."""
+    """One reply: header length, protocol, and per placeholder what
+    shape of chunk backs it (``warm``: uniform; ``arrived``: carved from
+    a train behind ``arrival_header`` bytes, so its first segment is
+    short and its edges carry no checksum) and which byte range it asks
+    for."""
     leaves = []
     for n in range(rng.randint(1, 5)):
-        kind = rng.choice(("compact", "compact", "buffers", "missing"))
+        kind = rng.choice(("warm", "warm", "arrived", "missing"))
         whole = rng.random() < 0.7
         offset = 0 if whole else rng.randrange(0, CHUNK - 1)
         length = CHUNK if whole else rng.randint(1, CHUNK - offset - 1)
         leaves.append(dict(
             lbn=100 + n, kind=kind, offset=offset, length=length,
             frag=rng.choice(FRAGMENTS),
+            arrival_header=rng.choice((1, 48, 132, 1447)),
             flavor=rng.choice(list(BufferFlavor)),
             known=rng.random() < 0.7))
     return dict(header=rng.choice(HEADER_LENGTHS),
@@ -82,12 +88,13 @@ def _substitute(spec, checksum_offload):
     for leaf in spec["leaves"]:
         key = LbnKey(0, leaf["lbn"])
         data = ExtentPayload(0xC0FFEE, leaf["lbn"] * CHUNK, CHUNK)
-        if leaf["kind"] != "missing":
+        if leaf["kind"] == "warm":
             chunk = Chunk.from_payload(key, data, leaf["frag"],
                                        flavor=leaf["flavor"],
                                        csum_known=leaf["known"])
-            if leaf["kind"] == "buffers":
-                chunk = Chunk(key, chunk.buffers)
+        elif leaf["kind"] == "arrived":
+            chunk = _arrived_chunk(key, data, leaf)
+        if leaf["kind"] != "missing":
             store.make_room(chunk.footprint(store.per_buffer_overhead,
                                             store.per_chunk_overhead))
             store.insert(chunk)
@@ -104,6 +111,20 @@ def _substitute(spec, checksum_offload):
         n_frames=1, wire_bytes=0)
     drive(sim, module.tx_hook(dgram))
     return dgram, sim.now, host.counters, chunks
+
+
+def _arrived_chunk(key, data, leaf):
+    """``data`` as the RX hook caches it off the wire: fragments of
+    ``leaf["frag"]`` cut from header + data, carved behind the header."""
+    header = BytesPayload(b"a" * leaf["arrival_header"])
+    train = chain_from_payload(concat([header, data]), leaf["frag"],
+                               flavor=leaf["flavor"])
+    for buf in train:
+        buf.csum_known = leaf["known"]
+    (payload, shape), = carve_chunks(train, header.length, CHUNK, CHUNK)
+    if leaf["frag"] < CHUNK:
+        assert shape.segments[0][0] < leaf["frag"]
+    return Chunk(key, payload, shape)
 
 
 def _describe(buffers):
@@ -148,9 +169,9 @@ def test_lazy_chain_expands_to_the_eager_chain(seed):
                      "ncache.substitute_miss"):
             assert lazy_counters[name].value == \
                 eager_counters[name].value, (name, spec)
-        # The point of it: a compact chunk served whole is still compact.
+        # The point of it: a chunk served whole never grows a buffer list.
         for leaf, chunk in lazy_chunks:
-            if leaf["kind"] == "compact" and leaf["length"] == CHUNK:
+            if leaf["length"] == CHUNK:
                 assert chunk.peek_buffers() is None, spec
 
 
@@ -165,7 +186,6 @@ def test_built_buffer_list_is_the_fragmented_payload(frag):
     reference = chain_from_payload(data, frag, flavor=BufferFlavor.MBUF)
     for buf in reference:
         buf.csum_known = True
-    assert chunk._n_buffers() == len(reference)
     assert _describe(chunk.buffers) == _describe(reference.buffers)
     assert chunk.buffers is chunk.buffers  # built once, then kept
 
@@ -174,10 +194,11 @@ def test_whole_compact_chunk_is_one_descriptor():
     """The property test above would pass vacuously if nothing were
     lazy: pin the descriptor's shape once."""
     spec = dict(header=36, protocol="udp", trailer=0, leaves=[
-        dict(lbn=1, kind="compact", offset=0, length=CHUNK, frag=1448,
+        dict(lbn=1, kind="warm", offset=0, length=CHUNK, frag=1448,
              flavor=BufferFlavor.SK_BUFF, known=True)])
     lazy, _ns, counters, _chunks = _substitute(spec, True)
-    assert [b.segs for b in lazy.chain] == [(36, 1448)]
+    assert [b.segs for b in lazy.chain] == [
+        (36, SegmentShape.uniform(CHUNK, 1448, True, BufferFlavor.SK_BUFF))]
     assert lazy.n_frames == 3
     assert counters["ncache.substituted_packets"].value == 3
 
