@@ -246,20 +246,23 @@ class NCacheStore:
         chunks that (a) are clean, (b) share one uniform ``footprint``
         and (c) are not yet resident under their key — exactly the
         warm-start shape — minus the per-insert work those properties
-        make redundant (footprint recomputation, duplicate-key probing,
-        a used-gauge refresh per chunk).  Evictions behave exactly as
-        on the general path; a dirty victim is a caller bug and raises.
+        make redundant (footprint recomputation, replacing the old
+        entry, a used-gauge refresh per chunk).  Evictions behave
+        exactly as on the general path; a dirty victim is a caller bug
+        and raises, as does a resident key (the old chunk would stay in
+        the kernel, holding budget, with no index entry).
         """
         kernel = self._kernel
         san = _sanitizer.active()
         for chunk in chunks:
             key = chunk.key
-            if kernel.free_bytes < footprint:
-                for victim in kernel.make_room(footprint, key=key,
-                                               on_evict=self._evicted):
-                    raise RuntimeError("dirty victim during warm start")
-            chunk.cache_handle = kernel.insert(key, chunk, footprint)
             index = self._lbn if isinstance(key, LbnKey) else self._fho
+            if key in index:
+                raise ValueError(f"bulk_load of resident key {key}")
+            if kernel.free_bytes < footprint and kernel.make_room(
+                    footprint, key=key, on_evict=self._evicted):
+                raise RuntimeError("dirty victim during warm start")
+            chunk.cache_handle = kernel.insert(key, chunk, footprint)
             index[key] = chunk
             if san is not None:
                 san.chunk_cached(chunk)

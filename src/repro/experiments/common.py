@@ -23,10 +23,12 @@ fill: measurements start from the steady state the paper measures in.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..core.chunk import Chunk
@@ -299,48 +301,71 @@ def per_kop(segment: Dict[str, float]) -> float:
     return 1000.0 * segment["backend"] / segment["ops"]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """The cyclic collector off for the duration, then as it was found:
+    a warm start's ~10^6 long-lived acyclic objects would trigger it over
+    and over to rescan a growing heap and free nothing (DESIGN.md §5)."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def warm_caches(testbed, ranked_names: Sequence[str]) -> None:
     """Pre-populate server caches with files, hottest last (MRU).
 
-    ``ranked_names`` is hottest-first; insertion is coldest-first so the
-    LRU order after warm-start matches a long-running steady state.  Only
-    what fits stays resident, exactly as eviction would leave it.
+    ``ranked_names`` is hottest-first (a name listed again is skipped);
+    insertion is one coldest-first bulk pass so the LRU order after
+    warm-start matches a long-running steady state.  Only what fits
+    stays resident, exactly as eviction would leave it.
     """
     mode = testbed.config.mode
-    image = testbed.image
-    block_size = image.block_size
-    if mode is ServerMode.NCACHE:
-        _warm_ncache(testbed, ranked_names)
-        return
-    # Original/baseline: fill the file-system buffer cache.
-    cache = testbed.cache
-    blocks = _hottest_blocks(image, ranked_names, cache.capacity_blocks)
-    for inode, b in reversed(blocks):  # coldest first
-        lbn = inode.block_lbn(b)
-        if mode is ServerMode.BASELINE:
-            payload = JunkPayload(block_size)
-        else:
-            # All warm blocks are file data, so build the virtual
-            # payload directly instead of re-deriving the owner from
-            # the LBN (a bisect per block; warm-start fills tens of
-            # thousands).
-            payload = image.file_payload(inode, b * block_size,
-                                         block_size)
-        cache.make_room(1)
-        cache.insert(lbn, payload)
+    with _collector_paused():
+        if mode is ServerMode.NCACHE:
+            _warm_ncache(testbed, ranked_names)
+        else:  # original/baseline: fill the file-system buffer cache
+            image, cache = testbed.image, testbed.cache
+            block_size = image.block_size
+            cache.bulk_load(_coldest_first(
+                image,
+                _hottest_runs(image, ranked_names, cache.capacity_blocks),
+                (lambda lbn: JunkPayload(block_size))
+                if mode is ServerMode.BASELINE else None))
 
 
-def _hottest_blocks(image, ranked_names: Sequence[str],
-                    capacity: int) -> List[tuple]:
-    """The first ``capacity`` (inode, block) pairs, hottest file first."""
-    blocks: List[tuple] = []
-    for name in ranked_names:
+def _hottest_runs(image, ranked_names: Sequence[str],
+                  capacity: int) -> List[tuple]:
+    """The first ``capacity`` blocks of the ranked set as ``(inode,
+    n_blocks)`` runs, hottest file first, each name once; the last run
+    is cut where the budget ends."""
+    runs: List[tuple] = []
+    for name in dict.fromkeys(ranked_names):
+        if capacity <= 0:
+            break
         inode = image.lookup(name)
-        for b in range(inode.nblocks):
-            if len(blocks) >= capacity:
-                return blocks
-            blocks.append((inode, b))
-    return blocks
+        n = min(inode.nblocks, capacity)
+        runs.append((inode, n))
+        capacity -= n
+    return runs
+
+
+def _coldest_first(image, runs: Sequence[tuple],
+                   payload_of: Optional[Callable[[int], Any]] = None
+                   ) -> Iterator[tuple]:
+    """``(lbn, payload)`` of every block of ``runs``, coldest first: the
+    file's own content (every warm block is file data, so the image
+    hands it out per run instead of re-deriving the owner from each
+    LBN), or ``payload_of(lbn)`` where the page holds something else."""
+    for inode, n in reversed(runs):
+        lbns = range(inode.start_lbn + n - 1, inode.start_lbn - 1, -1)
+        if payload_of is None:
+            yield from zip(lbns, reversed(image.block_payloads(inode, n)))
+        else:
+            yield from zip(lbns, map(payload_of, lbns))
 
 
 def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
@@ -357,28 +382,20 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
     sample_chunk = Chunk(LbnKey(lun, 0), JunkPayload(block_size), shape)
     footprint = sample_chunk.footprint(store.per_buffer_overhead,
                                        store.per_chunk_overhead)
-    blocks = _hottest_blocks(image, ranked_names,
-                             store.capacity_bytes // footprint)
-
-    def warm_chunks():
-        for inode, b in reversed(blocks):
-            lbn = inode.block_lbn(b)
-            # All warm blocks are file data: build the virtual payload
-            # directly rather than re-deriving the owner from the LBN.
-            payload = image.file_payload(inode, b * block_size,
-                                         block_size)
-            # One extent descriptor per block; a buffer list only
-            # springs into existence for an observer (DESIGN.md §11).
-            yield Chunk(LbnKey(lun, lbn), payload, shape)
-
-    store.bulk_load(warm_chunks(), footprint)
-    # FS cache: hottest blocks as key-only pages.
-    fs_capacity = testbed.cache.capacity_blocks
-    for inode, b in reversed(blocks[:fs_capacity]):
-        lbn = inode.block_lbn(b)
-        testbed.cache.make_room(1)
-        testbed.cache.insert(
-            lbn, KeyedPayload(block_size, lbn_key=LbnKey(lun, lbn)))
+    n_chunks = store.capacity_bytes // footprint
+    # One extent descriptor per block; a buffer list only springs into
+    # existence for an observer (DESIGN.md §11).
+    store.bulk_load(
+        (Chunk(LbnKey(lun, lbn), payload, shape)
+         for lbn, payload in _coldest_first(
+             image, _hottest_runs(image, ranked_names, n_chunks))),
+        footprint)
+    # FS cache: the hottest of those blocks as key-only pages.
+    cache = testbed.cache
+    cache.bulk_load(_coldest_first(
+        image, _hottest_runs(image, ranked_names,
+                             min(n_chunks, cache.capacity_blocks)),
+        lambda lbn: KeyedPayload(block_size, lbn_key=LbnKey(lun, lbn))))
 
 
 def scaled_memory_config(scale: int = 1) -> dict:

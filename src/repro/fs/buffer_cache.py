@@ -27,7 +27,7 @@ instead of silently spinning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..cache import CacheKernel
 from ..check import sanitizer as _sanitizer
@@ -223,6 +223,28 @@ class BufferCache:
                                                  self.block_size)
         self._entries[lbn] = entry
         return entry
+
+    def bulk_load(self, pages: Iterable[Tuple[int, Payload]]) -> None:
+        """Warm-start fast path: :meth:`make_room` + :meth:`insert` per
+        ``(lbn, payload)`` page, coldest first, for clean data pages not
+        yet resident (the contract of ``NCacheStore.bulk_load``).
+        Evictions are the general path's; a dirty victim is a caller
+        bug and raises, as does a resident ``lbn``."""
+        kernel = self._kernel
+        entries = self._entries
+        block_size = self.block_size
+        san = _sanitizer.active()
+        for lbn, payload in pages:
+            if lbn in entries:
+                raise ValueError(f"bulk_load of resident block {lbn}")
+            if kernel.free_bytes < block_size and kernel.make_room(
+                    block_size, key=lbn, on_evict=self._evicted):
+                raise RuntimeError("dirty victim during warm start")
+            if san is not None:
+                san.fs_page_inserted(lbn, payload)
+            entry = CacheEntry(lbn, payload)
+            entry.cache_handle = kernel.insert(lbn, entry, block_size)
+            entries[lbn] = entry
 
     # -- state changes -----------------------------------------------------------
 

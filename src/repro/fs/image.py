@@ -105,6 +105,8 @@ class FsImage:
         self._extent_starts: List[int] = []
         self._extent_ends: List[int] = []
         self._extent_inos: List[int] = []
+        #: ino -> content tag: one int object shared by a file's payloads.
+        self._file_tags: Dict[int, int] = {}
         root = Inode(ino=1, ftype=FileType.DIRECTORY, size=0,
                      start_lbn=0, nblocks=0, name="/")
         self.inodes[1] = root
@@ -137,6 +139,8 @@ class FsImage:
         self._extent_starts.append(start)
         self._extent_ends.append(start + nblocks)
         self._extent_inos.append(inode.ino)
+        self._file_tags[inode.ino] = \
+            (self.seed * 0x1000003) ^ (inode.ino * 0x9E3779B1)
         # Grow the root directory by one block per DIRENTS_PER_BLOCK files.
         if (len(self.by_name) - 1) % self.DIRENTS_PER_BLOCK == 0:
             lbn = self._allocate_blocks(1)
@@ -219,22 +223,28 @@ class FsImage:
 
     # -- content ----------------------------------------------------------------
 
-    def file_tag(self, ino: int) -> int:
-        """Virtual-payload tag for a file's initial content."""
-        return (self.seed * 0x1000003) ^ (ino * 0x9E3779B1)
-
     def file_payload(self, inode: Inode, offset: int, length: int) -> Payload:
         """Initial content of a byte range of a regular file."""
         if offset < 0 or length < 0:
             raise ValueError("negative offset/length")
-        return VirtualPayload(self.file_tag(inode.ino), offset, length)
+        return VirtualPayload(self._file_tags[inode.ino], offset, length)
+
+    def block_payloads(self, inode: Inode, nblocks: int) -> List[Payload]:
+        """Initial content of a regular file's first ``nblocks`` blocks,
+        one payload per block (what warm start fills a cache with)."""
+        if not 0 <= nblocks <= inode.nblocks:
+            raise ValueError(f"{nblocks} blocks out of extent (inode "
+                             f"{inode.ino}, {inode.nblocks} blocks)")
+        tag = self._file_tags[inode.ino]
+        size = self.block_size
+        return [VirtualPayload(tag, offset, size)
+                for offset in range(0, nblocks * size, size)]
 
     def initial_block_payload(self, lbn: int) -> Payload:
         """Initial content of an arbitrary LBN (what the disks hold)."""
         owner = self.lbn_owner(lbn)
         if owner.kind == "data":
-            inode = self.inodes[owner.inode]
-            return VirtualPayload(self.file_tag(inode.ino),
+            return VirtualPayload(self._file_tags[owner.inode],
                                   owner.block_index * self.block_size,
                                   self.block_size)
         # Metadata/free blocks: deterministic filler tagged by region.
