@@ -10,12 +10,13 @@ making the policy a first-class, benchmarkable dimension
 
 Public surface:
 
-* :class:`~repro.cache.kernel.CacheKernel` — budgeted entry table with
-  monotonic handles, pin/dirty-aware victim selection, ghost-hit
-  estimation and ``cache.<name>.*`` metrics;
+* :class:`~repro.cache.kernel.CacheKernel` — byte budget,
+  pin/dirty-aware victim selection, ghost-hit estimation and
+  ``cache.<name>.*`` metrics; each cached item is its own handle;
 * :mod:`~repro.cache.policy` — the :class:`~repro.cache.policy.Policy`
-  interface and the ``lru`` / ``clock`` / ``slru`` / ``arc``
-  implementations;
+  interface, whose recency lists map item to ``(key, nbytes)`` and are
+  the only per-entry table, and the ``lru`` / ``clock`` / ``slru`` /
+  ``arc`` implementations;
 * :mod:`~repro.cache.arbiter` — the memory-budget arbiter
   (:class:`~repro.cache.arbiter.MemoryArbiter` leases, the
   :class:`~repro.cache.arbiter.StaticSplit` paper squeeze and the

@@ -1,22 +1,21 @@
-"""The eviction kernel: one budgeted entry table, any policy.
+"""The eviction kernel: one byte budget, any policy.
 
 :class:`CacheKernel` owns what both of the repo's caches used to
-hand-roll separately: a byte budget, an entry table keyed by **monotonic
-handles** (allocated once, never reused — unlike ``id()``, which the
-allocator recycles after GC and which silently corrupted LRU order in
-long sweeps), victim selection that skips pinned entries (with optional
-clean-first preference, §3.4: "first clean buffers are reclaimed and
-then dirty buffers are flushed and reclaimed"), and the
-``cache.<name>.*`` metric family.
+hand-roll separately: a byte budget, victim selection that skips pinned
+entries (with optional clean-first preference, §3.4: "first clean
+buffers are reclaimed and then dirty buffers are flushed and
+reclaimed"), and the ``cache.<name>.*`` metric family.  It keeps no
+entry table of its own: each resident item is its own handle, and the
+policy's recency lists, mapping item to ``(key, nbytes)``, are the only
+per-entry record (DESIGN.md §9).
 
 The kernel stores opaque items; it only requires them to expose
-``dirty``, ``pinned`` and ``cache_handle`` attributes (chunks and
-page-cache entries both do).  The key indexes (LBN/FHO maps; the
-accounted lookup over one is :meth:`CacheKernel.lookup_in`), traces,
-sanitizer hooks and reclaim listeners remain with the consumer — the
-``on_evict`` callback runs per victim *before* the next victim is
-chosen, so listeners observe exactly the intermediate states the
-pre-kernel stores produced.
+``dirty`` and ``pinned`` and to hash by identity (chunks and page-cache
+entries both do).  The key indexes (LBN/FHO maps; the accounted lookup
+over one is :meth:`CacheKernel.lookup_in`), traces, sanitizer hooks and
+reclaim listeners remain with the consumer — the ``on_evict`` callback
+runs per victim *before* the next victim is chosen, so listeners
+observe exactly the intermediate states the pre-kernel stores produced.
 
 The budget operation (:meth:`resize`) lets one cache squeeze another at
 runtime — the "NCache pins most of memory and keeps the FS cache
@@ -74,14 +73,8 @@ class KernelMetrics:
         )
 
 
-#: One live cache entry: ``(key, item, nbytes)``.  A plain tuple — the
-#: insert path runs once per block entering the cache, and a tuple
-#: allocates in C with no ``__init__`` frame.
-_Entry = Tuple[Hashable, Any, int]
-
-
 class CacheKernel:
-    """Budgeted entry table with pluggable replacement; see module doc."""
+    """Byte budget over a pluggable policy's entries; see module doc."""
 
     def __init__(self, name: str, capacity_bytes: int,
                  policy: str = "lru", *,
@@ -99,9 +92,7 @@ class CacheKernel:
         self.metrics = KernelMetrics.declare(self.counters.registry, name)
         self._stall_event = stall_event
         self._trace_cat = trace_cat
-        self._entries: dict[int, _Entry] = {}
         self._used = 0
-        self._next_handle = 1
         # Hot path: insert/evict run once per block entering or leaving
         # the cache; bind the policy methods once to skip the chains.
         self._policy_insert = self.policy.insert
@@ -126,40 +117,29 @@ class CacheKernel:
         return self.capacity_bytes - self._used
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.policy)
 
-    def __contains__(self, handle: int) -> bool:
-        return handle in self._entries
-
-    def get(self, handle: Optional[int]) -> Any:
-        """The live item under ``handle``, or None."""
-        if handle is None:
-            return None
-        entry = self._entries.get(handle)
-        return entry[1] if entry is not None else None
+    def __contains__(self, item: Any) -> bool:
+        return item in self.policy
 
     def items(self) -> Iterator[Tuple[Hashable, Any]]:
         """``(key, item)`` pairs in the policy's cold-to-hot order."""
-        entries = self._entries
-        for handle in self.policy.iter_handles():
-            key, item, _ = entries[handle]
+        for item, (key, _) in self.policy.entries():
             yield key, item
 
     # -- lifecycle ----------------------------------------------------------
 
-    def insert(self, key: Hashable, item: Any, nbytes: int) -> int:
-        """Admit ``item`` at MRU position; returns its handle.
+    def insert(self, key: Hashable, item: Any, nbytes: int) -> Any:
+        """Admit ``item`` at MRU position; returns its handle, which is
+        ``item`` itself.
 
         Room discipline stays with the consumer (call :meth:`make_room`
         first); the kernel tolerates transient overshoot so replacement
         flows can install the new entry before reclaiming the stale one.
         """
-        handle = self._next_handle
-        self._next_handle = handle + 1
-        self._entries[handle] = (key, item, nbytes)
         self._used += nbytes
-        self._policy_insert(handle, key)
-        return handle
+        self._policy_insert(item, key, nbytes)
+        return item
 
     def lookup_in(self, index: Mapping[Hashable, Any]
                   ) -> Callable[[Hashable], Any]:
@@ -186,7 +166,7 @@ class CacheKernel:
                     ghost_hit._total += 1
                 return None
             hit._total += 1
-            promote(item.cache_handle)
+            promote(item)
             return item
 
         return lookup
@@ -194,31 +174,24 @@ class CacheKernel:
     # ``touch``, ``resize`` and ``make_room(key=)`` are named by the
     # frozen benchmark (benchmarks/ncbench); no ``src/`` caller needs
     # ``touch`` or ``key=``.
-    def touch(self, handle: int) -> None:
+    def touch(self, item: Any) -> None:
         """Record a hit on a live entry (promotes it, counts the hit)."""
-        self.policy.touch(handle)
+        self.policy.touch(item)
         self.metrics.hit._total += 1
 
-    def rekey(self, handle: int, new_key: Hashable) -> None:
-        """Reassign a live entry's key (FHO→LBN remap) in place.
-
-        The handle and the entry's recency position are untouched —
-        exactly the pre-kernel remap semantics.
+    def rekey(self, item: Any, new_key: Hashable) -> None:
+        """Reassign a live entry's key (FHO→LBN remap) in place; its
+        recency position is untouched — the pre-kernel remap semantics.
         """
-        entries = self._entries
-        _, item, nbytes = entries[handle]
-        entries[handle] = (new_key, item, nbytes)
+        self.policy.rekey(item, new_key)
 
-    def remove(self, handle: int) -> Any:
+    def remove(self, item: Any) -> Any:
         """Take a live entry out without eviction semantics (no ghost,
         no evict counters); returns the item."""
-        _, item, nbytes = self._entries.pop(handle)
-        self._used -= nbytes
-        self.policy.remove(handle)
+        self._used -= self.policy.remove(item)[1]
         return item
 
     def clear(self) -> None:
-        self._entries.clear()
         self._used = 0
         self.policy.clear()
 
@@ -237,16 +210,14 @@ class CacheKernel:
         """
         self._ghost_admit = admit
 
-    def _pick_victim(self) -> Optional[int]:
-        entries = self._entries
+    def _pick_victim(self) -> Any:
         if self.clean_first:
-            for handle in self.policy.iter_victims():
-                item = entries[handle][1]
+            for item in self.policy.iter_victims():
                 if not item.dirty and not item.pinned:
-                    return handle
-        for handle in self.policy.iter_victims():
-            if not entries[handle][1].pinned:
-                return handle
+                    return item
+        for item in self.policy.iter_victims():
+            if not item.pinned:
+                return item
         return None
 
     def _stall(self) -> NoReturn:
@@ -255,7 +226,7 @@ class CacheKernel:
             self.trace.emit(self._stall_event, cat=self._trace_cat,
                             used_bytes=self._used,
                             capacity_bytes=self.capacity_bytes,
-                            entries=len(self._entries))
+                            entries=len(self))
         raise CacheStallError(
             f"cache {self.name!r} cannot make room: "
             f"no evictable (unpinned) entries")
@@ -268,24 +239,21 @@ class CacheKernel:
         ``on_evict`` runs per victim *before* the next victim is chosen,
         so consumer-side bookkeeping (indexes, traces, reclaim
         listeners) observes the same intermediate states as the
-        pre-kernel eviction loops.  ``key`` names the entry about to be
-        inserted; one budget covers every key, so it is not used.
+        pre-kernel eviction loops.  ``key`` is unused (one budget covers
+        every key) and kept only for the benchmark, see :meth:`touch`.
         """
         dirty_victims: List[Any] = []
-        entries = self._entries
         policy_evicted = self._policy_evicted
         ghost_admit = self._ghost_admit
         metrics = self.metrics
         while self.capacity_bytes - self._used < nbytes:
-            handle = self._pick_victim()
-            if handle is None:
+            item = self._pick_victim()
+            if item is None:
                 self._stall()
-            key_, item, vbytes = entries.pop(handle)
-            self._used -= vbytes
             if ghost_admit is None or ghost_admit(item):
-                policy_evicted(handle, key_)
+                self._used -= policy_evicted(item)[1]
             else:
-                self.policy.remove(handle)
+                self._used -= self.policy.remove(item)[1]
             if item.dirty:
                 metrics.evict_dirty._total += 1
                 dirty_victims.append(item)

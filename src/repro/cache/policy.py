@@ -1,15 +1,16 @@
 """Replacement policies for the cache kernel.
 
-A :class:`Policy` owns only *recency bookkeeping* over opaque integer
-handles — it never sees items, sizes, pins or dirty bits.  The kernel
-allocates handles (monotonic, never reused — see DESIGN.md §9 on why
-``id()``-keyed recency structures are unsound), feeds lifecycle events in
-(``insert`` / ``touch`` / ``remove`` / ``evicted``), and asks for
-candidates back (``iter_victims``).  The kernel — not the policy — skips
-pinned entries and applies clean-first preference, so every policy is
-automatically pin/dirty-aware.
+A :class:`Policy` owns the kernel's only per-entry table: its recency
+lists map each resident *item* to its record ``(key, nbytes)``.  The
+item is its own handle, like a pintos ``buffer_cache_elem`` that carries
+its own ``list_elem``.  The kernel feeds lifecycle events in
+(``insert`` / ``touch`` / ``remove`` / ``evicted``), reads records back
+(``entries`` / ``rekey``) and asks for candidates (``iter_victims``).
+The kernel — not the policy — skips pinned entries and applies
+clean-first preference, so every policy is automatically
+pin/dirty-aware.
 
-``iter_victims`` yields handles in *eviction-preference order*.  The
+``iter_victims`` yields items in *eviction-preference order*.  The
 kernel consumes the iterator lazily and stops at the first admissible
 victim, so a policy may mutate its own structures while yielding (CLOCK
 rotates its hand this way) as long as iteration terminates.
@@ -20,28 +21,39 @@ have hit?" without holding the data.  The kernel turns that into the
 ``cache.<name>.ghost_hit`` metric; ARC additionally uses its ghosts
 (B1/B2) to adapt its partition, per the classic algorithm.
 
-All structures are plain ``OrderedDict`` over int handles or keys —
-iteration order is insertion order, fully deterministic, never dependent
-on ``PYTHONHASHSEED`` (handles are ints; keys hash as tuples of ints).
+All structures are plain ``OrderedDict`` over items or keys.  Items
+hash by identity, but iteration order is insertion order, so no order
+depends on addresses or on ``PYTHONHASHSEED`` (keys hash as tuples of
+ints).  A dict holds its item strongly, so a freed object's address can
+never alias a resident entry (the ``id()``-keyed store it replaced could).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import chain
-from typing import Dict, Hashable, Iterator, Type
+from typing import Any, Dict, Hashable, Iterator, Set, Tuple, Type
 
 #: Ghost lists never shrink below this many keys, even for tiny caches.
 GHOST_FLOOR = 8
 
+#: What the kernel knows of a resident item: ``(key, nbytes)``.
+Record = Tuple[Hashable, int]
+
 
 class Policy:
-    """Recency bookkeeping over opaque handles; see the module docstring."""
+    """Recency bookkeeping over resident items; see the module docstring.
+
+    ``_lists`` names the policy's recency lists in cold-to-hot order;
+    the generic lookups (``__contains__``, ``remove``, ``rekey``,
+    ``entries``) walk them.
+    """
 
     #: registry key; subclasses override.
     name = "base"
 
     def __init__(self) -> None:
+        self._lists: Tuple["OrderedDict[Any, Record]", ...] = ()
         self._ghost: "OrderedDict[Hashable, None]" = OrderedDict()
         # Hot path: every consumer miss probes the ghost list, so bind
         # the C-level membership test over the (never-replaced) dict.
@@ -50,46 +62,65 @@ class Policy:
 
     # -- lifecycle (kernel -> policy) --------------------------------------
 
-    def insert(self, handle: int, key: Hashable) -> None:
+    def insert(self, item: Any, key: Hashable, nbytes: int) -> None:
         """A new entry entered the cache at MRU position."""
         raise NotImplementedError
 
-    def touch(self, handle: int) -> None:
+    def touch(self, item: Any) -> None:
         """The entry was hit."""
         raise NotImplementedError
 
-    def remove(self, handle: int) -> None:
+    def remove(self, item: Any) -> Record:
         """The entry left the cache *without* being evicted (drop,
-        replacement): no ghost is recorded."""
-        raise NotImplementedError
+        replacement): no ghost is recorded.  Returns its record."""
+        for lst in self._lists:
+            if item in lst:
+                return lst.pop(item)
+        raise KeyError(item)
 
-    def evicted(self, handle: int, key: Hashable) -> None:
+    def evicted(self, item: Any) -> Record:
         """The entry was evicted by the kernel: remember its key as a
         ghost so a quick return counts as a ghost hit."""
-        self.remove(handle)
-        self._remember_ghost(key)
+        record = self.remove(item)
+        self._remember_ghost(record[0])
+        return record
+
+    def rekey(self, item: Any, key: Hashable) -> None:
+        """Replace a resident entry's key, keeping its position."""
+        for lst in self._lists:
+            record = lst.get(item)
+            if record is not None:
+                lst[item] = (key, record[1])
+                return
+        raise KeyError(item)
 
     def clear(self) -> None:
         """Forget all live entries and ghosts."""
         self._ghost.clear()
+        for lst in self._lists:
+            lst.clear()
 
     # -- queries (policy -> kernel) ----------------------------------------
 
-    def iter_victims(self) -> Iterator[int]:
-        """Handles in eviction-preference order (best victim first)."""
+    def iter_victims(self) -> Iterator[Any]:
+        """Items in eviction-preference order (best victim first)."""
         raise NotImplementedError
 
-    def iter_handles(self) -> Iterator[int]:
-        """All live handles, least-recently-used first, no side effects.
+    def entries(self) -> Iterator[Tuple[Any, Record]]:
+        """``(item, record)`` for every resident entry, least recently
+        used first, with no side effects.
 
         For :class:`LruPolicy` this is exactly the classic LRU order the
         paper's store exposed; other policies define their own canonical
         cold-to-hot order.
         """
-        raise NotImplementedError
+        return chain.from_iterable(lst.items() for lst in self._lists)
+
+    def __contains__(self, item: Any) -> bool:
+        return any(item in lst for lst in self._lists)
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return sum(len(lst) for lst in self._lists)
 
     # -- ghost list ---------------------------------------------------------
 
@@ -126,47 +157,50 @@ class LruPolicy(Policy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._order: "OrderedDict[int, None]" = OrderedDict()
+        self._order: "OrderedDict[Any, Record]" = OrderedDict()
+        self._lists = (self._order,)
         # Hot path: a touch is exactly move_to_end, so hand callers the
         # bound C method — an LRU hit then costs what the pre-kernel
         # hand-rolled OrderedDict cost (clear() empties in place, so
         # the binding stays valid for the policy's lifetime).
         self.touch = self._order.move_to_end  # type: ignore[method-assign]
 
-    def insert(self, handle: int, key: Hashable) -> None:
-        self._order[handle] = None
+    def insert(self, item: Any, key: Hashable, nbytes: int) -> None:
+        self._order[item] = (key, nbytes)
         ghost = self._ghost
         if ghost:
             ghost.pop(key, None)
 
-    def touch(self, handle: int) -> None:  # pragma: no cover - see __init__
-        self._order.move_to_end(handle)
+    def touch(self, item: Any) -> None:  # pragma: no cover - see __init__
+        self._order.move_to_end(item)
 
-    def remove(self, handle: int) -> None:
-        del self._order[handle]
+    def remove(self, item: Any) -> Record:
+        return self._order.pop(item)
 
-    def evicted(self, handle: int, key: Hashable) -> None:
+    def evicted(self, item: Any) -> Record:
         # One call from the kernel's eviction loop instead of three
         # (remove + _remember_ghost); semantics identical to the base.
-        del self._order[handle]
+        order = self._order
+        record = order.pop(item)
+        key = record[0]
         ghost = self._ghost
         ghost.pop(key, None)
         ghost[key] = None
-        cap = len(self._order)
+        cap = len(order)
         if cap < GHOST_FLOOR:
             cap = GHOST_FLOOR
         while len(ghost) > cap:
             ghost.popitem(last=False)
+        return record
 
-    def clear(self) -> None:
-        super().clear()
-        self._order.clear()
-
-    def iter_victims(self) -> Iterator[int]:
+    def iter_victims(self) -> Iterator[Any]:
         return iter(self._order)
 
-    def iter_handles(self) -> Iterator[int]:
-        return iter(self._order)
+    def entries(self) -> Iterator[Tuple[Any, Record]]:
+        return iter(self._order.items())
+
+    def __contains__(self, item: Any) -> bool:
+        return item in self._order
 
     def __len__(self) -> int:
         return len(self._order)
@@ -176,54 +210,53 @@ class ClockPolicy(Policy):
     """Second-chance FIFO: a hit sets a reference bit; the hand clears
     it and rotates instead of evicting.
 
-    The ring is an OrderedDict whose head is the hand.  ``iter_victims``
-    rotates referenced entries to the tail (clearing their bit) and
-    yields unreferenced ones; a bounded sweep (two full revolutions)
-    guarantees termination even when the kernel rejects every candidate
-    as pinned.
+    The ring is an OrderedDict whose head is the hand; the reference
+    bits are a set of items beside it (only ever probed, never iterated).
+    ``iter_victims`` rotates referenced entries to the tail (clearing
+    their bit) and yields unreferenced ones; a bounded sweep (two full
+    revolutions) guarantees termination even when the kernel rejects
+    every candidate as pinned.
     """
 
     name = "clock"
 
     def __init__(self) -> None:
         super().__init__()
-        self._ring: "OrderedDict[int, bool]" = OrderedDict()
+        self._ring: "OrderedDict[Any, Record]" = OrderedDict()
+        self._referenced: Set[Any] = set()
+        self._lists = (self._ring,)
 
-    def insert(self, handle: int, key: Hashable) -> None:
-        self._ring[handle] = False
+    def insert(self, item: Any, key: Hashable, nbytes: int) -> None:
+        self._ring[item] = (key, nbytes)
         self._note_insert(key)
 
-    def touch(self, handle: int) -> None:
-        self._ring[handle] = True
+    def touch(self, item: Any) -> None:
+        self._referenced.add(item)
 
-    def remove(self, handle: int) -> None:
-        del self._ring[handle]
+    def remove(self, item: Any) -> Record:
+        self._referenced.discard(item)
+        return self._ring.pop(item)
 
     def clear(self) -> None:
         super().clear()
-        self._ring.clear()
+        self._referenced.clear()
 
-    def iter_victims(self) -> Iterator[int]:
+    def iter_victims(self) -> Iterator[Any]:
         ring = self._ring
+        referenced = self._referenced
         budget = 2 * len(ring) + 1
         while ring and budget > 0:
             budget -= 1
-            handle = next(iter(ring))
-            if ring[handle]:
-                ring[handle] = False
-                ring.move_to_end(handle)
+            item = next(iter(ring))
+            if item in referenced:
+                referenced.remove(item)
+                ring.move_to_end(item)
                 continue
-            yield handle
-            if handle in ring:
+            yield item
+            if item in ring:
                 # Kernel skipped this candidate (pinned/dirty): rotate it
                 # past the hand so the sweep makes progress.
-                ring.move_to_end(handle)
-
-    def iter_handles(self) -> Iterator[int]:
-        return iter(self._ring)
-
-    def __len__(self) -> int:
-        return len(self._ring)
+                ring.move_to_end(item)
 
 
 class SlruPolicy(Policy):
@@ -243,46 +276,29 @@ class SlruPolicy(Policy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._probation: "OrderedDict[int, None]" = OrderedDict()
-        self._protected: "OrderedDict[int, None]" = OrderedDict()
+        self._probation: "OrderedDict[Any, Record]" = OrderedDict()
+        self._protected: "OrderedDict[Any, Record]" = OrderedDict()
+        self._lists = (self._probation, self._protected)
 
-    def insert(self, handle: int, key: Hashable) -> None:
-        self._probation[handle] = None
+    def insert(self, item: Any, key: Hashable, nbytes: int) -> None:
+        self._probation[item] = (key, nbytes)
         self._note_insert(key)
 
-    def touch(self, handle: int) -> None:
-        if handle in self._protected:
-            self._protected.move_to_end(handle)
+    def touch(self, item: Any) -> None:
+        if item in self._protected:
+            self._protected.move_to_end(item)
             return
-        del self._probation[handle]
-        self._protected[handle] = None
+        self._protected[item] = self._probation.pop(item)
         self._rebalance()
 
     def _rebalance(self) -> None:
         cap = max(1, int(self.PROTECTED_FRACTION * len(self)))
         while len(self._protected) > cap:
-            demoted, _ = self._protected.popitem(last=False)
-            self._probation[demoted] = None
+            demoted, record = self._protected.popitem(last=False)
+            self._probation[demoted] = record
 
-    def remove(self, handle: int) -> None:
-        if handle in self._probation:
-            del self._probation[handle]
-        else:
-            del self._protected[handle]
-
-    def clear(self) -> None:
-        super().clear()
-        self._probation.clear()
-        self._protected.clear()
-
-    def iter_victims(self) -> Iterator[int]:
+    def iter_victims(self) -> Iterator[Any]:
         return chain(iter(self._probation), iter(self._protected))
-
-    def iter_handles(self) -> Iterator[int]:
-        return chain(iter(self._probation), iter(self._protected))
-
-    def __len__(self) -> int:
-        return len(self._probation) + len(self._protected)
 
 
 class ArcPolicy(Policy):
@@ -302,61 +318,55 @@ class ArcPolicy(Policy):
 
     def __init__(self) -> None:
         super().__init__()
-        self._t1: "OrderedDict[int, None]" = OrderedDict()
-        self._t2: "OrderedDict[int, None]" = OrderedDict()
+        self._t1: "OrderedDict[Any, Record]" = OrderedDict()
+        self._t2: "OrderedDict[Any, Record]" = OrderedDict()
         self._b1: "OrderedDict[Hashable, None]" = OrderedDict()
         self._b2: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._lists = (self._t1, self._t2)
         self._p = 0.0
         # Restore ARC's dual-list probe over the base class's binding.
         self.ghost_hit = self._arc_ghost_hit  # type: ignore[method-assign]
 
-    def insert(self, handle: int, key: Hashable) -> None:
+    def insert(self, item: Any, key: Hashable, nbytes: int) -> None:
         if key in self._b1:
             self._p = min(float(len(self) + 1),
                           self._p + max(1.0, len(self._b2)
                                         / max(1, len(self._b1))))
             del self._b1[key]
-            self._t2[handle] = None
+            self._t2[item] = (key, nbytes)
         elif key in self._b2:
             self._p = max(0.0,
                           self._p - max(1.0, len(self._b1)
                                         / max(1, len(self._b2))))
             del self._b2[key]
-            self._t2[handle] = None
+            self._t2[item] = (key, nbytes)
         else:
-            self._t1[handle] = None
+            self._t1[item] = (key, nbytes)
 
-    def touch(self, handle: int) -> None:
-        if handle in self._t2:
-            self._t2.move_to_end(handle)
+    def touch(self, item: Any) -> None:
+        if item in self._t2:
+            self._t2.move_to_end(item)
             return
-        del self._t1[handle]
-        self._t2[handle] = None
+        self._t2[item] = self._t1.pop(item)
 
-    def remove(self, handle: int) -> None:
-        if handle in self._t1:
-            del self._t1[handle]
-        else:
-            del self._t2[handle]
-
-    def evicted(self, handle: int, key: Hashable) -> None:
-        if handle in self._t1:
-            del self._t1[handle]
+    def evicted(self, item: Any) -> Record:
+        if item in self._t1:
+            record = self._t1.pop(item)
             ghost = self._b1
         else:
-            del self._t2[handle]
+            record = self._t2.pop(item)
             ghost = self._b2
+        key = record[0]
         ghost.pop(key, None)
         ghost[key] = None
         cap = max(GHOST_FLOOR, len(self))
         for g in (self._b1, self._b2):
             while len(g) > cap:
                 g.popitem(last=False)
+        return record
 
     def clear(self) -> None:
         super().clear()
-        self._t1.clear()
-        self._t2.clear()
         self._b1.clear()
         self._b2.clear()
         self._p = 0.0
@@ -367,16 +377,10 @@ class ArcPolicy(Policy):
     def _arc_ghost_hit(self, key: Hashable) -> bool:
         return key in self._b1 or key in self._b2
 
-    def iter_victims(self) -> Iterator[int]:
+    def iter_victims(self) -> Iterator[Any]:
         if len(self._t1) > max(1.0, self._p):
             return chain(iter(self._t1), iter(self._t2))
         return chain(iter(self._t2), iter(self._t1))
-
-    def iter_handles(self) -> Iterator[int]:
-        return chain(iter(self._t1), iter(self._t2))
-
-    def __len__(self) -> int:
-        return len(self._t1) + len(self._t2)
 
 
 #: Registry keyed by policy name — the experiment grid sweeps this.

@@ -56,8 +56,7 @@ class Chunk:
     """One fixed-size cached block: a payload and its buffers' shape."""
 
     __slots__ = ("key", "dirty", "pins", "lbn_hint", "generation",
-                 "cache_handle", "_payload", "_shape", "_buffers",
-                 "__weakref__")
+                 "_payload", "_shape", "_buffers", "__weakref__")
 
     def __init__(self, key: ChunkKey, payload: Payload, shape: SegmentShape,
                  dirty: bool = False,
@@ -79,8 +78,6 @@ class Chunk:
         #: Bumped when the backing data is overwritten or the chunk is
         #: remapped FHO→LBN; stamped onto the chunk's extent views.
         self.generation = 0
-        #: The store's eviction-kernel handle while resident, else None.
-        self.cache_handle: Optional[int] = None
 
     @classmethod
     def from_payload(cls, key: ChunkKey, payload: Payload,

@@ -180,8 +180,14 @@ class NCacheModule:
         store = self.store
         footprint = chunk.footprint(store.per_buffer_overhead,
                                     store.per_chunk_overhead)
-        for victim in store.make_room(footprint, key=chunk.key):
-            yield from self._write_back_chunk(victim)
+        # Writing back a dirty victim yields, and a concurrent insert can
+        # claim the room it freed: re-evict until the room survives the
+        # writebacks (the VFS._evict_for rule; clean victims never yield).
+        while True:
+            for victim in store.make_room(footprint):
+                yield from self._write_back_chunk(victim)
+            if store.fits(chunk, footprint):
+                break
         store.insert(chunk, footprint=footprint)
 
     def _write_back_chunk(self, chunk: Chunk

@@ -156,13 +156,12 @@ class NCacheStore:
         Pinned chunks are skipped.  Every victim (clean or dirty) is
         removed from both indexes and announced to reclaim listeners;
         dirty victims are returned for the caller to write back.
-        ``key`` is the key about to be inserted.
+        ``key`` is unused; it stays because the benchmark passes it.
 
         Raises :class:`~repro.cache.CacheStallError` (a RuntimeError)
         when every resident chunk is pinned.
         """
-        return self._kernel.make_room(nbytes, key=key,
-                                      on_evict=self._evicted)
+        return self._kernel.make_room(nbytes, on_evict=self._evicted)
 
     def resize(self, new_capacity_bytes: int) -> List[Chunk]:
         """Shrink/grow the byte budget (the §3.4 squeeze protocol);
@@ -190,7 +189,6 @@ class NCacheStore:
     def _evicted(self, chunk: Chunk) -> None:
         """Consumer-side bookkeeping after the kernel dropped a chunk
         (evicted, overwritten, remapped over or invalidated)."""
-        chunk.cache_handle = None
         self._used_gauge.set(self._kernel.used_bytes)
         # Pop the index entry only if it still points at this chunk — a
         # remap may already have installed a replacement under this key.
@@ -205,6 +203,16 @@ class NCacheStore:
             san.chunk_evicted(chunk)
         for listener in self.reclaim_listeners:
             listener(chunk)
+
+    def fits(self, chunk: Chunk, footprint: int) -> bool:
+        """Whether :meth:`insert` would take ``chunk`` at ``footprint``
+        now: free budget plus what the chunk it replaces would free."""
+        index = self._lbn if isinstance(chunk.key, LbnKey) else self._fho
+        return self._fits(footprint, index.get(chunk.key))
+
+    def _fits(self, footprint: int, existing: Optional[Chunk]) -> bool:
+        freed = self._footprint(existing) if existing is not None else 0
+        return self._kernel.free_bytes + freed >= footprint
 
     def insert(self, chunk: Chunk, *,
                footprint: Optional[int] = None) -> None:
@@ -221,17 +229,15 @@ class NCacheStore:
             footprint = self._footprint(chunk)
         index = self._lbn if isinstance(chunk.key, LbnKey) else self._fho
         existing = index.get(chunk.key)
-        freed = self._footprint(existing) if existing is not None else 0
-        if self._kernel.free_bytes + freed < footprint:
+        if not self._fits(footprint, existing):
             raise RuntimeError("insert without room; call make_room() first")
         if existing is chunk:
             return  # already resident under this key; nothing to do
-        chunk.cache_handle = self._kernel.insert(chunk.key, chunk, footprint)
+        self._kernel.insert(chunk.key, chunk, footprint)
         self._used_gauge.set(self._kernel.used_bytes)
         index[chunk.key] = chunk
         if existing is not None:
-            assert existing.cache_handle is not None
-            self._kernel.remove(existing.cache_handle)
+            self._kernel.remove(existing)
             self._evicted(existing)
             self.counters.add("ncache.overwrite")
         san = _sanitizer.active()
@@ -260,9 +266,9 @@ class NCacheStore:
             if key in index:
                 raise ValueError(f"bulk_load of resident key {key}")
             if kernel.free_bytes < footprint and kernel.make_room(
-                    footprint, key=key, on_evict=self._evicted):
+                    footprint, on_evict=self._evicted):
                 raise RuntimeError("dirty victim during warm start")
-            chunk.cache_handle = kernel.insert(key, chunk, footprint)
+            kernel.insert(key, chunk, footprint)
             index[key] = chunk
             if san is not None:
                 san.chunk_cached(chunk)
@@ -270,9 +276,8 @@ class NCacheStore:
 
     def drop(self, chunk: Chunk) -> None:
         """Explicitly remove a chunk (invalidation)."""
-        handle = chunk.cache_handle
-        if handle is not None and self._kernel.get(handle) is chunk:
-            self._kernel.remove(handle)
+        if chunk in self._kernel:
+            self._kernel.remove(chunk)
             self._evicted(chunk)
 
     # -- remapping -------------------------------------------------------------------
@@ -296,13 +301,11 @@ class NCacheStore:
         # restamp the chunk's extent views at a new generation so stale
         # pre-remap views are distinguishable without byte comparison.
         chunk.bump_generation()
-        assert chunk.cache_handle is not None
-        self._kernel.rekey(chunk.cache_handle, lbn_key)
+        self._kernel.rekey(chunk, lbn_key)
         self._lbn[lbn_key] = chunk  # installed before the stale removal so
         # reclaim listeners observe the block as still resolvable
         if stale is not None and stale is not chunk:
-            assert stale.cache_handle is not None
-            self._kernel.remove(stale.cache_handle)
+            self._kernel.remove(stale)
             self._evicted(stale)
             self.counters.add("ncache.remap_overwrite")
         self.counters.add("ncache.remap")

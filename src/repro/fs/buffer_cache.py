@@ -18,7 +18,10 @@ kernel (DESIGN.md §9): the kernel owns the byte budget, recency order
 (``clean_first`` victim preference, page-lock pinning) and the
 ``cache.bcache.*`` metrics — the only hit/miss/eviction counters; this
 class keeps the LBN index, the ``bcache.*`` trace events and the
-sanitizer hook.  When only pinned pages remain the reclaim loop cannot
+sanitizer hook.  A :class:`CacheEntry` is its own kernel handle: a page
+is resident exactly while it is in the kernel's recency list, so the
+cache holds two records per page (index slot, recency record) and no
+third.  When only pinned pages remain the reclaim loop cannot
 make progress — the kernel emits a ``bcache.evict_stalled`` trace event
 and raises :class:`~repro.cache.CacheStallError` (a RuntimeError)
 instead of silently spinning.
@@ -37,13 +40,14 @@ from ..sim.stats import CounterSet
 from .disk import BLOCK_SIZE
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CacheEntry:
-    """One cached block.
+    """One cached block, and its own eviction-kernel handle.
 
     Slotted: warmed full-mode caches hold tens of thousands of entries,
     and the per-instance ``__dict__`` was measurable in the grid's heap
-    profile.
+    profile.  ``eq=False`` keeps identity hashing, which the kernel's
+    recency lists key on.
     """
 
     lbn: int
@@ -53,8 +57,6 @@ class CacheEntry:
     #: page-lock count: pinned pages are skipped by eviction, exactly like
     #: locked pages during in-flight I/O in a real kernel.
     pins: int = 0
-    #: the eviction kernel's handle while resident, else None.
-    cache_handle: Optional[int] = None
 
     @property
     def pinned(self) -> bool:
@@ -159,8 +161,7 @@ class BufferCache:
                 - len(self._entries) * self.block_size
                 >= nblocks * self.block_size)
 
-    def make_room(self, nblocks: int = 1,
-                  lbn: Optional[int] = None) -> List[CacheEntry]:
+    def make_room(self, nblocks: int = 1) -> List[CacheEntry]:
         """Evict until ``nblocks`` fit; return dirty victims to write back.
 
         Clean victims are reclaimed silently (coldest first); dirty
@@ -171,7 +172,7 @@ class BufferCache:
         emits ``bcache.evict_stalled`` and raises
         :class:`~repro.cache.CacheStallError`.
         """
-        return self._kernel.make_room(nblocks * self.block_size, key=lbn,
+        return self._kernel.make_room(nblocks * self.block_size,
                                       on_evict=self._evicted)
 
     def resize(self, new_capacity_bytes: int) -> List[CacheEntry]:
@@ -181,7 +182,6 @@ class BufferCache:
                                    on_evict=self._evicted)
 
     def _evicted(self, entry: CacheEntry) -> None:
-        entry.cache_handle = None
         del self._entries[entry.lbn]
         if self.trace is not None and self.trace.enabled:
             self.trace.emit("bcache.evict", cat="fs", lbn=entry.lbn,
@@ -214,13 +214,10 @@ class BufferCache:
             san.fs_page_inserted(lbn, payload)
         old = self._entries.get(lbn)
         if old is not None:
-            assert old.cache_handle is not None
-            self._kernel.remove(old.cache_handle)
-            old.cache_handle = None
+            self._kernel.remove(old)
         entry = CacheEntry(lbn=lbn, payload=payload, dirty=dirty,
                            is_metadata=is_metadata)
-        entry.cache_handle = self._kernel.insert(lbn, entry,
-                                                 self.block_size)
+        self._kernel.insert(lbn, entry, self.block_size)
         self._entries[lbn] = entry
         return entry
 
@@ -238,12 +235,12 @@ class BufferCache:
             if lbn in entries:
                 raise ValueError(f"bulk_load of resident block {lbn}")
             if kernel.free_bytes < block_size and kernel.make_room(
-                    block_size, key=lbn, on_evict=self._evicted):
+                    block_size, on_evict=self._evicted):
                 raise RuntimeError("dirty victim during warm start")
             if san is not None:
                 san.fs_page_inserted(lbn, payload)
             entry = CacheEntry(lbn, payload)
-            entry.cache_handle = kernel.insert(lbn, entry, block_size)
+            kernel.insert(lbn, entry, block_size)
             entries[lbn] = entry
 
     # -- state changes -----------------------------------------------------------
@@ -255,9 +252,8 @@ class BufferCache:
 
     def invalidate(self, lbn: int) -> None:
         entry = self._entries.pop(lbn, None)
-        if entry is not None and entry.cache_handle is not None:
-            self._kernel.remove(entry.cache_handle)
-            entry.cache_handle = None
+        if entry is not None:
+            self._kernel.remove(entry)
 
     def clear(self) -> None:
         self._entries.clear()

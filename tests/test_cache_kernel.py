@@ -153,29 +153,52 @@ class TestVictimSelection:
 
 
 class TestHandles:
-    def test_monotonic_never_reused(self):
-        """The id(chunk) regression: drop/insert cycles must never hand
-        out a handle that an earlier (freed) entry used."""
-        k = kernel_of(4)
-        seen = set()
-        for i in range(200):
-            h = k.insert(i, Item(), 1)
-            assert h not in seen
-            seen.add(h)
-            k.remove(h)
+    def test_an_item_is_its_own_handle(self):
+        """The id(chunk) regression: residency is keyed on the item
+        itself, held strongly, so an object that reuses a freed entry's
+        address is never mistaken for it."""
+        for policy in sorted(POLICIES):
+            k = kernel_of(4, policy=policy)
+            for i in range(200):
+                item = Item()
+                assert k.insert(i, item, 1) is item and item in k
+                k.remove(item)
+                assert item not in k
+                del item
+                assert Item() not in k  # likely at the freed address
+            assert len(k) == 0 and k.used_bytes == 0
+
+    def test_equal_items_are_distinct_handles(self):
+        """Entries hash by identity: two equal-valued pages are two
+        handles, and only the inserted one is resident."""
+        from repro.fs.buffer_cache import CacheEntry
+        from repro.net.buffer import JunkPayload
+        payload = JunkPayload(4096)
+        resident, twin = CacheEntry(7, payload), CacheEntry(7, payload)
+        k = kernel_of(2)
+        k.insert(7, resident, 1)
+        assert resident in k and twin not in k
+        with pytest.raises(KeyError):
+            k.remove(twin)
+        assert [item for _, item in k.items()] == [resident]
 
     def test_rekey_in_place_keeps_position(self):
-        k = kernel_of(3)
-        h = fill(k, "abc")
-        k.rekey(h["a"], "z")
-        assert [key for key, _ in k.items()] == ["z", "b", "c"]
+        for policy in sorted(POLICIES):
+            k = kernel_of(3, policy=policy)
+            h = fill(k, "abc")
+            k.touch(h["b"])  # SLRU and ARC: "b" moves to a second list
+            before = [item for _, item in k.items()]
+            for name in "ab":
+                k.rekey(h[name], name.upper())
+            assert [item for _, item in k.items()] == before
+            assert {key for key, _ in k.items()} == {"A", "B", "c"}
 
-    def test_get_none_and_missing(self):
+    def test_residency_is_membership(self):
         k = kernel_of(2)
         h = fill(k, "a")["a"]
-        assert k.get(None) is None
-        assert k.get(h + 1000) is None
-        assert k.get(h) is not None
+        assert h in k and Item() not in k
+        k.remove(h)
+        assert h not in k
 
 
 class TestMetrics:

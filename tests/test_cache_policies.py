@@ -216,8 +216,9 @@ def test_policy_agrees_with_reference_model(policy, seed):
         key = rng.randrange(N_KEYS)
         if op == "insert" and key not in live:
             kernel.make_room(1, on_evict=on_evict)
-            h = kernel.insert(key, Item(), 1)
-            item = kernel.get(h)
+            item = Item()
+            h = kernel.insert(key, item, 1)
+            assert h is item
             item.handle, item.key = h, key
             ref.insert(h, key)
             live[key] = h
@@ -236,7 +237,7 @@ def test_policy_agrees_with_reference_model(policy, seed):
             h = live.pop(key)
             kernel.remove(h)
             ref.remove(h)
-        assert list(kernel.policy.iter_handles()) == ref.handles(), policy
+        assert [item for _, item in kernel.items()] == ref.handles(), policy
 
     assert len(kernel) == len(live)
 

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.common import scaled_memory_config
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
 from repro.nfs import read_reply_data
 from repro.servers import NfsTestbed, ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
+from repro.sim.engine import dispatch_count
 from repro.sim.process import start
+from repro.workloads import SpecSfsWorkload
 
 MB = 1 << 20
 FILE_BLOCKS = 128
@@ -36,6 +39,26 @@ def tiny_ncache_testbed(ncache_chunks: int = 24,
     testbed.image.create_file("press", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed
+
+
+def sfs_cell(policy: str):
+    """A cold SPECsfs-style read/write mix on 1/1024 of the machine's
+    memory: both caches evict, flushes remap FHO chunks and NCache
+    writes back dirty victims of its own.  Returns the testbed and the
+    events one simulated second dispatched."""
+    before = dispatch_count()
+    testbed = TestbedSpec.nfs(ServerMode.NCACHE, flush_interval_s=0.02,
+                              n_server_nics=1, n_daemons=16,
+                              cache_policy=policy,
+                              **scaled_memory_config(1024)).build()
+    testbed.flush_daemon.max_blocks_per_pass = 16
+    load = SpecSfsWorkload(testbed, pct_regular=0.75, read_write_ratio=1.0,
+                           fs_size_bytes=64 * (1 << 20),
+                           outstanding_per_client=4, seed=3)
+    testbed.setup()
+    load.start()
+    testbed.sim.run(until=testbed.sim.now + 1.0)
+    return testbed, dispatch_count() - before
 
 
 def run_scenario(testbed, gen):
@@ -183,3 +206,18 @@ class TestEvictionPressure:
         run_scenario(testbed, scenario())
         assert testbed.server_host.counters[
             "ncache.substitute_miss"].value == 0
+
+    @pytest.mark.parametrize("policy", ["arc", "clock"])
+    def test_room_taken_during_victim_writeback_is_evicted_again(
+            self, policy):
+        """Writing back NCache's own dirty victim yields; a concurrent
+        insert used to claim the freed room and the waiting insert then
+        raised "insert without room".  Under ARC and CLOCK this cell
+        evicts dirty FHO chunks under concurrent writes."""
+        testbed, _ = sfs_cell(policy)
+        counters = testbed.server_host.counters
+        assert counters["cache.ncache.evict_dirty"].value > 0
+        assert counters["ncache.writeback"].value \
+            == counters["cache.ncache.evict_dirty"].value
+        store = testbed.ncache.store
+        assert store.used_bytes <= store.capacity_bytes

@@ -208,13 +208,14 @@ def test_recency_order_survives_object_churn():
     Create and drop chunks in bulk so CPython's allocator recycles their
     addresses, then verify the survivors' recency order is exactly what
     the op sequence dictates.  Under ``id()`` keys a recycled address
-    aliased a dead entry and silently corrupted the order; the kernel's
-    monotonic handles make this impossible.
+    aliased a dead entry and silently corrupted the order; the kernel
+    keys on the chunk itself, held strongly, which makes this impossible.
     """
     import gc
 
     store = NCacheStore(CAPACITY_CHUNKS * FOOTPRINT,
                         per_buffer_overhead=160, per_chunk_overhead=64)
+    keepers = []  # every keeper chunk, in insertion order
     for round_no in range(50):
         transient = []
         for i in range(CAPACITY_CHUNKS - 2):
@@ -226,18 +227,19 @@ def test_recency_order_survives_object_churn():
             store.drop(c)
         del transient
         gc.collect()  # force address reuse for the next round's chunks
+        keepers.append(_chunk("lbn", round_no % N_KEYS, round_no))
         store.make_room(FOOTPRINT)
-        store.insert(_chunk("lbn", round_no % N_KEYS, round_no))
+        store.insert(keepers[-1])
     # The survivors are the most recent keeper keys in last-insertion
     # order: each round's 4 transients squeeze the keeper population to
     # 2 before a third is added, so rounds 47..49 (keys 7..9) remain —
     # and no transient ever aliased a keeper's slot.
     assert _store_order(store) == [("lbn", n) for n in range(7, 10)]
-    # Order integrity: untouched entries sit in insertion order, so
-    # their handles are strictly increasing cold-to-hot and unique.
-    handles = [c.cache_handle for c in store.chunks()]
-    assert handles == sorted(handles)
-    assert len(set(handles)) == len(handles)
+    # Order integrity: the survivors are exactly the last three keeper
+    # objects (not equal-looking others), unique, in insertion order.
+    survivors = list(store.chunks())
+    assert len(survivors) == len({id(c) for c in survivors}) == 3
+    assert all(c is k for c, k in zip(survivors, keepers[-3:]))
     # Index consistency: every survivor is reachable under its own key.
     for chunk in list(store.chunks()):
         assert store.peek_lbn(chunk.key) is chunk

@@ -291,5 +291,5 @@ class TestBulkLoadContract:
         entry = cache.peek(5)
         assert (entry.dirty, entry.is_metadata, entry.pins) == \
             (False, False, 0)
-        assert cache._kernel.get(entry.cache_handle) is entry
+        assert entry in cache._kernel
         assert cache.kernel_metrics.evict_clean.value == 2

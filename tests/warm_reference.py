@@ -83,15 +83,17 @@ def describe_payload(payload: Any) -> Tuple:
 
 
 def _kernel_state(kernel) -> Dict[str, Any]:
-    """Budget, counters and the policy's lists (live handles as the keys
-    they hold; ghosts are keys already)."""
-    key_of = {handle: entry[0] for handle, entry in kernel._entries.items()}
+    """Budget, counters and the policy's lists (live items as their
+    ``(key, nbytes)`` records, CLOCK's reference bits as keys; ghosts
+    are keys already)."""
+    key_of = {item: key for key, item in kernel.items()}
     policy: Dict[str, Any] = {}
     for name, value in vars(kernel.policy).items():
         if isinstance(value, OrderedDict):
-            ghost = name in ("_ghost", "_b1", "_b2")
-            policy[name] = [(k if ghost else key_of[k], flag)
-                            for k, flag in value.items()]
+            policy[name] = list(value.values() if name not in
+                                ("_ghost", "_b1", "_b2") else value)
+        elif isinstance(value, set):
+            policy[name] = sorted(key_of[item] for item in value)
         elif isinstance(value, (int, float)):
             policy[name] = value
     metrics = kernel.metrics
