@@ -448,8 +448,7 @@ class NCacheModule:
         yield from self.host.acct.compute(
             nblocks * costs.ncache_mgmt_ns, "ncache.l2_serve")
         parts: List[Payload] = [
-            KeyedPayload(chunk.length, lbn_key=key)
-            for key, chunk in zip(keys, chunks)]
+            KeyedPayload(chunk.length, lbn_key=chunk.key) for chunk in chunks]
         return concat(parts)
 
     # ------------------------------------------------------------------

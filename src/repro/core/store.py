@@ -256,18 +256,22 @@ class NCacheStore:
         entry, a used-gauge refresh per chunk).  Evictions behave
         exactly as on the general path; a dirty victim is a caller bug
         and raises, as does a resident key (the old chunk would stay in
-        the kernel, holding budget, with no index entry).
+        the kernel, holding budget, with no index entry).  The free
+        budget is read once per eviction, not once per chunk.
         """
         kernel = self._kernel
         san = _sanitizer.active()
+        room = kernel.free_bytes
         for chunk in chunks:
             key = chunk.key
             index = self._lbn if isinstance(key, LbnKey) else self._fho
             if key in index:
                 raise ValueError(f"bulk_load of resident key {key}")
-            if kernel.free_bytes < footprint and kernel.make_room(
-                    footprint, on_evict=self._evicted):
-                raise RuntimeError("dirty victim during warm start")
+            if room < footprint:
+                if kernel.make_room(footprint, on_evict=self._evicted):
+                    raise RuntimeError("dirty victim during warm start")
+                room = kernel.free_bytes
+            room -= footprint
             kernel.insert(key, chunk, footprint)
             index[key] = chunk
             if san is not None:

@@ -305,12 +305,21 @@ def per_kop(segment: Dict[str, float]) -> float:
 def _collector_paused() -> Iterator[None]:
     """The cyclic collector off for the duration, then as it was found:
     a warm start's ~10^6 long-lived acyclic objects would trigger it over
-    and over to rescan a growing heap and free nothing (DESIGN.md §5)."""
+    and over to rescan a growing heap and free nothing (DESIGN.md §5).
+
+    On the way out every tracked object moves to the oldest generation
+    (``freeze`` then ``unfreeze``: two list splices, nothing scanned or
+    left frozen), so the young collections do not walk the warm set
+    either.  A frozen set some other code owns stays frozen: then the
+    promotion is skipped."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
         if was_enabled:
             gc.enable()
 
@@ -384,18 +393,21 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
                                        store.per_chunk_overhead)
     n_chunks = store.capacity_bytes // footprint
     # One extent descriptor per block; a buffer list only springs into
-    # existence for an observer (DESIGN.md §11).
-    store.bulk_load(
-        (Chunk(LbnKey(lun, lbn), payload, shape)
-         for lbn, payload in _coldest_first(
-             image, _hottest_runs(image, ranked_names, n_chunks))),
-        footprint)
-    # FS cache: the hottest of those blocks as key-only pages.
+    # existence for an observer (DESIGN.md §11).  Built run by run, each
+    # run coldest block first.
+    chunks: List[Chunk] = []
+    for inode, n in reversed(_hottest_runs(image, ranked_names, n_chunks)):
+        start = inode.start_lbn
+        payloads = image.block_payloads(inode, n)
+        chunks += [Chunk(LbnKey(lun, start + b), payloads[b], shape)
+                   for b in range(n - 1, -1, -1)]
+    store.bulk_load(chunks, footprint)
+    # FS cache: the hottest of those blocks as key-only pages, each
+    # holding its chunk's own key.
     cache = testbed.cache
-    cache.bulk_load(_coldest_first(
-        image, _hottest_runs(image, ranked_names,
-                             min(n_chunks, cache.capacity_blocks)),
-        lambda lbn: KeyedPayload(block_size, lbn_key=LbnKey(lun, lbn))))
+    cache.bulk_load([(chunk.key.lbn, KeyedPayload(block_size,
+                                                  lbn_key=chunk.key))
+                     for chunk in chunks[-cache.capacity_blocks:]])
 
 
 def scaled_memory_config(scale: int = 1) -> dict:

@@ -226,17 +226,21 @@ class BufferCache:
         ``(lbn, payload)`` page, coldest first, for clean data pages not
         yet resident (the contract of ``NCacheStore.bulk_load``).
         Evictions are the general path's; a dirty victim is a caller
-        bug and raises, as does a resident ``lbn``."""
+        bug and raises, as does a resident ``lbn``.  The free budget is
+        read once per eviction, not once per page."""
         kernel = self._kernel
         entries = self._entries
         block_size = self.block_size
         san = _sanitizer.active()
+        room = kernel.free_bytes
         for lbn, payload in pages:
             if lbn in entries:
                 raise ValueError(f"bulk_load of resident block {lbn}")
-            if kernel.free_bytes < block_size and kernel.make_room(
-                    block_size, on_evict=self._evicted):
-                raise RuntimeError("dirty victim during warm start")
+            if room < block_size:
+                if kernel.make_room(block_size, on_evict=self._evicted):
+                    raise RuntimeError("dirty victim during warm start")
+                room = kernel.free_bytes
+            room -= block_size
             if san is not None:
                 san.fs_page_inserted(lbn, payload)
             entry = CacheEntry(lbn, payload)

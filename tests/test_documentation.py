@@ -75,6 +75,22 @@ class TestPackaging:
         assert not missing, missing
 
 
+class TestChangesLog:
+    """A CHANGES.md entry is a paragraph; the detail lives in the commit."""
+
+    CAP = 1500
+    FIRST_CAPPED_PR = 26
+    ENTRY = re.compile(r"(?:- )?PR (\d+)\b")
+
+    def test_entries_from_the_cap_on_fit_it(self):
+        lines = (REPO_ROOT / "CHANGES.md").read_text().splitlines()
+        entries = [(int(match.group(1)), len(line)) for line in lines
+                   if (match := self.ENTRY.match(line))]
+        assert max(number for number, _ in entries) >= self.FIRST_CAPPED_PR
+        assert [(number, size) for number, size in entries
+                if number >= self.FIRST_CAPPED_PR and size > self.CAP] == []
+
+
 class TestNamesInDocsExist:
     """A doc may not name code that is gone."""
 

@@ -282,6 +282,22 @@ class TestSecondLevelCache:
         assert read_reply_data(dgram).materialize() == \
             testbed.image.file_payload(inode, 0, BLOCK_SIZE).materialize()
 
+    def test_l2_placeholders_hold_the_resident_key(self):
+        testbed = ncache_testbed()
+        fh = testbed.file_handle("file")
+        lbn = testbed.image.lookup("file").block_lbn(0)
+
+        def scenario():
+            yield from testbed.clients[0].read(fh, 0, 4 * BLOCK_SIZE)
+            return (yield from testbed.ncache.try_serve_read(lbn, 4))
+
+        leaves = flatten_payload(run_scenario(testbed, scenario()))
+        store = testbed.ncache.store
+        assert [leaf.lbn_key for leaf in leaves] == \
+            [LbnKey(0, lbn + i) for i in range(4)]
+        for leaf in leaves:
+            assert leaf.lbn_key is store.peek_lbn(leaf.lbn_key).key
+
 
 class TestAnnotator:
     def test_annotator_stamps_lbn(self):

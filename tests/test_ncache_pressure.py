@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cache import POLICIES
 from repro.experiments.common import scaled_memory_config
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
@@ -204,6 +205,16 @@ class TestEvictionPressure:
                     yield from testbed.vfs.flush_oldest(8)
 
         run_scenario(testbed, scenario())
+        assert testbed.server_host.counters[
+            "ncache.substitute_miss"].value == 0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open defect, ROADMAP item 1: a chunk whose key is already in a "
+        "built reply can be evicted before substitution at the NIC, and "
+        "the reply goes out as junk (lru 16, clock 11, slru 26, arc 49)"))
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_no_reply_carries_junk(self, policy):
+        testbed, _ = sfs_cell(policy)
         assert testbed.server_host.counters[
             "ncache.substitute_miss"].value == 0
 

@@ -4,7 +4,8 @@
 (``make_room`` + ``insert`` on the general path) as the oracle.  The
 bulk pass must leave both caches exactly as the oracle does — order,
 keys, budget, counters, ghosts, payload descriptors — while the cyclic
-collector stays out of its way and is handed back as it was found.
+collector stays out of its way and is handed back as it was found, with
+the warm set already in its oldest generation.
 """
 
 from __future__ import annotations
@@ -186,6 +187,47 @@ class TestCollector:
         (gc.enable if enabled else gc.disable)()
         warm_caches(testbed, ranked)
         assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+    @staticmethod
+    def warm_sample(testbed):
+        """Tracked objects of every fifth warm chunk and key page: the
+        chunk, its payload view and key, the page and its placeholder."""
+        chunks = list(testbed.ncache.store.chunks())[::5]
+        pages = [entry for _, entry in testbed.cache._kernel.items()][::5]
+        sample = [obj for chunk in chunks
+                  for obj in (chunk, chunk.payload(), chunk.key)]
+        sample += [obj for entry in pages for obj in (entry, entry.payload)]
+        return {id(obj): obj for obj in sample if gc.is_tracked(obj)}
+
+    @pytest.mark.parametrize("enabled", (True, False))
+    def test_warm_set_is_promoted_to_the_oldest_generation(
+            self, collector, enabled):
+        # Born in generation 0, the warm set would be walked by the next
+        # young collection and again by the next generation-1 one.
+        testbed, _, ranked = build(ServerMode.NCACHE)
+        (gc.enable if enabled else gc.disable)()
+        warm_caches(testbed, ranked)
+        sample = self.warm_sample(testbed)
+        assert len(sample) > 200
+        young = {id(obj) for gen in (0, 1) for obj in gc.get_objects(gen)}
+        assert not young & sample.keys()
+        old = {id(obj) for obj in gc.get_objects(2) if id(obj) in sample}
+        assert old == sample.keys()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_frozen_set_stays_frozen(self, collector):
+        testbed, _, ranked = build(ServerMode.NCACHE)
+        marker = [testbed]
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            warm_caches(testbed, ranked)
+            assert gc.get_freeze_count() == frozen
+            assert not any(obj is marker for gen in range(3)
+                           for obj in gc.get_objects(gen))
+        finally:
+            gc.unfreeze()
 
     @pytest.mark.parametrize("enabled", (True, False))
     def test_left_as_found_when_warm_start_raises(self, collector, enabled):
@@ -223,6 +265,17 @@ class TestAllocations:
         other = image.lookup(ranked[1])
         assert testbed.cache.peek(other.start_lbn).payload.source \
             != first.source
+
+    def test_a_key_page_holds_its_chunks_key(self):
+        testbed, _, ranked = build(ServerMode.NCACHE)
+        warm_caches(testbed, ranked)
+        store = testbed.ncache.store
+        pages = list(testbed.cache._kernel.items())
+        assert len(pages) == testbed.cache.capacity_blocks
+        for lbn, entry in pages:
+            key = entry.payload.lbn_key
+            assert key == LbnKey(testbed.ncache.lun, lbn)
+            assert key is store.peek_lbn(key).key
 
     def test_block_payloads_are_file_payloads(self):
         image = FsImage(capacity_blocks=4096)
