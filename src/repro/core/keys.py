@@ -70,7 +70,6 @@ class KeyedPayload(PlaceholderPayload):
         # Base attributes set inline rather than through the two-deep
         # super().__init__ chain: placeholders are created on every
         # slice along the transport path, and the call overhead shows.
-        self._checksum = None
         self.length = length
         self.lbn_key = lbn_key
         self.fho_key = fho_key

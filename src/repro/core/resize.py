@@ -21,7 +21,7 @@ from ..net.buffer import (BufferChain, BufferFlavor, NetBuffer, Payload,
 def slice_buffer(buf: NetBuffer, offset: int, length: int) -> NetBuffer:
     """A view of part of a network buffer.
 
-    A full-buffer slice preserves identity-relevant attributes (cached
+    A full-buffer slice preserves identity-relevant attributes (a known
     checksum in particular); a partial slice gets a fresh descriptor with
     no inherited checksum — you cannot reuse a checksum of different bytes.
     """
@@ -30,7 +30,7 @@ def slice_buffer(buf: NetBuffer, offset: int, length: int) -> NetBuffer:
     # A partial slice carries different bytes: its checksum is not the
     # original buffer's, so it cannot be inherited (csum_known stays False).
     return NetBuffer(payload=buf.payload.slice(offset, length),
-                     headers=[], flavor=buf.flavor, checksum=None)
+                     headers=[], flavor=buf.flavor)
 
 
 #: ``(buffer sizes, buffer csum_known, flavor, data_offset, total_data,

@@ -16,7 +16,6 @@ from .buffer import (
     chain_from_payload,
     concat,
     expand_segments,
-    internet_checksum,
     pattern_bytes,
 )
 from .headers import (
@@ -65,6 +64,5 @@ __all__ = [
     "concat",
     "count_placeholder_keys",
     "expand_segments",
-    "internet_checksum",
     "pattern_bytes",
 ]

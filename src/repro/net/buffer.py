@@ -30,51 +30,65 @@ from bisect import bisect_right
 from enum import Enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
+_U64_MASK = (1 << 64) - 1
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_WORD_STRIDE = 0x2545F4914F6CDD1D
 
-_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-_U64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _splitmix64(words: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer; ``words`` is a uint64 array."""
-    z = (words + _SPLITMIX_GAMMA).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(30))) * _MIX1) & _U64_MASK
-    z = ((z ^ (z >> np.uint64(27))) * _MIX2) & _U64_MASK
-    return (z ^ (z >> np.uint64(31))) & _U64_MASK
+#: Words per piece.  One Python int holds a piece, each word in its own
+#: 128-bit lane: a lane's product with a 64-bit constant fits its lane,
+#: so one big-int add, multiply or shift (run in C) steps every word at
+#: once.  Three lane constants of 8 KB each are built once, at import.
+_PIECE_WORDS = 512
+_LANE_ONES = int.from_bytes(
+    (b"\x01" + bytes(15)) * _PIECE_WORDS, "little")
+_LANE_MASK = _LANE_ONES * _U64_MASK
+_LANE_STEPS = int.from_bytes(
+    b"".join(((k * _WORD_STRIDE) & _U64_MASK).to_bytes(16, "little")
+             for k in range(_PIECE_WORDS)), "little")
 
 
 def pattern_bytes(tag: int, offset: int, length: int) -> bytes:
     """Deterministic pseudo-random bytes for virtual payload content.
 
     Byte ``i`` of a virtual payload depends only on ``(tag, offset + i)``,
-    so slicing and concatenation commute with materialization.
+    so slicing and concatenation commute with materialization.  Word
+    ``w`` (bytes ``8w .. 8w + 7``, little-endian) is the splitmix64
+    output for the seed ``w * _WORD_STRIDE + tag`` modulo 2**64.  The
+    words are computed a piece of up to 512 at a time, one lane each
+    (see ``_PIECE_WORDS``), so the cost per byte does not depend on the
+    length.
     """
+    if offset < 0:
+        raise ValueError(f"negative offset {offset}")
     if length <= 0:
         return b""
     first_word = offset >> 3
-    last_word = (offset + length - 1) >> 3
-    idx = np.arange(first_word, last_word + 1, dtype=np.uint64)
-    seeded = (idx * np.uint64(0x2545F4914F6CDD1D) + np.uint64(tag & 0xFFFFFFFFFFFFFFFF)) & _U64_MASK
-    words = _splitmix64(seeded)
-    raw = words.view(np.uint8).tobytes()
-    start = offset - first_word * 8
-    return raw[start:start + length]
-
-
-def internet_checksum(data: bytes) -> int:
-    """RFC 1071 ones-complement 16-bit checksum of ``data``."""
-    if len(data) % 2:
-        data = data + b"\x00"
-    if not data:
-        return 0xFFFF
-    arr = np.frombuffer(data, dtype=">u2")
-    total = int(arr.sum(dtype=np.uint64))
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    n_words = ((offset + length - 1) >> 3) - first_word + 1
+    pieces: List[bytes] = []
+    for start in range(0, n_words, _PIECE_WORDS):
+        lanes = min(_PIECE_WORDS, n_words - start)
+        ones, steps, mask = _LANE_ONES, _LANE_STEPS, _LANE_MASK
+        if lanes < _PIECE_WORDS:
+            low = (1 << (lanes << 7)) - 1
+            ones &= low
+            steps &= low
+            mask &= low
+        # Masking to each lane's low 64 bits after every xor-shift (which
+        # pulls the next lane's low bits in on top) and every multiply
+        # (which carries above bit 64) keeps the lanes apart.
+        base = ((first_word + start) * _WORD_STRIDE + tag
+                + _SPLITMIX_GAMMA) & _U64_MASK
+        z = (base * ones + steps) & mask
+        z = (((z ^ (z >> 30)) & mask) * _MIX1) & mask
+        z = (((z ^ (z >> 27)) & mask) * _MIX2) & mask
+        z = (z ^ (z >> 31)) & mask
+        # Each lane is 16 little-endian bytes, the word then 8 zero bytes.
+        pieces.append(memoryview(z.to_bytes(lanes << 4, "little"))
+                      .cast("Q")[::2].tobytes())
+    skip = offset & 7
+    return b"".join(pieces)[skip:skip + length]
 
 
 class Payload:
@@ -85,10 +99,9 @@ class Payload:
     step, so the descriptor call would be pure overhead.
     """
 
-    __slots__ = ("_checksum", "length")
+    __slots__ = ("length",)
 
     def __init__(self, length: int) -> None:
-        self._checksum: Optional[int] = None
         self.length = length
 
     def materialize(self) -> bytes:
@@ -102,12 +115,6 @@ class Payload:
             raise ValueError(
                 f"slice [{offset}:{offset + length}] out of payload of "
                 f"length {self.length}")
-
-    def checksum16(self) -> int:
-        """Internet checksum of the payload bytes (cached)."""
-        if self._checksum is None:
-            self._checksum = internet_checksum(self.materialize())
-        return self._checksum
 
     def split(self, fragment_size: int) -> List["Payload"]:
         """Contiguous slices of at most ``fragment_size`` bytes, in order.
@@ -201,7 +208,6 @@ class ExtentPayload(Payload):
             raise ValueError("negative length")
         # Base slots set inline, as KeyedPayload does: every slice and
         # merge along the data path builds one of these.
-        self._checksum = None
         self.length = length
         self.source = source
         self.offset = offset
@@ -282,7 +288,6 @@ class CompositePayload(Payload):
         pass in ``__init__`` would be wasted work there.
         """
         self = object.__new__(cls)
-        self._checksum = None
         starts: List[int] = []
         total = 0
         for part in parts:
@@ -586,14 +591,15 @@ class NetBuffer:
     """One network buffer: header stack + payload fragment.
 
     ``headers`` is ordered outermost-first (Ethernet, IP, UDP/TCP, RPC...).
-    ``checksum`` caches the transport checksum covering this buffer's
-    payload; NCache *inherits* it instead of recomputing (§1).
+    ``csum_known`` says whether the transport checksum covering this
+    buffer's payload is already computed; NCache *inherits* it instead of
+    recomputing (§1).  The model charges checksum cost and tracks this
+    inheritance; no checksum value exists.
 
     A slotted hand-rolled class rather than a dataclass: the warm-start
     path and transport fragmentation allocate hundreds of thousands of
     these, and the dataclass ``__init__`` was the largest line item in
-    the grid's heap profile.  ``csum_known`` says whether the transport
-    checksum for this fragment is already computed.
+    the grid's heap profile.
 
     ``segs`` makes the buffer **segment-lazy** (the ``gso_segs`` idea):
     ``(lead, shape)`` says this one descriptor stands for the train of
@@ -604,19 +610,16 @@ class NetBuffer:
     for a consumer that does look (DESIGN.md §11).
     """
 
-    __slots__ = ("payload", "headers", "flavor", "checksum", "csum_known",
-                 "segs")
+    __slots__ = ("payload", "headers", "flavor", "csum_known", "segs")
 
     def __init__(self, payload: Payload,
                  headers: Optional[List[object]] = None,
                  flavor: BufferFlavor = BufferFlavor.SK_BUFF,
-                 checksum: Optional[int] = None,
                  csum_known: bool = False,
                  segs: Optional[Tuple[int, SegmentShape]] = None) -> None:
         self.payload = payload
         self.headers: List[object] = [] if headers is None else headers
         self.flavor = flavor
-        self.checksum = checksum
         self.csum_known = csum_known
         self.segs = segs
 

@@ -325,7 +325,7 @@ class NetworkStack:
         acct = self.host.acct
         ns = 0.0
         for buf in chain:
-            if buf.csum_known or buf.checksum is not None:
+            if buf.csum_known:
                 ns += acct.note_checksum(buf.payload_bytes, cached=True)
             else:
                 ns += acct.note_checksum(buf.payload_bytes)
