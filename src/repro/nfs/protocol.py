@@ -60,7 +60,7 @@ NFSERR_INVAL = 22
 NFSERR_STALE = 70
 
 
-@dataclass
+@dataclass(slots=True)
 class NfsCall:
     """One NFS request.  WRITE data rides in the datagram, not here."""
 
@@ -87,9 +87,13 @@ class NfsCall:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class NfsReply:
-    """One NFS reply.  READ data rides in the datagram, not here."""
+    """One NFS reply.  READ data rides in the datagram, not here.
+
+    Slotted, like :class:`NfsCall`: every duplicate-request cache entry
+    keeps one, and a per-instance ``__dict__`` would outweigh its fields.
+    """
 
     xid: int
     proc: NfsProc

@@ -23,12 +23,13 @@ Table 1: "NFS/Web server daemon: None").
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Tuple
 
 from ..copymodel.accounting import CopyDiscipline
 from ..fs.vfs import VFS
 from ..net.addresses import NFS_PORT
-from ..net.buffer import BytesPayload, JunkPayload, Payload
+from ..net.buffer import (BytesPayload, JunkPayload, Payload, concat,
+                          flatten_payload)
 from ..net.host import Host
 from ..net.network import Datagram
 from ..sim.engine import Event, SimulationError
@@ -51,7 +52,12 @@ class DuplicateRequestCache:
     NFS over UDP relies on client retransmission; a retransmitted call
     whose original was already executed must not run twice (WRITE would
     be reapplied after newer writes).  The DRC remembers recently-served
-    (client, xid) pairs with enough of the reply to resend it.
+    (client, xid) pairs with enough of the reply to resend it: the reply
+    and the leaf payloads of its data — under NCache, keys rather than
+    bytes, which the TX hook substitutes again on the replay.
+
+    Unlike knfsd, which marks READ ``RC_NOCACHE`` and re-executes a
+    retransmitted READ, READ replies are remembered and replayed too.
     """
 
     def __init__(self, capacity: int = 2048) -> None:
@@ -60,7 +66,6 @@ class DuplicateRequestCache:
         # behavior), not a block-recency cache: entries age out strictly
         # by arrival order and a lookup must NOT refresh them.
         self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()  # check: ignore[cache-discipline] -- FIFO replay cache, not recency
-        self.hits = 0
         #: requests currently executing: duplicates arriving meanwhile are
         #: dropped (the client's next retransmission finds the reply).
         self.in_progress: set = set()
@@ -68,14 +73,21 @@ class DuplicateRequestCache:
     def key(self, dgram: Datagram) -> tuple:
         return (dgram.src.ip, dgram.src.port, dgram.message.xid)
 
-    def lookup(self, dgram: Datagram):
+    def lookup(self, dgram: Datagram
+               ) -> Optional[Tuple[NfsReply, Payload, bool]]:
+        """``(reply, data, is_metadata)`` as remembered, or None."""
         entry = self._entries.get(self.key(dgram))
-        if entry is not None:
-            self.hits += 1
-        return entry
+        if entry is None:
+            return None
+        reply, leaves, is_metadata = entry
+        return reply, concat(leaves), is_metadata
 
-    def remember(self, dgram: Datagram, reply, data, is_metadata) -> None:
-        self._entries[self.key(dgram)] = (reply, data, is_metadata)
+    def remember(self, dgram: Datagram, reply: NfsReply, data: Payload,
+                 is_metadata: bool) -> None:
+        # The leaves, not the payload: a composite's part list is all a
+        # replay needs, and concat() rebuilds the same leaf sequence.
+        self._entries[self.key(dgram)] = (
+            reply, flatten_payload(data), is_metadata)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
