@@ -21,8 +21,8 @@ writeback routine for the dirty victims a shrink produces.  The
 registered budgets must sum exactly to the total (leases partition the
 machine; there is no unowned slack).  After registration, *all* budget
 movement flows through the arbiter — direct ``resize`` calls outside
-``repro.cache`` (and the two cache adapters) are rejected by the
-``budget-lease`` lint rule.
+``repro.cache`` (and the two cache adapters) fail the ``budget-lease``
+rule of ``tests/test_tree_invariants.py``.
 
 Two arbiters implement the policy seam:
 

@@ -22,7 +22,8 @@ runtime — the "NCache pins most of memory and keeps the FS cache
 deliberately small" protocol of §3.4/§4.1 expressed as a kernel-level
 contract instead of static configuration.  Outside ``repro.cache`` it
 must be reached through a :class:`~repro.cache.arbiter.MemoryArbiter`
-lease (the ``budget-lease`` lint rule enforces the seam).
+lease (``tests/test_tree_invariants.py``'s ``budget-lease`` rule
+enforces the seam).
 
 Two arbiter-facing hooks live here because they need the eviction loop
 and the metric family: :meth:`set_ghost_admit` filters which victims may

@@ -4,8 +4,8 @@ Steady-state simulation moves extent descriptors, never bytes; the only
 places bytes legitimately exist are *verification points* — golden-number
 checks, sanitizer byte-exactness assertions, trace payload dumps, and
 client-side response verification.  All of them call :func:`materialize`
-so that (a) the copy-discipline lint can enforce "no materialization
-outside copymodel and declared metadata paths" by construction, and
+so that (a) the copy-discipline tree test can enforce "no
+materialization outside copymodel and declared metadata paths", and
 (b) every materialization is observable as a ``buffer.materialize``
 trace event when tracing is on.
 """

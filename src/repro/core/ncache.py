@@ -211,7 +211,7 @@ class NCacheModule:
         # The flush hands the storage target a fresh copy of the bytes —
         # a modelled physical move on the writeback path, charged by the
         # initiator's accountant.
-        payload = chunk.payload().physical_copy()  # check: ignore[copy-discipline] -- writeback data plane, charged by initiator.write
+        payload = chunk.payload().physical_copy()
         yield from self.writeback(lbn_key.lbn, payload)
 
     def write_back_chunk(self, chunk: Chunk

@@ -150,7 +150,7 @@ class VFS:
         yield from self.host.acct.physical_copy(
             payload.length, "cache_fill", is_metadata=True)
         yield from self._evict_for(1)
-        self.cache.insert(lbn, payload.physical_copy(),  # check: ignore[copy-discipline] -- metadata cache fill (§3.3), charged just above
+        self.cache.insert(lbn, payload.physical_copy(),
                           is_metadata=True)
 
     # ------------------------------------------------------------------

@@ -64,7 +64,7 @@ def response_body(dgram: Datagram, bus: Optional[Any] = None) -> "bytes":
     """Materialize the body bytes of a response datagram (tests only).
 
     A verification point: goes through the copymodel chokepoint so the
-    materialization is lint-visible and traced.
+    materialization is traced.
     """
     response: HttpResponse = dgram.message
     whole = dgram.chain.payload()

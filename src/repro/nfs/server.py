@@ -65,7 +65,7 @@ class DuplicateRequestCache:
         # The DRC is bounded-FIFO protocol replay state (RFC 1813 / knfsd
         # behavior), not a block-recency cache: entries age out strictly
         # by arrival order and a lookup must NOT refresh them.
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()  # check: ignore[cache-discipline] -- FIFO replay cache, not recency
+        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: requests currently executing: duplicates arriving meanwhile are
         #: dropped (the client's next retransmission finds the reply).
         self.in_progress: set = set()

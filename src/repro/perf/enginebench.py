@@ -25,7 +25,7 @@ Each kernel reports wall-clock, engine dispatches, ``events_per_sec``
 (dispatches per wall second) and ``ops_per_sec`` (completed logical
 operations); ``benchmarks/ncbench/kernels.py`` runs them as its ``sim``
 layer kernels.  Wall clock use is the point: this is the one file in
-``src/`` on :data:`repro.check.vocabulary.WALLCLOCK_ALLOWED_PATHS`.
+``src/`` on ``WALLCLOCK_ALLOWED`` in ``tests/test_tree_invariants.py``.
 """
 
 from __future__ import annotations

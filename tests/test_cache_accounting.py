@@ -2,73 +2,18 @@
 
 ``lookup`` is traffic (a hit counts and promotes, a miss counts and
 probes the ghost list); ``peek`` is bookkeeping and touches nothing;
-the ``cache.<name>.*`` family is the only cache counter.
+the ``cache.<name>.*`` family is the only cache counter (that the
+kernel alone counts is ``tests/test_tree_invariants.py``'s job).
 """
-
-import ast
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.cache import POLICIES
 from repro.core import FhoKey, LbnKey
 from repro.fs import BLOCK_SIZE, BufferCache
 from repro.net.buffer import JunkPayload
 
 from test_ncache_store import FOOTPRINT, chunk_for, store_of
-
-SRC = Path(repro.__file__).parent
-
-
-def _terminal_name(node: ast.AST) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
-@pytest.fixture(scope="module")
-def src_nodes():
-    """``(file, ast node)`` for every node of every module in src/repro."""
-    return [(path.relative_to(SRC).as_posix(), node)
-            for path in sorted(SRC.rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))]
-
-
-class TestTreeWalk:
-    def test_hits_and_misses_are_counted_in_the_kernel_only(self, src_nodes):
-        counted = set()
-        for where, node in src_nodes:
-            if (isinstance(node, ast.AugAssign)
-                    and isinstance(node.target, ast.Attribute)
-                    and node.target.attr == "_total"
-                    and any(word in _terminal_name(node.target.value)
-                            for word in ("hit", "miss"))):
-                counted.add(where)
-        assert counted == {"cache/kernel.py"}
-
-    def test_the_deleted_names_stay_deleted(self, src_nodes):
-        offenders = []
-        for where, node in src_nodes:
-            names = [_terminal_name(node)]
-            if isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ClassDef):
-                names = [node.name]
-            if "LatencyStats" in names:
-                offenders.append((where, node.lineno, "LatencyStats"))
-            # One lookup path: a caller asks ``lookup`` or ``peek``, it
-            # does not pass a flag.
-            if isinstance(node, ast.Call) and any(
-                    kw.arg == "touch" for kw in node.keywords):
-                offenders.append((where, node.lineno, "touch="))
-            # ``Datagram.meta`` (and ``NetBuffer.meta`` before it) is
-            # gone: what rides a datagram is a declared field.
-            if isinstance(node, ast.Attribute) and node.attr == "meta":
-                offenders.append((where, node.lineno, ".meta"))
-        assert offenders == []
 
 
 def _store_case(policy):

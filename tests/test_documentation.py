@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.check.rules import RULES
+from test_tree_invariants import RULES
 
 PACKAGE_ROOT = Path(repro.__file__).parent
 REPO_ROOT = PACKAGE_ROOT.parent.parent

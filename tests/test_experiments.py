@@ -5,7 +5,6 @@ The full sweeps are held to the paper by ``python -m repro.analysis.paper``
 claims on single, cheap points, against the bands that registry holds.
 """
 
-import ast
 import pickle
 from dataclasses import replace
 from importlib import import_module
@@ -299,59 +298,6 @@ class TestRegistry:
                     restored = pickle.loads(pickle.dumps(cell))
                     assert restored.spec == cell.spec
                     assert restored.axes == cell.axes
-
-    @staticmethod
-    def _calls(path):
-        """Names called in ``path``: ``f(...)`` and ``x.f(...)`` give ``f``."""
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                yield getattr(func, "attr", None) or getattr(func, "id", None)
-
-    @staticmethod
-    def _calls_by_function(path):
-        """``(enclosing top-level function, called name)`` pairs."""
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    yield (getattr(top, "name", None),
-                           getattr(func, "attr", None)
-                           or getattr(func, "id", None))
-
-    def test_one_way_to_build_and_one_way_to_measure(self):
-        """Only ``servers/spec.py`` constructs a testbed, and under
-        ``experiments/`` only ``common.py`` writes the measurement
-        sequence (the windows and the reset between them) and only
-        ``run_cell`` builds a spec and measures it — Table 2's two
-        single-request scenarios, which measure nothing, excepted."""
-        repo = Path(experiments.__file__).parents[3]
-        build, protocol = [], []
-        for root in ("src", "tests", "examples"):
-            for path in sorted((repo / root).rglob("*.py")):
-                rel = path.relative_to(repo).as_posix()
-                for name in self._calls(path):
-                    if name in ("NfsTestbed", "WebTestbed") \
-                            and rel != "src/repro/servers/spec.py":
-                        build.append(rel)
-                    if name in ("warmup_then_measure",
-                                "reset_measurements") \
-                            and rel.startswith("src/repro/experiments/") \
-                            and rel != "src/repro/experiments/common.py":
-                        protocol.append(rel)
-        assert build == []
-        assert protocol == []
-        sites = sorted(
-            (path.name, function, name)
-            for path in (repo / "src/repro/experiments").glob("*.py")
-            for function, name in self._calls_by_function(path)
-            if name in ("build", "measure", "measure_segments"))
-        assert sites == [
-            ("common.py", "run_cell", "build"),
-            ("common.py", "run_cell", "measure"),
-            ("common.py", "run_cell", "measure_segments"),
-            ("table2.py", "nfs_copy_counts", "build"),
-            ("table2.py", "web_copy_counts", "build")]
 
     def test_repro_perf_is_only_the_engine_kernels(self):
         # benchmarks/ncbench/kernels.py imports exactly this.
