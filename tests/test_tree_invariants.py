@@ -406,6 +406,10 @@ PLANTED = {
     "direct-resize": ("budget-lease", "mod.py", "cache.resize(1024)", 1),
     "every-direct-call": ("budget-lease", "mod.py",
                           "donor.resize(0)\nrecipient.resize(4096)", 2),
+    # name-based by design: any .resize() outside the seam is flagged
+    "unrelated-resize-name": ("budget-lease", "mod.py",
+                              "def rescale(image):\n"
+                              "    image.resize(640)", 1),
     "arbiter-seam": ("budget-lease", "core/store.py", "cache.resize(1)", 0),
     "bound-method-reference": ("budget-lease", "mod.py",
                                "arbiter.register('bcache', 4096, "
