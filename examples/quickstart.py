@@ -21,7 +21,7 @@ from repro.workloads import AllHitReadWorkload
 
 def trace_one_mode(mode: ServerMode) -> dict:
     """Trace read-miss/read-hit/write requests through a fresh testbed."""
-    testbed = TestbedSpec.nfs(mode, ncache_strict=True, n_daemons=8,
+    testbed = TestbedSpec.nfs(mode, n_daemons=8,
                               flush_interval_s=None).build()
     testbed.image.create_file("demo.bin", 16 << 20)
     fh = testbed.file_handle("demo.bin")

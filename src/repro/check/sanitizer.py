@@ -16,15 +16,17 @@ The sanitizer tags every chunk with a state machine and reports:
 * **double-substitution** — one reply's placeholder chain substituted
   twice (each placeholder resolves exactly once per reply);
 * **use-after-evict** — a reclaimed chunk used (pinned, remapped,
-  substituted), or a placeholder whose key was evicted dereferenced at
-  substitution time — the dangling-key race the store's reclaim
-  listeners exist to prevent;
+  substituted);
 * **aliasing** — the FS buffer cache holding a payload object owned by a
   live NCache chunk (physical double-buffering of regular data).
 
-Enablement: ``tests/conftest.py`` activates a sanitizer around every
-test; ``REPRO_SANITIZE=1`` activates a *strict* one for any run (strict
-raises :class:`SanitizerError` at the violating call).  Hooks are no-ops
+A placeholder whose key no longer resolves at substitution time needs
+no sanitizer: the NCache module raises on it itself.
+
+There is one mode: every violation raises :class:`SanitizerError` at
+the violating call (and is kept in ``violations``).  Enablement:
+``tests/conftest.py`` activates a sanitizer around every test;
+``REPRO_SANITIZE=1`` activates one for any other run.  Hooks are no-ops
 when no sanitizer is active — one module-global read per call site.
 """
 
@@ -35,11 +37,11 @@ import os
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, NoReturn, Optional
 
 
 class SanitizerError(RuntimeError):
-    """Raised in strict mode at the point of a lifecycle violation."""
+    """Raised at the point of a lifecycle violation."""
 
 
 class ChunkState(enum.Enum):
@@ -57,12 +59,6 @@ class ViolationKind(enum.Enum):
     DOUBLE_SUBSTITUTION = "double-substitution"
     USE_AFTER_EVICT = "use-after-evict"
     ALIASING = "aliasing"
-
-
-#: Violations that indicate outright broken code (never a modelled race);
-#: the test-suite guard asserts these are absent in every test.
-HARD_KINDS = frozenset({ViolationKind.DOUBLE_SUBSTITUTION,
-                        ViolationKind.ALIASING})
 
 
 @dataclass
@@ -90,12 +86,9 @@ class _ChunkRecord:
 class BufferSanitizer:
     """Tracks chunk / buffer ownership through one simulation's life."""
 
-    strict: bool = False
     violations: List[Violation] = field(default_factory=list)
     _chunks: Dict[int, _ChunkRecord] = field(default_factory=dict)
     _pending_writeback: Dict[int, Any] = field(default_factory=dict)
-    _evicted_keys: Set[Any] = field(default_factory=set)
-    _remapped_away: Set[Any] = field(default_factory=set)
     #: id(payload) -> (owner key, weakref to the owning chunk).  The
     #: weakref lets the aliasing check reject stale entries: when a whole
     #: store is garbage-collected (experiments build testbeds in
@@ -116,17 +109,13 @@ class BufferSanitizer:
     # -- recording ---------------------------------------------------------
 
     def _record(self, kind: ViolationKind, message: str,
-                key: str = "") -> None:
+                key: str = "") -> NoReturn:
         violation = Violation(kind, message, key)
         self.violations.append(violation)
-        if self.strict:
-            raise SanitizerError(violation.format())
+        raise SanitizerError(violation.format())
 
     def of_kind(self, kind: ViolationKind) -> List[Violation]:
         return [v for v in self.violations if v.kind is kind]
-
-    def hard_violations(self) -> List[Violation]:
-        return [v for v in self.violations if v.kind in HARD_KINDS]
 
     # -- chunk lifecycle ---------------------------------------------------
 
@@ -139,7 +128,6 @@ class BufferSanitizer:
         self._chunks[id(chunk)] = _ChunkRecord(
             ref=ref, key=str(chunk.key), state=ChunkState.CACHED,
             dirty=bool(chunk.dirty))
-        self._evicted_keys.discard(chunk.key)
         self._own(chunk, ref)
 
     def chunk_evicted(self, chunk: Any) -> None:
@@ -154,7 +142,6 @@ class BufferSanitizer:
             ref=record.ref if record is not None else None,
             key=str(chunk.key), state=ChunkState.EVICTED,
             dirty=bool(chunk.dirty))
-        self._evicted_keys.add(chunk.key)
         for payload in chunk.owned_payloads():
             for part in self._payload_parts(payload):
                 self._owned_payloads.pop(id(part), None)
@@ -172,11 +159,6 @@ class BufferSanitizer:
         if record is not None and record.state is ChunkState.EVICTED:
             self._record(ViolationKind.USE_AFTER_EVICT,
                          "remap of an evicted chunk", str(old_key))
-            return
-        self._remapped_away.add(old_key)
-        # The chunk now lives under its LBN key; if a stale entry under
-        # that key was just reclaimed, the key itself is live again.
-        self._evicted_keys.discard(chunk.key)
         if record is not None:
             record.key = str(chunk.key)
             record.dirty = bool(chunk.dirty)
@@ -228,22 +210,10 @@ class BufferSanitizer:
                 ViolationKind.DOUBLE_SUBSTITUTION,
                 "reply substituted twice; each placeholder chain must "
                 "resolve exactly once per departing packet")
-            return
         try:
             self._substituted[id(dgram)] = dgram
         except TypeError:
             pass
-
-    def substitute_miss(self, fho_key: Any, lbn_key: Any) -> None:
-        """A placeholder failed to resolve at substitution time."""
-        for key in (fho_key, lbn_key):
-            if key is not None and key in self._evicted_keys:
-                self._record(
-                    ViolationKind.USE_AFTER_EVICT,
-                    "placeholder dereferenced a reclaimed chunk's key; "
-                    "junk served — the FS cache page should have been "
-                    "invalidated on eviction", str(key))
-                return
 
     # -- FS cache aliasing -------------------------------------------------
 
@@ -267,7 +237,6 @@ class BufferSanitizer:
                 f"owned by live NCache chunk {owner}; pages must "
                 f"hold keys, not the cached buffers (§3.2)",
                 owner)
-            return
         # Extent views are distinct objects over shared buffer memory;
         # the mem identity catches aliasing the id() map cannot.
         for mem in self._anon_mems(payload):
@@ -285,7 +254,6 @@ class BufferSanitizer:
                 f"memory owned by live NCache chunk {owner}; pages must "
                 f"hold keys, not the cached buffers (§3.2)",
                 owner)
-            return
 
     @staticmethod
     def _payload_parts(payload: Any) -> Iterator[Any]:
@@ -308,7 +276,7 @@ class BufferSanitizer:
 
     # -- end-of-simulation sweep ------------------------------------------
 
-    def check_leaks(self) -> List[Violation]:
+    def check_leaks(self) -> None:
         """Leak sweep: lost dirty data and chunks pinned forever."""
         found: List[Violation] = []
         for chunk in self._pending_writeback.values():
@@ -324,27 +292,12 @@ class BufferSanitizer:
                     ViolationKind.LEAK,
                     "chunk still pinned at simulation end", record.key))
         self.violations.extend(found)
-        if self.strict and found:
-            raise SanitizerError(
-                "; ".join(v.format() for v in found))
-        return found
+        if found:
+            raise SanitizerError("; ".join(v.format() for v in found))
 
     def sim_ended(self, sim: Any) -> None:
         """The event heap drained: run the leak sweep."""
         self.check_leaks()
-
-    # -- reporting ---------------------------------------------------------
-
-    def report(self) -> str:
-        if not self.violations:
-            return "buffer sanitizer: no violations"
-        lines = [f"buffer sanitizer: {len(self.violations)} violation(s)"]
-        lines.extend(v.format() for v in self.violations)
-        return "\n".join(lines)
-
-    def raise_if_violations(self) -> None:
-        if self.violations:
-            raise SanitizerError(self.report())
 
 
 _active: Optional[BufferSanitizer] = None
@@ -355,10 +308,10 @@ def active() -> Optional[BufferSanitizer]:
     return _active
 
 
-def enable(strict: bool = False) -> BufferSanitizer:
+def enable() -> BufferSanitizer:
     """Install (and return) a fresh sanitizer as the active one."""
     global _active
-    _active = BufferSanitizer(strict=strict)
+    _active = BufferSanitizer()
     return _active
 
 
@@ -370,11 +323,11 @@ def disable() -> Optional[BufferSanitizer]:
 
 
 @contextmanager
-def sanitize(strict: bool = False) -> Iterator[BufferSanitizer]:
+def sanitize() -> Iterator[BufferSanitizer]:
     """Scoped sanitizer; restores whatever was active before."""
     global _active
     previous = _active
-    san = BufferSanitizer(strict=strict)
+    san = BufferSanitizer()
     _active = san
     try:
         yield san
@@ -382,7 +335,7 @@ def sanitize(strict: bool = False) -> Iterator[BufferSanitizer]:
         _active = previous
 
 
-# REPRO_SANITIZE=1 turns on strict lifecycle checking for any entry point
+# REPRO_SANITIZE=1 turns on lifecycle checking for any entry point
 # (experiments, ad-hoc scripts) without code changes.
 if os.environ.get("REPRO_SANITIZE") == "1":  # pragma: no cover
-    enable(strict=True)
+    enable()

@@ -23,7 +23,7 @@ so no dict or ghost-list order depends on ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional, Tuple
 
 from ..net.buffer import Payload, PlaceholderPayload
 
@@ -56,13 +56,20 @@ class KeyedPayload(PlaceholderPayload):
     block, so protocol-layer slicing (IP fragmentation, TCP segmentation)
     preserves enough information for substitution to reassemble the right
     bytes (§3.5's split/merge requirement).
+
+    ``pinned`` is set on the first placeholder of an outgoing reply or
+    flush: the chunks that payload pinned when it left the FS cache, for
+    the TX hook that substitutes it to release.  Anywhere else it is
+    empty.  (Typed ``Any``: importing the chunk module here would add
+    this module to Table 1's list of modules that import NCache.)
     """
 
-    __slots__ = ("lbn_key", "fho_key", "base_offset")
+    __slots__ = ("lbn_key", "fho_key", "base_offset", "pinned")
 
     def __init__(self, length: int, lbn_key: Optional[LbnKey] = None,
                  fho_key: Optional[FhoKey] = None,
-                 base_offset: int = 0) -> None:
+                 base_offset: int = 0,
+                 pinned: Tuple[Any, ...] = ()) -> None:
         if length < 0:
             raise ValueError("negative length")
         if lbn_key is None and fho_key is None:
@@ -74,15 +81,21 @@ class KeyedPayload(PlaceholderPayload):
         self.lbn_key = lbn_key
         self.fho_key = fho_key
         self.base_offset = base_offset
+        self.pinned = pinned
 
     def slice(self, offset: int, length: int) -> Payload:
         self._check_slice(offset, length)
         return KeyedPayload(length, self.lbn_key, self.fho_key,
-                            self.base_offset + offset)
+                            self.base_offset + offset, self.pinned)
 
     def physical_copy(self) -> Payload:
         return KeyedPayload(self.length, self.lbn_key, self.fho_key,
-                            self.base_offset)
+                            self.base_offset, self.pinned)
+
+    def holding(self, pinned: Tuple[Any, ...]) -> "KeyedPayload":
+        """A copy of this placeholder that carries the ``pinned`` chunks."""
+        return KeyedPayload(self.length, self.lbn_key, self.fho_key,
+                            self.base_offset, pinned)
 
     def with_lbn(self, lbn_key: LbnKey) -> "KeyedPayload":
         """A copy of this placeholder that also knows its LBN."""

@@ -4,8 +4,10 @@ This is the paper's loadable kernel module, inserted "into the layer
 between the network stack and the Ethernet device driver" (§4.1) — here,
 registered as one RX hook and one TX hook on the pass-through server's
 host.  Everything above it (daemon, buffer cache, VFS) is unmodified; the
-two seams the kernel exposes (Table 1) are the logical-copy socket
-discipline and the VFS's LBN annotator, both wired up by
+seams the kernel exposes (Table 1) are the logical-copy socket
+discipline and the VFS's two key hooks — the LBN annotator, which lets a
+keyed block into the FS cache only while its chunk is cached, and the
+pin taken as a reply or flush leaves the FS cache — all wired up by
 :func:`attach_ncache`.
 
 RX: iSCSI Data-In payloads are chunked into the LBN cache; NFS WRITE
@@ -15,7 +17,10 @@ around is left in ``dgram.keyed_payload``.
 TX: outgoing NFS READ replies and HTTP responses have their placeholder
 fragments *substituted* with the cached network buffers; outgoing iSCSI
 writes (buffer-cache flushes) are first *remapped* FHO→LBN, then
-substituted (§3.4, Figure 3).
+substituted (§3.4, Figure 3).  Every key resolves there: the pins a
+departing payload carries keep its chunks out of eviction, and the
+substitution releases them.  A key that does not resolve is a bug and
+raises :class:`~repro.sim.engine.SimulationError`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import (Any, Callable, Generator, Iterable, List, Optional,
 from ..check import sanitizer as _sanitizer
 from ..net.buffer import (
     BufferChain,
-    JunkPayload,
+    CompositePayload,
     NetBuffer,
     Payload,
     SegmentShape,
@@ -66,10 +71,12 @@ def coalesce_keyed(leaves: Iterable[Payload]) -> Optional[List[Payload]]:
             if (prev is not None
                     and prev.fho_key == leaf.fho_key
                     and prev.lbn_key == leaf.lbn_key
+                    and prev.pinned is leaf.pinned
                     and prev.base_offset + prev.length == leaf.base_offset):
                 out.pop()
                 leaf = KeyedPayload(prev.length + leaf.length, prev.lbn_key,
-                                    prev.fho_key, prev.base_offset)
+                                    prev.fho_key, prev.base_offset,
+                                    prev.pinned)
             prev = leaf
             keyed = True
         else:
@@ -84,7 +91,6 @@ class NCacheModule:
     def __init__(self, host: Host, store: NCacheStore, lun: int = 0,
                  fho_to_lbn: Optional[FhoToLbnFn] = None,
                  writeback: Optional[WritebackFn] = None,
-                 strict: bool = False,
                  inherit_checksums: bool = True,
                  enable_remap: bool = True) -> None:
         self.host = host
@@ -92,9 +98,6 @@ class NCacheModule:
         self.lun = lun
         self.fho_to_lbn = fho_to_lbn
         self.writeback = writeback
-        #: strict=True turns substitution misses into errors (tests);
-        #: strict=False serves junk and counts, like a real race would.
-        self.strict = strict
         #: ablation A1: inherit cached checksums on substituted packets
         #: (§1) instead of recomputing when offload is unavailable.
         self.inherit_checksums = inherit_checksums
@@ -301,12 +304,12 @@ class NCacheModule:
         substituted = 0
         extra_frames = 0  # packets beyond one per entry of new_buffers
         lookups = 0
-        misses = 0
         t0 = self.host.sim.now
         # Transport fragmentation may slice one block's placeholder across
         # several packets; the module resolves each *chunk* once per reply
         # (a per-reply lookup table), not once per fragment.
         resolved: dict = {}
+        held: dict = {}  # id -> the chunks this payload pinned (receipts)
 
         def emit_plain() -> None:
             if pending_plain:
@@ -318,6 +321,8 @@ class NCacheModule:
             if not isinstance(leaf, KeyedPayload):
                 pending_plain.append(leaf)
                 continue
+            if leaf.pinned:
+                held[id(leaf.pinned)] = leaf.pinned
             cache_key = (leaf.fho_key, leaf.lbn_key)
             if cache_key in resolved:
                 chunk = resolved[cache_key]
@@ -326,15 +331,8 @@ class NCacheModule:
                 chunk = self.store.resolve(leaf.fho_key, leaf.lbn_key)
                 resolved[cache_key] = chunk
             if chunk is None:
-                self.counters.add("ncache.substitute_miss")
-                misses += 1
-                if san is not None:
-                    san.substitute_miss(leaf.fho_key, leaf.lbn_key)
-                if self.strict:
-                    raise SimulationError(
-                        f"substitution miss for {leaf!r}")
-                pending_plain.append(JunkPayload(leaf.length))
-                continue
+                raise SimulationError(
+                    f"dangling key {leaf!r} at substitution")
             if san is not None:
                 san.chunk_used(chunk, "substitute")
             if leaf.base_offset == 0 and leaf.length == chunk.length:
@@ -382,6 +380,9 @@ class NCacheModule:
             else:
                 new_buffers.extend(cached)
         emit_plain()
+        for pinned in held.values():
+            for chunk in pinned:
+                chunk.unpin()
 
         yield from self.host.acct.compute(
             costs.ncache_reply_fixed_ns
@@ -397,7 +398,7 @@ class NCacheModule:
             self.trace.complete("ncache.substitute", t0, cat="ncache",
                                 tid=self.trace.tid_for(self.host.name),
                                 packets=substituted, lookups=lookups,
-                                misses=misses, dst=str(dgram.dst))
+                                dst=str(dgram.dst))
 
     def _recompute_framing(self, dgram: Datagram, frames: int,
                            payload: int) -> None:
@@ -452,11 +453,65 @@ class NCacheModule:
         return concat(parts)
 
     # ------------------------------------------------------------------
-    # VFS seam
+    # VFS seams
     # ------------------------------------------------------------------
 
-    def lbn_annotator(self, block_payload: Payload, lbn: int) -> Payload:
-        """Stamp the LBN key onto keyed blocks stored in the FS cache."""
-        if isinstance(block_payload, KeyedPayload):
-            return block_payload.with_lbn(LbnKey(self.lun, lbn))
-        return block_payload
+    def lbn_annotator(self, block_payload: Payload, lbn: int
+                      ) -> Optional[Payload]:
+        """The block the FS cache may store at ``lbn``, or ``None``.
+
+        A keyed block gets its LBN key stamped on, so post-remap lookups
+        succeed (§3.4), and is let in only while the chunk it stands
+        for is cached.  A fill or a write yields between the RX hook
+        caching its chunks and the page insert; a chunk evicted in
+        between must not enter the FS cache as a dangling key, which
+        the reclaim listener could no longer reach.  A written block
+        stands for its FHO chunk: once that is gone its bytes went to
+        the LBN by writeback, and an LBN chunk may be older.
+        """
+        if not isinstance(block_payload, KeyedPayload):
+            return block_payload
+        lbn_key = block_payload.lbn_key
+        if block_payload.fho_key is not None:
+            live = self.store.peek_fho(block_payload.fho_key)
+        else:
+            live = self.store.peek_lbn(lbn_key)
+        if live is None:
+            return None
+        if lbn_key is not None and lbn_key.lbn == lbn \
+                and lbn_key.lun == self.lun:
+            return block_payload  # a fill's block: stamped already
+        return block_payload.with_lbn(LbnKey(self.lun, lbn))
+
+    def pin_keys(self, payload: Payload) -> Optional[Payload]:
+        """``payload`` with the chunk behind each of its keys pinned, or
+        ``None`` (and nothing pinned) if a key no longer resolves.
+
+        Called as a reply or a flush leaves the FS cache.  A pinned
+        chunk is never an eviction victim, so each key still resolves
+        when the TX hook substitutes it, and the substitution releases
+        the pins.  The payload's first placeholder carries the chunks
+        it pinned: by TX time an overwrite or a remap may have put a
+        newer chunk under a key, and the pins to release are these.
+        Pinning charges no simulated time.
+        """
+        leaves = flatten_payload(payload)
+        peek = self.store.peek
+        pinned: List[Chunk] = []
+        first = -1  # the first placeholder, which carries the receipt
+        for i, leaf in enumerate(leaves):
+            if isinstance(leaf, KeyedPayload):
+                chunk = peek(leaf.fho_key, leaf.lbn_key)
+                if chunk is None:
+                    return None
+                pinned.append(chunk)
+                if first < 0:
+                    first = i
+        if first < 0:
+            return payload
+        for chunk in pinned:
+            chunk.pin()
+        head = leaves[first].holding(tuple(pinned))
+        if isinstance(payload, CompositePayload):
+            return payload.replacing(first, head)
+        return head

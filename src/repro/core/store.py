@@ -16,11 +16,16 @@ identical to the paper's.
 Beyond the paper's text, the store completes the design with two pieces of
 necessary engineering, both flagged in DESIGN.md:
 
-* **pinning** — chunks referenced by an in-flight reply cannot be
-  reclaimed out from under the substitution step;
+* **pinning** — chunks referenced by an in-flight reply or flush cannot
+  be reclaimed out from under the substitution step: the NCache module
+  pins them as the payload leaves the FS cache and the TX hook unpins
+  them (``NCacheModule.pin_keys``).  Eviction and :meth:`cold_restart`
+  skip a pinned chunk; a newer chunk replacing it under its key
+  (:meth:`insert`'s overwrite, :meth:`remap`'s stale removal) drops it
+  all the same, since the key still resolves;
 * **reclaim notification** — when a chunk disappears, any file-system
   cache page still holding its key is invalidated (otherwise a later read
-  hit would dereference a dangling key and serve junk).
+  hit would dereference a dangling key).
 """
 
 from __future__ import annotations
@@ -175,7 +180,8 @@ class NCacheStore:
         The crash-rejoin semantics (DESIGN.md §10): dirty chunks are
         lost (nothing left to write back), every evicted key lands in
         the policy's ghost list so the rewarming cache remembers what
-        it used to hold, and the budget is restored afterwards.
+        it used to hold, and the budget is restored afterwards.  The
+        chunks an in-flight reply pins stay until it has left.
         """
         for chunk in self.dirty_chunks():
             chunk.dirty = False

@@ -3,12 +3,16 @@
 :func:`attach_ncache` performs the integrations Table 1 enumerates:
 
 * the NCache module hooks in below the network stack (RX/TX hooks);
-* the VFS gets the LBN annotator (the logical-copy read/write seam);
+* the VFS gets the LBN annotator (the logical-copy read/write seam),
+  which lets a keyed block in only while its chunk is cached, and the
+  pin a reply or flush takes on its chunks as it leaves the FS cache;
 * the initiator is the writeback path for reclaimed dirty chunks;
 * a reclaim listener keeps the file-system cache coherent: a page whose
   placeholder keys can no longer be resolved is dropped, so a later read
-  refetches instead of serving junk.  (Engineering completion of §3.4 —
-  the paper relies on the FS cache being much smaller than NCache.)
+  refetches.  With the annotator's check this makes every keyed FS page
+  resolve at all times, and with the pins every departing key resolve
+  at the TX hook.  (Engineering completion of §3.4 — the paper relies
+  on the FS cache being much smaller than NCache.)
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ def attach_ncache(host: Host, vfs: VFS,
                   initiator: Optional[IscsiInitiator],
                   capacity_bytes: int,
                   lun: int = 0,
-                  strict: bool = False,
                   inherit_checksums: bool = True,
                   enable_remap: bool = True,
                   policy: str = "lru") -> NCacheModule:
@@ -57,10 +60,11 @@ def attach_ncache(host: Host, vfs: VFS,
             yield from initiator.write(lbn, payload)
 
     module = NCacheModule(host, store, lun=lun, fho_to_lbn=fho_to_lbn,
-                          writeback=writeback, strict=strict,
+                          writeback=writeback,
                           inherit_checksums=inherit_checksums,
                           enable_remap=enable_remap)
     vfs.lbn_annotator = module.lbn_annotator
+    vfs.pin_keys = module.pin_keys
     if initiator is not None:
         initiator.read_interceptor = module.try_serve_read
 

@@ -18,9 +18,9 @@ Each is a table of ``dataclasses.replace`` on a figure's cell:
 * **A6 daemon count** — nfsd pool size (the paper tunes it per
   experiment).
 * **A7 loss** — lost NFS replies are retransmitted after the client's
-  RTO; under NCache the replayed reply is substituted from the
-  network-centric cache again (no copies), while the original server
-  re-copies the data for every retransmission.
+  RTO and the READ runs again; under NCache its reply is substituted
+  from the network-centric cache again (no copies), while the original
+  server re-copies the data for every retransmission.
 * **A8 network-ready disk** — the paper's §6 future work, prototyped:
   "It is possible to take this idea one step further by organizing
   disk-resident data in a network-ready format."  With blocks pre-framed

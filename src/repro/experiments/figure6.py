@@ -55,8 +55,7 @@ def _working_set_readout(testbed, workload) -> Dict[str, float]:
 def _ncache_hit_ratio(testbed) -> float:
     counters = testbed.server_host.counters
     hits = counters["cache.ncache.hit"].value
-    lookups = hits + counters["ncache.substitute_miss"].value \
-        + counters["cache.bcache.miss"].value
+    lookups = hits + counters["cache.bcache.miss"].value
     return hits / lookups if lookups else 0.0
 
 

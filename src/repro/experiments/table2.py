@@ -46,7 +46,7 @@ def _server_copies(events: list, request):
 
 def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
     """Run the four NFS paths; returns path -> physical copies."""
-    testbed = TestbedSpec.nfs(mode, n_daemons=8, ncache_strict=True,
+    testbed = TestbedSpec.nfs(mode, n_daemons=8,
                               flush_interval_s=None).build()
     testbed.image.create_file("t2file", 16 << 20)
     fh = testbed.file_handle("t2file")
@@ -76,7 +76,7 @@ def nfs_copy_counts(mode: ServerMode) -> Dict[str, int]:
 
 def web_copy_counts(mode: ServerMode) -> Dict[str, int]:
     """Run the two kHTTPd paths; returns path -> physical copies."""
-    testbed = TestbedSpec.web(mode, n_server_nics=1, ncache_strict=True,
+    testbed = TestbedSpec.web(mode, n_server_nics=1,
                               connections_per_client=1).build()
     testbed.image.create_file("page.html", 65536)
     client = testbed.http_clients[0]

@@ -19,12 +19,12 @@ except metadata, which always moves physically (§3.3).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Protocol
+from typing import Any, Callable, Dict, Generator, List, Optional, Protocol
 
 from ..copymodel.accounting import CopyDiscipline
 from ..net.buffer import Payload, apply_discipline, concat
 from ..net.host import Host
-from ..sim.engine import Event
+from ..sim.engine import Event, SimulationError
 from .buffer_cache import BufferCache, CacheEntry
 from .image import FsImage, Inode
 
@@ -55,12 +55,17 @@ class VFS:
         self.discipline = discipline
         self.readahead_blocks = readahead_blocks
         self.block_size = image.block_size
-        #: Optional hook ``fn(block_payload, lbn) -> payload`` applied to
-        #: each block stored by :meth:`write`.  The NCache wiring uses it
-        #: to stamp the block's LBN key onto key-carrying placeholders so
+        #: NCache's two hooks (None without it).  ``lbn_annotator(block,
+        #: lbn)`` is applied to each data block a fill or a write stores:
+        #: it stamps the block's LBN key onto key-carrying placeholders so
         #: post-remap lookups succeed ("some NFS read replies may contain
-        #: both an FHO key and an LBN key", §3.4).
-        self.lbn_annotator = None
+        #: both an FHO key and an LBN key", §3.4), and returns ``None``
+        #: for a block whose chunk is gone — a fill then refetches it, a
+        #: write stores no page.  ``pin_keys(payload)`` pins the chunks
+        #: behind the keys of a reply or flush as it leaves the cache.
+        self.lbn_annotator: Optional[
+            Callable[[Payload, int], Optional[Payload]]] = None
+        self.pin_keys: Optional[Callable[[Payload], Optional[Payload]]] = None
 
     # ------------------------------------------------------------------
     # Regular data path
@@ -112,16 +117,21 @@ class VFS:
         stored = apply_discipline(payload, self.discipline)
         for i in range(nblocks):
             lbn = inode.block_lbn(first + i)
-            block_payload = stored.slice(i * bs, bs)
-            if self.lbn_annotator is not None:
-                block_payload = self.lbn_annotator(block_payload, lbn)
             entry = self.cache.peek(lbn)
-            if entry is not None:
+            if entry is None:
+                yield from self._evict_for(1)
+            # Checked after the eviction, which may yield.
+            block_payload = self._storable(stored.slice(i * bs, bs), lbn)
+            if block_payload is None:
+                # The block's chunk was evicted, and so written back to
+                # this LBN, before its page went in: store no page, and
+                # drop an older one.
+                self.cache.invalidate(lbn)
+            elif entry is not None:
                 entry.payload = block_payload
                 entry.dirty = True
                 self.cache.lookup(lbn)  # LRU touch + hit accounting
             else:
-                yield from self._evict_for(1)
                 self.cache.insert(lbn, block_payload, dirty=True)
                 self.cache.counters.add("bcache.write_alloc")
 
@@ -223,7 +233,10 @@ class VFS:
                 entries.append(entry)
         if not entries:
             return 0
-        if len(entries) != len(lbns):
+        payload = None
+        if len(entries) == len(lbns):
+            payload = self._leaving(concat([e.payload for e in entries]))
+        if payload is None:
             # A block went clean/evicted meanwhile; fall back per block.
             count = 0
             for entry in entries:
@@ -232,7 +245,6 @@ class VFS:
                 count += 1
             return count
         self.cache.counters.add("bcache.writeback", len(entries))
-        payload = concat([e.payload for e in entries])
         yield from self.blockdev.write(lbns[0], payload, is_metadata=False)
         for entry in entries:
             self.cache.mark_clean(entry.lbn)
@@ -246,8 +258,15 @@ class VFS:
         dislodges from the buffer cache — under NCache the write path
         remaps the backing FHO chunk exactly as eviction writeback does.
         """
+        payload = self._leaving(entry.payload)
+        if payload is None:
+            # The page left the cache as one of several eviction victims
+            # and NCache reclaimed its chunk while the earlier ones were
+            # written back: reclaiming a dirty chunk writes it back
+            # (§3.4), so nothing is left to write.
+            return
         self.cache.counters.add("bcache.writeback")
-        yield from self.blockdev.write(entry.lbn, entry.payload,
+        yield from self.blockdev.write(entry.lbn, payload,
                                        is_metadata=entry.is_metadata)
 
     def _evict_for(self, nblocks: int) -> Generator[Event, Any, None]:
@@ -294,66 +313,75 @@ class VFS:
         # nothing can evict between here and use otherwise — so the
         # all-present steady state skips the pin/peek/unpin bookkeeping
         # entirely.
-        probed = []
-        missing = False
-        for b in range(first, last + 1):
-            entry = self.cache.lookup(inode.block_lbn(b))
-            probed.append(entry)
-            if entry is None:
-                missing = True
-        if not missing:
-            whole = concat([e.payload for e in probed])
-            within = offset - first * bs
-            return whole.slice(within, length), nblocks
-
-        # Pin present pages (page locks) so later fills in this same
-        # request cannot evict them, then fill the missing runs.  No
-        # simulated time has passed since the probe, so the presence map
-        # is still exact.
-        pinned: List[int] = []
-        try:
-            missing_runs: List[tuple] = []
-            run_start = None
-            for i, b in enumerate(range(first, last + 1)):
-                present = probed[i] is not None
-                if present:
-                    lbn = inode.block_lbn(b)
-                    self.cache.pin(lbn)
-                    pinned.append(lbn)
-                if not present and run_start is None:
-                    run_start = b
-                elif present and run_start is not None:
-                    missing_runs.append((run_start, b - run_start))
-                    run_start = None
-            if run_start is not None:
-                missing_runs.append((run_start, last + 1 - run_start))
-
-            for start_b, count in missing_runs:
-                # Readahead: extend the tail run to prefetch ahead.
-                extra = 0
-                if self.readahead_blocks and start_b + count == last + 1:
-                    extra = min(self.readahead_blocks,
-                                inode.nblocks - (start_b + count))
-                yield from self._fill_blocks(inode, start_b, count + extra)
-                for b in range(start_b, start_b + count):
-                    lbn = inode.block_lbn(b)
-                    if self.cache.pin(lbn):
-                        pinned.append(lbn)
-
-            parts = []
-            for b in range(first, last + 1):
-                entry = self.cache.peek(inode.block_lbn(b))
-                if entry is None:
-                    raise RuntimeError(
-                        f"block {b} of inode {inode.ino} lost despite "
-                        "page pinning; cache smaller than one request")
-                parts.append(entry.payload)
-        finally:
-            for lbn in pinned:
-                self.cache.unpin(lbn)
-        whole = concat(parts)
+        entries = [self.cache.lookup(inode.block_lbn(b))
+                   for b in range(first, last + 1)]
+        if None in entries:
+            entries = yield from self._fill_missing(inode, first, entries)
+        whole = concat([e.payload for e in entries])
         within = offset - first * bs
-        return whole.slice(within, length), nblocks
+        held = self._leaving(whole.slice(within, length))
+        if held is None:
+            raise SimulationError(
+                f"dangling key in block {first}..{last} of inode "
+                f"{inode.ino} leaving the FS cache")
+        return held, nblocks
+
+    def _fill_missing(self, inode: Inode, first: int,
+                      entries: List[Optional[CacheEntry]]
+                      ) -> Generator[Event, Any, list]:
+        """Fill the blocks ``entries`` (from block ``first`` on) lacks;
+        return every block's page, all present at once.
+
+        Pin present pages (page locks) so later fills in this same
+        request cannot evict them, then fill the missing runs.  No
+        simulated time has passed since the probe, so the presence map
+        is still exact.  A fill leaves out a block whose chunk was
+        evicted before its page went in, and a reclaimed chunk takes
+        its page along: the blocks missing after the fills are fetched
+        again.
+        """
+        last = first + len(entries) - 1
+        locked: Dict[int, CacheEntry] = {}  # lbn -> the page this read locked
+        readahead = self.readahead_blocks
+        try:
+            while None in entries:
+                missing_runs: List[tuple] = []
+                run_start = None
+                for b, entry in zip(range(first, last + 1), entries):
+                    if entry is not None:
+                        if locked.get(entry.lbn) is not entry:
+                            self.cache.pin(entry.lbn)
+                            locked[entry.lbn] = entry
+                        if run_start is not None:
+                            missing_runs.append((run_start, b - run_start))
+                            run_start = None
+                    elif run_start is None:
+                        run_start = b
+                if run_start is not None:
+                    missing_runs.append((run_start, last + 1 - run_start))
+
+                for start_b, count in missing_runs:
+                    # Readahead: extend the tail run to prefetch ahead.
+                    extra = 0
+                    if readahead and start_b + count == last + 1:
+                        extra = min(readahead,
+                                    inode.nblocks - (start_b + count))
+                    yield from self._fill_blocks(inode, start_b,
+                                                 count + extra)
+                    for b in range(start_b, start_b + count):
+                        lbn = inode.block_lbn(b)
+                        entry = self.cache.peek(lbn)
+                        if entry is not None:
+                            self.cache.pin(lbn)
+                            locked[lbn] = entry
+                readahead = 0  # a refetch reads no further ahead
+                entries = [self.cache.peek(inode.block_lbn(b))
+                           for b in range(first, last + 1)]
+        finally:
+            for lbn, entry in locked.items():
+                if self.cache.peek(lbn) is entry:
+                    self.cache.unpin(lbn)
+        return entries
 
     def _fill_blocks(self, inode: Inode, first_block: int, nblocks: int
                      ) -> Generator[Event, Any, None]:
@@ -368,4 +396,22 @@ class VFS:
         bs = self.block_size
         yield from self._evict_for(nblocks)
         for i in range(nblocks):
-            self.cache.insert(lbn + i, stored.slice(i * bs, bs))
+            block_payload = self._storable(stored.slice(i * bs, bs), lbn + i)
+            if block_payload is not None:
+                self.cache.insert(lbn + i, block_payload)
+
+    def _storable(self, block_payload: Payload, lbn: int
+                  ) -> Optional[Payload]:
+        """The block as the FS cache stores it at ``lbn``; ``None`` if
+        its NCache chunk is gone (see :attr:`lbn_annotator`)."""
+        if self.lbn_annotator is None:
+            return block_payload
+        return self.lbn_annotator(block_payload, lbn)
+
+    def _leaving(self, payload: Payload) -> Optional[Payload]:
+        """A reply's or flush's payload as it leaves the cache: under
+        NCache the chunks behind its keys are pinned until the TX hook
+        substitutes them; ``None`` if one of them is gone."""
+        if self.pin_keys is None:
+            return payload
+        return self.pin_keys(payload)

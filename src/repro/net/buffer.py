@@ -298,6 +298,15 @@ class CompositePayload(Payload):
         self._starts = starts
         return self
 
+    def replacing(self, index: int, part: Payload) -> "CompositePayload":
+        """This payload with part ``index`` swapped for ``part``, which
+        must have the same length: the part offsets are shared."""
+        new = object.__new__(CompositePayload)
+        new.length = self.length
+        new.parts = self.parts[:index] + (part,) + self.parts[index + 1:]
+        new._starts = self._starts
+        return new
+
     def materialize(self) -> bytes:
         return b"".join(p.materialize() for p in self.parts)
 

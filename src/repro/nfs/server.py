@@ -23,13 +23,12 @@ Table 1: "NFS/Web server daemon: None").
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Generator, Optional, Tuple
+from typing import Any, Generator, Optional
 
 from ..copymodel.accounting import CopyDiscipline
 from ..fs.vfs import VFS
 from ..net.addresses import NFS_PORT
-from ..net.buffer import (BytesPayload, JunkPayload, Payload, concat,
-                          flatten_payload)
+from ..net.buffer import BytesPayload, JunkPayload, Payload
 from ..net.host import Host
 from ..net.network import Datagram
 from ..sim.engine import Event, SimulationError
@@ -46,18 +45,21 @@ from .protocol import (
 )
 
 
+#: The procedures whose replies the DRC remembers: those that must not
+#: run twice (knfsd's ``RC_REPLSTAT``).  A retransmitted READ, like every
+#: other call, is executed again (``RC_NOCACHE``).
+REPLAYED_PROCS = frozenset({NfsProc.WRITE, NfsProc.SETATTR, NfsProc.CREATE,
+                            NfsProc.REMOVE})
+
+
 class DuplicateRequestCache:
     """The knfsd duplicate-request cache (DRC).
 
     NFS over UDP relies on client retransmission; a retransmitted call
     whose original was already executed must not run twice (WRITE would
-    be reapplied after newer writes).  The DRC remembers recently-served
-    (client, xid) pairs with enough of the reply to resend it: the reply
-    and the leaf payloads of its data — under NCache, keys rather than
-    bytes, which the TX hook substitutes again on the replay.
-
-    Unlike knfsd, which marks READ ``RC_NOCACHE`` and re-executes a
-    retransmitted READ, READ replies are remembered and replayed too.
+    be reapplied after newer writes).  The DRC remembers the replies of
+    recently-served (client, xid) pairs of :data:`REPLAYED_PROCS` — none
+    of them carries data — and resends them.
     """
 
     def __init__(self, capacity: int = 2048) -> None:
@@ -65,7 +67,7 @@ class DuplicateRequestCache:
         # The DRC is bounded-FIFO protocol replay state (RFC 1813 / knfsd
         # behavior), not a block-recency cache: entries age out strictly
         # by arrival order and a lookup must NOT refresh them.
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, NfsReply]" = OrderedDict()
         #: requests currently executing: duplicates arriving meanwhile are
         #: dropped (the client's next retransmission finds the reply).
         self.in_progress: set = set()
@@ -73,21 +75,12 @@ class DuplicateRequestCache:
     def key(self, dgram: Datagram) -> tuple:
         return (dgram.src.ip, dgram.src.port, dgram.message.xid)
 
-    def lookup(self, dgram: Datagram
-               ) -> Optional[Tuple[NfsReply, Payload, bool]]:
-        """``(reply, data, is_metadata)`` as remembered, or None."""
-        entry = self._entries.get(self.key(dgram))
-        if entry is None:
-            return None
-        reply, leaves, is_metadata = entry
-        return reply, concat(leaves), is_metadata
+    def lookup(self, dgram: Datagram) -> Optional[NfsReply]:
+        """The remembered reply, or None."""
+        return self._entries.get(self.key(dgram))
 
-    def remember(self, dgram: Datagram, reply: NfsReply, data: Payload,
-                 is_metadata: bool) -> None:
-        # The leaves, not the payload: a composite's part list is all a
-        # replay needs, and concat() rebuilds the same leaf sequence.
-        self._entries[self.key(dgram)] = (
-            reply, flatten_payload(data), is_metadata)
+    def remember(self, dgram: Datagram, reply: NfsReply) -> None:
+        self._entries[self.key(dgram)] = reply
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
@@ -159,10 +152,8 @@ class NfsServer:
         cached = self.drc.lookup(dgram)
         if cached is not None:
             # Retransmitted request: replay the reply, never re-execute.
-            reply, data, is_metadata = cached
             self.host.counters.add("nfs.drc_hit")
-            yield from self._reply(dgram, reply, data=data,
-                                   is_metadata=is_metadata, remember=False)
+            yield from self._reply(dgram, cached, remember=False)
             return
         key = self.drc.key(dgram)
         if key in self.drc.in_progress:
@@ -213,8 +204,8 @@ class NfsServer:
         yield from self.host.acct.compute(
             self.host.costs.rpc_ns, "rpc.encode")
         data = data if data is not None else BytesPayload(b"")
-        if remember:
-            self.drc.remember(dgram, reply, data, is_metadata)
+        if remember and reply.proc in REPLAYED_PROCS:
+            self.drc.remember(dgram, reply)
         yield from self.host.stack.udp_send(
             src_ip=dgram.dst.ip, src_port=self.port, dst=dgram.src,
             message=reply, data=data,

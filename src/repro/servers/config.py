@@ -102,8 +102,6 @@ class TestbedConfig:
     #: turns on the GhostGradient feedback controller.
     arbiter: ArbiterSpec = field(default_factory=ArbiterSpec)
 
-    #: strict NCache substitution (raise on miss) — used by tests.
-    ncache_strict: bool = False
     #: ablation A1: inherit checksums on substituted packets.
     ncache_inherit_checksums: bool = True
     #: ablation A3: FHO→LBN remapping on buffer-cache flush.

@@ -135,7 +135,6 @@ class BaseTestbed:
             self.ncache = attach_ncache(
                 self.server_host, self.vfs, self.initiator,
                 capacity_bytes=config.ncache_capacity_bytes,
-                strict=config.ncache_strict,
                 inherit_checksums=config.ncache_inherit_checksums,
                 enable_remap=config.ncache_enable_remap,
                 policy=config.cache_policy)

@@ -24,24 +24,17 @@ from repro.sim import Simulator
 
 @pytest.fixture(autouse=True)
 def _buffer_sanitizer():
-    """Run every test under the buffer-lifecycle sanitizer.
+    """Run every test under its own buffer-lifecycle sanitizer.
 
-    Hard violations (double substitution, FS/NCache aliasing) are always
-    bugs and fail the test.  Soft kinds (leak, use-after-evict) are
-    tolerated here because modelled races and fragmentary unit setups can
-    legitimately produce them; dedicated tests assert them explicitly.
-    Under ``REPRO_SANITIZE=1`` every kind raises at the call site.
+    Every violation raises at the call that commits it; a test that
+    plants one opens a scope of its own (``sanitize()``) and asserts the
+    raise.  Teardown also fails the test on a violation whose raise was
+    swallowed on the way out.
     """
-    # REPRO_SANITIZE=1 armed one strict sanitizer at import.  Tests must
-    # not share it (one test's deliberately leaked chunk would fail a
-    # later test's sim_ended sweep): each gets its own, just as strict.
-    armed = _sanitizer.active()
-    with _sanitizer.sanitize(
-            strict=armed is not None and armed.strict) as san:
+    with _sanitizer.sanitize() as san:
         yield san
-    hard = san.hard_violations()
-    assert not hard, "buffer sanitizer: " + "; ".join(
-        v.format() for v in hard)
+    assert not san.violations, "buffer sanitizer: " + "; ".join(
+        v.format() for v in san.violations)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 Every test provokes its violation through the real instrumented code
 paths (NCacheStore insert/evict/remap, Chunk.pin, BufferCache.insert,
 Simulator.run) inside a scoped ``sanitize()`` so the suite-wide guard in
-conftest.py never sees the deliberately-broken lifecycles.
+conftest.py never sees the deliberately-broken lifecycles.  Every
+violation raises :class:`SanitizerError` at the call that commits it.
 """
 
 import pytest
@@ -53,9 +54,9 @@ class TestLeak:
             chunk = make_chunk(FhoKey(1, 1, 0), dirty=True)
             store.insert(chunk)
             store.drop(chunk)
-            leaks = san.check_leaks()
-        assert [v.kind for v in leaks] == [ViolationKind.LEAK]
-        assert "never written back" in leaks[0].message
+            with pytest.raises(SanitizerError, match="never written back"):
+                san.check_leaks()
+        assert [v.kind for v in san.violations] == [ViolationKind.LEAK]
 
     def test_writeback_clears_the_pending_leak(self):
         with sanitize() as san:
@@ -64,7 +65,8 @@ class TestLeak:
             store.insert(chunk)
             store.drop(chunk)
             san.chunk_written_back(chunk)
-            assert san.check_leaks() == []
+            san.check_leaks()
+            assert san.violations == []
 
     def test_chunk_pinned_at_simulation_end_is_a_leak(self):
         with sanitize() as san:
@@ -72,9 +74,9 @@ class TestLeak:
             chunk = make_chunk(LbnKey(0, 7))
             store.insert(chunk)
             chunk.pin()
-            leaks = san.check_leaks()
-        assert [v.kind for v in leaks] == [ViolationKind.LEAK]
-        assert "pinned" in leaks[0].message
+            with pytest.raises(SanitizerError, match="pinned"):
+                san.check_leaks()
+        assert [v.kind for v in san.violations] == [ViolationKind.LEAK]
 
     def test_sim_run_drain_triggers_the_sweep(self):
         with sanitize() as san:
@@ -86,7 +88,8 @@ class TestLeak:
             # Only a cancelled timer is left after the drop: draining it
             # ends the simulation once, with the clock where it was.
             sim.call_later(5.0, store.drop, chunk).cancel()
-            sim.run()
+            with pytest.raises(SanitizerError, match="leak"):
+                sim.run()
             assert len(san.of_kind(ViolationKind.LEAK)) == 1
             assert sim.now == 1.0
 
@@ -96,7 +99,7 @@ class TestLeak:
             chunk = make_chunk(LbnKey(0, 1))
             store.insert(chunk)
             store.drop(chunk)
-            assert san.check_leaks() == []
+            san.check_leaks()
             assert san.violations == []
 
 
@@ -105,29 +108,24 @@ class TestDoubleSubstitution:
         with sanitize() as san:
             dgram = make_dgram()
             san.reply_substituted(dgram)
-            san.reply_substituted(dgram)
+            with pytest.raises(SanitizerError):
+                san.reply_substituted(dgram)
         assert [v.kind for v in san.violations] == \
             [ViolationKind.DOUBLE_SUBSTITUTION]
+
+    def test_strict_mode_raises_at_the_call_site(self):
+        # Strict is the only mode: a bare BufferSanitizer raises too.
+        san = BufferSanitizer()
+        dgram = make_dgram()
+        san.reply_substituted(dgram)
+        with pytest.raises(SanitizerError, match="substituted twice"):
+            san.reply_substituted(dgram)
 
     def test_distinct_replies_are_fine(self):
         with sanitize() as san:
             san.reply_substituted(make_dgram())
             san.reply_substituted(make_dgram())
             assert san.violations == []
-
-    def test_it_is_a_hard_violation(self):
-        san = BufferSanitizer()
-        dgram = make_dgram()
-        san.reply_substituted(dgram)
-        san.reply_substituted(dgram)
-        assert san.hard_violations()
-
-    def test_strict_mode_raises_at_the_call_site(self):
-        with sanitize(strict=True) as san:
-            dgram = make_dgram()
-            san.reply_substituted(dgram)
-            with pytest.raises(SanitizerError):
-                san.reply_substituted(dgram)
 
 
 class TestUseAfterEvict:
@@ -137,57 +135,20 @@ class TestUseAfterEvict:
             chunk = make_chunk(LbnKey(0, 3))
             store.insert(chunk)
             store.drop(chunk)
-            chunk.pin()  # instrumented: Chunk.pin -> chunk_used
-        found = san.of_kind(ViolationKind.USE_AFTER_EVICT)
-        assert found and "pin" in found[0].message
-
-    def test_substitution_miss_on_an_evicted_key_fires(self):
-        # The dangling-key race the store's reclaim listeners exist to
-        # prevent: the FS page still holds the key of a reclaimed chunk.
-        with sanitize() as san:
-            store = make_store()
-            key = LbnKey(0, 5)
-            store.insert(make_chunk(key))
-            store.drop(store.peek_lbn(key))
-            san.substitute_miss(None, key)
-        found = san.of_kind(ViolationKind.USE_AFTER_EVICT)
-        assert found and "junk served" in found[0].message
-
-    def test_reinsert_makes_the_key_live_again(self):
-        with sanitize() as san:
-            store = make_store()
-            key = LbnKey(0, 5)
-            first = make_chunk(key, tag=1)
-            store.insert(first)
-            store.drop(first)
-            store.insert(make_chunk(key, tag=2))
-            san.substitute_miss(None, key)
-            assert san.violations == []
-
-    def test_remap_revives_the_lbn_key(self):
-        # remap overwrites a stale LBN entry; the reclaim of the stale
-        # chunk must not poison the key the remapped chunk now lives under.
-        with sanitize() as san:
-            store = make_store()
-            lbn_key = LbnKey(0, 9)
-            fho_key = FhoKey(4, 1, 0)
-            store.insert(make_chunk(lbn_key, tag=1))
-            store.insert(make_chunk(fho_key, tag=2, dirty=True))
-            remapped = store.remap(fho_key, lbn_key)
-            assert remapped is not None
-            san.substitute_miss(fho_key, lbn_key)
-            # fho_key moved away but the data is reachable under lbn_key;
-            # only a *reclaimed* key counts as dangling.
-            assert san.of_kind(ViolationKind.USE_AFTER_EVICT) == []
+            with pytest.raises(SanitizerError, match="pin touched"):
+                chunk.pin()  # instrumented: Chunk.pin -> chunk_used
+        assert [v.kind for v in san.violations] == \
+            [ViolationKind.USE_AFTER_EVICT]
 
     def test_remap_of_an_evicted_chunk_fires(self):
         with sanitize() as san:
             chunk = make_chunk(FhoKey(5, 1, 0), dirty=True)
             san.chunk_cached(chunk)
             san.chunk_evicted(chunk)
-            san.chunk_remapped(chunk, chunk.key)
-        found = san.of_kind(ViolationKind.USE_AFTER_EVICT)
-        assert found and "remap" in found[0].message
+            with pytest.raises(SanitizerError, match="remap of an evicted"):
+                san.chunk_remapped(chunk, chunk.key)
+        assert [v.kind for v in san.violations] == \
+            [ViolationKind.USE_AFTER_EVICT]
 
 
 class TestAliasing:
@@ -199,10 +160,9 @@ class TestAliasing:
                                      [NetBuffer(payload=payload)])
             store.insert(chunk)
             cache = BufferCache(1 << 20)
-            cache.insert(11, payload)  # double-buffering: the bug §3.2 bans
-        found = san.of_kind(ViolationKind.ALIASING)
-        assert found and "aliases" in found[0].message
-        assert san.hard_violations()
+            with pytest.raises(SanitizerError, match="aliases"):
+                cache.insert(11, payload)  # double-buffering: §3.2 bans it
+        assert [v.kind for v in san.violations] == [ViolationKind.ALIASING]
 
     def test_key_sized_page_is_fine(self):
         from repro.core import KeyedPayload
@@ -259,8 +219,9 @@ class TestCompactChunks:
             chunk = self.compact(FhoKey(1, 1, 0), dirty=True)
             store.insert(chunk)
             store.drop(chunk)
-            leaks = san.check_leaks()
-        assert [v.kind for v in leaks] == [ViolationKind.LEAK]
+            with pytest.raises(SanitizerError, match="leak"):
+                san.check_leaks()
+        assert [v.kind for v in san.violations] == [ViolationKind.LEAK]
         assert chunk.peek_buffers() is None
 
     def test_use_after_evict(self):
@@ -269,36 +230,34 @@ class TestCompactChunks:
             chunk = self.compact(LbnKey(0, 3))
             store.insert(chunk)
             store.drop(chunk)
-            chunk.pin()
-            san.substitute_miss(None, LbnKey(0, 3))
-            san.chunk_remapped(chunk, chunk.key)
-        messages = [v.message for v in
-                    san.of_kind(ViolationKind.USE_AFTER_EVICT)]
-        assert len(messages) == 3
+            with pytest.raises(SanitizerError, match="use-after-evict"):
+                chunk.pin()
+            with pytest.raises(SanitizerError, match="use-after-evict"):
+                san.chunk_remapped(chunk, chunk.key)
+        assert len(san.of_kind(ViolationKind.USE_AFTER_EVICT)) == 2
         assert chunk.peek_buffers() is None
 
     def test_fs_page_holding_its_payload_is_aliasing(self):
-        with sanitize() as san:
+        with sanitize():
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
             chunk = self.compact(LbnKey(0, 11), payload)
             store.insert(chunk)
-            BufferCache(1 << 20).insert(11, payload)
-        found = san.of_kind(ViolationKind.ALIASING)
-        assert found and "aliases" in found[0].message
+            with pytest.raises(SanitizerError, match="aliases"):
+                BufferCache(1 << 20).insert(11, payload)
         assert chunk.peek_buffers() is None
 
     def test_fs_page_viewing_its_copied_memory_is_aliasing(self):
         # The new case: no buffer views exist to compare against, so the
         # mem identity must be read off the merged descriptor itself.
-        with sanitize() as san:
+        with sanitize():
             store = make_store()
             copied = VirtualPayload(7, 0, 4096).physical_copy()
             chunk = self.compact(LbnKey(0, 11), copied)
             store.insert(chunk)
-            BufferCache(1 << 20).insert(11, copied.slice(0, 1024))
-        found = san.of_kind(ViolationKind.ALIASING)
-        assert found and "view of buffer memory" in found[0].message
+            with pytest.raises(SanitizerError,
+                               match="view of buffer memory"):
+                BufferCache(1 << 20).insert(11, copied.slice(0, 1024))
         assert chunk.peek_buffers() is None
 
     def test_still_owned_after_an_observer_built_the_list(self):
@@ -308,7 +267,8 @@ class TestCompactChunks:
             chunk = self.compact(LbnKey(0, 11), payload)
             store.insert(chunk)
             assert len(chunk.buffers) == 3  # e.g. a partial substitution
-            BufferCache(1 << 20).insert(11, payload)
+            with pytest.raises(SanitizerError, match="aliases"):
+                BufferCache(1 << 20).insert(11, payload)
         assert san.of_kind(ViolationKind.ALIASING)
 
     def test_evicted_payload_may_be_cached(self):
@@ -339,12 +299,14 @@ class TestStateTracking:
 
     def test_report_and_raise(self):
         san = BufferSanitizer()
-        dgram = make_dgram()
-        san.reply_substituted(dgram)
-        san.reply_substituted(dgram)
-        assert "double-substitution" in san.report()
-        with pytest.raises(SanitizerError):
-            san.raise_if_violations()
+        chunk = make_chunk(LbnKey(0, 4))
+        san.chunk_cached(chunk)
+        san.chunk_evicted(chunk)
+        with pytest.raises(SanitizerError) as raised:
+            san.chunk_used(chunk, "substitute")
+        assert str(raised.value) == san.violations[0].format() == \
+            "san.use-after-evict [lbn(0,4)]: substitute touched a " \
+            "reclaimed chunk"
 
 
 class TestActivation:
@@ -352,13 +314,13 @@ class TestActivation:
         previous = disable()
         try:
             assert active() is None
-            san = enable(strict=False)
+            san = enable()
             assert active() is san
             assert disable() is san
             assert active() is None
         finally:
             if previous is not None:
-                enable(strict=previous.strict)
+                enable()
 
     def test_hooks_are_noops_without_a_sanitizer(self):
         previous = disable()
@@ -370,7 +332,7 @@ class TestActivation:
             chunk.pin()  # would be use-after-evict under a sanitizer
         finally:
             if previous is not None:
-                enable(strict=previous.strict)
+                enable()
 
     def test_sanitize_restores_the_previous_sanitizer(self):
         outer = active()

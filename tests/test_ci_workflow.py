@@ -25,3 +25,7 @@ def test_workflow_parses(path):
             assert isinstance(step.get("name", ""), str), (job_id, step)
             # The tree's invariants are tests; there is no linter to run.
             assert "repro.check" not in step.get("run", ""), (job_id, step)
+            # The sanitizer has one mode, armed in every test: no step
+            # runs a second, stricter pass.
+            assert "REPRO_SANITIZE" not in step.get("run", ""), (job_id, step)
+            assert "REPRO_SANITIZE" not in step.get("env", {}), (job_id, step)

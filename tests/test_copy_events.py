@@ -56,8 +56,8 @@ def _nfs(mode, fs_blocks=None):
     overrides = {}
     if fs_blocks and mode is ServerMode.NCACHE:
         overrides["ncache_fs_cache_bytes"] = fs_blocks * BLOCK_SIZE
-    testbed = TestbedSpec.nfs(mode, ncache_strict=True,
-                              flush_interval_s=None, **overrides).build()
+    testbed = TestbedSpec.nfs(mode, flush_interval_s=None,
+                              **overrides).build()
     if fs_blocks and mode is not ServerMode.NCACHE:
         testbed.cache.capacity_bytes = fs_blocks * BLOCK_SIZE
     testbed.image.create_file("f", 256 * BLOCK_SIZE)
@@ -100,8 +100,7 @@ class TestEventsMatchCounters:
             is (mode is ServerMode.NCACHE)
 
     def test_khttpd_paths(self, mode, seed):
-        testbed = TestbedSpec.web(mode, ncache_strict=True,
-                                  connections_per_client=1).build()
+        testbed = TestbedSpec.web(mode, connections_per_client=1).build()
         testbed.image.create_file(
             "page", random.Random(seed).randint(1, 200_000))
         testbed.setup()
@@ -186,8 +185,7 @@ class TestTracingDoesNotPerturb:
 
     @staticmethod
     def _run(mode, enabled):
-        testbed = TestbedSpec.nfs(mode, ncache_strict=True,
-                                  flush_interval_s=None).build()
+        testbed = TestbedSpec.nfs(mode, flush_interval_s=None).build()
         if enabled:
             testbed.sim.trace.enable()
         testbed.image.create_file("t2file", 16 << 20)

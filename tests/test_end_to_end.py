@@ -25,11 +25,8 @@ FILE_BLOCKS = 64
 
 
 def build(mode: ServerMode, **overrides) -> NfsTestbed:
-    defaults = dict(mode=mode)
-    if mode is ServerMode.NCACHE:
-        defaults["ncache_strict"] = True
-    defaults.update(overrides)
-    testbed = TestbedSpec.nfs(flush_interval_s=None, **defaults).build()
+    testbed = TestbedSpec.nfs(mode=mode, flush_interval_s=None,
+                              **overrides).build()
     testbed.image.create_file("e2e", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed

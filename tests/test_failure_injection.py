@@ -73,7 +73,7 @@ class TestIscsiFailures:
 
 class TestStrictSubstitution:
     def test_strict_mode_raises_on_dangling_key(self):
-        testbed = build(mode=ServerMode.NCACHE, ncache_strict=True)
+        testbed = build(mode=ServerMode.NCACHE)
         fh = testbed.file_handle("f")
         inode = testbed.image.lookup("f")
         from repro.core.keys import KeyedPayload
@@ -91,7 +91,7 @@ class TestStrictSubstitution:
             yield from testbed.clients[0].read(fh, 0, BLOCK_SIZE)
 
         proc = start(testbed.sim, scenario())
-        with pytest.raises(SimulationError, match="substitution miss"):
+        with pytest.raises(SimulationError, match="dangling key"):
             run_until_complete(testbed.sim, proc)
 
 

@@ -12,11 +12,8 @@ from repro.sim.process import start
 
 
 def build(mode=ServerMode.ORIGINAL, **overrides):
-    defaults = dict(mode=mode)
-    if mode is ServerMode.NCACHE:
-        defaults["ncache_strict"] = True
-    defaults.update(overrides)
-    testbed = TestbedSpec.nfs(flush_interval_s=None, **defaults).build()
+    testbed = TestbedSpec.nfs(mode=mode, flush_interval_s=None,
+                              **overrides).build()
     testbed.image.create_file("life.bin", 16 * BLOCK_SIZE)
     testbed.setup()
     return testbed

@@ -19,9 +19,7 @@ class TestMbufFlavorEndToEnd:
     """
 
     def build(self, mode):
-        testbed = TestbedSpec.nfs(
-            mode, ncache_strict=(mode is ServerMode.NCACHE),
-            flush_interval_s=None).build()
+        testbed = TestbedSpec.nfs(mode, flush_interval_s=None).build()
         for host in testbed.all_hosts():
             host.buffer_flavor = BufferFlavor.MBUF
         testbed.image.create_file("bsd.bin", 4 << 20)

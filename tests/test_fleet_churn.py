@@ -109,6 +109,9 @@ class TestCrashUnderLoad:
         out["outage_stats"] = fleet.churn_stats()
         fleet.rejoin(1)
         out["used_at_rejoin"] = store.used_bytes
+        out["pinned_at_rejoin"] = sum(
+            c.footprint(store.per_buffer_overhead, store.per_chunk_overhead)
+            for c in store.chunks() if c.pinned)
         ghost_mark = ghost.value
         sim.run(until=0.23)
         out["ghost_early"] = ghost.value - ghost_mark
@@ -129,7 +132,8 @@ class TestCrashUnderLoad:
         assert run["failed_streams"] == 0
 
     def test_cold_restart_occupancy_rises_from_zero(self, run):
-        assert run["used_at_rejoin"] == 0
+        # The restart keeps exactly the chunks an in-flight reply pins.
+        assert run["used_at_rejoin"] == run["pinned_at_rejoin"]
         assert run["used_end"] > run["used_mid"] > 0
 
     def test_ghost_hits_spike_then_decay(self, run):

@@ -137,7 +137,7 @@ class TestKHttpd:
         assert lengths == [70_000, 5000]
 
     def test_ncache_mode_serves_real_bytes(self):
-        testbed = make_testbed(mode=ServerMode.NCACHE, ncache_strict=True)
+        testbed = make_testbed(mode=ServerMode.NCACHE)
         inode = testbed.image.lookup("index.html")
 
         def scenario():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.check.sanitizer import ViolationKind, sanitize
-from repro.core import FhoKey, KeyedPayload, LbnKey
+from repro.core import Chunk, FhoKey, KeyedPayload, LbnKey
 from repro.core.ncache import coalesce_keyed
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import (BytesPayload, VirtualPayload, concat,
@@ -15,8 +14,8 @@ from repro.sim.process import start
 
 
 def ncache_testbed(**overrides):
-    testbed = TestbedSpec.nfs(ServerMode.NCACHE, ncache_strict=True,
-                              flush_interval_s=None, **overrides).build()
+    testbed = TestbedSpec.nfs(ServerMode.NCACHE, flush_interval_s=None,
+                              **overrides).build()
     testbed.image.create_file("file", 32 << 20)
     testbed.setup()
     return testbed
@@ -163,36 +162,6 @@ class TestSubstitution:
         # merged into the first + the rest: 3 frames.
         assert dgram.n_frames == 3
 
-    def test_substitution_miss_nonstrict_serves_junk(self):
-        testbed = TestbedSpec.nfs(ServerMode.NCACHE, ncache_strict=False,
-                                  flush_interval_s=None).build()
-        testbed.image.create_file("file", 1 << 20)
-        testbed.setup()
-        fh = testbed.file_handle("file")
-        inode = testbed.image.lookup("file")
-
-        def scenario():
-            yield from testbed.clients[0].read(fh, 0, 4096)
-            # Sabotage: drop the chunk but leave the FS-cache page keyed.
-            store = testbed.ncache.store
-            chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(0)))
-            store.drop(chunk)
-            testbed.cache.insert(
-                inode.block_lbn(0),
-                KeyedPayload(BLOCK_SIZE,
-                             lbn_key=LbnKey(0, inode.block_lbn(0))))
-            return (yield from testbed.clients[0].read(fh, 0, 4096))
-
-        # The non-strict contract, sanitizer included: the dangling key
-        # is recorded (soft) and junk is served, even under REPRO_SANITIZE.
-        with sanitize(strict=False) as san:
-            dgram = run_scenario(testbed, scenario())
-        assert [v.kind for v in san.violations] == \
-            [ViolationKind.USE_AFTER_EVICT]
-        assert testbed.server_host.counters[
-            "ncache.substitute_miss"].value >= 1
-        assert read_reply_data(dgram).length == 4096
-
 
 class TestRemapping:
     def test_flush_remaps_and_substitutes(self):
@@ -303,10 +272,28 @@ class TestAnnotator:
     def test_annotator_stamps_lbn(self):
         testbed = ncache_testbed()
         module = testbed.ncache
-        keyed = KeyedPayload(BLOCK_SIZE, fho_key=FhoKey(1, 1, 0))
+        key = FhoKey(1, 1, 0)
+        module.store.insert(Chunk.from_payload(
+            key, VirtualPayload(5, 0, BLOCK_SIZE), 1448, dirty=True))
+        keyed = KeyedPayload(BLOCK_SIZE, fho_key=key)
         stamped = module.lbn_annotator(keyed, 4242)
         assert stamped.lbn_key == LbnKey(0, 4242)
-        assert stamped.fho_key == FhoKey(1, 1, 0)
+        assert stamped.fho_key == key
+
+    def test_annotator_refuses_a_block_whose_chunk_is_gone(self):
+        """A written block stands for its FHO chunk, even when an LBN
+        chunk for the block is cached: once the FHO chunk is gone its
+        bytes were written back, and the LBN chunk may be older."""
+        testbed = ncache_testbed()
+        module = testbed.ncache
+        module.store.insert(Chunk.from_payload(
+            LbnKey(0, 4242), VirtualPayload(5, 0, BLOCK_SIZE), 1448))
+        written = KeyedPayload(BLOCK_SIZE, fho_key=FhoKey(1, 1, 0))
+        assert module.lbn_annotator(written, 4242) is None
+        filled = KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, 4242))
+        assert module.lbn_annotator(filled, 4242) is filled
+        assert module.lbn_annotator(
+            KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, 7)), 7) is None
 
     def test_annotator_ignores_plain_payloads(self):
         testbed = ncache_testbed()
@@ -332,3 +319,71 @@ class TestReclaimCoherence:
         assert testbed.cache.peek(lbn) is None
         assert testbed.server_host.counters[
             "ncache.fs_page_invalidated"].value == 1
+
+
+class TestDepartingKeysResolve:
+    """The two windows in which a key used to dangle by the time its
+    reply or flush reached the TX hook, each opened on purpose."""
+
+    @staticmethod
+    def evict_before_the_page_goes_in(testbed):
+        """The next ``_evict_for`` — which a fill and a WRITE run after
+        the RX hook cached their chunks, before the page insert — first
+        evicts the whole store, writing dirty chunks back."""
+        vfs, module = testbed.vfs, testbed.ncache
+        store, inner = module.store, vfs._evict_for
+
+        def evict_for(nblocks):
+            vfs._evict_for = inner  # once
+            for victim in store.make_room(store.capacity_bytes):
+                yield from module.write_back_chunk(victim)
+            yield from inner(nblocks)
+        vfs._evict_for = evict_for
+
+    @pytest.mark.parametrize("op", ["fill", "write"])
+    def test_chunk_evicted_before_its_page_is_inserted(self, op):
+        testbed = ncache_testbed()
+        fh = testbed.file_handle("file")
+        inode = testbed.image.lookup("file")
+        client = testbed.clients[0]
+        data = VirtualPayload(61, 0, 2 * BLOCK_SIZE)
+        expected = data.materialize() if op == "write" else \
+            testbed.image.file_payload(inode, 0, 2 * BLOCK_SIZE).materialize()
+        self.evict_before_the_page_goes_in(testbed)
+
+        def scenario():
+            if op == "write":
+                yield from client.write(fh, 0, data)
+            dgram = yield from client.read(fh, 0, 2 * BLOCK_SIZE)
+            yield from testbed.vfs.flush_oldest(64)
+            return dgram
+
+        dgram = run_scenario(testbed, scenario())
+        assert read_reply_data(dgram).materialize() == expected
+        on_disk = b"".join(
+            testbed.disk_store.read_block(inode.block_lbn(b)).materialize()
+            for b in range(2))
+        assert on_disk == expected
+
+    def test_store_emptied_between_read_and_substitution(self):
+        testbed = ncache_testbed()
+        fh = testbed.file_handle("file")
+        inode = testbed.image.lookup("file")
+        store, vfs = testbed.ncache.store, testbed.vfs
+        inner = vfs.read
+
+        def read_then_cold_restart(inode, offset, length):
+            payload = yield from inner(inode, offset, length)
+            store.cold_restart()
+            return payload
+        vfs.read = read_then_cold_restart
+
+        def scenario():
+            yield from testbed.clients[0].read(fh, 0, 8 * BLOCK_SIZE)
+            return (yield from testbed.clients[0].read(fh, 0, 8 * BLOCK_SIZE))
+
+        dgram = run_scenario(testbed, scenario())
+        assert read_reply_data(dgram).materialize() == \
+            testbed.image.file_payload(inode, 0, 8 * BLOCK_SIZE).materialize()
+        assert store.n_chunks == 8  # what the second reply had pinned
+        assert not any(chunk.pinned for chunk in store.chunks())

@@ -3,8 +3,8 @@
 A deliberately tiny network-centric cache forces constant chunk
 reclamation — including of dirty FHO chunks (emergency writeback) — while
 clients keep reading and writing.  The reclaim-coherence machinery
-(FS-page invalidation + refetch) must keep every reply byte-exact, with
-zero substitution misses.
+(FS-page invalidation + refetch) and the pins replies take must keep
+every reply byte-exact; a key that dangles at substitution raises.
 """
 
 import pytest
@@ -36,7 +36,7 @@ def tiny_ncache_testbed(ncache_chunks: int = 24,
         server_kernel_carveout=64 * MB
         - fs_blocks * BLOCK_SIZE - ncache_chunks * chunk_footprint,
         ncache_fs_cache_bytes=fs_blocks * BLOCK_SIZE,
-        ncache_strict=False, flush_interval_s=None).build()
+        flush_interval_s=None).build()
     testbed.image.create_file("press", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed
@@ -87,7 +87,6 @@ class TestEvictionPressure:
         counters = testbed.server_host.counters
         # pressure was real
         assert counters["cache.ncache.evict_clean"].value > 0
-        assert counters["ncache.substitute_miss"].value == 0
 
     def test_dirty_chunk_emergency_writeback(self):
         testbed = tiny_ncache_testbed()
@@ -205,18 +204,16 @@ class TestEvictionPressure:
                     yield from testbed.vfs.flush_oldest(8)
 
         run_scenario(testbed, scenario())
-        assert testbed.server_host.counters[
-            "ncache.substitute_miss"].value == 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "open defect, ROADMAP item 1: a chunk whose key is already in a "
-        "built reply can be evicted before substitution at the NIC, and "
-        "the reply goes out as junk (lru 16, clock 11, slru 26, arc 49)"))
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_no_reply_carries_junk(self, policy):
+        """A dangling key raises at the TX hook, so finishing the run is
+        the check.  Before keyed pages were checked at insert and
+        replies pinned their chunks, lru 16, clock 11, slru 26 and arc
+        49 replies and flushes here carried junk."""
         testbed, _ = sfs_cell(policy)
         assert testbed.server_host.counters[
-            "ncache.substitute_miss"].value == 0
+            "ncache.substituted_replies"].value > 100
 
     @pytest.mark.parametrize("policy", ["arc", "clock"])
     def test_room_taken_during_victim_writeback_is_evicted_again(

@@ -175,7 +175,7 @@ class TestSubstitutionProperty:
 
     @pytest.fixture(scope="class")
     def warm_testbed(self):
-        testbed = TestbedSpec.nfs(ServerMode.NCACHE, ncache_strict=True,
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE,
                                   flush_interval_s=None).build()
         testbed.image.create_file("prop.bin", 64 * BLOCK_SIZE)
         testbed.setup()
