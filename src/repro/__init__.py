@@ -19,9 +19,6 @@ See README.md for the tour, DESIGN.md for the architecture and
 EXPERIMENTS.md for paper-vs-measured results.
 """
 
-# Convenience re-exports (not in __all__, which lists subpackages only).
-from .servers import ServerMode
-
 __version__ = "1.0.0"
 
 __all__ = [

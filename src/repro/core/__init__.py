@@ -1,7 +1,7 @@
 """NCache — the paper's contribution: network-centric buffer caching."""
 
 from .chunk import Chunk, ChunkKey
-from .classifier import PacketClassifier, RxAction, TxAction, TxDecision
+from .classifier import PacketClassifier, RxAction, TxAction
 from .keys import FhoKey, KeyedPayload, LbnKey
 from .ncache import NCacheModule
 from .resize import buffers_for_range, carve_chunks, slice_buffer
@@ -19,7 +19,6 @@ __all__ = [
     "PacketClassifier",
     "RxAction",
     "TxAction",
-    "TxDecision",
     "attach_ncache",
     "buffers_for_range",
     "carve_chunks",

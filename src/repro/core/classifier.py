@@ -16,8 +16,6 @@ different hook:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
 
 from ..http.messages import HttpResponse, find_body_offset
 from ..iscsi.pdu import DataIn, ScsiCommand
@@ -42,14 +40,6 @@ class TxAction(enum.Enum):
     REMAP_AND_SUBSTITUTE = "remap"       # iSCSI write (FS cache flush)
 
 
-@dataclass
-class TxDecision:
-    """TX classification plus where the regular data starts."""
-
-    action: TxAction
-    data_offset: int = 0  # where regular data starts in the stream
-
-
 class PacketClassifier:
     """Stateless protocol-header inspection."""
 
@@ -71,47 +61,41 @@ class PacketClassifier:
             return RxAction.CACHE_DATA_IN
         return RxAction.PASS
 
-    def classify_tx(self, dgram: Datagram) -> TxDecision:
+    def classify_tx(self, dgram: Datagram) -> TxAction:
         message = dgram.message
         if isinstance(message, NfsReply):
             if message.proc is NfsProc.READ and message.ok:
-                return TxDecision(TxAction.SUBSTITUTE, message.header_size)
-            return TxDecision(TxAction.PASS)
+                return TxAction.SUBSTITUTE
+            return TxAction.PASS
         if isinstance(message, HttpResponse):
-            offset = self._http_body_offset(dgram, message)
-            if offset is None:
-                return TxDecision(TxAction.PASS)
-            return TxDecision(TxAction.SUBSTITUTE, offset)
+            if self._http_has_body(dgram, message):
+                return TxAction.SUBSTITUTE
+            return TxAction.PASS
         if isinstance(message, ScsiCommand) and message.is_write \
                 and not message.is_metadata:
-            return TxDecision(TxAction.REMAP_AND_SUBSTITUTE,
-                              message.header_size)
+            return TxAction.REMAP_AND_SUBSTITUTE
         if isinstance(message, PeerFetchReply) and message.hit:
             # Serving a peer probe: swap the keyed placeholders for the
             # cached buffers, zero-copy out of this node's NCache.
-            return TxDecision(TxAction.SUBSTITUTE, message.header_size)
+            return TxAction.SUBSTITUTE
         if isinstance(message, PeerPushCall):
             # Draining on leave: same zero-copy substitution outward.
-            return TxDecision(TxAction.SUBSTITUTE, message.header_size)
-        return TxDecision(TxAction.PASS)
+            return TxAction.SUBSTITUTE
+        return TxAction.PASS
 
     @staticmethod
-    def _http_body_offset(dgram: Datagram,
-                          message: HttpResponse) -> Optional[int]:
-        """Locate the body via the ``\\r\\n\\r\\n`` scan (§3.5).
+    def _http_has_body(dgram: Datagram, message: HttpResponse) -> bool:
+        """Find the body via the ``\\r\\n\\r\\n`` scan (§3.5).
 
         Only the first packet's header region is materialized — it holds
         real header bytes by construction; the body payload is never
         touched by the scan.
         """
         if not message.ok or message.content_length == 0:
-            return None
+            return False
         if not dgram.chain.buffers:
-            return None
+            return False
         first = dgram.chain.buffers[0]
         head_len = min(first.payload_bytes, message.header_size)
         head = first.payload.slice(0, head_len).materialize()
-        offset = find_body_offset(head)
-        if offset < 0:
-            return None
-        return offset
+        return find_body_offset(head) >= 0

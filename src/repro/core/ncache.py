@@ -229,8 +229,8 @@ class NCacheModule:
 
     def tx_hook(self, dgram: Datagram
                 ) -> Generator[Event, Any, Datagram]:
-        decision = self._classifier.classify_tx(dgram)
-        if decision.action is TxAction.PASS:
+        action = self._classifier.classify_tx(dgram)
+        if action is TxAction.PASS:
             return dgram
         # One pass straight off the chain gathers the leaves, finds out
         # whether any is a placeholder and undoes fragment boundaries.
@@ -238,7 +238,7 @@ class NCacheModule:
             flatten_payload(buf.payload) for buf in dgram.chain.buffers))
         if leaves is None:
             return dgram
-        if decision.action is TxAction.REMAP_AND_SUBSTITUTE \
+        if action is TxAction.REMAP_AND_SUBSTITUTE \
                 and self.enable_remap:
             yield from self._remap(dgram, leaves)
         yield from self._substitute(dgram, leaves)

@@ -1,12 +1,13 @@
 """Consistent-hash ring for request routing and block-group placement.
 
 Standard construction: every node contributes ``vnodes`` points on a
-2^64 ring (SHA-256 of a salted label — deterministic across processes,
-unlike Python's randomized ``hash``); a key routes to the first point
-clockwise from its own hash.  ``owners(key, n)`` keeps walking to the
-next *distinct* nodes, which is how a replicated block group names its
-``n`` owner servers.  Adding or removing one node moves only ~1/N of
-the keyspace, the property the fleet's cache placement relies on.
+2^64 ring (:func:`~repro.sim.rng.stable_hash64`, a SHA-256 prefix, of a
+salted label — deterministic across processes, unlike Python's
+randomized ``hash``); a key routes to the first point clockwise from its
+own hash.  ``owners(key, n)`` keeps walking to the next *distinct*
+nodes, which is how a replicated block group names its ``n`` owner
+servers.  Adding or removing one node moves only ~1/N of the keyspace,
+the property the fleet's cache placement relies on.
 
 Membership is mutable: :meth:`add_node` / :meth:`remove_node` insert or
 withdraw one node's points in place.  A node's points depend only on
@@ -19,13 +20,9 @@ bit-for-bit (the rejoin property the churn tests lock down).
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import List, Sequence, Tuple
 
-
-def _hash64(label: str) -> int:
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+from ..sim.rng import stable_hash64
 
 
 class HashRing:
@@ -48,7 +45,7 @@ class HashRing:
         self._reindex()
 
     def _points_for(self, node: int) -> List[Tuple[int, int]]:
-        return [(_hash64(f"{self.seed}/n{node}/v{v}"), node)
+        return [(stable_hash64(f"{self.seed}/n{node}/v{v}"), node)
                 for v in range(self.vnodes)]
 
     def _reindex(self) -> None:
@@ -83,7 +80,7 @@ class HashRing:
             raise ValueError(
                 f"count must be in [1, {len(self.nodes)}], got {count}")
         start = bisect.bisect_right(self._hashes,
-                                    _hash64(f"{self.seed}/k{key}"))
+                                    stable_hash64(f"{self.seed}/k{key}"))
         found: List[int] = []
         for i in range(len(self._owners)):
             node = self._owners[(start + i) % len(self._owners)]

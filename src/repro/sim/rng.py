@@ -7,19 +7,39 @@ never perturbs existing ones — a property the regression tests rely on.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Iterator
+
+# SHA-256 from the interpreter's builtin module, as ``random`` takes
+# ``_sha512``: ``hashlib`` would load OpenSSL's libcrypto (~3.6 MB of
+# resident memory) for a digest the builtin computes bit for bit.
+# (The ignores are for mypy, which sees one branch per target version.)
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:  # Python 3.10 - 3.11
+        from _sha256 import sha256 as _sha256  # type: ignore
+    except ImportError:  # an interpreter built without either
+        from hashlib import sha256 as _sha256  # type: ignore
+
+
+def stable_hash64(text: str) -> int:
+    """The first 8 bytes of ``text``'s SHA-256, big-endian.
+
+    Unlike Python's randomized ``hash`` it is the same in every process,
+    so seeds and ring points derived from it are reproducible.
+    """
+    return int.from_bytes(_sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 def substream(seed: int, *labels: object) -> random.Random:
     """Derive an independent :class:`random.Random` from ``seed`` + labels.
 
-    The derivation hashes the labels, so ``substream(7, "clients", 3)`` is
-    stable across runs and across unrelated code changes.
+    The seed is :func:`stable_hash64` of ``repr((seed,) + labels)``, so
+    ``substream(7, "clients", 3)`` is stable across runs and across
+    unrelated code changes.
     """
-    digest = hashlib.sha256(repr((seed,) + labels).encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(stable_hash64(repr((seed,) + labels)))
 
 
 def zipf_weights(n: int, alpha: float = 1.0) -> list[float]:

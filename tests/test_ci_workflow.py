@@ -1,7 +1,9 @@
 """Every GitHub Actions workflow is valid YAML with at least one job.
 
 A workflow file that fails to parse makes GitHub run none of its jobs,
-so an unquoted ``name: a: b`` would silently switch CI off.
+so an unquoted ``name: a: b`` would silently switch CI off.  The tier-1
+matrix keeps an interpreter on each side of Python 3.12's SHA-256
+module rename.
 """
 
 from __future__ import annotations
@@ -29,3 +31,16 @@ def test_workflow_parses(path):
             # runs a second, stricter pass.
             assert "REPRO_SANITIZE" not in step.get("run", ""), (job_id, step)
             assert "REPRO_SANITIZE" not in step.get("env", {}), (job_id, step)
+
+
+def test_tier1_runs_both_builtin_sha256_branches():
+    """``repro.sim.rng`` takes SHA-256 from ``_sha256`` on 3.10-3.11 and
+    from ``_sha2`` on 3.12 and later; only the tier-1 matrix runs the
+    contract test (``tests/test_stdlib_only.py``) on each branch."""
+    doc = yaml.safe_load(
+        (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+         / "ci.yml").read_text())
+    versions = {str(v) for v in
+                doc["jobs"]["test"]["strategy"]["matrix"]["python-version"]}
+    assert versions & {"3.10", "3.11"}, versions
+    assert "3.12" in versions, versions

@@ -50,30 +50,29 @@ class TestRx:
 class TestTx:
     def test_read_reply_substituted(self):
         reply = NfsReply(1, NfsProc.READ, count=4096)
-        decision = CLS.classify_tx(dgram_for(reply, protocol="udp"))
-        assert decision.action is TxAction.SUBSTITUTE
-        assert decision.data_offset == reply.header_size
+        assert CLS.classify_tx(dgram_for(reply, protocol="udp")) is \
+            TxAction.SUBSTITUTE
 
     def test_failed_read_reply_passes(self):
         reply = NfsReply(1, NfsProc.READ, status=5)
-        assert CLS.classify_tx(dgram_for(reply)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(reply)) is TxAction.PASS
 
     def test_getattr_reply_passes(self):
         reply = NfsReply(1, NfsProc.GETATTR)
-        assert CLS.classify_tx(dgram_for(reply)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(reply)) is TxAction.PASS
 
     def test_iscsi_write_remaps(self):
         command = ScsiCommand("write", 1, 0, 10, 2)
-        decision = CLS.classify_tx(dgram_for(command))
-        assert decision.action is TxAction.REMAP_AND_SUBSTITUTE
+        assert CLS.classify_tx(dgram_for(command)) is \
+            TxAction.REMAP_AND_SUBSTITUTE
 
     def test_iscsi_metadata_write_passes(self):
         command = ScsiCommand("write", 1, 0, 0, 1, is_metadata=True)
-        assert CLS.classify_tx(dgram_for(command)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(command)) is TxAction.PASS
 
     def test_iscsi_read_command_passes(self):
         command = ScsiCommand("read", 1, 0, 0, 1)
-        assert CLS.classify_tx(dgram_for(command)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(command)) is TxAction.PASS
 
 
 class TestHttpScan:
@@ -86,27 +85,25 @@ class TestHttpScan:
         from repro.net.buffer import chain_from_payload
 
         chain = chain_from_payload(concat([BytesPayload(header), body]), 1448)
-        return dgram_for(response, chain), response
+        return dgram_for(response, chain)
 
     def test_body_offset_found_by_pattern(self):
-        dgram, response = self.make_response_dgram()
-        decision = CLS.classify_tx(dgram)
-        assert decision.action is TxAction.SUBSTITUTE
-        assert decision.data_offset == response.header_size
+        assert CLS.classify_tx(self.make_response_dgram()) is \
+            TxAction.SUBSTITUTE
 
     def test_no_terminator_passes(self):
-        dgram, _ = self.make_response_dgram(
+        dgram = self.make_response_dgram(
             header_bytes=b"HTTP/1.1 200 OK\r\nbroken")
-        assert CLS.classify_tx(dgram).action is TxAction.PASS
+        assert CLS.classify_tx(dgram) is TxAction.PASS
 
     def test_404_passes(self):
         response = HttpResponse(status=404, content_length=0)
-        assert CLS.classify_tx(dgram_for(response)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(response)) is TxAction.PASS
 
     def test_empty_body_passes(self):
         response = HttpResponse(status=200, content_length=0)
-        assert CLS.classify_tx(dgram_for(response)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(response)) is TxAction.PASS
 
     def test_empty_chain_passes(self):
         response = HttpResponse(status=200, content_length=100)
-        assert CLS.classify_tx(dgram_for(response)).action is TxAction.PASS
+        assert CLS.classify_tx(dgram_for(response)) is TxAction.PASS
