@@ -330,6 +330,9 @@ class GhostGradient(MemoryArbiter):
                             nbytes=step,
                             src_budget=donor.budget_bytes,
                             dst_budget=recipient.budget_bytes)
+        # A dirty victim comes back resident: written back here, it is
+        # shed with the rest of the overhang at the donor's next
+        # make_room (write back first, then evict clean).
         for item in victims:
             if donor.writeback is None:
                 raise RuntimeError(

@@ -235,15 +235,16 @@ class CacheKernel:
     def make_room(self, nbytes: int, key: Hashable = None,
                   on_evict: Optional[Callable[[Any], None]] = None
                   ) -> List[Any]:
-        """Evict until ``nbytes`` fit; return the dirty victims.
+        """Evict until ``nbytes`` fit; ``[]`` once they do.
 
-        ``on_evict`` runs per victim *before* the next victim is chosen,
-        so consumer-side bookkeeping (indexes, traces, reclaim
+        Write back first, then evict clean (§3.4): a dirty victim stays
+        resident and is returned alone; the caller writes it back and
+        calls again.  ``on_evict`` runs per victim *before* the next is
+        chosen, so consumer-side bookkeeping (indexes, traces, reclaim
         listeners) observes the same intermediate states as the
         pre-kernel eviction loops.  ``key`` is unused (one budget covers
         every key) and kept only for the benchmark, see :meth:`touch`.
         """
-        dirty_victims: List[Any] = []
         policy_evicted = self._policy_evicted
         ghost_admit = self._ghost_admit
         metrics = self.metrics
@@ -251,26 +252,25 @@ class CacheKernel:
             item = self._pick_victim()
             if item is None:
                 self._stall()
+            if item.dirty:
+                metrics.evict_dirty._total += 1
+                return [item]
             if ghost_admit is None or ghost_admit(item):
                 self._used -= policy_evicted(item)[1]
             else:
                 self._used -= self.policy.remove(item)[1]
-            if item.dirty:
-                metrics.evict_dirty._total += 1
-                dirty_victims.append(item)
-            else:
-                metrics.evict_clean._total += 1
+            metrics.evict_clean._total += 1
             if on_evict is not None:
                 on_evict(item)
-        return dirty_victims
+        return []
 
     # -- the budget operation (the §3.4 squeeze protocol) -------------------
 
     def resize(self, new_capacity_bytes: int,
                on_evict: Optional[Callable[[Any], None]] = None
                ) -> List[Any]:
-        """Change the budget, evicting down to it if shrunk; returns the
-        dirty victims exactly like :meth:`make_room`."""
+        """Change the budget, evicting down to it if shrunk; returns a
+        dirty victim exactly like :meth:`make_room`."""
         self.capacity_bytes = new_capacity_bytes
         return self.make_room(0, on_evict=on_evict)
 

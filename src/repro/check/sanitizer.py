@@ -49,7 +49,6 @@ class ChunkState(enum.Enum):
 
     CACHED = "cached"
     EVICTED = "evicted"
-    WRITTEN_BACK = "written_back"
 
 
 class ViolationKind(enum.Enum):
@@ -185,11 +184,10 @@ class BufferSanitizer:
                 self._owned_mems[mem] = owner
 
     def chunk_written_back(self, chunk: Any) -> None:
-        """A dirty victim's bytes reached the writeback path."""
+        """A dirty chunk's bytes reached the writeback path."""
         self._pending_writeback.pop(id(chunk), None)
         record = self._chunks.get(id(chunk))
         if record is not None:
-            record.state = ChunkState.WRITTEN_BACK
             record.dirty = False
 
     def chunk_used(self, chunk: Any, context: str) -> None:

@@ -183,27 +183,28 @@ class NCacheModule:
         store = self.store
         footprint = chunk.footprint(store.per_buffer_overhead,
                                     store.per_chunk_overhead)
-        # Writing back a dirty victim yields, and a concurrent insert can
-        # claim the room it freed: re-evict until the room survives the
-        # writebacks (the VFS._evict_for rule; clean victims never yield).
+        # Write back first, then evict clean (the VFS._evict_for rule).
         while True:
-            for victim in store.make_room(footprint):
-                yield from self._write_back_chunk(victim)
-            if store.fits(chunk, footprint):
+            victims = store.make_room(footprint)
+            if not victims:
                 break
+            for victim in victims:
+                yield from self.write_back_chunk(victim)
+        if isinstance(chunk.key, LbnKey) \
+                and store.peek_lbn(chunk.key) is not None:
+            return  # a Data-In's disk bytes: the resident one is as new
         store.insert(chunk, footprint=footprint)
 
-    def _write_back_chunk(self, chunk: Chunk
-                          ) -> Generator[Event, Any, None]:
-        """Flush a dirty chunk that is being reclaimed (§3.4).
+    def write_back_chunk(self, chunk: Chunk
+                         ) -> Generator[Event, Any, None]:
+        """Write back a dirty chunk before it may be reclaimed (§3.4).
 
-        The target LBN comes from the chunk's remapped key or its hint.
+        As a flush's remap does ("data in the FHO cache is always more
+        up-to-date"), the chunk becomes the clean entry of its LBN (its
+        hint), replacing anything older, pinned until on disk.
         """
         self.counters.add("ncache.writeback")
-        if isinstance(chunk.key, LbnKey):
-            lbn_key: Optional[LbnKey] = chunk.key
-        else:
-            lbn_key = chunk.lbn_hint
+        lbn_key = chunk.lbn_hint
         if lbn_key is None or self.writeback is None:
             raise SimulationError(
                 f"cannot write back dirty chunk {chunk!r}: "
@@ -215,13 +216,15 @@ class NCacheModule:
         # a modelled physical move on the writeback path, charged by the
         # initiator's accountant.
         payload = chunk.payload().physical_copy()
-        yield from self.writeback(lbn_key.lbn, payload)
-
-    def write_back_chunk(self, chunk: Chunk
-                         ) -> Generator[Event, Any, None]:
-        """Flush one evicted dirty chunk (the arbiter's writeback
-        routine for chunks its squeeze dislodges from the store)."""
-        yield from self._write_back_chunk(chunk)
+        if self.enable_remap:
+            self.store.remap(chunk.key, lbn_key)
+        else:
+            chunk.dirty = False
+        chunk.pin()
+        try:
+            yield from self.writeback(lbn_key.lbn, payload)
+        finally:
+            chunk.unpin()
 
     # ------------------------------------------------------------------
     # TX: remap and substitute departing packets

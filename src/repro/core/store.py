@@ -6,8 +6,8 @@ an LBN cache and an FHO cache, because there are two sources of data"
 budget (the pinned network-buffer pool).  Replacement defaults to the
 paper's classic LRU: touch moves a chunk to the tail; reclamation takes
 from the head; clean chunks are freed, dirty chunks are written back
-first (the store hands dirty victims to the caller, which owns the I/O
-path).  Recency/eviction bookkeeping is delegated to the unified
+first (the store hands a dirty victim, still resident, to the caller,
+which owns the I/O path).  Recency/eviction bookkeeping is delegated to the unified
 :mod:`repro.cache` kernel (DESIGN.md §9), which also opens the
 replacement *policy* (``lru``/``clock``/``slru``/``arc``) as an
 experiment axis — with ``policy="lru"`` (the default) behavior is
@@ -156,12 +156,13 @@ class NCacheStore:
 
     def make_room(self, nbytes: int,
                   key: Optional[Union[LbnKey, FhoKey]] = None) -> List[Chunk]:
-        """Evict chunks until ``nbytes`` fit; return dirty victims.
+        """Evict chunks until ``nbytes`` fit, or stop at a dirty victim.
 
-        Pinned chunks are skipped.  Every victim (clean or dirty) is
-        removed from both indexes and announced to reclaim listeners;
-        dirty victims are returned for the caller to write back.
-        ``key`` is unused; it stays because the benchmark passes it.
+        Pinned chunks are skipped.  Every evicted chunk is removed from
+        both indexes and announced to reclaim listeners; a dirty victim
+        is not evicted but returned, still resident, for the caller to
+        write back before it calls again.  ``key`` is unused; it stays
+        because the benchmark passes it.
 
         Raises :class:`~repro.cache.CacheStallError` (a RuntimeError)
         when every resident chunk is pinned.
@@ -170,7 +171,7 @@ class NCacheStore:
 
     def resize(self, new_capacity_bytes: int) -> List[Chunk]:
         """Shrink/grow the byte budget (the §3.4 squeeze protocol);
-        returns dirty victims exactly like :meth:`make_room`."""
+        returns a dirty victim exactly like :meth:`make_room`."""
         return self._kernel.resize(new_capacity_bytes,
                                    on_evict=self._evicted)
 
@@ -209,12 +210,6 @@ class NCacheStore:
             san.chunk_evicted(chunk)
         for listener in self.reclaim_listeners:
             listener(chunk)
-
-    def fits(self, chunk: Chunk, footprint: int) -> bool:
-        """Whether :meth:`insert` would take ``chunk`` at ``footprint``
-        now: free budget plus what the chunk it replaces would free."""
-        index = self._lbn if isinstance(chunk.key, LbnKey) else self._fho
-        return self._fits(footprint, index.get(chunk.key))
 
     def _fits(self, footprint: int, existing: Optional[Chunk]) -> bool:
         freed = self._footprint(existing) if existing is not None else 0

@@ -288,9 +288,8 @@ class Fleet:
                ) -> Generator[Any, Any, None]:
         store = module.store
         for chunk in list(store.chunks()):
-            if chunk.dirty:
-                yield from module._write_back_chunk(chunk)
-                chunk.dirty = False
+            if chunk.dirty and store.peek_fho(chunk.key) is chunk:
+                yield from module.write_back_chunk(chunk)
             if node.client is None:
                 continue  # no peer wiring -> nothing to hand over
             key = chunk.key

@@ -9,9 +9,10 @@ size* (§3.4/§4.1).
 
 Eviction follows the paper: "first clean buffers are reclaimed and then
 dirty buffers are flushed and reclaimed".  The cache itself never performs
-I/O: :meth:`make_room` hands dirty victims back to the caller (the VFS),
-which writes them back through the block device — under NCache that
-writeback is what triggers FHO→LBN *remapping*.
+I/O: :meth:`make_room` hands a dirty victim back, still resident, to the
+caller (the VFS), which writes it back through the block device and
+calls again — under NCache that writeback is what triggers FHO→LBN
+*remapping*.
 
 The cache is a thin adapter over the unified :mod:`repro.cache` eviction
 kernel (DESIGN.md §9): the kernel owns the byte budget, recency order
@@ -155,21 +156,15 @@ class BufferCache:
         """Lookup without recency side effects or hit/miss accounting."""
         return self._entries.get(lbn)
 
-    def has_room(self, nblocks: int = 1) -> bool:
-        """Whether ``nblocks`` more blocks fit without eviction."""
-        return (self._kernel.capacity_bytes
-                - len(self._entries) * self.block_size
-                >= nblocks * self.block_size)
-
     def make_room(self, nblocks: int = 1) -> List[CacheEntry]:
-        """Evict until ``nblocks`` fit; return dirty victims to write back.
+        """Evict until ``nblocks`` fit, or stop at a dirty victim.
 
-        Clean victims are reclaimed silently (coldest first); dirty
-        victims are removed from the cache and returned — the caller must
-        flush them before their memory is considered reusable (the
-        simulation enforces this by having the VFS write them back before
-        inserting).  When every remaining page is pinned the kernel
-        emits ``bcache.evict_stalled`` and raises
+        Clean victims are reclaimed silently (coldest first); a dirty
+        victim stays resident, findable by every lookup, and is returned
+        for the caller to write back before it calls again (write back
+        first, then evict clean).  An empty list means the room is made.
+        When every remaining page is pinned the kernel emits
+        ``bcache.evict_stalled`` and raises
         :class:`~repro.cache.CacheStallError`.
         """
         return self._kernel.make_room(nblocks * self.block_size,
@@ -177,7 +172,7 @@ class BufferCache:
 
     def resize(self, new_capacity_bytes: int) -> List[CacheEntry]:
         """Change the byte budget (the NCache-squeezes-FS-cache side of
-        §3.4); returns dirty victims exactly like :meth:`make_room`."""
+        §3.4); returns a dirty victim exactly like :meth:`make_room`."""
         return self._kernel.resize(new_capacity_bytes,
                                    on_evict=self._evicted)
 
@@ -248,11 +243,6 @@ class BufferCache:
             entries[lbn] = entry
 
     # -- state changes -----------------------------------------------------------
-
-    def mark_clean(self, lbn: int) -> None:
-        entry = self._entries.get(lbn)
-        if entry is not None:
-            entry.dirty = False
 
     def invalidate(self, lbn: int) -> None:
         entry = self._entries.pop(lbn, None)

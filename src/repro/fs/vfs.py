@@ -19,8 +19,10 @@ except metadata, which always moves physically (§3.3).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Protocol
+from typing import (Any, Callable, Dict, Generator, List, Optional, Protocol,
+                    Set, Tuple)
 
+from ..cache import CacheStallError
 from ..copymodel.accounting import CopyDiscipline
 from ..net.buffer import Payload, apply_discipline, concat
 from ..net.host import Host
@@ -66,6 +68,11 @@ class VFS:
         self.lbn_annotator: Optional[
             Callable[[Payload, int], Optional[Payload]]] = None
         self.pin_keys: Optional[Callable[[Payload], Optional[Payload]]] = None
+        #: In-flight fills ``(first lbn, nblocks, claimed)``: a writeback
+        #: starting meanwhile adds its block to ``claimed``.
+        self._fills: Dict[int, Tuple[int, int, Set[int]]] = {}
+        #: Pages under writeback -> the event their bytes on disk fire.
+        self._writing: Dict[CacheEntry, Event] = {}
 
     # ------------------------------------------------------------------
     # Regular data path
@@ -202,7 +209,6 @@ class VFS:
         if entry is None or not entry.dirty:
             return False
         yield from self.write_back_entry(entry)
-        self.cache.mark_clean(lbn)
         return True
 
     def flush_oldest(self, max_blocks: int) -> Generator[Event, Any, int]:
@@ -229,60 +235,80 @@ class VFS:
         entries = []
         for lbn in lbns:
             entry = self.cache.peek(lbn)
-            if entry is not None and entry.dirty:
+            if entry is not None and entry.dirty \
+                    and entry not in self._writing:
                 entries.append(entry)
         if not entries:
             return 0
-        payload = None
-        if len(entries) == len(lbns):
-            payload = self._leaving(concat([e.payload for e in entries]))
-        if payload is None:
+        if len(entries) < len(lbns):
             # A block went clean/evicted meanwhile; fall back per block.
-            count = 0
             for entry in entries:
                 yield from self.write_back_entry(entry)
-                self.cache.mark_clean(entry.lbn)
-                count += 1
-            return count
-        self.cache.counters.add("bcache.writeback", len(entries))
-        yield from self.blockdev.write(lbns[0], payload, is_metadata=False)
-        for entry in entries:
-            self.cache.mark_clean(entry.lbn)
+            return len(entries)
+        yield from self._write_back(entries, lbns[0])
         return len(entries)
 
     def write_back_entry(self, entry: CacheEntry
                          ) -> Generator[Event, Any, None]:
-        """Write one dirty page through the block device.
+        """Write one resident dirty page back (or wait for the writeback
+        in flight); also the arbiter's routine for its squeeze victim."""
+        if self.cache.peek(entry.lbn) is entry and entry.dirty:
+            busy = self._writing.get(entry)
+            if busy is not None:
+                yield busy  # one writeback per page at a time
+            else:
+                yield from self._write_back([entry], entry.lbn)
 
-        Also the arbiter's writeback routine for pages its squeeze
-        dislodges from the buffer cache — under NCache the write path
-        remaps the backing FHO chunk exactly as eviction writeback does.
-        """
-        payload = self._leaving(entry.payload)
+    def _write_back(self, entries: List[CacheEntry], lbn: int
+                    ) -> Generator[Event, Any, None]:
+        """Write resident dirty pages (contiguous from ``lbn``) as one
+        extent.  Each stays resident and page-locked until its bytes are
+        on disk, and is clean then unless it was written meanwhile."""
+        payloads = [e.payload for e in entries]
+        payload = self._leaving(concat(payloads))
         if payload is None:
-            # The page left the cache as one of several eviction victims
-            # and NCache reclaimed its chunk while the earlier ones were
-            # written back: reclaiming a dirty chunk writes it back
-            # (§3.4), so nothing is left to write.
-            return
-        self.cache.counters.add("bcache.writeback")
-        yield from self.blockdev.write(entry.lbn, payload,
-                                       is_metadata=entry.is_metadata)
+            raise SimulationError(
+                f"dangling key in dirty block {lbn} leaving the FS cache")
+        done = self.host.sim.event()
+        for entry in entries:
+            entry.pins += 1
+            self._writing[entry] = done
+            for first, n, claimed in self._fills.values():
+                if first <= entry.lbn < first + n:
+                    claimed.add(entry.lbn)
+        self.cache.counters.add("bcache.writeback", len(entries))
+        try:
+            yield from self.blockdev.write(
+                lbn, payload, is_metadata=entries[0].is_metadata)
+        finally:
+            for entry, written in zip(entries, payloads):
+                entry.pins -= 1
+                del self._writing[entry]
+                if entry.payload is written:
+                    entry.dirty = False
+            done.succeed()
 
     def _evict_for(self, nblocks: int) -> Generator[Event, Any, None]:
-        """Make room, writing back any dirty victims first.
+        """Make room: write back first, then evict clean.
 
-        ``make_room`` frees space synchronously, but writing back a
-        dirty victim yields — a concurrent request can claim the freed
-        slot before our insert runs.  Re-check and re-evict until the
-        room survives the writebacks (clean victims never yield, so the
-        common path is a single pass with no extra events).
+        ``make_room`` hands back a dirty victim still resident, and the
+        next call evicts it once written back.  When every page is
+        locked, some only for their writeback, wait for the oldest to
+        land.  Each call re-checks the room a writeback's yield let a
+        concurrent request take.
         """
         while True:
-            for victim in self.cache.make_room(nblocks):
-                yield from self.write_back_entry(victim)
-            if self.cache.has_room(nblocks):
+            try:
+                victims = self.cache.make_room(nblocks)
+            except CacheStallError:
+                if not self._writing:
+                    raise
+                yield next(iter(self._writing.values()))
+                continue
+            if not victims:
                 return
+            for victim in victims:
+                yield from self.write_back_entry(victim)
 
     # ------------------------------------------------------------------
     # Shared read machinery
@@ -385,17 +411,26 @@ class VFS:
 
     def _fill_blocks(self, inode: Inode, first_block: int, nblocks: int
                      ) -> Generator[Event, Any, None]:
+        """Read ``nblocks`` into the cache, leaving a block resident by
+        then or whose writeback started meanwhile: it is as new."""
         lbn = inode.block_lbn(first_block)
-        yield from self.host.acct.compute(
-            self.host.costs.blockio_ns, "fs.blockio")
-        payload = yield from self.blockdev.read(lbn, nblocks,
-                                                is_metadata=False)
-        yield from self.host.acct.move(
-            self.discipline, payload.length, "cache_fill", nkeys=nblocks)
-        stored = apply_discipline(payload, self.discipline)
+        claimed: Set[int] = set()
+        self._fills[id(claimed)] = (lbn, nblocks, claimed)
+        try:
+            yield from self.host.acct.compute(
+                self.host.costs.blockio_ns, "fs.blockio")
+            payload = yield from self.blockdev.read(lbn, nblocks,
+                                                    is_metadata=False)
+            yield from self.host.acct.move(
+                self.discipline, payload.length, "cache_fill", nkeys=nblocks)
+            stored = apply_discipline(payload, self.discipline)
+            yield from self._evict_for(nblocks)
+        finally:
+            del self._fills[id(claimed)]
         bs = self.block_size
-        yield from self._evict_for(nblocks)
         for i in range(nblocks):
+            if lbn + i in claimed or lbn + i in self.cache:
+                continue
             block_payload = self._storable(stored.slice(i * bs, bs), lbn + i)
             if block_payload is not None:
                 self.cache.insert(lbn + i, block_payload)

@@ -50,10 +50,8 @@ def _stop_run(_event) -> None:
 def run_until_complete(sim: Simulator, process: Process) -> None:
     """Drive the simulator until ``process`` finishes (setup phases).
 
-    Runs the engine's fast ``run()`` loop and stops it from a completion
-    callback — prewarm phases push hundreds of thousands of events, and
-    one ``step()`` call per event (full next-event seek each time) was a
-    measurable slice of every experiment's setup.
+    Runs the engine's one ``run()`` loop and stops it from a completion
+    callback.
     """
     if not process.triggered:
         process.add_callback(_stop_run)

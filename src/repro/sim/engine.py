@@ -15,6 +15,10 @@ and a callback scheduled *at the current time* runs after everything
 already queued for it.  ``tests/test_engine_backends.py`` checks this
 against a reference that shares no code with the heap
 (``tests/minlist_reference.py``: an unsorted list popped by ``min()``).
+The model's correctness must not lean on that FIFO: every entry goes
+through :meth:`Simulator._push`, and the integrity search
+(``tests/content_oracle.py``) overrides it to dispatch same-instant
+events in a seeded random order.
 
 **Timers.**  :meth:`Simulator.call_later` returns a cancellable handle.
 Cancellation is lazy: the heap entry stays until its deadline reaches
@@ -72,8 +76,8 @@ class StopSimulation(BaseException):
     yet dispatched stays scheduled) and returns with the clock at the
     instant of the raising callback.  This is how
     :func:`repro.servers.testbed.run_until_complete` drives a setup phase
-    through the fast ``run()`` loop instead of one ``step()`` call per
-    event: a completion callback on the watched process raises it.
+    through the one ``run()`` loop: a completion callback on the watched
+    process raises it.
 
     Derives from ``BaseException`` so model-level ``except Exception``
     handlers cannot swallow it.
@@ -248,36 +252,6 @@ class Simulator:
 
     # -- execution -------------------------------------------------------
 
-    def _reap(self) -> list[tuple]:
-        """Pop cancelled timers off the top; return the heap."""
-        heap = self._heap
-        while heap and heap[0][2] is None and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        return heap
-
-    def step(self) -> bool:
-        """Execute the single next scheduled callback.
-
-        Returns ``False`` when nothing is pending.
-        """
-        global _dispatch_total
-        heap = self._reap()
-        if not heap:
-            return False
-        when, seq, fn, args = heapq.heappop(heap)
-        if fn is None:
-            fn, args = args._dispatch, ()
-        self.now = when
-        trace = self.trace
-        if trace.engine_events:
-            # Per-dispatch tracing is opt-in: enormous volume, but it makes
-            # the engine's interleaving visible in chrome://tracing.
-            trace.emit("engine.dispatch", cat="engine", t=when, seq=seq,
-                       fn=getattr(fn, "__qualname__", repr(fn)))
-        _dispatch_total += 1
-        fn(*args)
-        return True
-
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains, or until simulated time ``until``.
 
@@ -325,16 +299,6 @@ class Simulator:
         finally:
             self._running = False
             _dispatch_total += dispatched
-
-    def peek(self) -> Optional[float]:
-        """Time of the next scheduled event, or ``None`` if none pending."""
-        heap = self._reap()
-        return heap[0][0] if heap else None
-
-    def pending(self) -> int:
-        """Number of scheduled-but-unexecuted callbacks."""
-        return sum(1 for _when, _seq, fn, args in self._heap
-                   if fn is not None or not args.cancelled)
 
 
 class AnyOf(Event):

@@ -107,14 +107,11 @@ def mini_stack(sim):
 
 def drive(sim: Simulator, gen, name: str = "test"):
     """Run a generator as a process to completion; return its value."""
+    from repro.servers.testbed import run_until_complete
     from repro.sim.process import start
 
     proc = start(sim, gen, name=name)
-    while not proc.triggered:
-        if not sim.step():
-            raise AssertionError("simulation drained before completion")
-    if proc.failed:
-        raise proc.value
+    run_until_complete(sim, proc)
     return proc.value
 
 

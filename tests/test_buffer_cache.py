@@ -87,7 +87,9 @@ class TestEviction:
         fill(cache, [1, 2], dirty=True)
         victims = cache.make_room(1)
         assert [v.lbn for v in victims] == [1]
-        assert 1 not in cache
+        assert 1 in cache  # findable until its bytes are on disk
+        victims[0].dirty = False  # written back
+        assert cache.make_room(1) == [] and 1 not in cache
 
     def test_make_room_multiple_blocks(self):
         cache = cache_of(4)
@@ -110,15 +112,6 @@ class TestDirtyTracking:
         fill(cache, [1, 2, 3], dirty=True)
         cache.lookup(1)
         assert cache.dirty_lbns() == [2, 3, 1]
-
-    def test_mark_clean(self):
-        cache = cache_of(2)
-        fill(cache, [1], dirty=True)
-        cache.mark_clean(1)
-        assert cache.dirty_lbns() == []
-
-    def test_mark_clean_missing_noop(self):
-        cache_of(2).mark_clean(42)
 
     def test_invalidate(self):
         cache = cache_of(2)

@@ -63,9 +63,16 @@ def _program(policy: str, decoys: bool):
     store.reclaim_listeners.append(lambda c: victims.append(c.key))
     pinned: list = []
 
+    def written_back(victims):
+        for chunk in victims:
+            dirty.append(chunk.key)
+            chunk.dirty = False
+        return victims
+
     def admit(chunk):
         made.append(chunk)
-        dirty.extend(c.key for c in store.make_room(FOOTPRINT))
+        while written_back(store.make_room(FOOTPRINT)):
+            pass
         store.insert(chunk)
 
     for step in range(OPS):
@@ -88,8 +95,7 @@ def _program(policy: str, decoys: bool):
                 chunk.pin()
                 pinned.append(chunk)
         else:
-            dirty.extend(c.key for c in store.resize(
-                rng.randrange(4, 11) * FOOTPRINT))
+            written_back(store.resize(rng.randrange(4, 11) * FOOTPRINT))
         orders.append([c.key for c in store.chunks()])
     rank = sorted(range(len(made)), key=lambda i: id(made[i]))
     return (victims, dirty, orders,

@@ -52,6 +52,9 @@ class TestBudget:
         fill(k, "b")
         victims = k.make_room(2)
         assert [v.dirty for v in victims] == [True]
+        assert victims[0] in k  # written back first, evicted after
+        victims[0].dirty = False
+        assert k.make_room(2) == [] and len(k) == 0
 
     def test_insert_tolerates_transient_overshoot(self):
         k = kernel_of(1)
@@ -73,7 +76,9 @@ class TestBudget:
     def test_resize_evicts_like_make_room(self, clean_first, gone,
                                           dirty_gone):
         # Values pinned from the eviction loop resize() used to carry
-        # itself; it now shares make_room's.
+        # itself; it now shares make_room's, write-back-first included:
+        # a dirty victim comes back resident and is evicted, clean, by
+        # the call after its writeback.
         k = kernel_of(8, clean_first=clean_first)
         k.set_ghost_admit(lambda item: item.name != "a")
         kinds = {"b": "dirty", "e": "dirty", "c": "pinned", "g": "both"}
@@ -84,19 +89,30 @@ class TestBudget:
             item.name = name
             k.insert(name, item, 1)
         seen = []
-        victims = k.resize(4, on_evict=lambda item: seen.append(item.name))
+
+        def shed(victims):
+            written = []
+            while victims:
+                written += victims
+                for item in victims:
+                    item.dirty = False  # written back
+                victims = k.make_room(
+                    0, on_evict=lambda item: seen.append(item.name))
+            return written
+
+        victims = shed(k.resize(
+            4, on_evict=lambda item: seen.append(item.name)))
         assert "".join(seen) == gone
         assert "".join(v.name for v in victims) == dirty_gone
         assert (k.capacity_bytes, k.used_bytes) == (4, 4)
         assert k.counters["cache.test.evict_dirty"].value == len(dirty_gone)
-        assert k.counters["cache.test.evict_clean"].value \
-            == 4 - len(dirty_gone)
+        assert k.counters["cache.test.evict_clean"].value == 4
         # "a" failed the admit predicate: evicted without a ghost.
         assert "".join(n for n in "abcdefgh" if k.policy.ghost_hit(n)) \
             == gone.replace("a", "")
         assert k.resize(10) == [] and seen == list(gone)
         assert (k.capacity_bytes, k.used_bytes) == (10, 4)
-        k.resize(2)  # leaves the two pinned entries
+        shed(k.resize(2))  # leaves the two pinned entries
         assert [key for key, _ in k.items()] == ["c", "g"]
         with pytest.raises(CacheStallError):
             k.resize(1)

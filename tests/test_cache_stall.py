@@ -78,12 +78,10 @@ class TestEvictionStall:
             start(sim, _resilient_reader(stack, inode_b, results, "b"),
                   name="reader-b"),
         ]
-        while not all(p.triggered for p in procs):
-            if not sim.step():
-                raise AssertionError("simulation drained before completion")
-        for proc in procs:
-            if proc.failed:
-                raise proc.value
+        def join():
+            for proc in procs:
+                yield proc  # a failed reader raises here
+        drive(sim, join(), "join")
 
         # Both readers completed with the right bytes despite the stall.
         expected_a = stack.image.file_payload(
@@ -115,11 +113,14 @@ class TestEvictionStall:
 
         pa = start(sim, bare_reader(inode_a), name="a")
         pb = start(sim, bare_reader(inode_b), name="b")
-        for proc in (pa, pb):  # join, so a crash is ours to inspect
-            proc.add_callback(lambda ev: None)
-        while not (pa.triggered and pb.triggered):
-            if not sim.step():
-                break
+
+        def settle():  # join, so a crash is ours to inspect
+            for proc in (pa, pb):
+                try:
+                    yield proc
+                except CacheStallError:
+                    pass
+        drive(sim, settle(), "join")
         failed = [p for p in (pa, pb) if p.failed]
         assert len(failed) == 1
         assert isinstance(failed[0].value, CacheStallError)

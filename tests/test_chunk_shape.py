@@ -191,7 +191,9 @@ def test_malformed_geometry_is_rejected():
 # ---------------------------------------------------------------------------
 #
 # Expected values recorded at the parent commit (chunks stored as buffer
-# lists) by running these same scenarios from a scratch probe.
+# lists) by running these same scenarios from a scratch probe; the
+# offload-free sfs_mixed server checksums re-recorded when eviction
+# became write-back-first (one reply fewer computed, one more inherited).
 
 def _used_bytes(testbed):
     return testbed.server_host.counters.registry.gauge(
@@ -270,7 +272,7 @@ RECORDED = {
                 [(4218, 4484960, 0)])},
     _sfs_mixed: {
         True: (4283, [969440], [(0, 0, 0)], [(0, 0, 0)]),
-        False: (5746, [1101440], [(1224, 1230874, 344)],
+        False: (5746, [1101440], [(1223, 1229690, 345)],
                 [(414, 508004, 0)])},
     _fleet_fetch: {
         True: (401, [114240, 114240], [(0, 0, 0)] * 2, [(0, 0, 0)] * 2),

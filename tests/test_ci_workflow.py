@@ -44,3 +44,24 @@ def test_tier1_runs_both_builtin_sha256_branches():
                 doc["jobs"]["test"]["strategy"]["matrix"]["python-version"]}
     assert versions & {"3.10", "3.11"}, versions
     assert "3.12" in versions, versions
+
+
+def test_integrity_search_job_runs_the_search_and_every_mutant():
+    """The wide search and the mutant matrix run in CI, and the matrix's
+    table names exactly the patches in ``tests/mutants``."""
+    import integrity_search
+
+    root = Path(__file__).resolve().parents[1]
+    doc = yaml.safe_load((root / ".github" / "workflows" / "ci.yml")
+                         .read_text())
+    runs = " ".join(step.get("run", "") for step in
+                    doc["jobs"]["integrity-search"]["steps"])
+    assert "tests/integrity_search.py --seeds 64" in runs
+    assert "tests/integrity_search.py --mutants" in runs
+    patches = {p.stem for p in (root / "tests" / "mutants").glob("*.patch")}
+    assert patches == set(integrity_search.MUTANTS)
+    killers = {name: k for name, (_, k) in integrity_search.MUTANTS.items()
+               if k}
+    assert set(killers) == {"no-generation-bump", "rx-no-expand-segments"}
+    for killer in killers.values():
+        assert (root / killer.partition("::")[0]).is_file(), killer

@@ -86,7 +86,9 @@ class TestTimerCancellation:
         assert handle.cancel() is True
         del waiter
         assert ref() is None
-        assert sim.pending() == 0
+        before = dispatch_count()
+        sim.run()
+        assert dispatch_count() == before and sim.now == 0.0
 
     def test_cancel_after_fire_is_noop(self, make_sim):
         sim = make_sim()

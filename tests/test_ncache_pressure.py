@@ -8,8 +8,6 @@ every reply byte-exact; a key that dangles at substitution raises.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cache import POLICIES
 from repro.experiments.common import scaled_memory_config
@@ -21,13 +19,14 @@ from repro.servers.testbed import run_until_complete
 from repro.sim.engine import dispatch_count
 from repro.sim.process import start
 from repro.workloads import SpecSfsWorkload
+from integrity_search import Cell, run
 
 MB = 1 << 20
 FILE_BLOCKS = 128
 
 
-def tiny_ncache_testbed(ncache_chunks: int = 24,
-                        fs_blocks: int = 8) -> NfsTestbed:
+def tiny_ncache_testbed(ncache_chunks: int = 24, fs_blocks: int = 8,
+                        sim=None, policy: str = "lru") -> NfsTestbed:
     """A server whose NCache holds ~24 chunks and FS cache 8 pages."""
     chunk_footprint = BLOCK_SIZE + 3 * 160 + 64
     testbed = TestbedSpec.nfs(
@@ -36,7 +35,7 @@ def tiny_ncache_testbed(ncache_chunks: int = 24,
         server_kernel_carveout=64 * MB
         - fs_blocks * BLOCK_SIZE - ncache_chunks * chunk_footprint,
         ncache_fs_cache_bytes=fs_blocks * BLOCK_SIZE,
-        flush_interval_s=None).build()
+        cache_policy=policy, flush_interval_s=None).build(sim=sim)
     testbed.image.create_file("press", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed
@@ -172,48 +171,29 @@ class TestEvictionPressure:
         metrics = store.kernel_metrics
         assert calls and metrics.hit.total + metrics.miss.total == len(calls)
 
-    @given(ops=st.lists(
-        st.tuples(st.sampled_from(["read", "write", "flush"]),
-                  st.integers(0, FILE_BLOCKS - 4),
-                  st.integers(1, 4)),
-        min_size=5, max_size=30))
-    @settings(max_examples=8, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_random_ops_under_pressure_byte_exact(self, ops):
-        testbed = tiny_ncache_testbed()
-        fh = testbed.file_handle("press")
-        inode = testbed.image.lookup("press")
-        reference = bytearray(testbed.image.file_payload(
-            inode, 0, inode.size).materialize())
-        tag = [9000]
-
-        def scenario():
-            for op, block, nblocks in ops:
-                offset, count = block * BLOCK_SIZE, nblocks * BLOCK_SIZE
-                if op == "write":
-                    tag[0] += 1
-                    payload = VirtualPayload(tag[0], 0, count)
-                    yield from testbed.clients[0].write(fh, offset, payload)
-                    reference[offset:offset + count] = payload.materialize()
-                elif op == "read":
-                    dgram = yield from testbed.clients[0].read(fh, offset,
-                                                               count)
-                    assert read_reply_data(dgram).materialize() == \
-                        bytes(reference[offset:offset + count])
-                else:
-                    yield from testbed.vfs.flush_oldest(8)
-
-        run_scenario(testbed, scenario())
+    def test_random_ops_under_pressure_byte_exact(self):
+        """Two clients' seeded op streams on this testbed: the search's
+        ``pressure`` cells, every READ checked by the content oracle.
+        Not SLRU: on a 24-chunk store a 4-block fill's chunks enter its
+        small probation segment and push each other out, so the READ
+        refetches until the client gives up (the search reports it as
+        a stall)."""
+        for seed, policy in enumerate(("arc", "clock", "lru"), start=1):
+            outcome = run(Cell("pressure", "ncache", policy, seed))
+            assert outcome.verdict == "pass", str(outcome)
+            assert outcome.counters["cache.ncache.evict_clean"] > 0
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     def test_no_reply_carries_junk(self, policy):
-        """A dangling key raises at the TX hook, so finishing the run is
-        the check.  Before keyed pages were checked at insert and
+        """A dangling key raises at the TX hook, so a clean run is the
+        check; it must have substituted real traffic.  ``sfs_cell``'s
+        configuration as a search cell (FIFO ties, content oracle,
+        sanitizer).  Before keyed pages were checked at insert and
         replies pinned their chunks, lru 16, clock 11, slru 26 and arc
         49 replies and flushes here carried junk."""
-        testbed, _ = sfs_cell(policy)
-        assert testbed.server_host.counters[
-            "ncache.substituted_replies"].value > 100
+        outcome = run(Cell("sfs", "ncache", policy, 3, shuffle=False))
+        assert outcome.verdict == "pass", str(outcome)
+        assert outcome.counters["ncache.substituted_replies"] > 100
 
     @pytest.mark.parametrize("policy", ["arc", "clock"])
     def test_room_taken_during_victim_writeback_is_evicted_again(

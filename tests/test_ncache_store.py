@@ -129,6 +129,8 @@ class TestEviction:
         store.insert(dirty)
         victims = store.make_room(FOOTPRINT)
         assert victims == [dirty]
+        # Written back first, evicted after: still findable meanwhile.
+        assert store.peek_fho(FhoKey(1, 1, 0)) is dirty
 
     def test_pinned_chunks_skipped(self):
         store = store_of(2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim.engine import dispatch_count
 
 
 class TestScheduling:
@@ -42,12 +43,15 @@ class TestScheduling:
             sim.schedule_at(0.5, lambda: None)
 
     def test_run_until_stops_clock_exactly(self, sim):
+        hits = []
         sim.schedule(1.0, lambda: None)
-        sim.call_later(3.0, lambda: None).cancel()  # ahead of the live one
-        sim.schedule(5.0, lambda: None)
+        sim.call_later(3.0, hits.append, "cancelled").cancel()  # ahead
+        sim.schedule(5.0, hits.append, "late")
         sim.run(until=2.0)
-        assert sim.now == 2.0
-        assert sim.pending() == 1
+        assert sim.now == 2.0 and hits == []
+        before = dispatch_count()
+        sim.run()  # one live event left: the cancelled timer is skipped
+        assert hits == ["late"] and dispatch_count() - before == 1
 
     def test_run_until_includes_boundary_events(self, sim):
         hits = []
@@ -59,18 +63,6 @@ class TestScheduling:
         sim.schedule(0.5, lambda: None)
         sim.run(until=10.0)
         assert sim.now == 10.0
-
-    def test_step_returns_false_when_drained(self, sim):
-        assert sim.step() is False
-
-    def test_peek_reports_next_event_time(self, sim):
-        assert sim.peek() is None
-        sim.call_later(1.0, lambda: None).cancel()
-        assert sim.peek() is None
-        sim.schedule(4.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.call_later(1.5, lambda: None).cancel()  # ahead of the live ones
-        assert sim.peek() == 2.0
 
     def test_events_scheduled_during_run_execute(self, sim):
         hits = []

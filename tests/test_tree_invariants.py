@@ -155,7 +155,7 @@ COPY_ALLOWED = {
     "iscsi/target.py": "the storage target's data plane, charged by its "
                        "own accountant (the paper changes only the "
                        "pass-through server)",
-    "core/ncache.py::NCacheModule._write_back_chunk":
+    "core/ncache.py::NCacheModule.write_back_chunk":
         "the writeback data plane, charged by initiator.write",
     "fs/vfs.py::VFS._ensure_metadata_block":
         "metadata cache fill (§3.3), charged by the physical_copy "
@@ -242,7 +242,7 @@ def engine_discipline(path, tree):
         parts = (name or "").split(".")
         reenters = parts[-1] in ("run_until", "run_until_complete") \
             or parts[-2:-1] in (["sim"], ["simulator"]) \
-            and parts[-1] in ("run", "step")
+            and parts[-1] == "run"
         if scope in processes and (name in BLOCKING_CALLS or reenters):
             yield f"engine process {path}::{scope}", call
         elif name in BLOCKING_CALLS:
