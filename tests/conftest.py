@@ -1,8 +1,10 @@
-"""Shared fixtures: simulators, hosts, and miniature testbeds."""
+"""Shared fixtures: simulators, hosts, miniature testbeds, and the
+session's simulated cells."""
 
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import pytest
 
@@ -37,20 +39,129 @@ def _buffer_sanitizer():
         v.format() for v in san.violations)
 
 
-@pytest.fixture(scope="session")
-def cell_result():
-    """``cell_result("figure4/ncache/16384")`` — the serial ``RunResult``
-    (row, report, ``sim_events``) of one quick cell, simulated once per
-    session however many tests read it.  Treat it as read-only."""
+# -- the session's cells -----------------------------------------------------
+#
+# A test that reads simulated cells declares them,
+# ``@pytest.mark.cells("figure4/ncache/16384", "table2", spec)``: a quick
+# cell by its ``<sweep>/<cell>`` label, every quick cell of a sweep by the
+# sweep's name, or any other ``RunSpec``.  As collection finishes, the cells
+# the selected tests declare go to one two-worker process pool, each
+# simulated once under a sanitizer of its own, and the tests that declare
+# cells run after all the others, so the pool works while the unit tests
+# run.  A selection that declares no cell starts no pool.  No other test
+# forks one (``test_tree_invariants``): a fork beside a running pool's
+# manager thread can deadlock the child.
+
+_futures: dict = {}  # label -> Future of the cell's RunResult
+_reading: frozenset = frozenset()  # what the running test declares
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "cells(*labels_or_specs): the "
+                            "simulated cells the test reads")
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_specs(name: str) -> dict:
     from repro.experiments import SWEEPS
+
+    return {spec.label: spec for spec in SWEEPS[name].specs(quick=True)} \
+        if name in SWEEPS else {}
+
+
+def _declared(item) -> dict:
+    """``{label: RunSpec}`` for every cell ``item``'s markers name."""
+    specs = {}
+    for marker in item.iter_markers("cells"):
+        for want in marker.args:
+            if not isinstance(want, str):  # a RunSpec
+                specs[want.label] = want
+                continue
+            cells = _sweep_specs(want.partition("/")[0])
+            if "/" in want:
+                cells = {want: cells[want]} if want in cells else {}
+            if not cells:
+                raise pytest.UsageError(
+                    f"{item.nodeid}: no quick cell is labelled {want!r}")
+            specs.update(cells)
+    return specs
+
+
+def _simulate(spec):
+    """One cell in a pool worker, under a sanitizer of its own."""
     from repro.experiments.parallel import run_specs
 
-    @functools.lru_cache(maxsize=None)
+    with _sanitizer.sanitize() as san:
+        result, = run_specs([spec])
+    if san.violations:  # a violation whose raise the cell swallowed
+        raise _sanitizer.SanitizerError("; ".join(
+            v.format() for v in san.violations))
+    return result
+
+
+@pytest.hookimpl(trylast=True)
+def pytest_collection_modifyitems(items):
+    items.sort(key=lambda item: item.get_closest_marker("cells") is not None)
+
+
+def pytest_collection_finish(session):
+    specs: dict = {}
+    for item in session.items:
+        specs.update(_declared(item))
+    if not specs or session.config.option.collectonly:
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked before any thread exists: the pool starts both workers at the
+    # first submit, and its manager thread after them.
+    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context(
+        "fork"))
+    session.config.add_cleanup(lambda: pool.shutdown(cancel_futures=True))
+    _futures.update((label, pool.submit(_simulate, spec))
+                    for label, spec in specs.items())
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item):
+    global _reading
+    _reading = frozenset(_declared(item))
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _futures and terminalreporter.verbosity >= 0:  # -v
+        terminalreporter.write_line("simulated once each on the cell pool: "
+                                    + " ".join(_futures))
+
+
+@pytest.fixture(scope="session")
+def cell_result():
+    """``cell_result("figure4/ncache/16384")`` — the ``RunResult`` (row,
+    report, ``sim_events``) of a cell the running test declares, simulated
+    once per session however many tests read it; a violation the cell
+    commits raises here with the worker's message.  Treat it as
+    read-only."""
     def result(label: str):
-        spec, = [spec for spec in
-                 SWEEPS[label.partition("/")[0]].specs(quick=True)
-                 if spec.label == label]
-        return run_specs([spec], workers=1)[0]
+        if label not in _reading:
+            raise LookupError(f"{label!r} is not in the running test's "
+                              "@pytest.mark.cells")
+        return _futures[label].result()
+
+    return result
+
+
+@pytest.fixture(scope="session")
+def sweep_result(cell_result):
+    """``sweep_result("table2")`` — ``run_sweep`` of a sweep the running
+    test declares by name, in quick mode, on the session's cells."""
+    from repro.experiments import SWEEPS, common
+
+    def cached(specs, workers, trace):
+        return [cell_result(spec.label) for spec in specs]
+
+    def result(name: str):
+        with mock.patch.object(common, "run_specs", cached):
+            return common.run_sweep(SWEEPS[name], quick=True)
 
     return result
 

@@ -1,16 +1,17 @@
-"""The adaptive-budget experiment: acceptance, determinism, golden lock.
+"""The adaptive-budget experiment: acceptance and golden lock.
 
 The headline claim of the arbiter work is behavioral — "the controller
 beats every static split across the phase-shifting day" — so it is
-locked three ways:
+locked two ways:
 
 * the **invariant** (adaptive ``mean_bpk`` strictly below the best
   static split's) must hold on every run, whatever the numbers;
 * the **golden** pins the quick-grid values to ±2% so silent model
-  drift fails loudly (``tests/goldens/adaptive_budget_quick.json``);
-* the **determinism** check reruns the adaptive point inline and
-  requires bit-equal rows against the subprocess grid — worker count
-  and process placement must not leak into results.
+  drift fails loudly (``tests/goldens/adaptive_budget_quick.json``).
+
+The grid's five cells run once, on the session's cell pool.  That the
+worker count cannot move a row is CI's ``sweep-identity`` job, which
+runs this grid at ``--workers 1`` and ``--workers 2`` and diffs them.
 
 Regenerate the golden (after an *intentional* model change) with::
 
@@ -30,14 +31,16 @@ from repro.experiments.common import run_sweep
 GOLDEN = Path(__file__).parent / "goldens" / "adaptive_budget_quick.json"
 
 
-@pytest.fixture(scope="module")
-def result():
-    return run_sweep(adaptive_budget.SWEEP, quick=True, workers=2)
+pytestmark = pytest.mark.cells("adaptive_budget")
 
 
-def quick_rows():
+@pytest.fixture
+def result(sweep_result):
+    return sweep_result("adaptive_budget")
+
+
+def quick_rows(result):
     """Measured quick-grid rows, shaped like the golden."""
-    result = run_sweep(adaptive_budget.SWEEP, quick=True, workers=2)
     return {row["split"]: {col: row[col] for col in
                            ("fs_mb", "read_bpk", "write_bpk", "web_bpk",
                             "mean_bpk")}
@@ -72,18 +75,6 @@ class TestAcceptance:
             assert got == pytest.approx(50.0 * float(frac), rel=0.01)
 
 
-class TestDeterminism:
-    def test_inline_rerun_is_bit_equal(self, result, cell_result):
-        """Worker placement must not leak: the grid runs points in
-        subprocesses (workers=2); rerunning the adaptive point inline
-        must reproduce the row exactly."""
-        # (This sweep's cell labels — its report keys — carry its name.)
-        inline = cell_result(
-            "adaptive_budget/adaptive_budget/ghost").value
-        row = next(r for r in result.rows if r["split"] == "ghost")
-        assert inline == row
-
-
 class TestGoldenPinned:
     def test_quick_grid_within_2pct_of_golden(self, result):
         golden = json.loads(GOLDEN.read_text())
@@ -96,5 +87,6 @@ class TestGoldenPinned:
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(quick_rows(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(quick_rows(run_sweep(
+        adaptive_budget.SWEEP, quick=True, workers=2)), indent=1) + "\n")
     print(f"wrote {GOLDEN}")

@@ -22,6 +22,7 @@ from repro.check.sanitizer import (
 from repro.core import FhoKey, LbnKey
 from repro.core.chunk import Chunk
 from repro.core.store import NCacheStore
+from repro.experiments.parallel import RunSpec
 from repro.fs import BufferCache
 from repro.net import Endpoint
 from repro.net.buffer import BufferChain, NetBuffer, VirtualPayload
@@ -339,3 +340,25 @@ class TestActivation:
         with sanitize() as inner:
             assert active() is inner
         assert active() is outer
+
+
+def pin_an_evicted_chunk():
+    """A cell that, unsanitized, returns as if nothing happened."""
+    store = make_store()
+    chunk = make_chunk(LbnKey(0, 3))
+    store.insert(chunk)
+    store.drop(chunk)
+    chunk.pin()
+
+
+PLANTED_CELL = RunSpec(pin_an_evicted_chunk, label="planted/pin-evicted",
+                       capture_reports=False)
+
+
+@pytest.mark.cells(PLANTED_CELL)
+def test_a_violation_in_a_pooled_cell_fails_its_reader(cell_result):
+    """The session pool runs each cell under a sanitizer of its own."""
+    with pytest.raises(SanitizerError, match=r"use-after-evict "
+                       r"\[lbn\(0,3\)\]: pin touched") as raised:
+        cell_result(PLANTED_CELL.label)
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"

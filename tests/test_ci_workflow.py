@@ -65,3 +65,22 @@ def test_integrity_search_job_runs_the_search_and_every_mutant():
     assert set(killers) == {"no-generation-bump", "rx-no-expand-segments"}
     for killer in killers.values():
         assert (root / killer.partition("::")[0]).is_file(), killer
+
+
+def test_sweep_identity_job_diffs_whole_sweeps_at_two_worker_counts():
+    """DESIGN.md §7's lock on ``--workers``, with no ``[model-change]``
+    override: every ``--out`` file and table2's trace, at 1 and 2."""
+    doc = yaml.safe_load(
+        (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+         / "ci.yml").read_text())
+    step, = [step for step in doc["jobs"]["sweep-identity"]["steps"]
+             if "--workers 1" in step.get("run", "")]
+    run = " ".join(step["run"].replace("\\\n", " ").split())
+    for part in ("$SWEEP_SUBSET adaptive_budget --workers 1 --out workers-1",
+                 "$SWEEP_SUBSET adaptive_budget --workers 2 --out workers-2",
+                 "diff -r workers-1 workers-2",
+                 "table2 --workers 1 --trace-out table2-workers-1.trace.jsonl",
+                 "table2 --workers 2 --trace-out table2-workers-2.trace.jsonl",
+                 "cmp table2-workers-1.trace.jsonl table2-workers-2"):
+        assert part in run, part
+    assert "model-change" not in run

@@ -89,6 +89,11 @@ class TestTable2:
         assert set(nfs.values()) == {0}
 
 
+@pytest.mark.cells(
+    *(f"figure5/{mode}/2nic/32768" for mode in ("original", "baseline",
+                                                "ncache")),
+    *(f"figure6b/{mode}/allhit/{size}" for mode in ("original", "ncache")
+      for size in (16384, 131072)))
 class TestFigureShapes:
     """Single-point checks of the paper's qualitative results."""
 
@@ -181,6 +186,7 @@ class TestPolicyAblation:
         for policy in POLICIES:
             assert f"policy_ablation/specsfs/{policy}" in labels
 
+    @pytest.mark.cells("policy_ablation/specweb/clock")
     def test_one_cell_reports_all_columns(self, cell_result):
         row = cell_result("policy_ablation/specweb/clock").value
         assert row["policy"] == "clock"
@@ -202,8 +208,11 @@ class TestCellsAreValues:
         return (cell.spec, load.func, load.args, load.keywords, cell.ranked,
                 cell.before_load, cell.cut)
 
-    @pytest.mark.parametrize("mode", [ServerMode.ORIGINAL,
-                                      ServerMode.NCACHE], ids=str)
+    @pytest.mark.parametrize("mode", [
+        pytest.param(mode, marks=pytest.mark.cells(
+            f"figure5/{mode.value}/2nic/32768",
+            f"ablation_loss/0.0/{mode.value}"))
+        for mode in (ServerMode.ORIGINAL, ServerMode.NCACHE)], ids=str)
     def test_figure5b_cell_is_the_base_of_a1_a5_a7(self, mode, cell_result):
         """Figure 5(b) at 32 KB, A1 "offload on" and A5 at 3.0 ns/B are
         one value — nothing to run twice.  A7 at 0 % loss differs by its
@@ -225,6 +234,8 @@ class TestCellsAreValues:
         assert again.value["retransmissions"] == 0
         assert again.sim_events == figure.sim_events
 
+    @pytest.mark.cells("ablation_memcpy/original/5.0",
+                       "figure5/original/2nic/32768")
     def test_replacing_the_cost_model_is_a5s_row(self, cell_result):
         """README's sentence, executed: ``dataclasses.replace`` of the
         Figure 5(b) cell's cost model is A5's 5 ns/B cell — as a value
@@ -275,10 +286,12 @@ class TestRegistry:
     def test_every_claim_reads_a_result_the_registry_produces(self):
         assert {claim.experiment for claim in claims()} <= set(SWEEPS)
 
+    @pytest.mark.cells("table2")
     @pytest.mark.parametrize("name", ["table1", "table2"])
-    def test_declared_result_names_are_what_run_returns(self, name):
+    def test_declared_result_names_are_what_run_returns(self, name,
+                                                        sweep_result):
         for sweep in EXPERIMENTS[name]:
-            result = run_sweep(sweep, True, 1, None)
+            result = sweep_result(sweep.name)
             assert result.name == sweep.name
             assert result.columns == list(sweep.columns)
             assert result.rows and result.notes

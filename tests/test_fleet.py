@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.experiments import fleet_scaling
-from repro.experiments.common import run_cell, scaled_memory_config
-from repro.experiments.parallel import RunSpec, run_specs
+from repro.experiments.common import scaled_memory_config
 from repro.fleet import ChurnSchedule, HashRing
 from repro.fs import BLOCK_SIZE
 from repro.servers import ClusterSpec, ServerMode, TestbedSpec
@@ -237,15 +235,10 @@ class TestEmptyScheduleIdentity:
 
 
 class TestFleetScalingExperiment:
-    def test_coop_cuts_backend_reads_and_workers_agree(self):
-        specs = [RunSpec(
-            run_cell, (fleet_scaling.SWEEP.cell(f"n4/r2/{how}"), True),
-            label=how)
-            for how in ("coop", "solo")]
-        serial = [rr.value for rr in run_specs(specs, workers=1)]
-        pooled = [rr.value for rr in run_specs(specs, workers=2)]
-        assert serial == pooled  # deterministic across worker counts
-        coop, solo = serial
+    @pytest.mark.cells("fleet_scaling/n4/r2/coop", "fleet_scaling/n4/r2/solo")
+    def test_coop_cuts_backend_reads(self, cell_result):
+        coop, solo = (cell_result(f"fleet_scaling/n4/r2/{how}").value
+                      for how in ("coop", "solo"))
         assert coop["backend_per_kop"] < solo["backend_per_kop"]
         assert coop["backend_reads"] < solo["backend_reads"]
         assert coop["peer_hit_pct"] > 0

@@ -234,6 +234,7 @@ def fleet_churn_quick_point(row):
 
 
 class TestFleetChurnGolden:
+    @pytest.mark.cells("fleet_churn/r2/g16/coop")
     def test_quick_point_within_2pct_of_golden(self, cell_result):
         golden = json.loads(GOLDEN.read_text())
         measured = fleet_churn_quick_point(

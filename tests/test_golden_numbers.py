@@ -29,10 +29,11 @@ from repro.experiments.common import run_sweep
 GOLDEN = Path(__file__).parent / "goldens" / "figure4_quick.json"
 
 
+@pytest.mark.cells("table2")
 class TestTable2Exact:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return run_sweep(table2.SWEEP, quick=True)
+    @pytest.fixture
+    def result(self, sweep_result):
+        return sweep_result("table2")
 
     def test_original_matches_paper_exactly(self, result):
         for server, expected in table2.PAPER_ORIGINAL.items():
@@ -70,6 +71,7 @@ def figure4_quick_gains(rows):
 
 
 class TestFigure4Pinned:
+    @pytest.mark.cells("figure4")
     def test_gain_within_2pct_of_golden(self, cell_result):
         golden = json.loads(GOLDEN.read_text())
         measured = figure4_quick_gains(

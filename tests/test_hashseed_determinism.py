@@ -1,7 +1,7 @@
 """Hash-order independence, observed rather than modelled.
 
 DESIGN.md §7 claims simulated results depend on nothing the host can
-reorder.  Worker count is covered by ``test_parallel_determinism.py``;
+reorder.  Worker count is covered by CI's ``sweep-identity`` job;
 this file covers the other host-side ordering a run can leak — set and
 dict-of-str iteration order, which ``PYTHONHASHSEED`` randomizes per
 interpreter.  One fixed spec list (copy-count traces, an NFS throughput
@@ -22,7 +22,6 @@ from pathlib import Path
 
 from repro.experiments import figure4, fleet_churn, table2
 from repro.experiments.parallel import run_specs
-from test_parallel_determinism import _comparable
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 HASH_SEEDS = ("1", "4242")
@@ -32,7 +31,10 @@ def fingerprint() -> str:
     """Everything simulated about the fixed spec list, as one JSON line."""
     specs = (table2.SWEEP.specs() + figure4.SWEEP.specs(quick=True)[:1]
              + fleet_churn.SWEEP.specs(quick=True)[:1])
-    return _comparable(run_specs(specs, workers=1))
+    return json.dumps(
+        [{"label": rr.label, "value": rr.value, "report": rr.report,
+          "sim_events": rr.sim_events} for rr in run_specs(specs)],
+        sort_keys=True, default=str)
 
 
 def test_results_identical_across_hash_seeds():

@@ -14,6 +14,7 @@ from content_oracle import ContentMismatch, ContentOracle
 from dispatch_digest import recorded
 from integrity_search import MODES, Cell, run
 from repro.cache import POLICIES
+from repro.experiments.parallel import RunSpec
 from repro.net.buffer import VirtualPayload
 
 #: SFS seeds of the quick search (the wide one runs 64).
@@ -48,17 +49,26 @@ def quick_cells():
     yield Cell("fleet", "ncache", "lru", 1)
 
 
+#: The quick search, run on the session's cell pool; each cell arms its
+#: own sanitizer in ``run``.
+QUICK = pytest.mark.cells(*(
+    RunSpec(run, (cell,), f"integrity/{cell}", capture_reports=False)
+    for cell in quick_cells()))
+
+
 @pytest.fixture(scope="module")
-def quick():
-    return [run(cell) for cell in quick_cells()]
+def quick(cell_result):
+    return [cell_result(spec.label).value for spec in QUICK.args]
 
 
+@QUICK
 def test_quick_search_finds_no_lost_write(quick):
     assert [str(o) for o in quick if o.verdict == "kill"] == []
     assert sum(o.verdict == "pass" for o in quick) >= len(quick) - 2
     assert sum(o.reads for o in quick) > 3000
 
 
+@QUICK
 def test_ncache_cells_substitute_their_replies(quick):
     """A dangling key raises at the TX hook, so a clean NCACHE cell is
     the no-junk check; it must have substituted real traffic."""
@@ -68,6 +78,7 @@ def test_ncache_cells_substitute_their_replies(quick):
             assert outcome.counters["ncache.substituted_replies"] > 100
 
 
+@QUICK
 def test_concurrent_writes_leave_more_than_one_right_answer(quick):
     """Where a flat reference file would false-alarm."""
     assert sum(o.ambiguous for o in quick if o.cell.kind == "sfs") > 0

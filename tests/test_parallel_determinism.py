@@ -1,14 +1,12 @@
-"""Worker-count independence and engine event-order pinning.
+"""Engine event-order pinning.
 
-Two locks on DESIGN.md §7's claim that ``--workers N`` can never change
-simulated results:
-
-* the same experiment grid run serially and on a 4-worker pool must
-  produce **byte-identical** merged metrics and traces;
-* a scripted testbed's engine event ordering is pinned against a
-  committed golden (``tests/goldens/engine_event_log.json``), so a
-  change to heap tie-breaking or callback scheduling order shows up as
-  a diff, not as silent drift.
+DESIGN.md §7 claims ``--workers N`` can never change simulated results.
+That whole sweeps come out byte-identical at one and at two workers is
+CI's ``sweep-identity`` job; this file pins what every such run rests
+on: a scripted testbed's engine event ordering, against a committed
+golden (``tests/goldens/engine_event_log.json``), so a change to heap
+tie-breaking or callback scheduling order shows up as a diff, not as
+silent drift.
 
 Regenerate the golden (after an *intentional* semantics change) with::
 
@@ -20,57 +18,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments import figure4, fleet_churn, table2
-from repro.experiments.common import run_sweep
-from repro.experiments.parallel import run_specs
-from repro.obs.trace import jsonl_events
 from repro.sim import CPU, AllOf, AnyOf, Resource, Simulator, start
 
 GOLDEN = Path(__file__).parent / "goldens" / "engine_event_log.json"
-
-
-def _comparable(results):
-    """Everything about a result list except host-side timings."""
-    return json.dumps(
-        [{"label": rr.label, "value": rr.value, "report": rr.report,
-          "sim_events": rr.sim_events} for rr in results],
-        sort_keys=True, default=str)
-
-
-class TestWorkerCountIndependence:
-    def test_table2_grid_identical_1_vs_4_workers(self):
-        serial = run_specs(table2.SWEEP.specs(), workers=1)
-        pooled = run_specs(table2.SWEEP.specs(), workers=4)
-        assert _comparable(serial) == _comparable(pooled)
-
-    def test_table2_rendered_table_identical(self):
-        assert (run_sweep(table2.SWEEP, quick=True, workers=1).render()
-                == run_sweep(table2.SWEEP, quick=True, workers=4).render())
-
-    def test_figure4_points_and_reports_identical(self, cell_result):
-        # Two real throughput points (smallest request size, cheapest),
-        # covering the metrics-report capture path table2 doesn't use.
-        specs = figure4.SWEEP.specs(quick=True)[:2]
-        serial = [cell_result(spec.label) for spec in specs]
-        pooled = run_specs(specs, workers=4)
-        assert _comparable(serial) == _comparable(pooled)
-
-    def test_fleet_churn_identical_1_vs_4_workers(self, cell_result):
-        # Membership churn (crash + cold rejoin under a hot-key storm)
-        # must stay worker-count independent down to the dispatch count.
-        specs = fleet_churn.SWEEP.specs(quick=True)[:2]
-        serial = [cell_result(spec.label) for spec in specs]
-        pooled = run_specs(specs, workers=4)
-        assert _comparable(serial) == _comparable(pooled)
-
-    def test_merged_trace_identical_1_vs_4_workers(self):
-        specs = table2.SWEEP.specs()
-        serial, pooled = (
-            jsonl_events([bus for rr in run_specs(specs, workers, trace=True)
-                          for bus in rr.trace])
-            for workers in (1, 4))
-        assert (json.dumps(serial, sort_keys=True)
-                == json.dumps(pooled, sort_keys=True))
 
 
 # -- golden engine event log -------------------------------------------------

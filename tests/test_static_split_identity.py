@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.experiments import figure4, fleet_churn, policy_ablation
 from repro.experiments.parallel import run_specs
 
@@ -46,6 +48,7 @@ def measure():
 
 
 class TestStaticSplitIdentity:
+    @pytest.mark.cells(*(spec.label for spec in identity_specs()))
     def test_sim_events_match_pre_refactor_golden(self, cell_result):
         golden = json.loads(GOLDEN.read_text())
         measured = {spec.label: cell_result(spec.label).sim_events

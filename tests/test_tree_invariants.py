@@ -307,6 +307,30 @@ def budget_lease(path, tree):
             yield f"{path}::{scope}", call
 
 
+# -- one-pool (over tests/): conftest forks the session's cell pool; a
+#    pool forked beside it can deadlock its child (the session pool's
+#    manager thread is running).  ``__main__`` blocks run outside pytest.
+
+POOL_ALLOWED = {"conftest.py::": "the session's cell pool"}
+#: Where a call's ``workers`` sits when it is passed by position.
+WORKERS_AT = {"run_specs": 1, "run_sweep": 2}
+
+
+def one_pool(path, tree):
+    runs = ast.Module([node for node in tree.body if not (
+        isinstance(node, ast.If) and "__main__" in ast.unparse(node.test))],
+        [])
+    for scope, call, _ in calls(runs):
+        callee = called(call)
+        workers = [kw.value for kw in call.keywords if kw.arg == "workers"]
+        if callee in WORKERS_AT:
+            workers += call.args[WORKERS_AT[callee]:][:1]
+        pooled = callee in WORKERS_AT and any(
+            not isinstance(w, ast.Constant) or w.value > 1 for w in workers)
+        if pooled or callee in ("ProcessPoolExecutor", "Pool", "fork"):
+            yield f"{path}::{scope}", call
+
+
 RULES = {
     "no-wallclock": (no_wallclock, WALLCLOCK_ALLOWED),
     "no-global-random": (no_global_random, RANDOM_ALLOWED),
@@ -318,9 +342,21 @@ RULES = {
 }
 
 
+#: Rules over ``tests/``.
+TEST_RULES = {"one-pool": (one_pool, POOL_ALLOWED)}
+
+
 @pytest.mark.parametrize("rule", RULES)
 def test_the_tree_obeys(rule):
     found, unneeded = violations(RULES[rule][0], parsed(SRC), RULES[rule][1])
+    assert found == [], "\n".join(found)
+    assert unneeded == [], f"allowlist entries that exempt nothing: {unneeded}"
+
+
+@pytest.mark.parametrize("rule", TEST_RULES)
+def test_the_tests_obey(rule):
+    found, unneeded = violations(TEST_RULES[rule][0], parsed(REPO / "tests"),
+                                 TEST_RULES[rule][1])
     assert found == [], "\n".join(found)
     assert unneeded == [], f"allowlist entries that exempt nothing: {unneeded}"
 
@@ -414,15 +450,24 @@ PLANTED = {
     "bound-method-reference": ("budget-lease", "mod.py",
                                "arbiter.register('bcache', 4096, "
                                "cache.resize, metrics)", 0),
+    "own-pool": ("one-pool", "test_mod.py",
+                 "ProcessPoolExecutor(2).map(str, [1])\nos.fork()", 2),
+    "pooled-runs": ("one-pool", "test_mod.py",
+                    "run_specs(specs, workers=2)\nrun_sweep(s, True, n)", 2),
+    "serial-runs": ("one-pool", "test_mod.py",
+                    "run_specs(specs)\nrun_sweep(s, True, 1, None)", 0),
+    "regeneration-block": ("one-pool", "test_mod.py",
+                           "if __name__ == '__main__':\n"
+                           "    run_sweep(s, quick=True, workers=2)", 0),
 }
 
 
 @pytest.mark.parametrize("case", PLANTED)
 def test_planted_source(case):
     rule, path, source, sites = PLANTED[case]
-    found, _ = violations(RULES[rule][0],
-                          {path: ast.parse(textwrap.dedent(source))},
-                          RULES[rule][1])
+    check, allow = {**RULES, **TEST_RULES}[rule]
+    found, _ = violations(check, {path: ast.parse(textwrap.dedent(source))},
+                          allow)
     assert len(found) == sites, found
 
 

@@ -155,6 +155,7 @@ class TestRecordedCells:
     """Whole quick cells that warm-start, against what the per-block
     warm start measured (recorded at the commit before the bulk pass)."""
 
+    @pytest.mark.cells("figure6a/ncache/750mb")
     def test_figure6a_ncache_cell(self, cell_result):
         result = cell_result("figure6a/ncache/750mb")
         assert result.sim_events == 16688
@@ -164,6 +165,7 @@ class TestRecordedCells:
             "ops_per_sec": 1348.5714285714284,
             "hit_ratio": 0.7272069900572462}
 
+    @pytest.mark.cells("figure7/original/75pct")
     def test_figure7_original_cell(self, cell_result):
         # Re-recorded when the duplicate-request cache stopped keeping
         # READ replies: a retransmitted READ now runs again.
