@@ -29,7 +29,7 @@ the built list all read the one shape, so they agree by construction.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Iterable, List, Optional, Union
 
 from ..check import sanitizer as _sanitizer
 from ..net.buffer import (BufferFlavor, CompositePayload, ExtentPayload,
@@ -179,17 +179,29 @@ class Chunk:
         return self.pins > 0
 
     def pin(self) -> None:
-        san = _sanitizer.active()
-        if san is not None:
-            san.chunk_used(self, "pin")
-        self.pins += 1
+        pin_all((self,))
 
     def unpin(self) -> None:
-        if self.pins <= 0:
-            raise RuntimeError("unpin of unpinned chunk")
-        self.pins -= 1
+        unpin_all((self,))
 
     def __repr__(self) -> str:
         state = "dirty" if self.dirty else "clean"
         return (f"Chunk({self.key}, {len(self._shape.segments)} bufs, "
                 f"{self.length}B, {state})")
+
+
+def pin_all(chunks: Iterable[Chunk]) -> None:
+    """Pin every chunk of ``chunks``, looking the sanitizer up once."""
+    san = _sanitizer.active()
+    for chunk in chunks:
+        if san is not None:
+            san.chunk_used(chunk, "pin")
+        chunk.pins += 1
+
+
+def unpin_all(chunks: Iterable[Chunk]) -> None:
+    """Release one pin on every chunk of ``chunks``."""
+    for chunk in chunks:
+        if chunk.pins <= 0:
+            raise RuntimeError("unpin of unpinned chunk")
+        chunk.pins -= 1

@@ -26,8 +26,7 @@ raises :class:`~repro.sim.engine.SimulationError`.
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Callable, Generator, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from ..check import sanitizer as _sanitizer
 from ..net.buffer import (
@@ -42,7 +41,7 @@ from ..net.buffer import (
 from ..net.host import Host
 from ..net.network import Datagram
 from ..sim.engine import Event, SimulationError
-from .chunk import Chunk
+from .chunk import Chunk, pin_all, unpin_all
 from .classifier import PacketClassifier, RxAction, TxAction
 from .keys import FhoKey, KeyedPayload, LbnKey
 from .resize import buffers_for_range, carve_chunks
@@ -52,37 +51,6 @@ from .store import NCacheStore
 WritebackFn = Callable[[int, Payload], Generator]
 #: ``fn(fho_key) -> Optional[LbnKey]`` — where a file block lives on disk.
 FhoToLbnFn = Callable[[FhoKey], Optional[LbnKey]]
-
-
-def coalesce_keyed(leaves: Iterable[Payload]) -> Optional[List[Payload]]:
-    """Merge adjacent keyed leaves that are contiguous views of one chunk.
-
-    Transport fragmentation slices the per-block placeholders at packet
-    boundaries; substitution must not preserve those junk boundaries — the
-    real module replaces the whole packet list with the stored buffers.
-    Coalescing recovers the per-block placeholders before resolution.
-    ``None`` when no leaf is keyed: there is nothing to substitute.
-    """
-    out: List[Payload] = []
-    prev: Optional[KeyedPayload] = None  # out[-1], while that is keyed
-    keyed = False
-    for leaf in leaves:
-        if isinstance(leaf, KeyedPayload):
-            if (prev is not None
-                    and prev.fho_key == leaf.fho_key
-                    and prev.lbn_key == leaf.lbn_key
-                    and prev.pinned is leaf.pinned
-                    and prev.base_offset + prev.length == leaf.base_offset):
-                out.pop()
-                leaf = KeyedPayload(prev.length + leaf.length, prev.lbn_key,
-                                    prev.fho_key, prev.base_offset,
-                                    prev.pinned)
-            prev = leaf
-            keyed = True
-        else:
-            prev = None
-        out.append(leaf)
-    return out if keyed else None
 
 
 class NCacheModule:
@@ -235,11 +203,18 @@ class NCacheModule:
         action = self._classifier.classify_tx(dgram)
         if action is TxAction.PASS:
             return dgram
-        # One pass straight off the chain gathers the leaves, finds out
-        # whether any is a placeholder and undoes fragment boundaries.
-        leaves = coalesce_keyed(itertools.chain.from_iterable(
-            flatten_payload(buf.payload) for buf in dgram.chain.buffers))
-        if leaves is None:
+        # One pass straight off the chain gathers the leaves and finds
+        # out whether any is a placeholder.  The stack hands the hook one
+        # buffer holding the whole message, so each block's placeholder
+        # comes unsplit: there are no fragment boundaries to undo.
+        leaves: List[Payload] = []
+        keyed = False
+        for buf in dgram.chain.buffers:
+            for leaf in flatten_payload(buf.payload):
+                if not keyed and isinstance(leaf, KeyedPayload):
+                    keyed = True
+                leaves.append(leaf)
+        if not keyed:
             return dgram
         if action is TxAction.REMAP_AND_SUBSTITUTE \
                 and self.enable_remap:
@@ -308,18 +283,11 @@ class NCacheModule:
         extra_frames = 0  # packets beyond one per entry of new_buffers
         lookups = 0
         t0 = self.host.sim.now
-        # Transport fragmentation may slice one block's placeholder across
-        # several packets; the module resolves each *chunk* once per reply
-        # (a per-reply lookup table), not once per fragment.
+        # Two placeholders may name one chunk (partial ranges of it);
+        # the module resolves each *chunk* once per reply (a per-reply
+        # lookup table), not once per placeholder.
         resolved: dict = {}
         held: dict = {}  # id -> the chunks this payload pinned (receipts)
-
-        def emit_plain() -> None:
-            if pending_plain:
-                new_buffers.append(NetBuffer(payload=concat(pending_plain),
-                                             flavor=flavor))
-                pending_plain.clear()
-
         for leaf in leaves:
             if not isinstance(leaf, KeyedPayload):
                 pending_plain.append(leaf)
@@ -382,10 +350,10 @@ class NCacheModule:
                 new_buffers.extend(cached[1:])
             else:
                 new_buffers.extend(cached)
-        emit_plain()
-        for pinned in held.values():
-            for chunk in pinned:
-                chunk.unpin()
+        if pending_plain:
+            new_buffers.append(NetBuffer(payload=concat(pending_plain),
+                                         flavor=flavor))
+        unpin_all(itertools.chain.from_iterable(held.values()))
 
         yield from self.host.acct.compute(
             costs.ncache_reply_fixed_ns
@@ -512,9 +480,9 @@ class NCacheModule:
                     first = i
         if first < 0:
             return payload
-        for chunk in pinned:
-            chunk.pin()
-        head = leaves[first].holding(tuple(pinned))
+        receipt = tuple(pinned)
+        pin_all(receipt)
+        head = leaves[first].holding(receipt)
         if isinstance(payload, CompositePayload):
             return payload.replacing(first, head)
         return head

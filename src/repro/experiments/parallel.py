@@ -15,8 +15,9 @@ any ``--workers`` value, because
 * trace buses are serialized per point and assigned Chrome pids by spec
   position during the merge, not by adoption order inside a worker.
 
-``DESIGN.md`` §7 states the argument in full; the lock is
-``tests/test_parallel_determinism.py``.
+``DESIGN.md`` §7 states the argument in full; the lock is CI's
+``sweep-identity`` step, which diffs whole sweeps run at ``--workers 1``
+and ``--workers 2``.
 """
 
 from __future__ import annotations

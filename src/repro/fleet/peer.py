@@ -17,7 +17,7 @@ from typing import Any, Callable, Generator, List, Optional
 
 from ..core.keys import KeyedPayload, LbnKey
 from ..net.addresses import Endpoint, PEER_CLIENT_PORT, PEER_PORT
-from ..net.buffer import BytesPayload, JunkPayload, Payload, concat
+from ..net.buffer import EMPTY_PAYLOAD, JunkPayload, Payload, concat
 from ..net.network import Datagram
 from ..rpc.messages import XidMatcher
 from ..rpc.peer import (PeerFetchCall, PeerFetchReply, PeerPushCall,
@@ -69,7 +69,7 @@ class PeerCacheService:
             is_metadata = False
         else:
             host.counters.add("fleet.peer_served_miss")
-            data = BytesPayload(b"")
+            data = EMPTY_PAYLOAD
             reply = PeerFetchReply(call.xid, hit=False, lun=call.lun,
                                    lba=call.lbn, nblocks=0)
             is_metadata = True
@@ -101,7 +101,7 @@ class PeerCacheService:
         reply = PeerPushReply(call.xid)
         yield from host.stack.udp_send(
             src_ip=dgram.dst.ip, src_port=PEER_PORT, dst=dgram.src,
-            message=reply, data=BytesPayload(b""),
+            message=reply, data=EMPTY_PAYLOAD,
             header=JunkPayload(reply.header_size),
             discipline=self.discipline, is_metadata=True)
 
@@ -122,14 +122,12 @@ class PeerCacheClient:
         self.matcher = XidMatcher(self.host.sim)
         self.host.stack.udp_bind(PEER_CLIENT_PORT, self._on_reply)
 
-    def _on_reply(self, dgram: Datagram) -> Generator[Event, Any, None]:
+    def _on_reply(self, dgram: Datagram) -> None:
         reply = dgram.message
         if not isinstance(reply, (PeerFetchReply, PeerPushReply)):
             raise SimulationError(f"peer client got {reply!r}")
         if self.matcher.is_pending(reply.xid):
             self.matcher.resolve(reply.xid, dgram)
-        return
-        yield  # pragma: no cover - generator marker
 
     def _rto_expire(self, xid: int, waiter: Event) -> None:
         if waiter.triggered:
@@ -156,7 +154,7 @@ class PeerCacheClient:
         waiter = self.matcher.expect(xid)
         yield from host.stack.udp_send(
             src_ip=self.local_ip, src_port=PEER_CLIENT_PORT, dst=peer,
-            message=call, data=BytesPayload(b""),
+            message=call, data=EMPTY_PAYLOAD,
             header=JunkPayload(call.header_size), is_metadata=True)
         timer = host.sim.call_later(self.rto_s, self._rto_expire,
                                     xid, waiter)

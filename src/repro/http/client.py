@@ -7,7 +7,7 @@ from typing import Any, Deque, Generator, Optional, Tuple
 
 from ..copymodel.materialize import materialize
 from ..net.addresses import Endpoint
-from ..net.buffer import BytesPayload
+from ..net.buffer import EMPTY_PAYLOAD, BytesPayload
 from ..net.host import Host
 from ..net.network import Datagram
 from ..net.stack import TCPConnection
@@ -36,13 +36,10 @@ class HttpClient:
             self.local_ip, self.local_port, self.server)
         self.conn.on_message = self._on_response
 
-    def _on_response(self, conn: TCPConnection, dgram: Datagram
-                     ) -> Generator[Event, Any, None]:
+    def _on_response(self, conn: TCPConnection, dgram: Datagram) -> None:
         if not self._waiters:
             raise SimulationError("HTTP response with no request outstanding")
         self._waiters.popleft().succeed(dgram)
-        return
-        yield  # pragma: no cover - generator marker
 
     # ``trace`` is never read: benchmarks/ncbench/oracle.py (frozen) passes it.
     def get(self, path: str, trace: None = None
@@ -54,7 +51,7 @@ class HttpClient:
         waiter = self.host.sim.event()
         self._waiters.append(waiter)
         yield from self.conn.send(
-            request, data=BytesPayload(b""),
+            request, data=EMPTY_PAYLOAD,
             header=BytesPayload(request.serialize()), is_metadata=True)
         dgram = yield waiter
         return dgram.message, dgram

@@ -15,7 +15,7 @@ from typing import Any, Generator
 from ..copymodel.accounting import CopyDiscipline
 from ..fs.vfs import VFS
 from ..net.addresses import HTTP_PORT
-from ..net.buffer import BytesPayload
+from ..net.buffer import EMPTY_PAYLOAD, BytesPayload
 from ..net.host import Host
 from ..net.network import Datagram
 from ..net.stack import TCPConnection
@@ -51,12 +51,7 @@ class KHttpd:
     def _accept(self, conn: TCPConnection) -> None:
         queue: Store = Store(self.host.sim, name="khttpd-conn")
 
-        def enqueue(conn_, dgram):
-            queue.put(dgram)
-            return
-            yield  # pragma: no cover - generator marker
-
-        conn.on_message = enqueue
+        conn.on_message = lambda conn_, dgram: queue.put(dgram)
         start(self.host.sim, self._conn_worker(conn, queue),
               name="khttpd-worker")
 
@@ -81,7 +76,7 @@ class KHttpd:
             self.not_found += 1
             response = HttpResponse(status=404, content_length=0)
             yield from conn.send(
-                response, data=BytesPayload(b""),
+                response, data=EMPTY_PAYLOAD,
                 header=BytesPayload(response.serialize_header()),
                 is_metadata=True)
             return

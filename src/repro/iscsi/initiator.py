@@ -19,7 +19,7 @@ from typing import Any, Dict, Generator, Optional
 from ..copymodel.accounting import CopyDiscipline
 from ..fs.disk import BLOCK_SIZE
 from ..net.addresses import Endpoint, ISCSI_PORT
-from ..net.buffer import BytesPayload, JunkPayload, Payload
+from ..net.buffer import EMPTY_PAYLOAD, JunkPayload, Payload
 from ..net.host import Host
 from ..net.network import Datagram
 from ..net.stack import TCPConnection
@@ -92,7 +92,7 @@ class IscsiInitiator:
                 self.host.costs.iscsi_pdu_ns, "iscsi.cmd")
             done = self.host.sim.event()
             self._pending[tag] = done
-            yield from conn.send(cmd, data=BytesPayload(b""),
+            yield from conn.send(cmd, data=EMPTY_PAYLOAD,
                                  header=JunkPayload(BHS_SIZE))
             dgram: Datagram = yield done
         finally:

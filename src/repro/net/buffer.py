@@ -166,6 +166,11 @@ class BytesPayload(Payload):
         return f"BytesPayload({len(self.data)}B)"
 
 
+#: The one empty payload: payloads are immutable, so every empty part
+#: (a message with no data, an empty slice or concatenation) shares it.
+EMPTY_PAYLOAD = BytesPayload(b"")
+
+
 #: Allocator for anonymous memory identities.  Negative so they can never
 #: collide with backing-store identities, which reuse the (non-negative)
 #: source tag.  A plain counter, not id(): ids get recycled by the
@@ -313,7 +318,7 @@ class CompositePayload(Payload):
     def slice(self, offset: int, length: int) -> Payload:
         self._check_slice(offset, length)
         if length == 0:
-            return BytesPayload(b"")
+            return EMPTY_PAYLOAD
         if length == self.length:
             return self  # immutable: the full range is this payload
         picked: List[Payload] = []
@@ -482,7 +487,7 @@ def concat(parts: Iterable[Payload]) -> Payload:
         else:
             flat.append(part)
     if not flat:
-        return BytesPayload(b"")
+        return EMPTY_PAYLOAD
     if len(flat) == 1:
         return flat[0]
     return CompositePayload._from_flat(flat)

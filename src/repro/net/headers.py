@@ -4,7 +4,11 @@ Headers are small value objects attached to :class:`~repro.net.buffer.NetBuffer`
 header stacks.  They exist so NCache can store buffers *with* their
 pre-built headers (one of the paper's claimed benefits: "the protocol
 headers do not need to be repeatedly allocated", §1) and so tests can
-verify header reuse.  Wire sizes match the cost model's accounting.
+verify header reuse.  They are never mutated, so the stack builds a
+flow's IP and transport headers once, on its first datagram, and every
+later buffer of the flow carries the same objects in a list of its own
+(``NetworkStack._flow_headers``): the headers are not repeatedly
+allocated here either.  Wire sizes match the cost model's accounting.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ from ..sim.engine import Event, SimulationError
 from ..sim.process import start
 from .addresses import Endpoint
 from .buffer import (
+    EMPTY_PAYLOAD,
     BufferChain,
-    BytesPayload,
     JunkPayload,
     NetBuffer,
     Payload,
@@ -40,28 +40,22 @@ from .network import NIC, Datagram
 if TYPE_CHECKING:
     from .host import Host
 
-#: Handler for an inbound UDP datagram: a generator function
-#: ``handler(dgram)`` started as a process per datagram.
-UdpHandler = Callable[[Datagram], Generator]
+#: Handler for an inbound UDP datagram (see :meth:`NetworkStack.udp_bind`).
+UdpHandler = Callable[[Datagram], Optional[Generator]]
 
 #: Handler for an inbound TCP message on an established connection.
-TcpHandler = Callable[["TCPConnection", Datagram], Generator]
+TcpHandler = Callable[["TCPConnection", Datagram], Optional[Generator]]
 
 _ACK_WIRE_BYTES = 64 + 38  # minimal frame + wire overhead
 
 
 def count_placeholder_keys(payload: Payload) -> int:
     """Number of key-carrying placeholder fragments inside ``payload``."""
-    return sum(isinstance(leaf, PlaceholderPayload)
-               for leaf in flatten_payload(payload))
-
-
-def _wire_headers(src_ip: str, src_port: int, dst: Endpoint,
-                  proto: str) -> list:
-    """The ``[ip, transport]`` header stack of a datagram's first buffer."""
-    transport = UDPHeader if proto == "udp" else TCPHeader
-    return [IPv4Header(src_ip=src_ip, dst_ip=dst.ip, protocol=proto),
-            transport(src_port=src_port, dst_port=dst.port)]
+    n = 0
+    for leaf in flatten_payload(payload):
+        if isinstance(leaf, PlaceholderPayload):
+            n += 1
+    return n
 
 
 class NetworkStack:
@@ -73,12 +67,19 @@ class NetworkStack:
         self._udp_handlers: Dict[int, UdpHandler] = {}
         self._tcp_listeners: Dict[int, Callable[["TCPConnection"], None]] = {}
         self._connections: Dict[tuple, "TCPConnection"] = {}
+        self._flows: Dict[tuple, tuple] = {}  # see _flow_headers
 
     # ------------------------------------------------------------------
     # UDP
     # ------------------------------------------------------------------
 
     def udp_bind(self, port: int, handler: UdpHandler) -> None:
+        """Deliver datagrams for ``port`` to ``handler(dgram)``.
+
+        The handler is called at receive time.  If it returns a
+        generator (it waits on something) that runs as a process;
+        a plain function that returns ``None`` costs no process.
+        """
         if port in self._udp_handlers:
             raise SimulationError(f"UDP port {port} already bound")
         self._udp_handlers[port] = handler
@@ -110,7 +111,8 @@ class NetworkStack:
                    acceptor: Callable[["TCPConnection"], None]) -> None:
         """Register ``acceptor(conn)``, called for each new connection.
 
-        The acceptor must set ``conn.on_message`` before returning.
+        The acceptor must set ``conn.on_message`` before returning; it
+        is called per message under :meth:`udp_bind`'s handler contract.
         """
         if port in self._tcp_listeners:
             raise SimulationError(f"TCP port {port} already listening")
@@ -208,13 +210,15 @@ class NetworkStack:
             if conn.on_message is None:
                 raise SimulationError(
                     f"connection {conn.local}->{conn.remote} has no handler")
-            start(self.sim, conn.on_message(conn, dgram), name="tcp-handler")
+            gen = conn.on_message(conn, dgram)
         else:
             handler = self._udp_handlers.get(dgram.dst.port)
             if handler is None:
                 self.host.counters.add("udp.dropped")
                 return
-            start(self.sim, handler(dgram), name="udp-handler")
+            gen = handler(dgram)
+        if gen is not None:
+            start(self.sim, gen, name=f"{dgram.protocol}-handler")
 
     # ------------------------------------------------------------------
     # Internals
@@ -237,7 +241,7 @@ class NetworkStack:
         """
         host = self.host
         acct = host.acct
-        header = header if header is not None else BytesPayload(b"")
+        header = header if header is not None else EMPTY_PAYLOAD
         moved, move_ns = self._socket_move(data, discipline, is_metadata)
         message_bytes = header.length + moved.length
         n_frames = frames(message_bytes)
@@ -251,12 +255,13 @@ class NetworkStack:
         # buffers (an NCache host), and the receive path refragments
         # there — every other consumer reassembles the payload anyway,
         # and frame/wire accounting is arithmetic.  A substituting TX
-        # hook replaces the chain wholesale (it coalesces fragment
-        # boundaries away first), so fragmenting before the hooks would
-        # be pure wasted work.
+        # hook replaces the chain wholesale, and sees each block's
+        # placeholder unsplit, so fragmenting before the hooks would be
+        # pure wasted work.
         chain = BufferChain([NetBuffer(
             payload=concat([header, moved]),
-            headers=_wire_headers(src.ip, src.port, dst, protocol),
+            headers=list(self._flow_headers(src.ip, src.port, dst,
+                                            protocol)),
             flavor=host.buffer_flavor)])
         dgram = Datagram(protocol=protocol, src=src, dst=dst,
                          message=message, chain=chain, n_frames=n_frames,
@@ -297,15 +302,29 @@ class NetworkStack:
         self.host.counters.add("copies.elided")
         return JunkPayload(data.length), 0.0
 
+    def _flow_headers(self, src_ip: str, src_port: int, dst: Endpoint,
+                      proto: str) -> tuple:
+        """The flow's ``(ip, transport)`` header objects: immutable, so
+        built on its first datagram and shared by every buffer after it,
+        each buffer holding its own list over them (§1's pre-built
+        headers)."""
+        flow = (src_ip, src_port, dst, proto)
+        headers = self._flows.get(flow)
+        if headers is None:
+            transport = UDPHeader if proto == "udp" else TCPHeader
+            headers = self._flows[flow] = (
+                IPv4Header(src_ip=src_ip, dst_ip=dst.ip, protocol=proto),
+                transport(src_port=src_port, dst_port=dst.port))
+        return headers
+
     def _build_chain(self, payload: Payload, fragment_size: int, src_ip: str,
                      src_port: int, dst: Endpoint, proto: str) -> BufferChain:
-        # Headers are immutable once built, so one IP header object is
-        # shared by every fragment of the chain (a chain can be dozens
-        # of fragments; per-fragment construction showed in profiles).
-        first = _wire_headers(src_ip, src_port, dst, proto)
+        # The first fragment carries the flow's IP and transport headers,
+        # every later one its IP header only.
+        first = self._flow_headers(src_ip, src_port, dst, proto)
 
         def headers_factory(index: int, frag: Payload):
-            return list(first) if index == 0 else first[:1]
+            return list(first) if index == 0 else [first[0]]
 
         return chain_from_payload(payload, fragment_size, headers_factory,
                                   flavor=self.host.buffer_flavor)
@@ -396,7 +415,7 @@ class TCPConnection:
         self.local = local
         self.remote = remote
         self.established = stack.sim.event()
-        #: generator function ``on_message(conn, dgram)``
+        #: ``on_message(conn, dgram)``, under ``udp_bind``'s contract
         self.on_message: Optional[TcpHandler] = None
 
     def send(self, message: Any, data: Payload,

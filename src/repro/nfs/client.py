@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from ..net.addresses import Endpoint
-from ..net.buffer import BytesPayload, JunkPayload, Payload
+from ..net.buffer import EMPTY_PAYLOAD, JunkPayload, Payload
 from ..net.host import Host
 from ..net.network import Datagram
 from ..rpc.messages import XidMatcher
@@ -44,7 +44,7 @@ class NfsClient:
         self.matcher = XidMatcher(host.sim)
         host.stack.udp_bind(local_port, self._on_reply)
 
-    def _on_reply(self, dgram: Datagram) -> Generator[Event, Any, None]:
+    def _on_reply(self, dgram: Datagram) -> None:
         reply = dgram.message
         if not isinstance(reply, NfsReply):
             raise SimulationError(f"client got {reply!r}")
@@ -52,8 +52,6 @@ class NfsClient:
         # original's reply) are dropped, like the real client does.
         if self.matcher.is_pending(reply.xid):
             self.matcher.resolve(reply.xid, dgram)
-        return
-        yield  # pragma: no cover - generator marker
 
     # -- generic call ----------------------------------------------------------
 
@@ -67,7 +65,7 @@ class NfsClient:
         xid = self.matcher.new_xid()
         call = NfsCall(xid=xid, proc=proc, fh=fh, name=name,
                        offset=offset, count=count, new_size=new_size)
-        data = data if data is not None else BytesPayload(b"")
+        data = data if data is not None else EMPTY_PAYLOAD
         waiter = self.matcher.expect(xid)
         rto = self.rto_s
         for attempt in range(self.max_attempts):

@@ -28,7 +28,7 @@ from typing import Any, Generator, Optional
 from ..copymodel.accounting import CopyDiscipline
 from ..fs.vfs import VFS
 from ..net.addresses import NFS_PORT
-from ..net.buffer import BytesPayload, JunkPayload, Payload
+from ..net.buffer import EMPTY_PAYLOAD, JunkPayload, Payload
 from ..net.host import Host
 from ..net.network import Datagram
 from ..sim.engine import Event, SimulationError
@@ -128,10 +128,8 @@ class NfsServer:
 
     # -- request intake ------------------------------------------------------
 
-    def _enqueue(self, dgram: Datagram) -> Generator[Event, Any, None]:
+    def _enqueue(self, dgram: Datagram) -> None:
         self._queue.put(dgram)
-        return
-        yield  # pragma: no cover - generator marker
 
     def _daemon_loop(self) -> Generator[Event, Any, None]:
         while True:
@@ -203,7 +201,7 @@ class NfsServer:
         """Send a reply back out of the NIC the request arrived on."""
         yield from self.host.acct.compute(
             self.host.costs.rpc_ns, "rpc.encode")
-        data = data if data is not None else BytesPayload(b"")
+        data = data if data is not None else EMPTY_PAYLOAD
         if remember and reply.proc in REPLAYED_PROCS:
             self.drc.remember(dgram, reply)
         yield from self.host.stack.udp_send(

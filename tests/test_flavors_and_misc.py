@@ -87,11 +87,7 @@ class TestSoftwareChecksumCosts:
         a.add_nic(network, "a0")
         b.add_nic(network, "b0")
 
-        def handler(dgram):
-            return
-            yield
-
-        b.stack.udp_bind(9, handler)
+        b.stack.udp_bind(9, lambda dgram: None)
 
         def send():
             yield from a.stack.udp_send(
@@ -106,11 +102,7 @@ class TestSoftwareChecksumCosts:
     def test_offload_on_charges_nothing(self, sim, two_hosts):
         a, b = two_hosts
 
-        def handler(dgram):
-            return
-            yield
-
-        b.stack.udp_bind(9, handler)
+        b.stack.udp_bind(9, lambda dgram: None)
 
         def send():
             yield from a.stack.udp_send(

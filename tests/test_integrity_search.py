@@ -8,11 +8,13 @@ fixes each of them fails: a READ returns a block's pre-WRITE bytes.
 
 from __future__ import annotations
 
+import subprocess
+
 import pytest
 
 from content_oracle import ContentMismatch, ContentOracle
 from dispatch_digest import recorded
-from integrity_search import MODES, Cell, run
+from integrity_search import MODES, MUTANT_DIR, MUTANTS, Cell, run
 from repro.cache import POLICIES
 from repro.experiments.parallel import RunSpec
 from repro.net.buffer import VirtualPayload
@@ -95,6 +97,19 @@ def test_shuffled_ties_change_the_dispatch_order():
                                      shuffle=False)))
     shuffled = recorded(lambda: run(Cell("ops", "ncache", "lru", 1)))
     assert fifo != shuffled
+
+
+def test_every_mutant_patch_still_applies():
+    """A refactor that moves a mutant's context fails here, not only in
+    the mutant matrix; regenerate the patch with the same mutation."""
+    assert sorted(p.stem for p in MUTANT_DIR.glob("*.patch")) == \
+        sorted(MUTANTS)
+    root = MUTANT_DIR.parents[1]
+    for name in MUTANTS:
+        check = subprocess.run(
+            ["git", "apply", "--check", str(MUTANT_DIR / f"{name}.patch")],
+            cwd=root, capture_output=True, text=True)
+        assert check.returncode == 0, f"{name}: {check.stderr}"
 
 
 class _Clock:

@@ -2,12 +2,20 @@
 
 import pytest
 
+from conftest import drive
+from repro.copymodel import CopyDiscipline
 from repro.core import Chunk, FhoKey, KeyedPayload, LbnKey
-from repro.core.ncache import coalesce_keyed
+from repro.core import ncache as ncache_module
+from repro.core.ncache import NCacheModule
+from repro.core.resize import buffers_for_range
+from repro.core.store import NCacheStore
 from repro.fs import BLOCK_SIZE
-from repro.net.buffer import (BytesPayload, VirtualPayload, concat,
+from repro.net import Datagram, Endpoint, Host
+from repro.net.buffer import (BufferChain, BytesPayload, ExtentPayload,
+                              NetBuffer, VirtualPayload, concat,
                               flatten_payload)
 from repro.nfs import read_reply_data
+from repro.nfs.protocol import NfsProc, NfsReply
 from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
 from repro.sim.process import start
@@ -28,31 +36,99 @@ def run_scenario(testbed, gen):
 
 
 class TestCoalesce:
-    def test_merges_contiguous_same_key(self):
-        key = LbnKey(0, 1)
-        leaves = [KeyedPayload(1000, lbn_key=key, base_offset=0),
-                  KeyedPayload(1000, lbn_key=key, base_offset=1000)]
-        out = coalesce_keyed(leaves)
-        assert len(out) == 1
-        assert out[0].length == 2000
-        assert out[0].base_offset == 0
+    """The TX hook does not coalesce placeholder slices: the stack never
+    splits them, and a reply that carries split ones substitutes
+    byte-exactly without merging them first."""
 
-    def test_does_not_merge_across_keys(self):
-        leaves = [KeyedPayload(1000, lbn_key=LbnKey(0, 1)),
-                  KeyedPayload(1000, lbn_key=LbnKey(0, 2))]
-        assert len(coalesce_keyed(leaves)) == 2
+    @pytest.mark.parametrize("proto", ["udp", "tcp"])
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_tx_hook_sees_one_buffer_with_the_whole_message(
+            self, sim, two_hosts, proto, keyed):
+        a, b = two_hosts
+        seen = []
 
-    def test_does_not_merge_non_contiguous(self):
-        key = LbnKey(0, 1)
-        leaves = [KeyedPayload(100, lbn_key=key, base_offset=0),
-                  KeyedPayload(100, lbn_key=key, base_offset=500)]
-        assert len(coalesce_keyed(leaves)) == 2
+        def hook(dgram):
+            seen.append(dgram.chain.buffers)
+            return dgram
+            yield
 
-    def test_plain_leaves_untouched(self):
-        leaves = [BytesPayload(b"h"),
-                  KeyedPayload(100, lbn_key=LbnKey(0, 1)),
-                  BytesPayload(b"t")]
-        assert len(coalesce_keyed(leaves)) == 3
+        a.add_tx_hook(hook)
+        header = BytesPayload(b"h" * 100)
+        if keyed:
+            data = concat([KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, i))
+                           for i in range(8)])
+        else:
+            data = VirtualPayload(3, 0, 8 * BLOCK_SIZE)
+        discipline = CopyDiscipline.LOGICAL
+        if proto == "udp":
+            b.stack.udp_bind(9, lambda dgram: None)
+
+            def send():
+                yield from a.stack.udp_send("a0", 5, Endpoint("b0", 9),
+                                            None, data, header=header,
+                                            discipline=discipline)
+        else:
+            def acceptor(conn):
+                conn.on_message = lambda conn_, dgram: None
+
+            b.stack.tcp_listen(9, acceptor)
+
+            def send():
+                conn = yield from a.stack.tcp_connect("a0", 5,
+                                                      Endpoint("b0", 9))
+                yield from conn.send(None, data, header=header,
+                                     discipline=discipline)
+
+        drive(sim, send())
+        (buf,), = seen
+        assert buf.payload.length == header.length + data.length
+        leaves = flatten_payload(buf.payload)
+        assert leaves[0] is header
+        if keyed:
+            # Every block's placeholder arrives unsplit.
+            assert [(leaf.lbn_key, leaf.base_offset, leaf.length)
+                    for leaf in leaves[1:]] == \
+                [(LbnKey(0, i), 0, BLOCK_SIZE) for i in range(8)]
+
+    def test_adjacent_partial_slices_of_one_chunk_substitute_exactly(
+            self, sim, monkeypatch):
+        host = Host(sim, "server")
+        store = NCacheStore(1 << 20, counters=host.counters, trace=sim.trace)
+        module = NCacheModule(host, store)
+        key = LbnKey(0, 7)
+        data = ExtentPayload(0xC0FFEE, 7 * BLOCK_SIZE, BLOCK_SIZE)
+        chunk = Chunk.from_payload(key, data, 1448)
+        store.make_room(chunk.footprint(store.per_buffer_overhead,
+                                        store.per_chunk_overhead))
+        store.insert(chunk)
+        ranges = []
+
+        def spy(buffers, offset, length):
+            ranges.append((offset, length))
+            return buffers_for_range(buffers, offset, length)
+
+        monkeypatch.setattr(ncache_module, "buffers_for_range", spy)
+        lookups = []
+        resolve = store.resolve
+        monkeypatch.setattr(store, "resolve",
+                            lambda *keys: lookups.append(keys) or
+                            resolve(*keys))
+        header = BytesPayload(b"r" * 120)
+        split = 1000
+        payload = concat([
+            header, KeyedPayload(split, lbn_key=key),
+            KeyedPayload(BLOCK_SIZE - split, lbn_key=key, base_offset=split)])
+        dgram = Datagram(
+            protocol="udp", src=Endpoint("server-0", 2049),
+            dst=Endpoint("client-0", 900),
+            message=NfsReply(xid=1, proc=NfsProc.READ),
+            chain=BufferChain([NetBuffer(payload=payload)]),
+            n_frames=1, wire_bytes=0)
+        drive(sim, module.tx_hook(dgram))
+        assert ranges == [(0, split), (split, BLOCK_SIZE - split)]
+        assert dgram.chain.payload().materialize() == \
+            header.materialize() + data.materialize()
+        assert lookups == [(None, key)]  # one chunk, resolved once
 
     def test_flatten_skips_empty(self):
         payload = concat([BytesPayload(b""), BytesPayload(b"x")])

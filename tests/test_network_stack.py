@@ -20,12 +20,7 @@ from conftest import CopyWindow, drive
 def udp_receiver(host, port=9):
     got = []
 
-    def handler(dgram):
-        got.append(dgram)
-        return
-        yield
-
-    host.stack.udp_bind(port, handler)
+    host.stack.udp_bind(port, got.append)
     return got
 
 
@@ -161,8 +156,6 @@ class TestTcp:
 
         def default_handler(conn, dgram):
             received.append(dgram)
-            return
-            yield
 
         def acceptor(conn):
             conn.on_message = handler or default_handler
@@ -276,8 +269,6 @@ class TestHooks:
 
         def handler(dgram):
             order.append("handler")
-            return
-            yield
 
         b.stack.udp_bind(9, handler)
 
@@ -356,3 +347,97 @@ class TestPlaceholderCounting:
         assert count_placeholder_keys(mixed) == 3
         assert count_placeholder_keys(BytesPayload(b"h")) == 0
         assert count_placeholder_keys(keyed[0]) == 1
+
+
+class TestFlowHeaders:
+    """A flow's IP and transport headers are built once, on its first
+    datagram; every buffer holds its own list over them."""
+
+    def test_one_flow_shares_header_objects(self, sim, two_hosts):
+        a, b = two_hosts
+        got = udp_receiver(b)
+
+        def send(src_port):
+            yield from a.stack.udp_send("a0", src_port, Endpoint("b0", 9),
+                                        None, BytesPayload(b"x"))
+
+        drive(sim, send(5))
+        sim.run()
+        first = got[0].chain.buffers[0].headers
+        first.append("an application's own header")
+        drive(sim, send(5))
+        drive(sim, send(6))
+        sim.run()
+        second = got[1].chain.buffers[0].headers
+        other = got[2].chain.buffers[0].headers
+        assert second is not first
+        assert len(second) == 2
+        assert all(x is y for x, y in zip(first, second))
+        assert not any(x is y for x, y in zip(second, other))
+        assert other[1].src_port == 6
+
+
+class TestHandlerContract:
+    """The stack calls a receive handler at receive time and starts a
+    process only for a handler that returns a generator."""
+
+    @staticmethod
+    def spy_on_start(monkeypatch):
+        import repro.net.stack as stack_module
+
+        names = []
+        real = stack_module.start
+
+        def spy(sim, gen, name=None):
+            names.append(name)
+            return real(sim, gen, name=name)
+
+        monkeypatch.setattr(stack_module, "start", spy)
+        return names
+
+    def test_plain_handlers_start_no_process(self, sim, two_hosts,
+                                             monkeypatch):
+        a, b = two_hosts
+        names = self.spy_on_start(monkeypatch)
+        calls = []
+        b.stack.udp_bind(9, lambda dgram: calls.append(("udp", sim.now)))
+
+        def acceptor(conn):
+            conn.on_message = lambda conn_, dgram: calls.append(
+                ("tcp", sim.now))
+
+        b.stack.tcp_listen(80, acceptor)
+
+        def send():
+            yield from a.stack.udp_send("a0", 5, Endpoint("b0", 9), None,
+                                        BytesPayload(b"x"))
+            conn = yield from a.stack.tcp_connect("a0", 1000,
+                                                  Endpoint("b0", 80))
+            yield from conn.send(None, BytesPayload(b"y"))
+
+        drive(sim, send())
+        sim.run()
+        assert [proto for proto, _ in calls] == ["udp", "tcp"]
+        assert all(when > 0 for _, when in calls)
+        assert "udp-handler" not in names and "tcp-handler" not in names
+
+    def test_generator_handler_runs_as_a_process(self, sim, two_hosts,
+                                                 monkeypatch):
+        a, b = two_hosts
+        names = self.spy_on_start(monkeypatch)
+        done = []
+
+        def handler(dgram):
+            yield sim.timeout(1.0)
+            done.append(sim.now)
+
+        b.stack.udp_bind(9, handler)
+
+        def send():
+            yield from a.stack.udp_send("a0", 5, Endpoint("b0", 9), None,
+                                        BytesPayload(b"x"))
+
+        drive(sim, send())
+        sim.run()
+        assert names.count("udp-handler") == 1
+        assert len(done) == 1 and done[0] > 1.0

@@ -219,8 +219,6 @@ def test_software_checksum_receiver_counts_every_segment():
 
     def handler(dgram):
         got.append(dgram)
-        return
-        yield
 
     client.stack.udp_bind(900, handler)
     chunk = Chunk.from_payload(LbnKey(0, 1),

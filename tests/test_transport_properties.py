@@ -33,8 +33,6 @@ class TestUdpFragmentationProperty:
 
         def handler(dgram):
             got.append(dgram)
-            return
-            yield
 
         b.stack.udp_bind(9, handler)
         header = BytesPayload(bytes((i * 7) % 256
@@ -81,8 +79,6 @@ class TestTcpSegmentationProperty:
 
         def on_message(conn, dgram):
             got.append(dgram)
-            return
-            yield
 
         def acceptor(conn):
             conn.on_message = on_message
@@ -113,8 +109,6 @@ class TestLazyFragField:
 
         def handler(*args):
             got.append(args[-1])
-            return
-            yield
 
         data = VirtualPayload(7, 0, 20_000)
         if proto == "udp":
