@@ -46,8 +46,8 @@ from .policy import Policy, make_policy
 
 class CacheStallError(RuntimeError):
     """Raised when eviction must make progress but every entry is pinned
-    (or otherwise inadmissible).  A ``RuntimeError`` subclass so existing
-    callers that treated the stall as fatal keep working unchanged."""
+    (or otherwise inadmissible); a request holds only what its reply
+    needs, so the integrity search counts one as a kill."""
 
 
 class KernelMetrics:

@@ -55,7 +55,7 @@ def _restamp(payload: Payload, generation: int) -> Payload:
 class Chunk:
     """One fixed-size cached block: a payload and its buffers' shape."""
 
-    __slots__ = ("key", "dirty", "pins", "lbn_hint", "generation",
+    __slots__ = ("key", "dirty", "pins", "heir", "lbn_hint", "generation",
                  "_payload", "_shape", "_buffers", "__weakref__")
 
     def __init__(self, key: ChunkKey, payload: Payload, shape: SegmentShape,
@@ -72,6 +72,9 @@ class Chunk:
         self._buffers: Optional[List[NetBuffer]] = None
         self.dirty = dirty
         self.pins = 0
+        #: The chunk that replaced this one under its key while pinned;
+        #: it holds the pins, and releasing one here releases it there.
+        self.heir: Optional[Chunk] = None
         #: For dirty FHO chunks: where this block will land on disk, used
         #: when NCache itself must write the chunk back (§3.4).
         self.lbn_hint = lbn_hint
@@ -184,6 +187,14 @@ class Chunk:
     def unpin(self) -> None:
         unpin_all((self,))
 
+    def bequeath(self, heir: "Chunk") -> None:
+        """Hand this chunk's pins to ``heir``, which replaces it under
+        its key: its holders' key resolves to ``heir`` from now on."""
+        if self.pins:
+            heir.pins += self.pins
+            self.pins = 0
+            self.heir = heir
+
     def __repr__(self) -> str:
         state = "dirty" if self.dirty else "clean"
         return (f"Chunk({self.key}, {len(self._shape.segments)} bufs, "
@@ -202,6 +213,8 @@ def pin_all(chunks: Iterable[Chunk]) -> None:
 def unpin_all(chunks: Iterable[Chunk]) -> None:
     """Release one pin on every chunk of ``chunks``."""
     for chunk in chunks:
+        while chunk.heir is not None:
+            chunk = chunk.heir
         if chunk.pins <= 0:
             raise RuntimeError("unpin of unpinned chunk")
         chunk.pins -= 1

@@ -5,9 +5,9 @@ between the network stack and the Ethernet device driver" (§4.1) — here,
 registered as one RX hook and one TX hook on the pass-through server's
 host.  Everything above it (daemon, buffer cache, VFS) is unmodified; the
 seams the kernel exposes (Table 1) are the logical-copy socket
-discipline and the VFS's two key hooks — the LBN annotator, which lets a
-keyed block into the FS cache only while its chunk is cached, and the
-pin taken as a reply or flush leaves the FS cache — all wired up by
+discipline and the VFS's key hooks — the LBN annotator, which lets a
+written block into the FS cache only while its chunk is cached, and the
+pins a reply, a flush or a fill holds on its chunks — all wired up by
 :func:`attach_ncache`.
 
 RX: iSCSI Data-In payloads are chunked into the LBN cache; NFS WRITE
@@ -108,10 +108,14 @@ class NCacheModule:
         bs = self.store.chunk_size
         carved = self._carve(dgram, message.header_size, message.nblocks)
         keyed_parts: List[Payload] = []
+        held: List[Chunk] = []
         for i, (payload, shape) in enumerate(carved):
             key = LbnKey(self.lun, message.lba + i)
-            yield from self._insert_chunk(Chunk(key, payload, shape))
+            chunk = yield from self._insert_chunk(Chunk(key, payload, shape))
+            chunk.pin()  # until the fill's reply holds it (unpin_keys)
+            held.append(chunk)
             keyed_parts.append(KeyedPayload(bs, lbn_key=key))
+        keyed_parts[0] = keyed_parts[0].holding(tuple(held))
         dgram.keyed_payload = concat(keyed_parts)
         self.counters.add("ncache.cached_data_in", len(carved))
         if self.trace.enabled:
@@ -144,7 +148,7 @@ class NCacheModule:
                             tid=self.trace.tid_for(self.host.name),
                             offset=call.offset, blocks=len(carved))
 
-    def _insert_chunk(self, chunk: Chunk) -> Generator[Event, Any, None]:
+    def _insert_chunk(self, chunk: Chunk) -> Generator[Event, Any, Chunk]:
         costs = self.host.costs
         yield from self.host.acct.compute(
             costs.ncache_lookup_ns + costs.ncache_mgmt_ns, "ncache.insert")
@@ -159,9 +163,10 @@ class NCacheModule:
             for victim in victims:
                 yield from self.write_back_chunk(victim)
         if isinstance(chunk.key, LbnKey) \
-                and store.peek_lbn(chunk.key) is not None:
-            return  # a Data-In's disk bytes: the resident one is as new
+                and (resident := store.peek_lbn(chunk.key)) is not None:
+            return resident  # a Data-In's disk bytes: as new
         store.insert(chunk, footprint=footprint)
+        return chunk  # now resident under its key
 
     def write_back_chunk(self, chunk: Chunk
                          ) -> Generator[Event, Any, None]:
@@ -413,6 +418,8 @@ class NCacheModule:
         if san is not None:
             for chunk in chunks:
                 san.chunk_used(chunk, "l2_serve")
+        receipt = tuple(chunks)
+        pin_all(receipt)  # until the fill's reply holds them
         if self.trace.enabled:
             self.trace.emit("ncache.l2_hit", cat="ncache",
                             tid=self.trace.tid_for(self.host.name),
@@ -421,6 +428,7 @@ class NCacheModule:
             nblocks * costs.ncache_mgmt_ns, "ncache.l2_serve")
         parts: List[Payload] = [
             KeyedPayload(chunk.length, lbn_key=chunk.key) for chunk in chunks]
+        parts[0] = parts[0].holding(receipt)
         return concat(parts)
 
     # ------------------------------------------------------------------
@@ -431,27 +439,21 @@ class NCacheModule:
                       ) -> Optional[Payload]:
         """The block the FS cache may store at ``lbn``, or ``None``.
 
-        A keyed block gets its LBN key stamped on, so post-remap lookups
-        succeed (§3.4), and is let in only while the chunk it stands
-        for is cached.  A fill or a write yields between the RX hook
-        caching its chunks and the page insert; a chunk evicted in
-        between must not enter the FS cache as a dangling key, which
-        the reclaim listener could no longer reach.  A written block
-        stands for its FHO chunk: once that is gone its bytes went to
-        the LBN by writeback, and an LBN chunk may be older.
+        A fill's block comes stamped, its chunk pinned by the fill; it
+        goes in without the pins, which stay the fill's.  A written
+        block gets its LBN key stamped on, so post-remap lookups succeed
+        (§3.4), and is let in only while its FHO chunk is cached: the
+        WRITE yields between the RX hook and the page insert, and a
+        chunk evicted meanwhile went to the LBN by writeback, where an
+        LBN chunk may be older.
         """
         if not isinstance(block_payload, KeyedPayload):
             return block_payload
-        lbn_key = block_payload.lbn_key
-        if block_payload.fho_key is not None:
-            live = self.store.peek_fho(block_payload.fho_key)
-        else:
-            live = self.store.peek_lbn(lbn_key)
-        if live is None:
+        if block_payload.fho_key is None:
+            return block_payload.holding(()) if block_payload.pinned \
+                else block_payload
+        if self.store.peek_fho(block_payload.fho_key) is None:
             return None
-        if lbn_key is not None and lbn_key.lbn == lbn \
-                and lbn_key.lun == self.lun:
-            return block_payload  # a fill's block: stamped already
         return block_payload.with_lbn(LbnKey(self.lun, lbn))
 
     def pin_keys(self, payload: Payload) -> Optional[Payload]:
@@ -486,3 +488,10 @@ class NCacheModule:
         if isinstance(payload, CompositePayload):
             return payload.replacing(first, head)
         return head
+
+    def unpin_keys(self, payload: Payload) -> None:
+        """Release the pins ``payload``'s placeholders carry: a fill's,
+        once its reply holds its own keys."""
+        for leaf in flatten_payload(payload):
+            if isinstance(leaf, KeyedPayload) and leaf.pinned:
+                unpin_all(leaf.pinned)

@@ -16,13 +16,13 @@ identical to the paper's.
 Beyond the paper's text, the store completes the design with two pieces of
 necessary engineering, both flagged in DESIGN.md:
 
-* **pinning** — chunks referenced by an in-flight reply or flush cannot
-  be reclaimed out from under the substitution step: the NCache module
-  pins them as the payload leaves the FS cache and the TX hook unpins
-  them (``NCacheModule.pin_keys``).  Eviction and :meth:`cold_restart`
-  skip a pinned chunk; a newer chunk replacing it under its key
-  (:meth:`insert`'s overwrite, :meth:`remap`'s stale removal) drops it
-  all the same, since the key still resolves;
+* **pinning** — chunks referenced by an in-flight reply, flush or fill
+  cannot be reclaimed out from under it: the NCache module pins them
+  and the TX hook or the fill unpins them (``NCacheModule.pin_keys``).
+  Eviction and :meth:`cold_restart` skip a pinned chunk; a newer chunk
+  replacing it under its key (:meth:`insert`'s overwrite, :meth:`remap`'s
+  stale removal) drops it all the same and inherits its pins, since the
+  holders' key now resolves to the newer one (``Chunk.heir``);
 * **reclaim notification** — when a chunk disappears, any file-system
   cache page still holding its key is invalidated (otherwise a later read
   hit would dereference a dangling key).
@@ -238,6 +238,7 @@ class NCacheStore:
         self._used_gauge.set(self._kernel.used_bytes)
         index[chunk.key] = chunk
         if existing is not None:
+            existing.bequeath(chunk)
             self._kernel.remove(existing)
             self._evicted(existing)
             self.counters.add("ncache.overwrite")
@@ -310,6 +311,7 @@ class NCacheStore:
         self._lbn[lbn_key] = chunk  # installed before the stale removal so
         # reclaim listeners observe the block as still resolvable
         if stale is not None and stale is not chunk:
+            stale.bequeath(chunk)
             self._kernel.remove(stale)
             self._evicted(stale)
             self.counters.add("ncache.remap_overwrite")

@@ -4,8 +4,8 @@
 
 * the NCache module hooks in below the network stack (RX/TX hooks);
 * the VFS gets the LBN annotator (the logical-copy read/write seam),
-  which lets a keyed block in only while its chunk is cached, and the
-  pin a reply or flush takes on its chunks as it leaves the FS cache;
+  which lets a written block in only while its chunk is cached, and
+  the pins a reply, a flush or a fill holds on its chunks;
 * the initiator is the writeback path for reclaimed dirty chunks;
 * a reclaim listener keeps the file-system cache coherent: a page whose
   placeholder keys can no longer be resolved is dropped, so a later read
@@ -57,6 +57,9 @@ def attach_ncache(host: Host, vfs: VFS,
     if initiator is not None:
         def writeback(lbn: int, payload: Payload
                       ) -> Generator[Event, Any, None]:
+            if enable_remap:  # the chunk is under ``lbn`` now
+                vfs.hold_for_fills(lbn, KeyedPayload(
+                    vfs.block_size, lbn_key=LbnKey(lun, lbn)))
             yield from initiator.write(lbn, payload)
 
     module = NCacheModule(host, store, lun=lun, fho_to_lbn=fho_to_lbn,
@@ -65,6 +68,7 @@ def attach_ncache(host: Host, vfs: VFS,
                           enable_remap=enable_remap)
     vfs.lbn_annotator = module.lbn_annotator
     vfs.pin_keys = module.pin_keys
+    vfs.unpin_keys = module.unpin_keys
     if initiator is not None:
         initiator.read_interceptor = module.try_serve_read
 

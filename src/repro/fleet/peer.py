@@ -90,10 +90,11 @@ class PeerCacheService:
                      ) -> Generator[Event, Any, None]:
         """Acknowledge a drained chunk from a leaving peer.
 
-        The RX hook already classified the push as cacheable data and
-        chunked its payload into this node's LBN cache; the service's
-        only job is the management charge and the ack.
+        The RX hook already chunked the push into this node's LBN cache,
+        pinned as for a fill; the service releases the pins, charges the
+        management cost and acks.
         """
+        self.module.unpin_keys(dgram.keyed_payload)
         host = self.host
         host.counters.add("fleet.peer_push", call.nblocks)
         yield from host.acct.compute(
@@ -116,6 +117,7 @@ class PeerCacheClient:
         self.host = testbed.server_host
         self.local_ip = testbed.server_ips[0]
         self.lun = testbed.ncache.lun
+        self.unpin_keys = testbed.ncache.unpin_keys
         self.discipline = testbed.config.mode.discipline
         self.peers_for = peers_for
         self.rto_s = rto_s
@@ -128,6 +130,9 @@ class PeerCacheClient:
             raise SimulationError(f"peer client got {reply!r}")
         if self.matcher.is_pending(reply.xid):
             self.matcher.resolve(reply.xid, dgram)
+        elif dgram.keyed_payload is not None:
+            # A hit past its timeout: no fill takes its pinned chunks.
+            self.unpin_keys(dgram.keyed_payload)
 
     def _rto_expire(self, xid: int, waiter: Event) -> None:
         if waiter.triggered:

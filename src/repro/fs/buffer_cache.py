@@ -192,8 +192,9 @@ class BufferCache:
 
     def unpin(self, lbn: int) -> None:
         entry = self._entries.get(lbn)
-        if entry is not None and entry.pins > 0:
-            entry.pins -= 1
+        if entry is None or entry.pins <= 0:
+            raise RuntimeError(f"unpin of unpinned block {lbn}")
+        entry.pins -= 1
 
     def insert(self, lbn: int, payload: Payload, dirty: bool = False,
                is_metadata: bool = False) -> CacheEntry:

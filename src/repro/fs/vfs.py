@@ -19,8 +19,7 @@ except metadata, which always moves physically (§3.3).
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Generator, List, Optional, Protocol,
-                    Set, Tuple)
+from typing import Any, Callable, Dict, Generator, List, Optional, Protocol
 
 from ..cache import CacheStallError
 from ..copymodel.accounting import CopyDiscipline
@@ -48,29 +47,30 @@ class VFS:
 
     def __init__(self, host: Host, image: FsImage, cache: BufferCache,
                  blockdev: BlockDevice,
-                 discipline: CopyDiscipline = CopyDiscipline.PHYSICAL,
-                 readahead_blocks: int = 0) -> None:
+                 discipline: CopyDiscipline = CopyDiscipline.PHYSICAL
+                 ) -> None:
         self.host = host
         self.image = image
         self.cache = cache
         self.blockdev = blockdev
         self.discipline = discipline
-        self.readahead_blocks = readahead_blocks
         self.block_size = image.block_size
-        #: NCache's two hooks (None without it).  ``lbn_annotator(block,
+        #: NCache's three hooks (None without it).  ``lbn_annotator(block,
         #: lbn)`` is applied to each data block a fill or a write stores:
         #: it stamps the block's LBN key onto key-carrying placeholders so
         #: post-remap lookups succeed ("some NFS read replies may contain
         #: both an FHO key and an LBN key", §3.4), and returns ``None``
-        #: for a block whose chunk is gone — a fill then refetches it, a
-        #: write stores no page.  ``pin_keys(payload)`` pins the chunks
-        #: behind the keys of a reply or flush as it leaves the cache.
+        #: for a written block whose chunk is gone: no page goes in.
+        #: ``pin_keys(payload)`` pins the chunks behind the keys of a
+        #: reply, a flush or a page a fill holds; ``unpin_keys(payload)``
+        #: releases the pins a fill's payloads carry.
         self.lbn_annotator: Optional[
             Callable[[Payload, int], Optional[Payload]]] = None
         self.pin_keys: Optional[Callable[[Payload], Optional[Payload]]] = None
-        #: In-flight fills ``(first lbn, nblocks, claimed)``: a writeback
-        #: starting meanwhile adds its block to ``claimed``.
-        self._fills: Dict[int, Tuple[int, int, Set[int]]] = {}
+        self.unpin_keys: Optional[Callable[[Payload], None]] = None
+        #: In-flight fills ``(first lbn, nblocks, claimed, pins)``: a
+        #: writeback starting meanwhile claims its page for the fill.
+        self._fills: Dict[int, tuple] = {}
         #: Pages under writeback -> the event their bytes on disk fire.
         self._writing: Dict[CacheEntry, Event] = {}
 
@@ -265,17 +265,12 @@ class VFS:
         extent.  Each stays resident and page-locked until its bytes are
         on disk, and is clean then unless it was written meanwhile."""
         payloads = [e.payload for e in entries]
-        payload = self._leaving(concat(payloads))
-        if payload is None:
-            raise SimulationError(
-                f"dangling key in dirty block {lbn} leaving the FS cache")
+        payload = self._leaving(concat(payloads), lbn)
         done = self.host.sim.event()
         for entry in entries:
             entry.pins += 1
             self._writing[entry] = done
-            for first, n, claimed in self._fills.values():
-                if first <= entry.lbn < first + n:
-                    claimed.add(entry.lbn)
+            self.hold_for_fills(entry.lbn, entry.payload, entry)
         self.cache.counters.add("bcache.writeback", len(entries))
         try:
             yield from self.blockdev.write(
@@ -287,6 +282,19 @@ class VFS:
                 if entry.payload is written:
                     entry.dirty = False
             done.succeed()
+
+    def hold_for_fills(self, lbn: int, payload: Payload,
+                       page: Optional[CacheEntry] = None) -> None:
+        """A writeback of ``payload`` to ``lbn`` starts — of an FS
+        ``page``, or below the FS cache.  The bytes a fill in flight
+        over the block reads may predate it: the fill holds the chunks
+        behind ``payload`` and claims the page, which it stores instead
+        if the page is gone by then."""
+        for first, n, claimed, pins in self._fills.values():
+            if first <= lbn < first + n:
+                pins.append(self._leaving(payload, lbn))
+                if page is not None:
+                    claimed[lbn] = page
 
     def _evict_for(self, nblocks: int) -> Generator[Event, Any, None]:
         """Make room: write back first, then evict clean.
@@ -318,8 +326,8 @@ class VFS:
                       ) -> Generator[Event, Any, tuple]:
         """Ensure [offset, offset+length) is cached; return its payload.
 
-        Misses are batched into contiguous block-device reads, extended by
-        the readahead window (clamped to the file extent).
+        Misses are batched into contiguous block-device reads; what the
+        fill holds stays held until the reply holds its own keys.
         """
         if length <= 0:
             raise ValueError("read length must be positive")
@@ -334,93 +342,76 @@ class VFS:
         yield from self.host.acct.compute(
             nblocks * self.host.costs.cache_lookup_ns, "fs.lookup")
 
-        # Probe every block first (recency touch + hit/miss accounting as
-        # usual).  Page pinning only matters once a fill yields control —
-        # nothing can evict between here and use otherwise — so the
-        # all-present steady state skips the pin/peek/unpin bookkeeping
-        # entirely.
+        # Probe every block first (recency touch + hit/miss accounting).
+        # Nothing can evict between here and use unless a fill yields, so
+        # the all-present steady state locks and pins nothing.
         entries = [self.cache.lookup(inode.block_lbn(b))
                    for b in range(first, last + 1)]
-        if None in entries:
-            entries = yield from self._fill_missing(inode, first, entries)
-        whole = concat([e.payload for e in entries])
-        within = offset - first * bs
-        held = self._leaving(whole.slice(within, length))
-        if held is None:
-            raise SimulationError(
-                f"dangling key in block {first}..{last} of inode "
-                f"{inode.ino} leaving the FS cache")
+        locked: List[CacheEntry] = []  # the pages a fill page-locked
+        pins: List[Payload] = []  # the payloads carrying its chunk pins
+        try:
+            if None in entries:
+                yield from self._fill_missing(inode, first, entries,
+                                              locked, pins)
+            whole = concat([e.payload for e in entries])
+            held = self._leaving(whole.slice(offset - first * bs, length),
+                                 entries[0].lbn)
+        finally:
+            for entry in locked:
+                if self.cache.peek(entry.lbn) is entry:
+                    self.cache.unpin(entry.lbn)
+            if self.unpin_keys is not None:
+                for payload in pins:
+                    self.unpin_keys(payload)
         return held, nblocks
 
     def _fill_missing(self, inode: Inode, first: int,
-                      entries: List[Optional[CacheEntry]]
-                      ) -> Generator[Event, Any, list]:
-        """Fill the blocks ``entries`` (from block ``first`` on) lacks;
-        return every block's page, all present at once.
+                      entries: List[Optional[CacheEntry]],
+                      locked: List[CacheEntry], pins: List[Payload]
+                      ) -> Generator[Event, Any, None]:
+        """Fill the blocks ``entries`` (from block ``first`` on) lacks,
+        in one pass, and put their pages in it.
 
-        Pin present pages (page locks) so later fills in this same
-        request cannot evict them, then fill the missing runs.  No
-        simulated time has passed since the probe, so the presence map
-        is still exact.  A fill leaves out a block whose chunk was
-        evicted before its page went in, and a reclaimed chunk takes
-        its page along: the blocks missing after the fills are fetched
-        again.
+        Each page the read returns is page-locked and the chunks behind
+        it pinned (``locked``, ``pins``), so neither the request's later
+        fills nor a reclaim drops it; a filled block's chunk is pinned
+        from the RX hook or L2 hit on, so its page goes in.
         """
-        last = first + len(entries) - 1
-        locked: Dict[int, CacheEntry] = {}  # lbn -> the page this read locked
-        readahead = self.readahead_blocks
-        try:
-            while None in entries:
-                missing_runs: List[tuple] = []
-                run_start = None
-                for b, entry in zip(range(first, last + 1), entries):
-                    if entry is not None:
-                        if locked.get(entry.lbn) is not entry:
-                            self.cache.pin(entry.lbn)
-                            locked[entry.lbn] = entry
-                        if run_start is not None:
-                            missing_runs.append((run_start, b - run_start))
-                            run_start = None
-                    elif run_start is None:
-                        run_start = b
-                if run_start is not None:
-                    missing_runs.append((run_start, last + 1 - run_start))
+        runs: List[List[int]] = []  # [first index, count] of missing runs
+        for i, entry in enumerate(entries):
+            if entry is not None:
+                self._lock(entry, locked, pins)
+            elif i and entries[i - 1] is None:
+                runs[-1][1] += 1
+            else:
+                runs.append([i, 1])
+        for i, count in runs:
+            entries[i:i + count] = yield from self._fill_blocks(
+                inode, first + i, count, locked, pins)
 
-                for start_b, count in missing_runs:
-                    # Readahead: extend the tail run to prefetch ahead.
-                    extra = 0
-                    if readahead and start_b + count == last + 1:
-                        extra = min(readahead,
-                                    inode.nblocks - (start_b + count))
-                    yield from self._fill_blocks(inode, start_b,
-                                                 count + extra)
-                    for b in range(start_b, start_b + count):
-                        lbn = inode.block_lbn(b)
-                        entry = self.cache.peek(lbn)
-                        if entry is not None:
-                            self.cache.pin(lbn)
-                            locked[lbn] = entry
-                readahead = 0  # a refetch reads no further ahead
-                entries = [self.cache.peek(inode.block_lbn(b))
-                           for b in range(first, last + 1)]
-        finally:
-            for lbn, entry in locked.items():
-                if self.cache.peek(lbn) is entry:
-                    self.cache.unpin(lbn)
-        return entries
+    def _lock(self, entry: CacheEntry, locked: List[CacheEntry],
+              pins: List[Payload]) -> None:
+        """Page-lock a resident page the read returns and pin the chunks
+        behind it."""
+        self.cache.pin(entry.lbn)
+        locked.append(entry)
+        pins.append(self._leaving(entry.payload, entry.lbn))
 
-    def _fill_blocks(self, inode: Inode, first_block: int, nblocks: int
-                     ) -> Generator[Event, Any, None]:
+    def _fill_blocks(self, inode: Inode, first_block: int, nblocks: int,
+                     locked: List[CacheEntry], pins: List[Payload]
+                     ) -> Generator[Event, Any, List[CacheEntry]]:
         """Read ``nblocks`` into the cache, leaving a block resident by
-        then or whose writeback started meanwhile: it is as new."""
+        then and storing a claimed page (:meth:`hold_for_fills`) for
+        its block: either is as new.  Returns the run's pages, locked."""
         lbn = inode.block_lbn(first_block)
-        claimed: Set[int] = set()
-        self._fills[id(claimed)] = (lbn, nblocks, claimed)
+        claimed: Dict[int, CacheEntry] = {}
+        self._fills[id(claimed)] = (lbn, nblocks, claimed, pins)
         try:
             yield from self.host.acct.compute(
                 self.host.costs.blockio_ns, "fs.blockio")
             payload = yield from self.blockdev.read(lbn, nblocks,
                                                     is_metadata=False)
+            pins.append(payload)  # it carries the chunks' pins
             yield from self.host.acct.move(
                 self.discipline, payload.length, "cache_fill", nkeys=nblocks)
             stored = apply_discipline(payload, self.discipline)
@@ -428,12 +419,25 @@ class VFS:
         finally:
             del self._fills[id(claimed)]
         bs = self.block_size
+        pages = []
         for i in range(nblocks):
-            if lbn + i in claimed or lbn + i in self.cache:
-                continue
-            block_payload = self._storable(stored.slice(i * bs, bs), lbn + i)
-            if block_payload is not None:
-                self.cache.insert(lbn + i, block_payload)
+            entry = self.cache.peek(lbn + i)
+            if entry is not None:
+                self._lock(entry, locked, pins)
+            else:
+                page = claimed.get(lbn + i)
+                block_payload = page.payload if page is not None else \
+                    self._storable(stored.slice(i * bs, bs), lbn + i)
+                if block_payload is None:
+                    raise SimulationError(
+                        f"block {first_block + i} of inode {inode.ino} "
+                        "missing after its fill")
+                # Its chunks are pinned already, by ``payload`` or a claim.
+                entry = self.cache.insert(lbn + i, block_payload)
+                self.cache.pin(lbn + i)
+                locked.append(entry)
+            pages.append(entry)
+        return pages
 
     def _storable(self, block_payload: Payload, lbn: int
                   ) -> Optional[Payload]:
@@ -443,10 +447,16 @@ class VFS:
             return block_payload
         return self.lbn_annotator(block_payload, lbn)
 
-    def _leaving(self, payload: Payload) -> Optional[Payload]:
-        """A reply's or flush's payload as it leaves the cache: under
-        NCache the chunks behind its keys are pinned until the TX hook
-        substitutes them; ``None`` if one of them is gone."""
+    def _leaving(self, payload: Payload, lbn: int) -> Payload:
+        """A payload of the pages from ``lbn`` on as it leaves the cache
+        (a reply, a flush, a page a fill holds): under NCache with the
+        chunks behind its keys pinned; a key that no longer resolves
+        raises."""
         if self.pin_keys is None:
             return payload
-        return self.pin_keys(payload)
+        held = self.pin_keys(payload)
+        if held is None:
+            raise SimulationError(
+                f"dangling key in the pages from LBN {lbn} leaving the "
+                "FS cache")
+        return held

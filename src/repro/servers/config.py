@@ -84,8 +84,6 @@ class TestbedConfig:
     # NFS server daemons (tuned per experiment in the paper).
     n_daemons: int = 8
 
-    readahead_blocks: int = 0
-
     #: on-disk inode table size (blocks); inode→LBN mapping wraps at
     #: this many blocks, so it bounds the inode-metadata working set
     #: (the adaptive-budget experiment raises it to make metadata a

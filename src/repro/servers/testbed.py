@@ -126,8 +126,7 @@ class BaseTestbed:
                                  trace=self.sim.trace,
                                  policy=config.cache_policy)
         self.vfs = VFS(self.server_host, self.image, self.cache,
-                       self.initiator, discipline,
-                       readahead_blocks=config.readahead_blocks)
+                       self.initiator, discipline)
         self.ncache: Optional[NCacheModule] = None
         if config.mode is ServerMode.NCACHE:
             self.ncache = attach_ncache(

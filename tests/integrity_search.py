@@ -5,13 +5,20 @@ seed — on a :class:`~content_oracle.ShuffledSimulator`, with every
 client wrapped by a :class:`~content_oracle.ContentOracle` and a buffer
 sanitizer armed.  Its verdict is one of:
 
-* ``pass`` — every READ returned admissible bytes;
-* ``kill`` — a READ returned bytes no WRITE admits, a key dangled at the
-  NCache TX hook, or the sanitizer raised;
-* ``stall`` — the run stopped making progress: the FS cache found every
-  page locked (:class:`~repro.cache.CacheStallError`, the modelled
-  overload signal), or a client call timed out.  Reported apart, never
-  counted as a kill.
+* ``pass`` — every READ returned admissible bytes, and a cell that runs
+  to completion (``ops``, ``pressure``) left no chunk and no FS page
+  pinned;
+* ``kill`` — anything else: a READ returned bytes no WRITE admits, a
+  key dangled at the NCache TX hook, the sanitizer raised, or the run
+  stopped making progress (every FS page or chunk locked,
+  :class:`~repro.cache.CacheStallError`, or a client call timing out).
+  A stall is a kill: progress holds by construction.
+
+A cell's ``policy`` is one of :data:`~repro.cache.POLICIES` or one of
+the two victim orders over LRU's list in :data:`ORDERS` — ``mru`` and a
+seeded ``shuffled`` — which exist only here and only for the length of
+a cell.  They evict the freshest chunks and pages first, or any, so a
+request that needs something it does not hold shows at once.
 
 The cells:
 
@@ -53,7 +60,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from unittest import mock
 
 from content_oracle import ContentOracle, ShuffledSimulator
-from repro.cache import POLICIES, CacheStallError
+from repro.cache import POLICIES
+from repro.cache.policy import LruPolicy
 from repro.check import sanitizer as _sanitizer
 from repro.experiments import SWEEPS
 from repro.experiments.common import scaled_memory_config
@@ -98,6 +106,37 @@ class Outcome:
         line = (f"{self.verdict:5} {self.cell}: {self.reads} reads, "
                 f"{self.ambiguous} with more than one admissible content")
         return line + (f"\n      {self.detail}" if self.detail else "")
+
+
+# -- the victim orders ---------------------------------------------------------
+
+class MruOrder(LruPolicy):
+    """LRU's list, victims from the most recently used end."""
+
+    name = "mru"
+
+    def iter_victims(self):
+        return reversed(self._order)
+
+
+class ShuffledOrder(LruPolicy):
+    """LRU's list, victims in a random order drawn from ``seed``."""
+
+    name = "shuffled"
+    seed = 1
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._rng = substream(self.seed, "victims")
+
+    def iter_victims(self):
+        victims = list(self._order)
+        self._rng.shuffle(victims)
+        return iter(victims)
+
+
+#: The search's victim orders, registered in ``POLICIES`` for one cell.
+ORDERS = {"mru": MruOrder, "shuffled": ShuffledOrder}
 
 
 # -- the cells -----------------------------------------------------------------
@@ -231,13 +270,14 @@ def run(cell: Cell, trace: bool = False) -> Outcome:
     oracle = ContentOracle()
     testbeds: List[Any] = []
     verdict, detail = "pass", ""
-    with _sanitizer.sanitize():
+    with _sanitizer.sanitize(), mock.patch.dict(POLICIES, ORDERS), \
+            mock.patch.object(ShuffledOrder, "seed", cell.seed):
         try:
             testbeds = BUILDERS[cell.kind](cell, sim, oracle)
+            if cell.kind in ("ops", "pressure"):
+                _nothing_pinned(testbeds[0])
         except Exception as exc:  # the run cannot go on
-            stalled = isinstance(exc, CacheStallError) \
-                or "timed out" in str(exc)
-            verdict = "stall" if stalled else "kill"
+            verdict = "kill"
             where = traceback.extract_tb(exc.__traceback__)[-1]
             detail = (f"{type(exc).__name__}: {exc} (at "
                       f"{Path(where.filename).name}:{where.lineno} in "
@@ -254,6 +294,16 @@ def run(cell: Cell, trace: bool = False) -> Outcome:
                    counters)
 
 
+def _nothing_pinned(testbed) -> None:
+    """A run that completed holds nothing: every pin was released."""
+    pages = [e.lbn for e in testbed.cache._entries.values() if e.pinned]
+    chunks = [c.key for c in testbed.ncache.store.chunks() if c.pinned] \
+        if testbed.ncache is not None else []
+    if pages or chunks:
+        raise AssertionError(f"left pinned: FS pages {pages}, "
+                             f"chunks {[str(k) for k in chunks]}")
+
+
 def _trace_tail(sim: Simulator) -> str:
     events = sim.trace.events
     index = sum(1 for ev in events if ev.name == "engine.dispatch")
@@ -266,18 +316,19 @@ def _trace_tail(sim: Simulator) -> str:
 
 
 def cells(seeds: int) -> Iterator[Cell]:
-    """The search: SFS over both data modes × every policy × ``seeds``
-    seeds, the op-stream cells over the same seeds, and one HTTP and one
-    fleet cell."""
+    """The search: SFS over both data modes × every policy and victim
+    order × ``seeds`` seeds, the op-stream cells over the same seeds,
+    and one HTTP and one fleet cell."""
+    policies = sorted(POLICIES) + sorted(ORDERS)
     for mode in MODES:
-        for policy in sorted(POLICIES):
+        for policy in policies:
             for seed in range(1, seeds + 1):
                 yield Cell("sfs", mode, policy, seed)
-    policies = sorted(POLICIES)
     for seed in range(1, seeds + 1):
-        yield Cell("lossy", MODES[seed % 2], policies[seed % 4], seed)
+        policy = policies[seed % len(policies)]
+        yield Cell("lossy", MODES[seed % 2], policy, seed)
         yield Cell("ops", MODES[seed % 2], "lru", seed)
-        yield Cell("pressure", "ncache", policies[seed % 4], seed)
+        yield Cell("pressure", "ncache", policy, seed)
     yield Cell("http", "ncache", "lru", 1)
     yield Cell("fleet", "ncache", "lru", 1)
 
@@ -285,21 +336,19 @@ def cells(seeds: int) -> Iterator[Cell]:
 def search(seeds: int, first: bool = False, out=sys.stdout
            ) -> Tuple[List[Outcome], int]:
     """Run :func:`cells` (up to the first kill, with ``first``); print
-    every kill and stall (a kill rerun with the trace on) and a summary.
-    Returns the outcomes and the number of kills."""
+    every kill (rerun with the trace on) and a summary.  Returns the
+    outcomes and the number of kills."""
     outcomes = []
     for cell in cells(seeds):
         outcome = run(cell)
         if outcome.verdict == "kill":
             outcome = run(cell, trace=True)
-        if outcome.verdict != "pass":
             print(outcome, file=out, flush=True)
         outcomes.append(outcome)
         if first and outcome.verdict == "kill":
             break
     kills = sum(o.verdict == "kill" for o in outcomes)
-    stalls = sum(o.verdict == "stall" for o in outcomes)
-    print(f"{len(outcomes)} cells: {kills} killed, {stalls} stalled, "
+    print(f"{len(outcomes)} cells: {kills} killed, "
           f"{sum(o.reads for o in outcomes)} reads checked", file=out)
     return outcomes, kills
 
@@ -319,7 +368,11 @@ MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
         "NCacheModule._insert_chunk makes room once, without re-checking "
         "after the writeback yields", None),
     "annotator-no-liveness": (
-        "lbn_annotator lets a block in whose chunk is gone", None),
+        "lbn_annotator lets a written block in whose FHO chunk is gone",
+        None),
+    "fill-unpinned": (
+        "a fill pins nothing it holds: neither the chunks a Data-In or an "
+        "L2 hit brings nor those behind the pages it locks", None),
     "pin-keys-unpinned": (
         "pin_keys hands a reply its payload unpinned", None),
     "drc-replays-read": (

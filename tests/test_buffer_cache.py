@@ -155,6 +155,15 @@ class TestPinning:
         cache.make_room(1)  # still pinned once
         assert 1 in cache
 
+    def test_unpin_of_unpinned_raises(self):
+        cache = cache_of(2)
+        fill(cache, [1])
+        cache.pin(1)
+        cache.unpin(1)
+        for lbn in (1, 9):  # unpinned, absent
+            with pytest.raises(RuntimeError, match="unpin of unpinned"):
+                cache.unpin(lbn)
+
     def test_all_pinned_raises(self):
         cache = cache_of(1)
         fill(cache, [1])

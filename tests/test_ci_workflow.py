@@ -47,16 +47,22 @@ def test_tier1_runs_both_builtin_sha256_branches():
 
 
 def test_integrity_search_job_runs_the_search_and_every_mutant():
-    """The wide search and the mutant matrix run in CI, and the matrix's
-    table names exactly the patches in ``tests/mutants``."""
+    """The wide search and the mutant matrix run in CI, the search step
+    names what it covers, and the matrix's table names exactly the
+    patches in ``tests/mutants``."""
     import integrity_search
 
     root = Path(__file__).resolve().parents[1]
     doc = yaml.safe_load((root / ".github" / "workflows" / "ci.yml")
                          .read_text())
-    runs = " ".join(step.get("run", "") for step in
-                    doc["jobs"]["integrity-search"]["steps"])
+    steps = doc["jobs"]["integrity-search"]["steps"]
+    runs = " ".join(step.get("run", "") for step in steps)
     assert "tests/integrity_search.py --seeds 64" in runs
+    wide = next(step["name"] for step in steps
+                if "--seeds 64" in step.get("run", "")
+                and "--mutants" not in step["run"])
+    assert f"{len(integrity_search.ORDERS)} victim orders" in wide
+    assert "a stall is a kill" in wide
     assert "tests/integrity_search.py --mutants" in runs
     patches = {p.stem for p in (root / "tests" / "mutants").glob("*.patch")}
     assert patches == set(integrity_search.MUTANTS)

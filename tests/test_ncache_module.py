@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import drive
+from repro.cache import CacheStallError
 from repro.copymodel import CopyDiscipline
 from repro.core import Chunk, FhoKey, KeyedPayload, LbnKey
 from repro.core import ncache as ncache_module
@@ -359,17 +360,20 @@ class TestAnnotator:
     def test_annotator_refuses_a_block_whose_chunk_is_gone(self):
         """A written block stands for its FHO chunk, even when an LBN
         chunk for the block is cached: once the FHO chunk is gone its
-        bytes were written back, and the LBN chunk may be older."""
+        bytes were written back, and the LBN chunk may be older.  A
+        fill's block goes in as it came, less the pins it carries: its
+        chunk is the fill's to hold, and the fill's to release."""
         testbed = ncache_testbed()
         module = testbed.ncache
-        module.store.insert(Chunk.from_payload(
-            LbnKey(0, 4242), VirtualPayload(5, 0, BLOCK_SIZE), 1448))
+        chunk = Chunk.from_payload(
+            LbnKey(0, 4242), VirtualPayload(5, 0, BLOCK_SIZE), 1448)
+        module.store.insert(chunk)
         written = KeyedPayload(BLOCK_SIZE, fho_key=FhoKey(1, 1, 0))
         assert module.lbn_annotator(written, 4242) is None
         filled = KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, 4242))
         assert module.lbn_annotator(filled, 4242) is filled
-        assert module.lbn_annotator(
-            KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, 7)), 7) is None
+        stored = module.lbn_annotator(filled.holding((chunk,)), 4242)
+        assert stored.pinned == () and stored.lbn_key == LbnKey(0, 4242)
 
     def test_annotator_ignores_plain_payloads(self):
         testbed = ncache_testbed()
@@ -405,19 +409,31 @@ class TestDepartingKeysResolve:
     def evict_before_the_page_goes_in(testbed):
         """The next ``_evict_for`` — which a fill and a WRITE run after
         the RX hook cached their chunks, before the page insert — first
-        evicts the whole store, writing dirty chunks back."""
+        evicts every chunk it can, writing a dirty victim back.  Returns
+        the list the chunks still cached then are put in."""
         vfs, module = testbed.vfs, testbed.ncache
         store, inner = module.store, vfs._evict_for
+        left = []
 
         def evict_for(nblocks):
             vfs._evict_for = inner  # once
-            for victim in store.make_room(store.capacity_bytes):
-                yield from module.write_back_chunk(victim)
+            try:
+                for victim in store.make_room(store.capacity_bytes):
+                    yield from module.write_back_chunk(victim)
+            except CacheStallError:  # only pinned chunks are left
+                pass
+            left.extend(store.chunks())
             yield from inner(nblocks)
         vfs._evict_for = evict_for
+        return left
 
     @pytest.mark.parametrize("op", ["fill", "write"])
     def test_chunk_evicted_before_its_page_is_inserted(self, op):
+        """A fill's chunks are pinned from the RX hook until its reply
+        holds them: the eviction leaves them, the pages go in, and the
+        read takes one trip to the target.  A WRITE's chunks are not:
+        once evicted (and so written back) the WRITE stores no page, and
+        a read and a flush after it see the written bytes."""
         testbed = ncache_testbed()
         fh = testbed.file_handle("file")
         inode = testbed.image.lookup("file")
@@ -425,7 +441,7 @@ class TestDepartingKeysResolve:
         data = VirtualPayload(61, 0, 2 * BLOCK_SIZE)
         expected = data.materialize() if op == "write" else \
             testbed.image.file_payload(inode, 0, 2 * BLOCK_SIZE).materialize()
-        self.evict_before_the_page_goes_in(testbed)
+        left = self.evict_before_the_page_goes_in(testbed)
 
         def scenario():
             if op == "write":
@@ -440,6 +456,12 @@ class TestDepartingKeysResolve:
             testbed.disk_store.read_block(inode.block_lbn(b)).materialize()
             for b in range(2))
         assert on_disk == expected
+        if op == "fill":
+            assert sorted(chunk.key for chunk in left) == [
+                LbnKey(0, inode.block_lbn(b)) for b in range(2)]
+            assert testbed.target.reads_served == 1
+            assert not any(chunk.pinned
+                           for chunk in testbed.ncache.store.chunks())
 
     def test_store_emptied_between_read_and_substitution(self):
         testbed = ncache_testbed()

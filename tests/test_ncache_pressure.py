@@ -173,12 +173,12 @@ class TestEvictionPressure:
 
     def test_random_ops_under_pressure_byte_exact(self):
         """Two clients' seeded op streams on this testbed: the search's
-        ``pressure`` cells, every READ checked by the content oracle.
-        Not SLRU: on a 24-chunk store a 4-block fill's chunks enter its
-        small probation segment and push each other out, so the READ
-        refetches until the client gives up (the search reports it as
-        a stall)."""
-        for seed, policy in enumerate(("arc", "clock", "lru"), start=1):
+        ``pressure`` cells, every READ checked by the content oracle and
+        nothing left pinned.  SLRU and the search's MRU order evict a
+        fill's fresh chunks first; a fill holds them until its reply
+        does, so the READ still completes."""
+        for seed, policy in enumerate(("arc", "clock", "lru", "mru",
+                                       "slru"), start=1):
             outcome = run(Cell("pressure", "ncache", policy, seed))
             assert outcome.verdict == "pass", str(outcome)
             assert outcome.counters["cache.ncache.evict_clean"] > 0

@@ -10,7 +10,8 @@ from the seed (no external property-testing framework involved).
 Invariants locked here:
 
 * eviction follows LRU order exactly (head of the recency list first);
-* a pinned chunk is never evicted, whatever the op stream;
+* a pinned chunk is never evicted, whatever the op stream, and one
+  superseded under its key hands its pins to the newer chunk;
 * FHO→LBN remapping overwrites a stale LBN entry and drops the FHO one;
 * cached payloads stay byte-exact through insert/touch/evict/remap.
 """
@@ -62,7 +63,7 @@ class RefStore:
     def make_room(self) -> list:
         evicted = []
         while len(self.entries) >= self.cap:
-            victim = next((e for e in self.entries if not e["pinned"]), None)
+            victim = next((e for e in self.entries if not e["pins"]), None)
             assert victim is not None, "test keeps pin headroom"
             self.entries.remove(victim)
             evicted.append(victim)
@@ -70,10 +71,25 @@ class RefStore:
 
     def insert(self, kind: str, n: int, version: int) -> None:
         existing = self.find(kind, n)
+        entry = {"kind": kind, "n": n, "pins": 0, "heir": None,
+                 "data": _data(n, version)}
         if existing is not None:
             self.entries.remove(existing)
-        self.entries.append({"kind": kind, "n": n, "pinned": False,
-                             "data": _data(n, version)})
+            self.bequeath(existing, entry)
+        self.entries.append(entry)
+
+    @staticmethod
+    def bequeath(old, new) -> None:
+        """The newer entry under a key holds the older one's pins."""
+        if old["pins"]:
+            new["pins"] += old["pins"]
+            old["pins"], old["heir"] = 0, new
+
+    @staticmethod
+    def unpin(e) -> None:
+        while e["heir"] is not None:
+            e = e["heir"]
+        e["pins"] -= 1
 
     def touch(self, kind: str, n: int):
         e = self.find(kind, n)
@@ -90,6 +106,7 @@ class RefStore:
         e["kind"], e["n"] = "lbn", m  # LRU position unchanged
         if stale is not None and stale is not e:
             self.entries.remove(stale)
+            self.bequeath(stale, e)
 
 
 def _make_room(store: NCacheStore, nbytes: int) -> None:
@@ -123,10 +140,10 @@ def test_store_agrees_with_reference_model(seed):
     store = NCacheStore(CAPACITY_CHUNKS * FOOTPRINT,
                         per_buffer_overhead=160, per_chunk_overhead=64)
     ref = RefStore(CAPACITY_CHUNKS)
-    # Pinning protects against *capacity* reclamation (make_room), not
-    # against being superseded under the same key by newer data — the
-    # in-flight reply that pinned the chunk holds its own reference, so
-    # index replacement is safe.  Scope the listener accordingly.
+    # Pinning protects against *capacity* reclamation (make_room); a
+    # chunk superseded under its key by newer data leaves the index all
+    # the same, its pins going to the newer chunk.  Scope the listener
+    # accordingly.
     evicted_pinned = []
     in_make_room = [False]
     store.reclaim_listeners.append(
@@ -183,13 +200,13 @@ def test_store_agrees_with_reference_model(seed):
                 entry = ref.find(kind, k)
                 if chunk is not None and not chunk.pinned:
                     chunk.pin()
-                    entry["pinned"] = True
+                    entry["pins"] += 1
                     pinned.append((chunk, entry))
         elif op == "unpin":
             if pinned:
                 chunk, entry = pinned.pop(rng.randrange(len(pinned)))
                 chunk.unpin()
-                entry["pinned"] = False
+                ref.unpin(entry)
         elif op == "drop":
             kind = rng.choice(["lbn", "fho"])
             chunk = (store.peek_lbn(LbnKey(0, n))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import CacheStallError
 from repro.core import FhoKey, LbnKey, NCacheStore
 from repro.net.buffer import JunkPayload, NetBuffer
 
@@ -190,6 +191,31 @@ class TestRemap:
         assert store.peek_lbn(LbnKey(0, 44)) is fresh
         assert store.n_chunks == 1
         assert store.counters["ncache.remap_overwrite"].value == 1
+
+    @pytest.mark.parametrize("how", ["remap", "overwrite"])
+    def test_a_pinned_chunk_hands_its_pins_to_its_replacement(self, how):
+        """Whoever pinned the replaced chunk holds a key that now resolves
+        to its replacement: that one stays until the pin is released,
+        and releasing the old chunk's pin releases it."""
+        store = store_of(2)
+        key = LbnKey(0, 9) if how == "remap" else FhoKey(1, 1, 0)
+        old = chunk_for(key, dirty=how == "overwrite")
+        store.insert(old)
+        old.pin()
+        if how == "remap":
+            new = chunk_for(FhoKey(1, 1, 0), dirty=True)
+            store.insert(new)
+            store.remap(FhoKey(1, 1, 0), key)
+        else:
+            new = chunk_for(key, dirty=True)
+            store.insert(new)
+        assert (old.pins, new.pins, old.heir) == (0, 1, new)
+        new.dirty = False
+        with pytest.raises(CacheStallError):
+            store.make_room(2 * FOOTPRINT)
+        old.unpin()
+        assert not new.pinned
+        assert store.make_room(2 * FOOTPRINT) == []
 
     def test_remap_missing_fho_returns_none(self):
         store = store_of(4)

@@ -99,33 +99,6 @@ class TestRead:
         assert hit.physical_copies(where="server") == 1   # fs_read only
 
 
-class TestReadahead:
-    def test_readahead_prefetches(self, sim):
-        stack = make_stack(sim)
-        stack.vfs.readahead_blocks = 4
-        inode = stack.image.create_file("f", 1 << 20)
-
-        def job():
-            yield from stack.vfs.read(inode, 0, BLOCK_SIZE)
-            commands = stack.target.commands_served
-            # The next 4 blocks should already be cached.
-            yield from stack.vfs.read(inode, BLOCK_SIZE, 4 * BLOCK_SIZE)
-            return commands, stack.target.commands_served
-
-        before, after = drive(sim, job())
-        assert before == after == 1
-
-    def test_readahead_clamped_at_eof(self, sim):
-        stack = make_stack(sim)
-        stack.vfs.readahead_blocks = 100
-        inode = stack.image.create_file("f", 3 * BLOCK_SIZE)
-
-        def job():
-            yield from stack.vfs.read(inode, 0, BLOCK_SIZE)
-
-        drive(sim, job())  # must not raise
-
-
 class TestWriteAndFlush:
     def test_write_then_read_back(self, sim):
         stack = make_stack(sim)
