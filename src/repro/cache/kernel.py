@@ -1,4 +1,4 @@
-"""The eviction kernel: one byte budget, any policy.
+"""The eviction kernel: one byte budget over an LRU list.
 
 :class:`CacheKernel` owns what both of the repo's caches used to
 hand-roll separately: a byte budget, victim selection that skips pinned
@@ -6,7 +6,7 @@ entries (with optional clean-first preference, §3.4: "first clean
 buffers are reclaimed and then dirty buffers are flushed and
 reclaimed"), and the ``cache.<name>.*`` metric family.  It keeps no
 entry table of its own: each resident item is its own handle, and the
-policy's recency lists, mapping item to ``(key, nbytes)``, are the only
+policy's recency list, mapping item to ``(key, nbytes)``, is the only
 per-entry record (DESIGN.md §9).
 
 The kernel stores opaque items; it only requires them to expose
@@ -17,20 +17,12 @@ reclaim listeners remain with the consumer — the ``on_evict`` callback
 runs per victim *before* the next victim is chosen, so listeners
 observe exactly the intermediate states the pre-kernel stores produced.
 
-The budget operation (:meth:`resize`) lets one cache squeeze another at
-runtime — the "NCache pins most of memory and keeps the FS cache
-deliberately small" protocol of §3.4/§4.1 expressed as a kernel-level
-contract instead of static configuration.  Outside ``repro.cache`` it
-must be reached through a :class:`~repro.cache.arbiter.MemoryArbiter`
-lease (``tests/test_tree_invariants.py``'s ``budget-lease`` rule
-enforces the seam).
-
-Two arbiter-facing hooks live here because they need the eviction loop
-and the metric family: :meth:`set_ghost_admit` filters which victims may
-leave a ghost (so placeholder entries whose data lives in a downstream
-cache don't inflate this cache's miss-value signal), and
-:class:`BudgetWindow` turns the monotonic kernel counters into per-tick
-deltas for the feedback controller.
+Budgets are fixed at configuration, as in the paper: NCache's pinned
+buffers squeeze the FS cache once (§3.4/§4.1), and each cache keeps the
+byte budget :class:`~repro.servers.config.TestbedConfig` computes.
+:meth:`resize` exists for the store's cold restart; outside
+``repro.cache`` only ``NCacheStore.cold_restart`` calls it
+(``tests/test_tree_invariants.py``'s ``budget-lease`` rule).
 """
 
 from __future__ import annotations
@@ -75,7 +67,7 @@ class KernelMetrics:
 
 
 class CacheKernel:
-    """Byte budget over a pluggable policy's entries; see module doc."""
+    """Byte budget over the policy's entries; see module doc."""
 
     def __init__(self, name: str, capacity_bytes: int,
                  policy: str = "lru", *,
@@ -98,10 +90,6 @@ class CacheKernel:
         # the cache; bind the policy methods once to skip the chains.
         self._policy_insert = self.policy.insert
         self._policy_evicted = self.policy.evicted
-        # None = every victim ghost-records (seed behavior, also what
-        # ARC's B1/B2 adaptation relies on); the arbiter installs a
-        # predicate only when running an adaptive controller.
-        self._ghost_admit: Optional[Callable[[Any], bool]] = None
 
     # -- inspection ---------------------------------------------------------
 
@@ -198,19 +186,6 @@ class CacheKernel:
 
     # -- eviction -----------------------------------------------------------
 
-    def set_ghost_admit(self,
-                        admit: Optional[Callable[[Any], bool]]) -> None:
-        """Install a predicate deciding which victims ghost-record.
-
-        Victims failing ``admit`` leave the policy silently (no ghost
-        entry, no later ``ghost_hit``); admitted victims behave exactly
-        as before.  ``None`` restores the record-everything default.
-        Only an adaptive arbiter should install this: ARC's ghost lists
-        double as its internal adaptation signal, so filtering them
-        changes replacement order for that policy.
-        """
-        self._ghost_admit = admit
-
     def _pick_victim(self) -> Any:
         if self.clean_first:
             for item in self.policy.iter_victims():
@@ -246,7 +221,6 @@ class CacheKernel:
         every key) and kept only for the benchmark, see :meth:`touch`.
         """
         policy_evicted = self._policy_evicted
-        ghost_admit = self._ghost_admit
         metrics = self.metrics
         while self.capacity_bytes - self._used < nbytes:
             item = self._pick_victim()
@@ -255,16 +229,13 @@ class CacheKernel:
             if item.dirty:
                 metrics.evict_dirty._total += 1
                 return [item]
-            if ghost_admit is None or ghost_admit(item):
-                self._used -= policy_evicted(item)[1]
-            else:
-                self._used -= self.policy.remove(item)[1]
+            self._used -= policy_evicted(item)[1]
             metrics.evict_clean._total += 1
             if on_evict is not None:
                 on_evict(item)
         return []
 
-    # -- the budget operation (the §3.4 squeeze protocol) -------------------
+    # -- the budget -------------------------------------------------------
 
     def resize(self, new_capacity_bytes: int,
                on_evict: Optional[Callable[[Any], None]] = None
@@ -273,36 +244,3 @@ class CacheKernel:
         dirty victim exactly like :meth:`make_room`."""
         self.capacity_bytes = new_capacity_bytes
         return self.make_room(0, on_evict=on_evict)
-
-
-class BudgetWindow:
-    """Per-tick deltas over a kernel's monotonic metric counters.
-
-    The feedback controller wants *windowed* rates — "ghost hits since
-    the last tick" — while :class:`KernelMetrics` counters only grow.
-    A window snapshots the grand totals and :meth:`advance` returns the
-    deltas since the previous call, re-arming the snapshot.  Deltas are
-    clamped at zero so a counter swap (e.g. a rebuilt registry after a
-    cold restart) degrades to one empty window instead of going
-    negative.
-    """
-
-    __slots__ = ("_metrics", "_ghost", "_hit", "_miss")
-
-    def __init__(self, metrics: KernelMetrics) -> None:
-        self._metrics = metrics
-        self._ghost = metrics.ghost_hit._total
-        self._hit = metrics.hit._total
-        self._miss = metrics.miss._total
-
-    def advance(self) -> Tuple[float, float, float]:
-        """``(ghost_hits, hits, misses)`` since the previous call."""
-        metrics = self._metrics
-        ghost = metrics.ghost_hit._total
-        hit = metrics.hit._total
-        miss = metrics.miss._total
-        deltas = (max(0.0, ghost - self._ghost),
-                  max(0.0, hit - self._hit),
-                  max(0.0, miss - self._miss))
-        self._ghost, self._hit, self._miss = ghost, hit, miss
-        return deltas

@@ -7,11 +7,10 @@ budget (the pinned network-buffer pool).  Replacement defaults to the
 paper's classic LRU: touch moves a chunk to the tail; reclamation takes
 from the head; clean chunks are freed, dirty chunks are written back
 first (the store hands a dirty victim, still resident, to the caller,
-which owns the I/O path).  Recency/eviction bookkeeping is delegated to the unified
-:mod:`repro.cache` kernel (DESIGN.md §9), which also opens the
-replacement *policy* (``lru``/``clock``/``slru``/``arc``) as an
-experiment axis — with ``policy="lru"`` (the default) behavior is
-identical to the paper's.
+which owns the I/O path).  Recency/eviction bookkeeping is delegated to
+the unified :mod:`repro.cache` kernel (DESIGN.md §9); the budget is
+fixed at configuration (``TestbedConfig.ncache_capacity_bytes``) and
+moves only through :meth:`NCacheStore.cold_restart`.
 
 Beyond the paper's text, the store completes the design with two pieces of
 necessary engineering, both flagged in DESIGN.md:
@@ -33,7 +32,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from ..cache import CacheKernel, CacheStallError
-from ..cache.kernel import KernelMetrics
 from ..check import sanitizer as _sanitizer
 from ..obs.trace import TraceBus
 from ..sim.stats import CounterSet
@@ -90,11 +88,6 @@ class NCacheStore:
     @property
     def policy_name(self) -> str:
         return self._kernel.policy_name
-
-    @property
-    def kernel_metrics(self) -> KernelMetrics:
-        """The ``cache.ncache.*`` metric family (arbiter lease input)."""
-        return self._kernel.metrics
 
     @property
     def used_bytes(self) -> int:
@@ -170,10 +163,11 @@ class NCacheStore:
         return self._kernel.make_room(nbytes, on_evict=self._evicted)
 
     def resize(self, new_capacity_bytes: int) -> List[Chunk]:
-        """Shrink/grow the byte budget (the §3.4 squeeze protocol);
-        returns a dirty victim exactly like :meth:`make_room`."""
-        return self._kernel.resize(new_capacity_bytes,
-                                   on_evict=self._evicted)
+        """Shrink/grow the byte budget; returns a dirty victim exactly
+        like :meth:`make_room`.  :meth:`cold_restart` is the only
+        caller in the model (the benchmark names it too)."""
+        self._kernel.capacity_bytes = new_capacity_bytes
+        return self.make_room(0)
 
     def cold_restart(self) -> None:
         """Drop the entire contents, ghost-recording every key.

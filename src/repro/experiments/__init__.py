@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from . import (ablations, adaptive_budget, figure4, figure5, figure6,
-               figure7, fleet_churn, fleet_scaling, policy_ablation, table1,
-               table2)
+from . import (ablations, figure4, figure5, figure6, figure7, fleet_churn,
+               fleet_scaling, table1, table2)
 from .common import Sweep, run_sweep
 
 #: Every experiment, in report order: the paper's tables and figures,
@@ -29,9 +28,7 @@ EXPERIMENTS: Dict[str, Tuple[Sweep, ...]] = {
     "figure7": (figure7.SWEEP,),
     "fleet_scaling": (fleet_scaling.SWEEP,),
     "fleet_churn": (fleet_churn.SWEEP,),
-    "adaptive_budget": (adaptive_budget.SWEEP,),
     "ablations": ablations.SWEEPS,
-    "policy_ablation": (policy_ablation.SWEEP,),
 }
 
 #: Every sweep by its result name (which is also the ``--out`` file stem).

@@ -5,7 +5,8 @@ the entries hold :class:`~repro.core.keys.KeyedPayload` placeholders
 ("the retrieved block contains only a key and some 'junk' data", §3.2) —
 but they still occupy a full page each, which is exactly the
 double-buffering problem the paper controls by *limiting this cache's
-size* (§3.4/§4.1).
+size* (§3.4/§4.1): under NCache its budget is fixed at configuration
+(``TestbedConfig.fs_cache_bytes``) and never moves.
 
 Eviction follows the paper: "first clean buffers are reclaimed and then
 dirty buffers are flushed and reclaimed".  The cache itself never performs
@@ -105,23 +106,6 @@ class BufferCache:
         return self._kernel.policy_name
 
     @property
-    def kernel_metrics(self):
-        """The ``cache.bcache.*`` metric family (arbiter lease input)."""
-        return self._kernel.metrics
-
-    def set_ghost_admit(self, admit) -> None:
-        """Restrict which evicted pages ghost-record (arbiter hook).
-
-        Under NCache most pages are :class:`~repro.core.keys.KeyedPayload`
-        placeholders whose data still lives in the chunk store; letting
-        them ghost-record would let this cache claim miss-savings the
-        store already provides.  The adaptive arbiter installs a
-        predicate admitting only pages with standalone value (physical
-        metadata blocks, dirty pages).
-        """
-        self._kernel.set_ghost_admit(admit)
-
-    @property
     def used_bytes(self) -> int:
         return len(self._entries) * self.block_size
 
@@ -169,12 +153,6 @@ class BufferCache:
         """
         return self._kernel.make_room(nblocks * self.block_size,
                                       on_evict=self._evicted)
-
-    def resize(self, new_capacity_bytes: int) -> List[CacheEntry]:
-        """Change the byte budget (the NCache-squeezes-FS-cache side of
-        §3.4); returns a dirty victim exactly like :meth:`make_room`."""
-        return self._kernel.resize(new_capacity_bytes,
-                                   on_evict=self._evicted)
 
     def _evicted(self, entry: CacheEntry) -> None:
         del self._entries[entry.lbn]

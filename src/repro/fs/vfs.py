@@ -251,7 +251,7 @@ class VFS:
     def write_back_entry(self, entry: CacheEntry
                          ) -> Generator[Event, Any, None]:
         """Write one resident dirty page back (or wait for the writeback
-        in flight); also the arbiter's routine for its squeeze victim."""
+        in flight)."""
         if self.cache.peek(entry.lbn) is entry and entry.dirty:
             busy = self._writing.get(entry)
             if busy is not None:

@@ -13,7 +13,9 @@ Memory budgeting follows §3.4/§4.1: the machine has ``ram_bytes``; the
 kernel and daemons take a fixed carve-out; the remainder is cache memory.
 Original/baseline give it all to the file-system buffer cache; NCache pins
 most of it as network buffers (the network-centric cache) and leaves the
-file-system cache deliberately small.
+file-system cache deliberately small.  The split is made once, here
+(:attr:`TestbedConfig.fs_cache_bytes`,
+:attr:`TestbedConfig.ncache_capacity_bytes`), and never moves.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..cache.arbiter import ArbiterSpec
 from ..copymodel.accounting import CopyDiscipline
 from ..copymodel.costs import DEFAULT_COSTS, CostModel
 
@@ -74,9 +75,8 @@ class TestbedConfig:
     n_server_nics: int = 1
     checksum_offload: bool = True
 
-    # Storage server: P3 1 GHz, 512 MB RAM, 4-disk IDE RAID-0.
-    disk_seek_ms: float = 8.5
-    disk_rotation_ms: float = 4.17
+    # Storage server: P3 1 GHz, 512 MB RAM, 4-disk IDE RAID-0 (the
+    # disks are :class:`~repro.fs.disk.DiskModel`'s defaults).
 
     # Clients: two nodes, as in the paper.
     n_client_hosts: int = 2
@@ -84,21 +84,9 @@ class TestbedConfig:
     # NFS server daemons (tuned per experiment in the paper).
     n_daemons: int = 8
 
-    #: on-disk inode table size (blocks); inode→LBN mapping wraps at
-    #: this many blocks, so it bounds the inode-metadata working set
-    #: (the adaptive-budget experiment raises it to make metadata a
-    #: cache-significant byte population).
-    inode_table_blocks: int = 128
-
     #: replacement policy for both caches — a :data:`repro.cache.POLICIES`
-    #: name (``lru`` is the paper's; the others are ablation axes).
+    #: name; ``lru`` (the paper's, §3.4) is the only one.
     cache_policy: str = "lru"
-
-    #: memory-budget arbiter over the FS cache / NCache split
-    #: (DESIGN.md §12).  The default ``StaticSplit`` reproduces the
-    #: paper's configuration-time squeeze byte-for-byte; ``kind="ghost"``
-    #: turns on the GhostGradient feedback controller.
-    arbiter: ArbiterSpec = field(default_factory=ArbiterSpec)
 
     #: ablation A1: inherit checksums on substituted packets.
     ncache_inherit_checksums: bool = True

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-from ..cache.arbiter import MemoryArbiter, make_arbiter
 from ..core.ncache import NCacheModule
 from ..core.wiring import attach_ncache
 from ..fs.buffer_cache import BufferCache
@@ -94,12 +93,9 @@ class BaseTestbed:
                                  checksum_offload=config.checksum_offload)
         self.storage_host.add_nic(self.network, f"{name_prefix}storage-0")
         self.image = FsImage(capacity_blocks=spec.image_capacity_blocks,
-                             seed=spec.seed,
-                             inode_table_blocks=config.inode_table_blocks)
+                             seed=spec.seed)
         self.disk_store = DiskStore(self.image)
-        disks = [DiskModel(self.sim, name=f"{name_prefix}ide{i}",
-                           seek_ms=config.disk_seek_ms,
-                           rotation_ms=config.disk_rotation_ms)
+        disks = [DiskModel(self.sim, name=f"{name_prefix}ide{i}")
                  for i in range(N_DISKS)]
         self.raid = Raid0(disks)
         self.local_dev = LocalBlockDevice(self.disk_store, self.raid)
@@ -135,7 +131,6 @@ class BaseTestbed:
                 inherit_checksums=config.ncache_inherit_checksums,
                 enable_remap=config.ncache_enable_remap,
                 policy=config.cache_policy)
-        self.arbiter = self._attach_arbiter()
 
         # Clients.
         self.client_hosts: List[Host] = []
@@ -151,46 +146,6 @@ class BaseTestbed:
         self.meters.watch("storage_cpu", self.storage_host.cpu)
         for i, nic in enumerate(self.server_host.nics):
             self.meters.watch(f"server_nic{i}_tx", nic.tx_link)
-
-    def _attach_arbiter(self) -> MemoryArbiter:
-        """Put every cache byte under one arbiter (DESIGN.md §12).
-
-        Registration order is fixed — bcache first, then ncache — so
-        the controller's tie-breaking is deterministic.  Under the
-        default ``StaticSplit`` this degenerates to the paper's static
-        squeeze: budgets are validated once and no simulator event is
-        ever scheduled.  An adaptive arbiter under NCache additionally
-        installs the bcache ghost filter: metadata and dirty pages
-        ghost-record, clean placeholder pages do not — a placeholder's
-        payload is already resident in the chunk store, so re-missing
-        it costs no backend read, while metadata never enters the chunk
-        store and a dirty page's payload only reaches it once its
-        writeback remaps (module doc of :mod:`repro.cache.arbiter`).  The bcache floor is
-        kept above the transient pin window (one block set per NFS
-        daemon) so a shrunken cache cannot stall mid-read.
-        """
-        config = self.config
-        spec = config.arbiter
-        arbiter = make_arbiter(spec, config.cache_memory_bytes,
-                               counters=self.server_host.counters,
-                               trace=self.sim.trace)
-        if self.ncache is not None and spec.adaptive:
-            self.cache.set_ghost_admit(
-                lambda entry: entry.is_metadata or entry.dirty)
-        pin_window = 16 * self.image.block_size * max(1, config.n_daemons)
-        floor = max(int(config.fs_cache_bytes * spec.floor_fraction),
-                    min(pin_window, config.fs_cache_bytes))
-        arbiter.register("bcache", config.fs_cache_bytes,
-                         self.cache.resize, self.cache.kernel_metrics,
-                         writeback=self.vfs.write_back_entry,
-                         floor_bytes=floor)
-        if self.ncache is not None:
-            store = self.ncache.store
-            arbiter.register("ncache", config.ncache_capacity_bytes,
-                             store.resize, store.kernel_metrics,
-                             writeback=self.ncache.write_back_chunk)
-        arbiter.start(self.sim)
-        return arbiter
 
     def server_ip_for_client(self, client_index: int) -> str:
         """Spread clients across the server's NICs (the 2-NIC setup)."""

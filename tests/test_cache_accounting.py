@@ -33,7 +33,7 @@ def _store_case(policy):
         store.peek_fho(FhoKey(1, 1, 0))
         store.peek(FhoKey(9, 9, 0), key)
 
-    return (store.kernel_metrics, lambda: [c.key for c in store.chunks()],
+    return (store._kernel.metrics, lambda: [c.key for c in store.chunks()],
             peeks, store.lookup_lbn, resident, LbnKey(0, 99), ghosted)
 
 
@@ -44,7 +44,7 @@ def _bcache_case(policy):
         cache.insert(lbn, JunkPayload(BLOCK_SIZE))
     (ghosted,) = [lbn for lbn in (1, 2) if cache.peek(lbn) is None]
     (resident,) = [lbn for lbn in (1, 2) if lbn != ghosted]
-    return (cache.kernel_metrics,
+    return (cache._kernel.metrics,
             lambda: [entry.lbn for _, entry in cache._kernel.items()],
             cache.peek, cache.lookup, resident, 99, ghosted)
 

@@ -1,16 +1,14 @@
 """Addresses never steer replacement.
 
-The eviction kernel keys its recency lists on the cached items
+The eviction kernel keys its recency list on the cached items
 themselves, which hash by identity, i.e. by address.  Dicts iterate in
 insertion order, so no victim, no ``items()`` order and no counter may
-depend on where the allocator put an item.  These tests run the same
-seeded program twice, the second time after allocating and freeing
-decoys in a shuffled order so the items land at different addresses
-(and in a different address order), and require identical results:
-
-* a store-level op program (insert / lookup / overwrite / remap / pin /
-  ``make_room`` / resize) under every policy;
-* one quick NFS cell under ARC, the policy with the most lists.
+depend on where the allocator put an item.  This test runs one seeded
+store-level op program (insert / lookup / overwrite / remap / pin /
+``make_room`` / resize) twice, the second time after allocating and
+freeing decoys in a shuffled order so the items land at different
+addresses (and in a different address order), and requires identical
+results.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from repro.cache import POLICIES
 from repro.core import Chunk, FhoKey, LbnKey, NCacheStore
 from repro.net.buffer import ExtentPayload
 from repro.sim.rng import substream
-
-from test_ncache_pressure import sfs_cell
 
 BLOCK = 4096
 N_KEYS = 12
@@ -99,7 +95,7 @@ def _program(policy: str, decoys: bool):
         orders.append([c.key for c in store.chunks()])
     rank = sorted(range(len(made)), key=lambda i: id(made[i]))
     return (victims, dirty, orders,
-            _kernel_counters(store.kernel_metrics)), rank
+            _kernel_counters(store._kernel.metrics)), rank
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -111,18 +107,3 @@ def test_store_program_is_address_independent(policy):
     assert counters["evict_clean"] and counters["evict_dirty"]
     assert counters["hit"] and counters["ghost_hit"]
     assert shuffled == plain
-
-
-def _arc_cell(decoys: bool):
-    if decoys:
-        _shuffle_free_lists(6)
-    testbed, events = sfs_cell("arc")
-    counters = testbed.server_host.counters
-    assert counters["cache.ncache.evict_dirty"].value > 0
-    assert counters["ncache.remap"].value > 0
-    return events, [_kernel_counters(cache.kernel_metrics)
-                    for cache in (testbed.ncache.store, testbed.cache)]
-
-
-def test_arc_nfs_cell_is_address_independent():
-    assert _arc_cell(decoys=True) == _arc_cell(decoys=False)

@@ -61,7 +61,7 @@ def test_integrity_search_job_runs_the_search_and_every_mutant():
     wide = next(step["name"] for step in steps
                 if "--seeds 64" in step.get("run", "")
                 and "--mutants" not in step["run"])
-    assert f"{len(integrity_search.ORDERS)} victim orders" in wide
+    assert f"LRU and {len(integrity_search.ORDERS)} victim orders" in wide
     assert "a stall is a kill" in wide
     assert "tests/integrity_search.py --mutants" in runs
     patches = {p.stem for p in (root / "tests" / "mutants").glob("*.patch")}
@@ -82,8 +82,8 @@ def test_sweep_identity_job_diffs_whole_sweeps_at_two_worker_counts():
     step, = [step for step in doc["jobs"]["sweep-identity"]["steps"]
              if "--workers 1" in step.get("run", "")]
     run = " ".join(step["run"].replace("\\\n", " ").split())
-    for part in ("$SWEEP_SUBSET adaptive_budget --workers 1 --out workers-1",
-                 "$SWEEP_SUBSET adaptive_budget --workers 2 --out workers-2",
+    for part in ("$SWEEP_SUBSET --workers 1 --out workers-1",
+                 "$SWEEP_SUBSET --workers 2 --out workers-2",
                  "diff -r workers-1 workers-2",
                  "table2 --workers 1 --trace-out table2-workers-1.trace.jsonl",
                  "table2 --workers 2 --trace-out table2-workers-2.trace.jsonl",

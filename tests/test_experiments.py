@@ -15,10 +15,8 @@ import pytest
 from repro import experiments
 from repro.analysis import ExperimentResult, pct_gain, ratio
 from repro.analysis.paper import claims
-from repro.cache import POLICIES
 from repro.copymodel import CostModel
-from repro.experiments import EXPERIMENTS, SWEEPS, figure5, \
-    policy_ablation, table1, table2
+from repro.experiments import EXPERIMENTS, SWEEPS, figure5, table1, table2
 from repro.experiments.common import Cell, run_cell, run_sweep, variant, \
     warm_caches
 from repro.servers import MB, ServerMode, TestbedSpec
@@ -176,24 +174,6 @@ class TestWarmStart:
 
         hottest = testbed.image.lookup(workload.paths[0])
         assert store.peek_lbn(LbnKey(0, hottest.start_lbn)) is not None
-
-
-class TestPolicyAblation:
-    def test_grid_covers_every_policy(self):
-        specs = policy_ablation.SWEEP.specs(quick=True)
-        assert len(specs) == len(POLICIES) * len(policy_ablation.WORKLOADS)
-        labels = {spec.label for spec in specs}
-        for policy in POLICIES:
-            assert f"policy_ablation/specsfs/{policy}" in labels
-
-    @pytest.mark.cells("policy_ablation/specweb/clock")
-    def test_one_cell_reports_all_columns(self, cell_result):
-        row = cell_result("policy_ablation/specweb/clock").value
-        assert row["policy"] == "clock"
-        assert row["ops_per_sec"] > 0
-        assert 0.0 < row["hit_pct"] <= 100.0
-        for col in ("ghost_hit_pct", "fs_ghost_pct", "copied_kb_per_op"):
-            assert row[col] >= 0.0
 
 
 class TestCellsAreValues:

@@ -3,10 +3,11 @@ one planted cell per lost-write window the search found, and one per
 stall it found.
 
 The planted ``sfs`` cells run ``sfs_cell``'s configuration with FIFO
-ties, the order the windows were found in.  At the commit before the
-fixes each of them fails: a READ returns a block's pre-WRITE bytes.
-Each planted liveness cell stalled before a fill held what it had
-until its reply held it.
+ties, the order the windows were found in.  Each planted window cell
+fails with its window's mutant applied (``tests/mutants``): a READ
+returns a block's pre-WRITE bytes, or a key dangles.  Each planted
+liveness cell fails when a fill pins nothing it holds
+(``fill-unpinned``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 from content_oracle import ContentMismatch, ContentOracle
 from dispatch_digest import recorded
-from integrity_search import MODES, MUTANT_DIR, MUTANTS, Cell, run
+from integrity_search import MODES, MUTANT_DIR, MUTANTS, ORDERS, Cell, run
 from repro.cache import POLICIES
 from repro.experiments.parallel import RunSpec
 from repro.net.buffer import VirtualPayload
@@ -27,15 +28,16 @@ QUICK_SEEDS = (1, 2, 3)
 
 PLANTED = {
     # A fill issued before a WRITE inserted the disk's older bytes over
-    # the newer dirty page.
-    Cell("sfs", "original", "clock", 3, shuffle=False): "window 1",
+    # the newer dirty page (mutant fill-overwrites-resident).
+    Cell("sfs", "original", "lru", 3, shuffle=False): "window 1",
     # A dirty victim waiting for its writeback was in neither cache: a
-    # READ filled the block from the disk's old bytes.  (NCACHE/clock
-    # s3 is test_ncache_pressure's test_no_reply_carries_junk[clock].)
-    Cell("sfs", "original", "arc", 5, shuffle=False): "window 2",
+    # READ filled the block from the disk's old bytes (mutant
+    # evict-dirty-before-writeback).
+    Cell("sfs", "original", "lru", 1, shuffle=False): "window 2",
     # NCache evicted a dirty FHO chunk while an older LBN chunk of the
-    # block stayed cached; the FS page and an L2 hit served the latter.
-    Cell("sfs", "ncache", "arc", 8, shuffle=False): "window 3",
+    # block stayed cached; the FS page and an L2 hit served the latter
+    # (mutant chunk-writeback-no-remap).
+    Cell("sfs", "ncache", "mru", 5, shuffle=False): "window 3",
     # A Data-In for a block replaced the chunk a flush had remapped onto
     # its LBN while the read was in flight.  Found by the wide search
     # with windows 1-3 closed; at the commit before the fixes window 1
@@ -44,26 +46,26 @@ PLANTED = {
 }
 
 
-#: Cells that stalled while a fill refetched the blocks whose chunks
-#: were evicted before their pages went in, holding the pages it had.
+#: Cells that stall, or dangle a key, unless a fill holds what it has
+#: until its reply holds it.
 LIVENESS = {
-    # SLRU's small probation segment: a 4-block fill's chunks push each
+    # The freshest chunks go first: a 4-block fill's chunks pushed each
     # other out, and the READ refetched until the client gave up.
-    Cell("pressure", "ncache", "slru", 3): "refetch livelock",
-    # The same under MRU victims: the freshest chunks go first.
     Cell("pressure", "ncache", "mru", 1): "refetch livelock",
     # Refetching fills held page locks on all 16 FS pages.
-    Cell("sfs", "ncache", "arc", 15): "every FS page locked",
     Cell("lossy", "ncache", "shuffled", 5): "every FS page locked",
+    # Two more cells that fail when a fill pins nothing it holds.
+    Cell("pressure", "ncache", "shuffled", 1): "fill holds its chunks",
+    Cell("sfs", "ncache", "mru", 1, shuffle=False): "fill holds its chunks",
 }
 
 
 def quick_cells():
     for mode in MODES:
-        for policy in sorted(POLICIES):
+        for policy in sorted(POLICIES) + sorted(ORDERS):
             for seed in QUICK_SEEDS:
                 yield Cell("sfs", mode, policy, seed)
-    yield Cell("lossy", "ncache", "clock", 1)
+    yield Cell("lossy", "ncache", "shuffled", 1)
     yield Cell("http", "ncache", "lru", 1)
     yield Cell("fleet", "ncache", "lru", 1)
 

@@ -16,10 +16,9 @@ from repro.net.buffer import VirtualPayload
 from repro.nfs import read_reply_data
 from repro.servers import NfsTestbed, ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
-from repro.sim.engine import dispatch_count
 from repro.sim.process import start
 from repro.workloads import SpecSfsWorkload
-from integrity_search import Cell, run
+from integrity_search import ORDERS, Cell, run
 
 MB = 1 << 20
 FILE_BLOCKS = 128
@@ -41,24 +40,22 @@ def tiny_ncache_testbed(ncache_chunks: int = 24, fs_blocks: int = 8,
     return testbed
 
 
-def sfs_cell(policy: str):
+def sfs_cell(seed: int):
     """A cold SPECsfs-style read/write mix on 1/1024 of the machine's
     memory: both caches evict, flushes remap FHO chunks and NCache
-    writes back dirty victims of its own.  Returns the testbed and the
-    events one simulated second dispatched."""
-    before = dispatch_count()
+    writes back dirty victims of its own.  Returns the testbed after
+    one simulated second."""
     testbed = TestbedSpec.nfs(ServerMode.NCACHE, flush_interval_s=0.02,
                               n_server_nics=1, n_daemons=16,
-                              cache_policy=policy,
                               **scaled_memory_config(1024)).build()
     testbed.flush_daemon.max_blocks_per_pass = 16
     load = SpecSfsWorkload(testbed, pct_regular=0.75, read_write_ratio=1.0,
                            fs_size_bytes=64 * (1 << 20),
-                           outstanding_per_client=4, seed=3)
+                           outstanding_per_client=4, seed=seed)
     testbed.setup()
     load.start()
     testbed.sim.run(until=testbed.sim.now + 1.0)
-    return testbed, dispatch_count() - before
+    return testbed
 
 
 def run_scenario(testbed, gen):
@@ -168,41 +165,38 @@ class TestEvictionPressure:
         counters = testbed.server_host.counters
         assert counters["cache.ncache.evict_clean"].total > FILE_BLOCKS
         assert peeks  # the reclaim listener did ask
-        metrics = store.kernel_metrics
+        metrics = store._kernel.metrics
         assert calls and metrics.hit.total + metrics.miss.total == len(calls)
 
     def test_random_ops_under_pressure_byte_exact(self):
         """Two clients' seeded op streams on this testbed: the search's
         ``pressure`` cells, every READ checked by the content oracle and
-        nothing left pinned.  SLRU and the search's MRU order evict a
-        fill's fresh chunks first; a fill holds them until its reply
-        does, so the READ still completes."""
-        for seed, policy in enumerate(("arc", "clock", "lru", "mru",
-                                       "slru"), start=1):
+        nothing left pinned.  The search's MRU order evicts a fill's
+        fresh chunks first, its shuffled order at random; a fill holds
+        them until its reply does, so the READ still completes."""
+        for seed, policy in enumerate(("lru", "mru", "shuffled"), start=1):
             outcome = run(Cell("pressure", "ncache", policy, seed))
             assert outcome.verdict == "pass", str(outcome)
             assert outcome.counters["cache.ncache.evict_clean"] > 0
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("policy", sorted(POLICIES) + sorted(ORDERS))
     def test_no_reply_carries_junk(self, policy):
         """A dangling key raises at the TX hook, so a clean run is the
         check; it must have substituted real traffic.  ``sfs_cell``'s
         configuration as a search cell (FIFO ties, content oracle,
         sanitizer).  Before keyed pages were checked at insert and
-        replies pinned their chunks, lru 16, clock 11, slru 26 and arc
-        49 replies and flushes here carried junk."""
+        replies pinned their chunks, 16 LRU replies and flushes here
+        carried junk."""
         outcome = run(Cell("sfs", "ncache", policy, 3, shuffle=False))
         assert outcome.verdict == "pass", str(outcome)
         assert outcome.counters["ncache.substituted_replies"] > 100
 
-    @pytest.mark.parametrize("policy", ["arc", "clock"])
-    def test_room_taken_during_victim_writeback_is_evicted_again(
-            self, policy):
+    def test_room_taken_during_victim_writeback_is_evicted_again(self):
         """Writing back NCache's own dirty victim yields; a concurrent
         insert used to claim the freed room and the waiting insert then
-        raised "insert without room".  Under ARC and CLOCK this cell
-        evicts dirty FHO chunks under concurrent writes."""
-        testbed, _ = sfs_cell(policy)
+        raised "insert without room".  This cell evicts dirty FHO chunks
+        under concurrent writes."""
+        testbed = sfs_cell(seed=1)
         counters = testbed.server_host.counters
         assert counters["cache.ncache.evict_dirty"].value > 0
         assert counters["ncache.writeback"].value \

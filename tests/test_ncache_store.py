@@ -81,7 +81,7 @@ class TestInsertLookup:
         store.insert(chunk_for(LbnKey(0, 1)))
         store.make_room(FOOTPRINT)  # evicts lbn(0,1) into the ghost list
         store.insert(chunk_for(FhoKey(1, 1, 0)))
-        metrics = store.kernel_metrics
+        metrics = store._kernel.metrics
         before = (metrics.hit.value, metrics.miss.value,
                   metrics.ghost_hit.value)
         assert store.peek_fho(FhoKey(1, 1, 0)) is not None

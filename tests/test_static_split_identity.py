@@ -1,18 +1,14 @@
-"""StaticSplit arbiter must not perturb the simulation by one event.
+"""Fixed cache budgets: the simulation of these points does not move.
 
-The arbiter refactor moved memory-budget ownership out of the caches
-and into ``repro.cache.arbiter``.  With the default ``StaticSplit``
-arbiter the split is computed once at build time and the controller
-schedules **zero** simulator events, so every run must be byte-identical
-to the pre-refactor tree.  The golden in
-``tests/goldens/static_split_identity.json`` was captured at the commit
-*before* the arbiter landed; any drift in ``sim_events`` on these grid
-points means the refactor changed behavior it promised not to touch.
-
-The points cover the distinct cache topologies: all three server modes
-(original / baseline / NCache), a policy-ablation point, and a
+Each cache keeps the byte budget ``TestbedConfig`` computes once — the
+paper's configuration-time squeeze of the FS cache under NCache's pinned
+buffers (§3.4/§4.1) — and nothing schedules an event to change it.  The
+golden in ``tests/goldens/static_split_identity.json`` pins
+``sim_events`` for points that cover the distinct cache topologies: all
+three server modes (original / baseline / NCache) of Figure 4, and a
 fleet churn run (multiple testbeds, cooperative caching, membership
-events).
+events, the store's cold restart); any drift means a change moved
+behavior it promised not to touch.
 
 Regenerate (only for an *intentional* simulation change) with::
 
@@ -26,17 +22,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import figure4, fleet_churn, policy_ablation
+from repro.experiments import figure4, fleet_churn
 from repro.experiments.parallel import run_specs
 
 GOLDEN = Path(__file__).parent / "goldens" / "static_split_identity.json"
 
 
 def identity_specs():
-    """Grid points whose event counts the refactor must preserve."""
+    """Grid points whose event counts must not move."""
     specs = [s for s in figure4.SWEEP.specs(quick=True)
              if s.label.endswith("/16384")]
-    specs += policy_ablation.SWEEP.specs(quick=True)[:1]
     specs += fleet_churn.SWEEP.specs(quick=True)[:1]
     return specs
 

@@ -2,8 +2,8 @@
 
 The paper's mechanism rests on properties that no behaviour test sees:
 regular data moves by logical copy (§3.1), one LRU does all replacement
-(§3.4), the arbiter owns the cache bytes, and a run is a function of its
-seeds.  Each is a *rule* here: a function that yields ``(key, node)`` for
+(§3.4), each cache's byte budget is fixed at configuration, and a run
+is a function of its seeds.  Each is a *rule* here: a function that yields ``(key, node)`` for
 every site of a module that could break it, with an allowlist beside it
 that maps a key prefix to the reason the site is legal.  A key is
 ``"<path under src/repro>::<enclosing qualname>"`` (the name itself, for
@@ -186,7 +186,6 @@ NAME_RE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
 NAMING_METHODS = {"emit", "complete", "counter", "gauge", "histogram", "add",
                   "_counter"}
 SUBSYSTEMS = {
-    "arbiter.": "memory-budget arbiter: tick/move traces, budget gauges",
     "bcache.": "file-system buffer cache: writeback counters and events",
     "buffer.": "extent data plane: materialize and partial-extent events",
     "cache.": "the eviction kernel: the only hit/miss/evict/ghost counters",
@@ -280,24 +279,24 @@ def cache_discipline(path, tree):
             targets = getattr(node, "targets", None) or [node.target]
             for attr in filter(None, map(self_attr, targets)):
                 ordered[owner, attr] = scope, node
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in ("move_to_end", "popitem") \
-                and self_attr(node.func.value):
-            reordered.add((owner, self_attr(node.func.value)))
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in ("move_to_end", "popitem") \
+                and self_attr(node.value):
+            # a call, or a bound reference (LRU's hot-path touch alias)
+            reordered.add((owner, self_attr(node.value)))
     for key in sorted(ordered.keys() & reordered):
         scope, node = ordered[key]
         yield f"{path}::{scope}", node
 
 
-# -- budget-lease: the machine's cache bytes have one owner, the
-#    MemoryArbiter; a direct resize() lets one cache grow without another
-#    shrinking.
+# -- budget-lease: budgets are fixed at configuration (the paper's
+#    static squeeze, §3.4/§4.1); resize() runs only inside repro.cache
+#    (``CacheKernel.resize`` is defined there and called by no one) and
+#    NCacheStore.cold_restart, which empties the store through zero.
 
 BUDGET_ALLOWED = {
-    "cache/": "the arbiter and the kernels it resizes",
-    "core/store.py": "the NCache adapter's resize keeps its indexes",
-    "fs/buffer_cache.py": "the buffer cache adapter's resize, likewise",
+    "core/store.py::NCacheStore.cold_restart":
+        "a cold restart empties the store through a zero budget",
 }
 
 
@@ -446,10 +445,12 @@ PLANTED = {
     "unrelated-resize-name": ("budget-lease", "mod.py",
                               "def rescale(image):\n"
                               "    image.resize(640)", 1),
-    "arbiter-seam": ("budget-lease", "core/store.py", "cache.resize(1)", 0),
+    "cold-restart-seam": ("budget-lease", "core/store.py",
+                          "class NCacheStore:\n"
+                          "    def cold_restart(self):\n"
+                          "        self.resize(0)", 0),
     "bound-method-reference": ("budget-lease", "mod.py",
-                               "arbiter.register('bcache', 4096, "
-                               "cache.resize, metrics)", 0),
+                               "handlers.append(store.resize)", 0),
     "own-pool": ("one-pool", "test_mod.py",
                  "ProcessPoolExecutor(2).map(str, [1])\nos.fork()", 2),
     "pooled-runs": ("one-pool", "test_mod.py",

@@ -84,18 +84,12 @@ def describe_payload(payload: Any) -> Tuple:
 
 def _kernel_state(kernel) -> Dict[str, Any]:
     """Budget, counters and the policy's lists (live items as their
-    ``(key, nbytes)`` records, CLOCK's reference bits as keys; ghosts
-    are keys already)."""
-    key_of = {item: key for key, item in kernel.items()}
+    ``(key, nbytes)`` records; ghosts are keys already)."""
     policy: Dict[str, Any] = {}
     for name, value in vars(kernel.policy).items():
         if isinstance(value, OrderedDict):
-            policy[name] = list(value.values() if name not in
-                                ("_ghost", "_b1", "_b2") else value)
-        elif isinstance(value, set):
-            policy[name] = sorted(key_of[item] for item in value)
-        elif isinstance(value, (int, float)):
-            policy[name] = value
+            policy[name] = list(value.values() if name != "_ghost"
+                                else value)
     metrics = kernel.metrics
     return {"used_bytes": kernel.used_bytes,
             "counters": {name: getattr(metrics, name).value
