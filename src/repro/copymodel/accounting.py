@@ -27,10 +27,9 @@ configurations:
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..obs.trace import TraceEvent
-from ..sim.engine import Event
 from ..sim.resources import CPU
 from ..sim.stats import CounterSet
 from .costs import CostModel
@@ -151,33 +150,32 @@ class CopyAccountant:
         self._counter("checksum.bytes")._total += nbytes
         return self.costs.checksum_ns(nbytes)
 
-    def charge_ns(self, nanoseconds: float) -> Generator[Event, Any, None]:
+    def charge_ns(self, nanoseconds: float) -> Iterable[Any]:
         """Hold the CPU for an already-booked aggregate cost."""
-        return self.cpu.execute_ns(nanoseconds)
+        return self.cpu.execute(nanoseconds * 1e-9)
 
     # -- data movement -----------------------------------------------------
     #
     # The classic charge-inline entry points.  Each is a plain function
-    # whose bookkeeping runs eagerly and whose returned generator is just
-    # the CPU hold — ``yield from`` works exactly as before, one
-    # delegation frame shallower (these are the hottest call sites in
-    # the tree after the engine itself).
+    # whose bookkeeping runs eagerly and whose CPU hold is booked when
+    # it is called: what it returns is :meth:`CPU.execute`'s plain delay,
+    # which the caller hands to ``yield from`` at once (these are the
+    # hottest call sites in the tree after the engine itself).
 
     def physical_copy(self, nbytes: int, category: str,
-                      is_metadata: bool = False) -> Generator[Event, Any, None]:
+                      is_metadata: bool = False) -> Iterable[Any]:
         """memcpy ``nbytes``; charged per byte."""
-        return self.cpu.execute_ns(
-            self.note_physical_copy(nbytes, category, is_metadata))
+        return self.cpu.execute(
+            self.note_physical_copy(nbytes, category, is_metadata) * 1e-9)
 
     def logical_copy(self, category: str, nkeys: int = 1,
-                     nbytes: int = 0) -> Generator[Event, Any, None]:
+                     nbytes: int = 0) -> Iterable[Any]:
         """Copy ``nkeys`` keys instead of the payload (NCache §3.1)."""
-        return self.cpu.execute_ns(
-            self.note_logical_copy(category, nkeys, nbytes))
+        return self.cpu.execute(
+            self.note_logical_copy(category, nkeys, nbytes) * 1e-9)
 
     def move(self, discipline: CopyDiscipline, nbytes: int, category: str,
-             nkeys: int = 1,
-             is_metadata: bool = False) -> Generator[Event, Any, None]:
+             nkeys: int = 1, is_metadata: bool = False) -> Iterable[Any]:
         """Move data under the given discipline.
 
         Metadata always moves physically regardless of discipline — the
@@ -190,18 +188,17 @@ class CopyAccountant:
             return self.logical_copy(category, nkeys, nbytes)
         # ZERO: statement deleted, nothing moves, nothing charged.
         self._counter("copies.elided")._total += 1
-        return iter(())
+        return ()
 
     # -- protocol / bookkeeping costs ---------------------------------------
 
     def compute(self, nanoseconds: float, category: str = "compute"
-                ) -> Generator[Event, Any, None]:
+                ) -> Iterable[Any]:
         """Charge a generic CPU cost."""
-        return self.cpu.execute_ns(
-            self.note_compute(nanoseconds, category))
+        self._category_counter(self._cat_compute, "cpu.",
+                               category)._total += nanoseconds
+        return self.cpu.execute(nanoseconds * 1e-9)
 
-    def checksum(self, nbytes: int, cached: bool = False
-                 ) -> Generator[Event, Any, None]:
+    def checksum(self, nbytes: int, cached: bool = False) -> Iterable[Any]:
         """Software checksum cost; free when a cached sum is inherited."""
-        ns = self.note_checksum(nbytes, cached)
-        return self.cpu.execute_ns(ns) if ns else iter(())
+        return self.cpu.execute(self.note_checksum(nbytes, cached) * 1e-9)

@@ -31,15 +31,16 @@ class DiskModel:
     #: up to this many cursors.
     STREAM_CURSORS = 64
 
+    #: The drive: 8.5 ms average seek, 4.17 ms average rotational delay
+    #: (7200 rpm) and 35 MB/s media transfer.
+    SEEK_S = 8.5 * 1e-3
+    ROTATION_S = 4.17 * 1e-3
+    TRANSFER_BPS = 35.0 * 1024 * 1024
+
     def __init__(self, sim: Simulator, name: str = "disk",
-                 seek_ms: float = 8.5, rotation_ms: float = 4.17,
-                 transfer_mbps: float = 35.0,
                  block_size: int = BLOCK_SIZE) -> None:
         self.sim = sim
         self.name = name
-        self.seek_s = seek_ms * 1e-3
-        self.rotation_s = rotation_ms * 1e-3
-        self.transfer_bps = transfer_mbps * 1024 * 1024
         self.block_size = block_size
         self._resource = Resource(sim, capacity=1, name=name)
         self._cursors: list[int] = []  # expected next LBN per live stream
@@ -49,10 +50,10 @@ class DiskModel:
 
     def service_time(self, lbn: int, nblocks: int) -> float:
         """Service time for one request, given the head position state."""
-        transfer = nblocks * self.block_size / self.transfer_bps
+        transfer = nblocks * self.block_size / self.TRANSFER_BPS
         if lbn in self._cursors:
             return transfer
-        return self.seek_s + self.rotation_s + transfer
+        return self.SEEK_S + self.ROTATION_S + transfer
 
     def _advance_cursor(self, lbn: int, nblocks: int) -> None:
         if lbn in self._cursors:

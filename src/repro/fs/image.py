@@ -10,7 +10,7 @@ on-disk bytes.
 Layout (in 4 KB blocks):
 
 * LBN 0 — superblock (metadata)
-* LBN 1 .. inode_table_blocks — inode table (metadata)
+* LBN 1 .. INODE_TABLE_BLOCKS — inode table (metadata)
 * then alternating directory blocks and file extents as allocated.
 
 Regular-file content is *virtual*: block ``b`` of inode ``i`` materializes
@@ -83,17 +83,16 @@ class FsImage:
 
     INODES_PER_BLOCK = 32
     DIRENTS_PER_BLOCK = 64
+    INODE_TABLE_BLOCKS = 128
 
     def __init__(self, capacity_blocks: int, seed: int = 1,
-                 block_size: int = BLOCK_SIZE,
-                 inode_table_blocks: int = 128) -> None:
-        if capacity_blocks <= 1 + inode_table_blocks:
+                 block_size: int = BLOCK_SIZE) -> None:
+        if capacity_blocks <= 1 + self.INODE_TABLE_BLOCKS:
             raise ValueError("capacity too small for metadata regions")
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
         self.seed = seed
-        self.inode_table_blocks = inode_table_blocks
-        self._next_lbn = 1 + inode_table_blocks
+        self._next_lbn = 1 + self.INODE_TABLE_BLOCKS
         self._next_ino = 2  # 1 is the root directory, ext2-style
         self.inodes: Dict[int, Inode] = {}
         self.by_name: Dict[str, int] = {}
@@ -199,7 +198,7 @@ class FsImage:
 
     def inode_table_lbn(self, ino: int) -> int:
         """The inode-table block holding this inode's metadata."""
-        return 1 + (ino // self.INODES_PER_BLOCK) % self.inode_table_blocks
+        return 1 + (ino // self.INODES_PER_BLOCK) % self.INODE_TABLE_BLOCKS
 
     def dir_block_lbn(self, name: str) -> int:
         """The directory block holding the entry for ``name``."""
@@ -211,7 +210,7 @@ class FsImage:
     def lbn_owner(self, lbn: int) -> LbnOwner:
         if lbn == 0:
             return LbnOwner("super")
-        if 1 <= lbn <= self.inode_table_blocks:
+        if 1 <= lbn <= self.INODE_TABLE_BLOCKS:
             return LbnOwner("inode_table")
         if lbn in self._dir_block_set:
             return LbnOwner("dir")

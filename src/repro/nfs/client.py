@@ -114,14 +114,17 @@ class NfsClient:
 
     def read(self, fh: FileHandle, offset: int, count: int
              ) -> Generator[Event, Any, Datagram]:
-        """READ; the returned datagram's chain carries the data bytes."""
-        return (yield from self.call(NfsProc.READ, fh=fh, offset=offset,
-                                     count=count))
+        """READ; the returned datagram's chain carries the data bytes.
+
+        Returns :meth:`call`'s generator itself (as :meth:`write` does):
+        a delegating frame on every request would only pass it through.
+        """
+        return self.call(NfsProc.READ, fh=fh, offset=offset, count=count)
 
     def write(self, fh: FileHandle, offset: int, data: Payload
               ) -> Generator[Event, Any, Datagram]:
-        return (yield from self.call(NfsProc.WRITE, fh=fh, offset=offset,
-                                     count=data.length, data=data))
+        return self.call(NfsProc.WRITE, fh=fh, offset=offset,
+                         count=data.length, data=data)
 
     def commit(self, fh: FileHandle, offset: int = 0, count: int = 0
                ) -> Generator[Event, Any, NfsReply]:

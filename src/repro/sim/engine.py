@@ -124,7 +124,8 @@ class Event:
         synchronously, preserving run-to-completion semantics.
         """
         if self._triggered:
-            self.sim.schedule(0.0, fn, self)
+            sim = self.sim
+            sim._push(sim.now, fn, (self,))
         else:
             self._callbacks.append(fn)
 
@@ -134,8 +135,9 @@ class Event:
         self._triggered = True
         self._value = value
         callbacks, self._callbacks = self._callbacks, []
+        sim = self.sim
         for fn in callbacks:
-            self.sim.schedule(0.0, fn, self)
+            sim._push(sim.now, fn, (self,))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -145,8 +147,9 @@ class Event:
         self._value = exc
         self._is_error = True
         callbacks, self._callbacks = self._callbacks, []
+        sim = self.sim
         for fn in callbacks:
-            self.sim.schedule(0.0, fn, self)
+            sim._push(sim.now, fn, (self,))
         return self
 
 

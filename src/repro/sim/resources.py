@@ -10,7 +10,7 @@ by ``capacity * window``.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Iterable
 
 from .engine import Event, SimulationError, Simulator
 
@@ -106,8 +106,9 @@ class Resource:
 class CPU:
     """A processor with ``cores`` identical cores.
 
-    Model code charges work through :meth:`execute` (a process helper) or
-    accumulates aggregated nanosecond costs through a
+    Model code charges work through :meth:`execute` (a plain delay for
+    the process to ``yield from``) or accumulates aggregated nanosecond
+    costs through a
     :class:`repro.copymodel.accounting.CopyAccountant` which eventually
     executes them here.
 
@@ -165,18 +166,19 @@ class CPU:
             return 0.0
         return (self.busy_time() - since_busy) / (self.capacity * window)
 
-    def execute(self, seconds: float) -> Generator[Event, Any, None]:
-        """Occupy one core for ``seconds`` of work (FIFO queueing)."""
+    def execute(self, seconds: float) -> Iterable[Any]:
+        """Occupy one core for ``seconds`` of work (FIFO queueing).
+
+        The hold is booked now, and the charge comes back as the plain
+        delay until the work completes: ``(delay,)``, or ``()`` for no
+        cost.  The charging process passes it to ``yield from`` at once
+        and sleeps that long, with no generator frame in between.
+        """
         if seconds < 0:
             raise SimulationError(f"negative CPU cost {seconds!r}")
         if seconds == 0.0:
-            return
-        yield self._admit(seconds)  # queueing delay + hold, one dispatch
-
-    def execute_ns(self, nanoseconds: float) -> Generator[Event, Any, None]:
-        # Plain function returning the generator: callers ``yield from``
-        # it either way, and this drops one delegation frame per charge.
-        return self.execute(nanoseconds * 1e-9)
+            return ()
+        return (self._admit(seconds),)  # queueing delay + hold
 
 
 class Link:
@@ -242,7 +244,8 @@ class Link:
         """Callback form of :meth:`transmit` for the per-datagram path:
         ``fn(*args)`` runs when the last bit arrives at the far end —
         one scheduled callback, no Process machinery."""
-        self.sim.schedule(self._admit(nbytes), fn, *args)
+        sim = self.sim
+        sim._push(sim.now + self._admit(nbytes), fn, args)
 
     def transmit(self, nbytes: int) -> Generator[Event, Any, None]:
         """Occupy the link while ``nbytes`` serialize, then wait latency.
@@ -270,7 +273,7 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._items:
             ev.succeed(self._items.popleft())
         else:

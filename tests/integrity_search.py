@@ -357,9 +357,9 @@ def search(seeds: int, first: bool = False, out=sys.stdout
 
 MUTANT_DIR = Path(__file__).parent / "mutants"
 
-#: Every ``tests/mutants/*.patch``: what it breaks, and for the two
-#: mutants no READ can see (same bytes, other bookkeeping), the test that
-#: kills each instead.
+#: Every ``tests/mutants/*.patch``: what it breaks, and for the three
+#: mutants no READ can see (same bytes, other bookkeeping or another
+#: scheduling seam), the test that kills each instead.
 MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
     "evict-for-single-pass": (
         "VFS._evict_for makes room once, without re-checking after the "
@@ -404,6 +404,12 @@ MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
     "chunk-writeback-no-remap": (
         "NCache writes back a dirty FHO chunk without remapping it, so "
         "an older LBN chunk stays (window 3)", None),
+    "wake-bypasses-push": (
+        "Event.succeed pushes its wake-ups onto the heap past "
+        "Simulator._push; FIFO ties keep every byte, but the search's "
+        "shuffled order no longer reaches them",
+        "tests/test_engine_backends.py::TestBackendIdentity::"
+        "test_every_wake_up_is_one_push"),
 }
 
 

@@ -1,7 +1,11 @@
 """Reference scheduler sharing no code with the engine's heap: an unsorted
 list popped by ``min()`` on ``(time, seq)``.  ``test_engine_backends.py``
 holds ``repro.sim.engine.Simulator`` to its dispatch order, dispatch count
-and clock, cancelled timers (no dispatch, no clock advance) included."""
+and clock, cancelled timers (no dispatch, no clock advance) included.
+
+It replaces ``Simulator._push``, the one method every entry goes through
+(``schedule``, ``call_later``, an event's wake-ups, a process's sleep, a
+link leg), so a wake-up that bypassed it would be lost here."""
 
 from repro.sim import engine
 
@@ -9,35 +13,28 @@ from repro.sim import engine
 class MinListReference(engine.Simulator):
     def __init__(self):
         super().__init__()
-        self._items = []  # unsorted (when, seq, fn, args, timer or None)
+        # Unsorted (when, seq, fn, args); a timer is (when, seq, None, handle).
+        self._items = []
 
-    def schedule(self, delay, fn, *args, timer=None):
-        if delay < 0:
-            raise engine.SimulationError(f"negative delay {delay!r}")
-        self.schedule_at(self.now + delay, fn, *args, timer=timer)
-
-    def schedule_at(self, when, fn, *args, timer=None):
-        self._items.append((when, self._seq, fn, args, timer))
+    def _push(self, when, fn, args):
+        self._items.append((when, self._seq, fn, args))
         self._seq += 1
-
-    def call_later(self, delay, fn, *args):
-        timer = engine.TimerHandle(self.now + delay, fn, args)
-        self.schedule(delay, fn, *args, timer=timer)
-        return timer
 
     def run(self, until=None):
         items = self._items
         try:
             while items:
                 entry = min(items)  # seq is unique: fn is never compared
-                when, _seq, fn, args, timer = entry
+                when, _seq, fn, args = entry
                 if until is not None and when > until:
                     break
                 items.remove(entry)
-                if timer is not None:
+                if fn is None:
+                    timer = args
                     if timer.cancelled:
                         continue
                     timer.fired = True
+                    fn, args = timer._fn, timer._args
                 self.now = when
                 engine._dispatch_total += 1
                 fn(*args)

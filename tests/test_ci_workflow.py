@@ -68,7 +68,8 @@ def test_integrity_search_job_runs_the_search_and_every_mutant():
     assert patches == set(integrity_search.MUTANTS)
     killers = {name: k for name, (_, k) in integrity_search.MUTANTS.items()
                if k}
-    assert set(killers) == {"no-generation-bump", "rx-no-expand-segments"}
+    assert set(killers) == {"no-generation-bump", "rx-no-expand-segments",
+                            "wake-bypasses-push"}
     for killer in killers.values():
         assert (root / killer.partition("::")[0]).is_file(), killer
 

@@ -17,7 +17,7 @@ class TestDiskModel:
             yield from disk.io(100, 1)
 
         drive(sim, job())
-        expected = disk.seek_s + disk.rotation_s + BLOCK_SIZE / disk.transfer_bps
+        expected = disk.SEEK_S + disk.ROTATION_S + BLOCK_SIZE / disk.TRANSFER_BPS
         assert sim.now == pytest.approx(expected)
 
     def test_sequential_access_skips_seek(self, sim):
@@ -30,7 +30,7 @@ class TestDiskModel:
             return sim.now - t_after_first
 
         delta = drive(sim, job())
-        assert delta == pytest.approx(4 * BLOCK_SIZE / disk.transfer_bps)
+        assert delta == pytest.approx(4 * BLOCK_SIZE / disk.TRANSFER_BPS)
         assert disk.sequential_hits == 1
 
     def test_non_sequential_seeks_again(self, sim):
@@ -126,8 +126,8 @@ class TestRaid0:
             yield from raid.io(0, 64)  # touches all four disks
 
         drive(sim, job())
-        per_disk = 16 * BLOCK_SIZE / raid.disks[0].transfer_bps \
-            + raid.disks[0].seek_s + raid.disks[0].rotation_s
+        per_disk = 16 * BLOCK_SIZE / raid.disks[0].TRANSFER_BPS \
+            + raid.disks[0].SEEK_S + raid.disks[0].ROTATION_S
         assert sim.now == pytest.approx(per_disk)
         assert all(d.reads == 1 for d in raid.disks)
 

@@ -16,7 +16,8 @@ import weakref
 import pytest
 
 from minlist_reference import MinListReference
-from repro.sim import CPU, Resource, Simulator, start, substream
+from repro.sim import (CPU, Link, Resource, Simulator, Store, start,
+                       substream)
 from repro.sim.engine import SimulationError, StopSimulation, dispatch_count
 
 
@@ -177,7 +178,9 @@ class TestTimerCancellation:
 def _scripted_log(make_sim):
     """Ordering-sensitive scenario; returns its (time, tag) fingerprint.
 
-    Touches contended/uncontended resources, CPU charges, same-time
+    Touches contended/uncontended resources, CPU charges, event waits,
+    ``Store`` hand-offs (to a waiting getter and to a late one), link
+    legs (a process transmit and a ``transmit_then`` callback), same-time
     ties, zero-delay cascades, RTO timers that fire and that are
     cancelled, and a ``StopSimulation`` in the middle of a tie — the
     features whose dispatch order must match the reference's.
@@ -187,6 +190,8 @@ def _scripted_log(make_sim):
 
     lock = Resource(sim, capacity=1, name="lock")
     cpu = CPU(sim, cores=2, name="cpu")
+    mailbox = Store(sim, name="mailbox")
+    wire = Link(sim, bandwidth_bps=8e6, latency_s=0.05, name="wire")
 
     def worker(name, delay, hold):
         yield delay
@@ -208,7 +213,27 @@ def _scripted_log(make_sim):
     def cruncher():
         yield from cpu.execute(0.25)
         log.append([round(sim.now, 9), "cruncher.done"])
+        yield from cpu.execute(0.0)
+        yield from cpu.execute(0.125)
+        log.append([round(sim.now, 9), "cruncher.again"])
 
+    def consumer(name, delay):
+        yield delay
+        item = yield mailbox.get()
+        log.append([round(sim.now, 9), f"{name}.got.{item}"])
+        arrived = yield from wire.transmit(1000)  # 1 ms + 50 ms latency
+        log.append([round(arrived, 9), f"{name}.sent"])
+
+    def producer():
+        yield 0.3
+        mailbox.put("a")  # to the getter already waiting
+        mailbox.put("b")  # queued for the late getter
+        wire.transmit_then(500, lambda: log.append(
+            [round(sim.now, 9), "leg.arrived"]))
+
+    start(sim, consumer("early", 0.0), name="early")
+    start(sim, consumer("late", 0.4), name="late")
+    start(sim, producer(), name="producer")
     start(sim, worker("w1", 0.0, 1.0), name="w1")
     start(sim, worker("w2", 0.5, 1.0), name="w2")
     start(sim, rpc("fast", 0.1, 2.0), name="fast")
@@ -289,6 +314,36 @@ class TestBackendIdentity:
             _scripted_log(make_sim)
             counts.append(dispatch_count() - before)
         assert counts[0] == counts[1]
+
+    def test_every_wake_up_is_one_push(self):
+        """``_push`` is the one seam: every dispatch of the scripted
+        scenario was pushed through it, and only the cancelled timers'
+        pushes never dispatch."""
+        class CountingPush(Simulator):
+            def __init__(self):
+                super().__init__()
+                self.pushes = 0
+                self.timers = []
+
+            def _push(self, when, fn, args):
+                self.pushes += 1
+                if fn is None:
+                    self.timers.append(args)
+                super()._push(when, fn, args)
+
+        sims = []
+
+        def make_sim():
+            sims.append(CountingPush())
+            return sims[-1]
+
+        before = dispatch_count()
+        _scripted_log(make_sim)
+        dispatched = dispatch_count() - before
+        sim, = sims
+        cancelled = sum(timer.cancelled for timer in sim.timers)
+        assert cancelled and any(timer.fired for timer in sim.timers)
+        assert dispatched == sim.pushes - cancelled
 
     @pytest.mark.parametrize("seed", range(64))
     def test_seeded_program_identical_across_backends(self, seed):

@@ -68,7 +68,7 @@ class TestLbnOwner:
     def test_inode_table(self):
         image = make_image()
         assert image.lbn_owner(1).kind == "inode_table"
-        assert image.lbn_owner(image.inode_table_blocks).kind == "inode_table"
+        assert image.lbn_owner(image.INODE_TABLE_BLOCKS).kind == "inode_table"
 
     def test_data_blocks(self):
         image = make_image()
@@ -107,7 +107,7 @@ class TestMetadataLayout:
         image = make_image()
         inode = image.create_file("f", 100)
         lbn = image.inode_table_lbn(inode.ino)
-        assert 1 <= lbn <= image.inode_table_blocks
+        assert 1 <= lbn <= image.INODE_TABLE_BLOCKS
 
     def test_dir_block_lbn_for_name(self):
         image = make_image()

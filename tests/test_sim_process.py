@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import SimulationError, Simulator, start
+from repro.copymodel import CopyAccountant, CopyDiscipline, CostModel
+from repro.sim import CPU, SimulationError, Simulator, start
+from repro.sim.engine import dispatch_count
 from conftest import drive
 
 
@@ -67,6 +69,50 @@ class TestBasics:
         sim.run()
         assert proc.failed
         assert isinstance(proc.value, SimulationError)
+
+
+class TestPlainDelayFastPath:
+    """A non-negative float yield is one push at ``now + delay``; every
+    other delay keeps the checked path."""
+
+    def test_negative_float_delay_fails_process(self, sim):
+        def gen():
+            yield -1.0
+
+        with pytest.raises(SimulationError, match="negative delay"):
+            drive(sim, gen())
+
+    def test_resume_lands_at_now_plus_delay(self, sim):
+        def gen():
+            yield 1.0
+            yield 0.5
+            return sim.now
+
+        proc = start(sim, gen())
+        before = dispatch_count()
+        sim.run()
+        assert proc.value == 1.5 and sim.now == 1.5
+        assert dispatch_count() - before == 2
+
+    def test_int_delay_and_zero_charge_keep_dispatches_and_clock(self, sim):
+        acct = CopyAccountant(CPU(sim), CostModel())
+
+        def gen():
+            yield 2                       # an int: one dispatch
+            yield from acct.compute(0.0)  # no cost: no dispatch
+            yield from acct.move(CopyDiscipline.ZERO, 4096, "x")
+            return sim.now
+
+        proc = start(sim, gen())
+        before = dispatch_count()
+        sim.run()
+        assert proc.value == 2.0 and type(sim.now) is float
+        assert dispatch_count() - before == 1
+
+    def test_a_charge_is_not_a_process(self, sim):
+        acct = CopyAccountant(CPU(sim), CostModel())
+        with pytest.raises(SimulationError, match="Process needs a generator"):
+            start(sim, acct.compute(5.0))
 
 
 class TestFailure:

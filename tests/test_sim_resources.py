@@ -102,14 +102,20 @@ class TestCPU:
         with pytest.raises(SimulationError):
             drive(sim, job())
 
-    def test_execute_ns_converts(self, sim):
+    def test_execute_books_at_call_and_returns_plain_delay(self, sim):
+        # The hold is booked when execute is called; what comes back is
+        # the plain delay to yield, or nothing at zero cost.
         cpu = CPU(sim)
+        assert cpu.execute(1500.0 * 1e-9) == (1.5e-6,)
+        assert cpu.busy_time() == 0.0
+        assert cpu.execute(1.0) == (1.0 + 1.5e-6,)  # queued behind it
+        assert cpu.execute(0.0) == ()
 
         def job():
-            yield from cpu.execute_ns(1500.0)
+            yield from cpu.execute(1500.0 * 1e-9)
 
         drive(sim, job())
-        assert sim.now == pytest.approx(1.5e-6)
+        assert sim.now == pytest.approx(1.0 + 3e-6)
 
 
 class TestLink:
