@@ -95,7 +95,8 @@ class NCacheModule:
                ) -> List[Tuple[Payload, SegmentShape]]:
         """The ``nblocks`` blocks behind ``dgram``'s protocol header."""
         bs = self.store.chunk_size
-        carved = carve_chunks(dgram.chain, header_size, nblocks * bs, bs)
+        carved = carve_chunks(dgram.chain, header_size, nblocks * bs, bs,
+                              dgram.rx_train(self.host.buffer_flavor))
         if len(carved) != nblocks:
             raise SimulationError(
                 f"chunking {type(dgram.message).__name__} produced "

@@ -4,15 +4,17 @@ Data arrives in protocol-sized network buffers (1448-byte TCP segments
 from iSCSI, 1480-byte IP fragments from NFS/UDP) but is cached in
 fixed-size chunks (one filesystem block).  Going the other way, cached
 buffers are re-emitted under a different protocol's framing.  The way in
-is arithmetic over the arrived buffers' sizes (:func:`carve_chunks`: a
-chunk is a payload and a segment shape); the way out for a partial range
-slices real buffer lists (:func:`buffers_for_range`).  Both are
-byte-checkable against the buffer-by-buffer reference the tests keep.
+is arithmetic over the arrived train's segment sizes — a lazy datagram's
+fragment size and length, or a substituted chain's buffers — and builds
+no buffer (:func:`carve_chunks`: a chunk is a payload and a segment
+shape); the way out for a partial range slices real buffer lists
+(:func:`buffers_for_range`).  Both are byte-checkable against the
+buffer-by-buffer reference the tests keep.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..net.buffer import (BufferChain, BufferFlavor, NetBuffer, Payload,
                           SegmentShape)
@@ -33,17 +35,18 @@ def slice_buffer(buf: NetBuffer, offset: int, length: int) -> NetBuffer:
                      headers=[], flavor=buf.flavor)
 
 
-#: ``(buffer sizes, buffer csum_known, flavor, data_offset, total_data,
-#: chunk_size) -> shapes``: the carve of one train geometry, walked once.
-#: Grows with the distinct geometries seen, never with traffic.
+#: ``(segments, flavor, data_offset, total_data, chunk_size) -> shapes``:
+#: the carve of one train geometry, walked once.  Grows with the
+#: distinct geometries seen, never with traffic.
 _CARVED: Dict[tuple, Tuple[SegmentShape, ...]] = {}
 
 
-def _carve_shapes(sizes: Tuple[int, ...], knowns: Tuple[bool, ...],
-                  flavor: BufferFlavor, data_offset: int, total_data: int,
-                  chunk_size: int) -> Tuple[SegmentShape, ...]:
-    """One shape per chunk of a train of buffers, given their payload
-    ``sizes`` and checksum states ``knowns``.
+def _carve_shapes(segments: Tuple[Tuple[int, bool], ...],
+                  flavor: Optional[BufferFlavor], data_offset: int,
+                  total_data: int, chunk_size: int
+                  ) -> Tuple[SegmentShape, ...]:
+    """One shape per chunk of a train of buffers, given each buffer's
+    ``(payload size, csum_known)`` in ``segments``.
 
     A buffer that lands whole in a chunk keeps its checksum state; a
     buffer cut by the header offset, a chunk boundary or the end of the
@@ -55,7 +58,7 @@ def _carve_shapes(sizes: Tuple[int, ...], knowns: Tuple[bool, ...],
     room = chunk_size
     left = total_data
     skip = data_offset
-    for size, known in zip(sizes, knowns):
+    for size, known in segments:
         if skip >= size:
             skip -= size
             continue
@@ -82,7 +85,8 @@ def _carve_shapes(sizes: Tuple[int, ...], knowns: Tuple[bool, ...],
 
 
 def carve_chunks(chain: BufferChain, data_offset: int, total_data: int,
-                 chunk_size: int) -> List[Tuple[Payload, SegmentShape]]:
+                 chunk_size: int, train: Optional[SegmentShape] = None
+                 ) -> List[Tuple[Payload, SegmentShape]]:
     """Carve the data region of an arrived chain into chunks.
 
     ``data_offset`` skips the protocol header bytes at the front of the
@@ -90,20 +94,25 @@ def carve_chunks(chain: BufferChain, data_offset: int, total_data: int,
     shape)`` per chunk, in order: the chunk's bytes as one slice of the
     reassembled message, and the buffer list the chunk stands for —
     each arrived buffer's part in it — as arithmetic over the train's
-    buffer sizes, whatever they are (a transport's uniform fragments, a
-    peer's substituted train), in the flavor of the train's first
-    buffer.  No per-chunk buffer is built.  The final
-    chunk may be short if ``total_data`` is not a multiple of
-    ``chunk_size`` (callers enforce block alignment for cacheable
-    traffic).
+    geometry, whatever it is (a transport's uniform fragments, a peer's
+    substituted train): ``train``'s segments and flavor for a lazily
+    fragmented datagram's one buffer (``Datagram.rx_train``), else the
+    chain's buffer sizes and checksum states in its first buffer's
+    flavor.  No per-chunk buffer is built.  The final chunk may be
+    short if ``total_data`` is not a multiple of ``chunk_size`` (callers
+    enforce block alignment for cacheable traffic).
     """
     if data_offset < 0 or total_data < 0:
         raise ValueError("negative offsets")
-    buffers = chain.buffers
-    geometry = (tuple([buf.payload.length for buf in buffers]),
-                tuple([buf.csum_known for buf in buffers]),
-                buffers[0].flavor if buffers else None,
-                data_offset, total_data, chunk_size)
+    if train is None:
+        buffers = chain.buffers
+        geometry = (tuple([(buf.payload.length, buf.csum_known)
+                           for buf in buffers]),
+                    buffers[0].flavor if buffers else None,
+                    data_offset, total_data, chunk_size)
+    else:
+        geometry = (train.segments, train.flavor,
+                    data_offset, total_data, chunk_size)
     shapes = _CARVED.get(geometry)
     if shapes is None:
         shapes = _CARVED[geometry] = _carve_shapes(*geometry)

@@ -20,7 +20,7 @@ from typing import Any, Dict, Generator, Optional, TYPE_CHECKING
 from ..sim.engine import Event, SimulationError, Simulator
 from ..sim.resources import Link
 from .addresses import Endpoint
-from .buffer import BufferChain, Payload
+from .buffer import BufferChain, BufferFlavor, Payload, SegmentShape
 
 if TYPE_CHECKING:
     from .host import Host
@@ -37,11 +37,12 @@ class Datagram:
     ``wire_bytes`` are precomputed from the cost model.
 
     ``lazy_frag`` is set when ``chain`` is still the sender's single
-    unfragmented buffer: it is the fragment payload size a receiver that
-    caches wire buffers must split the chain into (DESIGN.md §11).  A
-    chain an NCache substituted is never marked; it may instead hold
-    segment-lazy buffers (``NetBuffer.segs``), which the receive path
-    expands for the same kind of receiver.
+    unfragmented buffer: it is the fragment payload size the sender's
+    transport cuts.  No host clears it or builds the fragments: one that
+    caches wire buffers reads the train off it (:meth:`rx_train`,
+    DESIGN.md §11).  A chain an NCache substituted is never marked; it
+    may instead hold segment-lazy buffers (``NetBuffer.segs``), which the
+    receive path expands for a receiver that looks at them.
 
     ``tcp`` marks a TCP control burst (``"syn"`` | ``"synack"`` |
     ``"ack"``; ``n_acks`` delayed ACKs aggregated in an ``"ack"``).
@@ -65,6 +66,16 @@ class Datagram:
     @property
     def payload_bytes(self) -> int:
         return self.chain.payload_bytes
+
+    def rx_train(self, flavor: BufferFlavor) -> Optional[SegmentShape]:
+        """The fragment train of a lazy datagram at a receiver whose
+        buffers are ``flavor``, every checksum known (receive verifies
+        or marks them before any hook runs); ``None`` when ``chain`` is
+        the train already (not lazy, or an empty payload)."""
+        length = self.chain.payload_bytes
+        if self.lazy_frag is None or not length:
+            return None
+        return SegmentShape.uniform(length, self.lazy_frag, True, flavor)
 
 
 class NIC:

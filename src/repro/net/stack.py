@@ -29,7 +29,6 @@ from .buffer import (
     NetBuffer,
     Payload,
     PlaceholderPayload,
-    chain_from_payload,
     concat,
     expand_segments,
     flatten_payload,
@@ -155,25 +154,14 @@ class NetworkStack:
             self._handle_handshake(nic, dgram)
             return
 
-        frag_size = dgram.lazy_frag
-        if frag_size is not None and self.host._rx_hooks:
-            dgram.lazy_frag = None
-            # An RX hook may cache this datagram's wire buffers, and
-            # chunk buffer lists are made of fragment-granularity
-            # descriptors — expand the lazy single-buffer chain into
-            # the shape the sender's transport would have produced
-            # (before checksum marking, so csum inheritance sees the
-            # per-fragment buffers exactly as a real arrival would).
-            dgram.chain = self._build_chain(
-                dgram.chain.buffers[0].payload, frag_size,
-                dgram.src.ip, dgram.src.port, dgram.dst, dgram.protocol)
-        elif frag_size is None and (self.host._rx_hooks
-                                    or not self.host.checksum_offload):
+        if dgram.lazy_frag is None and (self.host._rx_hooks
+                                        or not self.host.checksum_offload):
             # A chain an NCache substituted: compact chunks ride in it as
             # one segment-lazy descriptor each.  This host looks at the
             # buffers one by one — an RX hook re-chunks them, software
             # checksumming counts them — so it gets the per-segment
-            # trains, again before checksum marking.
+            # trains, before checksum marking.  A lazy chain stays one
+            # buffer: its train is ``Datagram.rx_train``.
             dgram.chain = BufferChain(expand_segments(dgram.chain.buffers))
         bus = self.sim.trace
         if bus.enabled:
@@ -197,7 +185,7 @@ class NetworkStack:
             for buf in dgram.chain:
                 buf.csum_known = True
         else:
-            yield from self._software_checksum_rx(dgram.chain)
+            yield from self._software_checksum_rx(dgram)
         if self.host._rx_hooks:
             dgram = yield from self.host.run_rx_hooks(dgram)
 
@@ -251,10 +239,11 @@ class NetworkStack:
             n_frames * frame_ns + message_ns, "net.tx"))
         # Lazy fragmentation: the datagram carries one buffer holding the
         # whole payload, and ``lazy_frag`` records the fragment size.
-        # Per-fragment buffers only matter to a receiver that caches wire
-        # buffers (an NCache host), and the receive path refragments
-        # there — every other consumer reassembles the payload anyway,
-        # and frame/wire accounting is arithmetic.  A substituting TX
+        # A receiver that caches wire buffers (an NCache host) carves
+        # chunks from the fragment sizes, which are arithmetic over
+        # ``lazy_frag`` and the length (``Datagram.rx_train``); every
+        # other consumer reassembles the payload anyway, and frame/wire
+        # accounting is arithmetic too.  A substituting TX
         # hook replaces the chain wholesale, and sees each block's
         # placeholder unsplit, so fragmenting before the hooks would be
         # pure wasted work.
@@ -317,18 +306,6 @@ class NetworkStack:
                 transport(src_port=src_port, dst_port=dst.port))
         return headers
 
-    def _build_chain(self, payload: Payload, fragment_size: int, src_ip: str,
-                     src_port: int, dst: Endpoint, proto: str) -> BufferChain:
-        # The first fragment carries the flow's IP and transport headers,
-        # every later one its IP header only.
-        first = self._flow_headers(src_ip, src_port, dst, proto)
-
-        def headers_factory(index: int, frag: Payload):
-            return list(first) if index == 0 else [first[0]]
-
-        return chain_from_payload(payload, fragment_size, headers_factory,
-                                  flavor=self.host.buffer_flavor)
-
     def _software_checksum_tx(self, chain: BufferChain
                               ) -> Generator[Event, Any, None]:
         """Charge software checksum when the NIC cannot offload it.
@@ -339,8 +316,6 @@ class NetworkStack:
         byte.  With offload on (the paper's default) the NIC does the work
         and the CPU pays nothing either way.
         """
-        if self.host.checksum_offload:
-            return
         acct = self.host.acct
         ns = 0.0
         for buf in chain:
@@ -352,22 +327,24 @@ class NetworkStack:
         if ns:
             yield from acct.charge_ns(ns)
 
-    def _software_checksum_rx(self, chain: BufferChain
+    def _software_checksum_rx(self, dgram: Datagram
                               ) -> Generator[Event, Any, None]:
-        """Verify inbound checksums (software path) and mark them known.
+        """Verify inbound checksums in software and mark them known.
 
         Whether verified in hardware (offload) or software, a received
         buffer's checksum is known afterwards — that is what a cached
-        chunk later *inherits* when its buffers are re-sent.
+        chunk later *inherits* when its buffers are re-sent.  A host
+        with RX hooks verifies the fragment train its hooks carve.
         """
-        if self.host.checksum_offload:
-            for buf in chain:
-                buf.csum_known = True
-            return
         acct = self.host.acct
+        train = (dgram.rx_train(self.host.buffer_flavor)
+                 if self.host._rx_hooks else None)
+        sizes = ([buf.payload_bytes for buf in dgram.chain] if train is None
+                 else [nbytes for nbytes, _ in train.segments])
         ns = 0.0
-        for buf in chain:
-            ns += acct.note_checksum(buf.payload_bytes)
+        for nbytes in sizes:
+            ns += acct.note_checksum(nbytes)
+        for buf in dgram.chain:
             buf.csum_known = True
         if ns:
             yield from acct.charge_ns(ns)

@@ -55,6 +55,29 @@ class TestMbufFlavorEndToEnd:
         chunk = next(iter(store._lbn.values()))
         assert all(b.flavor is BufferFlavor.MBUF for b in chunk.buffers)
 
+    def test_arrived_chunks_take_the_receiver_flavor(self):
+        """A Data-In sent from sk_buffs is cached in the NCache host's
+        mbufs: the lazy train is the receiver's, as a real arrival's
+        buffers would be."""
+        testbed = TestbedSpec.nfs(ServerMode.NCACHE,
+                                  flush_interval_s=None).build()
+        testbed.ncache.host.buffer_flavor = BufferFlavor.MBUF
+        testbed.image.create_file("bsd.bin", 1 << 20)
+        testbed.setup()
+        fh = testbed.file_handle("bsd.bin")
+
+        def scenario():
+            yield from testbed.clients[0].read(fh, 0, 8192)
+
+        run_until_complete(testbed.sim, start(testbed.sim, scenario()))
+        chunks = list(testbed.ncache.store._lbn.values())
+        assert chunks
+        assert all(b.flavor is BufferFlavor.MBUF
+                   for chunk in chunks for b in chunk.buffers)
+        assert all(host.buffer_flavor is BufferFlavor.SK_BUFF
+                   for host in testbed.all_hosts()
+                   if host is not testbed.ncache.host)
+
 
 class TestHostDetails:
     def test_primary_ip_requires_nic(self, sim):

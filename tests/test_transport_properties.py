@@ -5,9 +5,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.copymodel import CopyDiscipline
+from repro.core import carve_chunks
 from repro.fs import BLOCK_SIZE
 from repro.net import Endpoint, Host, Network, VirtualPayload
-from repro.net.buffer import BytesPayload, concat
+from repro.net.buffer import (BufferChain, BufferFlavor, BytesPayload,
+                              ExtentPayload, NetBuffer, chain_from_payload,
+                              concat)
+from repro.net.network import Datagram
 from repro.nfs import read_reply_data
 from repro.servers import ServerMode, TestbedSpec
 from repro.servers.testbed import run_until_complete
@@ -50,17 +54,27 @@ class TestUdpFragmentationProperty:
         assert whole == header.materialize() + data.materialize()
         # Fragment sizing invariant: the wire chain is either lazily
         # fragmented (one buffer plus the ``lazy_frag`` size a caching
-        # receiver expands with) or already fragment-sized.
+        # receiver reads its train off) or already fragment-sized.  The
+        # eager reference is the transport's splitter with the flow's
+        # headers on the first fragment and the IP header on the rest.
         frag = a.costs.udp_fragment_payload
         chain = got[0].chain
         lazy = got[0].lazy_frag
         if lazy is not None:
             assert lazy == frag
             assert len(chain.buffers) == 1
-            chain = b.stack._build_chain(
+            flow = chain.buffers[0].headers
+            chain = chain_from_payload(
                 chain.buffers[0].payload, lazy,
-                got[0].src.ip, got[0].src.port, got[0].dst, "udp")
+                lambda index, _frag: list(flow) if index == 0 else [flow[0]],
+                flavor=b.buffer_flavor)
             assert chain.payload().materialize() == whole
+            assert chain.buffers[0].headers == flow
+            assert all(buf.headers == [flow[0]] for buf in chain.buffers[1:])
+            train = got[0].rx_train(b.buffer_flavor)
+            if train is not None:
+                assert [n for n, _ in train.segments] == \
+                    [buf.payload_bytes for buf in chain]
         assert all(buf.payload_bytes <= frag for buf in chain)
 
 
@@ -98,7 +112,8 @@ class TestTcpSegmentationProperty:
 
 class TestLazyFragField:
     """The lazy-fragmentation size is a typed datagram field, not a
-    ``meta`` entry, and an RX-hook host never sees the lazy chain."""
+    ``meta`` entry, and it survives to an RX-hook host: nobody expands
+    the sender's one buffer on the way in."""
 
     @staticmethod
     def _deliver(sim, hosts, proto, rx_hook=None):
@@ -143,24 +158,63 @@ class TestLazyFragField:
         assert len(dgram.chain.buffers) == 1
 
     @pytest.mark.parametrize("proto", ["udp", "tcp"])
-    def test_rx_hook_host_sees_fragment_buffers(self, sim, two_hosts, proto):
+    def test_rx_hook_host_sees_the_lazy_chain(self, sim, two_hosts, proto):
         seen = []
 
         def hook(dgram):
             seen.append((dgram.lazy_frag,
                          (dgram.tcp, dgram.n_acks, dgram.keyed_payload),
                          [(buf.payload_bytes, buf.csum_known)
-                          for buf in dgram.chain]))
+                          for buf in dgram.chain],
+                         dgram.rx_train(two_hosts[1].buffer_flavor)))
             return dgram
             yield
 
         dgram, frag = self._deliver(sim, two_hosts, proto, rx_hook=hook)
-        (lazy, fields, bufs), = seen
-        assert lazy is None and fields == (None, 0, None)
-        assert len(bufs) > 1
-        assert all(size <= frag and known for size, known in bufs)
-        assert sum(size for size, _ in bufs) == 20_000
-        assert dgram.lazy_frag is None
+        (lazy, fields, bufs, train), = seen
+        assert lazy == frag and fields == (None, 0, None)
+        assert bufs == [(20_000, True)]
+        assert [n for n, _ in train.segments] == \
+            [frag] * (20_000 // frag) + [20_000 % frag]
+        assert all(known for _, known in train.segments)
+        assert dgram.lazy_frag == frag
+
+
+class TestLazyCarveProperty:
+    """The RX hook carves a lazy datagram from its train geometry alone;
+    that carve must be the carve of the chain the transport would have
+    cut, in the receiver's flavor, with every checksum known."""
+
+    @given(frag=st.sampled_from((1448, 1480, 1001)),
+           header=st.integers(0, 3000),
+           blocks=st.integers(1, 9),
+           sender=st.sampled_from(list(BufferFlavor)),
+           receiver=st.sampled_from(list(BufferFlavor)),
+           tag=st.integers(1, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_lazy_carve_is_the_eager_carve(self, frag, header, blocks,
+                                           sender, receiver, tag):
+        total = blocks * BLOCK_SIZE
+        message = concat([BytesPayload(bytes(i % 251 for i in
+                                             range(header))),
+                          ExtentPayload(tag, 4096, total)])
+        dgram = Datagram(protocol="udp", src=Endpoint("a0", 5),
+                         dst=Endpoint("b0", 9), message=None,
+                         chain=BufferChain([NetBuffer(message,
+                                                      flavor=sender)]),
+                         n_frames=1, wire_bytes=0, lazy_frag=frag)
+        eager = chain_from_payload(message, frag, flavor=receiver)
+        for buf in eager:
+            buf.csum_known = True
+        lazy = carve_chunks(dgram.chain, header, total, BLOCK_SIZE,
+                            dgram.rx_train(receiver))
+        reference = carve_chunks(eager, header, total, BLOCK_SIZE)
+        assert len(lazy) == len(reference) == blocks
+        for (payload, shape), (ref_payload, ref_shape) in zip(lazy,
+                                                              reference):
+            assert shape is ref_shape
+            assert shape.flavor is receiver
+            assert payload.materialize() == ref_payload.materialize()
 
 
 class TestSubstitutionProperty:
