@@ -1,13 +1,20 @@
-"""The eviction kernel: one byte budget over an LRU list.
+"""The eviction kernel: one byte budget over one LRU list.
 
 :class:`CacheKernel` owns what both of the repo's caches used to
-hand-roll separately: a byte budget, victim selection that skips pinned
+hand-roll separately: a byte budget, the paper's replacement — "classic
+LRU over fixed-size chunks" (§3.4) — victim selection that skips pinned
 entries (with optional clean-first preference, §3.4: "first clean
 buffers are reclaimed and then dirty buffers are flushed and
-reclaimed"), and the ``cache.<name>.*`` metric family.  It keeps no
-entry table of its own: each resident item is its own handle, and the
-policy's recency list, mapping item to ``(key, nbytes)``, is the only
-per-entry record (DESIGN.md §9).
+reclaimed"), and the ``cache.<name>.*`` metric family.
+
+Its one per-entry table is the recency list, an ``OrderedDict`` mapping
+each resident *item* to its size in bytes, coldest first (DESIGN.md
+§9).  The item is its own handle, like a pintos ``buffer_cache_elem``
+that carries its own ``list_elem``: a hit is the C ``move_to_end``, an
+eviction the C ``pop``.  Items hash by identity, but iteration order is
+insertion order, so no order depends on addresses or on
+``PYTHONHASHSEED``; the dict holds each item strongly, so a freed
+object's address can never alias a resident entry.
 
 The kernel stores opaque items; it only requires them to expose
 ``dirty`` and ``pinned`` and to hash by identity (chunks and page-cache
@@ -17,23 +24,26 @@ reclaim listeners remain with the consumer — the ``on_evict`` callback
 runs per victim *before* the next victim is chosen, so listeners
 observe exactly the intermediate states the pre-kernel stores produced.
 
+:meth:`CacheKernel.iter_victims` is the one hook a test may override:
+the integrity search's tests-side victim orders (most recently used
+first, seeded random) patch it for the length of a run.
+
 Budgets are fixed at configuration, as in the paper: NCache's pinned
 buffers squeeze the FS cache once (§3.4/§4.1), and each cache keeps the
 byte budget :class:`~repro.servers.config.TestbedConfig` computes.
-:meth:`resize` exists for the store's cold restart; outside
-``repro.cache`` only ``NCacheStore.cold_restart`` calls it
+A budget moves only in ``NCacheStore.cold_restart``
 (``tests/test_tree_invariants.py``'s ``budget-lease`` rule).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import (Any, Callable, Hashable, Iterator, List, Mapping,
-                    NoReturn, Optional, Tuple)
+                    NoReturn, Optional)
 
 from ..obs.metrics import Counter, MetricsRegistry
 from ..obs.trace import TraceBus
 from ..sim.stats import CounterSet
-from .policy import Policy, make_policy
 
 
 class CacheStallError(RuntimeError):
@@ -45,15 +55,14 @@ class CacheStallError(RuntimeError):
 class KernelMetrics:
     """The ``cache.<name>.*`` metric family, resolved once at startup."""
 
-    __slots__ = ("hit", "miss", "evict_clean", "evict_dirty", "ghost_hit")
+    __slots__ = ("hit", "miss", "evict_clean", "evict_dirty")
 
     def __init__(self, hit: Counter, miss: Counter, evict_clean: Counter,
-                 evict_dirty: Counter, ghost_hit: Counter) -> None:
+                 evict_dirty: Counter) -> None:
         self.hit = hit
         self.miss = miss
         self.evict_clean = evict_clean
         self.evict_dirty = evict_dirty
-        self.ghost_hit = ghost_hit
 
     @classmethod
     def declare(cls, registry: MetricsRegistry, name: str) -> "KernelMetrics":
@@ -62,12 +71,11 @@ class KernelMetrics:
             miss=registry.counter(f"cache.{name}.miss"),
             evict_clean=registry.counter(f"cache.{name}.evict_clean"),
             evict_dirty=registry.counter(f"cache.{name}.evict_dirty"),
-            ghost_hit=registry.counter(f"cache.{name}.ghost_hit"),
         )
 
 
 class CacheKernel:
-    """Byte budget over the policy's entries; see module doc."""
+    """Byte budget over one LRU list of items; see module doc."""
 
     def __init__(self, name: str, capacity_bytes: int,
                  policy: str = "lru", *,
@@ -76,9 +84,11 @@ class CacheKernel:
                  trace: Optional[TraceBus] = None,
                  stall_event: Optional[str] = None,
                  trace_cat: str = "cache") -> None:
+        if policy != "lru":
+            raise ValueError(f"unknown cache policy {policy!r}; the kernel "
+                             f"is the paper's LRU (§3.4)")
         self.name = name
         self.capacity_bytes = capacity_bytes
-        self.policy: Policy = make_policy(policy)
         self.clean_first = clean_first
         self.counters = counters if counters is not None else CounterSet()
         self.trace = trace
@@ -86,16 +96,11 @@ class CacheKernel:
         self._stall_event = stall_event
         self._trace_cat = trace_cat
         self._used = 0
-        # Hot path: insert/evict run once per block entering or leaving
-        # the cache; bind the policy methods once to skip the chains.
-        self._policy_insert = self.policy.insert
-        self._policy_evicted = self.policy.evicted
+        #: The recency list, coldest first: item -> nbytes.  ``clear``
+        #: empties it in place, so bound methods of it stay valid.
+        self._order: "OrderedDict[Any, int]" = OrderedDict()
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def policy_name(self) -> str:
-        return self.policy.name
 
     @property
     def used_bytes(self) -> int:
@@ -106,28 +111,28 @@ class CacheKernel:
         return self.capacity_bytes - self._used
 
     def __len__(self) -> int:
-        return len(self.policy)
+        return len(self._order)
 
     def __contains__(self, item: Any) -> bool:
-        return item in self.policy
+        return item in self._order
 
-    def items(self) -> Iterator[Tuple[Hashable, Any]]:
-        """``(key, item)`` pairs in the policy's cold-to-hot order."""
-        for item, (key, _) in self.policy.entries():
-            yield key, item
+    def items(self) -> Iterator[Any]:
+        """Resident items, coldest first, with no side effects."""
+        return iter(self._order)
 
     # -- lifecycle ----------------------------------------------------------
 
     def insert(self, key: Hashable, item: Any, nbytes: int) -> Any:
         """Admit ``item`` at MRU position; returns its handle, which is
-        ``item`` itself.
+        ``item`` itself.  ``key`` is unused (the consumer's index holds
+        keys) and kept for the benchmark, see :meth:`touch`.
 
         Room discipline stays with the consumer (call :meth:`make_room`
         first); the kernel tolerates transient overshoot so replacement
         flows can install the new entry before reclaiming the stale one.
         """
         self._used += nbytes
-        self._policy_insert(item, key, nbytes)
+        self._order[item] = nbytes
         return item
 
     def lookup_in(self, index: Mapping[Hashable, Any]
@@ -135,24 +140,20 @@ class CacheKernel:
         """The accounted lookup over the consumer's key ``index``.
 
         Returns ``lookup(key)``: a hit counts and promotes the entry, a
-        miss counts and probes the ghost list.  This is the only place
-        cache traffic is counted; a consumer's ``peek`` reads its index
-        directly and touches nothing.  A closure because lookups
-        dominate the simulation profile: the index, the policy methods
-        and the counters are bound once.
+        miss counts.  This is the only place cache traffic is counted; a
+        consumer's ``peek`` reads its index directly and touches
+        nothing.  A closure because lookups dominate the simulation
+        profile: the index, the list's ``move_to_end`` and the counters
+        are bound once.
         """
         get = index.get
-        promote = self.policy.touch
-        ghost_probe = self.policy.ghost_hit
-        metrics = self.metrics
-        hit, miss, ghost_hit = metrics.hit, metrics.miss, metrics.ghost_hit
+        promote = self._order.move_to_end
+        hit, miss = self.metrics.hit, self.metrics.miss
 
         def lookup(key: Hashable) -> Any:
             item = get(key)
             if item is None:
                 miss._total += 1
-                if ghost_probe(key):
-                    ghost_hit._total += 1
                 return None
             hit._total += 1
             promote(item)
@@ -160,38 +161,53 @@ class CacheKernel:
 
         return lookup
 
-    # ``touch``, ``resize`` and ``make_room(key=)`` are named by the
-    # frozen benchmark (benchmarks/ncbench); no ``src/`` caller needs
-    # ``touch`` or ``key=``.
-    def touch(self, item: Any) -> None:
-        """Record a hit on a live entry (promotes it, counts the hit)."""
-        self.policy.touch(item)
-        self.metrics.hit._total += 1
-
-    def rekey(self, item: Any, new_key: Hashable) -> None:
-        """Reassign a live entry's key (FHO→LBN remap) in place; its
-        recency position is untouched — the pre-kernel remap semantics.
-        """
-        self.policy.rekey(item, new_key)
-
     def remove(self, item: Any) -> Any:
-        """Take a live entry out without eviction semantics (no ghost,
-        no evict counters); returns the item."""
-        self._used -= self.policy.remove(item)[1]
+        """Take a live entry out without eviction semantics (no evict
+        counter); returns the item."""
+        self._used -= self._order.pop(item)
         return item
 
     def clear(self) -> None:
         self._used = 0
-        self.policy.clear()
+        self._order.clear()
+
+    # -- names kept for the frozen benchmark (benchmarks/ncbench) ----------
+    # It constructs ``CacheKernel(name, capacity, "lru")``, passes
+    # ``insert`` a key and ``make_room`` a ``key=``, calls ``touch`` and
+    # wraps ``touch``, ``rekey`` and ``resize`` by name.  No ``src/``
+    # caller needs any of them or either key.
+
+    def touch(self, item: Any) -> None:
+        """Record a hit on a live entry (promotes it, counts the hit)."""
+        self._order.move_to_end(item)
+        self.metrics.hit._total += 1
+
+    def rekey(self, item: Any, new_key: Hashable) -> None:
+        """A no-op: the kernel keeps no key, and a remap keeps the
+        entry's recency position."""
+
+    def resize(self, new_capacity_bytes: int,
+               on_evict: Optional[Callable[[Any], None]] = None
+               ) -> List[Any]:
+        """Change the budget, evicting down to it if shrunk; returns a
+        dirty victim exactly like :meth:`make_room`."""
+        self.capacity_bytes = new_capacity_bytes
+        return self.make_room(0, on_evict=on_evict)
 
     # -- eviction -----------------------------------------------------------
 
+    def iter_victims(self) -> Iterator[Any]:
+        """Items in eviction-preference order (best victim first): LRU's
+        coldest first.  Consumed lazily, up to the first admissible
+        victim; the one hook a test may override."""
+        return iter(self._order)
+
     def _pick_victim(self) -> Any:
         if self.clean_first:
-            for item in self.policy.iter_victims():
+            for item in self.iter_victims():
                 if not item.dirty and not item.pinned:
                     return item
-        for item in self.policy.iter_victims():
+        for item in self.iter_victims():
             if not item.pinned:
                 return item
         return None
@@ -220,7 +236,7 @@ class CacheKernel:
         pre-kernel eviction loops.  ``key`` is unused (one budget covers
         every key) and kept only for the benchmark, see :meth:`touch`.
         """
-        policy_evicted = self._policy_evicted
+        pop = self._order.pop
         metrics = self.metrics
         while self.capacity_bytes - self._used < nbytes:
             item = self._pick_victim()
@@ -229,18 +245,8 @@ class CacheKernel:
             if item.dirty:
                 metrics.evict_dirty._total += 1
                 return [item]
-            self._used -= policy_evicted(item)[1]
+            self._used -= pop(item)
             metrics.evict_clean._total += 1
             if on_evict is not None:
                 on_evict(item)
         return []
-
-    # -- the budget -------------------------------------------------------
-
-    def resize(self, new_capacity_bytes: int,
-               on_evict: Optional[Callable[[Any], None]] = None
-               ) -> List[Any]:
-        """Change the budget, evicting down to it if shrunk; returns a
-        dirty victim exactly like :meth:`make_room`."""
-        self.capacity_bytes = new_capacity_bytes
-        return self.make_room(0, on_evict=on_evict)

@@ -18,7 +18,7 @@ guarantee clients "always receive the most up-to-date data".
 
 Both keys are tuples of ints (:class:`typing.NamedTuple`): they are
 built, hashed and compared in C, and a key's hash is its tuple's hash,
-so no dict or ghost-list order depends on ``PYTHONHASHSEED``.
+so no dict or recency-list order depends on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations

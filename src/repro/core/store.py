@@ -3,8 +3,8 @@
 "The network-centric cache in an NFS server is decomposed into two parts:
 an LBN cache and an FHO cache, because there are two sources of data"
 (§3.4).  Both caches share one recency list of chunks and one memory
-budget (the pinned network-buffer pool).  Replacement defaults to the
-paper's classic LRU: touch moves a chunk to the tail; reclamation takes
+budget (the pinned network-buffer pool).  Replacement is the paper's
+classic LRU: touch moves a chunk to the tail; reclamation takes
 from the head; clean chunks are freed, dirty chunks are written back
 first (the store hands a dirty victim, still resident, to the caller,
 which owns the I/O path).  Recency/eviction bookkeeping is delegated to
@@ -46,8 +46,7 @@ class NCacheStore:
                  per_buffer_overhead: int = 160,
                  per_chunk_overhead: int = 64,
                  counters: Optional[CounterSet] = None,
-                 trace: Optional[TraceBus] = None,
-                 policy: str = "lru") -> None:
+                 trace: Optional[TraceBus] = None) -> None:
         if capacity_bytes < chunk_size:
             raise ValueError("capacity smaller than one chunk")
         self.chunk_size = chunk_size
@@ -61,11 +60,10 @@ class NCacheStore:
             "ncache.used.bytes", unit="bytes")
         self._lbn: Dict[LbnKey, Chunk] = {}
         self._fho: Dict[FhoKey, Chunk] = {}
-        self._kernel = CacheKernel("ncache", capacity_bytes, policy,
+        self._kernel = CacheKernel("ncache", capacity_bytes,
                                    counters=self.counters, trace=trace)
         #: The accounted lookups (cache traffic), one per index, as the
-        #: kernel's closures: a hit counts and promotes, a miss counts
-        #: and probes the ghost list.
+        #: kernel's closures: a hit counts and promotes, a miss counts.
         self.lookup_lbn: Callable[[LbnKey], Optional[Chunk]] = \
             self._kernel.lookup_in(self._lbn)
         self.lookup_fho: Callable[[FhoKey], Optional[Chunk]] = \
@@ -84,10 +82,6 @@ class NCacheStore:
         # No immediate eviction: an over-budget store sheds chunks at
         # the next make_room, exactly as before the kernel refactor.
         self._kernel.capacity_bytes = nbytes
-
-    @property
-    def policy_name(self) -> str:
-        return self._kernel.policy_name
 
     @property
     def used_bytes(self) -> int:
@@ -109,8 +103,7 @@ class NCacheStore:
         """Resident chunks in eviction order (cold to hot) — the public
         replacement-order view the property battery compares against its
         reference models."""
-        for _, chunk in self._kernel.items():
-            yield chunk
+        return self._kernel.items()
 
     def dirty_chunks(self) -> List[Chunk]:
         return [c for c in self.chunks() if c.dirty]
@@ -131,7 +124,7 @@ class NCacheStore:
             chunk = self.lookup_lbn(lbn_key)
         return chunk
 
-    # Bookkeeping reads: no counter, no ghost probe, no promotion.
+    # Bookkeeping reads: no counter, no promotion.
 
     def peek_lbn(self, key: LbnKey) -> Optional[Chunk]:
         return self._lbn.get(key)
@@ -170,13 +163,12 @@ class NCacheStore:
         return self.make_room(0)
 
     def cold_restart(self) -> None:
-        """Drop the entire contents, ghost-recording every key.
+        """Drop the entire contents.
 
         The crash-rejoin semantics (DESIGN.md §10): dirty chunks are
-        lost (nothing left to write back), every evicted key lands in
-        the policy's ghost list so the rewarming cache remembers what
-        it used to hold, and the budget is restored afterwards.  The
-        chunks an in-flight reply pins stay until it has left.
+        lost (nothing left to write back), and the budget is restored
+        afterwards.  The chunks an in-flight reply pins stay until it
+        has left.
         """
         for chunk in self.dirty_chunks():
             chunk.dirty = False
@@ -301,7 +293,6 @@ class NCacheStore:
         # restamp the chunk's extent views at a new generation so stale
         # pre-remap views are distinguishable without byte comparison.
         chunk.bump_generation()
-        self._kernel.rekey(chunk, lbn_key)
         self._lbn[lbn_key] = chunk  # installed before the stale removal so
         # reclaim listeners observe the block as still resolvable
         if stale is not None and stale is not chunk:

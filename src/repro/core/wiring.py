@@ -35,12 +35,10 @@ def attach_ncache(host: Host, vfs: VFS,
                   capacity_bytes: int,
                   lun: int = 0,
                   inherit_checksums: bool = True,
-                  enable_remap: bool = True,
-                  policy: str = "lru") -> NCacheModule:
+                  enable_remap: bool = True) -> NCacheModule:
     """Create, wire and return an NCache module for this server."""
     store = NCacheStore(capacity_bytes, chunk_size=vfs.block_size,
-                        counters=host.counters, trace=host.sim.trace,
-                        policy=policy)
+                        counters=host.counters, trace=host.sim.trace)
     image = vfs.image
 
     def fho_to_lbn(key: FhoKey) -> Optional[LbnKey]:

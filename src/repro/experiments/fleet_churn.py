@@ -14,8 +14,7 @@ segments:
   whatever live node the ring walk reaches), and cooperative caching
   absorbs what it can of the miss storm;
 * **recovery** — the node is back with a cold cache, warming up under a
-  flash crowd; ``fleet.warmup_ops`` and the store's ghost-hit estimator
-  measure the refill.
+  flash crowd; ``fleet.warmup_ops`` measures the refill.
 
 The question each row answers: how far do replication and cooperation
 keep backend iSCSI reads during the outage below the no-replication
@@ -106,7 +105,6 @@ def _readout(fleet, load, segments, measured_s: float) -> Dict[str, float]:
         "failover": int(stats["failover_reroute"]),
         "retries": int(stats["inflight_retry"]),
         "warmup_ops": int(stats["warmup_ops"]),
-        "ghost_hits": int(fleet.counter_sum("cache.ncache.ghost_hit")),
     }
 
 
@@ -119,15 +117,13 @@ def _notes(result: ExperimentResult, quick: bool) -> Iterator[str]:
                f"{saved:.1f}% below the no-replication baseline "
                f"({repl1:.0f} -> {repl2:.0f})")
     warm = result.value("warmup_ops", repl=2, coop="on", group=16)
-    ghosts = result.value("ghost_hits", repl=2, coop="on", group=16)
     yield (f"cold restart: {warm:.0f} requests served while node "
-           f"{CRASH_NODE} refilled; {ghosts:.0f} ghost hits flagged "
-           f"re-misses on pre-crash residents")
+           f"{CRASH_NODE} refilled")
 
 
 SWEEP = Sweep(
     "fleet_churn", "Fleet churn: crash/failover/cold-restart under storm "
                    f"({N_SERVERS} servers, node {CRASH_NODE} crashes)",
     ("repl", "coop", "group", "ops_per_s", "pre_bpk", "outage_bpk",
-     "recovery_bpk", "failover", "retries", "warmup_ops", "ghost_hits"),
+     "recovery_bpk", "failover", "retries", "warmup_ops"),
     cells, notes=_notes)

@@ -19,11 +19,9 @@ first-class simulated event:
   issuing streams (the per-node ``down_event``), and peer probes to it
   run into the existing RTO timeout instead of hanging.
 * :meth:`Fleet.rejoin` — the crashed node returns with a *cold* NCache:
-  the store is resized through zero (seeding the policy ghost lists, so
-  post-restart misses on previously-hot keys register as ghost hits)
-  and the FS buffer cache is cleared; warmup is measured by
-  ``fleet.warmup_ops`` until occupancy recovers 90% of its pre-crash
-  level.
+  the store is resized through zero and the FS buffer cache is
+  cleared; warmup is measured by ``fleet.warmup_ops`` until occupancy
+  recovers 90% of its pre-crash level.
 * :meth:`Fleet.leave` — graceful drain: the node is withdrawn from the
   ring first (no new requests), dirty chunks are written back, clean
   pinned chunks are handed to each block group's new owner over the
@@ -227,10 +225,8 @@ class Fleet:
     def rejoin(self, node_id: int) -> None:
         """Bring a crashed node back with a cold NCache.
 
-        The store is resized through zero — evictions pass the policy's
-        ghost lists, so the first post-restart misses on previously-hot
-        keys show up on the ``cache.ncache.ghost_hit`` estimator — and
-        the FS buffer cache is cleared.  The node then serves traffic
+        The store is resized through zero and the FS buffer cache is
+        cleared.  The node then serves traffic
         again, counting ``fleet.warmup_ops`` until occupancy recovers.
         """
         self._require_dynamic("rejoin")

@@ -22,8 +22,8 @@ kernel (DESIGN.md §9): the kernel owns the byte budget, recency order
 class keeps the LBN index, the ``bcache.*`` trace events and the
 sanitizer hook.  A :class:`CacheEntry` is its own kernel handle: a page
 is resident exactly while it is in the kernel's recency list, so the
-cache holds two records per page (index slot, recency record) and no
-third.  When only pinned pages remain the reclaim loop cannot
+cache holds two records per page (index slot, recency-list slot) and
+no third.  When only pinned pages remain the reclaim loop cannot
 make progress — the kernel emits a ``bcache.evict_stalled`` trace event
 and raises :class:`~repro.cache.CacheStallError` (a RuntimeError)
 instead of silently spinning.
@@ -32,7 +32,8 @@ instead of silently spinning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..cache import CacheKernel
 from ..check import sanitizer as _sanitizer
@@ -49,7 +50,7 @@ class CacheEntry:
     Slotted: warmed full-mode caches hold tens of thousands of entries,
     and the per-instance ``__dict__`` was measurable in the grid's heap
     profile.  ``eq=False`` keeps identity hashing, which the kernel's
-    recency lists key on.
+    recency list keys on.
     """
 
     lbn: int
@@ -74,8 +75,7 @@ class BufferCache:
 
     def __init__(self, capacity_bytes: int, block_size: int = BLOCK_SIZE,
                  counters: Optional[CounterSet] = None,
-                 trace: Optional[TraceBus] = None,
-                 policy: str = "lru") -> None:
+                 trace: Optional[TraceBus] = None) -> None:
         if capacity_bytes < block_size:
             raise ValueError("cache smaller than one block")
         self.block_size = block_size
@@ -84,7 +84,7 @@ class BufferCache:
         self.trace = trace
         self._entries: Dict[int, CacheEntry] = {}
         self._kernel = CacheKernel(
-            "bcache", capacity_bytes, policy, clean_first=True,
+            "bcache", capacity_bytes, clean_first=True,
             counters=self.counters, trace=trace,
             stall_event="bcache.evict_stalled", trace_cat="fs")
         self._lookup = self._kernel.lookup_in(self._entries)
@@ -102,10 +102,6 @@ class BufferCache:
         self._kernel.capacity_bytes = nbytes
 
     @property
-    def policy_name(self) -> str:
-        return self._kernel.policy_name
-
-    @property
     def used_bytes(self) -> int:
         return len(self._entries) * self.block_size
 
@@ -119,16 +115,18 @@ class BufferCache:
     def __contains__(self, lbn: int) -> bool:
         return lbn in self._entries
 
-    def dirty_lbns(self) -> List[int]:
-        """Dirty blocks, coldest (best victim) first."""
-        return [entry.lbn for _, entry in self._kernel.items()
-                if entry.dirty]
+    def dirty_lbns(self, limit: Optional[int] = None) -> Iterator[int]:
+        """Dirty blocks, coldest (best victim) first, at most ``limit``
+        of them.  Lazy: the scan of the recency list stops at the
+        ``limit``-th dirty page."""
+        return islice((entry.lbn for entry in self._kernel.items()
+                       if entry.dirty), limit)
 
     # -- lookup / insert ------------------------------------------------------
 
     def lookup(self, lbn: int) -> Optional[CacheEntry]:
         """The accounted lookup (cache traffic): a hit counts and
-        promotes, a miss counts and probes the ghost list."""
+        promotes, a miss counts."""
         entry = self._lookup(lbn)
         if self.trace is not None and self.trace.enabled:
             self.trace.emit(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..net.buffer import ExtentPayload, Payload, VirtualPayload
 from .disk import BLOCK_SIZE
@@ -220,6 +220,16 @@ class FsImage:
             return LbnOwner("data", ino, lbn - self._extent_starts[i])
         return LbnOwner("free")
 
+    def data_extent(self, lbn: int) -> Optional[Tuple[int, int, int]]:
+        """``(content tag, first LBN, end LBN)`` of the file extent
+        holding ``lbn``; None for a metadata or free block (extents never
+        overlap the metadata regions: allocation is sequential)."""
+        i = bisect.bisect_right(self._extent_starts, lbn) - 1
+        if i >= 0 and lbn < self._extent_ends[i]:
+            return (self._file_tags[self._extent_inos[i]],
+                    self._extent_starts[i], self._extent_ends[i])
+        return None
+
     # -- content ----------------------------------------------------------------
 
     def file_payload(self, inode: Inode, offset: int, length: int) -> Payload:
@@ -272,7 +282,33 @@ class DiskStore:
         return self.image.initial_block_payload(lbn)
 
     def read_blocks(self, lbn: int, nblocks: int) -> List[Payload]:
-        return [self.read_block(lbn + i) for i in range(nblocks)]
+        """Blocks ``lbn .. lbn + nblocks - 1``, run by run: an unwritten
+        run inside one file extent is one extent view; a written,
+        metadata or free block is its own payload.  ``concat`` of the
+        list equals ``concat`` of :meth:`read_block` per block."""
+        image = self.image
+        written = self._written
+        size = image.block_size
+        out: List[Payload] = []
+        end = lbn + nblocks
+        while lbn < end:
+            payload = written.get(lbn)
+            if payload is None:
+                extent = image.data_extent(lbn)
+                if extent is not None:
+                    tag, first, stop = extent
+                    stop = min(stop, end)
+                    run_end = lbn + 1
+                    while run_end < stop and run_end not in written:
+                        run_end += 1
+                    out.append(VirtualPayload(tag, (lbn - first) * size,
+                                              (run_end - lbn) * size))
+                    lbn = run_end
+                    continue
+                payload = image.initial_block_payload(lbn)
+            out.append(payload)
+            lbn += 1
+        return out
 
     def block_generation(self, lbn: int) -> int:
         """How many times ``lbn`` has been overwritten (0 = pristine)."""

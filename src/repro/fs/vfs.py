@@ -218,7 +218,7 @@ class VFS:
         each (kupdated-style writeback clustering), so a burst of dirty
         data costs one storage seek per extent instead of one per block.
         """
-        victims = sorted(self.cache.dirty_lbns()[:max_blocks])
+        victims = sorted(self.cache.dirty_lbns(max_blocks))
         flushed = 0
         run: List[int] = []
         for lbn in victims:

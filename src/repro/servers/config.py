@@ -84,10 +84,6 @@ class TestbedConfig:
     # NFS server daemons (tuned per experiment in the paper).
     n_daemons: int = 8
 
-    #: replacement policy for both caches — a :data:`repro.cache.POLICIES`
-    #: name; ``lru`` (the paper's, §3.4) is the only one.
-    cache_policy: str = "lru"
-
     #: ablation A1: inherit checksums on substituted packets.
     ncache_inherit_checksums: bool = True
     #: ablation A3: FHO→LBN remapping on buffer-cache flush.

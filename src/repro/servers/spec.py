@@ -129,8 +129,8 @@ class ChurnEvent:
     * ``crash`` — fail-stop at the switch: ``node``'s UDP ports go dark
       instantly; its cache contents are lost to the fleet.
     * ``rejoin`` — the crashed ``node`` comes back with a *cold* NCache
-      (occupancy restarts from zero; evicted keys seed the ghost lists,
-      so the warmup is visible in occupancy + ghost-hit gauges).
+      (occupancy restarts from zero, so the warmup is visible in the
+      occupancy gauge).
     """
 
     at_s: float

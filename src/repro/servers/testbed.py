@@ -119,8 +119,7 @@ class BaseTestbed:
             discipline=discipline)
         self.cache = BufferCache(config.fs_cache_bytes,
                                  counters=self.server_host.counters,
-                                 trace=self.sim.trace,
-                                 policy=config.cache_policy)
+                                 trace=self.sim.trace)
         self.vfs = VFS(self.server_host, self.image, self.cache,
                        self.initiator, discipline)
         self.ncache: Optional[NCacheModule] = None
@@ -129,8 +128,7 @@ class BaseTestbed:
                 self.server_host, self.vfs, self.initiator,
                 capacity_bytes=config.ncache_capacity_bytes,
                 inherit_checksums=config.ncache_inherit_checksums,
-                enable_remap=config.ncache_enable_remap,
-                policy=config.cache_policy)
+                enable_remap=config.ncache_enable_remap)
 
         # Clients.
         self.client_hosts: List[Host] = []

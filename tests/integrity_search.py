@@ -14,10 +14,11 @@ sanitizer armed.  Its verdict is one of:
   :class:`~repro.cache.CacheStallError`, or a client call timing out).
   A stall is a kill: progress holds by construction.
 
-A cell's ``policy`` is one of :data:`~repro.cache.POLICIES` or one of
-the two victim orders over LRU's list in :data:`ORDERS` — ``mru`` and a
-seeded ``shuffled`` — which exist only here and only for the length of
-a cell.  They evict the freshest chunks and pages first, or any, so a
+A cell's ``order`` is ``lru`` (the kernel's own) or one of the two
+victim orders over LRU's list in :data:`ORDERS` — ``mru`` and a seeded
+``shuffled`` — which exist only here: :func:`victim_order` patches them
+over :meth:`~repro.cache.CacheKernel.iter_victims` for the length of a
+cell.  They evict the freshest chunks and pages first, or any, so a
 request that needs something it does not hold shows at once.
 
 The cells:
@@ -25,7 +26,7 @@ The cells:
 * ``sfs`` — a cold SPECsfs-style read/write mix on 1/1024 of the
   machine's memory, so both caches evict, flushes remap and NCache
   writes back dirty victims of its own (``test_ncache_pressure.sfs_cell``'s
-  configuration, any mode, policy and seed); ``lossy`` is the same with
+  configuration, any mode, order and seed); ``lossy`` is the same with
   2% of UDP datagrams lost, so calls are retransmitted;
 * ``ops`` — two clients issuing seeded read/write/flush/far-read streams
   at one file, then a full-file read: ``ops`` on a roomy server,
@@ -53,15 +54,15 @@ import os
 import subprocess
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from unittest import mock
 
 from content_oracle import ContentOracle, ShuffledSimulator
-from repro.cache import POLICIES
-from repro.cache.policy import LruPolicy
+from repro.cache import CacheKernel
 from repro.check import sanitizer as _sanitizer
 from repro.experiments import SWEEPS
 from repro.experiments.common import scaled_memory_config
@@ -84,13 +85,13 @@ LAST_EVENTS = 12
 class Cell:
     kind: str
     mode: str = "ncache"
-    policy: str = "lru"
+    order: str = "lru"
     seed: int = 1
     shuffle: bool = True
 
     def __str__(self) -> str:
         ties = "" if self.shuffle else "/fifo"
-        return f"{self.kind}/{self.mode}/{self.policy}/s{self.seed}{ties}"
+        return f"{self.kind}/{self.mode}/{self.order}/s{self.seed}{ties}"
 
 
 @dataclass
@@ -110,33 +111,43 @@ class Outcome:
 
 # -- the victim orders ---------------------------------------------------------
 
-class MruOrder(LruPolicy):
+def _mru(seed: int) -> Callable:
     """LRU's list, victims from the most recently used end."""
-
-    name = "mru"
-
-    def iter_victims(self):
-        return reversed(self._order)
+    def iter_victims(kernel):
+        return reversed(kernel._order)
+    return iter_victims
 
 
-class ShuffledOrder(LruPolicy):
-    """LRU's list, victims in a random order drawn from ``seed``."""
+def _shuffled(seed: int) -> Callable:
+    """LRU's list, victims in a random order drawn from ``seed``: one
+    stream per kernel."""
+    streams: Dict[CacheKernel, Any] = {}
 
-    name = "shuffled"
-    seed = 1
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._rng = substream(self.seed, "victims")
-
-    def iter_victims(self):
-        victims = list(self._order)
-        self._rng.shuffle(victims)
+    def iter_victims(kernel):
+        rng = streams.get(kernel)
+        if rng is None:
+            rng = streams[kernel] = substream(seed, "victims")
+        victims = list(kernel._order)
+        rng.shuffle(victims)
         return iter(victims)
+    return iter_victims
 
 
-#: The search's victim orders, registered in ``POLICIES`` for one cell.
-ORDERS = {"mru": MruOrder, "shuffled": ShuffledOrder}
+#: The search's victim orders beside LRU: each makes, from a cell's
+#: seed, the ``CacheKernel.iter_victims`` both caches run under.
+ORDERS: Dict[str, Callable[[int], Callable]] = {"mru": _mru,
+                                                "shuffled": _shuffled}
+
+
+@contextmanager
+def victim_order(name: str, seed: int = 1) -> Iterator[None]:
+    """Every kernel takes its victims in the order ``name`` inside:
+    ``lru`` (the kernel's own) or one of :data:`ORDERS`."""
+    if name == "lru":
+        yield
+        return
+    with mock.patch.object(CacheKernel, "iter_victims", ORDERS[name](seed)):
+        yield
 
 
 # -- the cells -----------------------------------------------------------------
@@ -145,7 +156,6 @@ def _sfs(cell: Cell, sim: Simulator, oracle: ContentOracle,
          loss: float = 0.0):
     testbed = TestbedSpec.nfs(ServerMode(cell.mode), flush_interval_s=0.02,
                               n_server_nics=1, n_daemons=16,
-                              cache_policy=cell.policy,
                               **scaled_memory_config(1024)).build(sim=sim)
     testbed.flush_daemon.max_blocks_per_pass = 16
     load = SpecSfsWorkload(testbed, pct_regular=0.75, read_write_ratio=1.0,
@@ -196,8 +206,8 @@ def _op_streams(cell: Cell, sim: Simulator, oracle: ContentOracle,
 
 
 def _ops(cell: Cell, sim: Simulator, oracle: ContentOracle):
-    testbed = TestbedSpec.nfs(ServerMode(cell.mode), flush_interval_s=None,
-                              cache_policy=cell.policy).build(sim=sim)
+    testbed = TestbedSpec.nfs(ServerMode(cell.mode),
+                              flush_interval_s=None).build(sim=sim)
     testbed.image.create_file("ops", 64 * BLOCK_SIZE)
     testbed.setup()
     return _op_streams(cell, sim, oracle, testbed, "ops", 64, ops=25)
@@ -206,13 +216,13 @@ def _ops(cell: Cell, sim: Simulator, oracle: ContentOracle):
 def _pressure(cell: Cell, sim: Simulator, oracle: ContentOracle):
     from test_ncache_pressure import FILE_BLOCKS, tiny_ncache_testbed
 
-    testbed = tiny_ncache_testbed(sim=sim, policy=cell.policy)
+    testbed = tiny_ncache_testbed(sim=sim)
     return _op_streams(cell, sim, oracle, testbed, "press", FILE_BLOCKS,
                        ops=30)
 
 
 def _http(cell: Cell, sim: Simulator, oracle: ContentOracle):
-    testbed = TestbedSpec.web(ServerMode(cell.mode), cache_policy=cell.policy,
+    testbed = TestbedSpec.web(ServerMode(cell.mode),
                               **scaled_memory_config(256)).build(sim=sim)
     load = SpecWebWorkload(testbed, working_set_bytes=6 << 20,
                            seed=cell.seed)
@@ -225,11 +235,8 @@ def _http(cell: Cell, sim: Simulator, oracle: ContentOracle):
 
 def _fleet(cell: Cell, sim: Simulator, oracle: ContentOracle):
     churn = SWEEPS["fleet_churn"].cell("r2/g16/coop")
-    spec = replace(churn.spec, testbed=replace(
-        churn.spec.testbed, config=replace(churn.spec.testbed.config,
-                                           cache_policy=cell.policy)))
     with mock.patch("repro.fleet.builder.Simulator", lambda: sim):
-        fleet = spec.build()
+        fleet = churn.spec.build()
     for testbed in fleet.testbeds:
         oracle.watch(testbed)
     load = churn.workload(fleet)
@@ -270,8 +277,7 @@ def run(cell: Cell, trace: bool = False) -> Outcome:
     oracle = ContentOracle()
     testbeds: List[Any] = []
     verdict, detail = "pass", ""
-    with _sanitizer.sanitize(), mock.patch.dict(POLICIES, ORDERS), \
-            mock.patch.object(ShuffledOrder, "seed", cell.seed):
+    with _sanitizer.sanitize(), victim_order(cell.order, cell.seed):
         try:
             testbeds = BUILDERS[cell.kind](cell, sim, oracle)
             if cell.kind in ("ops", "pressure"):
@@ -316,19 +322,19 @@ def _trace_tail(sim: Simulator) -> str:
 
 
 def cells(seeds: int) -> Iterator[Cell]:
-    """The search: SFS over both data modes × every policy and victim
+    """The search: SFS over both data modes × LRU and every victim
     order × ``seeds`` seeds, the op-stream cells over the same seeds,
     and one HTTP and one fleet cell."""
-    policies = sorted(POLICIES) + sorted(ORDERS)
+    orders = ["lru"] + sorted(ORDERS)
     for mode in MODES:
-        for policy in policies:
+        for order in orders:
             for seed in range(1, seeds + 1):
-                yield Cell("sfs", mode, policy, seed)
+                yield Cell("sfs", mode, order, seed)
     for seed in range(1, seeds + 1):
-        policy = policies[seed % len(policies)]
-        yield Cell("lossy", MODES[seed % 2], policy, seed)
+        order = orders[seed % len(orders)]
+        yield Cell("lossy", MODES[seed % 2], order, seed)
         yield Cell("ops", MODES[seed % 2], "lru", seed)
-        yield Cell("pressure", "ncache", policy, seed)
+        yield Cell("pressure", "ncache", order, seed)
     yield Cell("http", "ncache", "lru", 1)
     yield Cell("fleet", "ncache", "lru", 1)
 

@@ -108,10 +108,21 @@ class TestEviction:
 
 class TestDirtyTracking:
     def test_dirty_lbns_lru_order(self):
-        cache = cache_of(4)
+        cache = cache_of(5)
         fill(cache, [1, 2, 3], dirty=True)
+        fill(cache, [4])
+        fill(cache, [5], dirty=True)
         cache.lookup(1)
-        assert cache.dirty_lbns() == [2, 3, 1]
+        assert list(cache.dirty_lbns()) == [2, 3, 5, 1]
+        # flush_oldest's scan stops at the limit-th dirty page: the same
+        # victims in the same order, and the hotter pages never read.
+        read = []
+        items = cache._kernel.items
+        cache._kernel.items = lambda: (read.append(entry.lbn) or entry
+                                       for entry in items())
+        assert list(cache.dirty_lbns(3)) == [2, 3, 5]
+        assert read == [2, 3, 4, 5]
+        assert list(cache.dirty_lbns(10)) == [2, 3, 5, 1]
 
     def test_invalidate(self):
         cache = cache_of(2)

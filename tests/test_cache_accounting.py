@@ -1,32 +1,33 @@
 """One accounted lookup: cache traffic is counted in ``cache.kernel`` only.
 
-``lookup`` is traffic (a hit counts and promotes, a miss counts and
-probes the ghost list); ``peek`` is bookkeeping and touches nothing;
-the ``cache.<name>.*`` family is the only cache counter (that the
-kernel alone counts is ``tests/test_tree_invariants.py``'s job).
+``lookup`` is traffic (a hit counts and promotes, a miss counts);
+``peek`` is bookkeeping and touches nothing; the ``cache.<name>.*``
+family is the only cache counter (that the kernel alone counts is
+``tests/test_tree_invariants.py``'s job).  Both hold whichever entry the
+victim order evicted.
 """
 
 import pytest
 
-from repro.cache import POLICIES
 from repro.core import FhoKey, LbnKey
 from repro.fs import BLOCK_SIZE, BufferCache
 from repro.net.buffer import JunkPayload
 
+from integrity_search import ORDERS, victim_order
 from test_ncache_store import FOOTPRINT, chunk_for, store_of
 
 
-def _store_case(policy):
-    """(metrics, order, peeks, lookup, resident, absent, ghosted)."""
-    store = store_of(2, policy=policy)
+def _store_case():
+    """(metrics, order, peeks, lookup, resident, absent, evicted)."""
+    store = store_of(2)
     keys = [LbnKey(0, 1), LbnKey(0, 2)]
     for key in keys:
         store.make_room(FOOTPRINT)
         store.insert(chunk_for(key))
-    store.make_room(FOOTPRINT)  # evicts one of the two into the ghost list
+    store.make_room(FOOTPRINT)  # evicts one of the two
     store.insert(chunk_for(FhoKey(1, 1, 0)))
-    (ghosted,) = [key for key in keys if store.peek_lbn(key) is None]
-    (resident,) = [key for key in keys if key != ghosted]
+    (evicted,) = [key for key in keys if store.peek_lbn(key) is None]
+    (resident,) = [key for key in keys if key != evicted]
 
     def peeks(key):
         store.peek_lbn(key)
@@ -34,37 +35,37 @@ def _store_case(policy):
         store.peek(FhoKey(9, 9, 0), key)
 
     return (store._kernel.metrics, lambda: [c.key for c in store.chunks()],
-            peeks, store.lookup_lbn, resident, LbnKey(0, 99), ghosted)
+            peeks, store.lookup_lbn, resident, LbnKey(0, 99), evicted)
 
 
-def _bcache_case(policy):
-    cache = BufferCache(2 * BLOCK_SIZE, policy=policy)
+def _bcache_case():
+    cache = BufferCache(2 * BLOCK_SIZE)
     for lbn in (1, 2, 3):  # the third insert evicts one of the first two
         cache.make_room(1)
         cache.insert(lbn, JunkPayload(BLOCK_SIZE))
-    (ghosted,) = [lbn for lbn in (1, 2) if cache.peek(lbn) is None]
-    (resident,) = [lbn for lbn in (1, 2) if lbn != ghosted]
+    (evicted,) = [lbn for lbn in (1, 2) if cache.peek(lbn) is None]
+    (resident,) = [lbn for lbn in (1, 2) if lbn != evicted]
     return (cache._kernel.metrics,
-            lambda: [entry.lbn for _, entry in cache._kernel.items()],
-            cache.peek, cache.lookup, resident, 99, ghosted)
+            lambda: [entry.lbn for entry in cache._kernel.items()],
+            cache.peek, cache.lookup, resident, 99, evicted)
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("order", ["lru"] + sorted(ORDERS))
 @pytest.mark.parametrize("case", [_store_case, _bcache_case])
-def test_peek_counts_probes_and_promotes_nothing(case, policy):
-    metrics, order, peek, lookup, resident, absent, ghosted = case(policy)
+def test_peek_counts_probes_and_promotes_nothing(case, order):
+    with victim_order(order):
+        metrics, recency, peek, lookup, resident, absent, evicted = case()
 
     def state():
-        return (metrics.hit.total, metrics.miss.total,
-                metrics.ghost_hit.total, order())
+        return metrics.hit.total, metrics.miss.total, recency()
 
     before = state()
-    for key in (resident, absent, ghosted):
+    for key in (resident, absent, evicted):
         peek(key)
     assert state() == before
     # The control: the same three keys asked as traffic are all counted,
     # so the peeks above had something to get wrong.
-    for key in (resident, absent, ghosted):
+    for key in (resident, absent, evicted):
         lookup(key)
-    hit, miss, ghost_hit, _ = before
-    assert state()[:3] == (hit + 1, miss + 2, ghost_hit + 1)
+    hit, miss, _ = before
+    assert state()[:2] == (hit + 1, miss + 2)

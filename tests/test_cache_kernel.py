@@ -2,16 +2,18 @@
 
 import pytest
 
-from repro.cache import CacheKernel, CacheStallError, POLICIES, make_policy
+from repro.cache import CacheKernel, CacheStallError
 from repro.obs.trace import TraceBus
 
 
 class Item:
-    """Minimal kernel item: the two attributes eviction cares about."""
+    """Minimal kernel item: the two attributes eviction cares about,
+    and the key it was filled under (the kernel keeps no key)."""
 
-    def __init__(self, dirty=False, pinned=False):
+    def __init__(self, dirty=False, pinned=False, key=None):
         self.dirty = dirty
         self.pinned = pinned
+        self.key = key
 
 
 class FakeClock:
@@ -26,8 +28,13 @@ def fill(kernel, keys, dirty=False):
     out = {}
     for key in keys:
         kernel.make_room(1, key=key)
-        out[key] = kernel.insert(key, Item(dirty=dirty), 1)
+        out[key] = kernel.insert(key, Item(dirty=dirty, key=key), 1)
     return out
+
+
+def keys(kernel):
+    """The resident items' keys, coldest first."""
+    return [item.key for item in kernel.items()]
 
 
 class TestBudget:
@@ -36,14 +43,14 @@ class TestBudget:
         h = fill(k, "ab")
         assert k.used_bytes == 2 and k.free_bytes == 2 and len(k) == 2
         k.remove(h["a"])
-        assert k.used_bytes == 1 and "a" not in [key for key, _ in k.items()]
+        assert k.used_bytes == 1 and "a" not in keys(k)
 
     def test_make_room_evicts_lru_first(self):
         k = kernel_of(3)
         h = fill(k, "abc")
         k.touch(h["a"])  # b is now coldest
         k.make_room(1)
-        assert {key for key, _ in k.items()} == {"a", "c"}
+        assert set(keys(k)) == {"a", "c"}
         assert h["b"] not in k
 
     def test_dirty_victims_returned(self):
@@ -84,8 +91,7 @@ class TestBudget:
         for name in "abcdefgh":
             kind = kinds.get(name, "clean")
             item = Item(dirty=kind in ("dirty", "both"),
-                        pinned=kind in ("pinned", "both"))
-            item.name = name
+                        pinned=kind in ("pinned", "both"), key=name)
             k.insert(name, item, 1)
         seen = []
 
@@ -96,22 +102,20 @@ class TestBudget:
                 for item in victims:
                     item.dirty = False  # written back
                 victims = k.make_room(
-                    0, on_evict=lambda item: seen.append(item.name))
+                    0, on_evict=lambda item: seen.append(item.key))
             return written
 
         victims = shed(k.resize(
-            4, on_evict=lambda item: seen.append(item.name)))
+            4, on_evict=lambda item: seen.append(item.key)))
         assert "".join(seen) == gone
-        assert "".join(v.name for v in victims) == dirty_gone
+        assert "".join(v.key for v in victims) == dirty_gone
         assert (k.capacity_bytes, k.used_bytes) == (4, 4)
         assert k.counters["cache.test.evict_dirty"].value == len(dirty_gone)
         assert k.counters["cache.test.evict_clean"].value == 4
-        assert "".join(n for n in "abcdefgh" if k.policy.ghost_hit(n)) \
-            == gone
         assert k.resize(10) == [] and seen == list(gone)
         assert (k.capacity_bytes, k.used_bytes) == (10, 4)
         shed(k.resize(2))  # leaves the two pinned entries
-        assert [key for key, _ in k.items()] == ["c", "g"]
+        assert keys(k) == ["c", "g"]
         with pytest.raises(CacheStallError):
             k.resize(1)
         assert (k.capacity_bytes, k.used_bytes) == (1, 2)
@@ -128,17 +132,17 @@ class TestBudget:
 class TestVictimSelection:
     def test_pinned_skipped(self):
         k = kernel_of(2)
-        k.insert("a", Item(pinned=True), 1)
+        k.insert("a", Item(pinned=True, key="a"), 1)
         fill(k, "b")
         k.make_room(1)
-        assert [key for key, _ in k.items()] == ["a"]
+        assert keys(k) == ["a"]
 
     def test_clean_first_prefers_clean_over_older_dirty(self):
         k = kernel_of(2, clean_first=True)
         fill(k, "a", dirty=True)
         fill(k, "b")
         victims = k.make_room(1)
-        assert victims == [] and [key for key, _ in k.items()] == ["a"]
+        assert victims == [] and keys(k) == ["a"]
 
     def test_without_clean_first_oldest_goes(self):
         k = kernel_of(2)
@@ -193,17 +197,19 @@ class TestHandles:
         assert resident in k and twin not in k
         with pytest.raises(KeyError):
             k.remove(twin)
-        assert [item for _, item in k.items()] == [resident]
+        assert list(k.items()) == [resident]
 
     def test_rekey_in_place_keeps_position(self):
+        """The kernel keeps no key: a remap leaves the recency list,
+        and so the entry's position, exactly as it was."""
         k = kernel_of(3)
         h = fill(k, "abc")
         k.touch(h["b"])
-        before = [item for _, item in k.items()]
+        before = list(k._order.items())
         for name in "ab":
             k.rekey(h[name], name.upper())
-        assert [item for _, item in k.items()] == before
-        assert {key for key, _ in k.items()} == {"A", "B", "c"}
+        assert list(k._order.items()) == before
+        assert keys(k) == ["a", "c", "b"]
 
     def test_residency_is_membership(self):
         k = kernel_of(2)
@@ -215,6 +221,8 @@ class TestHandles:
 
 class TestMetrics:
     def test_hit_miss_ghost(self):
+        """Hits and misses count; there is no ghost list, so a miss on a
+        key evicted an instant earlier is a plain miss."""
         k = kernel_of(2)
         h = fill(k, "ab")
         k.touch(h["a"])
@@ -222,18 +230,22 @@ class TestMetrics:
         miss("c")
         assert k.counters["cache.test.hit"].value == 1
         assert k.counters["cache.test.miss"].value == 1
-        assert k.counters["cache.test.ghost_hit"].value == 0
-        k.make_room(1)  # evicts b -> ghost
+        k.make_room(1)  # evicts b
         miss("b")
-        assert k.counters["cache.test.ghost_hit"].value == 1
+        assert k.counters["cache.test.miss"].value == 2
         assert k.counters["cache.test.evict_clean"].value == 1
+        assert "cache.test.ghost_hit" not in k.counters.snapshot()
 
     def test_remove_records_no_ghost(self):
+        """``remove`` is not an eviction: no counter moves, and the
+        entry's bytes go back to the budget."""
         k = kernel_of(2)
         h = fill(k, "a")
         k.remove(h["a"])
         k.lookup_in({})("a")
-        assert k.counters["cache.test.ghost_hit"].value == 0
+        assert k.used_bytes == 0 and len(k) == 0
+        assert {name: value for name, value in k.counters.snapshot().items()
+                if value} == {"cache.test.miss": 1}
 
     def test_dirty_evict_counter(self):
         k = kernel_of(1)
@@ -242,18 +254,29 @@ class TestMetrics:
         assert k.counters["cache.test.evict_dirty"].value == 1
 
 
-class TestPolicyRegistry:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("mru")
+class TestRecencyList:
+    def test_one_int_per_entry_and_exact_bytes_back(self):
+        """The recency list is the kernel's only per-entry record: item
+        to its size, an ``int``.  ``remove`` and eviction each return
+        exactly that entry's bytes to the budget."""
+        k = kernel_of(100)
+        a, b, c = (k.insert(key, Item(key=key), n)
+                   for key, n in (("a", 30), ("b", 25), ("c", 40)))
+        assert list(k._order.items()) == [(a, 30), (b, 25), (c, 40)]
+        assert all(type(n) is int for n in k._order.values())
+        assert k.used_bytes == 95
+        k.remove(b)
+        assert k.used_bytes == 70 and b not in k
+        evicted = []
+        assert k.make_room(31, on_evict=evicted.append) == []
+        assert evicted == [a] and k.used_bytes == 40 and k.free_bytes == 60
+        assert list(k._order.items()) == [(c, 40)]
+        k.clear()
+        assert (len(k), k.used_bytes) == (0, 0)
 
-    @pytest.mark.parametrize("name", sorted(POLICIES))
-    def test_every_policy_drives_the_kernel(self, name):
-        k = kernel_of(4, policy=name)
-        assert k.policy_name == name
-        h = fill(k, "abcdef")  # forces evictions through the policy
-        assert len(k) == 4 and k.used_bytes == 4
-        live = [x for x in h.values() if x in k]
-        k.touch(live[0])
-        k.make_room(1)
-        assert len(k) == 3
+    def test_unknown_policy_rejected(self):
+        """The third positional argument names the replacement, and the
+        paper's LRU (§3.4) is the only one."""
+        assert CacheKernel("k", 4, "lru").capacity_bytes == 4
+        with pytest.raises(ValueError):
+            CacheKernel("k", 4, "mru")

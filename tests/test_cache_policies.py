@@ -94,7 +94,7 @@ def test_policy_agrees_with_reference_model(policy, seed):
             h = live.pop(key)
             kernel.remove(h)
             ref.remove(h)
-        assert [item for _, item in kernel.items()] == ref.handles(), policy
+        assert list(kernel.items()) == ref.handles(), policy
 
     assert len(kernel) == len(live)
 
@@ -117,6 +117,7 @@ def test_lru_matches_pre_kernel_recency_list(seed):
             evicted = kernel.make_room(
                 1, on_evict=lambda it: live.pop(order.pop(0)))
             assert evicted == []
-            live[key] = kernel.insert(key, Item(), 1)
+            item = kernel.insert(key, Item(), 1)
+            item.key, live[key] = key, item
             order.append(key)
-        assert [k for k, _ in kernel.items()] == order
+        assert [item.key for item in kernel.items()] == order

@@ -345,12 +345,13 @@ def _tracked_objects_behind(root):
     return count
 
 
-def test_an_arrival_chunk_is_four_objects():
+def test_an_arrival_chunk_is_three_objects():
     """1,000 blocks through the RX hook: each resident one is its key,
-    a ``Chunk``, one payload view and the policy's ``(key, nbytes)``
-    record — no buffer, no buffer payload, no list, no kernel handle.
-    (Stored as a buffer list it was about fifteen.)  Counted without a
-    sanitizer: its per-chunk records are not the cache's."""
+    a ``Chunk`` and one payload view — no buffer, no buffer payload, no
+    list, no kernel handle, no ``(key, nbytes)`` record (the recency
+    list maps the chunk to an untracked int).  Stored as a buffer list
+    it was about fifteen.  Counted without a sanitizer: its per-chunk
+    records are not the cache's."""
     _sanitizer.disable()  # the conftest fixture restores it
     sim = Simulator()
     host = Host(sim, "server")
@@ -377,7 +378,7 @@ def test_an_arrival_chunk_is_four_objects():
         drive(sim, module.rx_hook(data_in(n)))
     assert store.n_chunks == 1008
     assert all(c.peek_buffers() is None for c in store.chunks())
-    assert _tracked_objects_behind(store) - before == 4 * 1000
+    assert _tracked_objects_behind(store) - before == 3 * 1000
 
 
 #: Blocks per bulk load: just past a dict resize, as a churned cache is.
@@ -397,13 +398,14 @@ def _traced_bytes_per_block(load):
     return allocated / BULK_BLOCKS
 
 
-def test_a_bulk_loaded_block_has_no_kernel_entry_beside_its_record():
+def test_a_bulk_loaded_block_is_its_index_and_recency_slots():
     """What a warm-started block costs.  Each cache holds a block as its
-    index slot plus the policy's recency record and nothing else; a
-    kernel entry table beside the policy (an int handle, a 3-tuple and
-    a dict slot per block) measured 615 B per chunk and 355 B per page
-    here, against 519 B and 280 B without it (Python 3.11).  The bounds
-    sit between, with room for the object-size drift of 3.10-3.12."""
+    index slot plus one recency-list slot mapping it to its size, and
+    nothing else.  A ``(key, nbytes)`` record in that slot measured
+    519 B per chunk and 280 B per page here, against 463 B and 225 B
+    with the size alone (Python 3.11); a kernel entry table beside the
+    record measured 615 B and 355 B.  The bounds sit between, with room
+    for the object-size drift of 3.10-3.12."""
     _sanitizer.disable()  # its per-chunk records are not the cache's
     shape = SegmentShape.uniform(BLOCK_SIZE, 1448, True,
                                  BufferFlavor.SK_BUFF)
@@ -426,5 +428,5 @@ def test_a_bulk_loaded_block_has_no_kernel_entry_beside_its_record():
         assert len(cache) == BULK_BLOCKS
         return cache
 
-    assert _traced_bytes_per_block(load_store) < 560
-    assert _traced_bytes_per_block(load_cache) < 315
+    assert _traced_bytes_per_block(load_store) < 505
+    assert _traced_bytes_per_block(load_cache) < 260

@@ -187,3 +187,60 @@ class TestDiskStore:
             store.write_block(0, BytesPayload(b"short"))
         with pytest.raises(ValueError):
             store.write_extent(0, BytesPayload(b"x" * (BLOCK_SIZE + 1)))
+
+
+def _leaves(payload):
+    """A payload's leaves as values: an extent by its fields, any other
+    leaf by identity (the store hands written payloads back as-is)."""
+    from repro.net.buffer import ExtentPayload, flatten_payload
+
+    return [(leaf.source, leaf.offset, leaf.length, leaf.generation,
+             leaf.mem) if type(leaf) is ExtentPayload else leaf
+            for leaf in flatten_payload(payload)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=st.lists(st.integers(1, 12), min_size=1, max_size=70),
+       free=st.integers(0, 6),
+       writes=st.lists(st.tuples(st.integers(0, 1000),
+                                 st.sampled_from(("same", "other", "bytes"))),
+                       max_size=40),
+       start=st.integers(0, 1000), nblocks=st.integers(1, 48))
+def test_read_blocks_is_the_per_block_concat(files, free, writes, start,
+                                             nblocks):
+    """Reading a range run by run gives the descriptors the per-block
+    reads concatenate to, across file-extent edges, directory blocks,
+    the inode table, free blocks and any written set (a written block
+    may continue its neighbour's extent, or not)."""
+    from repro.net.buffer import BytesPayload, VirtualPayload, concat
+
+    image = FsImage(capacity_blocks=2000)
+    for i, nblocks_i in enumerate(files):
+        image.create_file(f"f{i}", nblocks_i * BLOCK_SIZE)
+    image.capacity_blocks = image._next_lbn + free
+    store = DiskStore(image)
+    for lbn, kind in writes:
+        lbn %= image.capacity_blocks
+        if kind == "bytes":
+            payload = BytesPayload(bytes([lbn % 251]) * BLOCK_SIZE)
+        else:  # contiguous with its neighbours' writes of the same source
+            payload = VirtualPayload(7 if kind == "same" else 9 + lbn,
+                                     lbn * BLOCK_SIZE, BLOCK_SIZE)
+        store.write_block(lbn, payload)
+    start %= image.capacity_blocks
+    nblocks = min(nblocks, image.capacity_blocks - start)
+    runs = store.read_blocks(start, nblocks)
+    blocks = [store.read_block(start + i) for i in range(nblocks)]
+    assert len(runs) <= len(blocks)
+    assert _leaves(concat(runs)) == _leaves(concat(blocks))
+
+
+def test_read_blocks_reads_an_unwritten_file_range_as_one_extent():
+    image = make_image()
+    image.create_file("a", 4 * BLOCK_SIZE)
+    inode = image.create_file("b", 20 * BLOCK_SIZE)
+    store = DiskStore(image)
+    (run,) = store.read_blocks(inode.start_lbn + 3, 8)
+    assert (run.offset, run.length) == (3 * BLOCK_SIZE, 8 * BLOCK_SIZE)
+    store.write_block(inode.start_lbn + 6, image.initial_block_payload(0))
+    assert len(store.read_blocks(inode.start_lbn + 3, 8)) == 3

@@ -18,8 +18,9 @@ import pytest
 
 from content_oracle import ContentMismatch, ContentOracle
 from dispatch_digest import recorded
-from integrity_search import MODES, MUTANT_DIR, MUTANTS, ORDERS, Cell, run
-from repro.cache import POLICIES
+from integrity_search import (MODES, MUTANT_DIR, MUTANTS, ORDERS, Cell, run,
+                              victim_order)
+from repro.cache import CacheKernel
 from repro.experiments.parallel import RunSpec
 from repro.net.buffer import VirtualPayload
 
@@ -62,9 +63,9 @@ LIVENESS = {
 
 def quick_cells():
     for mode in MODES:
-        for policy in sorted(POLICIES) + sorted(ORDERS):
+        for order in ["lru"] + sorted(ORDERS):
             for seed in QUICK_SEEDS:
-                yield Cell("sfs", mode, policy, seed)
+                yield Cell("sfs", mode, order, seed)
     yield Cell("lossy", "ncache", "shuffled", 1)
     yield Cell("http", "ncache", "lru", 1)
     yield Cell("fleet", "ncache", "lru", 1)
@@ -123,6 +124,35 @@ def test_shuffled_ties_change_the_dispatch_order():
                                      shuffle=False)))
     shuffled = recorded(lambda: run(Cell("ops", "ncache", "lru", 1)))
     assert fifo != shuffled
+
+
+class _Page:
+    dirty = pinned = False
+
+
+def _evictions(order, clean_first):
+    """Which of eight unit entries, filled in order, a kernel evicts
+    first to make room for four more; the fifth one is pinned."""
+    with victim_order(order, seed=1):
+        kernel = CacheKernel("k", 8, clean_first=clean_first)
+        pages = [kernel.insert(i, _Page(), 1) for i in range(8)]
+        pages[4].pinned = True
+        evicted = []
+        kernel.make_room(4, on_evict=evicted.append)
+    return [pages.index(page) for page in evicted]
+
+
+@pytest.mark.parametrize("clean_first", [False, True])
+def test_each_victim_order_perturbs_eviction(clean_first):
+    """The orders reach both caches' kernels through the one hook,
+    pinned entries stay exempt, and the patch ends with the cell."""
+    got = {order: _evictions(order, clean_first)
+           for order in ["lru"] + sorted(ORDERS)}
+    assert got["lru"] == [0, 1, 2, 3]
+    assert got["mru"] == [7, 6, 5, 3]
+    assert sorted(got["shuffled"]) != got["shuffled"]
+    assert all(4 not in evicted for evicted in got.values())
+    assert _evictions("lru", clean_first) == got["lru"]
 
 
 def test_every_mutant_patch_still_applies():

@@ -33,8 +33,8 @@ class TestKeys:
         assert f"{FhoKey(1, 2, 8192)}" == "fho(1.2@8192)"
 
     def test_a_key_hashes_as_the_tuple_of_its_fields(self):
-        """The value the frozen dataclass produced: dict, ghost-list and
-        memo order must not have moved when keys became tuples."""
+        """The value the frozen dataclass produced: dict and memo order
+        must not have moved when keys became tuples."""
         values = list(range(-2, 6)) + [4096, 1 << 20, (1 << 40) + 3]
         for a in values:
             for b in values:
@@ -43,7 +43,8 @@ class TestKeys:
                     assert hash(FhoKey(a, b, c)) == hash((a, b, c))
 
     def test_the_two_key_kinds_never_compare_equal(self):
-        """Both kinds share one recency list and one ghost list."""
+        """Both kinds key one store (a remap moves a chunk from one kind
+        to the other), and any dict may hold both."""
         for a in range(4):
             for b in range(4):
                 for c in range(4):

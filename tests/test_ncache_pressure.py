@@ -9,7 +9,6 @@ every reply byte-exact; a key that dangles at substitution raises.
 
 import pytest
 
-from repro.cache import POLICIES
 from repro.experiments.common import scaled_memory_config
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
@@ -25,7 +24,7 @@ FILE_BLOCKS = 128
 
 
 def tiny_ncache_testbed(ncache_chunks: int = 24, fs_blocks: int = 8,
-                        sim=None, policy: str = "lru") -> NfsTestbed:
+                        sim=None) -> NfsTestbed:
     """A server whose NCache holds ~24 chunks and FS cache 8 pages."""
     chunk_footprint = BLOCK_SIZE + 3 * 160 + 64
     testbed = TestbedSpec.nfs(
@@ -34,7 +33,7 @@ def tiny_ncache_testbed(ncache_chunks: int = 24, fs_blocks: int = 8,
         server_kernel_carveout=64 * MB
         - fs_blocks * BLOCK_SIZE - ncache_chunks * chunk_footprint,
         ncache_fs_cache_bytes=fs_blocks * BLOCK_SIZE,
-        cache_policy=policy, flush_interval_s=None).build(sim=sim)
+        flush_interval_s=None).build(sim=sim)
     testbed.image.create_file("press", FILE_BLOCKS * BLOCK_SIZE)
     testbed.setup()
     return testbed
@@ -174,20 +173,20 @@ class TestEvictionPressure:
         nothing left pinned.  The search's MRU order evicts a fill's
         fresh chunks first, its shuffled order at random; a fill holds
         them until its reply does, so the READ still completes."""
-        for seed, policy in enumerate(("lru", "mru", "shuffled"), start=1):
-            outcome = run(Cell("pressure", "ncache", policy, seed))
+        for seed, order in enumerate(("lru", "mru", "shuffled"), start=1):
+            outcome = run(Cell("pressure", "ncache", order, seed))
             assert outcome.verdict == "pass", str(outcome)
             assert outcome.counters["cache.ncache.evict_clean"] > 0
 
-    @pytest.mark.parametrize("policy", sorted(POLICIES) + sorted(ORDERS))
-    def test_no_reply_carries_junk(self, policy):
+    @pytest.mark.parametrize("order", ["lru"] + sorted(ORDERS))
+    def test_no_reply_carries_junk(self, order):
         """A dangling key raises at the TX hook, so a clean run is the
         check; it must have substituted real traffic.  ``sfs_cell``'s
         configuration as a search cell (FIFO ties, content oracle,
         sanitizer).  Before keyed pages were checked at insert and
         replies pinned their chunks, 16 LRU replies and flushes here
         carried junk."""
-        outcome = run(Cell("sfs", "ncache", policy, 3, shuffle=False))
+        outcome = run(Cell("sfs", "ncache", order, 3, shuffle=False))
         assert outcome.verdict == "pass", str(outcome)
         assert outcome.counters["ncache.substituted_replies"] > 100
 

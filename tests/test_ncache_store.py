@@ -79,16 +79,14 @@ class TestInsertLookup:
     def test_peek_is_not_cache_traffic(self):
         store = store_of(1)
         store.insert(chunk_for(LbnKey(0, 1)))
-        store.make_room(FOOTPRINT)  # evicts lbn(0,1) into the ghost list
+        store.make_room(FOOTPRINT)  # evicts lbn(0,1)
         store.insert(chunk_for(FhoKey(1, 1, 0)))
         metrics = store._kernel.metrics
-        before = (metrics.hit.value, metrics.miss.value,
-                  metrics.ghost_hit.value)
+        before = (metrics.hit.value, metrics.miss.value)
         assert store.peek_fho(FhoKey(1, 1, 0)) is not None
-        assert store.peek_lbn(LbnKey(0, 1)) is None  # ghost
+        assert store.peek_lbn(LbnKey(0, 1)) is None  # evicted
         assert store.peek(FhoKey(9, 9, 0), LbnKey(0, 9)) is None
-        assert (metrics.hit.value, metrics.miss.value,
-                metrics.ghost_hit.value) == before
+        assert (metrics.hit.value, metrics.miss.value) == before
 
 
 class TestResolve:

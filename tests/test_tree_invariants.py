@@ -188,7 +188,7 @@ NAMING_METHODS = {"emit", "complete", "counter", "gauge", "histogram", "add",
 SUBSYSTEMS = {
     "bcache.": "file-system buffer cache: writeback counters and events",
     "buffer.": "extent data plane: materialize and partial-extent events",
-    "cache.": "the eviction kernel: the only hit/miss/evict/ghost counters",
+    "cache.": "the eviction kernel: the only hit/miss/evict counters",
     "checksum.": "software checksum accounting",
     "copies.": "CopyAccountant counters and per-movement events",
     "copy.": "per-copy size distribution",
@@ -253,7 +253,7 @@ def engine_discipline(path, tree):
 #    cache.<name>.* metrics.
 
 CACHE_ALLOWED = {
-    "cache/": "the eviction kernel and its policies",
+    "cache/": "the eviction kernel and its one LRU list",
     "nfs/server.py::DuplicateRequestCache.__init__":
         "bounded-FIFO replay state (RFC 1813 / knfsd): entries age out "
         "by arrival and a lookup must not refresh them",
@@ -436,7 +436,7 @@ PLANTED = {
     "not-an-ordereddict": ("cache-discipline", "mod.py",
                            LRU.replace("OrderedDict()", "inner")
                            .format("move_to_end(k)"), 0),
-    "cache-kernel": ("cache-discipline", "cache/policy.py",
+    "cache-kernel": ("cache-discipline", "cache/kernel.py",
                      LRU.format("move_to_end(k)"), 0),
     "direct-resize": ("budget-lease", "mod.py", "cache.resize(1024)", 1),
     "every-direct-call": ("budget-lease", "mod.py",

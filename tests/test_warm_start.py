@@ -3,7 +3,7 @@
 ``tests/warm_reference.py`` keeps the per-block warm start
 (``make_room`` + ``insert`` on the general path) as the oracle.  The
 bulk pass must leave both caches exactly as the oracle does — order,
-keys, budget, counters, ghosts, payload descriptors — while the cyclic
+keys, budget, counters, payload descriptors — while the cyclic
 collector stays out of its way and is handed back as it was found, with
 the warm set already in its oldest generation.
 """
@@ -14,7 +14,6 @@ import gc
 
 import pytest
 
-from repro.cache import POLICIES
 from repro.core.chunk import Chunk
 from repro.core.keys import LbnKey
 from repro.core.store import NCacheStore
@@ -32,14 +31,14 @@ KB = 1024
 MODES = (ServerMode.ORIGINAL, ServerMode.BASELINE, ServerMode.NCACHE)
 
 
-def build(mode: ServerMode, policy: str = "lru"):
+def build(mode: ServerMode):
     """A small web server (3 MB of cache: 768 pages, or 451 chunks + 256
     key pages), six ``pre/`` files to put in its caches before the warm
     start and a ranked set about 1.6 times the cache, file sizes uneven
     so the budget ends inside a file."""
     testbed = TestbedSpec.web(
         mode, server_ram_bytes=11 * MB, server_kernel_carveout=8 * MB,
-        ncache_fs_cache_bytes=1 * MB, cache_policy=policy).build()
+        ncache_fs_cache_bytes=1 * MB).build()
     image = testbed.image
     pre = [f"pre/{i}" for i in range(6)]
     for name in pre:
@@ -75,24 +74,21 @@ def occupy(testbed, pre) -> None:
 
 
 class TestEqualsPerBlockReference:
-    @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-    def test_same_caches_after_evicting_warm_start(self, mode, policy):
+    def test_same_caches_after_evicting_warm_start(self, mode):
         states = []
         for warm in (warm_caches_reference, warm_caches):
-            testbed, pre, ranked = build(mode, policy)
+            testbed, pre, ranked = build(mode)
             occupy(testbed, pre)
             warm(testbed, ranked)
             states.append(cache_state(testbed))
         reference, bulk = states
         assert bulk == reference
         # The comparison covered what it claims to: victims were chosen
-        # (and ghost-recorded) during the warm start, and the budget
-        # ended inside a file.
+        # during the warm start, and the budget ended inside a file.
         for name in (("fs", "ncache") if mode is ServerMode.NCACHE
                      else ("fs",)):
             assert bulk[name]["counters"]["evict_clean"] > 0
-            assert bulk[name]["policy"]["_ghost"]
         resident = [sum(inode.block_lbn(b) in testbed.cache
                         for b in range(inode.nblocks)) / inode.nblocks
                     for inode in map(testbed.image.lookup, ranked)]
@@ -196,7 +192,7 @@ class TestCollector:
         """Tracked objects of every fifth warm chunk and key page: the
         chunk, its payload view and key, the page and its placeholder."""
         chunks = list(testbed.ncache.store.chunks())[::5]
-        pages = [entry for _, entry in testbed.cache._kernel.items()][::5]
+        pages = list(testbed.cache._kernel.items())[::5]
         sample = [obj for chunk in chunks
                   for obj in (chunk, chunk.payload(), chunk.key)]
         sample += [obj for entry in pages for obj in (entry, entry.payload)]
@@ -281,9 +277,9 @@ class TestAllocations:
         store = testbed.ncache.store
         pages = list(testbed.cache._kernel.items())
         assert len(pages) == testbed.cache.capacity_blocks
-        for lbn, entry in pages:
+        for entry in pages:
             key = entry.payload.lbn_key
-            assert key == LbnKey(testbed.ncache.lun, lbn)
+            assert key == LbnKey(testbed.ncache.lun, entry.lbn)
             assert key is store.peek_lbn(key).key
 
     def test_block_payloads_are_file_payloads(self):
@@ -349,7 +345,7 @@ class TestBulkLoadContract:
     def test_buffer_cache_pages_are_clean_data(self):
         cache = BufferCache(4 * BLOCK_SIZE)
         cache.bulk_load((lbn, JunkPayload(BLOCK_SIZE)) for lbn in range(6))
-        assert [lbn for lbn, _ in cache._kernel.items()] == [2, 3, 4, 5]
+        assert [entry.lbn for entry in cache._kernel.items()] == [2, 3, 4, 5]
         entry = cache.peek(5)
         assert (entry.dirty, entry.is_metadata, entry.pins) == \
             (False, False, 0)

@@ -10,7 +10,6 @@ reference ``tests/test_warm_start.py`` compares the bulk pass against.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.chunk import Chunk
@@ -83,18 +82,13 @@ def describe_payload(payload: Any) -> Tuple:
 
 
 def _kernel_state(kernel) -> Dict[str, Any]:
-    """Budget, counters and the policy's lists (live items as their
-    ``(key, nbytes)`` records; ghosts are keys already)."""
-    policy: Dict[str, Any] = {}
-    for name, value in vars(kernel.policy).items():
-        if isinstance(value, OrderedDict):
-            policy[name] = list(value.values() if name != "_ghost"
-                                else value)
+    """Budget, counters and the recency list's sizes, coldest first
+    (the items themselves are compared by the caller)."""
     metrics = kernel.metrics
     return {"used_bytes": kernel.used_bytes,
             "counters": {name: getattr(metrics, name).value
                          for name in type(metrics).__slots__},
-            "policy": policy}
+            "sizes": list(kernel._order.values())}
 
 
 def cache_state(testbed) -> Dict[str, Any]:
@@ -104,9 +98,9 @@ def cache_state(testbed) -> Dict[str, Any]:
              "fs.used_bytes": cache.used_bytes,
              "fs.index": sorted(cache._entries),
              "fs.pages": [
-                 (lbn, describe_payload(entry.payload), entry.dirty,
+                 (entry.lbn, describe_payload(entry.payload), entry.dirty,
                   entry.is_metadata, entry.pins)
-                 for lbn, entry in cache._kernel.items()]}
+                 for entry in cache._kernel.items()]}
     if testbed.ncache is not None:
         store = testbed.ncache.store
         state.update({
