@@ -2,7 +2,7 @@
 
 from .chunk import Chunk, ChunkKey
 from .classifier import PacketClassifier, RxAction, TxAction
-from .keys import FhoKey, KeyedPayload, LbnKey
+from .keys import FhoKey, KeyedPayload
 from .ncache import NCacheModule
 from .resize import buffers_for_range, carve_chunks, slice_buffer
 from .store import NCacheStore
@@ -13,7 +13,6 @@ __all__ = [
     "ChunkKey",
     "FhoKey",
     "KeyedPayload",
-    "LbnKey",
     "NCacheModule",
     "NCacheStore",
     "PacketClassifier",

@@ -35,9 +35,9 @@ from ..check import sanitizer as _sanitizer
 from ..net.buffer import (BufferFlavor, CompositePayload, ExtentPayload,
                           NetBuffer, Payload, SegmentShape, concat,
                           expand_segments)
-from .keys import FhoKey, LbnKey
+from .keys import FhoKey
 
-ChunkKey = Union[LbnKey, FhoKey]
+ChunkKey = Union[int, FhoKey]
 
 
 def _restamp(payload: Payload, generation: int) -> Payload:
@@ -60,7 +60,7 @@ class Chunk:
 
     def __init__(self, key: ChunkKey, payload: Payload, shape: SegmentShape,
                  dirty: bool = False,
-                 lbn_hint: Optional[LbnKey] = None) -> None:
+                 lbn_hint: Optional[int] = None) -> None:
         if shape.length != payload.length:
             raise ValueError(
                 f"shape describes {shape.length} bytes, payload holds "
@@ -88,7 +88,7 @@ class Chunk:
                      flavor: BufferFlavor = BufferFlavor.SK_BUFF,
                      csum_known: bool = True,
                      dirty: bool = False,
-                     lbn_hint: Optional[LbnKey] = None) -> "Chunk":
+                     lbn_hint: Optional[int] = None) -> "Chunk":
         """The chunk ``chain_from_payload(payload, fragment_size)`` would
         be cached as, every buffer's checksum state ``csum_known``: the
         uniform shape.  Warm-started caches are built this way.

@@ -2,7 +2,8 @@
 
 Logical copying (§3.1) replaces payload movement with movement of *keys*:
 
-* :class:`LbnKey` — logical block number; indexes data that arrived from
+* an LBN key — the logical block number itself, an ``int`` (LBN 0 is
+  a key too: an absent key is ``None``); indexes data that arrived from
   the iSCSI storage server (the LBN cache).
 * :class:`FhoKey` — file handle + offset; indexes data that arrived in NFS
   write requests (the FHO cache).
@@ -16,9 +17,10 @@ then overwritten is found under its FHO key first, falling back to the LBN
 key after remapping, which is precisely the lookup order §3.4 mandates to
 guarantee clients "always receive the most up-to-date data".
 
-Both keys are tuples of ints (:class:`typing.NamedTuple`): they are
-built, hashed and compared in C, and a key's hash is its tuple's hash,
-so no dict or recency-list order depends on ``PYTHONHASHSEED``.
+An FHO key is a tuple of ints (:class:`typing.NamedTuple`), so both
+kinds are built, hashed and compared in C and no dict or recency-list
+order depends on ``PYTHONHASHSEED``.  Code that must tell the kinds
+apart asks ``type(key) is FhoKey``; anything else is an LBN key.
 """
 
 from __future__ import annotations
@@ -26,16 +28,6 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional, Tuple
 
 from ..net.buffer import Payload, PlaceholderPayload
-
-
-class LbnKey(NamedTuple):
-    """Identifies one filesystem block by its on-disk address."""
-
-    lun: int
-    lbn: int
-
-    def __str__(self) -> str:
-        return f"lbn({self.lun},{self.lbn})"
 
 
 class FhoKey(NamedTuple):
@@ -66,7 +58,7 @@ class KeyedPayload(PlaceholderPayload):
 
     __slots__ = ("lbn_key", "fho_key", "base_offset", "pinned")
 
-    def __init__(self, length: int, lbn_key: Optional[LbnKey] = None,
+    def __init__(self, length: int, lbn_key: Optional[int] = None,
                  fho_key: Optional[FhoKey] = None,
                  base_offset: int = 0,
                  pinned: Tuple[Any, ...] = ()) -> None:
@@ -97,11 +89,24 @@ class KeyedPayload(PlaceholderPayload):
         return KeyedPayload(self.length, self.lbn_key, self.fho_key,
                             self.base_offset, pinned)
 
-    def with_lbn(self, lbn_key: LbnKey) -> "KeyedPayload":
+    def with_lbn(self, lbn_key: int) -> "KeyedPayload":
         """A copy of this placeholder that also knows its LBN."""
         return KeyedPayload(self.length, lbn_key, self.fho_key,
                             self.base_offset)
 
     def __repr__(self) -> str:
-        keys = ", ".join(str(k) for k in (self.fho_key, self.lbn_key) if k)
+        keys = ", ".join(str(k) for k in (self.fho_key, self.lbn_key)
+                         if k is not None)
         return f"KeyedPayload({keys}, off={self.base_offset}, {self.length}B)"
+
+
+# -- Kept for the frozen benchmark ------------------------------------------
+# ``benchmarks/ncbench/kernels.py`` keys its chunks and lookups as
+# ``LbnKey(0, n)``; the store files any non-FhoKey key under the LBN
+# index, so these tuples work there.  Nothing in the model builds one.
+
+class LbnKey(NamedTuple):
+    """The old (lun, lbn) LBN key."""
+
+    lun: int
+    lbn: int

@@ -43,27 +43,26 @@ from ..net.network import Datagram
 from ..sim.engine import Event, SimulationError
 from .chunk import Chunk, pin_all, unpin_all
 from .classifier import PacketClassifier, RxAction, TxAction
-from .keys import FhoKey, KeyedPayload, LbnKey
+from .keys import FhoKey, KeyedPayload
 from .resize import buffers_for_range, carve_chunks
 from .store import NCacheStore
 
 #: ``fn(lbn, payload) -> generator`` writing a block back to storage.
 WritebackFn = Callable[[int, Payload], Generator]
-#: ``fn(fho_key) -> Optional[LbnKey]`` — where a file block lives on disk.
-FhoToLbnFn = Callable[[FhoKey], Optional[LbnKey]]
+#: ``fn(fho_key) -> Optional[lbn]`` — where a file block lives on disk.
+FhoToLbnFn = Callable[[FhoKey], Optional[int]]
 
 
 class NCacheModule:
     """One host's network-centric cache."""
 
-    def __init__(self, host: Host, store: NCacheStore, lun: int = 0,
+    def __init__(self, host: Host, store: NCacheStore,
                  fho_to_lbn: Optional[FhoToLbnFn] = None,
                  writeback: Optional[WritebackFn] = None,
                  inherit_checksums: bool = True,
                  enable_remap: bool = True) -> None:
         self.host = host
         self.store = store
-        self.lun = lun
         self.fho_to_lbn = fho_to_lbn
         self.writeback = writeback
         #: ablation A1: inherit cached checksums on substituted packets
@@ -111,7 +110,7 @@ class NCacheModule:
         keyed_parts: List[Payload] = []
         held: List[Chunk] = []
         for i, (payload, shape) in enumerate(carved):
-            key = LbnKey(self.lun, message.lba + i)
+            key = message.lba + i
             chunk = yield from self._insert_chunk(Chunk(key, payload, shape))
             chunk.pin()  # until the fill's reply holds it (unpin_keys)
             held.append(chunk)
@@ -163,7 +162,7 @@ class NCacheModule:
                 break
             for victim in victims:
                 yield from self.write_back_chunk(victim)
-        if isinstance(chunk.key, LbnKey) \
+        if type(chunk.key) is not FhoKey \
                 and (resident := store.peek_lbn(chunk.key)) is not None:
             return resident  # a Data-In's disk bytes: as new
         store.insert(chunk, footprint=footprint)
@@ -178,8 +177,8 @@ class NCacheModule:
         hint), replacing anything older, pinned until on disk.
         """
         self.counters.add("ncache.writeback")
-        lbn_key = chunk.lbn_hint
-        if lbn_key is None or self.writeback is None:
+        lbn = chunk.lbn_hint
+        if lbn is None or self.writeback is None:
             raise SimulationError(
                 f"cannot write back dirty chunk {chunk!r}: "
                 f"{'no writeback path' if self.writeback is None else 'no LBN'}")
@@ -191,12 +190,12 @@ class NCacheModule:
         # initiator's accountant.
         payload = chunk.payload().physical_copy()
         if self.enable_remap:
-            self.store.remap(chunk.key, lbn_key)
+            self.store.remap(chunk.key, lbn)
         else:
             chunk.dirty = False
         chunk.pin()
         try:
-            yield from self.writeback(lbn_key.lbn, payload)
+            yield from self.writeback(lbn, payload)
         finally:
             chunk.unpin()
 
@@ -241,16 +240,16 @@ class NCacheModule:
             if fho is None or fho in seen:
                 continue
             seen.add(fho)
-            lbn_key = leaf.lbn_key
-            if lbn_key is None:
-                lbn_key = LbnKey(command.lun, command.lba + block_index)
+            lbn = leaf.lbn_key
+            if lbn is None:
+                lbn = command.lba + block_index
             yield from self.host.acct.compute(
                 self.host.costs.ncache_remap_ns, "ncache.remap")
-            self.store.remap(fho, lbn_key)
+            self.store.remap(fho, lbn)
             if self.trace.enabled:
                 self.trace.emit("ncache.remap", cat="ncache",
                                 tid=self.trace.tid_for(self.host.name),
-                                fho=str(fho), lbn=lbn_key.lbn)
+                                fho=str(fho), lbn=lbn)
             block_index += 1
 
     def _substitute(self, dgram: Datagram, leaves: List[Payload]
@@ -405,8 +404,7 @@ class NCacheModule:
         costs = self.host.costs
         yield from self.host.acct.compute(
             nblocks * costs.ncache_lookup_ns, "ncache.l2_lookup")
-        keys = [LbnKey(self.lun, lbn + i) for i in range(nblocks)]
-        chunks = [self.store.lookup_lbn(key) for key in keys]
+        chunks = list(map(self.store.lookup_lbn, range(lbn, lbn + nblocks)))
         if any(chunk is None for chunk in chunks):
             self.counters.add("ncache.l2_miss")
             if self.trace.enabled:
@@ -455,7 +453,7 @@ class NCacheModule:
                 else block_payload
         if self.store.peek_fho(block_payload.fho_key) is None:
             return None
-        return block_payload.with_lbn(LbnKey(self.lun, lbn))
+        return block_payload.with_lbn(lbn)
 
     def pin_keys(self, payload: Payload) -> Optional[Payload]:
         """``payload`` with the chunk behind each of its keys pinned, or

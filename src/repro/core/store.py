@@ -29,14 +29,14 @@ necessary engineering, both flagged in DESIGN.md:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..cache import CacheKernel, CacheStallError
 from ..check import sanitizer as _sanitizer
 from ..obs.trace import TraceBus
 from ..sim.stats import CounterSet
-from .chunk import Chunk
-from .keys import FhoKey, LbnKey
+from .chunk import Chunk, ChunkKey
+from .keys import FhoKey
 
 
 class NCacheStore:
@@ -58,13 +58,13 @@ class NCacheStore:
         self.trace = trace
         self._used_gauge = self.counters.registry.gauge(
             "ncache.used.bytes", unit="bytes")
-        self._lbn: Dict[LbnKey, Chunk] = {}
+        self._lbn: Dict[int, Chunk] = {}
         self._fho: Dict[FhoKey, Chunk] = {}
         self._kernel = CacheKernel("ncache", capacity_bytes,
                                    counters=self.counters, trace=trace)
         #: The accounted lookups (cache traffic), one per index, as the
         #: kernel's closures: a hit counts and promotes, a miss counts.
-        self.lookup_lbn: Callable[[LbnKey], Optional[Chunk]] = \
+        self.lookup_lbn: Callable[[int], Optional[Chunk]] = \
             self._kernel.lookup_in(self._lbn)
         self.lookup_fho: Callable[[FhoKey], Optional[Chunk]] = \
             self._kernel.lookup_in(self._fho)
@@ -114,7 +114,7 @@ class NCacheStore:
 
     # -- lookup -----------------------------------------------------------------
 
-    def resolve(self, fho_key: Optional[FhoKey], lbn_key: Optional[LbnKey]
+    def resolve(self, fho_key: Optional[FhoKey], lbn_key: Optional[int]
                 ) -> Optional[Chunk]:
         """FHO-first lookup: dirty written data always wins (§3.4)."""
         chunk = None
@@ -126,13 +126,13 @@ class NCacheStore:
 
     # Bookkeeping reads: no counter, no promotion.
 
-    def peek_lbn(self, key: LbnKey) -> Optional[Chunk]:
+    def peek_lbn(self, key: int) -> Optional[Chunk]:
         return self._lbn.get(key)
 
     def peek_fho(self, key: FhoKey) -> Optional[Chunk]:
         return self._fho.get(key)
 
-    def peek(self, fho_key: Optional[FhoKey], lbn_key: Optional[LbnKey]
+    def peek(self, fho_key: Optional[FhoKey], lbn_key: Optional[int]
              ) -> Optional[Chunk]:
         """:meth:`resolve` as a bookkeeping read (FHO first)."""
         chunk = self._fho.get(fho_key)
@@ -141,7 +141,7 @@ class NCacheStore:
     # -- insertion / eviction ------------------------------------------------------
 
     def make_room(self, nbytes: int,
-                  key: Optional[Union[LbnKey, FhoKey]] = None) -> List[Chunk]:
+                  key: Optional[ChunkKey] = None) -> List[Chunk]:
         """Evict chunks until ``nbytes`` fit, or stop at a dirty victim.
 
         Pinned chunks are skipped.  Every evicted chunk is removed from
@@ -185,7 +185,7 @@ class NCacheStore:
         self._used_gauge.set(self._kernel.used_bytes)
         # Pop the index entry only if it still points at this chunk — a
         # remap may already have installed a replacement under this key.
-        index = self._lbn if isinstance(chunk.key, LbnKey) else self._fho
+        index = self._fho if type(chunk.key) is FhoKey else self._lbn
         if index.get(chunk.key) is chunk:
             del index[chunk.key]
         if self.trace is not None and self.trace.enabled:
@@ -214,7 +214,7 @@ class NCacheStore:
         """
         if footprint is None:
             footprint = self._footprint(chunk)
-        index = self._lbn if isinstance(chunk.key, LbnKey) else self._fho
+        index = self._fho if type(chunk.key) is FhoKey else self._lbn
         existing = index.get(chunk.key)
         if not self._fits(footprint, existing):
             raise RuntimeError("insert without room; call make_room() first")
@@ -252,7 +252,7 @@ class NCacheStore:
         room = kernel.free_bytes
         for chunk in chunks:
             key = chunk.key
-            index = self._lbn if isinstance(key, LbnKey) else self._fho
+            index = self._fho if type(key) is FhoKey else self._lbn
             if key in index:
                 raise ValueError(f"bulk_load of resident key {key}")
             if room < footprint:
@@ -274,7 +274,7 @@ class NCacheStore:
 
     # -- remapping -------------------------------------------------------------------
 
-    def remap(self, fho_key: FhoKey, lbn_key: LbnKey) -> Optional[Chunk]:
+    def remap(self, fho_key: FhoKey, lbn_key: int) -> Optional[Chunk]:
         """Convert an FHO entry to an LBN entry (§3.4).
 
         The chunk's key changes from the FHO to the LBN; an existing LBN

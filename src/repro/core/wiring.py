@@ -25,7 +25,7 @@ from ..net.buffer import Payload, flatten_payload
 from ..net.host import Host
 from ..sim.engine import Event
 from .chunk import Chunk
-from .keys import FhoKey, KeyedPayload, LbnKey
+from .keys import FhoKey, KeyedPayload
 from .ncache import NCacheModule
 from .store import NCacheStore
 
@@ -33,7 +33,6 @@ from .store import NCacheStore
 def attach_ncache(host: Host, vfs: VFS,
                   initiator: Optional[IscsiInitiator],
                   capacity_bytes: int,
-                  lun: int = 0,
                   inherit_checksums: bool = True,
                   enable_remap: bool = True) -> NCacheModule:
     """Create, wire and return an NCache module for this server."""
@@ -41,7 +40,7 @@ def attach_ncache(host: Host, vfs: VFS,
                         counters=host.counters, trace=host.sim.trace)
     image = vfs.image
 
-    def fho_to_lbn(key: FhoKey) -> Optional[LbnKey]:
+    def fho_to_lbn(key: FhoKey) -> Optional[int]:
         try:
             inode = image.inode(key.ino)
         except FileNotFoundError:
@@ -49,7 +48,7 @@ def attach_ncache(host: Host, vfs: VFS,
         block = key.offset // image.block_size
         if block >= inode.nblocks:
             return None
-        return LbnKey(lun, inode.block_lbn(block))
+        return inode.block_lbn(block)
 
     writeback = None
     if initiator is not None:
@@ -57,10 +56,10 @@ def attach_ncache(host: Host, vfs: VFS,
                       ) -> Generator[Event, Any, None]:
             if enable_remap:  # the chunk is under ``lbn`` now
                 vfs.hold_for_fills(lbn, KeyedPayload(
-                    vfs.block_size, lbn_key=LbnKey(lun, lbn)))
+                    vfs.block_size, lbn_key=lbn))
             yield from initiator.write(lbn, payload)
 
-    module = NCacheModule(host, store, lun=lun, fho_to_lbn=fho_to_lbn,
+    module = NCacheModule(host, store, fho_to_lbn=fho_to_lbn,
                           writeback=writeback,
                           inherit_checksums=inherit_checksums,
                           enable_remap=enable_remap)
@@ -78,17 +77,17 @@ def attach_ncache(host: Host, vfs: VFS,
         return True
 
     def on_reclaim(chunk: Chunk) -> None:
-        if isinstance(chunk.key, LbnKey):
-            lbn_key: Optional[LbnKey] = chunk.key
-        else:
-            lbn_key = chunk.lbn_hint or fho_to_lbn(chunk.key)
-        if lbn_key is None:
-            return
-        entry = vfs.cache.peek(lbn_key.lbn)
+        lbn = chunk.key
+        if type(lbn) is FhoKey:
+            lbn = chunk.lbn_hint if chunk.lbn_hint is not None \
+                else fho_to_lbn(lbn)
+            if lbn is None:
+                return
+        entry = vfs.cache.peek(lbn)
         if entry is None:
             return
         if not entry_resolvable(entry.payload):
-            vfs.cache.invalidate(lbn_key.lbn)
+            vfs.cache.invalidate(lbn)
             host.counters.add("ncache.fs_page_invalidated")
 
     store.reclaim_listeners.append(on_reclaim)

@@ -32,7 +32,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 
 from ..analysis.tables import ExperimentResult, pct_gain
 from ..core.chunk import Chunk
-from ..core.keys import KeyedPayload, LbnKey
+from ..core.keys import KeyedPayload
 from ..net.buffer import BufferFlavor, JunkPayload, SegmentShape
 from ..servers.config import ServerMode, TestbedConfig
 from ..servers.spec import ClusterSpec, TestbedSpec
@@ -383,12 +383,11 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
     store = testbed.ncache.store
     block_size = image.block_size
     mss = testbed.config.costs.tcp_mss
-    lun = testbed.ncache.lun
     # Every warm block is one block cut at the MSS with its checksums
     # known, as if it had arrived over the wire and been verified: one
     # shape for all of them.  Budget in chunk footprints.
     shape = SegmentShape.uniform(block_size, mss, True, BufferFlavor.SK_BUFF)
-    sample_chunk = Chunk(LbnKey(lun, 0), JunkPayload(block_size), shape)
+    sample_chunk = Chunk(0, JunkPayload(block_size), shape)
     footprint = sample_chunk.footprint(store.per_buffer_overhead,
                                        store.per_chunk_overhead)
     n_chunks = store.capacity_bytes // footprint
@@ -399,14 +398,13 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
     for inode, n in reversed(_hottest_runs(image, ranked_names, n_chunks)):
         start = inode.start_lbn
         payloads = image.block_payloads(inode, n)
-        chunks += [Chunk(LbnKey(lun, start + b), payloads[b], shape)
+        chunks += [Chunk(start + b, payloads[b], shape)
                    for b in range(n - 1, -1, -1)]
     store.bulk_load(chunks, footprint)
     # FS cache: the hottest of those blocks as key-only pages, each
     # holding its chunk's own key.
     cache = testbed.cache
-    cache.bulk_load([(chunk.key.lbn, KeyedPayload(block_size,
-                                                  lbn_key=chunk.key))
+    cache.bulk_load([(chunk.key, KeyedPayload(block_size, lbn_key=chunk.key))
                      for chunk in chunks[-cache.capacity_blocks:]])
 
 

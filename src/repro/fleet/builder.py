@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..core.keys import KeyedPayload, LbnKey
+from ..core.keys import FhoKey, KeyedPayload
 from ..net.addresses import Endpoint, PEER_PORT
 from ..net.network import Network
 from ..obs.metrics import MetricsRegistry
@@ -289,14 +289,14 @@ class Fleet:
             if node.client is None:
                 continue  # no peer wiring -> nothing to hand over
             key = chunk.key
-            if not isinstance(key, LbnKey):
+            if type(key) is FhoKey:
                 continue
             if store.peek_lbn(key) is not chunk:
                 continue  # evicted while earlier pushes were in flight
-            target = self.route_block(key.lbn)
+            target = self.route_block(key)
             peer = Endpoint(f"s{target}.server-0", PEER_PORT)
             ok = yield from node.client.push(
-                peer, key.lbn, 1, KeyedPayload(chunk.length, lbn_key=key))
+                peer, key, 1, KeyedPayload(chunk.length, lbn_key=key))
             if ok:
                 self._drained.add()
 

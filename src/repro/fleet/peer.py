@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional
 
-from ..core.keys import KeyedPayload, LbnKey
+from ..core.keys import KeyedPayload
 from ..net.addresses import Endpoint, PEER_CLIENT_PORT, PEER_PORT
 from ..net.buffer import EMPTY_PAYLOAD, JunkPayload, Payload, concat
 from ..net.network import Datagram
@@ -55,7 +55,7 @@ class PeerCacheService:
         costs = host.costs
         yield from host.acct.compute(
             call.nblocks * costs.ncache_lookup_ns, "fleet.peer_lookup")
-        keys = [LbnKey(call.lun, call.lbn + i) for i in range(call.nblocks)]
+        keys = range(call.lbn, call.lbn + call.nblocks)
         chunks = [store.lookup_lbn(key) for key in keys]
         if all(chunk is not None for chunk in chunks):
             host.counters.add("fleet.peer_served_hit")
@@ -116,7 +116,7 @@ class PeerCacheClient:
             raise SimulationError("peer client needs an NCache module")
         self.host = testbed.server_host
         self.local_ip = testbed.server_ips[0]
-        self.lun = testbed.ncache.lun
+        self.lun = testbed.initiator.lun
         self.unpin_keys = testbed.ncache.unpin_keys
         self.discipline = testbed.config.mode.discipline
         self.peers_for = peers_for

@@ -9,7 +9,7 @@ victim order evicted.
 
 import pytest
 
-from repro.core import FhoKey, LbnKey
+from repro.core import FhoKey
 from repro.fs import BLOCK_SIZE, BufferCache
 from repro.net.buffer import JunkPayload
 
@@ -20,7 +20,7 @@ from test_ncache_store import FOOTPRINT, chunk_for, store_of
 def _store_case():
     """(metrics, order, peeks, lookup, resident, absent, evicted)."""
     store = store_of(2)
-    keys = [LbnKey(0, 1), LbnKey(0, 2)]
+    keys = [1, 2]
     for key in keys:
         store.make_room(FOOTPRINT)
         store.insert(chunk_for(key))
@@ -35,7 +35,7 @@ def _store_case():
         store.peek(FhoKey(9, 9, 0), key)
 
     return (store._kernel.metrics, lambda: [c.key for c in store.chunks()],
-            peeks, store.lookup_lbn, resident, LbnKey(0, 99), evicted)
+            peeks, store.lookup_lbn, resident, 99, evicted)
 
 
 def _bcache_case():

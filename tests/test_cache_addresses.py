@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Chunk, FhoKey, LbnKey, NCacheStore
+from repro.core import Chunk, FhoKey, NCacheStore
 from repro.net.buffer import ExtentPayload
 from repro.sim.rng import substream
 
@@ -32,7 +32,7 @@ def _chunk(key, n: int, dirty: bool = False) -> Chunk:
                               dirty=dirty)
 
 
-FOOTPRINT = _chunk(LbnKey(0, 0), 0).footprint(160, 64)
+FOOTPRINT = _chunk(0, 0).footprint(160, 64)
 
 
 def _kernel_counters(metrics) -> dict:
@@ -44,7 +44,7 @@ def _kernel_counters(metrics) -> dict:
 def _shuffle_free_lists(seed: int) -> None:
     """Allocate chunk-shaped decoys and free them in a seeded random
     order: the allocator then hands the freed blocks out in that order."""
-    decoys = [_chunk(LbnKey(9, i), i) for i in range(3000)]
+    decoys = [_chunk(i, i) for i in range(3000)]
     substream(seed, "decoy-order").shuffle(decoys)
     while decoys:
         decoys.pop()
@@ -83,17 +83,17 @@ def _ops(rng):
                          "remap", "pin", "resize"])
         n = rng.randrange(N_KEYS)
         if op == "read":
-            admit(_chunk(LbnKey(0, n), step))
+            admit(_chunk(n, step))
         elif op == "write":
             admit(_chunk(FhoKey(n, 1, 0), step, dirty=True))
         elif op == "lookup":
-            store.resolve(FhoKey(n, 1, 0), LbnKey(0, n))
+            store.resolve(FhoKey(n, 1, 0), n)
         elif op == "remap":
-            store.remap(FhoKey(n, 1, 0), LbnKey(0, rng.randrange(N_KEYS)))
+            store.remap(FhoKey(n, 1, 0), rng.randrange(N_KEYS))
         elif op == "pin":
             if len(pinned) == 2:
                 pinned.pop(0).unpin()
-            chunk = store.peek(FhoKey(n, 1, 0), LbnKey(0, n))
+            chunk = store.peek(FhoKey(n, 1, 0), n)
             if chunk is not None:
                 chunk.pin()
                 pinned.append(chunk)

@@ -19,7 +19,7 @@ from repro.check.sanitizer import (
     enable,
     sanitize,
 )
-from repro.core import FhoKey, LbnKey
+from repro.core import FhoKey
 from repro.core.chunk import Chunk
 from repro.core.store import NCacheStore
 from repro.experiments.parallel import RunSpec
@@ -72,7 +72,7 @@ class TestLeak:
     def test_chunk_pinned_at_simulation_end_is_a_leak(self):
         with sanitize() as san:
             store = make_store()
-            chunk = make_chunk(LbnKey(0, 7))
+            chunk = make_chunk(7)
             store.insert(chunk)
             chunk.pin()
             with pytest.raises(SanitizerError, match="pinned"):
@@ -97,7 +97,7 @@ class TestLeak:
     def test_clean_lifecycle_reports_nothing(self):
         with sanitize() as san:
             store = make_store()
-            chunk = make_chunk(LbnKey(0, 1))
+            chunk = make_chunk(1)
             store.insert(chunk)
             store.drop(chunk)
             san.check_leaks()
@@ -133,7 +133,7 @@ class TestUseAfterEvict:
     def test_pin_of_an_evicted_chunk_fires(self):
         with sanitize() as san:
             store = make_store()
-            chunk = make_chunk(LbnKey(0, 3))
+            chunk = make_chunk(3)
             store.insert(chunk)
             store.drop(chunk)
             with pytest.raises(SanitizerError, match="pin touched"):
@@ -157,8 +157,7 @@ class TestAliasing:
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            chunk = chunk_of_buffers(LbnKey(0, 11),
-                                     [NetBuffer(payload=payload)])
+            chunk = chunk_of_buffers(11, [NetBuffer(payload=payload)])
             store.insert(chunk)
             cache = BufferCache(1 << 20)
             with pytest.raises(SanitizerError, match="aliases"):
@@ -171,18 +170,16 @@ class TestAliasing:
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            store.insert(chunk_of_buffers(LbnKey(0, 11),
-                                          [NetBuffer(payload=payload)]))
+            store.insert(chunk_of_buffers(11, [NetBuffer(payload=payload)]))
             cache = BufferCache(1 << 20)
-            cache.insert(11, KeyedPayload(4096, lbn_key=LbnKey(0, 11)))
+            cache.insert(11, KeyedPayload(4096, lbn_key=11))
             assert san.violations == []
 
     def test_evicted_chunks_payload_may_be_cached(self):
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            chunk = chunk_of_buffers(LbnKey(0, 11),
-                                     [NetBuffer(payload=payload)])
+            chunk = chunk_of_buffers(11, [NetBuffer(payload=payload)])
             store.insert(chunk)
             store.drop(chunk)
             cache = BufferCache(1 << 20)
@@ -205,11 +202,11 @@ class TestCompactChunks:
     def test_bulk_load_insert_evict_remap_leave_it_compact(self):
         with sanitize() as san:
             store = make_store()
-            warm = [self.compact(LbnKey(0, n)) for n in range(4)]
+            warm = [self.compact(n) for n in range(4)]
             store.bulk_load(iter(warm), warm[0].footprint(160, 64))
             dirty = self.compact(FhoKey(1, 1, 0), dirty=True)
             store.insert(dirty)
-            store.remap(FhoKey(1, 1, 0), LbnKey(0, 0))  # overwrites warm[0]
+            store.remap(FhoKey(1, 1, 0), 0)  # overwrites warm[0]
             store.drop(warm[1])
             assert san.violations == []
         assert all(c.peek_buffers() is None for c in warm + [dirty])
@@ -228,7 +225,7 @@ class TestCompactChunks:
     def test_use_after_evict(self):
         with sanitize() as san:
             store = make_store()
-            chunk = self.compact(LbnKey(0, 3))
+            chunk = self.compact(3)
             store.insert(chunk)
             store.drop(chunk)
             with pytest.raises(SanitizerError, match="use-after-evict"):
@@ -242,7 +239,7 @@ class TestCompactChunks:
         with sanitize():
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            chunk = self.compact(LbnKey(0, 11), payload)
+            chunk = self.compact(11, payload)
             store.insert(chunk)
             with pytest.raises(SanitizerError, match="aliases"):
                 BufferCache(1 << 20).insert(11, payload)
@@ -254,7 +251,7 @@ class TestCompactChunks:
         with sanitize():
             store = make_store()
             copied = VirtualPayload(7, 0, 4096).physical_copy()
-            chunk = self.compact(LbnKey(0, 11), copied)
+            chunk = self.compact(11, copied)
             store.insert(chunk)
             with pytest.raises(SanitizerError,
                                match="view of buffer memory"):
@@ -265,7 +262,7 @@ class TestCompactChunks:
         with sanitize() as san:
             store = make_store()
             payload = VirtualPayload(7, 0, 4096)
-            chunk = self.compact(LbnKey(0, 11), payload)
+            chunk = self.compact(11, payload)
             store.insert(chunk)
             assert len(chunk.buffers) == 3  # e.g. a partial substitution
             with pytest.raises(SanitizerError, match="aliases"):
@@ -276,7 +273,7 @@ class TestCompactChunks:
         with sanitize() as san:
             store = make_store()
             copied = VirtualPayload(7, 0, 4096).physical_copy()
-            chunk = self.compact(LbnKey(0, 11), copied)
+            chunk = self.compact(11, copied)
             store.insert(chunk)
             chunk.buffers  # built while resident; released all the same
             store.drop(chunk)
@@ -292,7 +289,7 @@ class TestStateTracking:
         # its detection reads — not a mark left on the buffers.
         with sanitize() as san:
             store = make_store()
-            chunk = make_chunk(LbnKey(0, 2))
+            chunk = make_chunk(2)
             store.insert(chunk)
             assert san._chunks[id(chunk)].state is ChunkState.CACHED
             store.drop(chunk)
@@ -300,13 +297,13 @@ class TestStateTracking:
 
     def test_report_and_raise(self):
         san = BufferSanitizer()
-        chunk = make_chunk(LbnKey(0, 4))
+        chunk = make_chunk(4)
         san.chunk_cached(chunk)
         san.chunk_evicted(chunk)
         with pytest.raises(SanitizerError) as raised:
             san.chunk_used(chunk, "substitute")
         assert str(raised.value) == san.violations[0].format() == \
-            "san.use-after-evict [lbn(0,4)]: substitute touched a " \
+            "san.use-after-evict [4]: substitute touched a " \
             "reclaimed chunk"
 
 
@@ -327,7 +324,7 @@ class TestActivation:
         previous = disable()
         try:
             store = make_store()
-            chunk = make_chunk(LbnKey(0, 1), dirty=True)
+            chunk = make_chunk(1, dirty=True)
             store.insert(chunk)
             store.drop(chunk)
             chunk.pin()  # would be use-after-evict under a sanitizer
@@ -345,7 +342,7 @@ class TestActivation:
 def pin_an_evicted_chunk():
     """A cell that, unsanitized, returns as if nothing happened."""
     store = make_store()
-    chunk = make_chunk(LbnKey(0, 3))
+    chunk = make_chunk(3)
     store.insert(chunk)
     store.drop(chunk)
     chunk.pin()
@@ -359,6 +356,6 @@ PLANTED_CELL = RunSpec(pin_an_evicted_chunk, label="planted/pin-evicted",
 def test_a_violation_in_a_pooled_cell_fails_its_reader(cell_result):
     """The session pool runs each cell under a sanitizer of its own."""
     with pytest.raises(SanitizerError, match=r"use-after-evict "
-                       r"\[lbn\(0,3\)\]: pin touched") as raised:
+                       r"\[3\]: pin touched") as raised:
         cell_result(PLANTED_CELL.label)
     assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"

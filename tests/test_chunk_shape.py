@@ -29,7 +29,7 @@ import types
 import pytest
 
 from repro.check import sanitizer as _sanitizer
-from repro.core import Chunk, LbnKey, NCacheStore, carve_chunks
+from repro.core import Chunk, NCacheStore, carve_chunks
 from repro.core.ncache import NCacheModule
 from repro.experiments.common import scaled_memory_config
 from repro.fleet import ClusterSpec
@@ -112,7 +112,7 @@ def _assert_carve_is_reference(chain, header, total, chunk_size, context):
     carved = carve_chunks(chain, header, total, chunk_size)
     assert len(carved) == len(reference), context
     for n, ((payload, shape), ref) in enumerate(zip(carved, reference)):
-        chunk = Chunk(LbnKey(0, n), payload, shape)
+        chunk = Chunk(n, payload, shape)
         nbytes = sum(b.payload_bytes for b in ref)
         assert chunk.length == nbytes, context
         assert chunk.footprint(160, 64) == nbytes + 160 * len(ref) + 64, \
@@ -180,10 +180,10 @@ def test_malformed_geometry_is_rejected():
     with pytest.raises(ValueError):
         SegmentShape.uniform(4096, 0, True, BufferFlavor.SK_BUFF)
     with pytest.raises(ValueError):  # shape and payload disagree
-        Chunk(LbnKey(0, 0), ExtentPayload(1, 0, 4096),
+        Chunk(0, ExtentPayload(1, 0, 4096),
               SegmentShape.uniform(4000, 1448, True, BufferFlavor.SK_BUFF))
     with pytest.raises(ValueError):
-        Chunk.from_payload(LbnKey(0, 0), BytesPayload(b""), 1448)
+        Chunk.from_payload(0, BytesPayload(b""), 1448)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +345,12 @@ def _tracked_objects_behind(root):
     return count
 
 
-def test_an_arrival_chunk_is_three_objects():
-    """1,000 blocks through the RX hook: each resident one is its key,
-    a ``Chunk`` and one payload view — no buffer, no buffer payload, no
-    list, no kernel handle, no ``(key, nbytes)`` record (the recency
-    list maps the chunk to an untracked int).  Stored as a buffer list
+def test_an_arrival_chunk_is_two_objects():
+    """1,000 blocks through the RX hook: each resident one is a
+    ``Chunk`` and one payload view — its key is an untracked int LBN,
+    and there is no buffer, no buffer payload, no list, no kernel
+    handle, no ``(key, nbytes)`` record (the recency list maps the
+    chunk to an untracked int).  Stored as a buffer list
     it was about fifteen.  Counted without a sanitizer: its per-chunk
     records are not the cache's."""
     _sanitizer.disable()  # the conftest fixture restores it
@@ -378,7 +379,7 @@ def test_an_arrival_chunk_is_three_objects():
         drive(sim, module.rx_hook(data_in(n)))
     assert store.n_chunks == 1008
     assert all(c.peek_buffers() is None for c in store.chunks())
-    assert _tracked_objects_behind(store) - before == 3 * 1000
+    assert _tracked_objects_behind(store) - before == 2 * 1000
 
 
 #: Blocks per bulk load: just past a dict resize, as a churned cache is.
@@ -401,20 +402,21 @@ def _traced_bytes_per_block(load):
 def test_a_bulk_loaded_block_is_its_index_and_recency_slots():
     """What a warm-started block costs.  Each cache holds a block as its
     index slot plus one recency-list slot mapping it to its size, and
-    nothing else.  A ``(key, nbytes)`` record in that slot measured
-    519 B per chunk and 280 B per page here, against 463 B and 225 B
-    with the size alone (Python 3.11); a kernel entry table beside the
-    record measured 615 B and 355 B.  The bounds sit between, with room
-    for the object-size drift of 3.10-3.12."""
+    nothing else; a chunk's key is its LBN, an int.  That measures
+    400 B per chunk and 225 B per page here (Python 3.11).  A
+    ``(lun, lbn)`` tuple key measured 463 B per chunk, and a
+    ``(key, nbytes)`` record in the recency slot 519 B and 280 B.  The
+    bounds sit about 9 % above the measurements, room for the
+    object-size drift of 3.10-3.12."""
     _sanitizer.disable()  # its per-chunk records are not the cache's
     shape = SegmentShape.uniform(BLOCK_SIZE, 1448, True,
                                  BufferFlavor.SK_BUFF)
-    footprint = Chunk(LbnKey(0, 0), ExtentPayload(7, 0, BLOCK_SIZE),
+    footprint = Chunk(0, ExtentPayload(7, 0, BLOCK_SIZE),
                       shape).footprint(160, 64)
 
     def load_store():
         store = NCacheStore(BULK_BLOCKS * footprint)
-        store.bulk_load((Chunk(LbnKey(0, i), ExtentPayload(
+        store.bulk_load((Chunk(i, ExtentPayload(
             7, i * BLOCK_SIZE, BLOCK_SIZE), shape)
             for i in range(BULK_BLOCKS)), footprint)
         assert store.n_chunks == BULK_BLOCKS
@@ -428,5 +430,5 @@ def test_a_bulk_loaded_block_is_its_index_and_recency_slots():
         assert len(cache) == BULK_BLOCKS
         return cache
 
-    assert _traced_bytes_per_block(load_store) < 505
+    assert _traced_bytes_per_block(load_store) < 436
     assert _traced_bytes_per_block(load_cache) < 260

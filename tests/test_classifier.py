@@ -1,7 +1,7 @@
 """Packet classification: NFS procedures, iSCSI hints, HTTP patterns."""
 
 from repro.core import PacketClassifier, RxAction, TxAction
-from repro.core.keys import KeyedPayload, LbnKey
+from repro.core.keys import KeyedPayload
 from repro.http import HttpResponse
 from repro.iscsi import DataIn, ScsiCommand
 from repro.net import BufferChain, BytesPayload, Endpoint, NetBuffer
@@ -80,7 +80,7 @@ class TestHttpScan:
         response = HttpResponse(status=200, content_length=content_length)
         header = header_bytes if header_bytes is not None \
             else response.serialize_header()
-        body = KeyedPayload(content_length, lbn_key=LbnKey(0, 1))
+        body = KeyedPayload(content_length, lbn_key=1)
         from repro.net.buffer import concat
         from repro.net.buffer import chain_from_payload
 

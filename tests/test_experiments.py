@@ -170,10 +170,8 @@ class TestWarmStart:
         assert store.used_bytes <= store.capacity_bytes
         assert store.n_chunks > 0
         # The hottest file's first block must be resident.
-        from repro.core.keys import LbnKey
-
         hottest = testbed.image.lookup(workload.paths[0])
-        assert store.peek_lbn(LbnKey(0, hottest.start_lbn)) is not None
+        assert store.peek_lbn(hottest.start_lbn) is not None
 
 
 class TestCellsAreValues:

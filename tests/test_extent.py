@@ -10,7 +10,7 @@ one buffer memory (see DESIGN.md §8).
 import pytest
 
 from repro.check.sanitizer import SanitizerError, ViolationKind, sanitize
-from repro.core import FhoKey, LbnKey
+from repro.core import FhoKey
 from repro.core.chunk import Chunk
 from repro.core.store import NCacheStore
 from repro.fs import BLOCK_SIZE, BufferCache, DiskStore, FsImage
@@ -129,7 +129,7 @@ class TestGenerationOnRemap:
         chunk = self.sliced_chunk(fho)
         store.insert(chunk)
         before = chunk.payload().materialize()
-        remapped = store.remap(fho, LbnKey(0, 3))
+        remapped = store.remap(fho, 3)
         assert remapped is chunk
         assert chunk.generation == 1
         for buf in chunk.buffers:
@@ -160,8 +160,7 @@ class TestSanitizerExtentAliasing:
         with sanitize() as san:
             store = NCacheStore(capacity_bytes=1 << 20)
             copied = ExtentPayload(7, 0, 4096).physical_copy()
-            chunk = chunk_of_buffers(LbnKey(0, 11),
-                                     [NetBuffer(payload=copied)])
+            chunk = chunk_of_buffers(11, [NetBuffer(payload=copied)])
             store.insert(chunk)
             cache = BufferCache(1 << 20)
             with pytest.raises(SanitizerError, match="view of buffer memory"):
@@ -175,8 +174,7 @@ class TestSanitizerExtentAliasing:
         with sanitize() as san:
             store = NCacheStore(capacity_bytes=1 << 20)
             block = ExtentPayload(7, 0, 4096)
-            store.insert(chunk_of_buffers(LbnKey(0, 11),
-                                          [NetBuffer(payload=block)]))
+            store.insert(chunk_of_buffers(11, [NetBuffer(payload=block)]))
             cache = BufferCache(1 << 20)
             cache.insert(11, ExtentPayload(7, 0, 4096).slice(0, 2048))
             assert san.of_kind(ViolationKind.ALIASING) == []
@@ -185,8 +183,7 @@ class TestSanitizerExtentAliasing:
         with sanitize() as san:
             store = NCacheStore(capacity_bytes=1 << 20)
             copied = ExtentPayload(7, 0, 4096).physical_copy()
-            chunk = chunk_of_buffers(LbnKey(0, 11),
-                                     [NetBuffer(payload=copied)])
+            chunk = chunk_of_buffers(11, [NetBuffer(payload=copied)])
             store.insert(chunk)
             store.drop(chunk)
             cache = BufferCache(1 << 20)

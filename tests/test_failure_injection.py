@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import LbnKey
 from repro.fs import BLOCK_SIZE
 from repro.iscsi import DataIn, ScsiResponse
 from repro.net.buffer import VirtualPayload
@@ -81,13 +80,13 @@ class TestStrictSubstitution:
         def scenario():
             yield from testbed.clients[0].read(fh, 0, BLOCK_SIZE)
             store = testbed.ncache.store
-            chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(0)))
+            chunk = store.peek_lbn(inode.block_lbn(0))
             # Remove the chunk but force a dangling key-only page back in.
             store.drop(chunk)
             testbed.cache.insert(
                 inode.block_lbn(0),
                 KeyedPayload(BLOCK_SIZE,
-                             lbn_key=LbnKey(0, inode.block_lbn(0))))
+                             lbn_key=inode.block_lbn(0)))
             yield from testbed.clients[0].read(fh, 0, BLOCK_SIZE)
 
         proc = start(testbed.sim, scenario())

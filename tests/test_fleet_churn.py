@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.keys import LbnKey
 from repro.experiments import fleet_churn
 from repro.experiments.common import run_cell, scaled_memory_config
 from repro.fleet import ChurnEvent, ChurnSchedule, ClusterSpec
@@ -148,10 +147,9 @@ class TestGracefulLeave:
                            start(fleet.sim, fleet.leave(0), name="leave"))
         assert fleet.churn_stats()["drain_pushed"] == 8
         assert fleet.nodes[0].status == "left"
-        lun = fleet.nodes[0].testbed.ncache.lun
         inode = fleet.nodes[0].testbed.image.lookup("f")
         for b in range(8):
-            key = LbnKey(lun, inode.block_lbn(b))
+            key = inode.block_lbn(b)
             assert survivor.peek_lbn(key) is not None
         assert fleet.nodes[1].testbed.server_host.counters[
             "fleet.peer_push"].value == 8

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.keys import LbnKey
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import JunkPayload, VirtualPayload
 from repro.nfs import read_reply_data
@@ -236,7 +235,7 @@ class TestDuplicateRequestCache:
         client = testbed.clients[0]
         counters = testbed.server_host.counters
         store = testbed.ncache.store
-        key = LbnKey(testbed.ncache.lun, inode.block_lbn(0))
+        key = inode.block_lbn(0)
         got = {}
 
         def scenario():

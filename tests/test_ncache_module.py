@@ -5,16 +5,17 @@ import pytest
 from conftest import drive
 from repro.cache import CacheStallError
 from repro.copymodel import CopyDiscipline
-from repro.core import Chunk, FhoKey, KeyedPayload, LbnKey
+from repro.core import Chunk, FhoKey, KeyedPayload
 from repro.core import ncache as ncache_module
 from repro.core.ncache import NCacheModule
 from repro.core.resize import buffers_for_range
 from repro.core.store import NCacheStore
 from repro.fs import BLOCK_SIZE
+from repro.iscsi import DataIn
 from repro.net import Datagram, Endpoint, Host
 from repro.net.buffer import (BufferChain, BytesPayload, ExtentPayload,
-                              NetBuffer, VirtualPayload, concat,
-                              flatten_payload)
+                              NetBuffer, VirtualPayload, chain_from_payload,
+                              concat, flatten_payload)
 from repro.nfs import read_reply_data
 from repro.nfs.protocol import NfsProc, NfsReply
 from repro.servers import ServerMode, TestbedSpec
@@ -56,7 +57,7 @@ class TestCoalesce:
         a.add_tx_hook(hook)
         header = BytesPayload(b"h" * 100)
         if keyed:
-            data = concat([KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, i))
+            data = concat([KeyedPayload(BLOCK_SIZE, lbn_key=i)
                            for i in range(8)])
         else:
             data = VirtualPayload(3, 0, 8 * BLOCK_SIZE)
@@ -89,14 +90,14 @@ class TestCoalesce:
             # Every block's placeholder arrives unsplit.
             assert [(leaf.lbn_key, leaf.base_offset, leaf.length)
                     for leaf in leaves[1:]] == \
-                [(LbnKey(0, i), 0, BLOCK_SIZE) for i in range(8)]
+                [(i, 0, BLOCK_SIZE) for i in range(8)]
 
     def test_adjacent_partial_slices_of_one_chunk_substitute_exactly(
             self, sim, monkeypatch):
         host = Host(sim, "server")
         store = NCacheStore(1 << 20, counters=host.counters, trace=sim.trace)
         module = NCacheModule(host, store)
-        key = LbnKey(0, 7)
+        key = 7
         data = ExtentPayload(0xC0FFEE, 7 * BLOCK_SIZE, BLOCK_SIZE)
         chunk = Chunk.from_payload(key, data, 1448)
         store.make_room(chunk.footprint(store.per_buffer_overhead,
@@ -149,7 +150,7 @@ class TestRxCaching:
         store = testbed.ncache.store
         assert store.n_lbn == 8
         for b in range(8):
-            chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(b)))
+            chunk = store.peek_lbn(inode.block_lbn(b))
             assert chunk is not None
             assert chunk.payload().materialize() == \
                 testbed.image.file_payload(
@@ -254,7 +255,7 @@ class TestRemapping:
         run_scenario(testbed, scenario())
         store = testbed.ncache.store
         assert store.n_fho == 0
-        chunk = store.peek_lbn(LbnKey(0, inode.block_lbn(0)))
+        chunk = store.peek_lbn(inode.block_lbn(0))
         assert chunk is not None and not chunk.dirty
         assert testbed.disk_store.read_block(
             inode.block_lbn(0)).materialize() == data.materialize()
@@ -340,7 +341,7 @@ class TestSecondLevelCache:
         leaves = flatten_payload(run_scenario(testbed, scenario()))
         store = testbed.ncache.store
         assert [leaf.lbn_key for leaf in leaves] == \
-            [LbnKey(0, lbn + i) for i in range(4)]
+            [lbn + i for i in range(4)]
         for leaf in leaves:
             assert leaf.lbn_key is store.peek_lbn(leaf.lbn_key).key
 
@@ -354,7 +355,7 @@ class TestAnnotator:
             key, VirtualPayload(5, 0, BLOCK_SIZE), 1448, dirty=True))
         keyed = KeyedPayload(BLOCK_SIZE, fho_key=key)
         stamped = module.lbn_annotator(keyed, 4242)
-        assert stamped.lbn_key == LbnKey(0, 4242)
+        assert stamped.lbn_key == 4242
         assert stamped.fho_key == key
 
     def test_annotator_refuses_a_block_whose_chunk_is_gone(self):
@@ -366,14 +367,14 @@ class TestAnnotator:
         testbed = ncache_testbed()
         module = testbed.ncache
         chunk = Chunk.from_payload(
-            LbnKey(0, 4242), VirtualPayload(5, 0, BLOCK_SIZE), 1448)
+            4242, VirtualPayload(5, 0, BLOCK_SIZE), 1448)
         module.store.insert(chunk)
         written = KeyedPayload(BLOCK_SIZE, fho_key=FhoKey(1, 1, 0))
         assert module.lbn_annotator(written, 4242) is None
-        filled = KeyedPayload(BLOCK_SIZE, lbn_key=LbnKey(0, 4242))
+        filled = KeyedPayload(BLOCK_SIZE, lbn_key=4242)
         assert module.lbn_annotator(filled, 4242) is filled
         stored = module.lbn_annotator(filled.holding((chunk,)), 4242)
-        assert stored.pinned == () and stored.lbn_key == LbnKey(0, 4242)
+        assert stored.pinned == () and stored.lbn_key == 4242
 
     def test_annotator_ignores_plain_payloads(self):
         testbed = ncache_testbed()
@@ -394,11 +395,100 @@ class TestReclaimCoherence:
         store = testbed.ncache.store
         lbn = inode.block_lbn(0)
         assert testbed.cache.peek(lbn) is not None
-        chunk = store.peek_lbn(LbnKey(0, lbn))
+        chunk = store.peek_lbn(lbn)
         store.drop(chunk)  # simulate pressure-reclaim of this chunk
         assert testbed.cache.peek(lbn) is None
         assert testbed.server_host.counters[
             "ncache.fs_page_invalidated"].value == 1
+
+
+class TestLbnZero:
+    """LBN 0 (the superblock) is a key like any other: nothing on the
+    cache, serve, pin, reclaim or writeback path takes it for absent."""
+
+    DATA = ExtentPayload(0xD, 0, BLOCK_SIZE)
+
+    def cached_at_lba_0(self, testbed):
+        """The LBN-0 chunk a Data-In at LBA 0 leaves, its fill's pin
+        released."""
+        header = BytesPayload(b"b" * DataIn.header_size)
+        train = chain_from_payload(
+            concat([header, self.DATA.physical_copy()]), 1448)
+        dgram = Datagram(protocol="tcp", src=Endpoint("storage-0", 3260),
+                         dst=Endpoint("server-0", 40000),
+                         message=DataIn(task_tag=1, lun=0, lba=0, nblocks=1),
+                         chain=train, n_frames=len(train), wire_bytes=0)
+        drive(testbed.sim, testbed.ncache.rx_hook(dgram))
+        (leaf,) = flatten_payload(dgram.keyed_payload)
+        chunk = testbed.ncache.store.peek_lbn(0)
+        assert leaf.lbn_key == 0 and leaf.pinned == (chunk,)
+        assert chunk.pins == 1
+        testbed.ncache.unpin_keys(dgram.keyed_payload)
+        assert chunk.pins == 0
+        return chunk
+
+    def test_it_is_pinned_substituted_and_released(self):
+        testbed = ncache_testbed()
+        module = testbed.ncache
+        chunk = self.cached_at_lba_0(testbed)
+        held = module.pin_keys(KeyedPayload(BLOCK_SIZE, lbn_key=0))
+        assert held is not None and held.pinned == (chunk,)
+        assert chunk.pins == 1
+        header = BytesPayload(b"r" * 120)
+        reply = Datagram(
+            protocol="udp", src=Endpoint("server-0", 2049),
+            dst=Endpoint("client-0", 900),
+            message=NfsReply(xid=1, proc=NfsProc.READ),
+            chain=BufferChain([NetBuffer(payload=concat([header, held]))]),
+            n_frames=1, wire_bytes=0)
+        drive(testbed.sim, module.tx_hook(reply))
+        assert reply.chain.payload().materialize() == \
+            header.materialize() + self.DATA.materialize()
+        assert chunk.pins == 0
+
+    def test_it_serves_a_second_level_read(self):
+        testbed = ncache_testbed()
+        module = testbed.ncache
+        chunk = self.cached_at_lba_0(testbed)
+        served = drive(testbed.sim, module.try_serve_read(0, 1))
+        assert served is not None and served.lbn_key == 0
+        assert served.pinned == (chunk,) and chunk.pins == 1
+        module.unpin_keys(served)
+        assert chunk.pins == 0
+
+    @pytest.mark.parametrize("kind", ["lbn", "fho"])
+    def test_its_reclaim_invalidates_fs_page_0(self, kind):
+        """Page 0 holds a key that stops resolving when the chunk goes:
+        the LBN chunk itself, or a written block whose FHO chunk is
+        bound for LBN 0 (its file is not in the image, so only the
+        hint names the page)."""
+        testbed = ncache_testbed()
+        store, cache = testbed.ncache.store, testbed.cache
+        if kind == "lbn":
+            chunk = self.cached_at_lba_0(testbed)
+            page = KeyedPayload(BLOCK_SIZE, lbn_key=0)
+        else:
+            key = FhoKey(999, 1, 0)
+            chunk = Chunk.from_payload(key, self.DATA, 1448, lbn_hint=0)
+            store.insert(chunk)
+            page = KeyedPayload(BLOCK_SIZE, fho_key=key, lbn_key=0)
+        cache.make_room(1)
+        cache.insert(0, page)
+        store.drop(chunk)
+        assert cache.peek(0) is None
+        assert testbed.server_host.counters[
+            "ncache.fs_page_invalidated"].value == 1
+
+    def test_a_dirty_chunk_hinted_at_lbn_0_writes_back_there(self):
+        testbed = ncache_testbed()
+        store = testbed.ncache.store
+        chunk = Chunk.from_payload(FhoKey(999, 1, 0), self.DATA, 1448,
+                                   dirty=True, lbn_hint=0)
+        store.insert(chunk)
+        run_scenario(testbed, testbed.ncache.write_back_chunk(chunk))
+        assert testbed.disk_store.read_block(0).materialize() == \
+            self.DATA.materialize()
+        assert store.peek_lbn(0) is chunk and not chunk.dirty
 
 
 class TestDepartingKeysResolve:
@@ -458,7 +548,7 @@ class TestDepartingKeysResolve:
         assert on_disk == expected
         if op == "fill":
             assert sorted(chunk.key for chunk in left) == [
-                LbnKey(0, inode.block_lbn(b)) for b in range(2)]
+                inode.block_lbn(b) for b in range(2)]
             assert testbed.target.reads_served == 1
             assert not any(chunk.pinned
                            for chunk in testbed.ncache.store.chunks())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Chunk, FhoKey, LbnKey, NCacheStore
+from repro.core import Chunk, FhoKey, NCacheStore
 from repro.net.buffer import BytesPayload, NetBuffer
 from repro.sim.rng import substream
 
@@ -38,7 +38,7 @@ def _data(n: int, version: int) -> bytes:
 
 
 def _key(kind: str, n: int):
-    return LbnKey(0, n) if kind == "lbn" else FhoKey(n, 1, 0)
+    return n if kind == "lbn" else FhoKey(n, 1, 0)
 
 
 def _chunk(kind: str, n: int, version: int) -> Chunk:
@@ -124,8 +124,8 @@ def _make_room(store: NCacheStore, nbytes: int) -> None:
 def _store_order(store: NCacheStore) -> list:
     out = []
     for chunk in store.chunks():
-        kind = "lbn" if isinstance(chunk.key, LbnKey) else "fho"
-        n = chunk.key.lbn if kind == "lbn" else chunk.key.ino
+        kind = "fho" if type(chunk.key) is FhoKey else "lbn"
+        n = chunk.key if kind == "lbn" else chunk.key.ino
         out.append((kind, n))
     return out
 
@@ -167,14 +167,14 @@ def test_store_agrees_with_reference_model(seed):
             ref.insert(kind, n, version)
         elif op == "lookup":
             kind = rng.choice(["lbn", "fho"])
-            got = (store.lookup_lbn(LbnKey(0, n)) if kind == "lbn"
+            got = (store.lookup_lbn(n) if kind == "lbn"
                    else store.lookup_fho(FhoKey(n, 1, 0)))
             expected = ref.touch(kind, n)
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got.payload().materialize() == expected["data"]
         elif op == "resolve":
-            got = store.resolve(FhoKey(n, 1, 0), LbnKey(0, n))
+            got = store.resolve(FhoKey(n, 1, 0), n)
             # FHO-first: dirty written data always wins (§3.4).
             expected = ref.touch("fho", n) or ref.touch("lbn", n)
             assert (got is None) == (expected is None)
@@ -182,19 +182,19 @@ def test_store_agrees_with_reference_model(seed):
                 assert got.payload().materialize() == expected["data"]
         elif op == "remap":
             m = rng.randrange(N_KEYS)
-            chunk = store.remap(FhoKey(n, 1, 0), LbnKey(0, m))
+            chunk = store.remap(FhoKey(n, 1, 0), m)
             ref.remap(n, m)
             if chunk is not None:
-                assert chunk.key == LbnKey(0, m) and not chunk.dirty
+                assert chunk.key == m and not chunk.dirty
                 assert store.peek_fho(FhoKey(n, 1, 0)) is None
-                assert store.peek_lbn(LbnKey(0, m)) is chunk
+                assert store.peek_lbn(m) is chunk
         elif op == "pin":
             # Keep headroom: never pin more than half the capacity, so
             # make_room always has a victim available.
             live = _store_order(store)
             if live and len(pinned) < CAPACITY_CHUNKS // 2:
                 kind, k = live[rng.randrange(len(live))]
-                chunk = (store.peek_lbn(LbnKey(0, k))
+                chunk = (store.peek_lbn(k)
                          if kind == "lbn"
                          else store.peek_fho(FhoKey(k, 1, 0)))
                 entry = ref.find(kind, k)
@@ -209,7 +209,7 @@ def test_store_agrees_with_reference_model(seed):
                 ref.unpin(entry)
         elif op == "drop":
             kind = rng.choice(["lbn", "fho"])
-            chunk = (store.peek_lbn(LbnKey(0, n))
+            chunk = (store.peek_lbn(n)
                      if kind == "lbn"
                      else store.peek_fho(FhoKey(n, 1, 0)))
             entry = ref.find(kind, n)
@@ -226,7 +226,7 @@ def test_store_agrees_with_reference_model(seed):
 
     # End state: every surviving payload is byte-exact.
     for kind, n in _store_order(store):
-        chunk = (store.peek_lbn(LbnKey(0, n)) if kind == "lbn"
+        chunk = (store.peek_lbn(n) if kind == "lbn"
                  else store.peek_fho(FhoKey(n, 1, 0)))
         assert chunk.payload().materialize() == ref.find(kind, n)["data"]
 
@@ -287,7 +287,7 @@ def test_pinned_survives_full_capacity_pressure(seed):
         n = rng.randrange(N_KEYS)
         _make_room(store, FOOTPRINT)
         store.insert(_chunk("fho", n, i))
-        assert store.peek_lbn(LbnKey(0, 999)) is protected
+        assert store.peek_lbn(999) is protected
     protected.unpin()
     _make_room(store, CAPACITY_CHUNKS * FOOTPRINT)  # now it may go
-    assert store.peek_lbn(LbnKey(0, 999)) is None
+    assert store.peek_lbn(999) is None

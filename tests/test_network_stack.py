@@ -339,10 +339,10 @@ class TestMultiNic:
 
 class TestPlaceholderCounting:
     def test_counts_nested(self):
-        from repro.core.keys import KeyedPayload, LbnKey
+        from repro.core.keys import KeyedPayload
         from repro.net.buffer import concat
 
-        keyed = [KeyedPayload(100, lbn_key=LbnKey(0, i)) for i in range(3)]
+        keyed = [KeyedPayload(100, lbn_key=i) for i in range(3)]
         mixed = concat([BytesPayload(b"h"), *keyed])
         assert count_placeholder_keys(mixed) == 3
         assert count_placeholder_keys(BytesPayload(b"h")) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.keys import FhoKey, KeyedPayload, LbnKey
+from repro.core.keys import FhoKey, KeyedPayload
 from repro.net.buffer import (
     BytesPayload,
     CompositePayload,
@@ -227,7 +227,7 @@ def _random_leaf(rng):
                              generation=rng.choice((0, 0, 1)),
                              mem=rng.choice((None, None, -5)))
     if kind == "keyed":
-        return KeyedPayload(length, lbn_key=LbnKey(0, rng.randrange(2)),
+        return KeyedPayload(length, lbn_key=rng.randrange(2),
                             fho_key=rng.choice((None, FhoKey(1, 1, 0))),
                             base_offset=offset)
     if kind == "bytes":

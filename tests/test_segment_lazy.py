@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Chunk, KeyedPayload, LbnKey, NCacheStore, carve_chunks
+from repro.core import Chunk, KeyedPayload, NCacheStore, carve_chunks
 from repro.core.ncache import NCacheModule
 from repro.copymodel.costs import DEFAULT_COSTS
 from repro.experiments.common import scaled_memory_config, warm_caches
@@ -86,7 +86,7 @@ def _substitute(spec, checksum_offload):
                                         range(spec["header"]))))
     chunks = []
     for leaf in spec["leaves"]:
-        key = LbnKey(0, leaf["lbn"])
+        key = leaf["lbn"]
         data = ExtentPayload(0xC0FFEE, leaf["lbn"] * CHUNK, CHUNK)
         if leaf["kind"] == "warm":
             chunk = Chunk.from_payload(key, data, leaf["frag"],
@@ -185,7 +185,7 @@ def test_built_buffer_list_is_the_fragmented_payload(frag):
     property test's eager side shares ``expand_segments`` with its lazy
     side; this pins both to the transport's independent splitter."""
     data = ExtentPayload(0xC0FFEE, 3 * CHUNK, CHUNK)
-    chunk = Chunk.from_payload(LbnKey(0, 3), data, frag,
+    chunk = Chunk.from_payload(3, data, frag,
                                flavor=BufferFlavor.MBUF, csum_known=True)
     reference = chain_from_payload(data, frag, flavor=BufferFlavor.MBUF)
     for buf in reference:
@@ -221,8 +221,7 @@ def test_software_checksum_receiver_counts_every_segment():
         got.append(dgram)
 
     client.stack.udp_bind(900, handler)
-    chunk = Chunk.from_payload(LbnKey(0, 1),
-                               ExtentPayload(7, 0, CHUNK), 1448)
+    chunk = Chunk.from_payload(1, ExtentPayload(7, 0, CHUNK), 1448)
     dgram = Datagram(
         protocol="udp", src=Endpoint("server-0", 2049),
         dst=Endpoint("client-0", 900), message=None,

@@ -15,7 +15,6 @@ import gc
 import pytest
 
 from repro.core.chunk import Chunk
-from repro.core.keys import LbnKey
 from repro.core.store import NCacheStore
 from repro.experiments import common
 from repro.experiments.common import warm_caches
@@ -67,8 +66,7 @@ def occupy(testbed, pre) -> None:
         for b in range(0, inode.nblocks, 3):
             testbed.cache.lookup(inode.block_lbn(b))
             if store is not None:
-                store.lookup_lbn(LbnKey(testbed.ncache.lun,
-                                        inode.block_lbn(b)))
+                store.lookup_lbn(inode.block_lbn(b))
     for lbn in range(5):
         testbed.cache.lookup(10_000 + lbn)
 
@@ -108,8 +106,7 @@ class TestEqualsPerBlockReference:
             if mode is ServerMode.ORIGINAL:
                 held = testbed.cache.peek(lbn).payload
             elif mode is ServerMode.NCACHE:
-                held = testbed.ncache.store.peek_lbn(
-                    LbnKey(testbed.ncache.lun, lbn)).payload()
+                held = testbed.ncache.store.peek_lbn(lbn).payload()
             else:
                 continue
             assert (held.source, held.offset, held.length) == \
@@ -141,7 +138,7 @@ class TestEqualsPerBlockReference:
         store = testbed.ncache.store
         assert testbed.cache.capacity_blocks > store.n_chunks
         assert len(testbed.cache) == store.n_chunks
-        assert all(store.peek_lbn(LbnKey(testbed.ncache.lun, lbn))
+        assert all(store.peek_lbn(lbn)
                    for lbn in testbed.cache._entries)
 
 
@@ -279,7 +276,7 @@ class TestAllocations:
         assert len(pages) == testbed.cache.capacity_blocks
         for entry in pages:
             key = entry.payload.lbn_key
-            assert key == LbnKey(testbed.ncache.lun, entry.lbn)
+            assert key == entry.lbn
             assert key is store.peek_lbn(key).key
 
     def test_block_payloads_are_file_payloads(self):
@@ -309,7 +306,7 @@ class TestAllocations:
 class TestBulkLoadContract:
     def chunk(self, lbn: int) -> Chunk:
         return Chunk.from_payload(
-            LbnKey(0, lbn), ExtentPayload(7, lbn * BLOCK_SIZE, BLOCK_SIZE),
+            lbn, ExtentPayload(7, lbn * BLOCK_SIZE, BLOCK_SIZE),
             1448)
 
     def test_store_rejects_a_resident_key(self):

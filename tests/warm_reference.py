@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.chunk import Chunk
-from repro.core.keys import KeyedPayload, LbnKey
+from repro.core.keys import KeyedPayload
 from repro.net.buffer import (BufferFlavor, ExtentPayload, JunkPayload,
                               SegmentShape)
 from repro.servers.config import ServerMode
@@ -50,22 +50,21 @@ def warm_caches_reference(testbed, ranked_names: Sequence[str]) -> None:
             cache.insert(inode.block_lbn(b), payload)
         return
     store = testbed.ncache.store
-    lun = testbed.ncache.lun
     shape = SegmentShape.uniform(block_size, testbed.config.costs.tcp_mss,
                                  True, BufferFlavor.SK_BUFF)
-    footprint = Chunk(LbnKey(lun, 0), JunkPayload(block_size), shape) \
+    footprint = Chunk(0, JunkPayload(block_size), shape) \
         .footprint(store.per_buffer_overhead, store.per_chunk_overhead)
     blocks = hottest_blocks(image, ranked_names,
                             store.capacity_bytes // footprint)
     for inode, b in reversed(blocks):
-        key = LbnKey(lun, inode.block_lbn(b))
+        key = inode.block_lbn(b)
         assert not store.make_room(footprint, key=key)
         store.insert(Chunk(key, image.file_payload(
             inode, b * block_size, block_size), shape))
     for inode, b in reversed(blocks[:cache.capacity_blocks]):
         lbn = inode.block_lbn(b)
         cache.make_room(1)
-        cache.insert(lbn, KeyedPayload(block_size, lbn_key=LbnKey(lun, lbn)))
+        cache.insert(lbn, KeyedPayload(block_size, lbn_key=lbn))
 
 
 # -- what the two warm starts are compared on --------------------------------
