@@ -52,8 +52,11 @@ class TestKeys:
                     assert len({lbn: 1, fho: 2}) == 2
 
     @pytest.mark.parametrize("key, names", [
-        (FhoKey(2, 1, 4096), ("ino", "generation", "offset"))])
+        (1 << 33, ("real", "numerator")),
+        (FhoKey(2, 1, 4096), ("ino", "generation", "offset"))],
+        ids=["key0-names0", "key1-names1"])
     def test_keys_are_immutable(self, key, names):
+        """Neither key kind can change under a dict that holds it."""
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(key, name, 1)
