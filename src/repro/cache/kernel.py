@@ -228,7 +228,8 @@ class CacheKernel:
                   ) -> List[Any]:
         """Evict until ``nbytes`` fit; ``[]`` once they do.
 
-        Write back first, then evict clean (§3.4): a dirty victim stays
+        The victim is the coldest unpinned entry — with ``clean_first``,
+        the coldest clean one while any is left.  A dirty victim stays
         resident and is returned alone; the caller writes it back and
         calls again.  ``on_evict`` runs per victim *before* the next is
         chosen, so consumer-side bookkeeping (indexes, traces, reclaim

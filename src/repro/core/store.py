@@ -101,8 +101,8 @@ class NCacheStore:
 
     def chunks(self) -> Iterator[Chunk]:
         """Resident chunks in eviction order (cold to hot) — the public
-        replacement-order view the property battery compares against its
-        reference models."""
+        replacement-order view ``tests/store_oracle.py`` compares
+        against its model of the paper's store."""
         return self._kernel.items()
 
     def dirty_chunks(self) -> List[Chunk]:

@@ -7,6 +7,7 @@ import functools
 from unittest import mock
 
 import pytest
+from hypothesis import settings
 
 from repro.check import sanitizer as _sanitizer
 from repro.copymodel import CopyDiscipline, physical_copies
@@ -20,8 +21,15 @@ from repro.fs import (
 )
 from repro.iscsi import IscsiInitiator, IscsiTarget
 from repro.net import Endpoint, Host, Network
-from repro.servers import ServerMode, TestbedConfig
 from repro.sim import Simulator
+
+
+#: The store oracle's size (``tests/test_store_oracle.py``): tier-1 runs
+#: ``tier1``, CI ``pytest --hypothesis-profile=wide``, which loads after
+#: this.  Every other property test fixes its own examples.
+settings.register_profile("tier1", stateful_step_count=30)
+settings.register_profile("wide", max_examples=2000, stateful_step_count=80)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)
@@ -211,11 +219,6 @@ class MiniStack:
                        discipline)
 
 
-@pytest.fixture
-def mini_stack(sim):
-    return MiniStack(sim, CopyDiscipline.PHYSICAL)
-
-
 def drive(sim: Simulator, gen, name: str = "test"):
     """Run a generator as a process to completion; return its value."""
     from repro.servers.testbed import run_until_complete
@@ -247,11 +250,3 @@ class CopyWindow:
 
     def physical_copies(self, where=None, regular_only=True) -> int:
         return physical_copies(self.events, where, regular_only)
-
-
-@pytest.fixture
-def quick_config():
-    def make(mode: ServerMode, **overrides) -> TestbedConfig:
-        return TestbedConfig(mode=mode, **overrides)
-
-    return make

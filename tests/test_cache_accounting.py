@@ -18,7 +18,7 @@ from test_ncache_store import FOOTPRINT, chunk_for, store_of
 
 
 def _store_case():
-    """(metrics, order, peeks, lookup, resident, absent, evicted)."""
+    """(traffic, order, peeks, lookup, resident, absent, evicted)."""
     store = store_of(2)
     keys = [1, 2]
     for key in keys:
@@ -34,7 +34,9 @@ def _store_case():
         store.peek_fho(FhoKey(1, 1, 0))
         store.peek(FhoKey(9, 9, 0), key)
 
-    return (store._kernel.metrics, lambda: [c.key for c in store.chunks()],
+    return (lambda: (store.counters["cache.ncache.hit"].total,
+                     store.counters["cache.ncache.miss"].total),
+            lambda: [c.key for c in store.chunks()],
             peeks, store.lookup_lbn, resident, 99, evicted)
 
 
@@ -45,7 +47,8 @@ def _bcache_case():
         cache.insert(lbn, JunkPayload(BLOCK_SIZE))
     (evicted,) = [lbn for lbn in (1, 2) if cache.peek(lbn) is None]
     (resident,) = [lbn for lbn in (1, 2) if lbn != evicted]
-    return (cache._kernel.metrics,
+    return (lambda: (cache.counters["cache.bcache.hit"].total,
+                     cache.counters["cache.bcache.miss"].total),
             lambda: [entry.lbn for entry in cache._kernel.items()],
             cache.peek, cache.lookup, resident, 99, evicted)
 
@@ -54,10 +57,10 @@ def _bcache_case():
 @pytest.mark.parametrize("case", [_store_case, _bcache_case])
 def test_peek_counts_probes_and_promotes_nothing(case, order):
     with victim_order(order):
-        metrics, recency, peek, lookup, resident, absent, evicted = case()
+        traffic, recency, peek, lookup, resident, absent, evicted = case()
 
     def state():
-        return metrics.hit.total, metrics.miss.total, recency()
+        return (*traffic(), recency())
 
     before = state()
     for key in (resident, absent, evicted):

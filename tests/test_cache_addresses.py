@@ -35,10 +35,11 @@ def _chunk(key, n: int, dirty: bool = False) -> Chunk:
 FOOTPRINT = _chunk(0, 0).footprint(160, 64)
 
 
-def _kernel_counters(metrics) -> dict:
-    """The ``cache.<name>.*`` family as ``{hit: ..., miss: ..., ...}``."""
-    return {name: getattr(metrics, name).value
-            for name in type(metrics).__slots__}
+def _kernel_counters(store: NCacheStore) -> dict:
+    """The ``cache.ncache.*`` family as ``{hit: ..., miss: ..., ...}``."""
+    return {name.rpartition(".")[2]: value
+            for name, value in store.counters.snapshot().items()
+            if name.startswith("cache.ncache.")}
 
 
 def _shuffle_free_lists(seed: int) -> None:
@@ -102,7 +103,7 @@ def _ops(rng):
         orders.append([c.key for c in store.chunks()])
     rank = sorted(range(len(made)), key=lambda i: id(made[i]))
     return (victims, dirty, orders,
-            _kernel_counters(store._kernel.metrics)), rank
+            _kernel_counters(store)), rank
 
 
 @pytest.mark.parametrize("order", ["lru"] + sorted(ORDERS))

@@ -47,10 +47,11 @@ def test_tier1_runs_both_builtin_sha256_branches():
 
 
 def test_integrity_search_job_runs_the_search_and_every_mutant():
-    """The wide search and the mutant matrix run in CI, the search step
-    names what it covers, and the matrix's table names exactly the
-    patches in ``tests/mutants``."""
+    """The wide search, the store oracle's wide profile and the mutant
+    matrix run in CI, the search step names what it covers, and the
+    matrix's table names exactly the patches in ``tests/mutants``."""
     import integrity_search
+    from hypothesis import settings
 
     root = Path(__file__).resolve().parents[1]
     doc = yaml.safe_load((root / ".github" / "workflows" / "ci.yml")
@@ -64,6 +65,10 @@ def test_integrity_search_job_runs_the_search_and_every_mutant():
     assert f"LRU and {len(integrity_search.ORDERS)} victim orders" in wide
     assert "a stall is a kill" in wide
     assert "tests/integrity_search.py --mutants" in runs
+    assert "pytest tests/test_store_oracle.py --hypothesis-profile=wide" \
+        in runs
+    assert settings.get_profile("wide").max_examples \
+        > settings.get_profile("default").max_examples
     patches = {p.stem for p in (root / "tests" / "mutants").glob("*.patch")}
     assert patches == set(integrity_search.MUTANTS)
     killers = {name: k for name, (_, k) in integrity_search.MUTANTS.items()

@@ -52,7 +52,7 @@ class TestMbufFlavorEndToEnd:
 
         run_until_complete(testbed.sim, start(testbed.sim, scenario()))
         store = testbed.ncache.store
-        chunk = next(iter(store._lbn.values()))
+        chunk = next(store.chunks())
         assert all(b.flavor is BufferFlavor.MBUF for b in chunk.buffers)
 
     def test_arrived_chunks_take_the_receiver_flavor(self):
@@ -70,7 +70,7 @@ class TestMbufFlavorEndToEnd:
             yield from testbed.clients[0].read(fh, 0, 8192)
 
         run_until_complete(testbed.sim, start(testbed.sim, scenario()))
-        chunks = list(testbed.ncache.store._lbn.values())
+        chunks = list(testbed.ncache.store.chunks())
         assert chunks
         assert all(b.flavor is BufferFlavor.MBUF
                    for chunk in chunks for b in chunk.buffers)

@@ -164,8 +164,8 @@ class TestEvictionPressure:
         counters = testbed.server_host.counters
         assert counters["cache.ncache.evict_clean"].total > FILE_BLOCKS
         assert peeks  # the reclaim listener did ask
-        metrics = store._kernel.metrics
-        assert calls and metrics.hit.total + metrics.miss.total == len(calls)
+        assert calls and store.counters["cache.ncache.hit"].total \
+            + store.counters["cache.ncache.miss"].total == len(calls)
 
     def test_random_ops_under_pressure_byte_exact(self):
         """Two clients' seeded op streams on this testbed: the search's

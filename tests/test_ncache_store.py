@@ -1,8 +1,6 @@
 """NCacheStore: dual-index LRU store, remapping, eviction, pinning."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cache import CacheStallError
 from repro.core import FhoKey, NCacheStore
@@ -11,18 +9,16 @@ from repro.net.buffer import JunkPayload, NetBuffer
 from chunk_reference import chunk_of_buffers
 
 
-def chunk_for(key, nbytes=4096, dirty=False, hint=None):
-    return chunk_of_buffers(key, [NetBuffer(payload=JunkPayload(nbytes))],
+FOOTPRINT = 4096 + 160 + 64  # the store's default overheads
+
+
+def chunk_for(key, dirty=False, hint=None):
+    return chunk_of_buffers(key, [NetBuffer(payload=JunkPayload(4096))],
                             dirty=dirty, lbn_hint=hint)
 
 
-def store_of(n_chunks: int, **kwargs) -> NCacheStore:
-    footprint = 4096 + 160 + 64
-    return NCacheStore(n_chunks * footprint, per_buffer_overhead=160,
-                       per_chunk_overhead=64, **kwargs)
-
-
-FOOTPRINT = 4096 + 160 + 64
+def store_of(n_chunks: int) -> NCacheStore:
+    return NCacheStore(n_chunks * FOOTPRINT)
 
 
 class TestInsertLookup:
@@ -81,12 +77,11 @@ class TestInsertLookup:
         store.insert(chunk_for(1))
         store.make_room(FOOTPRINT)  # evicts LBN 1
         store.insert(chunk_for(FhoKey(1, 1, 0)))
-        metrics = store._kernel.metrics
-        before = (metrics.hit.value, metrics.miss.value)
+        before = store.counters.snapshot()
         assert store.peek_fho(FhoKey(1, 1, 0)) is not None
         assert store.peek_lbn(1) is None  # evicted
         assert store.peek(FhoKey(9, 9, 0), 9) is None
-        assert (metrics.hit.value, metrics.miss.value) == before
+        assert store.counters.snapshot() == before
 
 
 class TestResolve:
@@ -252,33 +247,3 @@ class TestRemap:
         store.remap(FhoKey(3, 1, 0), 44)
         assert observed == [True]
 
-
-class TestModelProperty:
-    @given(ops=st.lists(
-        st.tuples(st.sampled_from(["insert_lbn", "insert_fho", "touch",
-                                   "remap"]),
-                  st.integers(0, 5)),
-        max_size=50))
-    @settings(max_examples=50, deadline=None)
-    def test_indexes_consistent_with_lru_set(self, ops):
-        """Whatever the op sequence: indexes and LRU agree, capacity holds."""
-        store = store_of(3)
-        for op, n in ops:
-            if op == "insert_lbn":
-                store.make_room(FOOTPRINT)
-                store.insert(chunk_for(n))
-            elif op == "insert_fho":
-                store.make_room(FOOTPRINT)
-                store.insert(chunk_for(FhoKey(n, 1, 0), dirty=False))
-            elif op == "touch":
-                store.lookup_lbn(n)
-            else:
-                store.remap(FhoKey(n, 1, 0), n)
-            # Invariants:
-            assert store.used_bytes <= store.capacity_bytes
-            assert store.n_chunks == store.n_lbn + store.n_fho
-            assert store.used_bytes == store.n_chunks * FOOTPRINT
-            for key, chunk in list(store._lbn.items()):
-                assert chunk.key == key
-            for key, chunk in list(store._fho.items()):
-                assert chunk.key == key
