@@ -1,15 +1,12 @@
-"""The replacement policy against an executable reference model.
+"""The cache kernel's recency order against the paper's store.
 
-The policy is driven through the kernel by a deterministic randomized
-op stream (:func:`repro.sim.rng.substream`, so failures reproduce
-bit-for-bit from the seed) while a plain-list reference model of the
-same algorithm shadows it.  After every op the two must agree on the
-cold-to-hot handle order, and every eviction must take exactly the
-victim the reference predicts.
-
-LRU's reference is the classic recency list — the paper's §3.4
-replacement and the behavior the pre-kernel hand-rolled stores had, so
-this doubles as the refactor-fidelity lock.
+A deterministic randomized op stream (:func:`repro.sim.rng.substream`,
+so a failure reproduces bit-for-bit from its seed) drives a
+:class:`CacheKernel` while ``tests/store_oracle.py``'s
+:class:`PaperStore` shadows it.  After every op the two agree on the
+cold-to-hot order, and every eviction takes the chunk the paper's store
+reclaims: §3.4's one recency list, the behaviour the pre-kernel
+hand-rolled stores had, so this doubles as the refactor-fidelity lock.
 """
 
 from __future__ import annotations
@@ -19,105 +16,77 @@ import pytest
 from repro.cache import CacheKernel
 from repro.sim.rng import substream
 
-
-class Item:
-    def __init__(self):
-        self.dirty = False
-        self.pinned = False
-
-
-class RefLru:
-    """Touch moves to tail; victim is the head."""
-
-    def __init__(self):
-        self.order = []  # cold -> hot
-
-    def insert(self, h, key):
-        self.order.append(h)
-
-    def touch(self, h):
-        self.order.remove(h)
-        self.order.append(h)
-
-    def remove(self, h):
-        self.order.remove(h)
-
-    def evicted(self, h, key):
-        self.remove(h)
-
-    def victim(self):
-        return self.order[0]
-
-    def handles(self):
-        return list(self.order)
-
-
-MODELS = {"lru": RefLru}
+from store_oracle import Entry, PaperStore
 
 CAPACITY = 8
 N_KEYS = 24
-OPS = 500
 
 
-@pytest.mark.parametrize("policy", sorted(MODELS))
+class Item:
+    def __init__(self, key):
+        self.key, self.dirty, self.pinned = key, False, False
+
+
+def _shadowed(policy):
+    """A kernel, the paper's store, and the kernel's evictions so far."""
+    kernel, evicted = CacheKernel("test", CAPACITY, policy=policy), []
+    return kernel, PaperStore(CAPACITY), evicted
+
+
+def _insert(kernel, model, evicted, key):
+    assert kernel.make_room(
+        1, on_evict=lambda item: evicted.append(item.key)) == []
+    item = Item(key)
+    assert kernel.insert(key, item, 1) is item
+    model.insert(Entry(key, None))
+    return item
+
+
+def _agree(kernel, model, evicted):
+    assert [item.key for item in kernel.items()] \
+        == [entry.key for entry in model.order]
+    assert evicted == [key for key, _, _ in model.reclaimed]
+
+
+@pytest.mark.parametrize("policy", ["lru"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_policy_agrees_with_reference_model(policy, seed):
+    """Inserts, touches, misses and removals of the kernel's one policy."""
     rng = substream(seed, f"cache-policy-{policy}")
-    kernel = CacheKernel("test", CAPACITY, policy=policy)
-    ref = MODELS[policy]()
-    live = {}  # key -> handle
-
-    def on_evict(item):
-        expected = ref.victim()
-        assert item.handle == expected, \
-            f"{policy}: evicted {item.handle}, reference says {expected}"
-        ref.evicted(item.handle, item.key)
-        del live[item.key]
-
-    for _ in range(OPS):
+    kernel, model, evicted = _shadowed(policy)
+    live = {}  # key -> item; which are resident is the model's to say
+    for _ in range(500):
         op = rng.choice(["insert", "insert", "touch", "miss", "remove"])
         key = rng.randrange(N_KEYS)
-        if op == "insert" and key not in live:
-            kernel.make_room(1, on_evict=on_evict)
-            item = Item()
-            h = kernel.insert(key, item, 1)
-            assert h is item
-            item.handle, item.key = h, key
-            ref.insert(h, key)
-            live[key] = h
-        elif op == "touch" and key in live:
+        resident = key in model.lbn
+        if op == "insert" and not resident:
+            live[key] = _insert(kernel, model, evicted, key)
+        elif op == "touch" and resident:
             kernel.touch(live[key])
-            ref.touch(live[key])
-        elif op == "miss" and key not in live:
-            kernel.lookup_in({})(key)
-        elif op == "remove" and key in live:
-            h = live.pop(key)
-            kernel.remove(h)
-            ref.remove(h)
-        assert list(kernel.items()) == ref.handles(), policy
-
-    assert len(kernel) == len(live)
+            model.lookup(key)
+        elif op == "miss" and not resident:
+            assert kernel.lookup_in({})(key) is None
+            assert model.lookup(key) is None
+        elif op == "remove" and resident:
+            kernel.remove(live[key])
+            evicted.append(key)
+            model.reclaim(model.lbn[key])
+        _agree(kernel, model, evicted)
+    assert len(kernel) == len(model.lbn) == len(model.order)
 
 
 @pytest.mark.parametrize("seed", [5, 6])
 def test_lru_matches_pre_kernel_recency_list(seed):
-    """The fidelity lock: under the LRU policy the kernel's eviction
-    order is exactly the single recency list the paper's store kept."""
+    """The fidelity lock: a hit moves its entry to the hot end, a miss
+    evicts from the cold end, exactly as the paper's one list does."""
     rng = substream(seed, "cache-policy-lru-fidelity")
-    kernel = CacheKernel("test", CAPACITY, policy="lru")
-    order = []  # the old hand-rolled structure: one list, cold -> hot
+    kernel, model, evicted = _shadowed("lru")
     live = {}
-    for i in range(300):
+    for _ in range(300):
         key = rng.randrange(N_KEYS)
-        if key in live:
+        if key in model.lbn:
             kernel.touch(live[key])
-            order.remove(key)
-            order.append(key)
+            model.lookup(key)
         else:
-            evicted = kernel.make_room(
-                1, on_evict=lambda it: live.pop(order.pop(0)))
-            assert evicted == []
-            item = kernel.insert(key, Item(), 1)
-            item.key, live[key] = key, item
-            order.append(key)
-        assert [item.key for item in kernel.items()] == order
+            live[key] = _insert(kernel, model, evicted, key)
+        _agree(kernel, model, evicted)

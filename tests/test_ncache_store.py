@@ -1,12 +1,15 @@
 """NCacheStore: dual-index LRU store, remapping, eviction, pinning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheStallError
 from repro.core import FhoKey, NCacheStore
 from repro.net.buffer import JunkPayload, NetBuffer
 
 from chunk_reference import chunk_of_buffers
+from store_oracle import StoreMachine
 
 
 FOOTPRINT = 4096 + 160 + 64  # the store's default overheads
@@ -247,3 +250,30 @@ class TestRemap:
         store.remap(FhoKey(3, 1, 0), 44)
         assert observed == [True]
 
+
+class TestModelProperty:
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["insert_lbn", "insert_fho", "touch",
+                                   "remap"]),
+                  st.integers(0, 5)),
+        max_size=50))
+    @settings(max_examples=50, deadline=None)
+    def test_indexes_consistent_with_lru_set(self, ops):
+        """Whatever the op sequence: each index holds what the paper's
+        store holds under that key, in its LRU order, within capacity."""
+        machine = StoreMachine()
+        store = machine.store
+        for op, n in ops:
+            if op == "insert_lbn":
+                machine.data_in(n)
+            elif op == "insert_fho":
+                machine.nfs_write(FhoKey(n, 1, 0), n)
+            elif op == "touch":
+                machine.lookup(n)
+            else:
+                machine.remap(FhoKey(n, 1, 0), n)
+            machine.agrees()
+            assert store.used_bytes <= store.capacity_bytes
+            assert store.n_chunks == store.n_lbn + store.n_fho
+            assert all(store.peek(chunk.key, chunk.key) is chunk
+                       for chunk in store.chunks())
