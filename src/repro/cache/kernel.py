@@ -38,7 +38,7 @@ A budget moves only in ``NCacheStore.cold_restart``
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Any, Callable, Hashable, Iterator, List, Mapping,
+from typing import (Any, Callable, Hashable, Iterator, List, MutableMapping,
                     NoReturn, Optional)
 
 from ..obs.metrics import Counter, MetricsRegistry
@@ -50,6 +50,23 @@ class CacheStallError(RuntimeError):
     """Raised when eviction must make progress but every entry is pinned
     (or otherwise inadmissible); a request holds only what its reply
     needs, so the integrity search counts one as a kill."""
+
+
+class BlockRun:
+    """A multi-block item: ``unit``-sized blocks holding one place in
+    the recency list (DESIGN.md §9).  A block leaves it as an item of
+    its own: ``shed()`` gives the coldest, to evict; ``take(key)`` the
+    one under ``key`` or ``None``.  Never dirty or pinned."""
+
+    __slots__ = ()
+    dirty = pinned = False
+    unit: int
+
+    def take(self, key: Any) -> Any:
+        raise NotImplementedError
+
+    def shed(self) -> Any:
+        raise NotImplementedError
 
 
 class KernelMetrics:
@@ -135,7 +152,8 @@ class CacheKernel:
         self._order[item] = nbytes
         return item
 
-    def lookup_in(self, index: Mapping[Hashable, Any]
+    def lookup_in(self, index: MutableMapping[Hashable, Any],
+                  run: Optional[BlockRun] = None
                   ) -> Callable[[Hashable], Any]:
         """The accounted lookup over the consumer's key ``index``.
 
@@ -144,7 +162,10 @@ class CacheKernel:
         consumer's ``peek`` reads its index directly and touches
         nothing.  A closure because lookups dominate the simulation
         profile: the index, the list's ``move_to_end`` and the counters
-        are bound once.
+        are bound once.  With a ``run``, a miss takes the key's block
+        out of it, if there, admits it (:meth:`admit`) and files it in
+        ``index``: a hit, as the promotion it stands for.  Without, the
+        miss path is the plain one.
         """
         get = index.get
         promote = self._order.move_to_end
@@ -159,7 +180,33 @@ class CacheKernel:
             promote(item)
             return item
 
-        return lookup
+        if run is None:
+            return lookup
+        take, admit = run.take, self.admit
+
+        def lookup_or_take(key: Hashable) -> Any:
+            item = get(key)
+            if item is not None:
+                promote(item)
+            elif (item := take(key)) is None:
+                miss._total += 1
+                return None
+            else:
+                admit(run, item)
+                index[key] = item
+            hit._total += 1
+            return item
+
+        return lookup_or_take
+
+    def admit(self, run: BlockRun, item: Any) -> None:
+        """``item`` just left ``run``: an entry at MRU, the run keeping
+        its place one ``unit`` smaller (gone when empty)."""
+        order = self._order
+        order[run] -= run.unit
+        if not order[run]:
+            del order[run]
+        order[item] = run.unit
 
     def remove(self, item: Any) -> Any:
         """Take a live entry out without eviction semantics (no evict
@@ -246,7 +293,14 @@ class CacheKernel:
             if item.dirty:
                 metrics.evict_dirty._total += 1
                 return [item]
-            self._used -= pop(item)
+            if isinstance(item, BlockRun):  # shed: the run keeps its place
+                run, item = item, item.shed()
+                self._used -= run.unit
+                self._order[run] -= run.unit
+                if not self._order[run]:
+                    del self._order[run]
+            else:
+                self._used -= pop(item)
             metrics.evict_clean._total += 1
             if on_evict is not None:
                 on_evict(item)

@@ -29,14 +29,95 @@ necessary engineering, both flagged in DESIGN.md:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..cache import CacheKernel, CacheStallError
+from ..cache.kernel import BlockRun
 from ..check import sanitizer as _sanitizer
+from ..net.buffer import ExtentPayload, SegmentShape
 from ..obs.trace import TraceBus
+from ..sim.engine import SimulationError
 from ..sim.stats import CounterSet
 from .chunk import Chunk, ChunkKey
 from .keys import FhoKey
+
+
+class WarmRun(BlockRun):
+    """Untouched warm blocks (DESIGN.md §5): ``(first LBN, blocks,
+    content tag, the file's first LBN)`` runs, coldest first, each
+    coldest at its last block.  An array over the LBN span maps a block
+    to its file run: no object per block until it leaves, taken or
+    shed, as a clean chunk."""
+
+    n = _base = _span = 0  # the empty run: a store with none loaded
+
+    def __init__(self, files: Sequence[Tuple[int, int, Any, int]] = (),
+                 shape: Any = None, unit: int = 0,
+                 ended: Callable[[], None] = lambda: None) -> None:
+        self.unit, self._shape, self._cold = unit, shape, 1
+        self._ended = ended  # called when the last block has left
+        if not files:
+            return
+        from array import array  # loaded by a warm start only
+        # Per file run from index 1: the array's 0 is "not in the run".
+        self._first, self._top = array("q", [0]), array("q", [0])
+        self._origin = array("q", [0])
+        self._tags: List[Any] = [None]
+        self._base = base = min(f[0] for f in files)
+        self._span = max(f[0] + f[1] for f in files) - base
+        self._where = where = array("i", [0]) * self._span
+        for i, (first, n, tag, origin) in enumerate(files, 1):
+            at = slice(first - base, first - base + n)
+            if where[at].count(0) != n:
+                raise ValueError(f"warm run loads LBN {first}.. twice")
+            where[at] = array("i", [i]) * n
+            self._first.append(first)
+            self._top.append(first + n - 1)
+            self._origin.append(origin)
+            self._tags.append(tag)
+            self.n += n
+
+    def __contains__(self, lbn: object) -> bool:
+        off = lbn - self._base if type(lbn) is int else -1
+        return 0 <= off < self._span and self._where[off] != 0
+
+    def take(self, lbn: int) -> Optional[Chunk]:
+        """Block ``lbn`` out of the run as a chunk, or ``None``."""
+        off = lbn - self._base
+        i = self._where[off] if 0 <= off < self._span else 0
+        if not i:
+            return None
+        self._where[off] = 0
+        self.n -= 1
+        if not self.n:
+            self._ended()
+        size = self._shape.length
+        chunk = Chunk(lbn, ExtentPayload(self._tags[i],
+                                         (lbn - self._origin[i]) * size,
+                                         size), self._shape)
+        san = _sanitizer.active()
+        if san is not None:
+            san.chunk_cached(chunk)
+        return chunk
+
+    def shed(self) -> Optional[Chunk]:
+        i, first, top, where = self._cold, self._first, self._top, self._where
+        lbn = top[i]
+        while lbn < first[i] or not where[lbn - self._base]:
+            i, lbn = (i + 1, top[i + 1]) if lbn < first[i] else (i, lbn - 1)
+        self._cold, top[i] = i, lbn - 1
+        return self.take(lbn)
+
+    def chunks(self) -> Iterator[Chunk]:
+        """The run's blocks as fresh chunks, coldest first; takes none."""
+        size = self._shape.length
+        for i in range(self._cold, len(self._first)):
+            for lbn in range(self._top[i], self._first[i] - 1, -1):
+                if self._where[lbn - self._base]:
+                    yield Chunk(lbn, ExtentPayload(
+                        self._tags[i], (lbn - self._origin[i]) * size, size),
+                        self._shape)
 
 
 class NCacheStore:
@@ -47,8 +128,10 @@ class NCacheStore:
                  per_chunk_overhead: int = 64,
                  counters: Optional[CounterSet] = None,
                  trace: Optional[TraceBus] = None) -> None:
-        if capacity_bytes < chunk_size:
-            raise ValueError("capacity smaller than one chunk")
+        if capacity_bytes < chunk_size + per_buffer_overhead \
+                + per_chunk_overhead:
+            raise ValueError("capacity smaller than one single-buffer "
+                             "chunk's footprint")
         self.chunk_size = chunk_size
         self.per_buffer_overhead = per_buffer_overhead
         self.per_chunk_overhead = per_chunk_overhead
@@ -66,6 +149,8 @@ class NCacheStore:
         #: kernel's closures: a hit counts and promotes, a miss counts.
         self.lookup_lbn: Callable[[int], Optional[Chunk]] = \
             self._kernel.lookup_in(self._lbn)
+        #: The untouched warm blocks of :meth:`load_run` (none yet).
+        self._run = WarmRun()
         self.lookup_fho: Callable[[FhoKey], Optional[Chunk]] = \
             self._kernel.lookup_in(self._fho)
         #: callbacks ``fn(chunk)`` invoked when a chunk leaves the store.
@@ -89,11 +174,11 @@ class NCacheStore:
 
     @property
     def n_chunks(self) -> int:
-        return len(self._kernel)
+        return len(self._kernel) + max(self._run.n - 1, 0)
 
     @property
     def n_lbn(self) -> int:
-        return len(self._lbn)
+        return len(self._lbn) + self._run.n
 
     @property
     def n_fho(self) -> int:
@@ -102,11 +187,13 @@ class NCacheStore:
     def chunks(self) -> Iterator[Chunk]:
         """Resident chunks in eviction order (cold to hot) — the public
         replacement-order view ``tests/store_oracle.py`` compares
-        against its model of the paper's store."""
-        return self._kernel.items()
+        against its model of the paper's store.  Untouched warm blocks
+        show at their run's place as fresh chunks, to read only."""
+        for item in self._kernel.items():
+            yield from item.chunks() if item is self._run else (item,)
 
     def dirty_chunks(self) -> List[Chunk]:
-        return [c for c in self.chunks() if c.dirty]
+        return [c for c in self._kernel.items() if c.dirty]
 
     def _footprint(self, chunk: Chunk) -> int:
         return chunk.footprint(self.per_buffer_overhead,
@@ -124,10 +211,14 @@ class NCacheStore:
             chunk = self.lookup_lbn(lbn_key)
         return chunk
 
-    # Bookkeeping reads: no counter, no promotion.
+    # Bookkeeping reads: no counter, no promotion.  Nothing holds the
+    # key of an untouched warm block (DESIGN.md §5): reading one raises.
 
-    def peek_lbn(self, key: int) -> Optional[Chunk]:
-        return self._lbn.get(key)
+    def peek_lbn(self, key: Optional[int]) -> Optional[Chunk]:
+        chunk = self._lbn.get(key)
+        if chunk is None and self._run.n and key in self._run:
+            raise SimulationError(f"bookkeeping read of warm block {key}")
+        return chunk
 
     def peek_fho(self, key: FhoKey) -> Optional[Chunk]:
         return self._fho.get(key)
@@ -136,7 +227,9 @@ class NCacheStore:
              ) -> Optional[Chunk]:
         """:meth:`resolve` as a bookkeeping read (FHO first)."""
         chunk = self._fho.get(fho_key)
-        return chunk if chunk is not None else self._lbn.get(lbn_key)
+        if chunk is None:
+            chunk = self._lbn.get(lbn_key)
+        return chunk if chunk is not None else self.peek_lbn(lbn_key)
 
     # -- insertion / eviction ------------------------------------------------------
 
@@ -197,10 +290,6 @@ class NCacheStore:
         for listener in self.reclaim_listeners:
             listener(chunk)
 
-    def _fits(self, footprint: int, existing: Optional[Chunk]) -> bool:
-        freed = self._footprint(existing) if existing is not None else 0
-        return self._kernel.free_bytes + freed >= footprint
-
     def insert(self, chunk: Chunk, *,
                footprint: Optional[int] = None) -> None:
         """Insert a chunk under its key, replacing any existing entry.
@@ -214,9 +303,13 @@ class NCacheStore:
         """
         if footprint is None:
             footprint = self._footprint(chunk)
-        index = self._fho if type(chunk.key) is FhoKey else self._lbn
-        existing = index.get(chunk.key)
-        if not self._fits(footprint, existing):
+        key = chunk.key
+        index = self._fho if type(key) is FhoKey else self._lbn
+        existing = index.get(key)
+        if existing is None and self._run.n and type(key) is int:
+            existing = self._take(key)
+        freed = self._footprint(existing) if existing is not None else 0
+        if self._kernel.free_bytes + freed < footprint:
             raise RuntimeError("insert without room; call make_room() first")
         if existing is chunk:
             return  # already resident under this key; nothing to do
@@ -253,7 +346,7 @@ class NCacheStore:
         for chunk in chunks:
             key = chunk.key
             index = self._fho if type(key) is FhoKey else self._lbn
-            if key in index:
+            if key in index or self._run.n and key in self._run:
                 raise ValueError(f"bulk_load of resident key {key}")
             if room < footprint:
                 if kernel.make_room(footprint, on_evict=self._evicted):
@@ -265,6 +358,39 @@ class NCacheStore:
             if san is not None:
                 san.chunk_cached(chunk)
         self._used_gauge.set(kernel.used_bytes)
+
+    def load_run(self, files: Iterable[Tuple[int, int, Any, int]],
+                 shape: SegmentShape, footprint: int) -> None:
+        """Warm-start ``files`` as one :class:`WarmRun`: the store
+        :meth:`bulk_load` of their chunks (each file run last block
+        first) leaves, but a chunk is built at its block's first touch:
+        a lookup's hit, or an insert or remap over it.  One live run at
+        a time; a resident LBN or a dirty victim raises."""
+        run = WarmRun(list(files), shape, footprint, self._end_run)
+        if self._run.n or any(lbn in run for lbn in self._lbn):
+            raise ValueError("load_run over a live run or a resident LBN")
+        if run.n:
+            kernel = self._kernel
+            self._run = run
+            kernel.insert(None, run, run.n * footprint)
+            self.lookup_lbn = kernel.lookup_in(self._lbn, run)
+            if kernel.make_room(0, on_evict=self._evicted):
+                raise RuntimeError("dirty victim during warm start")
+            self._used_gauge.set(kernel.used_bytes)
+
+    def _take(self, lbn: int) -> Optional[Chunk]:
+        """Untouched warm block ``lbn`` as a resident chunk at MRU, or
+        ``None`` if it is not one; counts nothing."""
+        run = self._run
+        chunk = run.take(lbn)
+        if chunk is not None:
+            self._kernel.admit(run, chunk)
+            self._lbn[lbn] = chunk
+        return chunk
+
+    def _end_run(self) -> None:  # the plain lookup once no run is live
+        self._run = WarmRun()
+        self.lookup_lbn = self._kernel.lookup_in(self._lbn)
 
     def drop(self, chunk: Chunk) -> None:
         """Explicitly remove a chunk (invalidation)."""
@@ -287,6 +413,8 @@ class NCacheStore:
         if chunk is None:
             return None
         stale = self._lbn.get(lbn_key)
+        if stale is None and self._run.n:
+            stale = self._take(lbn_key)
         chunk.key = lbn_key
         chunk.dirty = False
         # The block's identity changed (file-relative -> disk-relative):

@@ -381,31 +381,46 @@ def _warm_ncache(testbed, ranked_names: Sequence[str]) -> None:
     """NCache warm-start: chunks in the LBN cache, keys in the FS cache."""
     image = testbed.image
     store = testbed.ncache.store
+    cache = testbed.cache
     block_size = image.block_size
     mss = testbed.config.costs.tcp_mss
     # Every warm block is one block cut at the MSS with its checksums
     # known, as if it had arrived over the wire and been verified: one
     # shape for all of them.  Budget in chunk footprints.
     shape = SegmentShape.uniform(block_size, mss, True, BufferFlavor.SK_BUFF)
-    sample_chunk = Chunk(0, JunkPayload(block_size), shape)
-    footprint = sample_chunk.footprint(store.per_buffer_overhead,
-                                       store.per_chunk_overhead)
-    n_chunks = store.capacity_bytes // footprint
+    footprint = Chunk(0, JunkPayload(block_size), shape).footprint(
+        store.per_buffer_overhead, store.per_chunk_overhead)
+    # The hottest blocks, one FS key page each, are built as chunks; the
+    # colder rest is one warm run whose blocks become chunks at their
+    # first touch (DESIGN.md §5), so every key a page holds names a chunk.
+    hot: List[tuple] = []
+    cold: List[tuple] = []
+    left = cache.capacity_blocks
+    for inode, n in _hottest_runs(image, ranked_names,
+                                  store.capacity_bytes // footprint):
+        m = min(n, left)
+        left -= m
+        if m:
+            hot.append((inode, m))
+        if m < n:
+            start = inode.start_lbn
+            cold.append((start + m, n - m, image.data_extent(start)[0],
+                         start))
+    store.load_run(reversed(cold), shape, footprint)
     # One extent descriptor per block; a buffer list only springs into
     # existence for an observer (DESIGN.md §11).  Built run by run, each
     # run coldest block first.
     chunks: List[Chunk] = []
-    for inode, n in reversed(_hottest_runs(image, ranked_names, n_chunks)):
+    for inode, n in reversed(hot):
         start = inode.start_lbn
         payloads = image.block_payloads(inode, n)
         chunks += [Chunk(start + b, payloads[b], shape)
                    for b in range(n - 1, -1, -1)]
     store.bulk_load(chunks, footprint)
-    # FS cache: the hottest of those blocks as key-only pages, each
-    # holding its chunk's own key.
-    cache = testbed.cache
+    # FS cache: those blocks as key-only pages, each holding its chunk's
+    # own key.
     cache.bulk_load([(chunk.key, KeyedPayload(block_size, lbn_key=chunk.key))
-                     for chunk in chunks[-cache.capacity_blocks:]])
+                     for chunk in chunks])
 
 
 def scaled_memory_config(scale: int = 1) -> dict:

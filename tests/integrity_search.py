@@ -27,7 +27,10 @@ The cells:
   machine's memory, so both caches evict, flushes remap and NCache
   writes back dirty victims of its own (``test_ncache_pressure.sfs_cell``'s
   configuration, any mode, order and seed); ``lossy`` is the same with
-  2% of UDP datagrams lost, so calls are retransmitted;
+  2% of UDP datagrams lost, so calls are retransmitted; ``warm`` is the
+  same NCache cell warm-started from its file set: its store holds ten
+  times its FS cache, so most warm blocks wait in the store's warm run
+  and flushes remap onto their LBNs;
 * ``ops`` — two clients issuing seeded read/write/flush/far-read streams
   at one file, then a full-file read: ``ops`` on a roomy server,
   ``pressure`` on ``tiny_ncache_testbed`` (24 NCache chunks, 8 FS pages);
@@ -65,7 +68,7 @@ from content_oracle import ContentOracle, ShuffledSimulator
 from repro.cache import CacheKernel
 from repro.check import sanitizer as _sanitizer
 from repro.experiments import SWEEPS
-from repro.experiments.common import scaled_memory_config
+from repro.experiments.common import scaled_memory_config, warm_caches
 from repro.experiments.fleet_churn import timeline
 from repro.fs import BLOCK_SIZE
 from repro.net.buffer import VirtualPayload
@@ -153,7 +156,7 @@ def victim_order(name: str, seed: int = 1) -> Iterator[None]:
 # -- the cells -----------------------------------------------------------------
 
 def _sfs(cell: Cell, sim: Simulator, oracle: ContentOracle,
-         loss: float = 0.0):
+         loss: float = 0.0, warm: bool = False):
     testbed = TestbedSpec.nfs(ServerMode(cell.mode), flush_interval_s=0.02,
                               n_server_nics=1, n_daemons=16,
                               **scaled_memory_config(1024)).build(sim=sim)
@@ -163,6 +166,8 @@ def _sfs(cell: Cell, sim: Simulator, oracle: ContentOracle,
                            outstanding_per_client=4, seed=cell.seed)
     oracle.watch(testbed)
     testbed.setup()
+    if warm:
+        warm_caches(testbed, load.names)
     if loss:
         testbed.network.set_loss(loss, seed=cell.seed)
     load.start()
@@ -247,6 +252,7 @@ def _fleet(cell: Cell, sim: Simulator, oracle: ContentOracle):
 
 BUILDERS: Dict[str, Callable] = {"sfs": _sfs,
                                  "lossy": partial(_sfs, loss=0.02),
+                                 "warm": partial(_sfs, warm=True),
                                  "ops": _ops, "pressure": _pressure,
                                  "http": _http, "fleet": _fleet}
 
@@ -323,8 +329,8 @@ def _trace_tail(sim: Simulator) -> str:
 
 def cells(seeds: int) -> Iterator[Cell]:
     """The search: SFS over both data modes × LRU and every victim
-    order × ``seeds`` seeds, the op-stream cells over the same seeds,
-    and one HTTP and one fleet cell."""
+    order × ``seeds`` seeds, the lossy, warm-started and op-stream cells
+    over the same seeds, and one HTTP and one fleet cell."""
     orders = ["lru"] + sorted(ORDERS)
     for mode in MODES:
         for order in orders:
@@ -333,6 +339,7 @@ def cells(seeds: int) -> Iterator[Cell]:
     for seed in range(1, seeds + 1):
         order = orders[seed % len(orders)]
         yield Cell("lossy", MODES[seed % 2], order, seed)
+        yield Cell("warm", "ncache", order, seed)
         yield Cell("ops", MODES[seed % 2], "lru", seed)
         yield Cell("pressure", "ncache", order, seed)
     yield Cell("http", "ncache", "lru", 1)
@@ -363,7 +370,7 @@ def search(seeds: int, first: bool = False, out=sys.stdout
 
 MUTANT_DIR = Path(__file__).parent / "mutants"
 
-#: Every ``tests/mutants/*.patch``: what it breaks, and for the three
+#: Every ``tests/mutants/*.patch``: what it breaks, and for the four
 #: mutants no READ can see (same bytes, other bookkeeping or another
 #: scheduling seam), the test that kills each instead.
 MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
@@ -410,6 +417,10 @@ MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
     "chunk-writeback-no-remap": (
         "NCache writes back a dirty FHO chunk without remapping it, so "
         "an older LBN chunk stays (window 3)", None),
+    "warm-run-sheds-hottest": (
+        "eviction sheds the store's warm run from its hottest block; the "
+        "bytes are the same, only which blocks stay cached differs",
+        "tests/test_store_oracle.py"),
     "wake-bypasses-push": (
         "Event.succeed pushes its wake-ups onto the heap past "
         "Simulator._push; FIFO ties keep every byte, but the search's "

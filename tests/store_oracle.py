@@ -6,6 +6,7 @@ entry, a dirty victim written back (remapped) before it is reclaimed —
 plus what the real store does beyond the paper (DESIGN.md §6).
 :class:`StoreMachine` runs it beside ``NCacheStore``, its kernel and
 ``NCacheModule._insert_chunk`` and compares the two after every rule.
+A warm load is per-block entries here and one warm run there.
 """
 
 import pytest
@@ -16,17 +17,20 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 from repro.cache import CacheStallError
 from repro.core import Chunk, FhoKey, KeyedPayload, NCacheModule, NCacheStore
 from repro.net import Host
-from repro.net.buffer import BytesPayload
+from repro.net.buffer import (BufferFlavor, BytesPayload, ExtentPayload,
+                              SegmentShape)
 from repro.sim import Simulator
+from repro.sim.engine import SimulationError
 from repro.sim.process import start
 
 
 class Entry:
-    """One cached chunk; ``heir`` replaced it, pinned, under its key."""
+    """One cached chunk; ``heir`` replaced it, pinned, under its key;
+    ``warm`` while it is a warm-loaded block no lookup has touched."""
 
-    def __init__(self, key, data, dirty=False, hint=None):
+    def __init__(self, key, data, dirty=False, hint=None, warm=False):
         self.key, self.data, self.dirty, self.hint = key, data, dirty, hint
-        self.pins, self.heir = 0, None
+        self.pins, self.heir, self.warm = 0, None, warm
 
 
 class PaperStore:
@@ -46,6 +50,7 @@ class PaperStore:
         if entry is not None:
             self.order.remove(entry)
             self.order.append(entry)
+            entry.warm = False
         return entry
 
     def resolve(self, fho, lbn):  # FHO first: written data is newer
@@ -74,6 +79,10 @@ class PaperStore:
         if old is not None:
             self._replace(old, entry)
         return entry
+
+    def load(self, entries):  # warm start: clean blocks, coldest first
+        for entry in entries:
+            self.insert(entry)
 
     def remap(self, fho, lbn):  # flush: FHO chunk to clean LBN chunk
         entry = self.fho.pop(fho, None)
@@ -117,6 +126,12 @@ CAPACITY = 3
 INSERT_BOUND_S = 1.0
 KEYS = [*range(5), *(FhoKey(n, 1, 0) for n in range(5))]
 LBNS, FHOS = st.sampled_from(KEYS[:5]), st.sampled_from(KEYS[5:])
+#: A warm block: one buffer, checksum known, as ``Chunk.from_payload``.
+WARM_SHAPE = SegmentShape.uniform(BLOCK, BLOCK, True, BufferFlavor.SK_BUFF)
+#: Warm loads: ``(first LBN, blocks, blocks of the file before it)`` —
+#: a run may start mid-file, past the hot blocks built as chunks.
+FILE_RUNS = st.lists(st.tuples(LBNS, st.integers(1, 3), st.integers(0, 2)),
+                     min_size=1, max_size=3)
 
 
 def _bytes(chunk):
@@ -146,6 +161,11 @@ class StoreMachine(RuleBasedStateMachine):
         yield self.sim.timeout(1e-3)
         self.disk[lbn] = payload.materialize()
 
+    def warm(self, key):
+        """Is ``key`` a warm-loaded block nothing has touched yet?"""
+        entry = self.model.index(key).get(key)
+        return entry is not None and entry.warm
+
     def _insert(self, key, dirty=False, hint=None):
         self.version += 1
         data = self.version.to_bytes(4, "big") * (BLOCK // 4)
@@ -163,6 +183,8 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(lbn=LBNS)
     def data_in(self, lbn):
+        if self.warm(lbn):  # the read's L2 lookup came first and hit
+            self.lookup(lbn)
         self._insert(lbn)
 
     @rule(fho=FHOS, hint=LBNS)
@@ -185,8 +207,33 @@ class StoreMachine(RuleBasedStateMachine):
         want = self.model.remap(fho, lbn)
         assert _bytes(self.store.remap(fho, lbn)) == _data(want)
 
+    @precondition(lambda self: not any(e.warm for e in self.model.order))
+    @rule(runs=FILE_RUNS)
+    def warm_load(self, runs):
+        """``warm_caches``' load into an empty or partly filled store:
+        file runs over free LBNs, when no victim it needs is dirty and
+        enough are unpinned (warm start raises otherwise)."""
+        files, taken = [], set(self.model.lbn)
+        for first, n, skip in runs:
+            lbns = set(range(first, min(first + n, 5)))
+            if not lbns & taken:
+                files.append((first, len(lbns), 0x3A3 + first, first - skip))
+                taken |= lbns
+        entries = [Entry(first + b, ExtentPayload(
+            tag, (first + b - origin) * BLOCK, BLOCK).materialize(), warm=True)
+            for first, n, tag, origin in files for b in range(n - 1, -1, -1)]
+        unpinned = [e for e in self.model.order if not e.pins]
+        need = len(self.model.order) + len(entries) - CAPACITY
+        if not entries or need > len(unpinned) + len(entries) - 1 \
+                or any(e.dirty for e in unpinned[:need]):
+            return
+        self.store.load_run(files, WARM_SHAPE, FOOTPRINT)
+        self.model.load(entries)
+
     @rule(key=st.sampled_from(KEYS))
     def pin(self, key):  # a reply leaves the FS cache with a receipt
+        if self.warm(key):
+            return  # no FS page holds the key of an untouched block
         fho = type(key) is FhoKey
         held = self.module.pin_keys(KeyedPayload(
             BLOCK, lbn_key=None if fho else key, fho_key=key if fho else None))
@@ -205,7 +252,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(KEYS))
     def drop(self, key):
-        if key in self.model.index(key):
+        if key in self.model.index(key) and not self.warm(key):
             self.model.reclaim(self.model.index(key)[key])
             self.store.drop(self.store.peek(key, key))
 
@@ -219,7 +266,12 @@ class StoreMachine(RuleBasedStateMachine):
         store, model = self.store, self.model
         assert [(c.key, _bytes(c), c.dirty, c.pins) for c in store.chunks()] \
             == [(e.key, e.data, e.dirty, e.pins) for e in model.order]
-        assert [_bytes(store.peek(k, k)) for k in KEYS] \
-            == [_data(model.index(k).get(k)) for k in KEYS]
+        for key in KEYS:
+            if self.warm(key):  # nothing holds its key: reading it raises
+                with pytest.raises(SimulationError):
+                    store.peek(key, key)
+            else:
+                assert _bytes(store.peek(key, key)) \
+                    == _data(model.index(key).get(key))
         assert store.used_bytes == len(model.order) * FOOTPRINT
         assert (self.reclaimed, self.disk) == (model.reclaimed, model.disk)

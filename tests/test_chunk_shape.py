@@ -25,6 +25,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import types
+from functools import partial
 
 import pytest
 
@@ -386,7 +387,7 @@ def test_an_arrival_chunk_is_two_objects():
 BULK_BLOCKS = 6000
 
 
-def _traced_bytes_per_block(load):
+def _traced_bytes_per_block(load, blocks=BULK_BLOCKS):
     """Bytes ``load()`` leaves allocated, per block (tracemalloc)."""
     gc.collect()
     tracemalloc.start()
@@ -396,7 +397,7 @@ def _traced_bytes_per_block(load):
     finally:
         tracemalloc.stop()
     del held
-    return allocated / BULK_BLOCKS
+    return allocated / blocks
 
 
 def test_a_bulk_loaded_block_is_its_index_and_recency_slots():
@@ -432,3 +433,32 @@ def test_a_bulk_loaded_block_is_its_index_and_recency_slots():
 
     assert _traced_bytes_per_block(load_store) < 436
     assert _traced_bytes_per_block(load_cache) < 260
+
+
+#: Blocks per warm-run load: a warm set of web size.
+RUN_BLOCKS = 120_000
+
+
+def test_an_untouched_warm_block_is_no_object():
+    """What a warm-started block costs until something touches it: its
+    slot in the run's LBN array (four bytes) and its file run's share of
+    the run's per-file arrays, here 16-block files (about the mean of
+    ``web_zipf``'s warm set).  Touched, each is a built chunk and stays
+    within the bulk-loaded block's bound."""
+    _sanitizer.disable()  # its per-chunk records are not the cache's
+    shape = SegmentShape.uniform(BLOCK_SIZE, 1448, True,
+                                 BufferFlavor.SK_BUFF)
+    footprint = Chunk(0, ExtentPayload(7, 0, BLOCK_SIZE),
+                      shape).footprint(160, 64)
+    files = [(lbn, 16, 7 + lbn, lbn) for lbn in range(0, RUN_BLOCKS, 16)]
+
+    def load(touch):
+        store = NCacheStore(RUN_BLOCKS * footprint)
+        store.load_run(files, shape, footprint)
+        for lbn in range(RUN_BLOCKS) if touch else ():
+            assert store.lookup_lbn(lbn) is not None
+        assert store.n_chunks == RUN_BLOCKS
+        return store
+
+    assert _traced_bytes_per_block(partial(load, False), RUN_BLOCKS) <= 8
+    assert _traced_bytes_per_block(partial(load, True), RUN_BLOCKS) < 436

@@ -74,7 +74,7 @@ def test_integrity_search_job_runs_the_search_and_every_mutant():
     killers = {name: k for name, (_, k) in integrity_search.MUTANTS.items()
                if k}
     assert set(killers) == {"no-generation-bump", "rx-no-expand-segments",
-                            "wake-bypasses-push"}
+                            "wake-bypasses-push", "warm-run-sheds-hottest"}
     for killer in killers.values():
         assert (root / killer.partition("::")[0]).is_file(), killer
 

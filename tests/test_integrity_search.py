@@ -67,6 +67,8 @@ def quick_cells():
             for seed in QUICK_SEEDS:
                 yield Cell("sfs", mode, order, seed)
     yield Cell("lossy", "ncache", "shuffled", 1)
+    for order in sorted(ORDERS):
+        yield Cell("warm", "ncache", order, 1)
     yield Cell("http", "ncache", "lru", 1)
     yield Cell("fleet", "ncache", "lru", 1)
 

@@ -65,6 +65,18 @@ class TestInsertLookup:
         with pytest.raises(ValueError):
             NCacheStore(100)
 
+    def test_capacity_holds_at_least_one_single_buffer_chunk(self):
+        # One chunk's bytes are not enough: a chunk occupies its
+        # footprint, so a store one byte short of it could never admit
+        # one; a store of exactly one footprint admits one.
+        for capacity in (4096, FOOTPRINT - 1):
+            with pytest.raises(ValueError, match="footprint"):
+                NCacheStore(capacity)
+        store = NCacheStore(FOOTPRINT)
+        assert store.make_room(FOOTPRINT) == []
+        store.insert(chunk_for(1))
+        assert store.used_bytes == store.capacity_bytes
+
     def test_hit_miss_counters(self):
         store = store_of(2)
         store.insert(chunk_for(1))

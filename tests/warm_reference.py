@@ -101,13 +101,23 @@ def cache_state(testbed) -> Dict[str, Any]:
                   entry.is_metadata, entry.pins)
                  for entry in cache._kernel.items()]}
     if testbed.ncache is not None:
+        # The store through its public view only, so a warm run compares
+        # block for block against the per-block reference.
         store = testbed.ncache.store
+        counters = store.counters.snapshot()
         state.update({
-            "ncache": _kernel_state(store._kernel),
-            "ncache.gauge": store._used_gauge.value,
-            "ncache.index": sorted(store._lbn) + sorted(store._fho),
+            "ncache": {"used_bytes": store.used_bytes,
+                       "n_chunks": store.n_chunks,
+                       "counters": {
+                           name: counters.get(f"cache.ncache.{name}", 0.0)
+                           for name in ("hit", "miss", "evict_clean",
+                                        "evict_dirty")}},
+            "counters": counters,
+            "ncache.gauge": store.counters.registry.get(
+                "ncache.used.bytes").value,
             "ncache.chunks": [
                 (chunk.key, describe_payload(chunk.payload()), chunk.dirty,
-                 chunk.pins, chunk._shape, chunk.peek_buffers())
+                 chunk.pins, chunk.segment_buffer([]).segs,
+                 chunk.peek_buffers())
                 for chunk in store.chunks()]})
     return state
