@@ -23,8 +23,6 @@ fill: measurements start from the steady state the paper measures in.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
@@ -36,6 +34,7 @@ from ..core.keys import KeyedPayload
 from ..net.buffer import BufferFlavor, JunkPayload, SegmentShape
 from ..servers.config import ServerMode, TestbedConfig
 from ..servers.spec import ClusterSpec, TestbedSpec
+from ..sim.engine import collector_paused
 from .parallel import RunSpec, run_specs
 
 ALL_MODES = (ServerMode.ORIGINAL, ServerMode.BASELINE, ServerMode.NCACHE)
@@ -301,29 +300,6 @@ def per_kop(segment: Dict[str, float]) -> float:
     return 1000.0 * segment["backend"] / segment["ops"]
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """The cyclic collector off for the duration, then as it was found:
-    a warm start's ~10^6 long-lived acyclic objects would trigger it over
-    and over to rescan a growing heap and free nothing (DESIGN.md §5).
-
-    On the way out every tracked object moves to the oldest generation
-    (``freeze`` then ``unfreeze``: two list splices, nothing scanned or
-    left frozen), so the young collections do not walk the warm set
-    either.  A frozen set some other code owns stays frozen: then the
-    promotion is skipped."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if not gc.get_freeze_count():
-            gc.freeze()
-            gc.unfreeze()
-        if was_enabled:
-            gc.enable()
-
-
 def warm_caches(testbed, ranked_names: Sequence[str]) -> None:
     """Pre-populate server caches with files, hottest last (MRU).
 
@@ -333,7 +309,7 @@ def warm_caches(testbed, ranked_names: Sequence[str]) -> None:
     stays resident, exactly as eviction would leave it.
     """
     mode = testbed.config.mode
-    with _collector_paused():
+    with collector_paused():
         if mode is ServerMode.NCACHE:
             _warm_ncache(testbed, ranked_names)
         else:  # original/baseline: fill the file-system buffer cache

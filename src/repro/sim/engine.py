@@ -33,12 +33,19 @@ Determinism rules observed throughout the library:
 * ties in the event queue break by insertion order (monotonic sequence);
 * no wall-clock or global-random access anywhere in the simulation;
   randomness comes from explicitly seeded generators (:mod:`repro.sim.rng`).
+
+**The cyclic collector** is off while :meth:`Simulator.run` dispatches
+(:func:`collector_paused`, DESIGN.md §11): a run makes no cyclic
+garbage, which ``tests/test_no_cyclic_garbage.py`` and every cell of the
+integrity search check.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
-from typing import Any, Callable, Iterable, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..check import sanitizer as _sanitizer
 from ..obs.trace import TraceBus, active_session
@@ -63,6 +70,31 @@ _dispatch_total = 0
 def dispatch_count() -> int:
     """Total engine callbacks dispatched in this process so far."""
     return _dispatch_total
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """The cyclic collector off for the duration, then as it was found.
+
+    Sound only because no run and no warm start makes cyclic garbage:
+    the collector would rescan their young survivors and free nothing
+    (DESIGN.md §11).  On the way out every tracked object moves to the
+    oldest generation (``freeze`` then ``unfreeze``: two list splices,
+    nothing scanned or left frozen), which also zeroes the young count,
+    so no collection is deferred to the caller.  A frozen set some other
+    code owns stays frozen: then the promotion is skipped.  (On 3.11
+    ``gc.get_freeze_count`` walks the frozen list, so it is read once per
+    pause, never per dispatch.)"""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 class SimulationError(RuntimeError):
@@ -271,28 +303,29 @@ class Simulator:
         heappop = heapq.heappop
         dispatched = 0
         try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                when, seq, fn, args = heappop(heap)
-                if fn is None:
-                    if args.cancelled:
-                        continue
-                    fn, args = args._dispatch, ()
-                self.now = when
-                if trace.engine_events:
-                    trace.emit("engine.dispatch", cat="engine", t=when,
-                               seq=seq,
-                               fn=getattr(fn, "__qualname__", repr(fn)))
-                dispatched += 1
-                fn(*args)
-            else:
-                san = _sanitizer.active() if until is None else None
-                if san is not None:
-                    # Simulation end: sweep for lifecycle leaks (dirty
-                    # chunks evicted but never written back, chunks
-                    # pinned forever).
-                    san.sim_ended(self)
+            with collector_paused():
+                while heap:
+                    if until is not None and heap[0][0] > until:
+                        break
+                    when, seq, fn, args = heappop(heap)
+                    if fn is None:
+                        if args.cancelled:
+                            continue
+                        fn, args = args._dispatch, ()
+                    self.now = when
+                    if trace.engine_events:
+                        trace.emit("engine.dispatch", cat="engine", t=when,
+                                   seq=seq,
+                                   fn=getattr(fn, "__qualname__", repr(fn)))
+                    dispatched += 1
+                    fn(*args)
+                else:
+                    san = _sanitizer.active() if until is None else None
+                    if san is not None:
+                        # Simulation end: sweep for lifecycle leaks (dirty
+                        # chunks evicted but never written back, chunks
+                        # pinned forever).
+                        san.sim_ended(self)
             if until is not None:
                 self.now = max(self.now, until)
         except StopSimulation:

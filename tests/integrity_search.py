@@ -5,14 +5,16 @@ seed — on a :class:`~content_oracle.ShuffledSimulator`, with every
 client wrapped by a :class:`~content_oracle.ContentOracle` and a buffer
 sanitizer armed.  Its verdict is one of:
 
-* ``pass`` — every READ returned admissible bytes, and a cell that runs
-  to completion (``ops``, ``pressure``) left no chunk and no FS page
-  pinned;
+* ``pass`` — every READ returned admissible bytes, the run left no
+  cyclic garbage, and a cell that runs to completion (``ops``,
+  ``pressure``) left no chunk and no FS page pinned;
 * ``kill`` — anything else: a READ returned bytes no WRITE admits, a
-  key dangled at the NCache TX hook, the sanitizer raised, or the run
+  key dangled at the NCache TX hook, the sanitizer raised, the run
   stopped making progress (every FS page or chunk locked,
-  :class:`~repro.cache.CacheStallError`, or a client call timing out).
-  A stall is a kill: progress holds by construction.
+  :class:`~repro.cache.CacheStallError`, or a client call timing out),
+  or it left a reference cycle behind.  A stall is a kill: progress
+  holds by construction.  So is a leftover cycle: the engine runs with
+  the cyclic collector paused because no run makes one (DESIGN.md §11).
 
 A cell's ``order`` is ``lru`` (the kernel's own) or one of the two
 victim orders over LRU's list in :data:`ORDERS` — ``mru`` and a seeded
@@ -53,10 +55,12 @@ runs in, so run it in a scratch checkout.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import subprocess
 import sys
 import traceback
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -283,11 +287,17 @@ def run(cell: Cell, trace: bool = False) -> Outcome:
     oracle = ContentOracle()
     testbeds: List[Any] = []
     verdict, detail = "pass", ""
-    with _sanitizer.sanitize(), victim_order(cell.order, cell.seed):
+    if cell.kind == "pressure":
+        # Its testbed comes from a test module whose first import leaves
+        # garbage of its own: import it before the heap is frozen.
+        import test_ncache_pressure  # noqa: F401
+    with _sanitizer.sanitize(), victim_order(cell.order, cell.seed), \
+            own_heap():
         try:
             testbeds = BUILDERS[cell.kind](cell, sim, oracle)
             if cell.kind in ("ops", "pressure"):
                 _nothing_pinned(testbeds[0])
+            no_cyclic_garbage()
         except Exception as exc:  # the run cannot go on
             verdict = "kill"
             where = traceback.extract_tb(exc.__traceback__)[-1]
@@ -304,6 +314,50 @@ def run(cell: Cell, trace: bool = False) -> Outcome:
             counters[name] = counters.get(name, 0) + value
     return Outcome(cell, verdict, oracle.reads, oracle.ambiguous, detail,
                    counters)
+
+
+def collect_all() -> None:
+    """Free everything unreachable.  A dropped testbed takes two full
+    collections: the first runs its suspended generators' ``finally``
+    blocks and frees nothing, the second frees the graph."""
+    gc.collect()
+    gc.collect()
+
+
+@contextmanager
+def own_heap() -> Iterator[None]:
+    """Inside, a collection sees only what the block allocated: every
+    older object is frozen (so a cell pays for a collection of its own
+    objects, not of the test session's), and the collector is off, so
+    nothing the block leaves unreachable is freed before
+    :func:`no_cyclic_garbage` looks."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+
+
+def no_cyclic_garbage() -> None:
+    """Raise if a collection finds anything unreachable: with the target
+    still held, a run that made no reference cycle left none.  (Two
+    collections: the second finds a cycle that a generator's ``finally``
+    resurrected during the first.)"""
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        found = gc.collect() + gc.collect()
+    finally:
+        gc.set_debug(flags)
+    kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+    gc.garbage.clear()
+    if found:
+        raise AssertionError(f"the run left {found} objects in reference "
+                             f"cycles: {kinds.most_common(4)}")
 
 
 def _nothing_pinned(testbed) -> None:
@@ -353,6 +407,7 @@ def search(seeds: int, first: bool = False, out=sys.stdout
     outcomes and the number of kills."""
     outcomes = []
     for cell in cells(seeds):
+        collect_all()  # the last cell's testbeds
         outcome = run(cell)
         if outcome.verdict == "kill":
             outcome = run(cell, trace=True)
@@ -372,7 +427,9 @@ MUTANT_DIR = Path(__file__).parent / "mutants"
 
 #: Every ``tests/mutants/*.patch``: what it breaks, and for the four
 #: mutants no READ can see (same bytes, other bookkeeping or another
-#: scheduling seam), the test that kills each instead.
+#: scheduling seam), the test that kills each instead.  No READ sees
+#: ``run-leaves-a-cycle`` either; the search's cyclic-garbage check
+#: kills it.
 MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
     "evict-for-single-pass": (
         "VFS._evict_for makes room once, without re-checking after the "
@@ -421,6 +478,10 @@ MUTANTS: Dict[str, Tuple[str, Optional[str]]] = {
         "eviction sheds the store's warm run from its hottest block; the "
         "bytes are the same, only which blocks stay cached differs",
         "tests/test_store_oracle.py"),
+    "run-leaves-a-cycle": (
+        "a triggered Event keeps a reference to itself; every byte is the "
+        "same, but the run leaves cyclic garbage the paused collector "
+        "never sees", None),
     "wake-bypasses-push": (
         "Event.succeed pushes its wake-ups onto the heap past "
         "Simulator._push; FIFO ties keep every byte, but the search's "

@@ -48,8 +48,9 @@ def test_tier1_runs_both_builtin_sha256_branches():
 
 def test_integrity_search_job_runs_the_search_and_every_mutant():
     """The wide search, the store oracle's wide profile and the mutant
-    matrix run in CI, the search step names what it covers, and the
-    matrix's table names exactly the patches in ``tests/mutants``."""
+    matrix run in CI, the search step names what it covers (a stall and
+    a leftover reference cycle are kills), and the matrix's table names
+    exactly the patches in ``tests/mutants``."""
     import integrity_search
     from hypothesis import settings
 
@@ -64,6 +65,7 @@ def test_integrity_search_job_runs_the_search_and_every_mutant():
                 and "--mutants" not in step["run"])
     assert f"LRU and {len(integrity_search.ORDERS)} victim orders" in wide
     assert "a stall is a kill" in wide
+    assert "a reference cycle left" in wide
     assert "tests/integrity_search.py --mutants" in runs
     assert "pytest tests/test_store_oracle.py --hypothesis-profile=wide" \
         in runs

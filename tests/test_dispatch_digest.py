@@ -1,64 +1,75 @@
 """The dispatch digest, and what it shows first: the simulation does not
 depend on when CPython's cyclic collector runs.
 
-Warm start pauses the collector and hands its objects straight to the
-oldest generation (DESIGN.md §5); both are sound only if no simulated
-outcome depends on collection timing — no weak reference, finalizer or
-address decides what is dispatched.  Two quick warm-started cells run
-three ways: collector as found, disabled for the whole run, and
-collecting young objects far more often than by default.  Their
-dispatch streams must be event-for-event identical.
+Every run dispatches with the collector paused, and the pause and warm
+start hand their objects straight to the oldest generation (DESIGN.md
+§5, §11); both are sound only if no simulated outcome depends on
+collection timing — no weak reference, finalizer or address decides
+what is dispatched.  Two quick warm-started cells run twice: as they
+always run, and with the engine's pause swapped for a no-op and young
+collections far more frequent than by default, so the collector really
+runs while events dispatch.  Their dispatch streams must be
+event-for-event identical.
 """
 
 from __future__ import annotations
 
 import gc
+from contextlib import nullcontext
 
 import pytest
 
 from repro.experiments import SWEEPS
 from repro.experiments.common import run_cell
 from repro.obs.trace import TraceBus
+from repro.sim import engine
 
 from dispatch_digest import (dispatch_stream, first_difference, recorded,
                              rolling_digest)
+from integrity_search import collect_all
 
 
-def collector_disabled(run):
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return run()
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def collector_eager(run):
-    """Young collections seven times as often as by default; full ones
-    no more often, which the other two runs already place."""
+def collector_eager(run, monkeypatch):
+    """No pause around dispatch, and young collections seven times as
+    often as by default; full ones no more often."""
     threshold = gc.get_threshold()
+    monkeypatch.setattr(engine, "collector_paused", nullcontext)
     gc.set_threshold(100, 10, 100)
     try:
         return run()
     finally:
         gc.set_threshold(*threshold)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("label", ["figure6a/ncache/250mb",
                                    "figure7/ncache/30pct"])
-def test_dispatch_stream_does_not_depend_on_the_collector(label):
+def test_dispatch_stream_does_not_depend_on_the_collector(label,
+                                                          monkeypatch):
     sweep, _, cell_label = label.partition("/")
     cell = SWEEPS[sweep].cell(cell_label)
+    collections = []
 
     def run():
         return recorded(lambda: run_cell(cell, quick=True))
 
-    as_found = run()
-    assert len(as_found) > 10_000
-    for variant in (collector_disabled, collector_eager):
-        assert first_difference(as_found, variant(run)) is None, \
-            variant.__name__
+    def count(phase, info):
+        if phase == "stop":
+            collections.append(info["generation"])
+
+    paused = run()
+    assert len(paused) > 10_000
+    # Each run's testbed is cyclic and waits in the oldest generation:
+    # free it before the next is built, and the last before the next test.
+    collect_all()
+    gc.callbacks.append(count)
+    try:
+        eager = collector_eager(run, monkeypatch)
+    finally:
+        gc.callbacks.remove(count)
+        collect_all()
+    assert collections, "the collector never ran during the eager run"
+    assert first_difference(paused, eager) is None
 
 
 class TestDigest:

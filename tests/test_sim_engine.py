@@ -1,9 +1,13 @@
 """Engine semantics: scheduling order, events, combinators, errors."""
 
+import gc
+import threading
+
 import pytest
 
 from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
-from repro.sim.engine import dispatch_count
+from repro.sim import engine
+from repro.sim.engine import StopSimulation, dispatch_count
 
 
 class TestScheduling:
@@ -176,3 +180,114 @@ class TestDeterminism:
 
         sim.schedule(1.0, reenter)
         sim.run()
+
+
+class TestCollector:
+    """``run`` dispatches with the cyclic collector paused, promotes what
+    survives to the oldest generation and hands the collector back as
+    it found it, however the run ends.  (On 3.11
+    ``gc.get_freeze_count()`` walks the frozen list: the run reads it
+    once, never per dispatch.)"""
+
+    @pytest.fixture(params=(True, False), ids=("enabled", "disabled"))
+    def found(self, request):
+        """The collector's state before the run; enabled again after."""
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        gc.enable()
+
+    @staticmethod
+    def left_as_found(found):
+        assert gc.isenabled() is found
+        assert gc.get_freeze_count() == 0
+
+    def test_paused_while_dispatching(self, found):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False]
+        self.left_as_found(found)
+
+    def test_survivors_promoted_and_no_collection_deferred(self, found):
+        # Without the promotion the young count would stand at ~20,000
+        # and the caller's next allocation would scan them all.
+        sim = Simulator()
+        kept = []
+        sim.schedule(0.0, lambda: kept.extend([i] for i in range(20_000)))
+        sim.run()
+        assert gc.get_count()[0] < 1_000
+        old = {id(obj) for obj in gc.get_objects(2)}
+        assert all(id(obj) in old for obj in kept[::1000])
+        self.left_as_found(found)
+
+    def test_a_raising_callback(self, found):
+        sim = Simulator()
+
+        def fail():
+            raise ValueError("model error")
+
+        sim.schedule(1.0, fail)
+        with pytest.raises(ValueError):
+            sim.run()
+        self.left_as_found(found)
+
+    def test_stop_simulation(self, found):
+        sim = Simulator()
+
+        def stop():
+            raise StopSimulation
+
+        sim.schedule(1.0, stop)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert sim.now == 1.0
+        self.left_as_found(found)
+
+    def test_rejected_reentry_touches_nothing(self, found, monkeypatch):
+        # The re-entry check comes before the pause: the rejected call
+        # neither pauses nor promotes.
+        sim = Simulator()
+        pauses = []
+        real = engine.collector_paused
+        monkeypatch.setattr(engine, "collector_paused",
+                            lambda: pauses.append(1) or real())
+
+        def reenter():
+            before = len(pauses)
+            with pytest.raises(SimulationError, match="re-entered"):
+                sim.run()
+            assert len(pauses) == before
+            assert not gc.isenabled()
+
+        sim.schedule(1.0, reenter)
+        sim.run()
+        assert pauses == [1]
+        self.left_as_found(found)
+
+    def test_a_frozen_set_stays_frozen(self, found, monkeypatch):
+        marker = [object()]
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            calls = []
+            for name in ("freeze", "unfreeze"):
+                monkeypatch.setattr(gc, name, lambda name=name,
+                                    real=getattr(gc, name):
+                                    calls.append(name) or real())
+            sim = Simulator()
+            sim.schedule(1.0, lambda: None)
+            sim.run()
+            monkeypatch.undo()
+            assert calls == []
+            assert gc.isenabled() is found
+            assert not any(obj is marker for gen in range(3)
+                           for obj in gc.get_objects(gen))
+            # Nothing left the frozen set and nothing joined it.  Another
+            # thread (the session's cell pool) may free frozen objects of
+            # its own at any moment, so the count is exact only alone.
+            assert 0 < gc.get_freeze_count() <= frozen
+            if threading.active_count() == 1:
+                assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
